@@ -1,7 +1,7 @@
 GO ?= go
 VETBIN := $(CURDIR)/.cache/cbvrvet
 
-.PHONY: all build test race vet vet-standalone clean
+.PHONY: all build test race vet vet-standalone bench-check clean
 
 all: build test vet
 
@@ -27,6 +27,12 @@ vet: $(VETBIN)
 # to debug or run under a debugger.
 vet-standalone:
 	$(GO) run ./tools/cbvrvet ./...
+
+# bench-check vets and tests the nested cbvr/bench module, which tier-1
+# `./...` does not descend into: it compiles against the engine API, so a
+# rename there breaks the benchmark without any other target noticing.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 $(VETBIN): FORCE
 	@mkdir -p $(dir $(VETBIN))

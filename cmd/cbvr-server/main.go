@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"cbvr"
+	"cbvr/internal/admission"
 	"cbvr/internal/server"
 )
 
@@ -58,14 +59,15 @@ func run() int {
 		log.Printf("cbvr-server: %v", err)
 		return 1
 	}
-	api := server.New(sys.Engine(), server.Options{
-		MaxUploadBytes:     *maxUpload,
-		MaxInFlightIngests: *maxIngests,
-		SearchDeadline:     *searchDeadline,
-		MutateDeadline:     *mutateDeadline,
-		MaxDeadline:        *maxDeadline,
-		BodyStallTimeout:   *bodyStall,
-	})
+	opts := server.Options{
+		MaxUploadBytes:   *maxUpload,
+		SearchDeadline:   *searchDeadline,
+		MutateDeadline:   *mutateDeadline,
+		MaxDeadline:      *maxDeadline,
+		BodyStallTimeout: *bodyStall,
+	}
+	opts.Admission.Limit[admission.Ingest] = *maxIngests
+	api := server.New(sys.Engine(), opts)
 	// Header and idle timeouts bound what a connection may cost before it
 	// carries an admitted request; body pace is the watchdog's job (a
 	// blanket ReadTimeout would cut legitimately long uploads), and the

@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"cbvr/internal/features"
+	"cbvr/internal/rangeindex"
 )
 
 // noSlot marks an entry not (or no longer) packed into an arena.
@@ -34,6 +35,10 @@ type shardArena struct {
 	// scan skips the per-row flag sweep entirely.
 	present [features.NumKinds][]bool
 	missing [features.NumKinds]int
+
+	// bucket[s] is live slot s's §4.2 range bucket — the column the
+	// search-time range prune sweeps; the zero Range while free.
+	bucket []rangeindex.Range
 
 	ents []*frameEntry // slot -> owning entry; nil while free
 	live []int32       // live slots, arbitrary order (swap-removed)
@@ -56,6 +61,7 @@ func (a *shardArena) insert(en *frameEntry) {
 		slot = int32(len(a.ents))
 		a.ents = append(a.ents, nil)
 		a.pos = append(a.pos, noSlot)
+		a.bucket = append(a.bucket, rangeindex.Range{})
 		for k := range a.cols {
 			stride := features.Stride(features.Kind(k))
 			a.cols[k] = append(a.cols[k], make([]float64, stride)...)
@@ -75,11 +81,12 @@ func (a *shardArena) insert(en *frameEntry) {
 }
 
 // repack overwrites a live slot's column rows from the entry's current
-// descriptor set, maintaining the present flags and missing counts. It
-// is the incremental path reindex swaps take: one row rewritten in
-// place, no column rebuild.
+// descriptor set and bucket, maintaining the present flags and missing
+// counts. It is the incremental path reindex swaps take: one row
+// rewritten in place, no column rebuild.
 func (a *shardArena) repack(en *frameEntry) {
 	slot := en.slot
+	a.bucket[slot] = en.bucket
 	for k := range a.cols {
 		kind := features.Kind(k)
 		stride := features.Stride(kind)
@@ -108,8 +115,8 @@ func (a *shardArena) repack(en *frameEntry) {
 }
 
 // remove retires an entry's slot: swap-removed from the live list,
-// present flags cleared (so a recycled slot starts from a known state)
-// and the slot pushed onto the free list.
+// bucket and present flags cleared (so a recycled slot starts from a
+// known state) and the slot pushed onto the free list.
 func (a *shardArena) remove(en *frameEntry) {
 	slot := en.slot
 	if slot == noSlot || int(slot) >= len(a.pos) || a.ents[slot] != en {
@@ -123,6 +130,7 @@ func (a *shardArena) remove(en *frameEntry) {
 	a.live = a.live[:last]
 	a.pos[slot] = noSlot
 	a.ents[slot] = nil
+	a.bucket[slot] = rangeindex.Range{}
 	for k := range a.present {
 		if a.present[k][slot] {
 			a.present[k][slot] = false
@@ -145,4 +153,44 @@ func (a *shardArena) row(kind features.Kind, slot int32) []float64 {
 // hasKind reports whether slot stores a descriptor of the kind.
 func (a *shardArena) hasKind(kind features.Kind, slot int32) bool {
 	return a.present[kind][slot]
+}
+
+// countOverlapping is the §4.2 range prune as a count: the number of live
+// rows whose bucket overlaps the query's.
+func (a *shardArena) countOverlapping(q rangeindex.Range) int {
+	n := 0
+	for _, s := range a.live {
+		if a.bucket[s].Overlaps(q) {
+			n++
+		}
+	}
+	return n
+}
+
+// overlapping appends to dst those of slots whose bucket overlaps the
+// query's, in slots order.
+func (a *shardArena) overlapping(dst, slots []int32, q rangeindex.Range) []int32 {
+	for _, s := range slots {
+		if a.bucket[s].Overlaps(q) {
+			dst = append(dst, s)
+		}
+	}
+	return dst
+}
+
+// distances is the one kernel entry point of every scan: out[i] becomes
+// the kind's distance from the packed query vector to row rows[i], with
+// rows that store no descriptor of the kind ranked last.
+//
+//cbvrvet:noalloc
+func (a *shardArena) distances(kind features.Kind, qv []float64, rows []int32, out []float64) {
+	features.BatchDistance(kind, qv, a.cols[kind], rows, out)
+	if a.missing[kind] > 0 {
+		pres := a.present[kind]
+		for i, s := range rows {
+			if !pres[s] {
+				out[i] = missingDistance
+			}
+		}
+	}
 }

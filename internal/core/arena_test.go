@@ -54,6 +54,36 @@ func checkArenaAgainstReference(t *testing.T, eng *Engine, qset *features.Set, q
 	}
 }
 
+// checkBucketColumn asserts the arena's §4.2 bucket column — the only
+// thing the search-time range prune reads — mirrors the cache exactly:
+// every live slot carries its entry's bucket, every free slot is cleared,
+// and the live rows add up to the cached entry count.
+func checkBucketColumn(t *testing.T, eng *Engine, label string) {
+	t.Helper()
+	eng.mu.RLock()
+	defer eng.mu.RUnlock()
+	live := 0
+	for si, ar := range eng.arenas {
+		if len(ar.bucket) != len(ar.ents) {
+			t.Fatalf("%s: shard %d bucket column has %d slots, arena %d", label, si, len(ar.bucket), len(ar.ents))
+		}
+		for _, slot := range ar.live {
+			if en := ar.ents[slot]; ar.bucket[slot] != en.bucket {
+				t.Fatalf("%s: shard %d slot %d column bucket %v, entry %d has %v", label, si, slot, ar.bucket[slot], en.id, en.bucket)
+			}
+		}
+		for _, slot := range ar.free {
+			if ar.bucket[slot] != (rangeindex.Range{}) {
+				t.Fatalf("%s: shard %d free slot %d keeps bucket %v", label, si, slot, ar.bucket[slot])
+			}
+		}
+		live += len(ar.live)
+	}
+	if n := eng.numCached(); live != n {
+		t.Fatalf("%s: arenas hold %d live rows, cache %d", label, live, n)
+	}
+}
+
 // TestArenaChurnBitIdentity interleaves every arena mutation path —
 // ingest (slot append and free-slot reuse), delete (swap-remove),
 // reindex (in-place repack) — with concurrent searches, and asserts
@@ -106,6 +136,7 @@ func TestArenaChurnBitIdentity(t *testing.T) {
 
 	check := func(label string) {
 		t.Helper()
+		checkBucketColumn(t, eng, label)
 		checkArenaAgainstReference(t, eng, qset, qbucket, label)
 	}
 
@@ -136,10 +167,29 @@ func TestArenaChurnBitIdentity(t *testing.T) {
 			check(fmt.Sprintf("round %d after delete", round))
 		}
 	}
+	// Reindex across a bucket change: swap stale entries over the seed
+	// video's rows the way a reindex commit would, under a bucket no query
+	// overlaps (as if an older extractor had assigned it), then let the
+	// real reindex move every row back to its true bucket.
+	stale := rangeindex.Range{Min: 256, Max: 300}
+	eng.mu.Lock()
+	for _, id := range seed.KeyFrameIDs {
+		old := *eng.getEntry(id)
+		old.bucket = stale
+		eng.replaceEntry(&old)
+	}
+	eng.mu.Unlock()
+	check("after stale-bucket swap")
+	if m, err := eng.SearchWithSet(qset, qbucket, SearchOptions{K: 1}); err != nil || (len(m) > 0 && m[0].VideoID == seed.VideoID) {
+		t.Fatalf("stale-bucket rows still pass the range prune: %+v, %v", m, err)
+	}
 	if _, err := eng.ReindexVideo(seed.VideoID); err != nil {
 		t.Fatal(err)
 	}
 	check("after seed reindex")
+	if m, err := eng.SearchWithSet(qset, qbucket, SearchOptions{K: 1}); err != nil || len(m) != 1 || m[0].VideoID != seed.VideoID {
+		t.Fatalf("reindex did not move the seed rows back to their bucket: %+v, %v", m, err)
+	}
 
 	close(stop)
 	wg.Wait()

@@ -1,5 +1,5 @@
 // Coarse-quantized candidate pruning: per-shard cell indexes over the
-// packed arena columns that let scanShard batch kernels over a surviving
+// packed arena columns that let scanShard take its rows from a surviving
 // subset of cells instead of every live row.
 //
 // Each shard's rows are grouped into cells by a deterministic coarse
@@ -22,10 +22,10 @@
 //     probed rows; eval/recall.go certifies recall against the exact
 //     reference.
 //
-// Whenever bounds cannot guarantee recall, scanShard falls back to the
-// exact full sweep: shards below MinShardRows, unbuilt indexes, K <= 0
-// (full-ranking queries), unsupported kinds, or probe budgets that reach
-// the whole candidate set anyway.
+// Whenever bounds cannot guarantee recall, scanShard takes the exact row
+// sources instead (see plan): shards below MinShardRows, unbuilt indexes,
+// K <= 0 (full-ranking queries), unsupported kinds, or probe budgets that
+// reach the whole candidate set anyway.
 //
 // Churn contract: the index mutates only under the engine write lock, on
 // the same paths that mutate the arenas — incremental nearest-centroid
@@ -48,6 +48,7 @@ import (
 	"slices"
 
 	"cbvr/internal/features"
+	"cbvr/internal/similarity"
 )
 
 // CellOptions tunes the per-shard candidate pruner. The zero value means
@@ -146,12 +147,89 @@ func newShardCells(cfg CellOptions) *shardCells {
 	return &shardCells{cfg: cfg}
 }
 
-// usable reports whether a scan over n0 candidate rows may consult the
-// cell index at all. The exact fallback triggers here for tiny shards,
-// unbuilt or disabled indexes and full-ranking (K <= 0) queries.
-func (c *shardCells) usable(opt *SearchOptions, n0 int) bool {
-	return c != nil && c.built && !c.cfg.Disabled && !opt.NoCellPruning &&
-		opt.K > 0 && n0 >= c.cfg.MinShardRows && c.n > 0
+// plan reports whether a scan over n0 range-pruned candidate rows may
+// take its rows from the cell index, and for a fused (multi-kind) request
+// the row budget it may probe. ok=false selects the exact sweep: tiny
+// shards, unbuilt or disabled indexes, full-ranking (K <= 0) queries,
+// kinds without a certified bound, and requests the cells cannot shrink.
+func (c *shardCells) plan(opt *SearchOptions, kinds []features.Kind, n0 int) (budget int, ok bool) {
+	if !c.built || c.cfg.Disabled || opt.NoCellPruning ||
+		opt.K <= 0 || n0 < c.cfg.MinShardRows || c.n == 0 {
+		return 0, false
+	}
+	for _, kind := range kinds {
+		if !features.BoundSupported(kind) {
+			return 0, false
+		}
+	}
+	if len(kinds) == 1 {
+		return 0, opt.K < n0 // otherwise the heap could never prune a cell
+	}
+	budget = max(c.cfg.MinProbeRows, int(c.cfg.ProbeFraction*float64(n0)))
+	// Brownout shrinks the fused budget toward the MinProbeRows recall
+	// floor; at level 0 this is a no-op and the arithmetic never runs.
+	budget = brownedBudget(budget, c.cfg.MinProbeRows, opt.brownout)
+	budget = max(budget, opt.K)
+	return budget, budget < n0 // probing everything is just the exact sweep
+}
+
+// sortAscending fills ord with 0..len(key)-1 in ascending key order, ties
+// by index, so every visit order derived from it is deterministic.
+func sortAscending(ord []int32, key []float64) {
+	for i := range ord {
+		ord[i] = int32(i)
+	}
+	slices.SortFunc(ord, func(a, b int32) int {
+		ka, kb := key[a], key[b]
+		switch {
+		case ka < kb:
+			return -1
+		case ka > kb:
+			return 1
+		case a < b:
+			return -1
+		}
+		return 1
+	})
+}
+
+// visitOrder fills sc.cellKey and sc.cellOrd with the query's per-cell
+// visit keys and the ascending visit order, returning the centroid
+// evaluations paid. The two request shapes want different keys:
+//
+// A single-kind request needs the radius-clamped lower bound: the scan's
+// heap cut-off (stop at the first cell whose key exceeds the worst kept
+// distance) is exact only because the key is a true bound.
+//
+// A fused request ranks cells by reciprocal-rank fusion of their per-kind
+// query→centroid distances — the same scale-free rank semantics the
+// probed candidates are fused under, so a cell near the query in several
+// kinds is probed first regardless of each kernel's magnitude. (Neither
+// the radius-clamped bound — which saturates to 0 on every wide cell and
+// degenerates into index-order ties exactly where ordering matters most —
+// nor a fixed-scale distance sum — which lets the largest-magnitude
+// kernel drown out the kinds that actually separate the data — survives
+// contact with rank fusion.) The RRF score is negated so ascending order
+// visits the best-fused cell first.
+func (c *shardCells) visitOrder(pq *PackedQuery, sc *scanScratch) (cellEvals int64) {
+	sc.growCells(c.n)
+	if len(pq.kinds) == 1 {
+		kind := pq.kinds[0]
+		features.BatchLowerBound(kind, pq.vec[0], c.cent[kind], c.rad[kind], sc.cellKey)
+	} else {
+		clear(sc.cellKey)
+		for ki, kind := range pq.kinds {
+			for ci := range sc.cellDist {
+				sc.cellDist[ci] = features.PairDistance(kind, pq.vec[ki], c.centRow(kind, int32(ci)))
+			}
+			sortAscending(sc.cellRank, sc.cellDist)
+			for r, ci := range sc.cellRank {
+				sc.cellKey[ci] -= 1 / float64(similarity.RRFConstant+r+1)
+			}
+		}
+	}
+	sortAscending(sc.cellOrd, sc.cellKey)
+	return int64(c.n) * int64(len(pq.kinds))
 }
 
 // ensureSlots grows the slot-indexed tables to cover the arena's slots.

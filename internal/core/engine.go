@@ -35,8 +35,9 @@ type Options struct {
 	// <= 0 uses GOMAXPROCS.
 	Workers int
 	// SearchShards fixes the number of partitions the key-frame cache and
-	// range index are split into for the concurrent search pipeline.
-	// <= 0 derives the count from the larger of Workers and GOMAXPROCS.
+	// its descriptor arenas are split into for the concurrent search
+	// pipeline. <= 0 derives the count from the larger of Workers and
+	// GOMAXPROCS.
 	// The shard count is set at Open and does not change for the engine's
 	// lifetime; query-time parallelism (Workers, SearchOptions.Workers)
 	// is clamped to it, since each shard is scanned by one worker.
@@ -79,7 +80,7 @@ type SearchOptions struct {
 	Weights []float64
 	// Fusion selects the rank-combination rule (default FusionRRF).
 	Fusion Fusion
-	// NoPruning disables the §4.2 range-index candidate pruning and scans
+	// NoPruning disables the §4.2 range-bucket candidate pruning and scans
 	// every key frame (used by the pruning ablation).
 	NoPruning bool
 	// NoCellPruning disables the coarse-cell candidate pruner for this
@@ -136,10 +137,10 @@ type IngestResult struct {
 // Engine is the CBVR system facade over the catalog store.
 //
 // The scoreable key-frame cache is partitioned into a fixed number of
-// shards keyed by key-frame ID (id mod len(shards)), with a parallel
-// sharded range index for §4.2 bucket pruning. Search fans one worker out
-// per shard; ingest and delete update the owning shard under the engine
-// write lock. See DESIGN.md ("Sharded search pipeline").
+// shards keyed by key-frame ID (id mod len(shards)); each shard's arena
+// carries the §4.2 bucket column the range prune sweeps. Search fans one
+// worker out per shard; ingest and delete update the owning shard under
+// the engine write lock. See DESIGN.md ("Sharded search pipeline").
 // Lock order (enforced by tools/cbvrvet lockorder): the engine lock is
 // outermost; the raster pool's free-list lock is a leaf taken by the
 // decode workers and never held across engine state.
@@ -154,8 +155,7 @@ type Engine struct {
 	shards []map[int64]*frameEntry // key-frame ID -> parsed descriptors, by id mod N
 	arenas []*shardArena           // per-shard packed descriptor columns (see arena.go)
 	cells  []*shardCells           // per-shard coarse pruning cells (see cells.go)
-	index  *rangeindex.ShardedIndex
-	vname  map[int64]string // video ID -> name
+	vname  map[int64]string        // video ID -> name
 	warm   bool
 
 	// tally accumulates per-search work counters (atomic, written outside
@@ -212,7 +212,6 @@ func Open(path string, opts Options) (*Engine, error) {
 		shards:  shards,
 		arenas:  arenas,
 		cells:   cells,
-		index:   rangeindex.NewSharded(n),
 		vname:   make(map[int64]string),
 	}, nil
 }
@@ -243,34 +242,36 @@ func searchShardCount(opts Options) int {
 	return n
 }
 
-// putEntry files an entry into its cache shard, the range index and the
-// shard's descriptor arena. Callers must hold e.mu for writing.
+// shardFor maps a key-frame ID to its cache shard.
+func (e *Engine) shardFor(id int64) int {
+	return int(uint64(id) % uint64(len(e.shards)))
+}
+
+// putEntry files an entry into its cache shard, the shard's descriptor
+// arena and its cell index. Callers must hold e.mu for writing.
 // Re-inserting an already cached ID is a no-op so warmCache never
 // double-indexes entries added by ingest.
 func (e *Engine) putEntry(en *frameEntry) {
-	s := e.index.ShardFor(en.id)
+	s := e.shardFor(en.id)
 	if _, ok := e.shards[s][en.id]; ok {
 		return
 	}
 	e.shards[s][en.id] = en
 	e.arenas[s].insert(en)
 	e.cells[s].onInsert(e.arenas[s], en.slot)
-	e.index.Insert(en.id, en.bucket)
 }
 
 // replaceEntry swaps a rebuilt entry over the cached one with the same ID
-// (the reindex commit path): range-index postings move to the new bucket
-// and the arena row is repacked in place, reusing the old slot. A
-// previously unseen ID falls back to a plain insert. Callers must hold
-// e.mu for writing.
+// (the reindex commit path): the arena row — descriptors and bucket — is
+// repacked in place, reusing the old slot. A previously unseen ID falls
+// back to a plain insert. Callers must hold e.mu for writing.
 func (e *Engine) replaceEntry(en *frameEntry) {
-	s := e.index.ShardFor(en.id)
+	s := e.shardFor(en.id)
 	old := e.shards[s][en.id]
 	if old == nil {
 		e.putEntry(en)
 		return
 	}
-	e.index.Remove(en.id, old.bucket)
 	en.slot = old.slot
 	old.slot = noSlot
 	e.shards[s][en.id] = en
@@ -278,12 +279,11 @@ func (e *Engine) replaceEntry(en *frameEntry) {
 	ar.ents[en.slot] = en
 	ar.repack(en)
 	e.cells[s].onRepack(ar, en.slot)
-	e.index.Insert(en.id, en.bucket)
 }
 
 // getEntry looks an entry up in its shard. Callers must hold e.mu.
 func (e *Engine) getEntry(id int64) *frameEntry {
-	return e.shards[e.index.ShardFor(id)][id]
+	return e.shards[e.shardFor(id)][id]
 }
 
 // numCached counts cached entries. Callers must hold e.mu.
@@ -724,7 +724,6 @@ func (e *Engine) DeleteVideo(videoID int64) error {
 				slot := en.slot
 				e.arenas[si].remove(en)
 				e.cells[si].onRemove(e.arenas[si], slot)
-				e.index.Remove(id, en.bucket)
 			}
 		}
 	}

@@ -121,13 +121,7 @@ func TestConcurrentSearchIngestDelete(t *testing.T) {
 	if len(m) != 1 || m[0].VideoID != seed.VideoID {
 		t.Fatalf("post-churn top match %+v, want video %d", m, seed.VideoID)
 	}
-	n, err := eng.CacheSize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.index.Len() != n {
-		t.Fatalf("range index holds %d ids, cache %d", eng.index.Len(), n)
-	}
+	checkBucketColumn(t, eng, "post-churn")
 }
 
 // errNoMatches distinguishes the "search returned nothing while the seed

@@ -53,8 +53,8 @@ type kfReindexWork struct {
 //
 // Visibility: extraction runs against a snapshot of the rows with no
 // locks held, so searches keep scoring the old descriptors throughout the
-// rebuild; after the transaction commits, the cache entries and range
-// index postings are swapped under the engine lock. A reader therefore
+// rebuild; after the transaction commits, the cache entries and their
+// arena rows are swapped under the engine lock. A reader therefore
 // sees either the old rows or the new rows, never a mix — the same
 // guarantee crash recovery provides (see reindex_crash_test.go).
 func (e *Engine) ReindexVideo(videoID int64) (*ReindexResult, error) {
@@ -136,13 +136,13 @@ func (e *Engine) ReindexVideoCtx(ctx context.Context, videoID int64) (*ReindexRe
 		e.reindexHook("post-commit")
 	}
 
-	// Swap the published entries: remove each key frame's old posting and
-	// install the rebuilt one atomically under the engine lock. A
+	// Swap the published entries: install each key frame's rebuilt entry
+	// over the old one atomically under the engine lock. A
 	// concurrent DeleteVideo may have removed the video between our commit
 	// and this swap (its own transaction serialises after ours); it scrubs
 	// vname inside the same critical section it scrubs the cache, so a
 	// missing name here means the rows are gone and installing entries
-	// would resurrect ghost postings for a deleted video.
+	// would resurrect ghost rows for a deleted video.
 	e.mu.Lock()
 	name, alive := e.vname[videoID]
 	if !alive {

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"cbvr/internal/features"
+	"cbvr/internal/similarity"
 )
 
 // PackedQuery carries one query descriptor set's kernel vectors, packed
@@ -51,21 +52,23 @@ func (e *Engine) PackQuery(qset *features.Set, kinds []features.Kind) *PackedQue
 	return packQuery(qset, kinds)
 }
 
-// scanScratch is one shard worker's reusable scan memory: the candidate
-// gather, the kernel output column and the per-candidate distance rows.
-// Pooled so steady-state searches allocate nothing per shard; released
-// by searchSet once the ranking no longer aliases buf.
+// scanScratch is one shard worker's reusable scan memory: the selected
+// arena rows, the kernel output column and the per-candidate distance
+// rows. Pooled so steady-state searches allocate nothing per shard;
+// released by searchSet once the ranking no longer aliases buf.
 type scanScratch struct {
-	sel   []*frameEntry
 	rows  []int32
 	buf   []float64 // candidate-major distance rows, len n*nk
 	col   []float64 // kind-major kernel output, len n
 	cands []scored
 
-	// Cell-pruning scratch: per-cell lower bounds and the bound-sorted
-	// cell visit order (see cells.go). Sized by growCells.
-	cellLB  []float64
-	cellOrd []int32
+	// Cell-pruning scratch (see cells.go), sized by growCells: the per-cell
+	// visit keys and the key-sorted visit order, plus one kind's centroid
+	// distances and their rank order for the fused probe.
+	cellKey  []float64
+	cellOrd  []int32
+	cellDist []float64
+	cellRank []int32
 }
 
 var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
@@ -76,16 +79,12 @@ var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
 // of different sizes), so one capacity must never be inferred from the
 // other.
 func (s *scanScratch) grow(n, nk int) {
-	if cap(s.sel) < n {
-		s.sel = make([]*frameEntry, 0, n)
-	}
 	if cap(s.cands) < n {
 		s.cands = make([]scored, n)
 	}
 	if cap(s.rows) < n {
 		s.rows = make([]int32, 0, n)
 	}
-	s.sel = s.sel[:0]
 	s.rows = s.rows[:0]
 	s.cands = s.cands[:cap(s.cands)][:n]
 	if cap(s.buf) < n*nk {
@@ -98,26 +97,46 @@ func (s *scanScratch) grow(n, nk int) {
 	s.col = s.col[:n]
 }
 
-// growCells readies the per-cell bound scratch for nc cells.
+// growCells readies the per-cell scratch for nc cells.
 func (s *scanScratch) growCells(nc int) {
-	if cap(s.cellLB) < nc {
-		s.cellLB = make([]float64, nc)
-	}
-	if cap(s.cellOrd) < nc {
+	if cap(s.cellKey) < nc {
+		s.cellKey = make([]float64, nc)
 		s.cellOrd = make([]int32, nc)
+		s.cellDist = make([]float64, nc)
+		s.cellRank = make([]int32, nc)
 	}
-	s.cellLB = s.cellLB[:nc]
+	s.cellKey = s.cellKey[:nc]
 	s.cellOrd = s.cellOrd[:nc]
+	s.cellDist = s.cellDist[:nc]
+	s.cellRank = s.cellRank[:nc]
 }
 
-// release drops entry references over the full backing arrays (so
+// sweep scores rows[start:] against the packed query: each kind's batched
+// kernel runs over those rows of the shard's contiguous columns — no
+// interface dispatch, no per-candidate allocation — into col, which is
+// transposed into the candidate-major distance rows the fusion phase
+// reads. scalers, when non-nil, observe every distance per kind.
+func (s *scanScratch) sweep(ar *shardArena, pq *PackedQuery, start int, scalers []similarity.MinMaxScaler) {
+	rows := s.rows[start:]
+	nk := len(pq.kinds)
+	col := s.col[:len(rows)]
+	for ki, kind := range pq.kinds {
+		ar.distances(kind, pq.vec[ki], rows, col)
+		if scalers != nil {
+			for _, dv := range col {
+				scalers[ki].Observe(dv)
+			}
+		}
+		for i, dv := range col {
+			s.buf[(start+i)*nk+ki] = dv
+		}
+	}
+}
+
+// release drops entry references over the full backing array (so
 // pooled scratch cannot keep deleted videos' descriptors alive past any
 // query) and returns the scratch to the pool.
 func (s *scanScratch) release() {
-	sel := s.sel[:cap(s.sel)]
-	for i := range sel {
-		sel[i] = nil
-	}
 	cands := s.cands[:cap(s.cands)]
 	for i := range cands {
 		cands[i] = scored{}
@@ -154,16 +173,7 @@ func (e *Engine) ScanArenaInto(pq *PackedQuery, dist []float64) (int, error) {
 			if c+len(rows) > len(dist) {
 				return 0, fmt.Errorf("core: dist buffer holds %d values, need more", len(dist))
 			}
-			out := dist[c : c+len(rows)]
-			features.BatchDistance(kind, qv, ar.cols[kind], rows, out)
-			if ar.missing[kind] > 0 {
-				pres := ar.present[kind]
-				for i, s := range rows {
-					if !pres[s] {
-						out[i] = missingDistance
-					}
-				}
-			}
+			ar.distances(kind, qv, rows, dist[c:c+len(rows)])
 			c += len(rows)
 		}
 	}

@@ -5,10 +5,11 @@
 // A frame search runs in two parallel phases over the engine's fixed cache
 // shards (see DESIGN.md):
 //
-//  1. scan — each shard worker prunes its own range-index shard by the
-//     query bucket, computes all requested per-feature distances into one
-//     flat shard-local buffer, and (for min-max fusion) folds each
-//     feature's running min/max into a shard-local MinMaxScaler.
+//  1. scan — each shard worker selects its arena rows (the §4.2 bucket
+//     filter, then the cell index where it can certify bounds), sweeps
+//     all requested per-feature distances into one flat shard-local
+//     buffer, and (for min-max fusion) folds each feature's running
+//     min/max into a shard-local MinMaxScaler.
 //  2. select — per-candidate fused distances are produced from the merged
 //     normalisation state and pushed through one bounded top-K max-heap
 //     per shard; the shard heaps merge into the final ranking.
@@ -86,8 +87,8 @@ func parallelFor(n, workers int, fn func(i int)) {
 }
 
 // SearchFrame ranks stored key frames against a query frame: extract the
-// query's descriptors, prune candidates through the sharded range index,
-// score per feature in parallel, fuse and select the top K.
+// query's descriptors, prune candidates by §4.2 range bucket, score per
+// feature in parallel, fuse and select the top K.
 func (e *Engine) SearchFrame(query *imaging.Image, opt SearchOptions) ([]Match, error) {
 	return e.SearchFrameCtx(context.Background(), query, opt)
 }
@@ -130,6 +131,15 @@ type shardPart struct {
 	scalers []similarity.MinMaxScaler // per kind; nil unless min-max fusion
 	scratch *scanScratch
 	stats   scanStats
+}
+
+// newMinMaxScalers returns one empty scaler per kind.
+func newMinMaxScalers(nk int) []similarity.MinMaxScaler {
+	scalers := make([]similarity.MinMaxScaler, nk)
+	for ki := range scalers {
+		scalers[ki] = similarity.NewMinMaxScaler()
+	}
+	return scalers
 }
 
 // scanStats counts one shard scan's work for the search-wide SearchStats.
@@ -179,8 +189,8 @@ func (e *Engine) searchSetStats(ctx context.Context, qset *features.Set, qbucket
 	workers := e.searchWorkers(&opt)
 	needScalers := len(kinds) > 1 && opt.Fusion == FusionMinMax
 
-	// Phase 1: shard-local scan — prune, kernel-sweep the arena columns,
-	// observe min/max. The pooled scratch each shard scores into stays
+	// Phase 1: shard-local scan — select rows, kernel-sweep the arena
+	// columns, observe min/max. The pooled scratch each shard scores into stays
 	// aliased by the candidate rows until the ranking is final.
 	parts := make([]shardPart, nShards)
 	defer func() {
@@ -255,10 +265,7 @@ func (e *Engine) searchSetStats(ctx context.Context, qset *features.Set, qbucket
 	case len(kinds) == 1:
 		fusedAt = func(g int) float64 { return all[g].d[0] }
 	case opt.Fusion == FusionMinMax:
-		scalers := make([]similarity.MinMaxScaler, len(kinds))
-		for ki := range scalers {
-			scalers[ki] = similarity.NewMinMaxScaler()
-		}
+		scalers := newMinMaxScalers(len(kinds))
 		for si := range parts {
 			if parts[si].scalers == nil {
 				continue
@@ -314,295 +321,99 @@ func (e *Engine) searchSetStats(ctx context.Context, qset *features.Set, qbucket
 }
 
 // scanShard scores one cache shard's candidates against the packed
-// query. The candidate set is the shard's live arena rows, or the
-// range-pruned subset of them. When the shard's cell index can certify
-// bounds for the request (see shardCells.usable), only surviving cells
-// are kernel-swept; otherwise — tiny shards, unbuilt indexes, K <= 0,
-// degenerate kind mixes, budgets that cover everything — the exact full
-// sweep runs, bit-identical to the pre-pruner pipeline. Callers must
-// hold e.mu for reading; the returned part's scratch must be released
-// once its rows are no longer referenced.
+// query: one row-selection step, one kernel sweep. n0 — the live rows
+// surviving the §4.2 range prune, or every live row under NoPruning — is
+// what an exact sweep would score; the rows actually scored come from one
+// of four sources, chosen only from what the code can observe:
+//
+//   - exact, every live row (NoPruning) or the bucket-filtered live rows
+//     (default): whenever the shard's cell index cannot certify bounds for
+//     the request (see shardCells.plan). Bit-identical to the reference.
+//   - cells in ascending lower-bound order (single kind): each cell is
+//     swept as it is visited while a local top-K heap tracks the worst
+//     kept distance, and the scan stops at the first cell whose bound
+//     strictly exceeds it. Every row that could appear in the shard's top
+//     K — even on distance ties, since a tying row's bound cannot exceed
+//     the tied worst — has then been scored, so the fusion phase selects
+//     exactly what the full sweep would (the strict > keeps
+//     equal-distance smaller-ID rows).
+//   - cells in RRF-centroid-rank order up to the probe budget (fused):
+//     rank fusion over the probed subset is not guaranteed identical to
+//     the full sweep; eval/recall.go holds it to the recall threshold.
+//
+// Cell members pass the same bucket filter unless NoPruning. Callers must
+// hold e.mu for reading; the returned part's scratch must be released once
+// its rows are no longer referenced.
 func (e *Engine) scanShard(si int, pq *PackedQuery, qbucket rangeindex.Range, opt *SearchOptions, needScalers bool) shardPart {
-	ar := e.arenas[si]
+	ar, cl := e.arenas[si], e.cells[si]
 	nk := len(pq.kinds)
-	var ids []int64
 	n0 := len(ar.live)
 	if !opt.NoPruning {
-		ids = e.index.Shard(si).Candidates(qbucket)
-		n0 = len(ids)
+		n0 = ar.countOverlapping(qbucket)
 	}
 	if n0 == 0 {
 		return shardPart{}
 	}
-
-	if e.cells[si].usable(opt, n0) {
-		if part, ok := e.scanShardCells(si, pq, qbucket, opt, needScalers, n0); ok {
-			return part
-		}
-	}
-
 	sc := scanScratchPool.Get().(*scanScratch)
 	sc.grow(n0, nk)
-	var rows []int32
-	if opt.NoPruning {
-		rows = ar.live
-		for _, s := range rows {
-			sc.sel = append(sc.sel, ar.ents[s])
-		}
-	} else {
-		ents := e.shards[si]
-		for _, id := range ids {
-			if en := ents[id]; en != nil {
-				sc.rows = append(sc.rows, en.slot)
-				sc.sel = append(sc.sel, en)
-			}
-		}
-		rows = sc.rows
-		if len(rows) == 0 {
-			sc.release()
-			return shardPart{}
-		}
-	}
-	part := sweepArenaRows(ar, pq, sc, rows, needScalers)
-	part.stats = scanStats{baseRows: n0, rowEvals: int64(len(rows)) * int64(nk)}
-	return part
-}
-
-// sweepArenaRows is the shared kernel sweep: each requested kind's
-// batched kernel runs over the gathered rows of the shard's contiguous
-// columns — no interface dispatch, no per-candidate allocation — into
-// the pooled scratch, which is transposed to the per-candidate distance
-// rows the fusion phase consumes. sc.sel must already hold the entries
-// matching rows.
-func sweepArenaRows(ar *shardArena, pq *PackedQuery, sc *scanScratch, rows []int32, needScalers bool) shardPart {
-	nk := len(pq.kinds)
-	n := len(sc.sel)
-	buf := sc.buf[:n*nk]
-	col := sc.col[:n]
-	part := shardPart{cands: sc.cands[:n], scratch: sc}
+	part := shardPart{scratch: sc, stats: scanStats{baseRows: n0}}
 	if needScalers {
-		part.scalers = make([]similarity.MinMaxScaler, nk)
-		for ki := range part.scalers {
-			part.scalers[ki] = similarity.NewMinMaxScaler()
-		}
+		part.scalers = newMinMaxScalers(nk)
 	}
-	for ki, kind := range pq.kinds {
-		features.BatchDistance(kind, pq.vec[ki], ar.cols[kind], rows, col)
-		if ar.missing[kind] > 0 {
-			pres := ar.present[kind]
-			for i, s := range rows {
-				if !pres[s] {
-					col[i] = missingDistance // missing stored descriptor ranks last
-				}
-			}
-		}
-		if part.scalers != nil {
-			msc := &part.scalers[ki]
-			for _, dv := range col {
-				msc.Observe(dv)
-			}
-		}
-		// Transpose the kind column into the candidate-major rows the
-		// fusion and selection phases read.
-		for i, dv := range col {
-			buf[i*nk+ki] = dv
-		}
-	}
-	for i, en := range sc.sel {
-		part.cands[i] = scored{en: en, d: buf[i*nk : (i+1)*nk : (i+1)*nk]}
-	}
-	return part
-}
-
-// scanShardCells is the cell-pruned scan. It returns ok=false when the
-// request cannot profit from (or be certified under) the bounds, in
-// which case the caller runs the exact sweep.
-//
-// Single-kind requests are exact: cells are visited in ascending
-// lower-bound order while a local top-K heap tracks the worst kept
-// distance, and the sweep stops at the first cell whose bound strictly
-// exceeds it. Every row that could appear in the shard's top K — even on
-// distance ties, since a tying row's bound cannot exceed the tied worst
-// — has then been scored, so the fusion phase selects exactly what the
-// full sweep would (the strict > keeps equal-distance smaller-ID rows).
-//
-// Fused multi-kind requests probe: cells are ranked by reciprocal-rank
-// fusion of their per-kind query→centroid distances — the same scale-free
-// rank semantics the probed candidates are fused under, so a cell near
-// the query in several kinds is probed first regardless of each kernel's
-// magnitude. (Neither the radius-clamped bound — which saturates to 0 on
-// every wide cell and degenerates into index-order ties exactly where
-// ordering matters most — nor a fixed-scale distance sum — which lets the
-// largest-magnitude kernel drown out the kinds that actually separate the
-// data — survives contact with rank fusion.) Cells are gathered
-// best-first until the probe budget is reached, then swept like any other
-// candidate set. Rank fusion over the probed subset is not guaranteed
-// identical to the full sweep; eval/recall.go holds it to the recall
-// threshold.
-func (e *Engine) scanShardCells(si int, pq *PackedQuery, qbucket rangeindex.Range, opt *SearchOptions, needScalers bool, n0 int) (shardPart, bool) {
-	for _, kind := range pq.kinds {
-		if !features.BoundSupported(kind) {
-			return shardPart{}, false
-		}
-	}
-	ar := e.arenas[si]
-	cl := e.cells[si]
-	nk := len(pq.kinds)
-	single := nk == 1
-	var budget int
-	if single {
-		if opt.K >= n0 {
-			return shardPart{}, false // the heap could never prune a cell
-		}
-	} else {
-		budget = cl.cfg.MinProbeRows
-		if f := int(cl.cfg.ProbeFraction * float64(n0)); f > budget {
-			budget = f
-		}
-		// Brownout shrinks the fused budget toward the MinProbeRows recall
-		// floor; at level 0 this is a no-op and the arithmetic never runs.
-		budget = brownedBudget(budget, cl.cfg.MinProbeRows, opt.brownout)
-		if opt.K > budget {
-			budget = opt.K
-		}
-		if budget >= n0 {
-			return shardPart{}, false // probing everything is just the exact sweep
+	take := func(slots []int32) {
+		if opt.NoPruning {
+			sc.rows = append(sc.rows, slots...)
+		} else {
+			sc.rows = ar.overlapping(sc.rows, slots, qbucket)
 		}
 	}
 
-	sc := scanScratchPool.Get().(*scanScratch)
-	sc.grow(n0, nk)
-	sc.growCells(cl.n)
-	ranged := !opt.NoPruning
-
-	// Per-cell visit keys, then the ascending visit order (ties by cell
-	// index, so the sweep is deterministic). The single-kind path needs
-	// the radius-clamped lower bound — the heap cut-off depends on it
-	// being a true bound — while the fused probe wants pure centroid
-	// proximity as its rank signal.
-	var cellEvals int64
-	if single {
-		kind := pq.kinds[0]
-		features.BatchLowerBound(kind, pq.vec[0], cl.cent[kind], cl.rad[kind], sc.cellLB)
-		cellEvals = int64(cl.n)
-	} else {
-		// RRF over per-kind centroid ranks, negated so the shared
-		// ascending sort below visits the best-fused cell first.
-		dist := make([]float64, cl.n)
-		ord := make([]int32, cl.n)
-		for ci := 0; ci < cl.n; ci++ {
-			sc.cellLB[ci] = 0
-		}
-		for ki, kind := range pq.kinds {
-			for ci := 0; ci < cl.n; ci++ {
-				dist[ci] = features.PairDistance(kind, pq.vec[ki], cl.centRow(kind, int32(ci)))
+	budget, viaCells := cl.plan(opt, pq.kinds, n0)
+	switch {
+	case !viaCells:
+		take(ar.live)
+		sc.sweep(ar, pq, 0, part.scalers)
+	case nk > 1:
+		part.stats.cellEvals = cl.visitOrder(pq, sc)
+		for _, ci := range sc.cellOrd {
+			if len(sc.rows) >= budget {
+				break
 			}
-			for i := range ord {
-				ord[i] = int32(i)
-			}
-			slices.SortFunc(ord, func(a, b int32) int {
-				da, db := dist[a], dist[b]
-				switch {
-				case da < db:
-					return -1
-				case da > db:
-					return 1
-				case a < b:
-					return -1
-				}
-				return 1
-			})
-			for r, ci := range ord {
-				sc.cellLB[ci] -= 1 / float64(similarity.RRFConstant+r+1)
-			}
+			take(cl.members[ci])
 		}
-		cellEvals = int64(cl.n) * int64(nk)
-	}
-	for i := range sc.cellOrd {
-		sc.cellOrd[i] = int32(i)
-	}
-	slices.SortFunc(sc.cellOrd, func(a, b int32) int {
-		la, lb := sc.cellLB[a], sc.cellLB[b]
-		switch {
-		case la < lb:
-			return -1
-		case la > lb:
-			return 1
-		case a < b:
-			return -1
-		}
-		return 1
-	})
-
-	gather := func(ci int32) int {
-		start := len(sc.rows)
-		for _, slot := range cl.members[ci] {
-			if ranged && !ar.ents[slot].bucket.Overlaps(qbucket) {
-				continue
-			}
-			sc.rows = append(sc.rows, slot)
-			sc.sel = append(sc.sel, ar.ents[slot])
-		}
-		return start
-	}
-
-	if single {
-		kind := pq.kinds[0]
-		qv := pq.vec[0]
+		// Truncating the last cell at the exact budget is safe here (unlike
+		// the single-kind path, where bounds reason about whole cells): the
+		// probe is approximate either way, members are ID-ordered, and the
+		// cut keeps paid work equal to the budget instead of overshooting by
+		// up to a cell.
+		sc.rows = sc.rows[:min(len(sc.rows), budget)]
+		sc.sweep(ar, pq, 0, part.scalers)
+	default:
+		part.stats.cellEvals = cl.visitOrder(pq, sc)
 		heap := similarity.NewTopK(opt.K)
 		for _, ci := range sc.cellOrd {
 			if heap.Len() == opt.K {
-				if w, _ := heap.Worst(); sc.cellLB[ci] > w.Distance {
+				if w, _ := heap.Worst(); sc.cellKey[ci] > w.Distance {
 					break // bound certifies: nothing left can enter the top K
 				}
 			}
-			start := gather(ci)
-			batch := sc.rows[start:]
-			if len(batch) == 0 {
-				continue
-			}
-			// nk == 1, so the candidate-major buf is the kind column.
-			out := sc.buf[start : start+len(batch)]
-			features.BatchDistance(kind, qv, ar.cols[kind], batch, out)
-			if ar.missing[kind] > 0 {
-				pres := ar.present[kind]
-				for i, s := range batch {
-					if !pres[s] {
-						out[i] = missingDistance
-					}
-				}
-			}
-			for i, dv := range out {
-				heap.Push(similarity.Ranked{ID: sc.sel[start+i].id, Distance: dv})
+			start := len(sc.rows)
+			take(cl.members[ci])
+			sc.sweep(ar, pq, start, nil)
+			for i, s := range sc.rows[start:] {
+				heap.Push(similarity.Ranked{ID: ar.ents[s].id, Distance: sc.buf[start+i]})
 			}
 		}
-		n := len(sc.sel)
-		part := shardPart{cands: sc.cands[:n], scratch: sc}
-		for i, en := range sc.sel {
-			part.cands[i] = scored{en: en, d: sc.buf[i : i+1 : i+1]}
-		}
-		part.stats = scanStats{baseRows: n0, rowEvals: int64(n), cellEvals: cellEvals, pruned: true}
-		return part, true
 	}
 
-	for _, ci := range sc.cellOrd {
-		if len(sc.rows) >= budget {
-			break
-		}
-		gather(ci)
+	n := len(sc.rows)
+	part.cands = sc.cands[:n]
+	for i, s := range sc.rows {
+		part.cands[i] = scored{en: ar.ents[s], d: sc.buf[i*nk : (i+1)*nk : (i+1)*nk]}
 	}
-	// Truncating the last cell at the exact budget is safe here (unlike
-	// the single-kind path, where bounds reason about whole cells): the
-	// probe is approximate either way, members are ID-ordered, and the
-	// cut keeps paid work equal to the budget instead of overshooting by
-	// up to a cell.
-	if len(sc.rows) > budget {
-		sc.rows = sc.rows[:budget]
-		sc.sel = sc.sel[:budget]
-	}
-	part := sweepArenaRows(ar, pq, sc, sc.rows, needScalers)
-	part.stats = scanStats{baseRows: n0, rowEvals: int64(len(sc.rows)) * int64(nk), cellEvals: cellEvals, pruned: true}
-	return part, true
+	part.stats.rowEvals = int64(n) * int64(nk)
+	part.stats.pruned = viaCells
+	return part
 }
 
 // rrfScores reproduces similarity.RRF + Normalize over the flattened
@@ -852,7 +663,7 @@ func (e *Engine) searchVideoSets(ctx context.Context, qsets []*features.Set, opt
 		// Resolve each stored frame's arena once, not per DTW cell.
 		ars := make([]*shardArena, len(ens))
 		for j, en := range ens {
-			ars[j] = e.arenas[e.index.ShardFor(en.id)]
+			ars[j] = e.arenas[e.shardFor(en.id)]
 		}
 		cost := func(qi, cj int) float64 {
 			return fixedScaleDistancePacked(pqs[qi], ars[cj], ens[cj].slot)

@@ -23,8 +23,7 @@ const loadBatch = 8192
 
 // LoadClusterCorpus streams the configured corpus into the engine's
 // search cache in bounded batches. The engine sees exactly the frames a
-// store-backed ingest would have published (shards, arenas, range index,
-// cell index).
+// store-backed ingest would have published (shards, arenas, cell index).
 func LoadClusterCorpus(e *core.Engine, cfg synthvid.ClusterCorpusConfig) error {
 	batch := make([]core.SyntheticFrame, 0, loadBatch)
 	flush := func() error {

@@ -125,7 +125,7 @@ func TestHealthzStateTransitions(t *testing.T) {
 // must now produce integer seconds ≥ 1.
 func TestShedFailsFastWithComputedRetryAfter(t *testing.T) {
 	eng := openTestEngine(t)
-	srv := New(eng, Options{MaxInFlightIngests: 1})
+	srv := New(eng, Options{Admission: ingestLimit(1)})
 	admitted := make(chan string, 1)
 	srv.admitHook = func(name string) { admitted <- name }
 	ts := httptest.NewServer(srv)
@@ -243,7 +243,7 @@ func (s *stallingReader) Read(p []byte) (int, error) {
 // upload must succeed immediately afterwards.
 func TestBodyStallWatchdogCutsSlowLoris(t *testing.T) {
 	eng := openTestEngine(t)
-	srv := New(eng, Options{MaxInFlightIngests: 1, BodyStallTimeout: 150 * time.Millisecond})
+	srv := New(eng, Options{Admission: ingestLimit(1), BodyStallTimeout: 150 * time.Millisecond})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

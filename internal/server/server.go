@@ -44,17 +44,13 @@ type Options struct {
 	// MaxUploadBytes caps request bodies (containers and query frames);
 	// <= 0 selects 64 MiB. Oversized bodies fail with 413 naming the cap.
 	MaxUploadBytes int64
-	// MaxInFlightIngests bounds concurrently admitted uploads; excess
-	// requests are turned away immediately with 429 + Retry-After rather
-	// than queued (the client can pace itself; the server must not buffer
-	// unbounded decode work). <= 0 defers to Admission's ingest limit
-	// (default 2×GOMAXPROCS). Kept as a top-level field because it
-	// predates the admission controller; it overrides Admission's ingest
-	// limit when set.
-	MaxInFlightIngests int
 	// Admission configures the weighted admission controller: per-class
 	// concurrency limits, queue depths, shed thresholds and the load
-	// signal. Zero fields take the admission package defaults.
+	// signal. Zero fields take the admission package defaults. Uploads
+	// beyond Limit[admission.Ingest] (default 2×GOMAXPROCS) are turned
+	// away immediately with 429 + Retry-After rather than queued: the
+	// client can pace itself; the server must not buffer unbounded decode
+	// work.
 	Admission admission.Config
 	// SearchDeadline is the server-assigned deadline for search and read
 	// endpoints; <= 0 selects 15s.
@@ -68,9 +64,8 @@ type Options struct {
 	MaxDeadline time.Duration
 	// BodyStallTimeout arms the slow-client watchdog: each body read must
 	// deliver bytes within this window or the connection read fails
-	// (classified 408). <= 0 selects 15s; negative... use >= 0 semantics:
-	// values < 0 disable the watchdog (tests with deliberately parked
-	// uploads).
+	// (classified 408). 0 selects 15s; < 0 disables the watchdog (tests
+	// with deliberately parked uploads).
 	BodyStallTimeout time.Duration
 }
 
@@ -126,9 +121,6 @@ type Server struct {
 func New(eng *core.Engine, opts Options) *Server {
 	if opts.MaxUploadBytes <= 0 {
 		opts.MaxUploadBytes = DefaultMaxUploadBytes
-	}
-	if opts.MaxInFlightIngests > 0 {
-		opts.Admission.Limit[admission.Ingest] = opts.MaxInFlightIngests
 	}
 	if opts.SearchDeadline <= 0 {
 		opts.SearchDeadline = DefaultSearchDeadline

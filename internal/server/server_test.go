@@ -32,6 +32,13 @@ func openTestEngine(t *testing.T) *core.Engine {
 	return eng
 }
 
+// ingestLimit is an admission config admitting n concurrent uploads.
+func ingestLimit(n int) admission.Config {
+	var cfg admission.Config
+	cfg.Limit[admission.Ingest] = n
+	return cfg
+}
+
 // testContainer encodes a deterministic synthetic clip as CVJ bytes.
 func testContainer(t *testing.T, cat synthvid.Category, seed int64, frames int) ([]byte, *synthvid.Video) {
 	t.Helper()
@@ -119,7 +126,8 @@ func TestServerConcurrentStress(t *testing.T) {
 	for c := admission.Class(0); c < admission.NumClasses; c++ {
 		adm.ShedAt[c] = 2
 	}
-	ts := httptest.NewServer(New(eng, Options{MaxInFlightIngests: 8, Admission: adm}))
+	adm.Limit[admission.Ingest] = 8
+	ts := httptest.NewServer(New(eng, Options{Admission: adm}))
 	defer ts.Close()
 
 	// Two resident videos: search targets and a delete victim.
@@ -238,7 +246,7 @@ func TestServerConcurrentStress(t *testing.T) {
 // completes.
 func TestIngestAdmissionQueue(t *testing.T) {
 	eng := openTestEngine(t)
-	srv := New(eng, Options{MaxInFlightIngests: 1})
+	srv := New(eng, Options{Admission: ingestLimit(1)})
 	admitted := make(chan string, 4)
 	srv.admitHook = func(name string) { admitted <- name }
 	ts := httptest.NewServer(srv)
