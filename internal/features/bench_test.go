@@ -129,3 +129,15 @@ func BenchmarkExtractNaiveWith(b *testing.B)      { benchWith(b, KindNaive) }
 func BenchmarkExtractNaiveFrame(b *testing.B)     { benchKind(b, KindNaive) }
 func BenchmarkExtractRegionsWith(b *testing.B)    { benchWith(b, KindRegions) }
 func BenchmarkExtractRegionsFrame(b *testing.B)   { benchKind(b, KindRegions) }
+
+// Regions: the retained kernel-walk morphology + stack grower, the
+// "before" of the masked box passes and run labelling the two benchmarks
+// above run (frame for frame, BenchmarkExtractRegionsFrame is its twin).
+func BenchmarkExtractRegionsReference(b *testing.B) {
+	im := benchFrame()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ExtractRegionsReference(im)
+	}
+}

@@ -230,15 +230,33 @@ func TestHistogramMass(t *testing.T) {
 	}
 }
 
+// The normalised L1 distance is mathematically at most 2, but it is a sum
+// of 2×256 rounded quotients, so near-disjoint histograms can land a few
+// ulps above: the bound is asserted with that slack, on a fixed-seed draw.
 func TestHistogramDistanceBounds(t *testing.T) {
+	const slack = 1e-12
 	f := func(s1, s2 int64) bool {
 		a := ExtractColorHistogram(structuredFrame(s1))
 		b := ExtractColorHistogram(structuredFrame(s2))
 		d, err := a.DistanceTo(b)
-		return err == nil && d >= 0 && d <= 2
+		return err == nil && d >= 0 && d <= 2+slack
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
+	cfg := &quick.Config{MaxCount: 10, Rand: rand.New(rand.NewSource(1))}
+	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
+	}
+	// The worst case outright: disjoint colour support (even bins against
+	// odd bins), unevenly filled so no quotient is exact.
+	even, odd := imaging.New(AnalysisSize, AnalysisSize), imaging.New(AnalysisSize, AnalysisSize)
+	for i := 0; i < AnalysisSize*AnalysisSize; i++ {
+		bin := i * i % 251 / 2 * 2 // an even bin < 256, skewed towards some
+		r, g, b := uint8(bin>>5<<5), uint8(bin>>2&7<<5), uint8(bin&3<<6)
+		copy(even.Pix[i*3:], []uint8{r, g, b})
+		copy(odd.Pix[i*3:], []uint8{r, g, b + 64}) // bin+1
+	}
+	d, err := ExtractColorHistogram(even).DistanceTo(ExtractColorHistogram(odd))
+	if err != nil || math.Abs(d-2) > slack {
+		t.Errorf("disjoint histograms: d = %v (err %v), want 2 within %g", d, err, slack)
 	}
 }
 
@@ -518,7 +536,7 @@ func TestRegionsPartitionProperty(t *testing.T) {
 				g.Pix[i] = 255
 			}
 		}
-		r := growRegions(g)
+		r := new(runLabeller).regions(g)
 		return r.Regions >= 1 && r.Holes >= 0 && r.Holes <= r.Regions && r.Major <= r.Regions
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

@@ -17,8 +17,9 @@ const (
 	GaborOrientations = 6  // N
 	GaborVectorLen    = 60 // M*N*2
 	// gaborImageSize is the grayscale analysis raster side for filtering.
-	// The filter bank is O(W·H·M·N·K²); 64×64 keeps extraction fast while
-	// preserving the texture statistics the descriptor needs.
+	// A filter costs O(W·H·K²) and the faithful layout keeps 18 of the
+	// M·N = 30 (gaborLive); 64×64 keeps extraction fast while preserving
+	// the texture statistics the descriptor needs.
 	gaborImageSize = 64
 	// gaborMaxRadius caps kernel radius so coarse scales stay inside the
 	// 64×64 raster.
@@ -35,6 +36,11 @@ const (
 // the paper's Fig. 8 sample output, whose tail is all "0.0". We reproduce
 // that layout by default; ExtractGaborCorrected provides the fixed layout
 // for the ablation bench.
+//
+// A consequence the extractor exploits: filter (m+1, n−3) writes the same
+// two slots as filter (m, n) for n ≥ 3 and writes them later, so only 18
+// of the 30 filters ever reach Vec — orientations 0–2 at scales 0–3 and
+// all six at scale 4 (gaborLive). The faithful path convolves only those.
 type Gabor struct {
 	Vec [GaborVectorLen]float64
 }
@@ -45,9 +51,16 @@ type gaborKernel struct {
 	re, im []float64 // (2r+1)² taps, row-major
 }
 
+// gaborFilterSet selects filters of the bank by (scale, orientation).
+type gaborFilterSet [GaborScales][GaborOrientations]bool
+
 var (
 	gaborBankOnce sync.Once
 	gaborBank     [GaborScales][GaborOrientations]gaborKernel
+	// gaborLive marks the filters whose statistics survive
+	// gaborFaithfulLayout; gaborAll marks the whole bank (the corrected
+	// layout keeps every filter). Both are filled by buildGaborBank.
+	gaborLive, gaborAll gaborFilterSet
 )
 
 // buildGaborBank precomputes the spatial Gabor kernels: wavelength grows
@@ -97,6 +110,21 @@ func buildGaborBank() {
 				k.re[i] -= sumRe / taps
 			}
 			gaborBank[m][n] = k
+			gaborAll[m][n] = true
+		}
+	}
+	// Liveness is read off the layout itself: replay its writes in order
+	// and keep the last writer of every slot.
+	var writer [GaborVectorLen]*bool
+	for m := 0; m < GaborScales; m++ {
+		for n := 0; n < GaborOrientations; n++ {
+			slot := gaborFaithfulSlot(m, n)
+			writer[slot], writer[slot+1] = &gaborLive[m][n], &gaborLive[m][n]
+		}
+	}
+	for _, live := range writer {
+		if live != nil {
+			*live = true
 		}
 	}
 }
@@ -114,11 +142,12 @@ var gaborPlanePool = sync.Pool{
 // gaborStats returns the per-filter magnitude means and deviations
 // normalised by image size, as in the paper's pseudo-code (which divides
 // both the sum of magnitudes and sqrt(sum of squared deviations) by
-// imageSize). The convolution walks each kernel row over a pre-sliced
-// pixel row so the inner loop carries no bounds checks; the
-// floating-point accumulation order is exactly the reference's, so the
-// statistics are bit-identical to gaborStatsReference.
-func gaborStats(g *imaging.Gray) (means, devs [GaborScales][GaborOrientations]float64) {
+// imageSize), for the filters in set; the others stay zero. The
+// convolution walks each kernel row over a pre-sliced pixel row so the
+// inner loop carries no bounds checks; filters are independent and each
+// one's floating-point accumulation order is exactly the reference's, so
+// the computed statistics are bit-identical to gaborStatsReference's.
+func gaborStats(g *imaging.Gray, set *gaborFilterSet) (means, devs [GaborScales][GaborOrientations]float64) {
 	gaborBankOnce.Do(buildGaborBank)
 	w, h := g.W, g.H
 	pixP := gaborPlanePool.Get().(*[]float64)
@@ -132,6 +161,9 @@ func gaborStats(g *imaging.Gray) (means, devs [GaborScales][GaborOrientations]fl
 	imageSize := float64(w * h)
 	for m := 0; m < GaborScales; m++ {
 		for n := 0; n < GaborOrientations; n++ {
+			if !set[m][n] {
+				continue
+			}
 			k := &gaborBank[m][n]
 			r := k.radius
 			side := 2*r + 1
@@ -237,15 +269,18 @@ func gaborStatsReference(im *imaging.Image) (means, devs [GaborScales][GaborOrie
 // ExtractGabor computes the §4.4 descriptor with the paper's faithful
 // (buggy) vector layout.
 func ExtractGabor(im *imaging.Image) *Gabor {
-	means, devs := gaborStats(gaborGray(im))
+	means, devs := gaborStats(gaborGray(im), &gaborLive)
 	return gaborFaithfulLayout(&means, &devs)
 }
 
 // ExtractGaborWith computes the descriptor from shared analysis planes,
 // reusing the gray plane (only the 300→64 gabor rescale remains
-// per-extractor).
+// per-extractor, into a pooled raster).
 func ExtractGaborWith(p *Planes) *Gabor {
-	means, devs := gaborStats(p.Gray.Rescale(gaborImageSize, gaborImageSize))
+	sc := frameScratchPool.Get().(*frameScratch)
+	defer frameScratchPool.Put(sc)
+	g := p.Gray.RescaleInto(&sc.gaborGray, gaborImageSize, gaborImageSize)
+	means, devs := gaborStats(g, &gaborLive)
 	return gaborFaithfulLayout(&means, &devs)
 }
 
@@ -257,14 +292,21 @@ func ExtractGaborReference(im *imaging.Image) *Gabor {
 	return gaborFaithfulLayout(&means, &devs)
 }
 
-// gaborFaithfulLayout packs filter statistics with the paper's faithful
-// indexing bug: m*N + n*2 (not (m*N+n)*2), leaving the tail zero.
+// gaborFaithfulSlot is the paper's faithful indexing bug: filter (m, n)'s
+// mean goes to Vec[m*N + n*2] and its deviation to the slot after, not to
+// (m*N+n)*2.
+func gaborFaithfulSlot(m, n int) int { return m*GaborOrientations + n*2 }
+
+// gaborFaithfulLayout packs filter statistics through gaborFaithfulSlot
+// in (m, n) order, later filters overwriting earlier ones and the tail
+// staying zero. Only the statistics of gaborLive filters reach the result.
 func gaborFaithfulLayout(means, devs *[GaborScales][GaborOrientations]float64) *Gabor {
 	out := &Gabor{}
 	for m := 0; m < GaborScales; m++ {
 		for n := 0; n < GaborOrientations; n++ {
-			out.Vec[m*GaborOrientations+n*2] = means[m][n]
-			out.Vec[m*GaborOrientations+n*2+1] = devs[m][n]
+			slot := gaborFaithfulSlot(m, n)
+			out.Vec[slot] = means[m][n]
+			out.Vec[slot+1] = devs[m][n]
 		}
 	}
 	return out
@@ -274,7 +316,7 @@ func gaborFaithfulLayout(means, devs *[GaborScales][GaborOrientations]float64) *
 // (m*N+n)*2 layout, used by the ablation bench to quantify what the
 // indexing bug costs.
 func ExtractGaborCorrected(im *imaging.Image) *Gabor {
-	means, devs := gaborStats(gaborGray(im))
+	means, devs := gaborStats(gaborGray(im), &gaborAll)
 	out := &Gabor{}
 	for m := 0; m < GaborScales; m++ {
 		for n := 0; n < GaborOrientations; n++ {

@@ -25,51 +25,174 @@ type RegionStats struct {
 
 // ExtractRegions runs the §4.8 pipeline on a frame.
 func ExtractRegions(im *imaging.Image) *RegionStats {
-	g := preprocessRegions(im)
-	return growRegions(g)
+	g := analysisImage(im).ToGray()
+	return regionsFromGray(g, g.Histogram())
 }
 
 // ExtractRegionsWith runs the pipeline from shared analysis planes,
-// reusing the gray plane. BinarizeAuto allocates its output, so the shared
-// plane itself is never written.
+// reusing the gray plane and its histogram. The shared plane itself is
+// never written: binarisation goes into pooled scratch.
 func ExtractRegionsWith(p *Planes) *RegionStats {
-	return growRegions(p.Gray.BinarizeAuto().CloseOpenBox3())
+	return regionsFromGray(p.Gray, p.GrayHist)
 }
 
 // ExtractRegionsReference is the retained naive pipeline: its own rescale
-// and gray conversion plus the generic kernel-walk morphology (CloseOpen
-// over PaperKernel offsets with per-tap bounds checks). min/max folds are
-// order-independent, so the separable box morphology the production paths
-// use is provably identical; this baseline keeps the pre-optimisation
-// cost measurable.
+// and gray conversion, the generic kernel-walk morphology (CloseOpen over
+// PaperKernel offsets with per-tap bounds checks) and the stack-based
+// grower. min/max folds are order-independent and connected components
+// do not depend on how they are traversed, so the box pass and run
+// labelling the production paths use are provably identical; this
+// baseline keeps the pre-optimisation cost measurable.
 func ExtractRegionsReference(im *imaging.Image) *RegionStats {
 	g := analysisImage(im).ToGray()
-	return growRegions(g.BinarizeAuto().CloseOpen(imaging.PaperKernel()))
+	return growRegionsStack(g.BinarizeAuto().CloseOpen(imaging.PaperKernel()))
 }
 
-// preprocessRegions mirrors the paper's preprocess(): grayscale via the
-// 0.114/0.587/0.299 band combine, Huang minimum-fuzziness binarisation,
-// then dilate, erode, erode, dilate with the 5×5 (active 3×3) kernel —
-// run as separable box passes, which produce the identical raster.
-func preprocessRegions(im *imaging.Image) *imaging.Gray {
-	g := analysisImage(im).ToGray()
-	b := g.BinarizeAuto()
-	return b.CloseOpenBox3()
+// regionsFromGray mirrors the paper's preprocess() on a gray plane
+// (grayscale via the 0.114/0.587/0.299 band combine) with histogram
+// hist: Huang minimum-fuzziness binarisation, then dilate, erode, erode,
+// dilate with the 5×5 (active 3×3) kernel — run in place as separable box
+// passes, which produce the identical raster — then region labelling.
+func regionsFromGray(g *imaging.Gray, hist [256]int) *RegionStats {
+	sc := frameScratchPool.Get().(*frameScratch)
+	defer frameScratchPool.Put(sc)
+	// g.Binarize(t) into the pooled plane.
+	t := imaging.HuangThreshold(hist)
+	bin := &sc.bin
+	bin.W, bin.H = g.W, g.H
+	bin.Pix = append(bin.Pix[:0], g.Pix...)
+	for i, v := range bin.Pix {
+		if int(v) > t {
+			bin.Pix[i] = 255
+		} else {
+			bin.Pix[i] = 0
+		}
+	}
+	return sc.label.regions(bin.CloseOpenBox3(bin, &sc.boxTmp))
 }
 
-// growRegions is the classic stack-based region growing from §4.8:
+// majorRegionMin is the pixel count from which a region of a w×h raster
+// is a major region.
+func majorRegionMin(w, h int) int {
+	if n := int(regionMajorFraction * float64(w*h)); n > 1 {
+		return n
+	}
+	return 1
+}
+
+// labelRun is a maximal run of equal-valued pixels [x0, x1) in one row.
+type labelRun struct {
+	x0, x1 int32
+	val    uint8
+}
+
+// runLabeller counts the §4.8 regions — 8-connected components of equal
+// pixel value — by run-based two-pass labelling: every row is encoded as
+// maximal equal-value runs, a run is united (union–find, pixel counts
+// carried on the roots) with every same-valued run of the previous row it
+// touches, and the surviving roots are the regions. A component's pixel
+// set does not depend on how it is discovered, so the three counts equal
+// growRegionsStack's exactly, in O(runs) instead of O(9·pixels). The
+// slices are reused across frames.
+type runLabeller struct {
+	runs   []labelRun
+	parent []int32 // union–find forest over run indices
+	size   []int32 // pixels under a root
+}
+
+// regions labels the raster and returns its region counts.
+func (l *runLabeller) regions(g *imaging.Gray) *RegionStats {
+	w, h := g.W, g.H
+	l.runs, l.parent, l.size = l.runs[:0], l.parent[:0], l.size[:0]
+	prev := 0 // index of the previous row's first run
+	for y := 0; y < h; y++ {
+		cur := len(l.runs)
+		row := g.Pix[y*w : (y+1)*w]
+		for x0 := 0; x0 < w; {
+			x1 := x0 + 1
+			for x1 < w && row[x1] == row[x0] {
+				x1++
+			}
+			l.parent = append(l.parent, int32(len(l.runs)))
+			l.size = append(l.size, int32(x1-x0))
+			l.runs = append(l.runs, labelRun{int32(x0), int32(x1), row[x0]})
+			x0 = x1
+		}
+		l.mergeRows(prev, cur)
+		prev = cur
+	}
+	stats := &RegionStats{}
+	majorMin := majorRegionMin(w, h)
+	for i, p := range l.parent {
+		if int(p) != i {
+			continue
+		}
+		stats.Regions++
+		if l.runs[i].val == 0 {
+			stats.Holes++
+		}
+		if int(l.size[i]) >= majorMin {
+			stats.Major++
+		}
+	}
+	return stats
+}
+
+// mergeRows unites each run of the current row (runs[cur:]) with the
+// runs of the previous row (runs[prev:cur]) that have its value and
+// overlap its span widened by one pixel either side — 8-connectivity.
+// Both rows are sorted and disjoint, so one forward sweep pairs them.
+//
+//cbvrvet:noalloc
+func (l *runLabeller) mergeRows(prev, cur int) {
+	above := l.runs[prev:cur]
+	j := 0
+	for i, c := range l.runs[cur:] {
+		for j < len(above) && above[j].x1 < c.x0 {
+			j++
+		}
+		for k := j; k < len(above) && above[k].x0 <= c.x1; k++ {
+			if above[k].val == c.val {
+				l.union(int32(prev+k), int32(cur+i))
+			}
+		}
+	}
+}
+
+// find returns the root of run i, halving the path on the way.
+func (l *runLabeller) find(i int32) int32 {
+	for l.parent[i] != i {
+		l.parent[i] = l.parent[l.parent[i]]
+		i = l.parent[i]
+	}
+	return i
+}
+
+// union joins the components of runs a and b, smaller under larger.
+func (l *runLabeller) union(a, b int32) {
+	a, b = l.find(a), l.find(b)
+	if a == b {
+		return
+	}
+	if l.size[a] < l.size[b] {
+		a, b = b, a
+	}
+	l.parent[b] = a
+	l.size[a] += l.size[b]
+}
+
+// growRegionsStack is the classic stack-based region growing from §4.8:
 // 8-connected components of equal pixel value over the binarised raster.
-func growRegions(g *imaging.Gray) *RegionStats {
+// It is the reference runLabeller is tested against and the grower
+// ExtractRegionsReference keeps.
+func growRegionsStack(g *imaging.Gray) *RegionStats {
 	w, h := g.W, g.H
 	labels := make([]int32, w*h)
 	for i := range labels {
 		labels[i] = -1
 	}
 	stats := &RegionStats{}
-	majorMin := int(regionMajorFraction * float64(w*h))
-	if majorMin < 1 {
-		majorMin = 1
-	}
+	majorMin := majorRegionMin(w, h)
 	type point struct{ x, y int }
 	var stack []point
 	var region int32

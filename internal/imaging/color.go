@@ -41,12 +41,7 @@ func (im *Image) ToGray() *Gray {
 // (grayValueScalarReference in tests).
 func (im *Image) ToGrayInto(dst *Gray) *Gray {
 	n := im.W * im.H
-	dst.W, dst.H = im.W, im.H
-	if cap(dst.Pix) < n {
-		dst.Pix = make([]uint8, n)
-	} else {
-		dst.Pix = dst.Pix[:n]
-	}
+	dst.resize(im.W, im.H)
 	src := im.Pix[: n*3 : n*3]
 	out := dst.Pix[:n:n]
 	i := 0

@@ -80,83 +80,113 @@ func (g *Gray) CloseOpen(k Kernel) *Gray {
 }
 
 // CloseOpenBox3 is CloseOpen(PaperKernel()) through the separable box
-// filters below. Identical output, ~¼ the taps.
-func (g *Gray) CloseOpenBox3() *Gray {
-	return g.BoxDilate3().BoxErode3().BoxErode3().BoxDilate3()
+// pass below: identical output, written into dst (returned) with tmp as
+// the pass's row scratch. Both are resized as needed and reuse their
+// buffers when they have the capacity, so pooled planes make the §4.8
+// smoothing allocation-free. dst may be g itself (in-place smoothing);
+// tmp must be distinct from both.
+func (g *Gray) CloseOpenBox3(dst, tmp *Gray) *Gray {
+	dst.resize(g.W, g.H)
+	tmp.resize(g.W, g.H)
+	box3(dst.Pix, tmp.Pix, g.Pix, g.W, g.H, boxDilate)
+	box3(dst.Pix, tmp.Pix, dst.Pix, g.W, g.H, boxErode)
+	box3(dst.Pix, tmp.Pix, dst.Pix, g.W, g.H, boxErode)
+	box3(dst.Pix, tmp.Pix, dst.Pix, g.W, g.H, boxDilate)
+	return dst
 }
 
 // BoxDilate3 performs dilation with the 3×3 box kernel (PaperKernel) as
 // two separable passes: a horizontal 3-tap max, then a vertical 3-tap
 // max. max is associative and commutative, so the result is identical to
 // Dilate(PaperKernel()) — including at the borders, where out-of-image
-// taps are ignored — at roughly a quarter of the taps and with no
-// per-tap bounds checks.
+// taps are ignored — at a third of the taps and with no per-tap bounds
+// checks.
 func (g *Gray) BoxDilate3() *Gray {
-	return g.boxFilter3(max8)
+	return g.boxFilter3(boxDilate)
 }
 
 // BoxErode3 performs erosion with the 3×3 box kernel as two separable
 // 3-tap min passes; identical to Erode(PaperKernel()).
 func (g *Gray) BoxErode3() *Gray {
-	return g.boxFilter3(min8)
+	return g.boxFilter3(boxErode)
 }
 
-func max8(a, b uint8) uint8 {
-	if a > b {
-		return a
+// boxFilter3 is one box3 pass into a fresh raster.
+func (g *Gray) boxFilter3(m uint8) *Gray {
+	out := NewGray(g.W, g.H)
+	box3(out.Pix, make([]uint8, len(g.Pix)), g.Pix, g.W, g.H, m)
+	return out
+}
+
+// resize sets the raster's dimensions, reusing the pixel buffer when it
+// has the capacity. The content is unspecified.
+func (g *Gray) resize(w, h int) {
+	g.W, g.H = w, h
+	if n := w * h; cap(g.Pix) < n {
+		g.Pix = make([]uint8, n)
+	} else {
+		g.Pix = g.Pix[:n]
 	}
-	return b
 }
 
-func min8(a, b uint8) uint8 {
-	if a < b {
-		return a
-	}
-	return b
-}
+// Complement masks selecting box3's fold. On uint8, min(a, b) ==
+// ^max(^a, ^b), so erosion is dilation of the complemented raster: one
+// branch-free max pass serves both, on any gray raster.
+const (
+	boxDilate uint8 = 0x00
+	boxErode  uint8 = 0xFF
+)
 
-// boxFilter3 applies a separable 3×3 fold (min or max) with ignored
-// out-of-image taps.
-func (g *Gray) boxFilter3(fold func(a, b uint8) uint8) *Gray {
-	w, h := g.W, g.H
-	out := NewGray(w, h)
+// box3 applies the separable 3×3 box fold selected by the complement
+// mask m (boxDilate: max, boxErode: min) to the w×h raster src, ignoring
+// out-of-image taps: a horizontal 3-tap pass src → tmp, then a vertical
+// 3-tap pass tmp → dst. dst may alias src (src is fully consumed before
+// dst is written); tmp may alias neither.
+//
+//cbvrvet:noalloc
+func box3(dst, tmp, src []uint8, w, h int, m uint8) {
 	if w == 0 || h == 0 {
-		return out
+		return
 	}
-	// Horizontal pass into a scratch plane.
-	tmp := make([]uint8, w*h)
 	for y := 0; y < h; y++ {
-		row := g.Pix[y*w : (y+1)*w]
-		dst := tmp[y*w : (y+1)*w]
+		row := src[y*w : (y+1)*w]
+		out := tmp[y*w : (y+1)*w]
 		if w == 1 {
-			dst[0] = row[0]
+			out[0] = row[0]
 			continue
 		}
-		dst[0] = fold(row[0], row[1])
-		for x := 1; x < w-1; x++ {
-			dst[x] = fold(fold(row[x-1], row[x]), row[x+1])
+		out[0] = m ^ max(m^row[0], m^row[1])
+		// Three views of the row shifted by one, resliced to the interior's
+		// length so the taps carry no bounds checks.
+		mid := out[1 : w-1]
+		l, c, r := row[:len(mid)], row[1:][:len(mid)], row[2:][:len(mid)]
+		for x := range mid {
+			mid[x] = m ^ max(m^l[x], m^c[x], m^r[x])
 		}
-		dst[w-1] = fold(row[w-2], row[w-1])
+		out[w-1] = m ^ max(m^row[w-2], m^row[w-1])
 	}
-	// Vertical pass over the horizontal result.
 	if h == 1 {
-		copy(out.Pix, tmp)
-		return out
+		copy(dst[:w], tmp[:w])
+		return
 	}
-	for x := 0; x < w; x++ {
-		out.Pix[x] = fold(tmp[x], tmp[w+x])
-	}
+	vfold2(dst[:w], tmp[:w], tmp[w:2*w], m)
 	for y := 1; y < h-1; y++ {
 		above := tmp[(y-1)*w : y*w]
 		cur := tmp[y*w : (y+1)*w]
 		below := tmp[(y+1)*w : (y+2)*w]
-		dst := out.Pix[y*w : (y+1)*w]
-		for x := 0; x < w; x++ {
-			dst[x] = fold(fold(above[x], cur[x]), below[x])
+		out := dst[y*w : (y+1)*w]
+		for x, c := range cur {
+			out[x] = m ^ max(m^above[x], m^c, m^below[x])
 		}
 	}
-	for x := 0; x < w; x++ {
-		out.Pix[(h-1)*w+x] = fold(tmp[(h-2)*w+x], tmp[(h-1)*w+x])
+	vfold2(dst[(h-1)*w:h*w], tmp[(h-2)*w:(h-1)*w], tmp[(h-1)*w:h*w], m)
+}
+
+// vfold2 is box3's two-tap vertical fold for the first and last rows.
+//
+//cbvrvet:noalloc
+func vfold2(out, a, b []uint8, m uint8) {
+	for x, c := range a {
+		out[x] = m ^ max(m^c, m^b[x])
 	}
-	return out
 }

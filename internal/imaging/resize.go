@@ -105,20 +105,30 @@ func (im *Image) RescaleBilinear(w, h int) *Image {
 
 // Rescale resizes a grayscale raster with nearest-neighbour sampling.
 func (g *Gray) Rescale(w, h int) *Gray {
+	return g.RescaleInto(&Gray{}, w, h)
+}
+
+// RescaleInto is Rescale writing into dst, the Gray counterpart of
+// (*Image).RescaleInto: dst's pixel buffer is reused when it has the
+// capacity, every pixel of dst is overwritten, and dst is returned. Gray
+// rescales are not counted in RescaleCalls. dst must not be g.
+func (g *Gray) RescaleInto(dst *Gray, w, h int) *Gray {
 	if w <= 0 || h <= 0 {
 		panic("imaging: Rescale requires positive dimensions")
 	}
-	out := NewGray(w, h)
+	dst.resize(w, h)
 	if g.W == 0 || g.H == 0 {
-		return out
+		clear(dst.Pix)
+		return dst
 	}
 	for y := 0; y < h; y++ {
-		sy := y * g.H / h
-		for x := 0; x < w; x++ {
-			out.Pix[y*w+x] = g.Pix[sy*g.W+x*g.W/w]
+		row := g.Pix[(y*g.H/h)*g.W:][:g.W]
+		out := dst.Pix[y*w : (y+1)*w]
+		for x := range out {
+			out[x] = row[x*g.W/w]
 		}
 	}
-	return out
+	return dst
 }
 
 func maxInt(a, b int) int {

@@ -28,8 +28,8 @@ func HuangThreshold(hist [256]int) int {
 	}
 
 	// Prefix sums of counts and weighted counts for O(1) window means.
-	s := make([]float64, 257)  // s[i] = sum hist[0..i-1]
-	ws := make([]float64, 257) // ws[i] = sum k*hist[k] for k in [0,i)
+	var s [257]float64  // s[i] = sum hist[0..i-1]
+	var ws [257]float64 // ws[i] = sum k*hist[k] for k in [0,i)
 	for i := 0; i < 256; i++ {
 		s[i+1] = s[i] + float64(hist[i])
 		ws[i+1] = ws[i] + float64(i)*float64(hist[i])
