@@ -261,7 +261,8 @@ func GenerateCorpus(perCategory int, cfg VideoConfig) map[string][]*Image {
 // the bucket come from one shared analysis-plane pass (one rescale, one
 // gray conversion for everything).
 func DescribeFrame(im *Image) (strings map[FeatureKind]string, min, max int) {
-	planes := features.NewPlanes(im)
+	planes := features.AcquirePlanes(im)
+	defer planes.Release()
 	set := planes.ExtractAll()
 	strings = make(map[FeatureKind]string, NumFeatures)
 	for _, k := range features.AllKinds() {

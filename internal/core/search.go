@@ -104,9 +104,10 @@ func (e *Engine) SearchFrameCtx(ctx context.Context, query *imaging.Image, opt S
 	if err := e.warmCache(); err != nil {
 		return nil, err
 	}
-	planes := features.NewPlanes(query)
+	planes := features.AcquirePlanes(query)
 	qset := planes.ExtractAll()
 	qbucket := BucketFromPlanes(planes)
+	planes.Release() // descriptors and bucket are copies; the search needs no raster
 	return e.searchSet(ctx, qset, qbucket, opt)
 }
 

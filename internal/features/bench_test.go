@@ -1,9 +1,10 @@
 // Before/after benchmarks for the shared analysis-plane pipeline:
 // every *Reference benchmark runs the retained naive implementation, its
-// unsuffixed twin the production shared/prefix-sum/pooled path. The two
-// paths are bit-identical (shared_test.go); these benchmarks exist so the
-// speedup stays visible in BENCH_*.json and regressions break the CI
-// bench smoke step (-bench=ExtractAllShared).
+// unsuffixed twin the production shared/bitset/SIMD/pooled path. The two
+// paths are bit-identical (shared_test.go); these are the micro numbers
+// README "Extraction performance" and the per-PR notes in CHANGES.md
+// cite, and the CI bench smoke step runs one iteration of the extraction
+// ones so a fast path that stops compiling or asserting breaks the build.
 package features
 
 import (
@@ -58,7 +59,7 @@ func BenchmarkNewPlanes(b *testing.B) {
 	}
 }
 
-// Correlogram: prefix-sum ring counting vs the per-pixel countRing walk.
+// Correlogram: row-bitset pair counting vs the per-pixel countRing walk.
 
 func BenchmarkExtractCorrelogram(b *testing.B) {
 	im := benchFrame()
@@ -76,7 +77,8 @@ func BenchmarkExtractCorrelogramReference(b *testing.B) {
 	}
 }
 
-// Gabor: pooled planes + bounds-check-free convolution vs the naive loop.
+// Gabor: pooled planes + the two-lane row kernel over the 18 live filters
+// vs the naive loop over all 30.
 
 func BenchmarkExtractGabor(b *testing.B) {
 	im := benchFrame()
@@ -119,16 +121,18 @@ func benchKind(b *testing.B, kind Kind) {
 	}
 }
 
-func BenchmarkExtractHistogramWith(b *testing.B)  { benchWith(b, KindHistogram) }
-func BenchmarkExtractHistogramFrame(b *testing.B) { benchKind(b, KindHistogram) }
-func BenchmarkExtractGLCMWith(b *testing.B)       { benchWith(b, KindGLCM) }
-func BenchmarkExtractGLCMFrame(b *testing.B)      { benchKind(b, KindGLCM) }
-func BenchmarkExtractTamuraWith(b *testing.B)     { benchWith(b, KindTamura) }
-func BenchmarkExtractTamuraFrame(b *testing.B)    { benchKind(b, KindTamura) }
-func BenchmarkExtractNaiveWith(b *testing.B)      { benchWith(b, KindNaive) }
-func BenchmarkExtractNaiveFrame(b *testing.B)     { benchKind(b, KindNaive) }
-func BenchmarkExtractRegionsWith(b *testing.B)    { benchWith(b, KindRegions) }
-func BenchmarkExtractRegionsFrame(b *testing.B)   { benchKind(b, KindRegions) }
+func BenchmarkExtractHistogramWith(b *testing.B)   { benchWith(b, KindHistogram) }
+func BenchmarkExtractHistogramFrame(b *testing.B)  { benchKind(b, KindHistogram) }
+func BenchmarkExtractGLCMWith(b *testing.B)        { benchWith(b, KindGLCM) }
+func BenchmarkExtractGLCMFrame(b *testing.B)       { benchKind(b, KindGLCM) }
+func BenchmarkExtractGaborWith(b *testing.B)       { benchWith(b, KindGabor) }
+func BenchmarkExtractTamuraWith(b *testing.B)      { benchWith(b, KindTamura) }
+func BenchmarkExtractTamuraFrame(b *testing.B)     { benchKind(b, KindTamura) }
+func BenchmarkExtractCorrelogramWith(b *testing.B) { benchWith(b, KindCorrelogram) }
+func BenchmarkExtractNaiveWith(b *testing.B)       { benchWith(b, KindNaive) }
+func BenchmarkExtractNaiveFrame(b *testing.B)      { benchKind(b, KindNaive) }
+func BenchmarkExtractRegionsWith(b *testing.B)     { benchWith(b, KindRegions) }
+func BenchmarkExtractRegionsFrame(b *testing.B)    { benchKind(b, KindRegions) }
 
 // Regions: the retained kernel-walk morphology + stack grower, the
 // "before" of the masked box passes and run labelling the two benchmarks

@@ -2,8 +2,8 @@ package features
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
-	"sync"
 
 	"cbvr/internal/imaging"
 )
@@ -46,7 +46,7 @@ func QuantizeHSV(r, g, b uint8) int {
 }
 
 // ExtractCorrelogram computes the §4.7 descriptor over the 300×300
-// analysis raster using the prefix-sum ring counter.
+// analysis raster using the row-bitset pair counter.
 func ExtractCorrelogram(im *imaging.Image) *Correlogram {
 	a := analysisImage(im)
 	return correlogramFromQuant(quantizePlane(a), a.W, a.H)
@@ -61,7 +61,7 @@ func ExtractCorrelogramWith(p *Planes) *Correlogram {
 // ExtractCorrelogramReference is the retained naive implementation: a
 // per-pixel countRing walk over every Chebyshev ring, exactly as the
 // paper's pseudo-code does it. It is the bit-identity baseline for the
-// prefix-sum path (see shared_test.go) and the "before" benchmark.
+// bitset path (see shared_test.go) and the "before" benchmark.
 func ExtractCorrelogramReference(im *imaging.Image) *Correlogram {
 	a := analysisImage(im)
 	w, h := a.W, a.H
@@ -110,197 +110,120 @@ func normalizeCorrelogram(raw *[CorrelogramBins][CorrelogramMaxDistance]float64)
 	return out
 }
 
-// corrScratch holds the reusable per-colour prefix-sum planes. Pooled
-// because correlogram extraction runs on every ingest worker and the
-// planes are ~¾ MB per call.
-type corrScratch struct {
-	pos   []int32 // pixel indices bucketed by colour
-	rowPS []int32 // h×(w+1): per-row prefix counts of the current colour
-	colPS []int32 // w×(h+1): per-column prefix counts of the current colour
+// corrBits is the bitset correlogram's scratch, kept in frameScratch.
+type corrBits struct {
+	// row[c·nw : (c+1)·nw] is the bitmask of the current row's pixels of
+	// colour c: ⌈w/64⌉ words, bit x&63 of word x>>6, then one zero pad
+	// word so a right shift can always read the word above. All zero
+	// between rows.
+	row []uint64
+	// ring keeps, per colour, the masks of the last corrRing rows, each
+	// shifted right by 0…CorrelogramMaxDistance (pad word dropped):
+	// ring[((c·corrRing+y%corrRing)·corrRing+s)·(nw-1) : …].
+	ring []uint64
 }
 
-var corrScratchPool = sync.Pool{New: func() any { return &corrScratch{} }}
-
-func (s *corrScratch) grow(w, h int) {
-	if n := w * h; cap(s.pos) < n {
-		s.pos = make([]int32, n)
-	}
-	if n := h * (w + 1); cap(s.rowPS) < n {
-		s.rowPS = make([]int32, n)
-	}
-	if n := w * (h + 1); cap(s.colPS) < n {
-		s.colPS = make([]int32, n)
-	}
-}
+// corrRing is the number of rows (and of shifts, 0 included) the ring
+// keeps: a row pairs with the CorrelogramMaxDistance rows above it.
+const corrRing = CorrelogramMaxDistance + 1
 
 // correlogramFromQuant computes the auto correlogram from a quantised
-// plane with per-colour prefix sums: for each colour, one pass builds row
-// and column prefix counts over the colour's bounding box, after which the
-// count of same-colour pixels on any clipped Chebyshev ring is four O(1)
-// range lookups (top row, bottom row, left column, right column) instead
-// of a per-pixel ring walk. Counts are accumulated as integers and
-// normalised exactly like the reference, so the output is bit-identical
-// to ExtractCorrelogramReference.
+// plane: correlogramCounts' integers normalised exactly like the
+// reference's, so the output is bit-identical to
+// ExtractCorrelogramReference.
 func correlogramFromQuant(quant []uint8, w, h int) *Correlogram {
-	var counts [CorrelogramBins]int32
-	var minX, maxX, minY, maxY [CorrelogramBins]int32
-	for c := range minX {
-		minX[c], minY[c] = int32(w), int32(h)
-		maxX[c], maxY[c] = -1, -1
-	}
-	for y := 0; y < h; y++ {
-		row := quant[y*w : (y+1)*w]
-		for x, c := range row {
-			counts[c]++
-			if int32(x) < minX[c] {
-				minX[c] = int32(x)
-			}
-			if int32(x) > maxX[c] {
-				maxX[c] = int32(x)
-			}
-			if int32(y) < minY[c] {
-				minY[c] = int32(y)
-			}
-			maxY[c] = int32(y)
-		}
-	}
-	// Bucket pixel positions by colour (counting sort).
-	var starts [CorrelogramBins + 1]int32
-	for c := 0; c < CorrelogramBins; c++ {
-		starts[c+1] = starts[c] + counts[c]
-	}
-	sc := corrScratchPool.Get().(*corrScratch)
-	defer corrScratchPool.Put(sc)
-	sc.grow(w, h)
-	pos := sc.pos[:w*h]
-	cursor := starts
-	for i, c := range quant {
-		pos[cursor[c]] = int32(i)
-		cursor[c]++
-	}
+	raw := correlogramCounts(quant, w, h)
+	return normalizeCorrelogram(&raw)
+}
 
-	w1, h1 := w+1, h+1
-	rowPS, colPS := sc.rowPS, sc.colPS
-	var raw [CorrelogramBins][CorrelogramMaxDistance]int64
-	for c := 0; c < CorrelogramBins; c++ {
-		n := int(counts[c])
-		if n == 0 {
-			continue
+// correlogramCounts returns, per colour c and distance d (index d-1), the
+// sum over c's pixels of the same-colour pixels on their Chebyshev ring of
+// radius d — the number of ordered colour-c pixel pairs exactly d apart,
+// which is twice the count over the half plane of offsets (dx, dy) with
+// dy > 0, or dy = 0 and dx > 0, max(|dx|, dy) = d. With each row of a
+// colour as a bitmask, one offset's count over a whole row is
+// popcount(A & B>>dx) for dx ≥ 0 and popcount(B & A>>-dx) for dx < 0, A the
+// row and B the row dy below it — so the cost depends on the rows a colour
+// occupies, not on its pixel count, and the working set is the ring.
+func correlogramCounts(quant []uint8, w, h int) (raw [CorrelogramBins][CorrelogramMaxDistance]float64) {
+	sc := frameScratchPool.Get().(*frameScratch)
+	defer frameScratchPool.Put(sc)
+	b := &sc.corr
+	nw := (w+63)/64 + 1
+	b.row = grown(b.row, CorrelogramBins*nw)
+	b.ring = grown(b.ring, CorrelogramBins*corrRing*corrRing*(nw-1))
+	clear(b.row) // countRow leaves it zero, a panic half-way would not
+	// present[y%corrRing] has bit c set when row y has a pixel of colour c.
+	var present [corrRing]uint64
+	var pairs [CorrelogramBins][CorrelogramMaxDistance]int
+	for y := 0; y < h; y++ {
+		var colours uint64
+		for x, c := range quant[y*w : (y+1)*w] {
+			b.row[int(c)*nw+x>>6] |= 1 << (x & 63)
+			colours |= 1 << c
 		}
-		bucket := pos[starts[c]:starts[c+1]]
-		x0, x1 := int(minX[c]), int(maxX[c])
-		y0, y1 := int(minY[c]), int(maxY[c])
-		// Sparse colours: summing ring counts over all pixels of c equals
-		// counting ordered same-colour pairs by Chebyshev distance, so a
-		// pairwise sweep over the (few) occurrences beats building prefix
-		// planes over the bounding box.
-		if int64(n)*int64(n) <= 2*int64(x1-x0+1)*int64(y1-y0+1) {
-			for i, pi := range bucket {
-				xi, yi := int(pi)%w, int(pi)/w
-				for _, pj := range bucket[i+1:] {
-					dx := xi - int(pj)%w
-					if dx < 0 {
-						dx = -dx
-					}
-					dy := yi - int(pj)/w
-					if dy < 0 {
-						dy = -dy
-					}
-					if dx < dy {
-						dx = dy
-					}
-					if dx >= 1 && dx <= CorrelogramMaxDistance {
-						raw[c][dx-1] += 2 // ordered pairs: (i,j) and (j,i)
-					}
-				}
-			}
-			continue
-		}
-		cu := uint8(c)
-		// Prefix counts of colour c over its bounding box: rings centred
-		// on colour-c pixels only ever count colour-c pixels, and outside
-		// [x0,x1]×[y0,y1] there are none — so queries clamp to the box
-		// and the planes never need building beyond it.
-		for y := y0; y <= y1; y++ {
-			base := y * w
-			ps := rowPS[y*w1:]
-			var run int32
-			for x := x0; x <= x1; x++ {
-				ps[x] = run
-				if quant[base+x] == cu {
-					run++
-				}
-			}
-			ps[x1+1] = run
-		}
-		for x := x0; x <= x1; x++ {
-			ps := colPS[x*h1:]
-			var run int32
-			qi := y0*w + x
-			for y := y0; y <= y1; y++ {
-				ps[y] = run
-				if quant[qi] == cu {
-					run++
-				}
-				qi += w
-			}
-			ps[y1+1] = run
-		}
-		for _, pi := range bucket {
-			x, y := int(pi)%w, int(pi)/w
-			for d := 1; d <= CorrelogramMaxDistance; d++ {
-				var n int32
-				// Top and bottom rows of the ring: columns [x-d, x+d]
-				// clamped to the box.
-				cl, ch := x-d, x+d
-				if cl < x0 {
-					cl = x0
-				}
-				if ch > x1 {
-					ch = x1
-				}
-				if ch >= cl {
-					if ry := y - d; ry >= y0 && ry <= y1 {
-						n += rowPS[ry*w1+ch+1] - rowPS[ry*w1+cl]
-					}
-					if ry := y + d; ry >= y0 && ry <= y1 {
-						n += rowPS[ry*w1+ch+1] - rowPS[ry*w1+cl]
-					}
-				}
-				// Left and right columns, excluding the corners the rows
-				// already counted: rows [y-d+1, y+d-1] clamped to the box.
-				rl, rh := y-d+1, y+d-1
-				if rl < y0 {
-					rl = y0
-				}
-				if rh > y1 {
-					rh = y1
-				}
-				if rh >= rl {
-					if rx := x - d; rx >= x0 && rx <= x1 {
-						n += colPS[rx*h1+rh+1] - colPS[rx*h1+rl]
-					}
-					if rx := x + d; rx >= x0 && rx <= x1 {
-						n += colPS[rx*h1+rh+1] - colPS[rx*h1+rl]
-					}
-				}
-				raw[c][d-1] += int64(n)
-			}
+		present[y%corrRing] = colours
+		for ; colours != 0; colours &= colours - 1 {
+			c := bits.TrailingZeros64(colours)
+			b.countRow(c, y, nw, &present, &pairs[c])
 		}
 	}
-	var rawF [CorrelogramBins][CorrelogramMaxDistance]float64
-	for c := 0; c < CorrelogramBins; c++ {
-		for d := 0; d < CorrelogramMaxDistance; d++ {
-			rawF[c][d] = float64(raw[c][d])
+	for c := range raw {
+		for d, n := range pairs[c] {
+			raw[c][d] = float64(2 * n) // ordered pairs: (p, q) and (q, p)
 		}
 	}
-	return normalizeCorrelogram(&rawF)
+	return raw
+}
+
+// countRow moves colour c's mask of row y from row into the ring, adds to
+// pairs (index d-1) the unordered pairs exactly d apart that row y's
+// colour-c pixels form with each other and with those of the rows above,
+// and zeroes the mask in row.
+//
+//cbvrvet:noalloc
+func (b *corrBits) countRow(c, y, nw int, present *[corrRing]uint64, pairs *[CorrelogramMaxDistance]int) {
+	nr := nw - 1
+	slot := corrRing * nr // one row's mask at every shift
+	mask := b.row[c*nw : (c+1)*nw]
+	slots := b.ring[c*corrRing*slot : (c+1)*corrRing*slot]
+	cur := slots[y%corrRing*slot:][:slot]
+	copy(cur[:nr], mask)
+	for s := 1; s <= CorrelogramMaxDistance; s++ {
+		shifted := cur[s*nr : (s+1)*nr]
+		n := 0
+		for k := range shifted {
+			shifted[k] = mask[k]>>s | mask[k+1]<<(64-s)
+			n += bits.OnesCount64(mask[k] & shifted[k])
+		}
+		pairs[s-1] += n // same row, dx = s
+	}
+	clear(mask)
+	for dy := 1; dy <= CorrelogramMaxDistance && dy <= y; dy++ {
+		if present[(y-dy)%corrRing]>>c&1 == 0 {
+			continue
+		}
+		up := slots[(y-dy)%corrRing*slot:][:slot]
+		n := 0
+		for k, m := range cur[:nr] {
+			n += bits.OnesCount64(up[k] & m)
+		}
+		pairs[dy-1] += n // dx = 0
+		for s := 1; s <= CorrelogramMaxDistance; s++ {
+			upS, curS := up[s*nr:(s+1)*nr], cur[s*nr:(s+1)*nr]
+			n := 0
+			for k, m := range cur[:nr] {
+				n += bits.OnesCount64(up[k]&curS[k]) + bits.OnesCount64(m&upS[k])
+			}
+			pairs[max(s, dy)-1] += n // dx = +s and dx = -s
+		}
+	}
 }
 
 // countRing counts pixels with quantised colour c on the Chebyshev ring of
 // radius d around (x, y), clipped to the image. It is the reference ring
-// counter; the production path answers the same question with prefix-sum
-// range lookups in correlogramFromQuant.
+// counter; the production path counts the same pairs a row at a time in
+// correlogramFromQuant.
 func countRing(quant []uint8, w, h, x, y, d int, c uint8) int {
 	n := 0
 	x0, x1 := x-d, x+d

@@ -12,15 +12,14 @@ import (
 
 // TestExtractAllSteadyStateBytes pins what a warm ingest worker or search
 // handler allocates per frame: AcquirePlanes → ExtractAll → Release on the
-// bench frame. Measured 1.54 MB — Tamura's integral images (0.72 MB),
-// GLCM's co-occurrence matrix (0.53 MB), the analysis raster (0.27 MB)
-// and the seven descriptors; the Gabor and region extractors' rasters,
-// run slices and union–find state are pooled and contribute nothing
-// (5.35 MB before they were). The ceiling is the measured figure plus
-// 20 %: the per-frame label plane or the morphology planes coming back
-// breaks it.
+// bench frame. Measured 0.275 MB — the 300×300 analysis raster (0.27 MB,
+// never pooled: descriptors may alias it) and the seven descriptors; every
+// working raster, bitmask, matrix and integral image is in frameScratch
+// and contributes nothing (1.54 MB before Tamura's and GLCM's were, 5.35
+// MB before any was). The ceiling is the measured figure plus 20 %: any
+// one of those coming back per frame breaks it.
 func TestExtractAllSteadyStateBytes(t *testing.T) {
-	const ceiling = 1_850_000
+	const ceiling = 330_000
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P, one pool shard
 	im := benchFrame()
 	frame := func() {

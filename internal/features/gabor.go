@@ -49,6 +49,9 @@ type Gabor struct {
 type gaborKernel struct {
 	radius int
 	re, im []float64 // (2r+1)² taps, row-major
+	// re2, im2 hold every tap twice in a row — one 16-byte load fills both
+	// lanes of the SSE2 row kernel (gabor_amd64.s) with it.
+	re2, im2 []float64
 }
 
 // gaborFilterSet selects filters of the bank by (scale, orientation).
@@ -109,6 +112,11 @@ func buildGaborBank() {
 			for i := range k.re {
 				k.re[i] -= sumRe / taps
 			}
+			k.re2, k.im2 = make([]float64, 2*len(k.re)), make([]float64, 2*len(k.im))
+			for i := range k.re {
+				k.re2[2*i], k.re2[2*i+1] = k.re[i], k.re[i]
+				k.im2[2*i], k.im2[2*i+1] = k.im[i], k.im[i]
+			}
 			gaborBank[m][n] = k
 			gaborAll[m][n] = true
 		}
@@ -142,11 +150,15 @@ var gaborPlanePool = sync.Pool{
 // gaborStats returns the per-filter magnitude means and deviations
 // normalised by image size, as in the paper's pseudo-code (which divides
 // both the sum of magnitudes and sqrt(sum of squared deviations) by
-// imageSize), for the filters in set; the others stay zero. The
-// convolution walks each kernel row over a pre-sliced pixel row so the
-// inner loop carries no bounds checks; filters are independent and each
-// one's floating-point accumulation order is exactly the reference's, so
-// the computed statistics are bit-identical to gaborStatsReference's.
+// imageSize), for the filters in set; the others stay zero. Filters and
+// output pixels are independent, and gaborRow accumulates each pixel's
+// taps in exactly the reference's order, so the computed statistics are
+// bit-identical to gaborStatsReference's.
+//
+// Every product is wrapped in a float64 conversion: the spec lets a
+// compiler fuse x*y + z into one rounding (arm64, GOAMD64=v3) unless the
+// product is explicitly converted, and a fused build would write
+// descriptors that differ in the last bits from every other build's.
 func gaborStats(g *imaging.Gray, set *gaborFilterSet) (means, devs [GaborScales][GaborOrientations]float64) {
 	gaborBankOnce.Do(buildGaborBank)
 	w, h := g.W, g.H
@@ -159,6 +171,7 @@ func gaborStats(g *imaging.Gray, set *gaborFilterSet) (means, devs [GaborScales]
 		pix[i] = float64(v) / 255
 	}
 	imageSize := float64(w * h)
+	var reRow, imRow [gaborImageSize]float64
 	for m := 0; m < GaborScales; m++ {
 		for n := 0; n < GaborOrientations; n++ {
 			if !set[m][n] {
@@ -166,30 +179,14 @@ func gaborStats(g *imaging.Gray, set *gaborFilterSet) (means, devs [GaborScales]
 			}
 			k := &gaborBank[m][n]
 			r := k.radius
-			side := 2*r + 1
-			var kreRows, kimRows [2*gaborMaxRadius + 1][]float64
-			for ky := 0; ky < side; ky++ {
-				kreRows[ky] = k.re[ky*side : (ky+1)*side : (ky+1)*side]
-				kimRows[ky] = k.im[ky*side : (ky+1)*side : (ky+1)*side]
-			}
+			outs := max(w-2*r, 0) // output pixels per row
+			re, im := reRow[:outs], imRow[:outs]
 			var sum float64
 			count := 0
 			for y := r; y < h-r; y++ {
-				for x := r; x < w-r; x++ {
-					var re, imag float64
-					for dy := -r; dy <= r; dy++ {
-						base := (y+dy)*w + x - r
-						row := pix[base : base+side : base+side]
-						// Reslicing the kernel rows to len(row) lets the
-						// compiler drop the bounds checks on the taps.
-						kre := kreRows[dy+r][:len(row)]
-						kim := kimRows[dy+r][:len(row)]
-						for dx, p := range row {
-							re += p * kre[dx]
-							imag += p * kim[dx]
-						}
-					}
-					mag := math.Sqrt(re*re + imag*imag)
+				gaborRow(re, im, pix[(y-r)*w:], w, k)
+				for x, a := range re {
+					mag := math.Sqrt(float64(a*a) + float64(im[x]*im[x]))
 					mags[count] = mag
 					sum += mag
 					count++
@@ -199,13 +196,36 @@ func gaborStats(g *imaging.Gray, set *gaborFilterSet) (means, devs [GaborScales]
 			var sq float64
 			for _, v := range mags[:count] {
 				d := v - mean
-				sq += d * d
+				sq += float64(d * d)
 			}
 			means[m][n] = mean
 			devs[m][n] = math.Sqrt(sq) / imageSize
 		}
 	}
 	return means, devs
+}
+
+// gaborRowGo computes one output row of filter k: for each of the len(re)
+// outputs, the complex response over the (2r+1)² window whose top-left
+// corner is pix[x], taps row-major. It is gaborRow where there is no
+// assembly kernel, and the oracle the kernel is tested against.
+func gaborRowGo(re, im, pix []float64, stride int, k *gaborKernel) {
+	side := 2*k.radius + 1
+	for x := range re {
+		var sr, si float64
+		for ky := 0; ky < side; ky++ {
+			row := pix[ky*stride+x:][:side]
+			// Reslicing the kernel rows to len(row) lets the compiler
+			// drop the bounds checks on the taps.
+			kre := k.re[ky*side:][:len(row)]
+			kim := k.im[ky*side:][:len(row)]
+			for dx, p := range row {
+				sr += float64(p * kre[dx])
+				si += float64(p * kim[dx])
+			}
+		}
+		re[x], im[x] = sr, si
+	}
 }
 
 // gaborGray derives the 64×64 grayscale filtering raster from a frame.
@@ -242,12 +262,12 @@ func gaborStatsReference(im *imaging.Image) (means, devs [GaborScales][GaborOrie
 						base := (y+dy)*w + x - r
 						for dx := 0; dx < side; dx++ {
 							p := pix[base+dx]
-							re += p * k.re[ti]
-							imag += p * k.im[ti]
+							re += float64(p * k.re[ti])
+							imag += float64(p * k.im[ti])
 							ti++
 						}
 					}
-					mag := math.Sqrt(re*re + imag*imag)
+					mag := math.Sqrt(float64(re*re) + float64(imag*imag))
 					mags[count] = mag
 					sum += mag
 					count++
@@ -257,7 +277,7 @@ func gaborStatsReference(im *imaging.Image) (means, devs [GaborScales][GaborOrie
 			var sq float64
 			for i := 0; i < count; i++ {
 				d := mags[i] - mean
-				sq += d * d
+				sq += float64(d * d)
 			}
 			means[m][n] = mean
 			devs[m][n] = math.Sqrt(sq) / imageSize

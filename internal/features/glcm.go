@@ -46,21 +46,23 @@ func ExtractGLCMWith(p *Planes) *GLCM {
 
 func glcmFromGray(g *imaging.Gray) *GLCM {
 	w, h := g.W, g.H
-	// glcm[a][b] accumulates symmetric co-occurrence counts, then is
-	// normalised in place to probabilities.
-	glcm := make([][]float64, glcmSize)
-	backing := make([]float64, glcmSize*glcmSize)
-	for i := range glcm {
-		glcm[i] = backing[i*glcmSize : (i+1)*glcmSize]
-	}
+	sc := frameScratchPool.Get().(*frameScratch)
+	defer frameScratchPool.Put(sc)
+	// counts[a*glcmSize+b] accumulates symmetric co-occurrence counts; a
+	// cell's probability is its count over pixelCounter, divided where it
+	// is read — the same division of the same two exact values a float
+	// matrix normalised in place would have done once.
+	sc.glcm = grown(sc.glcm, glcmSize*glcmSize)
+	counts := sc.glcm
+	clear(counts)
 	var pixelCounter float64
 	for y := 0; y < h; y++ {
 		row := y * w
 		for x := 0; x+glcmStep < w; x++ {
 			a := int(g.Pix[row+x])
 			b := int(g.Pix[row+x+glcmStep])
-			glcm[a][b]++
-			glcm[b][a]++
+			counts[a*glcmSize+b]++
+			counts[b*glcmSize+a]++
 			pixelCounter += 2
 		}
 	}
@@ -68,20 +70,16 @@ func glcmFromGray(g *imaging.Gray) *GLCM {
 	if pixelCounter == 0 {
 		return out
 	}
-	for a := 0; a < glcmSize; a++ {
-		for b := 0; b < glcmSize; b++ {
-			glcm[a][b] /= pixelCounter
-		}
-	}
 
 	// First pass: ASM, contrast, IDM, entropy, and the marginal means.
 	var px, py float64
 	for a := 0; a < glcmSize; a++ {
 		for b := 0; b < glcmSize; b++ {
-			p := glcm[a][b]
-			if p == 0 {
+			n := counts[a*glcmSize+b]
+			if n == 0 {
 				continue
 			}
+			p := float64(n) / pixelCounter
 			out.ASM += p * p
 			d := float64(a - b)
 			out.Contrast += d * d * p
@@ -97,10 +95,11 @@ func glcmFromGray(g *imaging.Gray) *GLCM {
 	var varx, vary float64
 	for a := 0; a < glcmSize; a++ {
 		for b := 0; b < glcmSize; b++ {
-			p := glcm[a][b]
-			if p == 0 {
+			n := counts[a*glcmSize+b]
+			if n == 0 {
 				continue
 			}
+			p := float64(n) / pixelCounter
 			varx += (float64(a) - px) * (float64(a) - px) * p
 			vary += (float64(b) - py) * (float64(b) - py) * p
 		}
@@ -108,10 +107,11 @@ func glcmFromGray(g *imaging.Gray) *GLCM {
 	if varx > 0 && vary > 0 {
 		for a := 0; a < glcmSize; a++ {
 			for b := 0; b < glcmSize; b++ {
-				p := glcm[a][b]
-				if p == 0 {
+				n := counts[a*glcmSize+b]
+				if n == 0 {
 					continue
 				}
+				p := float64(n) / pixelCounter
 				out.Correlation += (float64(a) - px) * (float64(b) - py) * p / (varx * vary)
 			}
 		}

@@ -71,11 +71,7 @@ func (p *Planes) reset(im *imaging.Image) {
 		p.Gray = &imaging.Gray{}
 	}
 	a.ToGrayInto(p.Gray)
-	if cap(p.Quant) < n {
-		p.Quant = make([]uint8, n)
-	} else {
-		p.Quant = p.Quant[:n]
-	}
+	p.Quant = grown(p.Quant, n)
 	p.GrayHist = p.Gray.Histogram()
 	for i, pi := 0, 0; i < n; i, pi = i+1, pi+3 {
 		p.Quant[i] = uint8(QuantizeHSV(a.Pix[pi], a.Pix[pi+1], a.Pix[pi+2]))

@@ -54,30 +54,36 @@ func tamuraFromGray(g *imaging.Gray) *Tamura {
 	return t
 }
 
-// integralImage returns the summed-area table with one extra row/column of
-// zeros, so rectangle sums are O(1).
-func integralImage(g *imaging.Gray) []float64 {
+// integralImage fills ii with the summed-area table of g, one extra row and
+// column of zeros first so rectangle sums are O(1), and returns it resized
+// to (w+1)×(h+1). Entries wrap modulo 2³² on rasters beyond 16 M pixels;
+// rectMean's differences are exact as long as one rectangle's sum fits,
+// and its rectangles are at most 8×8.
+func integralImage(g *imaging.Gray, ii []uint32) []uint32 {
 	w, h := g.W, g.H
-	ii := make([]float64, (w+1)*(h+1))
+	ii = grown(ii, (w+1)*(h+1))
+	clear(ii[:w+1])
 	for y := 1; y <= h; y++ {
-		var rowSum float64
+		var rowSum uint32
+		ii[y*(w+1)] = 0
 		for x := 1; x <= w; x++ {
-			rowSum += float64(g.Pix[(y-1)*w+x-1])
+			rowSum += uint32(g.Pix[(y-1)*w+x-1])
 			ii[y*(w+1)+x] = ii[(y-1)*(w+1)+x] + rowSum
 		}
 	}
 	return ii
 }
 
-func rectMean(ii []float64, w1, x0, y0, x1, y1 int) float64 {
+func rectMean(ii []uint32, w1, x0, y0, x1, y1 int) float64 {
 	// Half-open rectangle [x0,x1)×[y0,y1) over the integral image with
-	// stride w1 = W+1.
+	// stride w1 = W+1. The sum is an integer, so the float the division
+	// sees is the one float accumulation would have produced.
 	area := float64((x1 - x0) * (y1 - y0))
 	if area <= 0 {
 		return 0
 	}
 	s := ii[y1*w1+x1] - ii[y0*w1+x1] - ii[y1*w1+x0] + ii[y0*w1+x0]
-	return s / area
+	return float64(s) / area
 }
 
 // tamuraCoarseness implements Tamura's S_best: at each sampled pixel pick
@@ -85,7 +91,10 @@ func rectMean(ii []float64, w1, x0, y0, x1, y1 int) float64 {
 // mean differences, and sum 2^k_best over the samples.
 func tamuraCoarseness(g *imaging.Gray) float64 {
 	w, h := g.W, g.H
-	ii := integralImage(g)
+	sc := frameScratchPool.Get().(*frameScratch)
+	defer frameScratchPool.Put(sc)
+	sc.integral = integralImage(g, sc.integral)
+	ii := sc.integral
 	w1 := w + 1
 	var total float64
 	margin := 1 << tamuraMaxK
@@ -145,21 +154,33 @@ func tamuraContrast(g *imaging.Gray) float64 {
 
 // tamuraDirectionality histograms edge orientations (Prewitt gradients)
 // over 16 bins for pixels whose gradient magnitude clears the threshold.
+// The gradients are integers (sums of at most six pixels), kept as ints:
+// gh is the 3-row sum of column x+1 minus that of column x−1, gv the sum
+// over columns x−1…x+1 of the row-below minus row-above difference, both
+// slid along the row; only the voters (about one pixel in seven) reach
+// Atan2, with the values float arithmetic would have produced.
 func tamuraDirectionality(g *imaging.Gray) [TamuraDirBins]float64 {
 	var hist [TamuraDirBins]float64
 	w, h := g.W, g.H
-	at := func(x, y int) float64 { return float64(g.Pix[y*w+x]) }
+	if w < 3 {
+		return hist
+	}
+	var votes [TamuraDirBins]int
 	for y := 1; y < h-1; y++ {
+		up, mid, down := g.Pix[(y-1)*w:y*w], g.Pix[y*w:(y+1)*w], g.Pix[(y+1)*w:(y+2)*w]
+		// sum, diff: column sum and down−up difference at x−1, x, x+1.
+		sum0, sum1 := int(up[0])+int(mid[0])+int(down[0]), int(up[1])+int(mid[1])+int(down[1])
+		diff0, diff1 := int(down[0])-int(up[0]), int(down[1])-int(up[1])
 		for x := 1; x < w-1; x++ {
-			gh := (at(x+1, y-1) + at(x+1, y) + at(x+1, y+1)) -
-				(at(x-1, y-1) + at(x-1, y) + at(x-1, y+1))
-			gv := (at(x-1, y+1) + at(x, y+1) + at(x+1, y+1)) -
-				(at(x-1, y-1) + at(x, y-1) + at(x+1, y-1))
-			mag := (math.Abs(gh) + math.Abs(gv)) / 2
-			if mag < tamuraDirThreshold {
+			sum2 := int(up[x+1]) + int(mid[x+1]) + int(down[x+1])
+			diff2 := int(down[x+1]) - int(up[x+1])
+			gh, gv := sum2-sum0, diff0+diff1+diff2
+			sum0, sum1, diff0, diff1 = sum1, sum2, diff1, diff2
+			// (|gh|+|gv|)/2 < threshold, without the division.
+			if max(gh, -gh)+max(gv, -gv) < 2*tamuraDirThreshold {
 				continue
 			}
-			theta := math.Atan2(gv, gh) + math.Pi/2 // in [-π/2, 3π/2)
+			theta := math.Atan2(float64(gv), float64(gh)) + math.Pi/2 // in [-π/2, 3π/2)
 			for theta < 0 {
 				theta += math.Pi
 			}
@@ -170,8 +191,11 @@ func tamuraDirectionality(g *imaging.Gray) [TamuraDirBins]float64 {
 			if bin == TamuraDirBins {
 				bin = TamuraDirBins - 1
 			}
-			hist[bin]++
+			votes[bin]++
 		}
+	}
+	for i, n := range votes {
+		hist[i] = float64(n)
 	}
 	return hist
 }
