@@ -1,11 +1,10 @@
 // Scaling benchmarks for the coarse-cell candidate pruner: pruned vs
 // exact fused search over planted clustered corpora at 1k / 10k (and,
-// behind CBVR_SCALE_TEST=1, 100k) key frames. CI runs the 1k and 10k
-// points through tools/benchjson into BENCH_search.json, so the
-// sub-linear trajectory — ns/op and evalratio per corpus size — is
-// machine-readable across PRs. The recall side of the claim lives in
-// internal/eval (TestRecallPruned10k / TestRecallPruned100k); these
-// benchmarks record the work side.
+// behind CBVR_SCALE_TEST=1, 100k) key frames, reporting ns/op next to
+// the evaluation ratio per corpus size. The recall side of the claim
+// lives in internal/eval (TestRecallPruned10k / TestRecallPruned100k);
+// these benchmarks record the work side. The repository's benchmark of
+// record is bench/ (see bench/README.md).
 package cbvr_test
 
 import (
@@ -67,8 +66,8 @@ func scaleCorpus(b *testing.B, frames int) *scaleBenchCorpus {
 // pipeline with NoCellPruning). It reports the corpus size and, from the
 // last iteration's work counters, the evaluation ratio the pruner
 // achieved — exact row kernels over paid row kernels plus centroid
-// bounds — so BENCH_search.json carries the ≥10×-fewer-evals claim as a
-// number next to the latency it bought.
+// bounds — so the ≥10×-fewer-evals claim is a number next to the latency
+// it bought.
 func benchSearchScale(b *testing.B, frames int, pruned bool) {
 	c := scaleCorpus(b, frames)
 	opt := core.SearchOptions{K: 10, NoCellPruning: !pruned}

@@ -1,17 +1,28 @@
-// Command cbvr-server serves the multi-client JSON/HTTP API around one
-// CBVR database. It is the programmatic counterpart of cbvr-web: the same
-// engine entry points, but JSON in and out, an ingest admission queue, and
-// graceful shutdown that drains in-flight requests.
+// Command cbvr-server serves one CBVR database to many clients over HTTP:
+// the JSON API for programs and the paper's web pages (Figs. 2, 9, 10) for
+// browsers, through the same handlers — every request runs under a
+// deadline, searches and mutations pass admission, and shutdown drains
+// in-flight requests. Seed a store before starting it with `cbvrctl gen`.
 //
 //	cbvr-server -db cbvr.db -addr :8081
 //
 // Routes (see internal/server and DESIGN.md "Server layer"):
 //
-//	POST   /api/v1/search        multipart "image" or raw JPEG body → ranked matches
-//	GET    /api/v1/videos        store listing
-//	DELETE /api/v1/videos?id=N   delete one video
-//	POST   /api/v1/ingest        multipart "video" or raw CVJ body (?name=) → ingest
+//	POST   /api/v1/search         multipart "image" or raw JPEG body → ranked matches
+//	GET    /api/v1/videos         store listing
+//	DELETE /api/v1/videos?id=N    delete one video
+//	POST   /api/v1/ingest         multipart "name" then "video", or raw CVJ body (?name=) → ingest
 //	POST   /api/v1/reindex[?id=N] rebuild feature rows
+//	GET    /api/v1/stats          search tally, cell index, admission and brownout
+//	GET    /healthz               ok | browned-out | shedding | degraded
+//	GET    /                      query form + video listing
+//	POST   /search                multipart "image" (+ "k") → ranked thumbnail grid
+//	GET    /video?id=N            video page with its key frames (Fig. 10)
+//	GET    /frame?id=N            key-frame JPEG bytes
+//	GET    /download?id=N         stored CVJ container
+//	POST   /admin/upload          multipart "name" then "video" → 303 to /
+//	POST   /admin/delete          form "id" → 303 to /
+//	POST   /admin/reindex         form "id" (or none for all) → 303 to /
 //
 // On SIGINT/SIGTERM the listener stops accepting, in-flight requests get
 // -drain to finish, and past that their contexts are cancelled: staged

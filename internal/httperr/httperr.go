@@ -1,8 +1,8 @@
-// Package httperr maps engine errors onto HTTP status codes, shared by the
-// JSON API (internal/server) and the HTML UI (internal/webui) so both
-// surfaces classify failures identically: the client's fault (4xx) is told
-// apart from the server's (5xx) by inspecting the error chain, never by
-// string matching.
+// Package httperr maps engine and request-decoding errors onto HTTP status
+// codes for internal/server, whose JSON API and HTML pages share one set of
+// handlers and so classify every failure identically: the client's fault
+// (4xx) is told apart from the server's (5xx) by inspecting the error
+// chain, never by string matching.
 package httperr
 
 import (
@@ -43,12 +43,14 @@ import (
 //     under brownout; retry when load clears)
 //   - cvj.ErrFormat or io.ErrUnexpectedEOF → 400 (the uploaded bytes are
 //     not a valid container, or were cut off mid-stream)
+//   - Malformed → 400 (the request body or form does not decode)
 //   - anything else → 500 (storage or internal fault; not the client)
 //
 // A nil error is 200.
 func StatusOf(err error) int {
 	var mbe *http.MaxBytesError
 	var shed *admission.ShedError
+	var bad malformed
 	switch {
 	case err == nil:
 		return http.StatusOK
@@ -69,12 +71,23 @@ func StatusOf(err error) int {
 		return http.StatusRequestTimeout
 	case errors.Is(err, vstore.ErrReadOnly), errors.Is(err, core.ErrOverloaded):
 		return http.StatusServiceUnavailable
-	case errors.Is(err, cvj.ErrFormat), errors.Is(err, io.ErrUnexpectedEOF):
+	case errors.Is(err, cvj.ErrFormat), errors.Is(err, io.ErrUnexpectedEOF), errors.As(err, &bad):
 		return http.StatusBadRequest
 	default:
 		return http.StatusInternalServerError
 	}
 }
+
+// Malformed marks err as a request the server cannot decode — a multipart
+// stream that does not parse, a missing form part, a query frame that is
+// not a JPEG — so StatusOf answers 400. The message stays err's own. A
+// body cut by the upload cap, the watchdog or the request context inside
+// err still classifies as 413, 408 or 503: StatusOf checks those first.
+func Malformed(err error) error { return malformed{err} }
+
+type malformed struct{ error }
+
+func (m malformed) Unwrap() error { return m.error }
 
 // StatusOfStored classifies errors from operations over already-stored
 // data (reindex, delete): no request bytes are involved, so a container

@@ -56,6 +56,12 @@ func TestClassification(t *testing.T) {
 		{"engine overloaded", wrap(core.ErrOverloaded), 503, 503, "3"},
 		{"store read-only", vstore.ErrReadOnly, 503, 503, "30"},
 		{"store read-only wrapped", wrap(vstore.ErrReadOnly), 503, 503, "30"},
+		{"malformed request", Malformed(errors.New("multipart: NextPart: EOF")), 400, 500, ""},
+		// A request body cut by the cap, the watchdog or the context breaks
+		// the multipart stream too; the cut must still win.
+		{"body too large behind malformed", Malformed(fmt.Errorf("multipart: NextPart: %w", tooLarge)), 413, 500, ""},
+		{"watchdog stall behind malformed", Malformed(fmt.Errorf("multipart: NextPart: %w", os.ErrDeadlineExceeded)), 408, 500, ""},
+		{"ctx cancelled behind malformed", Malformed(wrap(context.Canceled)), 503, 503, ""},
 		{"internal fault", errors.New("page checksum mismatch"), 500, 500, ""},
 	} {
 		if got := StatusOf(tc.err); got != tc.status {

@@ -122,7 +122,8 @@ func TestHealthzStateTransitions(t *testing.T) {
 // with the single ingest slot wedged, the refusal must arrive in under
 // 50ms carrying a Retry-After computed from observed service times — and
 // both previously hard-coded surfaces (ingest capacity, degraded 503s)
-// must now produce integer seconds ≥ 1.
+// must now produce integer seconds ≥ 1. The HTML upload form shares the
+// ingest slot and is refused the same way.
 func TestShedFailsFastWithComputedRetryAfter(t *testing.T) {
 	eng := openTestEngine(t)
 	srv := New(eng, Options{Admission: ingestLimit(1)})
@@ -140,19 +141,28 @@ func TestShedFailsFastWithComputedRetryAfter(t *testing.T) {
 	}()
 	<-admitted
 
-	start := time.Now()
-	resp, body := doJSON(t, "POST", ts.URL+"/api/v1/ingest?name=shed", bytes.NewReader(raw), nil)
-	elapsed := time.Since(start)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("shed ingest: %d %s", resp.StatusCode, body)
-	}
-	if elapsed > 50*time.Millisecond {
-		t.Fatalf("shed took %v, want < 50ms", elapsed)
-	}
-	ra := resp.Header.Get("Retry-After")
-	sec, err := strconv.Atoi(ra)
-	if err != nil || sec < 1 {
-		t.Fatalf("shed Retry-After = %q, want integer seconds >= 1", ra)
+	form, formType := multipartBody(t, "video", "shed.cvj", raw, map[string]string{"name": "shed"})
+	for _, route := range []struct {
+		url, ctype string
+		body       []byte
+	}{
+		{"/api/v1/ingest?name=shed", "", raw},
+		{"/admin/upload", formType, form.Bytes()},
+	} {
+		start := time.Now()
+		resp, body := doTyped(t, "POST", ts.URL+route.url, route.ctype, bytes.NewReader(route.body), nil)
+		elapsed := time.Since(start)
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("%s: shed ingest: %d %s", route.url, resp.StatusCode, body)
+		}
+		if elapsed > 50*time.Millisecond {
+			t.Fatalf("%s: shed took %v, want < 50ms", route.url, elapsed)
+		}
+		ra := resp.Header.Get("Retry-After")
+		sec, err := strconv.Atoi(ra)
+		if err != nil || sec < 1 {
+			t.Fatalf("%s: shed Retry-After = %q, want integer seconds >= 1", route.url, ra)
+		}
 	}
 
 	if _, err := pw.Write(raw); err != nil {
@@ -166,7 +176,8 @@ func TestShedFailsFastWithComputedRetryAfter(t *testing.T) {
 // 1ms client-supplied deadline expires mid-request and surfaces as 503
 // (the httperr mapping of context.DeadlineExceeded), the response echoes
 // the applied deadline, an oversized override is capped at MaxDeadline,
-// and an unhurried search on the same server still serves.
+// and an unhurried search on the same server still serves. The HTML
+// search form runs under the same deadline and reports its brownout level.
 func TestSearchDeadlineThroughAPI(t *testing.T) {
 	eng := openTestEngine(t)
 	ts := httptest.NewServer(New(eng, Options{MaxDeadline: 5 * time.Second}))
@@ -177,39 +188,55 @@ func TestSearchDeadlineThroughAPI(t *testing.T) {
 		t.Fatalf("seed ingest: %d %s", resp.StatusCode, body)
 	}
 	qjpeg := queryJPEG(t, v)
+	form, formType := multipartBody(t, "image", "q.jpg", qjpeg, map[string]string{"k": "5"})
 
-	req, err := http.NewRequest("POST", ts.URL+"/api/v1/search?k=5", bytes.NewReader(qjpeg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set(DeadlineHeader, "1")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("1ms-deadline search: %d, want 503", resp.StatusCode)
-	}
-	if got := resp.Header.Get(DeadlineHeader); got != "1" {
-		t.Fatalf("deadline echo = %q, want 1", got)
-	}
+	for _, route := range []struct {
+		url, ctype string
+		body       []byte
+	}{
+		{"/api/v1/search?k=5", "", qjpeg},
+		{"/search", formType, form.Bytes()},
+	} {
+		search := func(deadline string) *http.Response {
+			t.Helper()
+			req, err := http.NewRequest("POST", ts.URL+route.url, bytes.NewReader(route.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if route.ctype != "" {
+				req.Header.Set("Content-Type", route.ctype)
+			}
+			if deadline != "" {
+				req.Header.Set(DeadlineHeader, deadline)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			return resp
+		}
 
-	// An override past the cap is clamped, and the echo shows the cap.
-	req, err = http.NewRequest("POST", ts.URL+"/api/v1/search?k=5", bytes.NewReader(qjpeg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set(DeadlineHeader, "3600000")
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if got := resp.Header.Get(DeadlineHeader); got != "5000" {
-		t.Fatalf("capped deadline echo = %q, want 5000", got)
+		resp := search("1")
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("%s: 1ms-deadline search: %d, want 503", route.url, resp.StatusCode)
+		}
+		if got := resp.Header.Get(DeadlineHeader); got != "1" {
+			t.Fatalf("%s: deadline echo = %q, want 1", route.url, got)
+		}
+
+		// An override past the cap is clamped, and the echo shows the cap.
+		resp = search("3600000")
+		if got := resp.Header.Get(DeadlineHeader); got != "5000" {
+			t.Fatalf("%s: capped deadline echo = %q, want 5000", route.url, got)
+		}
+
+		resp = search("")
+		if resp.StatusCode != 200 || resp.Header.Get(DeadlineHeader) == "" || resp.Header.Get(BrownoutHeader) == "" {
+			t.Fatalf("%s: unhurried search: %d, %s=%q, %s=%q", route.url, resp.StatusCode,
+				DeadlineHeader, resp.Header.Get(DeadlineHeader), BrownoutHeader, resp.Header.Get(BrownoutHeader))
+		}
 	}
 
 	var sr searchResp
@@ -279,7 +306,7 @@ func TestStatsReportsOverloadView(t *testing.T) {
 			Level   float64 `json:"level"`
 			Classes []struct {
 				Class string `json:"class"`
-				Limit int     `json:"limit"`
+				Limit int    `json:"limit"`
 			} `json:"classes"`
 		} `json:"admission"`
 		Brownout *float64 `json:"brownout"`

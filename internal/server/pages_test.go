@@ -1,14 +1,12 @@
-package webui
+package server
 
 import (
 	"bytes"
 	"context"
 	"fmt"
 	"io"
-	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -17,39 +15,38 @@ import (
 	"cbvr/internal/synthvid"
 )
 
-func newTestServer(t *testing.T) (*Server, *core.Engine, *core.IngestResult) {
+// newPageServer serves one resident ten-frame cartoon video.
+func newPageServer(t *testing.T, opts Options) (*Server, *core.Engine, *core.IngestResult) {
 	t.Helper()
-	eng, err := core.Open(filepath.Join(t.TempDir(), "web.db"), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { eng.Close() })
+	eng := openTestEngine(t)
 	v := synthvid.Generate(synthvid.Cartoon, synthvid.Config{Width: 96, Height: 72, Frames: 10, Shots: 2, Seed: 3})
 	res, err := eng.IngestFrames("cartoon_00", v.Frames, v.FPS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(eng), eng, res
+	return New(eng, opts), eng, res
 }
 
-func multipartBody(t *testing.T, field, filename string, content []byte, extra map[string]string) (*bytes.Buffer, string) {
-	t.Helper()
-	var buf bytes.Buffer
-	mw := multipart.NewWriter(&buf)
-	fw, err := mw.CreateFormFile(field, filename)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fw.Write(content)
-	for k, v := range extra {
-		mw.WriteField(k, v)
-	}
-	mw.Close()
-	return &buf, mw.FormDataContentType()
+// postForm sends a urlencoded form post.
+func postForm(srv http.Handler, path, form string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(form))
+	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	return rec
+}
+
+// postMultipart sends a multipart form post.
+func postMultipart(srv http.Handler, path string, body io.Reader, ctype string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, path, body)
+	req.Header.Set("Content-Type", ctype)
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	return rec
 }
 
 func TestHomePageListsVideos(t *testing.T) {
-	srv, _, _ := newTestServer(t)
+	srv, _, _ := newPageServer(t, Options{})
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil))
 	if rec.Code != http.StatusOK {
@@ -65,7 +62,7 @@ func TestHomePageListsVideos(t *testing.T) {
 }
 
 func TestHomePageUnknownPath404(t *testing.T) {
-	srv, _, _ := newTestServer(t)
+	srv, _, _ := newPageServer(t, Options{})
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/nope", nil))
 	if rec.Code != http.StatusNotFound {
@@ -74,17 +71,10 @@ func TestHomePageUnknownPath404(t *testing.T) {
 }
 
 func TestSearchReturnsResultGrid(t *testing.T) {
-	srv, _, _ := newTestServer(t)
+	srv, _, _ := newPageServer(t, Options{})
 	v := synthvid.Generate(synthvid.Cartoon, synthvid.Config{Width: 96, Height: 72, Frames: 3, Shots: 1, Seed: 9})
-	var jpg bytes.Buffer
-	if err := v.Frames[0].EncodeJPEG(&jpg, 0); err != nil {
-		t.Fatal(err)
-	}
-	body, ctype := multipartBody(t, "image", "q.jpg", jpg.Bytes(), map[string]string{"k": "5"})
-	req := httptest.NewRequest(http.MethodPost, "/search", body)
-	req.Header.Set("Content-Type", ctype)
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, req)
+	body, ctype := multipartBody(t, "image", "q.jpg", queryJPEG(t, v), map[string]string{"k": "5"})
+	rec := postMultipart(srv, "/search", body, ctype)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -94,7 +84,7 @@ func TestSearchReturnsResultGrid(t *testing.T) {
 }
 
 func TestSearchRejectsNonPost(t *testing.T) {
-	srv, _, _ := newTestServer(t)
+	srv, _, _ := newPageServer(t, Options{})
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/search", nil))
 	if rec.Code != http.StatusMethodNotAllowed {
@@ -103,19 +93,15 @@ func TestSearchRejectsNonPost(t *testing.T) {
 }
 
 func TestSearchRejectsGarbageImage(t *testing.T) {
-	srv, _, _ := newTestServer(t)
+	srv, _, _ := newPageServer(t, Options{})
 	body, ctype := multipartBody(t, "image", "q.jpg", []byte("not a jpeg"), nil)
-	req := httptest.NewRequest(http.MethodPost, "/search", body)
-	req.Header.Set("Content-Type", ctype)
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, req)
-	if rec.Code != http.StatusBadRequest {
+	if rec := postMultipart(srv, "/search", body, ctype); rec.Code != http.StatusBadRequest {
 		t.Errorf("status %d", rec.Code)
 	}
 }
 
 func TestVideoPageShowsKeyFrames(t *testing.T) {
-	srv, _, res := newTestServer(t)
+	srv, _, res := newPageServer(t, Options{})
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/video?id=%d", res.VideoID), nil))
 	if rec.Code != http.StatusOK {
@@ -131,7 +117,7 @@ func TestVideoPageShowsKeyFrames(t *testing.T) {
 }
 
 func TestVideoPageMissing404(t *testing.T) {
-	srv, _, _ := newTestServer(t)
+	srv, _, _ := newPageServer(t, Options{})
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/video?id=999", nil))
 	if rec.Code != http.StatusNotFound {
@@ -145,7 +131,7 @@ func TestVideoPageMissing404(t *testing.T) {
 }
 
 func TestFrameServesJPEG(t *testing.T) {
-	srv, _, res := newTestServer(t)
+	srv, _, res := newPageServer(t, Options{})
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/frame?id=%d", res.KeyFrameIDs[0]), nil))
 	if rec.Code != http.StatusOK {
@@ -160,7 +146,7 @@ func TestFrameServesJPEG(t *testing.T) {
 }
 
 func TestDownloadServesContainer(t *testing.T) {
-	srv, _, res := newTestServer(t)
+	srv, _, res := newPageServer(t, Options{})
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/download?id=%d", res.VideoID), nil))
 	if rec.Code != http.StatusOK {
@@ -172,17 +158,14 @@ func TestDownloadServesContainer(t *testing.T) {
 }
 
 func TestAdminUploadIngests(t *testing.T) {
-	srv, eng, _ := newTestServer(t)
+	srv, eng, _ := newPageServer(t, Options{})
 	v := synthvid.Generate(synthvid.News, synthvid.Config{Width: 96, Height: 72, Frames: 6, Shots: 2, Seed: 4})
 	raw, err := cvj.EncodeBytes(v.Frames, v.FPS, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, ctype := multipartBody(t, "video", "news.cvj", raw, map[string]string{"name": "news_99"})
-	req := httptest.NewRequest(http.MethodPost, "/admin/upload", body)
-	req.Header.Set("Content-Type", ctype)
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, req)
+	rec := postMultipart(srv, "/admin/upload", body, ctype)
 	if rec.Code != http.StatusSeeOther {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -199,24 +182,16 @@ func TestAdminUploadIngests(t *testing.T) {
 }
 
 func TestAdminUploadRejectsGarbage(t *testing.T) {
-	srv, _, _ := newTestServer(t)
+	srv, _, _ := newPageServer(t, Options{})
 	body, ctype := multipartBody(t, "video", "x.cvj", []byte("garbage"), nil)
-	req := httptest.NewRequest(http.MethodPost, "/admin/upload", body)
-	req.Header.Set("Content-Type", ctype)
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, req)
-	if rec.Code != http.StatusBadRequest {
+	if rec := postMultipart(srv, "/admin/upload", body, ctype); rec.Code != http.StatusBadRequest {
 		t.Errorf("status %d", rec.Code)
 	}
 }
 
 func TestAdminDelete(t *testing.T) {
-	srv, eng, res := newTestServer(t)
-	form := strings.NewReader(fmt.Sprintf("id=%d", res.VideoID))
-	req := httptest.NewRequest(http.MethodPost, "/admin/delete", form)
-	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, req)
+	srv, eng, res := newPageServer(t, Options{})
+	rec := postForm(srv, "/admin/delete", fmt.Sprintf("id=%d", res.VideoID))
 	if rec.Code != http.StatusSeeOther {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -225,11 +200,7 @@ func TestAdminDelete(t *testing.T) {
 		t.Errorf("videos after delete = %d", n)
 	}
 	// Deleting again names a video that no longer exists: 404.
-	req = httptest.NewRequest(http.MethodPost, "/admin/delete", strings.NewReader(fmt.Sprintf("id=%d", res.VideoID)))
-	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
-	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, req)
-	if rec.Code != http.StatusNotFound {
+	if rec := postForm(srv, "/admin/delete", fmt.Sprintf("id=%d", res.VideoID)); rec.Code != http.StatusNotFound {
 		t.Errorf("double delete status %d", rec.Code)
 	}
 }
@@ -237,25 +208,16 @@ func TestAdminDelete(t *testing.T) {
 func TestEndToEndSearchFlow(t *testing.T) {
 	// Upload → search with a frame of the uploaded video → its own key
 	// frame ranks first → fetch that frame image.
-	srv, _, _ := newTestServer(t)
+	srv, _, _ := newPageServer(t, Options{})
 	v := synthvid.Generate(synthvid.Nature, synthvid.Config{Width: 96, Height: 72, Frames: 8, Shots: 2, Seed: 12})
 	raw, _ := cvj.EncodeBytes(v.Frames, v.FPS, 0)
 	body, ctype := multipartBody(t, "video", "nature.cvj", raw, map[string]string{"name": "nature_77"})
-	req := httptest.NewRequest(http.MethodPost, "/admin/upload", body)
-	req.Header.Set("Content-Type", ctype)
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, req)
-	if rec.Code != http.StatusSeeOther {
+	if rec := postMultipart(srv, "/admin/upload", body, ctype); rec.Code != http.StatusSeeOther {
 		t.Fatalf("upload status %d", rec.Code)
 	}
 
-	var jpg bytes.Buffer
-	v.Frames[0].EncodeJPEG(&jpg, 0)
-	body, ctype = multipartBody(t, "image", "q.jpg", jpg.Bytes(), map[string]string{"k": "3"})
-	req = httptest.NewRequest(http.MethodPost, "/search", body)
-	req.Header.Set("Content-Type", ctype)
-	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, req)
+	body, ctype = multipartBody(t, "image", "q.jpg", queryJPEG(t, v), map[string]string{"k": "3"})
+	rec := postMultipart(srv, "/search", body, ctype)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("search status %d", rec.Code)
 	}
@@ -287,17 +249,14 @@ func TestEndToEndSearchFlow(t *testing.T) {
 // frame boundary through the upload handler: the streamed ingest must
 // reject it (io.ErrUnexpectedEOF inside) with a 400 and commit nothing.
 func TestAdminUploadTruncatedContainerRejected(t *testing.T) {
-	srv, eng, _ := newTestServer(t)
+	srv, eng, _ := newPageServer(t, Options{})
 	v := synthvid.Generate(synthvid.Movie, synthvid.Config{Width: 96, Height: 72, Frames: 8, Shots: 2, Seed: 5})
 	raw, err := cvj.EncodeBytes(v.Frames, v.FPS, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, ctype := multipartBody(t, "video", "cut.cvj", raw[:len(raw)-6], map[string]string{"name": "cut_00"})
-	req := httptest.NewRequest(http.MethodPost, "/admin/upload", body)
-	req.Header.Set("Content-Type", ctype)
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, req)
+	rec := postMultipart(srv, "/admin/upload", body, ctype)
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -314,17 +273,14 @@ func TestAdminUploadTruncatedContainerRejected(t *testing.T) {
 // engine's empty-name check must surface as a 400, not a commit of an
 // unaddressable video.
 func TestAdminUploadEmptyNameRejected(t *testing.T) {
-	srv, eng, _ := newTestServer(t)
+	srv, eng, _ := newPageServer(t, Options{})
 	v := synthvid.Generate(synthvid.News, synthvid.Config{Width: 96, Height: 72, Frames: 4, Shots: 1, Seed: 6})
 	raw, err := cvj.EncodeBytes(v.Frames, v.FPS, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, ctype := multipartBody(t, "video", "clip.cvj", raw, map[string]string{"name": "   "})
-	req := httptest.NewRequest(http.MethodPost, "/admin/upload", body)
-	req.Header.Set("Content-Type", ctype)
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, req)
+	rec := postMultipart(srv, "/admin/upload", body, ctype)
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -337,13 +293,11 @@ func TestAdminUploadEmptyNameRejected(t *testing.T) {
 }
 
 // TestAdminUploadOverLimit413 shrinks the upload cap and sends a valid
-// container over it: the response must be 413 and name the limit, not the
-// old "missing video upload" 400.
+// container over it: the response must be 413 and name the limit, not a
+// "missing video upload" 400.
 func TestAdminUploadOverLimit413(t *testing.T) {
-	old := maxUploadBytes
-	maxUploadBytes = 4096
-	defer func() { maxUploadBytes = old }()
-	srv, eng, _ := newTestServer(t)
+	const maxUploadBytes = 4096
+	srv, eng, _ := newPageServer(t, Options{MaxUploadBytes: maxUploadBytes})
 	v := synthvid.Generate(synthvid.Movie, synthvid.Config{Width: 96, Height: 72, Frames: 12, Shots: 3, Seed: 7})
 	raw, err := cvj.EncodeBytes(v.Frames, v.FPS, 0)
 	if err != nil {
@@ -353,10 +307,7 @@ func TestAdminUploadOverLimit413(t *testing.T) {
 		t.Fatalf("container only %d bytes, need > %d", len(raw), maxUploadBytes)
 	}
 	body, ctype := multipartBody(t, "video", "big.cvj", raw, map[string]string{"name": "big_00"})
-	req := httptest.NewRequest(http.MethodPost, "/admin/upload", body)
-	req.Header.Set("Content-Type", ctype)
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, req)
+	rec := postMultipart(srv, "/admin/upload", body, ctype)
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -372,16 +323,12 @@ func TestAdminUploadOverLimit413(t *testing.T) {
 // must be rebuilt in place (same IDs, parsable features) and the redirect
 // must land home.
 func TestAdminReindexSingle(t *testing.T) {
-	srv, eng, res := newTestServer(t)
+	srv, eng, res := newPageServer(t, Options{})
 	before, err := eng.Store().KeyFramesOfVideo(nil, res.VideoID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	form := strings.NewReader(fmt.Sprintf("id=%d", res.VideoID))
-	req := httptest.NewRequest(http.MethodPost, "/admin/reindex", form)
-	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, req)
+	rec := postForm(srv, "/admin/reindex", fmt.Sprintf("id=%d", res.VideoID))
 	if rec.Code != http.StatusSeeOther {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -402,46 +349,34 @@ func TestAdminReindexSingle(t *testing.T) {
 // TestAdminReindexAll covers the no-id form (whole store) and method and
 // id validation.
 func TestAdminReindexAll(t *testing.T) {
-	srv, _, _ := newTestServer(t)
-	req := httptest.NewRequest(http.MethodPost, "/admin/reindex", strings.NewReader(""))
-	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, req)
-	if rec.Code != http.StatusSeeOther {
+	srv, _, _ := newPageServer(t, Options{})
+	if rec := postForm(srv, "/admin/reindex", ""); rec.Code != http.StatusSeeOther {
 		t.Fatalf("reindex all: status %d: %s", rec.Code, rec.Body.String())
 	}
 
-	rec = httptest.NewRecorder()
+	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/admin/reindex", nil))
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET reindex: status %d", rec.Code)
 	}
 
-	req = httptest.NewRequest(http.MethodPost, "/admin/reindex", strings.NewReader("id=nope"))
-	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
-	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, req)
-	if rec.Code != http.StatusBadRequest {
+	if rec := postForm(srv, "/admin/reindex", "id=nope"); rec.Code != http.StatusBadRequest {
 		t.Errorf("bad id: status %d", rec.Code)
 	}
 
 	// A well-formed id naming no stored video is an addressing failure,
 	// not a malformed request: 404, not 400.
-	req = httptest.NewRequest(http.MethodPost, "/admin/reindex", strings.NewReader("id=42"))
-	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
-	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, req)
-	if rec.Code != http.StatusNotFound {
+	if rec := postForm(srv, "/admin/reindex", "id=42"); rec.Code != http.StatusNotFound {
 		t.Errorf("missing video: status %d", rec.Code)
 	}
 }
 
-// TestVideoPageCancelledContextStopsEarly pins the cbvrvet:ctxloop fix
+// TestVideoPageCancelledContextStopsEarly pins the cbvrvet:ctxloop check
 // in handleVideo: once the client is gone, the per-key-frame blob loop
 // must bail out instead of decoding a whole video for nobody, so a
 // cancelled request renders no frames.
 func TestVideoPageCancelledContextStopsEarly(t *testing.T) {
-	srv, _, res := newTestServer(t)
+	srv, _, res := newPageServer(t, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	req := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/video?id=%d", res.VideoID), nil).WithContext(ctx)

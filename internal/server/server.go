@@ -1,32 +1,39 @@
-// Package server exposes the CBVR engine to multiple concurrent clients
-// over a JSON/HTTP API. It is the programmatic counterpart of the HTML UI
-// (internal/webui): both sit on the same context-aware engine entry points
-// and the same error classification (internal/httperr).
+// Package server is the CBVR engine's one HTTP server: a JSON API under
+// /api/v1 for programmatic clients and the paper's HTML pages (Figs. 2, 9,
+// 10 — query form, result grid, video page, the administrator's upload,
+// delete and reindex) for browsers. Search, ingest, delete and reindex each
+// have one handler that both surfaces route to; a route only chooses how a
+// success is written (JSON, a rendered page, or a 303 back to the home
+// page). Failures are classified once (internal/httperr) and written as
+// JSON on both surfaces.
 //
 // Concurrency model: uploads run the engine's two-phase staged ingest —
 // decode, key-frame selection, feature extraction and blob staging proceed
 // with no store-wide lock, so N clients make progress simultaneously and
 // serialize only on the short row-commit section.
 //
-// Overload model: every request passes the weighted admission controller
-// (internal/admission) under a server-assigned deadline. Each endpoint
-// class (search/delete/ingest/reindex) has its own concurrency limit and
-// bounded wait queue; refused work gets 429/503 with a Retry-After
-// computed from observed service times, lowest-priority classes shedding
-// first as the load signal rises. The same signal drives the engine's
-// search brownout (core.SetBrownout): under pressure fused searches
-// shrink their probe budget toward the recall floor, and exactness
-// returns the moment load clears. A slow-client watchdog re-arms a
-// per-read connection deadline around body reads so a stalled uploader
-// cannot hold an admission slot forever.
+// Overload model: every request runs under a server-assigned deadline, and
+// every search and mutation passes the weighted admission controller
+// (internal/admission). Each class (search/delete/ingest/reindex) has its
+// own concurrency limit and bounded wait queue; refused work gets 429/503
+// with a Retry-After computed from observed service times, lowest-priority
+// classes shedding first as the load signal rises. The same signal drives
+// the engine's search brownout (core.SetBrownout): under pressure fused
+// searches shrink their probe budget toward the recall floor, and
+// exactness returns the moment load clears. A slow-client watchdog re-arms
+// a per-read connection deadline around body reads so a stalled uploader
+// cannot hold an admission slot forever. Index reads — the store listing,
+// the HTML read pages, stats and healthz — skip admission.
 package server
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"mime"
+	"mime/multipart"
 	"net/http"
 	"strconv"
 	"strings"
@@ -34,6 +41,7 @@ import (
 	"time"
 
 	"cbvr/internal/admission"
+	"cbvr/internal/catalog"
 	"cbvr/internal/core"
 	"cbvr/internal/httperr"
 	"cbvr/internal/imaging"
@@ -94,7 +102,7 @@ const BrownoutHeader = "X-CBVR-Brownout"
 // "browned-out": below this the budget shrink is negligible noise.
 const brownoutVisible = 0.01
 
-// Server is the JSON API handler set. Create one with New.
+// Server is the HTTP handler set. Create one with New.
 type Server struct {
 	eng  *core.Engine
 	mux  *http.ServeMux
@@ -117,7 +125,16 @@ type Server struct {
 	admitHook func(name string)
 }
 
-// New builds the API route table around an engine.
+// respond writes an operation's success: JSON on an /api/v1 route, a page
+// or a 303 on an HTML route.
+type respond[T any] func(http.ResponseWriter, *http.Request, T)
+
+// bind routes a request to op with the route's way of writing a success.
+func bind[T any](op func(http.ResponseWriter, *http.Request, respond[T]), ok respond[T]) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) { op(w, r, ok) }
+}
+
+// New builds the route table around an engine.
 func New(eng *core.Engine, opts Options) *Server {
 	if opts.MaxUploadBytes <= 0 {
 		opts.MaxUploadBytes = DefaultMaxUploadBytes
@@ -143,12 +160,28 @@ func New(eng *core.Engine, opts Options) *Server {
 		baseCtx: ctx,
 		abort:   cancel,
 	}
-	s.mux.HandleFunc("/api/v1/search", s.handleSearch)
-	s.mux.HandleFunc("/api/v1/videos", s.handleVideos)
-	s.mux.HandleFunc("/api/v1/ingest", s.handleIngest)
-	s.mux.HandleFunc("/api/v1/reindex", s.handleReindex)
-	s.mux.HandleFunc("/api/v1/stats", s.handleStats)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
+	for _, rt := range []struct {
+		pattern string
+		mutates bool // requests other than GET run under MutateDeadline
+		h       http.HandlerFunc
+	}{
+		{"/api/v1/search", false, bind(s.search, writeMatches)},
+		{"/api/v1/videos", true, s.handleVideos},
+		{"/api/v1/ingest", true, bind(s.ingest, writeIngested)},
+		{"/api/v1/reindex", true, bind(s.reindex, writeReindexed)},
+		{"/api/v1/stats", false, s.handleStats},
+		{"/healthz", false, s.handleHealthz},
+		{"/", false, s.handleHome},
+		{"/search", false, bind(s.search, s.renderResults)},
+		{"/video", false, s.handleVideo},
+		{"/frame", false, s.handleFrame},
+		{"/download", false, s.handleDownload},
+		{"/admin/upload", true, bind(s.ingest, seeOther[*core.IngestResult])},
+		{"/admin/delete", true, s.handleAdminDelete},
+		{"/admin/reindex", true, bind(s.reindex, seeOther[[]*core.ReindexResult])},
+	} {
+		s.handle(rt.pattern, rt.mutates, rt.h)
+	}
 	return s
 }
 
@@ -203,43 +236,40 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "brownout": lvl})
 }
 
-// ServeHTTP implements http.Handler. Each request runs under a context
-// that dies with the client connection, the server-assigned (or
-// client-overridden, capped) deadline, or Abort — whichever first. The
-// applied deadline is echoed in the DeadlineHeader response header.
+// ServeHTTP implements http.Handler, counting the request for Wait.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.wg.Add(1)
 	defer s.wg.Done()
-	d := s.routeDeadline(r)
-	if hdr := r.Header.Get(DeadlineHeader); hdr != "" {
-		if ms, err := strconv.ParseInt(hdr, 10, 64); err == nil && ms > 0 {
-			d = time.Duration(ms) * time.Millisecond
-			if d > s.opts.MaxDeadline {
-				d = s.opts.MaxDeadline
-			}
-		}
-	}
-	w.Header().Set(DeadlineHeader, strconv.FormatInt(d.Milliseconds(), 10))
-	ctx, cancel := context.WithDeadline(r.Context(), time.Now().Add(d))
-	defer cancel()
-	stop := context.AfterFunc(s.baseCtx, cancel)
-	defer stop()
-	s.mux.ServeHTTP(w, r.WithContext(ctx))
+	s.mux.ServeHTTP(w, r)
 }
 
-// routeDeadline picks the endpoint's default deadline: mutations get the
-// long budget (a large upload decodes for a while), everything else the
-// search budget.
-func (s *Server) routeDeadline(r *http.Request) time.Duration {
-	switch r.URL.Path {
-	case "/api/v1/ingest", "/api/v1/reindex":
-		return s.opts.MutateDeadline
-	case "/api/v1/videos":
-		if r.Method == http.MethodDelete {
-			return s.opts.MutateDeadline
+// handle registers h under pattern. Each request runs under a context that
+// dies with the client connection, the route's deadline (MutateDeadline
+// for a mutating route's non-GET requests, SearchDeadline otherwise, or
+// the client's capped DeadlineHeader override), or Abort — whichever
+// first. The applied deadline is echoed in the DeadlineHeader response
+// header.
+func (s *Server) handle(pattern string, mutates bool, h http.HandlerFunc) {
+	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		d := s.opts.SearchDeadline
+		if mutates && r.Method != http.MethodGet {
+			d = s.opts.MutateDeadline
 		}
-	}
-	return s.opts.SearchDeadline
+		if hdr := r.Header.Get(DeadlineHeader); hdr != "" {
+			if ms, err := strconv.ParseInt(hdr, 10, 64); err == nil && ms > 0 {
+				d = time.Duration(ms) * time.Millisecond
+				if d > s.opts.MaxDeadline {
+					d = s.opts.MaxDeadline
+				}
+			}
+		}
+		w.Header().Set(DeadlineHeader, strconv.FormatInt(d.Milliseconds(), 10))
+		ctx, cancel := context.WithDeadline(r.Context(), time.Now().Add(d))
+		defer cancel()
+		stop := context.AfterFunc(s.baseCtx, cancel)
+		defer stop()
+		h(w, r.WithContext(ctx))
+	})
 }
 
 // admit runs one request through the admission controller. On refusal it
@@ -295,6 +325,17 @@ func (s *Server) writeStoredErr(w http.ResponseWriter, err error, class admissio
 func methodErr(w http.ResponseWriter, allowed string) {
 	w.Header().Set("Allow", allowed)
 	writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "method not allowed; use " + allowed})
+}
+
+// parseID parses a positive video or key-frame id. On failure it writes
+// a 400 and reports false.
+func parseID(w http.ResponseWriter, s string) (int64, bool) {
+	id, err := strconv.ParseInt(s, 10, 64)
+	if err != nil || id <= 0 {
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "missing or invalid \"id\" parameter"})
+		return 0, false
+	}
+	return id, true
 }
 
 // watchdogBody re-arms a per-read connection deadline around every body
@@ -373,17 +414,18 @@ type reindexJSON struct {
 	KeyFrames int    `json:"key_frames"`
 }
 
-// handleSearch ranks stored key frames against a query frame. The frame
-// arrives either as multipart field "image" or as a raw JPEG body; "k"
-// (query or form value) bounds the result count. The response carries the
-// brownout level the search ran at in the BrownoutHeader header.
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
+// search ranks stored key frames against a query frame. The frame arrives
+// either as multipart field "image" or as a raw JPEG body; "k" (query or
+// form value, 1..1000, default 12) bounds the result count. The response
+// carries the brownout level the search ran at in the BrownoutHeader
+// header.
+func (s *Server) search(w http.ResponseWriter, r *http.Request, ok respond[[]core.Match]) {
 	if r.Method != http.MethodPost {
 		methodErr(w, http.MethodPost)
 		return
 	}
-	tk, ok := s.admit(w, r, admission.Search)
-	if !ok {
+	tk, admitted := s.admit(w, r, admission.Search)
+	if !admitted {
 		return
 	}
 	defer tk.Release()
@@ -398,15 +440,18 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if isMultipart(r) {
 		file, _, err := r.FormFile("image")
 		if err != nil {
-			s.writeErr(w, fmt.Errorf("missing \"image\" upload: %w", err), admission.Search)
+			s.writeErr(w, httperr.Malformed(fmt.Errorf("multipart search needs an \"image\" file part: %w", err)), admission.Search)
 			return
 		}
 		defer file.Close()
+		// The form was parsed on a copy of the server's request, so the
+		// server's own cleanup never sees spilled temp files.
+		defer r.MultipartForm.RemoveAll()
 		frameSrc = file
 	}
 	query, err := imaging.DecodeJPEG(frameSrc)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "query frame is not a decodable JPEG: " + err.Error()})
+		s.writeErr(w, httperr.Malformed(fmt.Errorf("query frame is not a decodable JPEG: %w", err)), admission.Search)
 		return
 	}
 	kStr := r.URL.Query().Get("k")
@@ -422,6 +467,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err, admission.Search)
 		return
 	}
+	ok(w, r, matches)
+}
+
+func writeMatches(w http.ResponseWriter, _ *http.Request, matches []core.Match) {
 	out := make([]matchJSON, len(matches))
 	for i, m := range matches {
 		out[i] = matchJSON{
@@ -436,19 +485,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleVideos lists the store (GET) or deletes one video (DELETE ?id=N).
-// Listing is an index read and skips admission; deletes go through the
-// delete class.
 func (s *Server) handleVideos(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		vids, err := s.eng.Store().ListVideos(nil)
-		if err != nil {
-			s.writeErr(w, err, admission.Search)
-			return
-		}
-		nk, err := s.eng.Store().CountKeyFrames(nil)
-		if err != nil {
-			s.writeErr(w, err, admission.Search)
+		vids, nk, ok := s.listing(w)
+		if !ok {
 			return
 		}
 		out := make([]videoJSON, len(vids))
@@ -457,32 +498,59 @@ func (s *Server) handleVideos(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"videos": out, "key_frames": nk})
 	case http.MethodDelete:
-		id, err := strconv.ParseInt(r.URL.Query().Get("id"), 10, 64)
-		if err != nil || id <= 0 {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "missing or invalid \"id\" query parameter"})
-			return
-		}
-		tk, ok := s.admit(w, r, admission.Delete)
-		if !ok {
-			return
-		}
-		defer tk.Release()
-		if err := s.eng.DeleteVideo(id); err != nil {
-			s.writeStoredErr(w, err, admission.Delete)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"deleted": id})
+		s.deleteVideo(w, r, writeDeleted)
 	default:
 		methodErr(w, "GET, DELETE")
 	}
 }
 
-// handleIngest admits one upload into the staged ingest pipeline. The
-// container arrives either as multipart ("name" field before a "video"
-// file part, both streamed — the body is never buffered whole) or as a raw
-// CVJ body with ?name=. Over-admission returns 429 with a computed
-// Retry-After; the client owns its backoff.
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
+// listing reads the stored videos and the key-frame count for the JSON
+// listing and the home page. On failure it writes the error and reports
+// false.
+func (s *Server) listing(w http.ResponseWriter) ([]*catalog.VideoInfo, int, bool) {
+	vids, err := s.eng.Store().ListVideos(nil)
+	if err != nil {
+		s.writeErr(w, err, admission.Search)
+		return nil, 0, false
+	}
+	nk, err := s.eng.Store().CountKeyFrames(nil)
+	if err != nil {
+		s.writeErr(w, err, admission.Search)
+		return nil, 0, false
+	}
+	return vids, nk, true
+}
+
+// deleteVideo removes one video, id from the query string or a urlencoded
+// form, in the delete admission class. Callers check the method.
+func (s *Server) deleteVideo(w http.ResponseWriter, r *http.Request, ok respond[int64]) {
+	s.guardBody(w, r)
+	id, valid := parseID(w, queryOrForm(r, "id"))
+	if !valid {
+		return
+	}
+	tk, admitted := s.admit(w, r, admission.Delete)
+	if !admitted {
+		return
+	}
+	defer tk.Release()
+	if err := s.eng.DeleteVideo(id); err != nil {
+		s.writeStoredErr(w, err, admission.Delete)
+		return
+	}
+	ok(w, r, id)
+}
+
+func writeDeleted(w http.ResponseWriter, _ *http.Request, id int64) {
+	writeJSON(w, http.StatusOK, map[string]any{"deleted": id})
+}
+
+// ingest admits one upload into the staged ingest pipeline. The container
+// arrives either as multipart ("name" field before a "video" file part,
+// both streamed — the body is never buffered whole) or as a raw CVJ body
+// with ?name=. Over-admission returns 429 with a computed Retry-After; the
+// client owns its backoff.
+func (s *Server) ingest(w http.ResponseWriter, r *http.Request, ok respond[*core.IngestResult]) {
 	if r.Method != http.MethodPost {
 		methodErr(w, http.MethodPost)
 		return
@@ -494,8 +562,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err, admission.Ingest)
 		return
 	}
-	tk, ok := s.admit(w, r, admission.Ingest)
-	if !ok {
+	tk, admitted := s.admit(w, r, admission.Ingest)
+	if !admitted {
 		return
 	}
 	defer tk.Release()
@@ -505,79 +573,92 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.guardBody(w, r)
 
 	name := r.URL.Query().Get("name")
-	var container io.Reader
+	var container io.Reader = r.Body
 	if isMultipart(r) {
 		mr, err := r.MultipartReader()
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "malformed multipart body: " + err.Error()})
+			err = httperr.Malformed(fmt.Errorf("malformed multipart body: %w", err))
+		} else {
+			name, container, err = videoPart(r.Context(), mr, name)
+		}
+		if err != nil {
+			s.writeErr(w, err, admission.Ingest)
 			return
 		}
-		// Walk parts in wire order so the container part streams straight
-		// into ingest without spooling the upload to disk or memory.
-		for container == nil {
-			// A part read can block on a stalled client; bail out once the
-			// request context is cancelled rather than walking dead parts.
-			if err := r.Context().Err(); err != nil {
-				s.writeErr(w, err, admission.Ingest)
-				return
-			}
-			part, err := mr.NextPart()
-			if err == io.EOF {
-				writeJSON(w, http.StatusBadRequest, map[string]string{"error": "missing \"video\" upload part"})
-				return
-			}
-			if err != nil {
-				s.writeErr(w, err, admission.Ingest)
-				return
-			}
-			switch part.FormName() {
-			case "name":
-				b, err := io.ReadAll(io.LimitReader(part, 4096))
-				if err != nil {
-					s.writeErr(w, err, admission.Ingest)
-					return
-				}
-				if name == "" {
-					name = string(b)
-				}
-			case "video":
-				if name == "" {
-					name = part.FileName()
-				}
-				container = part
-			}
-		}
-	} else {
-		container = r.Body
 	}
 	res, err := s.eng.IngestVideoStreamCtx(r.Context(), name, container)
 	if err != nil {
 		s.writeErr(w, err, admission.Ingest)
 		return
 	}
+	ok(w, r, res)
+}
+
+// videoPart walks a multipart upload in wire order up to its "video" part,
+// so the container streams straight into ingest without spooling the body
+// to disk or memory. A "name" field is seen only ahead of that part and
+// only when name is still empty; the part's file name is the last resort.
+func videoPart(ctx context.Context, mr *multipart.Reader, name string) (string, io.Reader, error) {
+	for {
+		// A part read can block on a stalled client; bail out once the
+		// request context is cancelled rather than walking dead parts.
+		if err := ctx.Err(); err != nil {
+			return "", nil, err
+		}
+		part, err := mr.NextPart()
+		if err == io.EOF {
+			return "", nil, httperr.Malformed(errors.New("missing \"video\" upload part"))
+		}
+		if err != nil {
+			return "", nil, httperr.Malformed(fmt.Errorf("malformed multipart body: %w", err))
+		}
+		switch part.FormName() {
+		case "name":
+			b, err := io.ReadAll(io.LimitReader(part, 4096))
+			if err != nil {
+				return "", nil, httperr.Malformed(fmt.Errorf("malformed \"name\" part: %w", err))
+			}
+			if name == "" {
+				name = string(b)
+			}
+		case "video":
+			if name == "" {
+				name = part.FileName()
+			}
+			return name, part, nil
+		}
+	}
+}
+
+func writeIngested(w http.ResponseWriter, _ *http.Request, res *core.IngestResult) {
 	writeJSON(w, http.StatusOK, ingestJSON{VideoID: res.VideoID, NumFrames: res.NumFrames, KeyFrameIDs: res.KeyFrameIDs})
 }
 
-// handleReindex rebuilds feature rows from stored key-frame streams: one
-// video with ?id= (or form id), the whole store without. Reindex is the
-// lowest-priority admission class — the first work shed under load.
-func (s *Server) handleReindex(w http.ResponseWriter, r *http.Request) {
+// reindex rebuilds feature rows from stored key-frame streams: one video
+// with ?id= (or form id), the whole store without. The videos stay
+// searchable throughout — each rebuild swaps in atomically on commit.
+// Reindex is the lowest-priority admission class — the first work shed
+// under load.
+func (s *Server) reindex(w http.ResponseWriter, r *http.Request, ok respond[[]*core.ReindexResult]) {
 	if r.Method != http.MethodPost {
 		methodErr(w, http.MethodPost)
 		return
 	}
-	tk, ok := s.admit(w, r, admission.Reindex)
-	if !ok {
+	s.guardBody(w, r)
+	var id int64
+	if idStr := queryOrForm(r, "id"); idStr != "" {
+		var valid bool
+		if id, valid = parseID(w, idStr); !valid {
+			return
+		}
+	}
+	tk, admitted := s.admit(w, r, admission.Reindex)
+	if !admitted {
 		return
 	}
 	defer tk.Release()
 	var results []*core.ReindexResult
-	if idStr := queryOrForm(r, "id"); idStr != "" {
-		id, err := strconv.ParseInt(idStr, 10, 64)
-		if err != nil || id <= 0 {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "invalid \"id\" parameter"})
-			return
-		}
+	if id > 0 {
 		res, err := s.eng.ReindexVideoCtx(r.Context(), id)
 		if err != nil {
 			s.writeStoredErr(w, err, admission.Reindex)
@@ -592,6 +673,10 @@ func (s *Server) handleReindex(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	ok(w, r, results)
+}
+
+func writeReindexed(w http.ResponseWriter, _ *http.Request, results []*core.ReindexResult) {
 	out := make([]reindexJSON, len(results))
 	for i, res := range results {
 		out[i] = reindexJSON{VideoID: res.VideoID, VideoName: res.VideoName, KeyFrames: res.KeyFrames}

@@ -22,7 +22,7 @@ import (
 	"cbvr/internal/synthvid"
 )
 
-func openTestEngine(t *testing.T) *core.Engine {
+func openTestEngine(t testing.TB) *core.Engine {
 	t.Helper()
 	eng, err := core.Open(filepath.Join(t.TempDir(), "api.db"), core.Options{})
 	if err != nil {
@@ -40,7 +40,7 @@ func ingestLimit(n int) admission.Config {
 }
 
 // testContainer encodes a deterministic synthetic clip as CVJ bytes.
-func testContainer(t *testing.T, cat synthvid.Category, seed int64, frames int) ([]byte, *synthvid.Video) {
+func testContainer(t testing.TB, cat synthvid.Category, seed int64, frames int) ([]byte, *synthvid.Video) {
 	t.Helper()
 	v := synthvid.Generate(cat, synthvid.Config{
 		Width: 96, Height: 72, Frames: frames, Shots: 3, Seed: seed,
@@ -52,7 +52,7 @@ func testContainer(t *testing.T, cat synthvid.Category, seed int64, frames int) 
 	return raw, v
 }
 
-func queryJPEG(t *testing.T, v *synthvid.Video) []byte {
+func queryJPEG(t testing.TB, v *synthvid.Video) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := v.Frames[0].EncodeJPEG(&buf, 0); err != nil {
@@ -64,9 +64,18 @@ func queryJPEG(t *testing.T, v *synthvid.Video) []byte {
 // doJSON performs a request and decodes the JSON response body.
 func doJSON(t *testing.T, method, url string, body io.Reader, out any) (*http.Response, string) {
 	t.Helper()
+	return doTyped(t, method, url, "", body, out)
+}
+
+// doTyped is doJSON with a Content-Type header ("" sends none).
+func doTyped(t *testing.T, method, url, ctype string, body io.Reader, out any) (*http.Response, string) {
+	t.Helper()
 	req, err := http.NewRequest(method, url, body)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ctype != "" {
+		req.Header.Set("Content-Type", ctype)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -83,6 +92,26 @@ func doJSON(t *testing.T, method, url string, body io.Reader, out any) (*http.Re
 		}
 	}
 	return resp, string(raw)
+}
+
+// multipartBody encodes a form with the fields ahead of one file part,
+// the order the upload form sends them in.
+func multipartBody(t testing.TB, field, filename string, content []byte, fields map[string]string) (*bytes.Buffer, string) {
+	t.Helper()
+	var buf bytes.Buffer
+	mw := multipart.NewWriter(&buf)
+	for k, v := range fields {
+		if err := mw.WriteField(k, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fw, err := mw.CreateFormFile(field, filename)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw.Write(content)
+	mw.Close()
+	return &buf, mw.FormDataContentType()
 }
 
 type ingestResp struct {
@@ -311,6 +340,17 @@ func TestErrorClassification(t *testing.T) {
 		t.Fatalf("big container too small to trip the cap: %d", len(big))
 	}
 
+	// Request bodies that do not decode as the multipart form they claim
+	// to be are the client's fault (400); cut or oversized, they keep
+	// their own status.
+	const garbageType = "multipart/form-data; boundary=x"
+	var kOnly bytes.Buffer
+	kw := multipart.NewWriter(&kOnly)
+	kw.WriteField("k", "5")
+	kw.Close()
+	bigUpload, uploadType := multipartBody(t, "video", "big.cvj", big, map[string]string{"name": "big"})
+	bigQuery, queryType := multipartBody(t, "image", "q.jpg", big, nil)
+
 	cases := []struct {
 		name       string
 		method     string
@@ -318,20 +358,27 @@ func TestErrorClassification(t *testing.T) {
 		body       io.Reader
 		wantStatus int
 		wantSubstr string
+		ctype      string
 	}{
-		{"empty name", "POST", "/api/v1/ingest", bytes.NewReader(raw), 400, "empty video name"},
-		{"whitespace name", "POST", "/api/v1/ingest?name=%20%20", bytes.NewReader(raw), 400, "empty video name"},
-		{"garbage container", "POST", "/api/v1/ingest?name=x", strings.NewReader("this is not a container"), 400, ""},
-		{"truncated container", "POST", "/api/v1/ingest?name=x", bytes.NewReader(raw[:len(raw)/2]), 400, ""},
-		{"oversized body", "POST", "/api/v1/ingest?name=x", bytes.NewReader(big), 413, "32768-byte"},
-		{"reindex missing id", "POST", "/api/v1/reindex?id=9999", nil, 404, "no such video"},
-		{"delete missing id", "DELETE", "/api/v1/videos?id=9999", nil, 404, "no such video"},
-		{"bad search method", "GET", "/api/v1/search", nil, 405, ""},
-		{"bad ingest method", "GET", "/api/v1/ingest", nil, 405, ""},
-		{"search not a jpeg", "POST", "/api/v1/search", strings.NewReader("nope"), 400, ""},
+		{"empty name", "POST", "/api/v1/ingest", bytes.NewReader(raw), 400, "empty video name", ""},
+		{"whitespace name", "POST", "/api/v1/ingest?name=%20%20", bytes.NewReader(raw), 400, "empty video name", ""},
+		{"garbage container", "POST", "/api/v1/ingest?name=x", strings.NewReader("this is not a container"), 400, "", ""},
+		{"truncated container", "POST", "/api/v1/ingest?name=x", bytes.NewReader(raw[:len(raw)/2]), 400, "", ""},
+		{"oversized body", "POST", "/api/v1/ingest?name=x", bytes.NewReader(big), 413, "32768-byte", ""},
+		{"reindex missing id", "POST", "/api/v1/reindex?id=9999", nil, 404, "no such video", ""},
+		{"delete missing id", "DELETE", "/api/v1/videos?id=9999", nil, 404, "no such video", ""},
+		{"bad search method", "GET", "/api/v1/search", nil, 405, "", ""},
+		{"bad ingest method", "GET", "/api/v1/ingest", nil, 405, "", ""},
+		{"search not a jpeg", "POST", "/api/v1/search", strings.NewReader("nope"), 400, "", ""},
+		{"multipart search without image", "POST", "/api/v1/search", &kOnly, 400, "image", kw.FormDataContentType()},
+		{"garbage multipart search", "POST", "/api/v1/search", strings.NewReader("--x\r\ngarbage"), 400, "", garbageType},
+		{"garbage multipart ingest", "POST", "/api/v1/ingest?name=x", strings.NewReader("--x\r\ngarbage"), 400, "", garbageType},
+		{"empty multipart ingest", "POST", "/api/v1/ingest?name=x", strings.NewReader("nothing"), 400, "", garbageType},
+		{"oversized multipart ingest", "POST", "/api/v1/ingest", bigUpload, 413, "32768-byte", uploadType},
+		{"oversized multipart search", "POST", "/api/v1/search", bigQuery, 413, "32768-byte", queryType},
 	}
 	for _, tc := range cases {
-		resp, body := doJSON(t, tc.method, ts.URL+tc.url, tc.body, nil)
+		resp, body := doTyped(t, tc.method, ts.URL+tc.url, tc.ctype, tc.body, nil)
 		if resp.StatusCode != tc.wantStatus {
 			t.Errorf("%s: status %d (want %d): %s", tc.name, resp.StatusCode, tc.wantStatus, body)
 		}
@@ -351,52 +398,64 @@ func TestErrorClassification(t *testing.T) {
 }
 
 // TestAbortDiscardsInFlightIngest is the forced-shutdown path: Abort fires
-// while an upload is mid-stream; the handler must answer 503, commit
-// nothing, and leave the store closeable (no staged writers leak).
+// while an upload is mid-stream, raw on the API or multipart through the
+// HTML upload form; the handler must answer 503, commit nothing, and
+// leave the store closeable (no staged writers leak).
 func TestAbortDiscardsInFlightIngest(t *testing.T) {
 	eng := openTestEngine(t)
-	srv := New(eng, Options{})
-	admitted := make(chan string, 1)
-	srv.admitHook = func(name string) { admitted <- name }
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
 	raw, _ := testContainer(t, synthvid.Cartoon, 500, 16)
-	pr, pw := io.Pipe()
-	done := make(chan struct {
-		status int
-		body   string
-	}, 1)
-	go func() {
-		resp, body := doJSON(t, "POST", ts.URL+"/api/v1/ingest?name=doomed", pr, nil)
-		done <- struct {
+	form, formType := multipartBody(t, "video", "doomed.cvj", raw, map[string]string{"name": "doomed"})
+	for _, route := range []struct {
+		url, ctype string
+		body       []byte
+	}{
+		{"/api/v1/ingest?name=doomed", "", raw},
+		{"/admin/upload", formType, form.Bytes()},
+	} {
+		srv := New(eng, Options{})
+		admitted := make(chan string, 1)
+		srv.admitHook = func(name string) { admitted <- name }
+		ts := httptest.NewServer(srv)
+
+		// Send everything up to the middle of the container.
+		cut := bytes.Index(route.body, raw) + len(raw)/2
+		pr, pw := io.Pipe()
+		done := make(chan struct {
 			status int
 			body   string
-		}{resp.StatusCode, body}
-	}()
-	<-admitted
-	if _, err := pw.Write(raw[:len(raw)/2]); err != nil {
-		t.Fatal(err)
-	}
+		}, 1)
+		go func() {
+			resp, body := doTyped(t, "POST", ts.URL+route.url, route.ctype, pr, nil)
+			done <- struct {
+				status int
+				body   string
+			}{resp.StatusCode, body}
+		}()
+		<-admitted
+		if _, err := pw.Write(route.body[:cut]); err != nil {
+			t.Fatal(err)
+		}
 
-	srv.Abort()
-	// Feed the rest of the container so a decode blocked mid-record can
-	// complete its read and hit the per-iteration cancellation check —
-	// every interleaving ends in ctx.Canceled, never a read error.
-	go func() {
-		pw.Write(raw[len(raw)/2:])
-		pw.Close()
-	}()
-	res := <-done
-	if res.status != http.StatusServiceUnavailable {
-		t.Fatalf("aborted ingest: status %d body %s", res.status, res.body)
-	}
-	vids, err := eng.Store().ListVideos(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vids) != 0 {
-		t.Fatalf("aborted ingest committed %d videos", len(vids))
+		srv.Abort()
+		// Feed the rest of the container so a decode blocked mid-record can
+		// complete its read and hit the per-iteration cancellation check —
+		// every interleaving ends in ctx.Canceled, never a read error.
+		go func() {
+			pw.Write(route.body[cut:])
+			pw.Close()
+		}()
+		res := <-done
+		ts.Close()
+		if res.status != http.StatusServiceUnavailable {
+			t.Fatalf("%s: aborted ingest: status %d body %s", route.url, res.status, res.body)
+		}
+		vids, err := eng.Store().ListVideos(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(vids) != 0 {
+			t.Fatalf("%s: aborted ingest committed %d videos", route.url, len(vids))
+		}
 	}
 }
 
