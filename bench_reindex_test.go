@@ -1,8 +1,8 @@
-// Benchmarks for the streaming re-index subsystem and the spooled blob
+// Benchmarks for the streaming re-index subsystem and the staged blob
 // ingest path. Run with -benchmem: the alloc stats are the point —
 // BenchmarkIngestSpooledBlob's bytes/op must stay far below the container
-// size (the compressed container spools into blob pages instead of
-// sitting in memory), and BenchmarkReindex shows a full descriptor
+// size (the compressed container streams into staged blob pages instead
+// of sitting in memory), and BenchmarkReindex shows a full descriptor
 // rebuild without re-upload.
 package cbvr_test
 

@@ -259,17 +259,14 @@ func GenerateCorpus(perCategory int, cfg VideoConfig) map[string][]*Image {
 // their paper-format strings keyed by feature kind, plus the §4.2 range
 // bucket — the output shown in the paper's Fig. 8. The descriptors and
 // the bucket come from one shared analysis-plane pass (one rescale, one
-// gray conversion for everything).
+// gray conversion for everything), the same one ingest and search run.
 func DescribeFrame(im *Image) (strings map[FeatureKind]string, min, max int) {
-	planes := features.AcquirePlanes(im)
-	defer planes.Release()
-	set := planes.ExtractAll()
+	set, b := core.Describe(im, nil)
 	strings = make(map[FeatureKind]string, NumFeatures)
 	for _, k := range features.AllKinds() {
 		if d := set.Get(k); d != nil {
 			strings[k] = d.String()
 		}
 	}
-	b := core.BucketFromPlanes(planes)
 	return strings, b.Min, b.Max
 }

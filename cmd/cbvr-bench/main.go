@@ -173,12 +173,10 @@ func runFig8(cfg eval.Table1Config) {
 	frame := qs[0].Frame
 	fmt.Printf("query frame: %dx%d (%v)\n\n", frame.W, frame.H, qs[0].Category)
 
-	hist := frame.Rescale(features.AnalysisSize, features.AnalysisSize).GrayHistogram()
-	min, max := rangeindex.AssignFaithful(&hist)
-	set := features.ExtractAll(frame)
+	set, bucket := core.Describe(frame, nil)
 
 	fmt.Println("Algorithm : SimpleColorHistogram")
-	fmt.Printf("Output : min = %d, max=%d\n", min, max)
+	fmt.Printf("Output : min = %d, max=%d\n", bucket.Min, bucket.Max)
 	fmt.Printf("Histogram : %.120s...\n\n", set.Histogram.String())
 	fmt.Println("Algorithm : GLCM_Texture")
 	fmt.Printf("Output :\n%s\n\n", set.GLCM.String())

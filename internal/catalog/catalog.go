@@ -77,9 +77,10 @@ func KeyFramesSchema() vstore.Schema {
 // Video is a VIDEO_STORE row. Video and Stream are raw CVJ container
 // bytes; they are nil when loaded lazily (see Store.VideoBytes). VideoRef
 // and StreamRef, when set, reference blob chains already written through a
-// vstore.BlobWriter — the spooled ingest path streams container bytes into
-// the store page by page and inserts the references, so the compressed
-// container never has to sit in memory.
+// vstore.BlobWriter — ingest stages the container bytes page by page
+// outside any transaction (vstore.NewStagedBlobWriter), then adopts the
+// chains and inserts the references in one short commit, so the
+// compressed container never has to sit in memory.
 type Video struct {
 	ID        int64
 	Name      string

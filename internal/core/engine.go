@@ -353,89 +353,38 @@ func (e *Engine) IngestVideo(name string, container []byte) (*IngestResult, erro
 // frames. Stored key-frame images and the key-frame stream reuse the
 // container's original JPEG records; the §4.1 selection signature is
 // installed into each key frame's descriptor set instead of being
-// recomputed. See DESIGN.md ("Streamed ingest").
+// recomputed. See DESIGN.md ("Key-frame pipeline").
 func (e *Engine) IngestVideoStream(name string, r io.Reader) (*IngestResult, error) {
 	return e.ingestStream(context.Background(), name, r)
 }
 
 // IngestVideoStreamCtx is IngestVideoStream under a request context: the
 // decode loop checks cancellation between frames, so an abort takes effect
-// within one decode iteration, discards the staged spool pages and commits
+// within one decode iteration, discards the staged blob pages and commits
 // nothing — the store is untouched, as if the request never arrived.
 func (e *Engine) IngestVideoStreamCtx(ctx context.Context, name string, r io.Reader) (*IngestResult, error) {
 	return e.ingestStream(ctx, name, r)
-}
-
-// kfWork carries one selected key frame through the extraction pool.
-type kfWork struct {
-	frameIndex int
-	jpeg       []byte                   // original container record, stored verbatim
-	scaled     *imaging.Image           // analysis raster; dropped after extraction
-	sig        *features.NaiveSignature // §4.1 selection-time signature, reused
-	set        *features.Set            // written by exactly one pool worker
-	bucket     rangeindex.Range
-}
-
-// streamFrameSource adapts a cvj.Reader to key-frame selection. Each frame
-// is rescaled to the 300×300 analysis raster exactly once — into a pooled
-// raster (see rasterPool), so steady-state decoding of non-key frames
-// allocates no raster memory — and handed to selection pre-scaled
-// (ExtractNaive samples analysis-sized rasters directly, with no further
-// rescale); the frame's original JPEG record is retained until the next
-// read so ExtractStream's emit callback — which runs before the next read
-// — can claim it for storage. Every decoded record is also appended to the
-// spooled container writer, so the compressed bytes land in blob pages as
-// they arrive. Full-resolution decodes are dropped immediately;
-// non-key-frame rasters return to the pool via the extractor's Recycle
-// hook.
-type streamFrameSource struct {
-	ctx  context.Context
-	cr   *cvj.Reader
-	cw   *cvj.Writer // re-assembles container bytes into the staged blob
-	jpeg []byte      // latest frame's original record bytes
-	pool *rasterPool
-}
-
-func (s *streamFrameSource) Next() (*imaging.Image, error) {
-	// Cancellation is checked once per decode iteration, so an aborted
-	// request stops within one frame of work.
-	if err := s.ctx.Err(); err != nil {
-		return nil, err
-	}
-	f, err := s.cr.NextFrame()
-	if err != nil {
-		return nil, err // io.EOF passes through to end selection
-	}
-	if err := s.cw.WriteJPEG(f.JPEG); err != nil {
-		return nil, err
-	}
-	s.jpeg = f.JPEG
-	if f.Image.W == features.AnalysisSize && f.Image.H == features.AnalysisSize {
-		return f.Image, nil // already analysis-sized; never pooled
-	}
-	return f.Image.RescaleInto(s.pool.get(), features.AnalysisSize, features.AnalysisSize), nil
 }
 
 // ingestStream is the shared ingest pipeline behind IngestVideo and
 // IngestVideoStream(Ctx). It runs in two phases so concurrent clients
 // only serialize on a short commit section, never on the expensive work:
 //
-//  1. Stage — container records are decoded, appended to a *staged* blob
-//     chain (vstore.NewStagedBlobWriter: fresh file-extension pages
-//     written outside any transaction and outside the single-writer
-//     lock), §4.1 key-frame selection runs as frames arrive and feature
-//     extraction overlaps in a bounded worker pool. N clients decode,
-//     extract and spool fully concurrently. The compressed container
-//     never sits in memory — peak memory is O(key frames) + one page per
-//     staged chain.
+//  1. Stage — the key-frame pipeline (pipeline.go) decodes container
+//     records, appends each to a *staged* blob chain
+//     (vstore.NewStagedBlobWriter: fresh file-extension pages written
+//     outside any transaction and outside the single-writer lock), runs
+//     §4.1 selection as frames arrive and describes key frames in the
+//     bounded extraction pool. N clients decode, extract and stage fully
+//     concurrently. The compressed container never sits in memory — peak
+//     memory is O(key frames) + one page per staged chain.
 //
 //  2. Commit — a single transaction adopts the staged chains (their pages
-//     are WAL-logged at commit exactly like spooled pages), inserts the
-//     VIDEO_STORE and KEY_FRAMES rows and commits. Only this section
-//     takes the writer lock, so its duration is proportional to the row
-//     count, not the upload size. The cache entries publish atomically
-//     under the engine lock afterwards — no search observes a partially
-//     published video.
+//     are WAL-logged at commit), inserts the VIDEO_STORE and KEY_FRAMES
+//     rows and commits. Only this section takes the writer lock, so its
+//     duration is proportional to the row count, not the upload size.
+//     The cache entries publish atomically under the engine lock
+//     afterwards — no search observes a partially published video.
 //
 // All failure paths run on the decode loop, so errors are deterministic —
 // the first failing frame in stream order wins — and every early exit
@@ -464,41 +413,9 @@ func (e *Engine) ingestStream(ctx context.Context, name string, r io.Reader) (*I
 		return fail(err)
 	}
 
-	// Bounded worker pool: feature extraction of already-selected key
-	// frames overlaps the decode of later frames. Workers share pooled
-	// analysis-plane buffers and have no failure paths; the channel bound
-	// keeps the decode loop from racing ahead of extraction.
-	workers := e.workers()
-	jobs := make(chan *kfWork, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for w := range jobs {
-				p := features.AcquirePlanes(w.scaled)
-				w.set = p.ExtractAllWithNaive(w.sig)
-				w.bucket = BucketFromPlanes(p)
-				p.Release()
-				e.rasters.put(w.scaled) // no-op unless pool-owned
-				w.scaled = nil          // retain only descriptors + original JPEG
-			}
-		}()
-	}
-
-	var works []*kfWork
-	src := &streamFrameSource{ctx: ctx, cr: cr, cw: cw, pool: e.rasters}
-	kex := keyframe.Extractor{Threshold: e.opts.KeyframeThreshold, Recycle: e.rasters.put}
-	selErr := kex.ExtractStream(src, func(k *keyframe.KeyFrame) error {
-		w := &kfWork{frameIndex: k.Index, jpeg: src.jpeg, scaled: k.Image, sig: k.Signature}
-		works = append(works, w)
-		jobs <- w
-		return nil
-	})
-	close(jobs)
-	wg.Wait()
-	if selErr != nil {
-		return fail(selErr)
+	jobs, err := e.selectKeyFrames(&frameSource{ctx: ctx, pool: e.rasters, cr: cr, cw: cw})
+	if err != nil {
+		return fail(err)
 	}
 	if err := cw.Close(); err != nil {
 		return fail(err)
@@ -511,9 +428,9 @@ func (e *Engine) ingestStream(ctx context.Context, name string, r io.Reader) (*I
 	// Key-frame-only stream (the VIDEO_STORE.STREAM column), assembled
 	// from the container's original JPEG records — no decode→re-encode
 	// generation loss — and staged the same way.
-	kfJpegs := make([][]byte, len(works))
-	for i, w := range works {
-		kfJpegs[i] = w.jpeg
+	kfJpegs := make([][]byte, len(jobs))
+	for i, j := range jobs {
+		kfJpegs[i] = j.jpeg
 	}
 	sw, err := db.NewStagedBlobWriter()
 	if err != nil {
@@ -554,7 +471,7 @@ func (e *Engine) ingestStream(ctx context.Context, name string, r io.Reader) (*I
 		return fail(err)
 	}
 	v := &catalog.Video{Name: name, VideoRef: videoRef, StreamRef: streamRef, DoStore: time.Unix(0, 0).UTC()}
-	res, entries, err := e.insertIngestRows(tx, name, v, cr.FramesRead(), works)
+	res, entries, err := e.insertIngestRows(tx, name, v, cr.FramesRead(), jobs)
 	if err != nil {
 		tx.Abort()
 		return fail(err)
@@ -569,30 +486,21 @@ func (e *Engine) ingestStream(ctx context.Context, name string, r io.Reader) (*I
 // insertIngestRows writes one ingested video's VIDEO_STORE and KEY_FRAMES
 // rows inside tx and builds the matching (not yet published) cache
 // entries.
-func (e *Engine) insertIngestRows(tx *vstore.Txn, name string, v *catalog.Video, numFrames int, works []*kfWork) (*IngestResult, []*frameEntry, error) {
+func (e *Engine) insertIngestRows(tx *vstore.Txn, name string, v *catalog.Video, numFrames int, jobs []*kfJob) (*IngestResult, []*frameEntry, error) {
 	videoID, err := e.store.InsertVideo(tx, v)
 	if err != nil {
 		return nil, nil, err
 	}
 	res := &IngestResult{VideoID: videoID, NumFrames: numFrames}
-	newEntries := make([]*frameEntry, 0, len(works))
-	for _, w := range works {
+	newEntries := make([]*frameEntry, 0, len(jobs))
+	for _, j := range jobs {
 		row := &catalog.KeyFrame{
-			Name:         fmt.Sprintf("%s#%04d", name, w.frameIndex),
-			Image:        w.jpeg,
-			Min:          w.bucket.Min,
-			Max:          w.bucket.Max,
-			SCH:          w.set.Histogram.String(),
-			GLCM:         w.set.GLCM.String(),
-			Gabor:        w.set.Gabor.String(),
-			Tamura:       w.set.Tamura.String(),
-			ACC:          w.set.Correlogram.String(),
-			Naive:        w.set.Naive.String(),
-			Regions:      w.set.Regions.String(),
-			MajorRegions: w.set.Regions.Major,
-			VideoID:      videoID,
-			FrameIndex:   w.frameIndex,
+			Name:       fmt.Sprintf("%s#%04d", name, j.frameIndex),
+			Image:      j.jpeg,
+			VideoID:    videoID,
+			FrameIndex: j.frameIndex,
 		}
+		putDescriptors(row, j.set, j.bucket)
 		id, err := e.store.InsertKeyFrame(tx, row)
 		if err != nil {
 			return nil, nil, err
@@ -601,9 +509,9 @@ func (e *Engine) insertIngestRows(tx *vstore.Txn, name string, v *catalog.Video,
 		newEntries = append(newEntries, &frameEntry{
 			id:       id,
 			videoID:  videoID,
-			frameIdx: w.frameIndex,
-			bucket:   w.bucket,
-			set:      w.set,
+			frameIdx: j.frameIndex,
+			bucket:   j.bucket,
+			set:      j.set,
 		})
 	}
 	return res, newEntries, nil
@@ -622,13 +530,13 @@ func (e *Engine) publishEntries(videoID int64, name string, entries []*frameEntr
 // storeIngest commits one ingested video — VIDEO_STORE row, KEY_FRAMES
 // rows, search-cache entries — in a single transaction, from fully
 // buffered container bytes (the reference path).
-func (e *Engine) storeIngest(name string, container, stream []byte, numFrames int, works []*kfWork) (*IngestResult, error) {
+func (e *Engine) storeIngest(name string, container, stream []byte, numFrames int, jobs []*kfJob) (*IngestResult, error) {
 	tx, err := e.store.Begin()
 	if err != nil {
 		return nil, err
 	}
 	v := &catalog.Video{Name: name, Video: container, Stream: stream, DoStore: time.Unix(0, 0).UTC()}
-	res, entries, err := e.insertIngestRows(tx, name, v, numFrames, works)
+	res, entries, err := e.insertIngestRows(tx, name, v, numFrames, jobs)
 	if err != nil {
 		tx.Abort()
 		return nil, err
@@ -675,14 +583,13 @@ func (e *Engine) IngestVideoReference(name string, container []byte) (*IngestRes
 	if err != nil {
 		return fail(err)
 	}
-	works := make([]*kfWork, len(kfs))
+	jobs := make([]*kfJob, len(kfs))
 	kfJpegs := make([][]byte, len(kfs))
 	for i, k := range kfs {
 		planes := features.NewPlanes(k.Image)
-		works[i] = &kfWork{
+		jobs[i] = &kfJob{
 			frameIndex: k.Index,
 			jpeg:       jpegs[k.Index],
-			sig:        k.Signature,
 			set:        planes.ExtractAll(),
 			bucket:     BucketFromPlanes(planes),
 		}
@@ -692,7 +599,7 @@ func (e *Engine) IngestVideoReference(name string, container []byte) (*IngestRes
 	if err != nil {
 		return fail(err)
 	}
-	return e.storeIngest(name, container, stream, len(frames), works)
+	return e.storeIngest(name, container, stream, len(frames), jobs)
 }
 
 // DeleteVideo removes a video and its key frames (admin use case). A
@@ -773,6 +680,21 @@ func (e *Engine) warmCache() error {
 	return nil
 }
 
+// putDescriptors writes a descriptor set and its §4.2 bucket into a key
+// frame's descriptor columns — the one Set-to-row mapping, the inverse of
+// entryFromRow. Ingest and re-index both store through it.
+func putDescriptors(k *catalog.KeyFrame, set *features.Set, bucket rangeindex.Range) {
+	k.Min, k.Max = bucket.Min, bucket.Max
+	k.SCH = set.Histogram.String()
+	k.GLCM = set.GLCM.String()
+	k.Gabor = set.Gabor.String()
+	k.Tamura = set.Tamura.String()
+	k.ACC = set.Correlogram.String()
+	k.Naive = set.Naive.String()
+	k.Regions = set.Regions.String()
+	k.MajorRegions = set.Regions.Major
+}
+
 // entryFromRow parses a stored key frame's feature strings.
 func entryFromRow(k *catalog.KeyFrame) (*frameEntry, error) {
 	set := &features.Set{}
@@ -811,16 +733,19 @@ func entryFromRow(k *catalog.KeyFrame) (*frameEntry, error) {
 // QueryBucket computes the §4.2 range bucket of a query frame.
 func QueryBucket(im *imaging.Image) rangeindex.Range {
 	hist := im.Rescale(features.AnalysisSize, features.AnalysisSize).GrayHistogram()
-	min, max := rangeindex.AssignFaithful(&hist)
-	return rangeindex.Range{Min: min, Max: max}
+	return grayBucket(&hist)
 }
 
 // BucketFromPlanes computes the §4.2 range bucket from shared analysis
 // planes. The planes' gray histogram equals the rescaled frame's
 // GrayHistogram, so the bucket matches QueryBucket without a second
 // rescale.
-func BucketFromPlanes(p *features.Planes) rangeindex.Range {
-	min, max := rangeindex.AssignFaithful(&p.GrayHist)
+func BucketFromPlanes(p *features.Planes) rangeindex.Range { return grayBucket(&p.GrayHist) }
+
+// grayBucket assigns the §4.2 range bucket of an analysis raster's
+// 256-bin gray histogram.
+func grayBucket(hist *[256]int) rangeindex.Range {
+	min, max := rangeindex.AssignFaithful(hist)
 	return rangeindex.Range{Min: min, Max: max}
 }
 
@@ -893,12 +818,12 @@ func fixedScaleDistance(a, b *features.Set, kinds []features.Kind) float64 {
 	return sum / float64(n)
 }
 
-// ExtractQuerySets is a helper for evaluation harnesses: extract
-// descriptor sets for a batch of frames in parallel.
+// ExtractQuerySets is a helper for evaluation harnesses: describe a batch
+// of frames in parallel and keep their descriptor sets.
 func (e *Engine) ExtractQuerySets(frames []*imaging.Image) []*features.Set {
 	out := make([]*features.Set, len(frames))
 	parallelFor(len(frames), e.workers(), func(i int) {
-		out[i] = features.ExtractAllShared(frames[i])
+		out[i], _ = Describe(frames[i], nil)
 	})
 	return out
 }

@@ -8,12 +8,12 @@ import (
 	"cbvr/internal/imaging"
 )
 
-// rasterPool recycles 300×300 analysis rasters across the ingest and
-// re-index pipelines. Each decoded source frame needs one raster for the
-// imaging.RescaleInto analysis rescale; non-key frames hand theirs back
-// through the key-frame extractor's Recycle hook as soon as selection
-// drops them, and key frames hand theirs back once feature extraction
-// finishes. In steady state the pool therefore holds roughly
+// rasterPool recycles 300×300 analysis rasters across every run of the
+// key-frame pipeline (ingest, re-index, query-by-clip). Each source frame
+// needs one raster for the imaging.RescaleInto analysis rescale; non-key
+// frames hand theirs back through the key-frame extractor's Recycle hook
+// as soon as selection drops them, and key frames hand theirs back once
+// feature extraction finishes. In steady state the pool therefore holds roughly
 // (workers + in-flight jobs) rasters and decoding allocates no raster
 // memory per frame, regardless of clip length.
 //

@@ -12,13 +12,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"cbvr/internal/catalog"
 	"cbvr/internal/cvj"
-	"cbvr/internal/features"
-	"cbvr/internal/imaging"
-	"cbvr/internal/rangeindex"
 )
 
 // ReindexResult summarises one re-indexed video.
@@ -29,27 +25,17 @@ type ReindexResult struct {
 	KeyFrames int
 }
 
-// kfReindexWork carries one stored key frame through the re-extraction
-// pool: the existing row pairs with the freshly decoded record, and the
-// pool worker fills set and bucket.
-type kfReindexWork struct {
-	row    *catalog.KeyFrame
-	scaled *imaging.Image // pooled analysis raster; dropped after extraction
-	set    *features.Set
-	bucket rangeindex.Range
-}
-
 // ReindexVideo re-extracts all seven descriptors and the §4.2 range
 // bucket for every key frame of a stored video and replaces its
 // KEY_FRAMES feature columns in one transaction.
 //
-// The pipeline streams the stored STREAM blob (the key-frame-only CVJ)
-// through a BlobReader — the container is never materialised — decodes
-// each record, rescales it into a pooled analysis raster and re-extracts
-// through pooled shared planes, exactly the ingest extraction path, so
-// the rebuilt rows are bit-identical to a fresh ingest of the same
-// container (the stored records are the container's original JPEG bytes).
-// The stored IMAGE blobs are left untouched.
+// The stored STREAM blob (the key-frame-only CVJ) streams through a
+// BlobReader — the container is never materialised — into the key-frame
+// pipeline ingest uses (pipeline.go): the same decode source and the same
+// extraction pool, minus §4.1 selection, since every stored record is a
+// key frame. The rebuilt rows are therefore bit-identical to a fresh
+// ingest of the same container (the stored records are the container's
+// original JPEG bytes). The stored IMAGE blobs are left untouched.
 //
 // Visibility: extraction runs against a snapshot of the rows with no
 // locks held, so searches keep scoring the old descriptors throughout the
@@ -89,7 +75,7 @@ func (e *Engine) ReindexVideoCtx(ctx context.Context, videoID int64) (*ReindexRe
 	// Re-extract from the streamed key-frame records. Record i is key
 	// frame i: the STREAM column is assembled in frame order at ingest,
 	// and KeyFramesOfVideo returns rows in the same order.
-	works, err := e.reextractStream(ctx, e.store.DB().NewBlobReader(nil, streamRef), rows)
+	jobs, err := e.reextractStream(ctx, e.store.DB().NewBlobReader(nil, streamRef), rows)
 	if err != nil {
 		return fail(err)
 	}
@@ -106,18 +92,10 @@ func (e *Engine) ReindexVideoCtx(ctx context.Context, videoID int64) (*ReindexRe
 		return fail(err)
 	}
 	//cbvrvet:ignore ctxloop the commit section is deliberately uninterruptible: past the last cancellation point above, the transaction must fully apply or fully abort
-	for i, w := range works {
-		updated := *w.row
+	for i, j := range jobs {
+		updated := *rows[i]
 		updated.Image = nil // keep the stored IMAGE chain
-		updated.Min, updated.Max = w.bucket.Min, w.bucket.Max
-		updated.SCH = w.set.Histogram.String()
-		updated.GLCM = w.set.GLCM.String()
-		updated.Gabor = w.set.Gabor.String()
-		updated.Tamura = w.set.Tamura.String()
-		updated.ACC = w.set.Correlogram.String()
-		updated.Naive = w.set.Naive.String()
-		updated.Regions = w.set.Regions.String()
-		updated.MajorRegions = w.set.Regions.Major
+		putDescriptors(&updated, j.set, j.bucket)
 		if err := e.store.UpdateKeyFrame(tx, &updated); err != nil {
 			tx.Abort()
 			return fail(err)
@@ -149,81 +127,51 @@ func (e *Engine) ReindexVideoCtx(ctx context.Context, videoID int64) (*ReindexRe
 		e.mu.Unlock()
 		return fail(errors.New("video deleted during reindex"))
 	}
-	for _, w := range works {
+	for i, j := range jobs {
 		e.replaceEntry(&frameEntry{
-			id:       w.row.ID,
+			id:       rows[i].ID,
 			videoID:  videoID,
-			frameIdx: w.row.FrameIndex,
-			bucket:   w.bucket,
-			set:      w.set,
+			frameIdx: rows[i].FrameIndex,
+			bucket:   j.bucket,
+			set:      j.set,
 		})
 	}
 	e.mu.Unlock()
-	return &ReindexResult{VideoID: videoID, VideoName: name, KeyFrames: len(works)}, nil
+	return &ReindexResult{VideoID: videoID, VideoName: name, KeyFrames: len(jobs)}, nil
 }
 
-// reextractStream decodes key-frame records from r and re-extracts their
-// descriptor sets in the bounded worker pool, pairing record i with
-// rows[i]. It validates that the stream and the rows agree on the key
-// frame count.
-func (e *Engine) reextractStream(ctx context.Context, r io.Reader, rows []*catalog.KeyFrame) ([]*kfReindexWork, error) {
+// reextractStream decodes the key-frame records from r and describes each
+// one in the extraction pool; job i belongs to rows[i]. It validates that
+// the stream and the rows agree on the key frame count.
+func (e *Engine) reextractStream(ctx context.Context, r io.Reader, rows []*catalog.KeyFrame) ([]*kfJob, error) {
 	cr, err := cvj.NewReader(r)
 	if err != nil {
 		return nil, fmt.Errorf("key-frame stream: %w", err)
 	}
-	workers := e.workers()
-	jobs := make(chan *kfReindexWork, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for w := range jobs {
-				p := features.AcquirePlanes(w.scaled)
-				w.set = p.ExtractAll()
-				w.bucket = BucketFromPlanes(p)
-				p.Release()
-				e.rasters.put(w.scaled)
-				w.scaled = nil
+	src := &frameSource{ctx: ctx, pool: e.rasters, cr: cr}
+	jobs, err := e.describeKeyFrames(func(submit func(*kfJob)) error {
+		for n := 0; ; n++ {
+			scaled, err := src.Next() // checks ctx once per record
+			if err == io.EOF {
+				return nil
 			}
-		}()
+			if err != nil {
+				return fmt.Errorf("key-frame stream record %d: %w", n, err)
+			}
+			if n == len(rows) {
+				e.rasters.put(scaled)
+				return fmt.Errorf("key-frame stream has more records than the %d stored rows", len(rows))
+			}
+			submit(&kfJob{scaled: scaled})
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	var works []*kfReindexWork
-	var decodeErr error
-	for {
-		if err := ctx.Err(); err != nil {
-			decodeErr = err
-			break
-		}
-		f, err := cr.NextFrame()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			decodeErr = fmt.Errorf("key-frame stream record %d: %w", len(works), err)
-			break
-		}
-		if len(works) >= len(rows) {
-			decodeErr = fmt.Errorf("key-frame stream has more records than the %d stored rows", len(rows))
-			break
-		}
-		scaled := f.Image
-		if scaled.W != features.AnalysisSize || scaled.H != features.AnalysisSize {
-			scaled = f.Image.RescaleInto(e.rasters.get(), features.AnalysisSize, features.AnalysisSize)
-		}
-		w := &kfReindexWork{row: rows[len(works)], scaled: scaled}
-		works = append(works, w)
-		jobs <- w
+	if len(jobs) != len(rows) {
+		return nil, fmt.Errorf("key-frame stream has %d records, stored rows %d", len(jobs), len(rows))
 	}
-	close(jobs)
-	wg.Wait()
-	if decodeErr != nil {
-		return nil, decodeErr
-	}
-	if len(works) != len(rows) {
-		return nil, fmt.Errorf("key-frame stream has %d records, stored rows %d", len(works), len(rows))
-	}
-	return works, nil
+	return jobs, nil
 }
 
 // ReindexAll rebuilds the feature rows of every stored video in V_ID

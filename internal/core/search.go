@@ -30,7 +30,6 @@ import (
 
 	"cbvr/internal/features"
 	"cbvr/internal/imaging"
-	"cbvr/internal/keyframe"
 	"cbvr/internal/rangeindex"
 	"cbvr/internal/similarity"
 )
@@ -104,10 +103,7 @@ func (e *Engine) SearchFrameCtx(ctx context.Context, query *imaging.Image, opt S
 	if err := e.warmCache(); err != nil {
 		return nil, err
 	}
-	planes := features.AcquirePlanes(query)
-	qset := planes.ExtractAll()
-	qbucket := BucketFromPlanes(planes)
-	planes.Release() // descriptors and bucket are copies; the search needs no raster
+	qset, qbucket := Describe(query, nil)
 	return e.searchSet(ctx, qset, qbucket, opt)
 }
 
@@ -582,9 +578,15 @@ func (e *Engine) SearchVideo(queryFrames []*imaging.Image, opt SearchOptions) ([
 }
 
 // SearchVideoCtx is SearchVideo under a request context: cancellation is
-// checked before query extraction and between per-video DTW alignments,
-// so an abandoned clip query stops within one alignment's worth of work
-// and returns the context's error instead of a partial ranking.
+// checked before each query frame is read and between per-video DTW
+// alignments, so an abandoned clip query stops within one frame's or one
+// alignment's worth of work and returns the context's error instead of a
+// partial ranking.
+//
+// The clip runs through the key-frame pipeline exactly as an uploaded
+// video does (pipeline.go): each frame is rescaled once into a pooled
+// analysis raster, §4.1 selection reads it, and each key frame is
+// described in the extraction pool with its selection signature reused.
 func (e *Engine) SearchVideoCtx(ctx context.Context, queryFrames []*imaging.Image, opt SearchOptions) ([]VideoMatch, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -592,18 +594,17 @@ func (e *Engine) SearchVideoCtx(ctx context.Context, queryFrames []*imaging.Imag
 	if err := e.warmCache(); err != nil {
 		return nil, err
 	}
-	kex := keyframe.Extractor{Threshold: e.opts.KeyframeThreshold}
-	kfs, err := kex.Extract(queryFrames)
+	jobs, err := e.selectKeyFrames(&frameSource{ctx: ctx, pool: e.rasters, frames: queryFrames})
 	if err != nil {
 		return nil, err
 	}
-	if len(kfs) == 0 {
+	if len(jobs) == 0 {
 		return nil, errors.New("core: query clip has no frames")
 	}
-	qsets := make([]*features.Set, len(kfs))
-	parallelFor(len(kfs), e.workers(), func(i int) {
-		qsets[i] = features.ExtractAllShared(kfs[i].Image)
-	})
+	qsets := make([]*features.Set, len(jobs))
+	for i, j := range jobs {
+		qsets[i] = j.set
+	}
 	return e.searchVideoSets(ctx, qsets, opt)
 }
 

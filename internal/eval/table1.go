@@ -155,16 +155,12 @@ func RunTable1(eng *core.Engine, queries []Query) (*Table1Result, error) {
 	}
 	res.KeyFrames = kf
 
-	// Pre-extract query descriptors and range buckets once from one
-	// shared-plane pass per frame; each method call reuses them.
-	frames := make([]*imaging.Image, len(queries))
-	for i, q := range queries {
-		frames[i] = q.Frame
-	}
-	qsets := eng.ExtractQuerySets(frames)
+	// Describe each query once — descriptors and range bucket from one
+	// shared-plane pass; each method call reuses them.
+	qsets := make([]*features.Set, len(queries))
 	qbuckets := make([]rangeindex.Range, len(queries))
 	for i, q := range queries {
-		qbuckets[i] = core.QueryBucket(q.Frame)
+		qsets[i], qbuckets[i] = core.Describe(q.Frame, nil)
 	}
 
 	maxK := Cutoffs[len(Cutoffs)-1]

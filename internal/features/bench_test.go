@@ -35,14 +35,6 @@ func BenchmarkExtractAll(b *testing.B) {
 	}
 }
 
-func BenchmarkExtractAllShared(b *testing.B) {
-	im := benchFrame()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ExtractAllShared(im)
-	}
-}
-
 func BenchmarkExtractAllReference(b *testing.B) {
 	im := benchFrame()
 	b.ReportAllocs()

@@ -175,9 +175,10 @@ type Set struct {
 // ExtractAll computes all seven descriptors for a frame. It runs the
 // shared analysis-plane pass (see Planes): one rescale, one gray
 // conversion, one HSV quantisation for the whole set, with outputs
-// bit-identical to ExtractAllReference.
+// bit-identical to ExtractAllReference. The engine extracts through
+// pooled planes instead (core.Describe); this is the image-in convenience.
 func ExtractAll(im *imaging.Image) *Set {
-	return ExtractAllShared(im)
+	return NewPlanes(im).ExtractAll()
 }
 
 // ExtractAllReference computes all seven descriptors the naive way the

@@ -12,9 +12,8 @@ import (
 // them independently converted it to gray, and the range index paid for
 // yet another rescale — eight rescales and six gray conversions per key
 // frame. NewPlanes performs one rescale, one gray conversion, one HSV
-// quantisation pass and one histogram pass; ExtractAllShared and the
-// per-kind ExtractWith / Extract*With entry points then reuse the shared
-// planes. The descriptors produced through the shared planes are
+// quantisation pass and one histogram pass; ExtractAll and the per-kind
+// ExtractWith / Extract*With entry points then reuse the shared planes. The descriptors produced through the shared planes are
 // bit-identical to the retained naive reference (ExtractAllReference) —
 // see shared_test.go.
 type Planes struct {
@@ -76,13 +75,6 @@ func (p *Planes) reset(im *imaging.Image) {
 	for i, pi := 0, 0; i < n; i, pi = i+1, pi+3 {
 		p.Quant[i] = uint8(QuantizeHSV(a.Pix[pi], a.Pix[pi+1], a.Pix[pi+2]))
 	}
-}
-
-// ExtractAllShared computes all seven descriptors for a frame through one
-// shared analysis-plane pass. It is the fast equivalent of
-// ExtractAllReference and the implementation behind ExtractAll.
-func ExtractAllShared(im *imaging.Image) *Set {
-	return NewPlanes(im).ExtractAll()
 }
 
 // ExtractAll computes all seven descriptors from already-computed planes.

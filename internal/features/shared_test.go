@@ -42,7 +42,7 @@ func TestSharedPlaneBitIdentity(t *testing.T) {
 	for name, im := range equivalenceFrames() {
 		t.Run(name, func(t *testing.T) {
 			ref := ExtractAllReference(im)
-			shared := ExtractAllShared(im)
+			shared := ExtractAll(im)
 			for _, k := range AllKinds() {
 				rs, ss := ref.Get(k).String(), shared.Get(k).String()
 				if rs != ss {
@@ -111,7 +111,7 @@ func TestPlanesGrayHistMatchesRescale(t *testing.T) {
 func TestSharedExtractionSingleRescale(t *testing.T) {
 	im := randomFrame(7, 160, 120)
 	start := imaging.RescaleCalls()
-	ExtractAllShared(im)
+	ExtractAll(im)
 	if n := imaging.RescaleCalls() - start; n != 1 {
 		t.Errorf("shared extraction performed %d rescales, want exactly 1", n)
 	}
@@ -149,7 +149,7 @@ func TestExtractAllSharedConcurrent(t *testing.T) {
 			defer wg.Done()
 			for it := 0; it < 4; it++ {
 				i := (w + it) % frames
-				set := ExtractAllShared(ims[i])
+				set := ExtractAll(ims[i])
 				for ki, k := range AllKinds() {
 					if got := set.Get(k).String(); got != want[i][ki] {
 						errs <- fmt.Errorf("worker %d frame %d: %v diverged under concurrency", w, i, k)

@@ -10,6 +10,7 @@
 package imaging
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"image"
@@ -187,11 +188,45 @@ func (im *Image) EncodeJPEG(w io.Writer, quality int) error {
 	return jpeg.Encode(w, im.ToRGBA(), &jpeg.Options{Quality: quality})
 }
 
-// DecodeJPEG reads a JPEG image into an RGB raster.
+// maxDecodePixels bounds the frame DecodeJPEG will decode. The decoder
+// allocates whatever the SOF header declares, and a few hundred bytes can
+// declare 65535×65535; 8K UHD (7680×4320) fits under the bound.
+const maxDecodePixels = 1 << 25
+
+// DecodeJPEG reads a JPEG image into an RGB raster. It reads the header
+// first and refuses a frame over maxDecodePixels before anything of that
+// size is allocated.
 func DecodeJPEG(r io.Reader) (*Image, error) {
+	cfg, r, err := decodeConfig(r)
+	if err != nil {
+		return nil, fmt.Errorf("imaging: decode jpeg: %w", err)
+	}
+	if cfg.Width*cfg.Height > maxDecodePixels {
+		return nil, fmt.Errorf("imaging: decode jpeg: %dx%d frame exceeds the %d-pixel limit", cfg.Width, cfg.Height, maxDecodePixels)
+	}
 	src, err := jpeg.Decode(r)
 	if err != nil {
 		return nil, fmt.Errorf("imaging: decode jpeg: %w", err)
 	}
 	return FromImage(src), nil
+}
+
+// decodeConfig reads the JPEG header from r and returns a reader that
+// still yields the whole image: a seekable reader (an in-memory record, an
+// uploaded file) is rewound without copying, any other has the header
+// bytes replayed in front of the rest of the stream.
+func decodeConfig(r io.Reader) (image.Config, io.Reader, error) {
+	if rs, ok := r.(io.ReadSeeker); ok {
+		if pos, err := rs.Seek(0, io.SeekCurrent); err == nil {
+			cfg, err := jpeg.DecodeConfig(rs)
+			if err != nil {
+				return cfg, nil, err
+			}
+			_, err = rs.Seek(pos, io.SeekStart)
+			return cfg, rs, err
+		}
+	}
+	var hdr bytes.Buffer
+	cfg, err := jpeg.DecodeConfig(io.TeeReader(r, &hdr))
+	return cfg, io.MultiReader(&hdr, r), err
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -19,6 +20,7 @@ import (
 	"cbvr/internal/core"
 	"cbvr/internal/cvj"
 	"cbvr/internal/features"
+	"cbvr/internal/imaging"
 	"cbvr/internal/synthvid"
 )
 
@@ -59,6 +61,24 @@ func queryJPEG(t testing.TB, v *synthvid.Video) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// hugeSOFJPEG is a real 16×16 JPEG whose SOF header is patched to declare
+// 30000×30000 — a few hundred bytes asking for a 900-megapixel raster.
+func hugeSOFJPEG(t testing.TB) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := imaging.New(16, 16).EncodeJPEG(&buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	i := bytes.Index(b, []byte{0xff, 0xc0}) // SOF0: marker, length, precision, height, width
+	if i < 0 {
+		t.Fatal("no SOF0 marker")
+	}
+	binary.BigEndian.PutUint16(b[i+5:], 30000)
+	binary.BigEndian.PutUint16(b[i+7:], 30000)
+	return b
 }
 
 // doJSON performs a request and decodes the JSON response body.
@@ -370,6 +390,7 @@ func TestErrorClassification(t *testing.T) {
 		{"bad search method", "GET", "/api/v1/search", nil, 405, "", ""},
 		{"bad ingest method", "GET", "/api/v1/ingest", nil, 405, "", ""},
 		{"search not a jpeg", "POST", "/api/v1/search", strings.NewReader("nope"), 400, "", ""},
+		{"search huge declared frame", "POST", "/api/v1/search", bytes.NewReader(hugeSOFJPEG(t)), 400, "pixel limit", ""},
 		{"multipart search without image", "POST", "/api/v1/search", &kOnly, 400, "image", kw.FormDataContentType()},
 		{"garbage multipart search", "POST", "/api/v1/search", strings.NewReader("--x\r\ngarbage"), 400, "", garbageType},
 		{"garbage multipart ingest", "POST", "/api/v1/ingest?name=x", strings.NewReader("--x\r\ngarbage"), 400, "", garbageType},

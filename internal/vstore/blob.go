@@ -49,15 +49,14 @@ func (r BlobRef) IsZero() bool { return r.First == invalidPage && r.Len == 0 }
 
 // BlobWriter streams a value into a fresh blob page chain one chunk at a
 // time, so callers never need the whole value in one []byte. Create one
-// with NewBlobWriter (ordinary transactional pages) or NewSpooledBlobWriter
-// (large streams; see that constructor), Write the bytes, then Close to
-// obtain the BlobRef to store in a row — Table.Insert and Table.Update
-// accept Value{Type: TypeBlob, Blob: ref} (see BlobRefV) and leave the
-// pre-written chain untouched.
+// with NewBlobWriter (ordinary transactional pages) or NewStagedBlobWriter
+// (large streams, outside any transaction; see that constructor), Write
+// the bytes, then Close to obtain the BlobRef to store in a row —
+// Table.Insert and Table.Update accept Value{Type: TypeBlob, Blob: ref}
+// (see BlobRefV) and leave the pre-written chain untouched.
 type BlobWriter struct {
-	db      *DB
-	tx      *Txn
-	spooled bool
+	db *DB
+	tx *Txn
 
 	// staged marks a writer created by NewStagedBlobWriter: it runs
 	// outside any transaction (and outside the DB writer lock), owns its
@@ -80,21 +79,9 @@ type BlobWriter struct {
 // inside tx. Pages come from the ordinary transactional allocator (free
 // list first), carry full before-images and stay pinned until the
 // transaction finishes — right for catalog-sized values, but a value
-// larger than the buffer pool should use NewSpooledBlobWriter.
+// larger than the buffer pool should use NewStagedBlobWriter.
 func (db *DB) NewBlobWriter(tx *Txn) *BlobWriter {
 	return &BlobWriter{db: db, tx: tx}
-}
-
-// NewSpooledBlobWriter returns a chunked writer whose pages spill to the
-// data file as the buffer pool fills, so writing a multi-megabyte stream
-// holds O(cache) memory, not O(value). Spooled pages always extend the
-// file (never the free list), carry no before-images — on abort or crash
-// they become unreachable file garbage, exactly like pages allocated by
-// any aborted transaction — and are WAL-logged page by page at commit, so
-// recovery semantics match ordinary pages. Only the page being filled is
-// pinned.
-func (db *DB) NewSpooledBlobWriter(tx *Txn) *BlobWriter {
-	return &BlobWriter{db: db, tx: tx, spooled: true}
 }
 
 // NewStagedBlobWriter returns a chunked writer that stages a blob chain
@@ -106,8 +93,9 @@ func (db *DB) NewSpooledBlobWriter(tx *Txn) *BlobWriter {
 // chunk seals, so a staged stream holds O(1) memory.
 //
 // The chain is unreachable and non-durable until a transaction adopts it
-// (Txn.AdoptStaged) and commits: adoption WAL-logs the pages exactly like
-// spooled pages. A chain that will not be committed must be Discarded —
+// (Txn.AdoptStaged) and commits, which WAL-logs its pages. Staged pages
+// always extend the file (never the free list) and carry no
+// before-images. A chain that will not be committed must be Discarded —
 // its pages become unreachable file garbage, the same fate pages allocated
 // by an aborted transaction meet. DB.Close refuses to run while staged
 // writers are active (Write bytes would race the closing file handle).
@@ -148,7 +136,7 @@ func (w *BlobWriter) Discard() {
 }
 
 // AdoptStaged transfers a Closed staged chain into tx: its pages join the
-// transaction's spooled set and are WAL-logged at commit, making the chain
+// transaction's adopted set and are WAL-logged at commit, making the chain
 // durable if and only if the transaction commits. The BlobRef obtained
 // from the writer's Close may then be stored in rows inserted under tx.
 func (tx *Txn) AdoptStaged(w *BlobWriter) error {
@@ -236,31 +224,14 @@ func (w *BlobWriter) allocNext() (*Page, error) {
 		w.pages = append(w.pages, p.id)
 		return p, nil
 	}
-	if !w.spooled {
-		return w.db.allocPage(w.tx)
-	}
-	// Spooled: always extend the file so the free list (and its
-	// before-image discipline) is never involved, record the page for
-	// unconditional WAL logging at commit, and pin only while filling.
-	p, err := w.db.pager.allocate()
-	if err != nil {
-		return nil, err
-	}
-	// allocate wrote the zeroed image and cleared dirty; the chunk bytes
-	// about to land must survive eviction, so re-mark it.
-	p.MarkDirty()
-	w.tx.spooled = append(w.tx.spooled, p.id)
-	p.pins++
-	return p, nil
+	return w.db.allocPage(w.tx)
 }
 
 // sealCur finalises the just-completed page: its chunk length is now
-// final, so the payload checksum is stamped, then spooled pages become
-// evictable (the pager may write them to the data file before commit;
-// fresh-extension pages are crash-benign there) and staged pages are
-// written to their file slot directly — durable only once a transaction
-// adopts and WAL-logs them, crash-benign garbage otherwise. Transactional
-// pages stay pinned by touch.
+// final, so the payload checksum is stamped, and staged pages are written
+// to their file slot directly — durable only once a transaction adopts
+// and WAL-logs them, crash-benign garbage otherwise. Transactional pages
+// stay pinned by touch.
 func (w *BlobWriter) sealCur() error {
 	if w.cur == nil {
 		return nil
@@ -268,9 +239,6 @@ func (w *BlobWriter) sealCur() error {
 	binary.BigEndian.PutUint32(w.cur.data[offBlobCRC:], blobPageCRC(w.cur))
 	if w.staged {
 		return w.db.pager.writeDetached(w.cur)
-	}
-	if w.spooled {
-		w.cur.pins--
 	}
 	return nil
 }

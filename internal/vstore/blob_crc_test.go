@@ -10,10 +10,9 @@ import (
 	"testing"
 )
 
-// writeBlobCommitted streams data into a committed blob chain through
-// the given writer mode and closes the DB so the pages are durable on
-// disk.
-func writeBlobCommitted(t *testing.T, path string, data []byte, spooled bool) BlobRef {
+// writeBlobCommitted streams data into a committed blob chain and closes
+// the DB so the pages are durable on disk.
+func writeBlobCommitted(t *testing.T, path string, data []byte) BlobRef {
 	t.Helper()
 	db, err := Open(path, nil)
 	if err != nil {
@@ -23,12 +22,7 @@ func writeBlobCommitted(t *testing.T, path string, data []byte, spooled bool) Bl
 	if err != nil {
 		t.Fatal(err)
 	}
-	var w *BlobWriter
-	if spooled {
-		w = db.NewSpooledBlobWriter(tx)
-	} else {
-		w = db.NewBlobWriter(tx)
-	}
+	w := db.NewBlobWriter(tx)
 	if _, err := w.Write(data); err != nil {
 		t.Fatal(err)
 	}
@@ -46,28 +40,26 @@ func writeBlobCommitted(t *testing.T, path string, data []byte, spooled bool) Bl
 }
 
 // TestBlobPageChecksumRoundTrip pins that sealed pages carry a valid
-// checksum across close/reopen for both writer modes and all page-count
-// shapes (single page, exact boundary, multi-page).
+// checksum across close/reopen for all page-count shapes (single page,
+// exact boundary, multi-page).
 func TestBlobPageChecksumRoundTrip(t *testing.T) {
-	for _, spooled := range []bool{false, true} {
-		for _, size := range []int{1, blobChunkMax, 3*blobChunkMax + 41} {
-			path := filepath.Join(t.TempDir(), "crc.db")
-			want := streamPattern(size)
-			ref := writeBlobCommitted(t, path, want, spooled)
+	for _, size := range []int{1, blobChunkMax, 3*blobChunkMax + 41} {
+		path := filepath.Join(t.TempDir(), "crc.db")
+		want := streamPattern(size)
+		ref := writeBlobCommitted(t, path, want)
 
-			db, err := Open(path, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := io.ReadAll(db.NewBlobReader(nil, ref))
-			if err != nil {
-				t.Fatalf("spooled=%v size=%d: read: %v", spooled, size, err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("spooled=%v size=%d: payload mismatch", spooled, size)
-			}
-			db.Close()
+		db, err := Open(path, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
+		got, err := io.ReadAll(db.NewBlobReader(nil, ref))
+		if err != nil {
+			t.Fatalf("size=%d: read: %v", size, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("size=%d: payload mismatch", size)
+		}
+		db.Close()
 	}
 }
 
@@ -76,57 +68,55 @@ func TestBlobPageChecksumRoundTrip(t *testing.T) {
 // requires the reader to fail with a checksum error at exactly that
 // page — never to return corrupt bytes as data.
 func TestBlobPageChecksumDetectsCorruption(t *testing.T) {
-	for _, spooled := range []bool{false, true} {
-		size := 2*blobChunkMax + 100
-		path := filepath.Join(t.TempDir(), "corrupt.db")
-		ref := writeBlobCommitted(t, path, streamPattern(size), spooled)
+	size := 2*blobChunkMax + 100
+	path := filepath.Join(t.TempDir(), "corrupt.db")
+	ref := writeBlobCommitted(t, path, streamPattern(size))
 
-		// Walk the chain once (clean DB) to learn the page IDs.
+	// Walk the chain once (clean DB) to learn the page IDs.
+	db, err := Open(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chain []PageID
+	for id := ref.First; id != invalidPage; {
+		p, err := db.pager.get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain = append(chain, id)
+		id = p.Link()
+	}
+	db.Close()
+	if len(chain) != 3 {
+		t.Fatalf("blob spans %d pages, want 3", len(chain))
+	}
+
+	for pi, pid := range chain {
+		// Flip a payload byte on disk, mid-chunk.
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off := int64(pid)*PageSize + blobDataOff + 37
+		corrupted := append([]byte(nil), raw...)
+		corrupted[off] ^= 0x40
+		if err := os.WriteFile(path, corrupted, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
 		db, err := Open(path, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var chain []PageID
-		for id := ref.First; id != invalidPage; {
-			p, err := db.pager.get(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			chain = append(chain, id)
-			id = p.Link()
+		_, err = io.ReadAll(db.NewBlobReader(nil, ref))
+		if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+			t.Fatalf("page %d: read err = %v, want checksum mismatch", pi, err)
 		}
 		db.Close()
-		if len(chain) != 3 {
-			t.Fatalf("spooled=%v: blob spans %d pages, want 3", spooled, len(chain))
-		}
 
-		for pi, pid := range chain {
-			// Flip a payload byte on disk, mid-chunk.
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			off := int64(pid)*PageSize + blobDataOff + 37
-			corrupted := append([]byte(nil), raw...)
-			corrupted[off] ^= 0x40
-			if err := os.WriteFile(path, corrupted, 0o644); err != nil {
-				t.Fatal(err)
-			}
-
-			db, err := Open(path, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = io.ReadAll(db.NewBlobReader(nil, ref))
-			if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
-				t.Fatalf("spooled=%v page %d: read err = %v, want checksum mismatch", spooled, pi, err)
-			}
-			db.Close()
-
-			// Restore for the next page's corruption round.
-			if err := os.WriteFile(path, raw, 0o644); err != nil {
-				t.Fatal(err)
-			}
+		// Restore for the next page's corruption round.
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -137,7 +127,7 @@ func TestBlobPageChecksumDetectsCorruption(t *testing.T) {
 // per-page checksum mismatches on every blob read.
 func TestOldFormatVersionRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "old.db")
-	writeBlobCommitted(t, path, streamPattern(64), false)
+	writeBlobCommitted(t, path, streamPattern(64))
 
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -158,7 +148,7 @@ func TestOldFormatVersionRejected(t *testing.T) {
 // write is as fatal as a torn payload).
 func TestBlobPageChecksumHeaderCorruptionStillErrors(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "hdr.db")
-	ref := writeBlobCommitted(t, path, streamPattern(blobChunkMax/2), true)
+	ref := writeBlobCommitted(t, path, streamPattern(blobChunkMax/2))
 
 	raw, err := os.ReadFile(path)
 	if err != nil {

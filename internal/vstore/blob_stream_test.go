@@ -19,72 +19,87 @@ func streamPattern(n int) []byte {
 	return b
 }
 
-// TestBlobWriterReaderRoundTrip streams values of many sizes through both
-// writer modes and reads them back chunk-wise and whole.
+// TestBlobWriterReaderRoundTrip streams values of many sizes through the
+// transactional writer and reads them back chunk-wise and whole (staged
+// chains: TestStagedBlobRoundTrip).
 func TestBlobWriterReaderRoundTrip(t *testing.T) {
 	db := openTestDB(t, nil)
 	sizes := []int{0, 1, blobChunkMax - 1, blobChunkMax, blobChunkMax + 1, 3*blobChunkMax + 17, 64 << 10}
-	for _, spooled := range []bool{false, true} {
-		for _, size := range sizes {
-			name := fmt.Sprintf("spooled=%v/size=%d", spooled, size)
-			want := streamPattern(size)
-			tx, err := db.Begin()
-			if err != nil {
-				t.Fatal(err)
+	for _, size := range sizes {
+		name := fmt.Sprintf("size=%d", size)
+		want := streamPattern(size)
+		tx, err := db.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := db.NewBlobWriter(tx)
+		// Dribble the value in odd-sized writes.
+		for off := 0; off < len(want); {
+			c := 1 + (off*13)%977
+			if off+c > len(want) {
+				c = len(want) - off
 			}
-			var w *BlobWriter
-			if spooled {
-				w = db.NewSpooledBlobWriter(tx)
-			} else {
-				w = db.NewBlobWriter(tx)
+			if _, err := w.Write(want[off : off+c]); err != nil {
+				t.Fatalf("%s: write: %v", name, err)
 			}
-			// Dribble the value in odd-sized writes.
-			for off := 0; off < len(want); {
-				c := 1 + (off*13)%977
-				if off+c > len(want) {
-					c = len(want) - off
-				}
-				if _, err := w.Write(want[off : off+c]); err != nil {
-					t.Fatalf("%s: write: %v", name, err)
-				}
-				off += c
-			}
-			ref, err := w.Close()
-			if err != nil {
-				t.Fatalf("%s: close: %v", name, err)
-			}
-			if ref.Len != int64(size) || ref.First == invalidPage {
-				t.Fatalf("%s: ref %+v", name, ref)
-			}
-			// Read inside the transaction.
-			got, err := io.ReadAll(db.NewBlobReader(tx, ref))
-			if err != nil || !bytes.Equal(got, want) {
-				t.Fatalf("%s: in-tx read: err=%v len=%d want %d", name, err, len(got), len(want))
-			}
-			if err := tx.Commit(); err != nil {
-				t.Fatal(err)
-			}
-			// Read outside any transaction, with tiny reads.
-			r := db.NewBlobReader(nil, ref)
-			var out bytes.Buffer
-			buf := make([]byte, 147)
-			if _, err := io.CopyBuffer(&out, r, buf); err != nil {
-				t.Fatalf("%s: post-commit read: %v", name, err)
-			}
-			if !bytes.Equal(out.Bytes(), want) {
-				t.Fatalf("%s: post-commit bytes differ", name)
-			}
-			// ReadBlob (whole-chain path) agrees.
-			whole, err := db.ReadBlob(nil, ref)
-			if err != nil || !bytes.Equal(whole, want) {
-				t.Fatalf("%s: ReadBlob: err=%v", name, err)
-			}
+			off += c
+		}
+		ref, err := w.Close()
+		if err != nil {
+			t.Fatalf("%s: close: %v", name, err)
+		}
+		if ref.Len != int64(size) || ref.First == invalidPage {
+			t.Fatalf("%s: ref %+v", name, ref)
+		}
+		// Read inside the transaction.
+		got, err := io.ReadAll(db.NewBlobReader(tx, ref))
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: in-tx read: err=%v len=%d want %d", name, err, len(got), len(want))
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		// Read outside any transaction, with tiny reads.
+		r := db.NewBlobReader(nil, ref)
+		var out bytes.Buffer
+		buf := make([]byte, 147)
+		if _, err := io.CopyBuffer(&out, r, buf); err != nil {
+			t.Fatalf("%s: post-commit read: %v", name, err)
+		}
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Fatalf("%s: post-commit bytes differ", name)
+		}
+		// ReadBlob (whole-chain path) agrees.
+		whole, err := db.ReadBlob(nil, ref)
+		if err != nil || !bytes.Equal(whole, want) {
+			t.Fatalf("%s: ReadBlob: err=%v", name, err)
 		}
 	}
 }
 
-// TestBlobRefInsertRoundTrip writes a value through the spooled writer and
-// inserts the reference into a BLOB column: the row must read back with
+// stageInto stages data as a blob chain outside any transaction and
+// adopts it into tx, the way ingest stores its container.
+func stageInto(t *testing.T, db *DB, tx *Txn, data []byte) BlobRef {
+	t.Helper()
+	w, err := db.NewStagedBlobWriter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(w, bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := w.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.AdoptStaged(w); err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
+// TestBlobRefInsertRoundTrip stages a value, adopts it and inserts the
+// reference into a BLOB column: the row must read back with
 // the pre-written chain intact, and deleting the row must free it.
 func TestBlobRefInsertRoundTrip(t *testing.T) {
 	db := openTestDB(t, nil)
@@ -92,15 +107,8 @@ func TestBlobRefInsertRoundTrip(t *testing.T) {
 	want := streamPattern(5 * blobChunkMax)
 
 	tx, _ := db.Begin()
-	w := db.NewSpooledBlobWriter(tx)
-	if _, err := io.Copy(w, bytes.NewReader(want)); err != nil {
-		t.Fatal(err)
-	}
-	ref, err := w.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := sampleRow(0, "spooled", 9, nil)
+	ref := stageInto(t, db, tx, want)
+	row := sampleRow(0, "staged", 9, nil)
 	row[4] = BlobRefV(ref)
 	pk, err := tbl.Insert(tx, row)
 	if err != nil {
@@ -134,9 +142,9 @@ func TestBlobRefInsertRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSpooledBlobSurvivesCrash: a committed spooled chain must be fully
-// recovered from the WAL even when its pages were evicted (and therefore
-// partially written to the data file) before commit.
+// TestSpooledBlobSurvivesCrash: an adopted staged chain far larger than
+// the buffer pool, whose pages went straight to the data file before
+// commit, must be fully recovered from the WAL after a crash.
 func TestSpooledBlobSurvivesCrash(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sp.db")
 	db, err := Open(path, &Options{CachePages: 16}) // force eviction mid-write
@@ -147,14 +155,7 @@ func TestSpooledBlobSurvivesCrash(t *testing.T) {
 	want := streamPattern(200 * blobChunkMax) // ~800KB, far beyond the pool
 
 	tx, _ := db.Begin()
-	w := db.NewSpooledBlobWriter(tx)
-	if _, err := io.Copy(w, bytes.NewReader(want)); err != nil {
-		t.Fatal(err)
-	}
-	ref, err := w.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := stageInto(t, db, tx, want)
 	row := sampleRow(0, "crash", 3, nil)
 	row[4] = BlobRefV(ref)
 	pk, err := tbl.Insert(tx, row)
@@ -184,25 +185,19 @@ func TestSpooledBlobSurvivesCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(b, want) {
-		t.Fatal("spooled blob corrupted after crash recovery")
+		t.Fatal("staged blob corrupted after crash recovery")
 	}
 }
 
-// TestSpooledBlobAbortLeavesStoreUsable: aborting a transaction with a
-// large spooled chain must leave the database consistent (the pages are
-// documented file garbage) and the free list untouched.
+// TestSpooledBlobAbortLeavesStoreUsable: aborting a transaction that
+// adopted a large staged chain must leave the database consistent (the
+// pages are documented file garbage) and the free list untouched.
 func TestSpooledBlobAbortLeavesStoreUsable(t *testing.T) {
 	db := openTestDB(t, &Options{CachePages: 16})
 	tbl := createTestTable(t, db)
 
 	tx, _ := db.Begin()
-	w := db.NewSpooledBlobWriter(tx)
-	if _, err := io.Copy(w, bytes.NewReader(streamPattern(64*blobChunkMax))); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	stageInto(t, db, tx, streamPattern(64*blobChunkMax))
 	tx.Abort()
 
 	// The store keeps working: ordinary inserts, blobs, reads.
@@ -225,14 +220,16 @@ func TestSpooledBlobAbortLeavesStoreUsable(t *testing.T) {
 	}
 }
 
-// TestBlobWriterBoundedMemory pins the point of spooling: writing a chain
-// many times larger than the buffer pool must not grow the pool beyond its
-// configured capacity (plus transiently pinned pages).
+// TestBlobWriterBoundedMemory pins the point of staging: writing a chain
+// many times larger than the buffer pool, and committing it, must not grow
+// the pool beyond its configured capacity (plus transiently pinned pages).
 func TestBlobWriterBoundedMemory(t *testing.T) {
 	const cache = 32
 	db := openTestDB(t, &Options{CachePages: cache})
-	tx, _ := db.Begin()
-	w := db.NewSpooledBlobWriter(tx)
+	w, err := db.NewStagedBlobWriter()
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(7))
 	buf := make([]byte, 8192)
 	for i := 0; i < 300; i++ { // ~2.4MB through a 128KB pool
@@ -241,14 +238,21 @@ func TestBlobWriterBoundedMemory(t *testing.T) {
 			t.Fatal(err)
 		}
 		if n := db.pager.lru.Len(); n > cache+2 {
-			t.Fatalf("buffer pool grew to %d pages (cap %d): spooled pages are not being evicted", n, cache)
+			t.Fatalf("buffer pool grew to %d pages (cap %d): staged pages are entering it", n, cache)
 		}
 	}
 	if _, err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	tx, _ := db.Begin()
+	if err := tx.AdoptStaged(w); err != nil {
+		t.Fatal(err)
+	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
+	}
+	if n := db.pager.lru.Len(); n > cache+2 {
+		t.Fatalf("buffer pool grew to %d pages (cap %d) committing the chain", n, cache)
 	}
 }
 

@@ -398,11 +398,11 @@ type Txn struct {
 	db     *DB
 	id     uint64
 	before map[PageID]beforeImage
-	// spooled lists pages allocated by spooled blob writers: always fresh
-	// file extensions, never touched (no before-images), evictable before
-	// commit. Commit WAL-logs them unconditionally; abort leaves them as
-	// unreachable file garbage (the same fate ordinary pages allocated by
-	// an aborted transaction meet).
+	// spooled lists the pages of adopted staged blob chains (AdoptStaged):
+	// always fresh file extensions, already written to the data file, never
+	// touched (no before-images). Commit WAL-logs them unconditionally;
+	// abort leaves them as unreachable file garbage (the same fate ordinary
+	// pages allocated by an aborted transaction meet).
 	spooled []PageID
 	done    bool
 }
@@ -475,10 +475,10 @@ func (tx *Txn) Commit() error {
 
 func (tx *Txn) commitLocked() error {
 	db := tx.db
-	// Spooled blob pages first: they carry no before-image and may have
-	// been evicted (and thus look clean), so they are logged
-	// unconditionally, re-read from disk if needed. A spooled page the
-	// transaction later touched (e.g. freed again) is logged by the
+	// Adopted staged blob pages first: they carry no before-image and were
+	// written straight to the data file (so they look clean), so they are
+	// logged unconditionally, read back from disk if needed. A staged page
+	// the transaction later touched (e.g. freed again) is logged by the
 	// ordinary loop below instead.
 	for _, id := range tx.spooled {
 		if _, touched := tx.before[id]; touched {
@@ -486,9 +486,8 @@ func (tx *Txn) commitLocked() error {
 		}
 		p, err := db.pager.get(id)
 		if err != nil {
-			return fmt.Errorf("vstore: commit spooled page: %w", err)
+			return fmt.Errorf("vstore: commit staged page: %w", err)
 		}
-		p.pins = 0 // writer pin, if an error path left one behind
 		if _, err := db.wal.appendRecord(tx.id, walKindPageImage, id, p.data); err != nil {
 			return err
 		}
@@ -540,16 +539,6 @@ func (tx *Txn) restorePages() {
 		copy(p.data, img.data)
 		p.dirty = img.wasDirty
 		p.pins--
-	}
-	// Spooled pages become file garbage; just release any writer pin so
-	// the buffer pool can evict them.
-	for _, id := range tx.spooled {
-		if _, touched := tx.before[id]; touched {
-			continue
-		}
-		if p := db.pager.cached(id); p != nil {
-			p.pins = 0
-		}
 	}
 }
 
