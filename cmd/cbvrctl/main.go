@@ -20,8 +20,8 @@ package main
 import (
 	"context"
 	"flag"
-	"io"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"

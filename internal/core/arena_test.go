@@ -176,6 +176,11 @@ func TestArenaChurnBitIdentity(t *testing.T) {
 	for _, id := range seed.KeyFrameIDs {
 		old := *eng.getEntry(id)
 		old.bucket = stale
+		set, err := eng.referenceSet(&old) // a swap carries its rebuilt set
+		if err != nil {
+			t.Fatal(err)
+		}
+		old.set = set
 		eng.replaceEntry(&old)
 	}
 	eng.mu.Unlock()
@@ -376,7 +381,11 @@ func TestFixedScaleDistancePackedMatchesSet(t *testing.T) {
 		for si, ar := range eng.arenas {
 			for _, slot := range ar.live {
 				en := ar.ents[slot]
-				want := fixedScaleDistance(qset, en.set, kinds)
+				set, err := eng.referenceSet(en)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := fixedScaleDistance(qset, set, kinds)
 				if got := fixedScaleDistancePacked(pq, eng.arenas[si], slot); got != want {
 					t.Fatalf("kinds=%v entry %d: packed %.17g != set %.17g", kinds, en.id, got, want)
 				}

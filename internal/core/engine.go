@@ -149,7 +149,7 @@ type IngestResult struct {
 type Engine struct {
 	store   *catalog.Store
 	opts    Options
-	rasters *rasterPool // recycled per-source-frame analysis rasters
+	rasters *rasterPool // recycled key-frame analysis rasters
 
 	mu     sync.RWMutex
 	shards []map[int64]*frameEntry // key-frame ID -> parsed descriptors, by id mod N
@@ -184,8 +184,13 @@ type frameEntry struct {
 	videoID  int64
 	frameIdx int
 	bucket   rangeindex.Range
-	set      *features.Set
-	slot     int32 // row in the owning shard's arena; set by putEntry
+	// set is the descriptor set the arena row is packed from. A stored
+	// row drops it once packed: search reads the arena row, and the
+	// references re-read the KEY_FRAMES text (referenceSet), so a third
+	// copy per row would only grow the heap, by about as much as the arena
+	// itself. Cache-only synthetic frames have no row and keep theirs.
+	set  *features.Set
+	slot int32 // row in the owning shard's arena; set by putEntry
 }
 
 // Open opens (creating if needed) a CBVR engine at the given database
@@ -413,7 +418,7 @@ func (e *Engine) ingestStream(ctx context.Context, name string, r io.Reader) (*I
 		return fail(err)
 	}
 
-	jobs, err := e.selectKeyFrames(&frameSource{ctx: ctx, pool: e.rasters, cr: cr, cw: cw})
+	jobs, err := e.selectKeyFrames(&frameSource{ctx: ctx, cr: cr, cw: cw})
 	if err != nil {
 		return fail(err)
 	}
@@ -522,6 +527,7 @@ func (e *Engine) publishEntries(videoID int64, name string, entries []*frameEntr
 	e.mu.Lock()
 	for _, en := range entries {
 		e.putEntry(en)
+		en.set = nil // packed; the stored row keeps the text
 	}
 	e.vname[videoID] = name
 	e.mu.Unlock()
@@ -664,6 +670,7 @@ func (e *Engine) warmCache() error {
 			return false, err
 		}
 		e.putEntry(en)
+		en.set = nil // packed; the stored row keeps the text
 		return true, nil
 	})
 	if err != nil {
@@ -682,7 +689,7 @@ func (e *Engine) warmCache() error {
 
 // putDescriptors writes a descriptor set and its §4.2 bucket into a key
 // frame's descriptor columns — the one Set-to-row mapping, the inverse of
-// entryFromRow. Ingest and re-index both store through it.
+// storedSet. Ingest and re-index both store through it.
 func putDescriptors(k *catalog.KeyFrame, set *features.Set, bucket rangeindex.Range) {
 	k.Min, k.Max = bucket.Min, bucket.Max
 	k.SCH = set.Histogram.String()
@@ -695,8 +702,44 @@ func putDescriptors(k *catalog.KeyFrame, set *features.Set, bucket rangeindex.Ra
 	k.MajorRegions = set.Regions.Major
 }
 
-// entryFromRow parses a stored key frame's feature strings.
+// entryFromRow builds a stored key frame's cache entry, parsing its
+// feature strings for packing.
 func entryFromRow(k *catalog.KeyFrame) (*frameEntry, error) {
+	set, err := storedSet(k)
+	if err != nil {
+		return nil, err
+	}
+	return &frameEntry{
+		id:       k.ID,
+		videoID:  k.VideoID,
+		frameIdx: k.FrameIndex,
+		bucket:   k.Range(),
+		set:      set,
+	}, nil
+}
+
+// referenceSet is the descriptor set the reference scans compare for an
+// entry: a cache-only frame's own, or a stored row's parsed from its
+// KEY_FRAMES text — the catalog's copy, not the packed arena row the
+// production sweep reads. Callers hold e.mu, which comes before the
+// store's locks (warmCache's order).
+func (e *Engine) referenceSet(en *frameEntry) (*features.Set, error) {
+	if en.set != nil {
+		return en.set, nil
+	}
+	k, ok, err := e.store.GetKeyFrame(nil, en.id)
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		return nil, fmt.Errorf("core: cached key frame %d has no stored row", en.id)
+	}
+	return storedSet(k)
+}
+
+// storedSet parses a key frame row's descriptor columns; a column left
+// empty is a missing descriptor.
+func storedSet(k *catalog.KeyFrame) (*features.Set, error) {
 	set := &features.Set{}
 	for _, f := range []struct {
 		kind features.Kind
@@ -721,13 +764,7 @@ func entryFromRow(k *catalog.KeyFrame) (*frameEntry, error) {
 			return nil, err
 		}
 	}
-	return &frameEntry{
-		id:       k.ID,
-		videoID:  k.VideoID,
-		frameIdx: k.FrameIndex,
-		bucket:   k.Range(),
-		set:      set,
-	}, nil
+	return set, nil
 }
 
 // QueryBucket computes the §4.2 range bucket of a query frame.

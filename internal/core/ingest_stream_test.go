@@ -234,26 +234,60 @@ func TestIngestCorruptMidStreamDeterministic(t *testing.T) {
 	corrupt := bytes.Clone(raw)
 	corrupt[off+4], corrupt[off+5] = 0x00, 0x00
 
+	// The same record with its SOF patched to declare 30000×30000: the
+	// decoder's pixel limit must hold on the container read path too.
+	huge := bytes.Clone(raw)
+	n := int(binary.BigEndian.Uint32(huge[off : off+4]))
+	sof := bytes.Index(huge[off+4:off+4+n], []byte{0xff, 0xc0}) // baseline SOF: marker, length, precision, height, width
+	if sof < 0 {
+		t.Fatal("no SOF0 marker")
+	}
+	sof += off + 4
+	binary.BigEndian.PutUint16(huge[sof+5:], 30000)
+	binary.BigEndian.PutUint16(huge[sof+7:], 30000)
+
 	eng := openTestEngine(t)
-	var msgs []string
-	for attempt := 0; attempt < 2; attempt++ {
-		_, err := eng.IngestVideoStream("corrupt", bytes.NewReader(corrupt))
-		if err == nil {
-			t.Fatal("corrupt container accepted")
+	for name, container := range map[string][]byte{"corrupt": corrupt, "huge": huge} {
+		var msgs []string
+		for attempt := 0; attempt < 2; attempt++ {
+			_, err := eng.IngestVideoStream(name, bytes.NewReader(container))
+			if err == nil {
+				t.Fatalf("%s container accepted", name)
+			}
+			if !errors.Is(err, cvj.ErrFormat) {
+				t.Errorf("%s: error does not match cvj.ErrFormat (HTTP 400): %v", name, err)
+			}
+			msgs = append(msgs, err.Error())
 		}
-		msgs = append(msgs, err.Error())
-	}
-	if msgs[0] != msgs[1] {
-		t.Errorf("error not deterministic:\n%s\n%s", msgs[0], msgs[1])
-	}
-	if !strings.Contains(msgs[0], fmt.Sprintf("frame %d", target)) {
-		t.Errorf("error does not name frame %d: %s", target, msgs[0])
+		if msgs[0] != msgs[1] {
+			t.Errorf("%s: error not deterministic:\n%s\n%s", name, msgs[0], msgs[1])
+		}
+		if !strings.Contains(msgs[0], fmt.Sprintf("frame %d", target)) {
+			t.Errorf("%s: error does not name frame %d: %s", name, target, msgs[0])
+		}
+		if name == "huge" && !strings.Contains(msgs[0], "pixel limit") {
+			t.Errorf("huge: error does not name the pixel limit: %s", msgs[0])
+		}
+		// The record read ingest makes fails at the same record, after
+		// every record before it decoded.
+		cr, err := cvj.NewReader(bytes.NewReader(container))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; ; i++ {
+			if _, err := cr.NextRecord(); err != nil {
+				if i != target || !errors.Is(err, cvj.ErrFormat) {
+					t.Errorf("%s: NextRecord failed at record %d with %v, want record %d with ErrFormat", name, i, err, target)
+				}
+				break
+			}
+		}
 	}
 	if n, _ := eng.Store().CountVideos(nil); n != 0 {
-		t.Fatalf("%d videos committed from corrupt container", n)
+		t.Fatalf("%d videos committed from corrupt containers", n)
 	}
 	if n, _ := eng.Store().CountKeyFrames(nil); n != 0 {
-		t.Fatalf("%d key frames committed from corrupt container", n)
+		t.Fatalf("%d key frames committed from corrupt containers", n)
 	}
 }
 

@@ -50,49 +50,55 @@ type kfJob struct {
 }
 
 // frameSource is the one decode source: container records (ingest,
-// re-index) or in-memory frames (a query clip). Each Next checks the
-// context, then rescales the frame to the 300×300 analysis raster exactly
-// once, into a pooled raster (see rasterPool) — so selection samples its
-// signature without a further rescale and steady-state decoding allocates
-// no raster memory. The latest record's original JPEG bytes stay in jpeg
+// re-index) or in-memory frames (a query clip). Each NextSource checks
+// the context and yields the frame as the decoder left it — a container
+// record's Y'CbCr planes, never converted to RGB — which is all §4.1
+// selection reads. The latest record's original JPEG bytes stay in jpeg
 // until the next read, so a selection emit callback (which runs before
 // it) can claim them for storage; with cw set, every record is also
 // re-assembled into the staged container blob as it arrives.
 type frameSource struct {
 	ctx    context.Context
-	pool   *rasterPool
 	cr     *cvj.Reader      // container records; nil reads frames
 	cw     *cvj.Writer      // ingest: re-assembles container bytes into the staged blob
 	frames []*imaging.Image // in-memory frames, consumed front to back
 	jpeg   []byte           // latest record's original bytes
 }
 
-func (s *frameSource) Next() (*imaging.Image, error) {
+func (s *frameSource) NextSource() (imaging.Source, error) {
 	if err := s.ctx.Err(); err != nil {
-		return nil, err
+		return imaging.Source{}, err
 	}
-	var im *imaging.Image
 	if s.cr == nil {
 		if len(s.frames) == 0 {
-			return nil, io.EOF
+			return imaging.Source{}, io.EOF
 		}
-		im, s.frames = s.frames[0], s.frames[1:]
-	} else {
-		f, err := s.cr.NextFrame()
-		if err != nil {
-			return nil, err // io.EOF passes through to end the stream
-		}
-		if s.cw != nil {
-			if err := s.cw.WriteJPEG(f.JPEG); err != nil {
-				return nil, err
-			}
-		}
-		s.jpeg, im = f.JPEG, f.Image
+		im := s.frames[0]
+		s.frames = s.frames[1:]
+		return im.Source(), nil
 	}
-	if im.W == features.AnalysisSize && im.H == features.AnalysisSize {
-		return im, nil // already analysis-sized; never pooled
+	rec, err := s.cr.NextRecord()
+	if err != nil {
+		return imaging.Source{}, err // io.EOF passes through to end the stream
 	}
-	return im.RescaleInto(s.pool.get(), features.AnalysisSize, features.AnalysisSize), nil
+	if s.cw != nil {
+		if err := s.cw.WriteJPEG(rec.JPEG); err != nil {
+			return imaging.Source{}, err
+		}
+	}
+	s.jpeg = rec.JPEG
+	return rec.Source, nil
+}
+
+// analysisRaster builds a key frame's 300×300 analysis raster in one pass
+// from its source, into a pooled raster (see rasterPool); it is the only
+// RGB conversion and the only rescale a frame gets. An RGB frame that is
+// already analysis-sized is its own raster and is never pooled.
+func (e *Engine) analysisRaster(src imaging.Source) *imaging.Image {
+	if im := src.RGB(); im != nil && im.W == features.AnalysisSize && im.H == features.AnalysisSize {
+		return im
+	}
+	return src.RescaleInto(e.rasters.get(), features.AnalysisSize, features.AnalysisSize)
 }
 
 // describeKeyFrames runs the bounded extraction pool: produce runs on the
@@ -127,13 +133,14 @@ func (e *Engine) describeKeyFrames(produce func(submit func(*kfJob)) error) ([]*
 }
 
 // selectKeyFrames runs §4.1 selection over src and describes each key
-// frame as it is chosen, reusing its selection-time signature. Rasters of
-// frames that collapse into a run go back to the pool at once.
+// frame as it is chosen, reusing its selection-time signature. Only key
+// frames get an analysis raster; the frames that collapse into a run are
+// never converted at all.
 func (e *Engine) selectKeyFrames(src *frameSource) ([]*kfJob, error) {
-	kex := keyframe.Extractor{Threshold: e.opts.KeyframeThreshold, Recycle: e.rasters.put}
+	kex := keyframe.Extractor{Threshold: e.opts.KeyframeThreshold}
 	return e.describeKeyFrames(func(submit func(*kfJob)) error {
-		return kex.ExtractStream(src, func(k *keyframe.KeyFrame) error {
-			submit(&kfJob{frameIndex: k.Index, jpeg: src.jpeg, scaled: k.Image, sig: k.Signature})
+		return kex.Select(src, func(k *keyframe.KeyFrame) error {
+			submit(&kfJob{frameIndex: k.Index, jpeg: src.jpeg, scaled: e.analysisRaster(k.Source), sig: k.Signature})
 			return nil
 		})
 	})

@@ -23,13 +23,27 @@ func TestBucketFromPlanesMatchesQueryBucket(t *testing.T) {
 	}
 }
 
+// checkRescales is the key-frame pipeline's raster invariant: one
+// analysis raster per key frame — built when selection emits it, reused by
+// extraction — and none for the frames selection drops, so never more
+// than one per source frame.
+func checkRescales(t *testing.T, what string, rescales int64, frames, keyFrames int) {
+	t.Helper()
+	if keyFrames < 2 || keyFrames == frames {
+		t.Fatalf("degenerate fixture: %d key frames of %d frames", keyFrames, frames)
+	}
+	if rescales != int64(keyFrames) || rescales > int64(frames) {
+		t.Errorf("%s performed %d rescales for %d frames / %d key frames, want %d (one per key frame)",
+			what, rescales, frames, keyFrames, keyFrames)
+	}
+}
+
 // TestIngestRescalesEachSourceFrameOnce verifies the end-to-end streamed
-// ingest guarantee with the imaging rescale counter: exactly one analysis
-// rescale per source frame, performed when the frame enters §4.1
-// selection, and zero additional rescales per key frame — extraction
-// reuses the selection-time analysis raster and naive signature. (The
-// shared-plane pipeline of PR 2 paid frames + key frames; streaming
-// extends the one-rescale invariant to the whole ingest path.)
+// ingest guarantee with the imaging rescale counter: §4.1 selection reads
+// each source frame's signature straight from its decoded planes, and
+// only a key frame gets an analysis raster, which extraction reuses with
+// the selection-time signature — rescales == key frames, never more than
+// one per source frame.
 func TestIngestRescalesEachSourceFrameOnce(t *testing.T) {
 	eng := openTestEngine(t)
 	v := genVideo(synthvid.Movie, 12)
@@ -38,15 +52,7 @@ func TestIngestRescalesEachSourceFrameOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := imaging.RescaleCalls() - start
-	want := int64(res.NumFrames)
-	if got != want {
-		t.Errorf("ingest performed %d rescales for %d frames / %d key frames, want %d (one per source frame)",
-			got, res.NumFrames, len(res.KeyFrameIDs), want)
-	}
-	if len(res.KeyFrameIDs) < 2 {
-		t.Fatalf("degenerate fixture: %d key frames", len(res.KeyFrameIDs))
-	}
+	checkRescales(t, "ingest", imaging.RescaleCalls()-start, res.NumFrames, len(res.KeyFrameIDs))
 }
 
 // TestIngestStreamRescalesEachSourceFrameOnce pins the same invariant on
@@ -63,9 +69,7 @@ func TestIngestStreamRescalesEachSourceFrameOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := imaging.RescaleCalls()-start, int64(res.NumFrames); got != want {
-		t.Errorf("streamed ingest performed %d rescales for %d frames, want %d", got, res.NumFrames, want)
-	}
+	checkRescales(t, "streamed ingest", imaging.RescaleCalls()-start, res.NumFrames, len(res.KeyFrameIDs))
 }
 
 // TestSearchFrameSingleRescale checks the query path: one rescale covers

@@ -9,17 +9,16 @@ import (
 )
 
 // rasterPool recycles 300×300 analysis rasters across every run of the
-// key-frame pipeline (ingest, re-index, query-by-clip). Each source frame
-// needs one raster for the imaging.RescaleInto analysis rescale; non-key
-// frames hand theirs back through the key-frame extractor's Recycle hook
-// as soon as selection drops them, and key frames hand theirs back once
-// feature extraction finishes. In steady state the pool therefore holds roughly
-// (workers + in-flight jobs) rasters and decoding allocates no raster
+// key-frame pipeline (ingest, re-index, query-by-clip). Only key frames
+// get one — §4.1 selection reads every other frame's signature straight
+// from its decoded planes — and each hands it back once feature
+// extraction finishes. In steady state the pool therefore holds roughly
+// (workers + in-flight jobs) rasters and the pipeline allocates no raster
 // memory per frame, regardless of clip length.
 //
-// put ignores rasters the pool did not create (frames that were already
-// analysis-sized are passed through untouched and owned by the decoder),
-// so callers can recycle unconditionally.
+// put ignores rasters the pool did not create (RGB frames that are
+// already analysis-sized are passed through untouched and owned by the
+// caller), so callers can recycle unconditionally.
 type rasterPool struct {
 	mu     sync.Mutex
 	free   []*imaging.Image
@@ -33,7 +32,7 @@ func newRasterPool() *rasterPool {
 
 // get returns a pool-owned analysis-sized raster, reusing a free one when
 // possible. The contents are unspecified; callers overwrite every pixel
-// (RescaleInto does).
+// (Source.RescaleInto does).
 func (p *rasterPool) get() *imaging.Image {
 	p.mu.Lock()
 	if n := len(p.free); n > 0 {

@@ -128,13 +128,15 @@ func (e *Engine) ReindexVideoCtx(ctx context.Context, videoID int64) (*ReindexRe
 		return fail(errors.New("video deleted during reindex"))
 	}
 	for i, j := range jobs {
-		e.replaceEntry(&frameEntry{
+		en := &frameEntry{
 			id:       rows[i].ID,
 			videoID:  videoID,
 			frameIdx: rows[i].FrameIndex,
 			bucket:   j.bucket,
 			set:      j.set,
-		})
+		}
+		e.replaceEntry(en)
+		en.set = nil // packed; the stored row keeps the text
 	}
 	e.mu.Unlock()
 	return &ReindexResult{VideoID: videoID, VideoName: name, KeyFrames: len(jobs)}, nil
@@ -148,10 +150,10 @@ func (e *Engine) reextractStream(ctx context.Context, r io.Reader, rows []*catal
 	if err != nil {
 		return nil, fmt.Errorf("key-frame stream: %w", err)
 	}
-	src := &frameSource{ctx: ctx, pool: e.rasters, cr: cr}
+	src := &frameSource{ctx: ctx, cr: cr}
 	jobs, err := e.describeKeyFrames(func(submit func(*kfJob)) error {
 		for n := 0; ; n++ {
-			scaled, err := src.Next() // checks ctx once per record
+			fr, err := src.NextSource() // checks ctx once per record
 			if err == io.EOF {
 				return nil
 			}
@@ -159,10 +161,9 @@ func (e *Engine) reextractStream(ctx context.Context, r io.Reader, rows []*catal
 				return fmt.Errorf("key-frame stream record %d: %w", n, err)
 			}
 			if n == len(rows) {
-				e.rasters.put(scaled)
 				return fmt.Errorf("key-frame stream has more records than the %d stored rows", len(rows))
 			}
-			submit(&kfJob{scaled: scaled})
+			submit(&kfJob{scaled: e.analysisRaster(fr)})
 		}
 	})
 	if err != nil {

@@ -183,7 +183,9 @@ func (e *Engine) ScanArenaInto(pq *PackedQuery, dist []float64) (int, error) {
 // ScanDispatchReference is the pre-arena scan shape retained as the
 // kernel sweep's measured baseline: every cached entry × kind through
 // the interface-dispatched DistanceTo, into the same dist layout as
-// ScanArenaInto. Benchmark surface only.
+// ScanArenaInto. Benchmark surface only; over stored rows it also times
+// parsing their descriptor text (referenceSet), since the cache keeps
+// only the packed rows.
 func (e *Engine) ScanDispatchReference(qset *features.Set, kinds []features.Kind, dist []float64) (int, error) {
 	if err := e.warmCache(); err != nil {
 		return 0, err
@@ -196,16 +198,24 @@ func (e *Engine) ScanDispatchReference(qset *features.Set, kinds []features.Kind
 	c := 0
 	for si := range e.arenas {
 		ar := e.arenas[si]
+		sets := make([]*features.Set, len(ar.live))
+		for i, s := range ar.live {
+			set, err := e.referenceSet(ar.ents[s])
+			if err != nil {
+				return 0, err
+			}
+			sets[i] = set
+		}
 		for _, kind := range kinds {
 			qd := qset.Get(kind)
 			if qd == nil {
 				return 0, fmt.Errorf("core: query lacks %v descriptor", kind)
 			}
-			for _, s := range ar.live {
+			for _, set := range sets {
 				if c >= len(dist) {
 					return 0, fmt.Errorf("core: dist buffer holds %d values, need more", len(dist))
 				}
-				cd := ar.ents[s].set.Get(kind)
+				cd := set.Get(kind)
 				if cd == nil {
 					dist[c] = missingDistance
 					c++

@@ -476,8 +476,10 @@ func rrfScores(all []scored, nk, workers int) []float64 {
 // searchSetReference is the retained naive implementation: a single
 // goroutine scans every cached entry, materialises one full distance list
 // per feature, fuses with the batch similarity helpers and fully sorts
-// the ranking. The sharded pipeline must reproduce its output exactly; it
-// exists for equivalence tests and as the benchmark baseline.
+// the ranking. It compares descriptor sets (referenceSet: a stored row's
+// are parsed from its KEY_FRAMES text), never the packed arena rows the
+// sharded pipeline sweeps. The sharded pipeline must reproduce its output
+// exactly; it exists for equivalence tests and as the benchmark baseline.
 func (e *Engine) searchSetReference(qset *features.Set, qbucket rangeindex.Range, opt SearchOptions) ([]Match, error) {
 	if err := e.warmCache(); err != nil {
 		return nil, err
@@ -508,12 +510,20 @@ func (e *Engine) searchSetReference(qset *features.Set, qbucket rangeindex.Range
 		return nil, nil
 	}
 
+	sets := make([]*features.Set, len(cands))
+	for i, en := range cands {
+		set, err := e.referenceSet(en)
+		if err != nil {
+			return nil, err
+		}
+		sets[i] = set
+	}
 	lists := make([][]float64, len(kinds))
 	for ki, kind := range kinds {
 		qd := qset.Get(kind)
 		dist := make([]float64, len(cands))
-		for i, en := range cands {
-			cd := en.set.Get(kind)
+		for i, set := range sets {
+			cd := set.Get(kind)
 			if cd == nil {
 				dist[i] = missingDistance
 				continue
@@ -584,9 +594,10 @@ func (e *Engine) SearchVideo(queryFrames []*imaging.Image, opt SearchOptions) ([
 // partial ranking.
 //
 // The clip runs through the key-frame pipeline exactly as an uploaded
-// video does (pipeline.go): each frame is rescaled once into a pooled
-// analysis raster, §4.1 selection reads it, and each key frame is
-// described in the extraction pool with its selection signature reused.
+// video does (pipeline.go): §4.1 selection samples each frame's signature
+// in place, each key frame is rescaled once into a pooled analysis
+// raster and described in the extraction pool with its selection
+// signature reused.
 func (e *Engine) SearchVideoCtx(ctx context.Context, queryFrames []*imaging.Image, opt SearchOptions) ([]VideoMatch, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -594,7 +605,7 @@ func (e *Engine) SearchVideoCtx(ctx context.Context, queryFrames []*imaging.Imag
 	if err := e.warmCache(); err != nil {
 		return nil, err
 	}
-	jobs, err := e.selectKeyFrames(&frameSource{ctx: ctx, pool: e.rasters, frames: queryFrames})
+	jobs, err := e.selectKeyFrames(&frameSource{ctx: ctx, frames: queryFrames})
 	if err != nil {
 		return nil, err
 	}

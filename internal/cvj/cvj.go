@@ -304,38 +304,59 @@ func (r *Reader) Next() (*imaging.Image, error) {
 // returns io.EOF after the last frame. A stream that ends before the
 // terminator and trailer yields an error wrapping io.ErrUnexpectedEOF.
 func (r *Reader) NextFrame() (*Frame, error) {
+	rec, err := r.NextRecord()
+	if err != nil {
+		return nil, err
+	}
+	return &Frame{Index: rec.Index, JPEG: rec.JPEG, Image: rec.Source.Image()}, nil
+}
+
+// Record is one streamed container record decoded only as far as the JPEG
+// decoder goes: Source holds the decoder's own planes, not yet converted
+// to RGB (imaging.Source converts what a caller samples). Index and JPEG
+// are as in Frame.
+type Record struct {
+	Index  int
+	JPEG   []byte
+	Source imaging.Source
+}
+
+// NextRecord is NextFrame without the RGB conversion: the same record
+// checks, the same frame-size limit and the same errors (every one matches
+// ErrFormat), and Source.Image() is the image NextFrame returns.
+func (r *Reader) NextRecord() (Record, error) {
 	if r.done {
-		return nil, io.EOF
+		return Record{}, io.EOF
 	}
 	var lenb [4]byte
 	if _, err := io.ReadFull(r.br, lenb[:]); err != nil {
-		return nil, invalidf("cvj: read frame length: %w", truncated(err))
+		return Record{}, invalidf("cvj: read frame length: %w", truncated(err))
 	}
 	n := binary.BigEndian.Uint32(lenb[:])
 	if n == 0 {
 		// Terminator: validate trailer.
 		var cnt [4]byte
 		if _, err := io.ReadFull(r.br, cnt[:]); err != nil {
-			return nil, invalidf("cvj: read trailer: %w", truncated(err))
+			return Record{}, invalidf("cvj: read trailer: %w", truncated(err))
 		}
 		if got := binary.BigEndian.Uint32(cnt[:]); int(got) != r.count {
-			return nil, invalidf("cvj: trailer count %d != frames read %d", got, r.count)
+			return Record{}, invalidf("cvj: trailer count %d != frames read %d", got, r.count)
 		}
 		r.done = true
-		return nil, io.EOF
+		return Record{}, io.EOF
 	}
 	if n > maxFrameSize {
-		return nil, invalidf("cvj: frame size %d exceeds limit", n)
+		return Record{}, invalidf("cvj: frame size %d exceeds limit", n)
 	}
 	jp := make([]byte, n)
 	if _, err := io.ReadFull(r.br, jp); err != nil {
-		return nil, invalidf("cvj: read frame %d: %w", r.count, truncated(err))
+		return Record{}, invalidf("cvj: read frame %d: %w", r.count, truncated(err))
 	}
-	im, err := imaging.DecodeJPEG(bytes.NewReader(jp))
+	src, err := imaging.DecodeJPEGSource(bytes.NewReader(jp))
 	if err != nil {
-		return nil, invalidf("cvj: frame %d: %w", r.count, err)
+		return Record{}, invalidf("cvj: frame %d: %w", r.count, err)
 	}
-	f := &Frame{Index: r.count, JPEG: jp, Image: im}
+	rec := Record{Index: r.count, JPEG: jp, Source: src}
 	r.count++
-	return f, nil
+	return rec, nil
 }

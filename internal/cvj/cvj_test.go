@@ -2,8 +2,11 @@ package cvj
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
+	"strings"
 	"testing"
 
 	"cbvr/internal/imaging"
@@ -256,5 +259,53 @@ func TestWriterRejectsEmptyRecordAndWriteAfterClose(t *testing.T) {
 	}
 	if err := w.Close(); err != nil {
 		t.Errorf("double Close: %v", err)
+	}
+}
+
+// TestReaderRefusesHugeDeclaredFrame carries the decoder's header check
+// through the container read path: a record whose JPEG header declares
+// 30000×30000 fails on both reads as ErrFormat naming the frame, before
+// anything of that size is allocated.
+func TestReaderRefusesHugeDeclaredFrame(t *testing.T) {
+	var small bytes.Buffer
+	im := imaging.New(16, 16)
+	im.Fill(90, 140, 200)
+	if err := im.EncodeJPEG(&small, 0); err != nil {
+		t.Fatal(err)
+	}
+	huge := bytes.Clone(small.Bytes())
+	i := bytes.Index(huge, []byte{0xff, 0xc0}) // baseline SOF: marker, length, precision, height, width
+	if i < 0 {
+		t.Fatal("no SOF0 marker")
+	}
+	binary.BigEndian.PutUint16(huge[i+5:], 30000)
+	binary.BigEndian.PutUint16(huge[i+7:], 30000)
+	raw, err := EncodeRawBytes([][]byte{small.Bytes(), huge}, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := map[string]func(*Reader) error{
+		"NextFrame":  func(r *Reader) error { _, err := r.NextFrame(); return err },
+		"NextRecord": func(r *Reader) error { _, err := r.NextRecord(); return err },
+	}
+	for name, read := range reads {
+		r, err := NewReader(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := read(r); err != nil {
+			t.Fatalf("%s: frame 0: %v", name, err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		err = read(r)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "frame 1") || !strings.Contains(err.Error(), "pixel limit") {
+			t.Errorf("%s: err = %v, want ErrFormat naming frame 1 and the pixel limit", name, err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+			t.Errorf("%s: refusing the frame allocated %d bytes, want < 1 MB", name, d)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package features
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -150,9 +151,33 @@ var goldenDigests = map[string][2]string{
 	"tiny_7x5/naive":                  {"9f7154c507ec69202e4052a4a54ebb1358cb855e656e01c8f0fc5c1ffe773f92", "05f3996f49ec1ccd5dad7c0d876035f5cb3b77367814bd0bd40330c3526a0075"},
 }
 
+// goldenJPEGSignatures holds the naive-signature digests of the fixed
+// frames after a JPEG round trip (EncodeJPEG at the default quality, then
+// decoding), generated through the RGB decode and rescale. They gate
+// §4.1 selection, which reads a container frame's signature straight from
+// the decoder's Y'CbCr planes.
+var goldenJPEGSignatures = map[string][2]string{
+	"blocks_300x300.jpg/naive":  {"90f1bdb20b3e6fb59e9a6ee99119fad376e9168c6d339b2edb4e43a40959dce2", "8be11b91d867a356c4ce74379ea737013b39765f140ec5b5014cd8cb60ea3fae"},
+	"blocks_160x120.jpg/naive":  {"1e29b377603e06dd4254a34038fedff7d889aaa13ec44d2f1e943054db535201", "64de0581b10cec45e07cf72969c558262e0e896ae3c97abfddc3836115516196"},
+	"stripes_320x240.jpg/naive": {"7ef5777d3f808a9cde193708c9ea69c9ccf4ebd8105c03c81ec5e2231817760a", "7501a852b2612c289f05f2184fe41df9543360335476a27b7ab557a0667e82f4"},
+	"stripes_96x64.jpg/naive":   {"bf3f5e123bfcfea5b833a951f2b0557ef4e882d3c90dc684771a031eef104259", "596bfc0b4da0464df6c2302dad1f004d32145e5dfcab42d34ff23255009fe30e"},
+	"noise_400x100.jpg/naive":   {"13755e3ba6acbbc381f19b458ce8a6c2f2bf3ff5127608e98c6f8b89b31b0fac", "459e124029f2846e8c3628c4029c3382c26e0343b7771cf56301cc4aec1ffce0"},
+	"tiny_7x5.jpg/naive":        {"e5b5fd109064b6c888de6d52b14abaf0ebd579e0019982aa501329185955e8ae", "c7048037e74a6fbd9f3b069d19d5493dd5f6a70fa40d8ec64859d14a20e8b3ae"},
+}
+
+// checkDigest compares one descriptor against a golden digest pair.
+func checkDigest(t *testing.T, key, path string, d Descriptor, want [2]string) {
+	t.Helper()
+	if row, str := descriptorDigests(d); row != want[0] || str != want[1] {
+		t.Errorf("%s via %s: digests %s / %s, golden %s / %s", key, path, row, str, want[0], want[1])
+	}
+}
+
 // TestDescriptorDigests pins every descriptor of the fixed frames, through
 // the image entry point and through pooled planes, to the committed
-// digests. On a mismatch it logs the full table the build produces.
+// digests, and the naive signature of each frame, in memory and after a
+// JPEG round trip, through selection's decode-light path as well. On a
+// mismatch it logs the full table the build produces.
 func TestDescriptorDigests(t *testing.T) {
 	var table strings.Builder
 	for _, f := range digestFrames() {
@@ -167,6 +192,10 @@ func TestDescriptorDigests(t *testing.T) {
 			if prow, pstr := descriptorDigests(pooled.Get(k)); prow != row || pstr != str {
 				t.Errorf("%s: pooled planes diverge from ExtractAll", key)
 			}
+			if k == KindNaive {
+				sig := NaiveOf(f.im.Source())
+				checkDigest(t, key, "NaiveOf", &sig, goldenDigests[key])
+			}
 			want, ok := goldenDigests[key]
 			switch {
 			case !ok:
@@ -177,6 +206,27 @@ func TestDescriptorDigests(t *testing.T) {
 				t.Errorf("%s: String digest %s, golden %s", key, str, want[1])
 			}
 		}
+
+		var jpg bytes.Buffer
+		if err := f.im.EncodeJPEG(&jpg, 0); err != nil {
+			t.Fatal(err)
+		}
+		key := f.name + ".jpg/naive"
+		want, ok := goldenJPEGSignatures[key]
+		if !ok {
+			t.Errorf("%s: no golden digest", key)
+		}
+		rgb, err := imaging.DecodeJPEG(bytes.NewReader(jpg.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkDigest(t, key, "DecodeJPEG + ExtractNaive", ExtractNaive(rgb), want)
+		src, err := imaging.DecodeJPEGSource(bytes.NewReader(jpg.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sig := NaiveOf(src)
+		checkDigest(t, key, "DecodeJPEGSource + NaiveOf", &sig, want)
 	}
 	if len(goldenDigests) != len(digestFrames())*int(NumKinds) {
 		t.Errorf("golden table has %d entries, want %d", len(goldenDigests), len(digestFrames())*int(NumKinds))

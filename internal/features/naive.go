@@ -2,6 +2,7 @@ package features
 
 import (
 	"fmt"
+	"image"
 	"math"
 	"strconv"
 	"strings"
@@ -27,14 +28,14 @@ type NaiveSignature struct {
 	Sig [NaivePoints][3]uint8
 }
 
-// ExtractNaive computes the §4.6 signature of a frame. The rescale target
-// equals the analysis raster size, so a frame that already has analysis
-// dimensions is sampled directly — nearest-neighbour rescale to identical
-// dimensions is the identity, so the signature is unchanged, and the
-// streamed ingest pipeline can run selection over pre-scaled rasters
-// without paying a second rescale.
+// ExtractNaive computes the §4.6 signature of a frame the paper's way:
+// rescale to the analysis raster (a frame that already has analysis
+// dimensions is its own raster), then average the windows. It is the
+// reference extractor's naive kind; NaiveOf gives the same signature
+// without the rescale.
 func ExtractNaive(im *imaging.Image) *NaiveSignature {
-	return naiveFromScaled(analysisImage(im))
+	sig := NaiveOf(analysisImage(im).Source())
+	return &sig
 }
 
 // ExtractNaiveWith computes the signature from shared analysis planes.
@@ -42,51 +43,35 @@ func ExtractNaive(im *imaging.Image) *NaiveSignature {
 // 300×300 nearest-neighbour, so sampling the shared plane is
 // bit-identical to the reference's dedicated rescale.
 func ExtractNaiveWith(p *Planes) *NaiveSignature {
-	return naiveFromScaled(p.Analysis)
+	sig := NaiveOf(p.Analysis.Source())
+	return &sig
 }
 
-func naiveFromScaled(scaled *imaging.Image) *NaiveSignature {
-	out := &NaiveSignature{}
+// NaiveOf computes the §4.6 signature of a decoded frame without building
+// its 300×300 raster. The paper's averageAround takes the mean RGB over
+// the window of half-side sampleSize centred at each grid point of the
+// nearest-neighbour rescale; imaging.Source.WindowSum gives each window's
+// integer sum on that rescale straight from the source pixels, so the
+// means, and the signature, are bit-identical to sampling the raster.
+// This is what §4.1 selection runs on every frame of a video, and it
+// allocates nothing.
+func NaiveOf(src imaging.Source) NaiveSignature {
+	var out NaiveSignature
+	raster := image.Rect(0, 0, naiveBaseSize, naiveBaseSize)
 	i := 0
 	for gy := 0; gy < naiveGrid; gy++ {
-		py := 0.1 + 0.2*float64(gy)
+		cy := int((0.1 + 0.2*float64(gy)) * naiveBaseSize)
 		for gx := 0; gx < naiveGrid; gx++ {
-			px := 0.1 + 0.2*float64(gx)
-			r, g, b := averageAround(scaled, px, py)
-			out.Sig[i] = [3]uint8{r, g, b}
+			cx := int((0.1 + 0.2*float64(gx)) * naiveBaseSize)
+			win := image.Rect(cx-naiveSampleSize, cy-naiveSampleSize, cx+naiveSampleSize, cy+naiveSampleSize).Intersect(raster)
+			if n := win.Dx() * win.Dy(); n > 0 {
+				sum := src.WindowSum(naiveBaseSize, naiveBaseSize, win)
+				out.Sig[i] = [3]uint8{uint8(sum[0] / n), uint8(sum[1] / n), uint8(sum[2] / n)}
+			}
 			i++
 		}
 	}
 	return out
-}
-
-// averageAround mirrors the paper's averageAround: mean RGB over the
-// square window of half-side sampleSize centred at (px, py) in normalised
-// coordinates.
-func averageAround(im *imaging.Image, px, py float64) (uint8, uint8, uint8) {
-	var accum [3]int
-	numPixels := 0
-	cx := px * naiveBaseSize
-	cy := py * naiveBaseSize
-	for y := int(cy) - naiveSampleSize; y < int(cy)+naiveSampleSize; y++ {
-		if y < 0 || y >= im.H {
-			continue
-		}
-		for x := int(cx) - naiveSampleSize; x < int(cx)+naiveSampleSize; x++ {
-			if x < 0 || x >= im.W {
-				continue
-			}
-			r, g, b := im.At(x, y)
-			accum[0] += int(r)
-			accum[1] += int(g)
-			accum[2] += int(b)
-			numPixels++
-		}
-	}
-	if numPixels == 0 {
-		return 0, 0, 0
-	}
-	return uint8(accum[0] / numPixels), uint8(accum[1] / numPixels), uint8(accum[2] / numPixels)
 }
 
 // Kind implements Descriptor.
@@ -157,6 +142,13 @@ func (n *NaiveSignature) DistanceTo(other Descriptor) (float64, error) {
 	if !ok {
 		return 0, kindMismatch(KindNaive, other)
 	}
+	return n.Distance(o), nil
+}
+
+// Distance is DistanceTo between two signatures, without the interface:
+// §4.1 selection compares every frame's signature, held on its stack,
+// with the current key frame's.
+func (n *NaiveSignature) Distance(o *NaiveSignature) float64 {
 	var sum float64
 	for i := range n.Sig {
 		var sq float64
@@ -166,5 +158,5 @@ func (n *NaiveSignature) DistanceTo(other Descriptor) (float64, error) {
 		}
 		sum += math.Sqrt(sq)
 	}
-	return sum, nil
+	return sum
 }

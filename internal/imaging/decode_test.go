@@ -33,26 +33,33 @@ func hugeSOFJPEG(t *testing.T) []byte {
 // TestDecodeJPEGRefusesHugeDeclaredSize pins the header check: a frame
 // whose SOF declares more than maxDecodePixels fails with the size error
 // before the decoder allocates for it, through a seekable reader and
-// through a plain stream alike.
+// through a plain stream alike, and through DecodeJPEGSource, the decode
+// the container read path (cvj.Reader.NextRecord) makes.
 func TestDecodeJPEGRefusesHugeDeclaredSize(t *testing.T) {
 	huge := hugeSOFJPEG(t)
-	for _, tc := range []struct {
-		name string
-		r    io.Reader
-	}{
-		{"seekable", bytes.NewReader(huge)},
-		{"stream", struct{ io.Reader }{bytes.NewReader(huge)}},
-	} {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		_, err := DecodeJPEG(tc.r)
-		runtime.ReadMemStats(&after)
-		if err == nil || !strings.Contains(err.Error(), "pixel limit") {
-			t.Fatalf("%s: DecodeJPEG err = %v, want the pixel-limit error", tc.name, err)
-		}
-		if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
-			t.Errorf("%s: refusing the frame allocated %d bytes, want < 1 MB", tc.name, d)
+	decoders := map[string]func(io.Reader) error{
+		"DecodeJPEG":       func(r io.Reader) error { _, err := DecodeJPEG(r); return err },
+		"DecodeJPEGSource": func(r io.Reader) error { _, err := DecodeJPEGSource(r); return err },
+	}
+	for dn, decode := range decoders {
+		for _, tc := range []struct {
+			name string
+			r    io.Reader
+		}{
+			{"seekable", bytes.NewReader(huge)},
+			{"stream", struct{ io.Reader }{bytes.NewReader(huge)}},
+		} {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			err := decode(tc.r)
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), "pixel limit") {
+				t.Fatalf("%s %s: err = %v, want the pixel-limit error", dn, tc.name, err)
+			}
+			if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+				t.Errorf("%s %s: refusing the frame allocated %d bytes, want < 1 MB", dn, tc.name, d)
+			}
 		}
 	}
 }

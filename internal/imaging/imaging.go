@@ -138,6 +138,20 @@ func FromImage(src image.Image) *Image {
 		}
 		return out
 	case *image.YCbCr:
+		if hs, ok := chromaShift(s); ok {
+			src := Source{ycc: s, hs: hs}
+			for y := 0; y < out.H; y++ {
+				yr, cb, cr := src.yccRow(y)
+				d := out.Pix[y*out.W*3 : (y+1)*out.W*3]
+				for x, yy := range yr[:out.W] {
+					c := src.chroma(x)
+					d[3*x], d[3*x+1], d[3*x+2] = color.YCbCrToRGB(yy, cb[c], cr[c])
+				}
+			}
+			return out
+		}
+		// A negative Rect.Min.X: COffset's truncating division is not a
+		// shift there, so take it pixel by pixel.
 		for y := 0; y < out.H; y++ {
 			for x := 0; x < out.W; x++ {
 				yi := s.YOffset(b.Min.X+x, b.Min.Y+y)
@@ -197,18 +211,29 @@ const maxDecodePixels = 1 << 25
 // first and refuses a frame over maxDecodePixels before anything of that
 // size is allocated.
 func DecodeJPEG(r io.Reader) (*Image, error) {
+	src, err := DecodeJPEGSource(r)
+	if err != nil {
+		return nil, err
+	}
+	return src.Image(), nil
+}
+
+// DecodeJPEGSource is DecodeJPEG stopped before the RGB conversion: it
+// returns the decoder's own planes as a Source, with the same header check
+// and the same errors.
+func DecodeJPEGSource(r io.Reader) (Source, error) {
 	cfg, r, err := decodeConfig(r)
 	if err != nil {
-		return nil, fmt.Errorf("imaging: decode jpeg: %w", err)
+		return Source{}, fmt.Errorf("imaging: decode jpeg: %w", err)
 	}
 	if cfg.Width*cfg.Height > maxDecodePixels {
-		return nil, fmt.Errorf("imaging: decode jpeg: %dx%d frame exceeds the %d-pixel limit", cfg.Width, cfg.Height, maxDecodePixels)
+		return Source{}, fmt.Errorf("imaging: decode jpeg: %dx%d frame exceeds the %d-pixel limit", cfg.Width, cfg.Height, maxDecodePixels)
 	}
 	src, err := jpeg.Decode(r)
 	if err != nil {
-		return nil, fmt.Errorf("imaging: decode jpeg: %w", err)
+		return Source{}, fmt.Errorf("imaging: decode jpeg: %w", err)
 	}
-	return FromImage(src), nil
+	return sourceOf(src), nil
 }
 
 // decodeConfig reads the JPEG header from r and returns a reader that

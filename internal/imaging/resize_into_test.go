@@ -79,6 +79,83 @@ func TestRescaleIntoEmptySourceClears(t *testing.T) {
 	}
 }
 
+// rescaleOracle is the nearest-neighbour rescale written out pixel by
+// pixel, the definition the column-table RescaleInto must reproduce.
+func rescaleOracle(im *Image, w, h int) *Image {
+	out := New(w, h)
+	if im.W == 0 || im.H == 0 {
+		return out
+	}
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			r, g, b := im.At(x*im.W/w, y*im.H/h)
+			out.Set(x, y, r, g, b)
+		}
+	}
+	return out
+}
+
+func grayRescaleOracle(g *Gray, w, h int) *Gray {
+	out := NewGray(w, h)
+	if g.W == 0 || g.H == 0 {
+		return out
+	}
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			out.Set(x, y, g.At(x*g.W/w, y*g.H/h))
+		}
+	}
+	return out
+}
+
+// rescaleShapes are the exactness table's sources and destinations:
+// degenerate, odd, the benchmark's frame sizes, the analysis size itself
+// (identity), up- and downscales, and a destination wider than the
+// stack-held column table.
+var (
+	rescaleSources = [][2]int{{0, 0}, {1, 1}, {1, 7}, {7, 1}, {7, 5}, {96, 72}, {160, 120}, {161, 119}, {299, 301}, {300, 300}, {640, 480}, {2000, 3}}
+	rescaleTargets = [][2]int{{1, 1}, {5, 9}, {64, 64}, {161, 119}, {300, 300}, {600, 450}, {maxStackCols + 37, 2}}
+)
+
+// TestRescaleIntoExactness holds the column-table rescale, RGB and gray,
+// to the per-pixel definition on every pair of the shape table, through
+// one destination that shrinks and grows between calls.
+func TestRescaleIntoExactness(t *testing.T) {
+	dst, gdst := &Image{}, &Gray{}
+	for _, s := range rescaleSources {
+		src, gsrc := patternImage(s[0], s[1], 3), patternGray(s[0], s[1], 3)
+		for _, d := range rescaleTargets {
+			if got := src.RescaleInto(dst, d[0], d[1]); !got.Equal(rescaleOracle(src, d[0], d[1])) {
+				t.Errorf("%dx%d → %dx%d: RescaleInto diverges from the per-pixel rescale", s[0], s[1], d[0], d[1])
+			}
+			want := grayRescaleOracle(gsrc, d[0], d[1])
+			if got := gsrc.RescaleInto(gdst, d[0], d[1]); got.W != want.W || got.H != want.H || !bytes.Equal(got.Pix, want.Pix) {
+				t.Errorf("%dx%d → %dx%d: gray RescaleInto diverges from the per-pixel rescale", s[0], s[1], d[0], d[1])
+			}
+		}
+	}
+}
+
+// BenchmarkRescaleInto is the analysis rescale of a benchmark-sized frame
+// (160×120 → 300×300) into a warm destination.
+func BenchmarkRescaleInto(b *testing.B) {
+	src, dst := patternImage(160, 120, 1), &Image{}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		src.RescaleInto(dst, 300, 300)
+	}
+}
+
+// BenchmarkGrayRescaleInto is the Gabor extractor's 300×300 → 64×64 gray
+// rescale.
+func BenchmarkGrayRescaleInto(b *testing.B) {
+	src, dst := patternGray(300, 300, 1), &Gray{}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		src.RescaleInto(dst, 64, 64)
+	}
+}
+
 func patternGray(w, h int, seed uint8) *Gray {
 	g := NewGray(w, h)
 	for i := range g.Pix {

@@ -24,18 +24,18 @@ type FrameReader interface {
 	Next() (*imaging.Image, error)
 }
 
+// SourceReader yields successive decoded frames, still in their
+// decoder's layout; NextSource returns io.EOF after the final frame.
+type SourceReader interface {
+	NextSource() (imaging.Source, error)
+}
+
 // Extractor selects key frames. The zero value uses DefaultThreshold.
 type Extractor struct {
 	// Threshold is the maximum naive-signature distance for two frames to
 	// be considered "similar" (and thus collapsed). Values <= 0 select
 	// DefaultThreshold.
 	Threshold float64
-	// Recycle, when non-nil, is called with each frame that collapses into
-	// the current run — i.e. every frame that is NOT kept as a key frame —
-	// as soon as its fate is decided, before the next frame is read.
-	// Sources that pool per-frame rasters use it to reclaim the buffer;
-	// emitted key frames are never recycled (the consumer owns them).
-	Recycle func(*imaging.Image)
 }
 
 func (e Extractor) threshold() float64 {
@@ -49,8 +49,11 @@ func (e Extractor) threshold() float64 {
 type KeyFrame struct {
 	// Index is the frame's position in the source video (0-based).
 	Index int
-	// Image is the frame itself.
+	// Image is the frame itself, as the FrameReader returned it. Select
+	// leaves it nil: its readers hand over decoded sources, not rasters.
 	Image *imaging.Image
+	// Source is the decoded frame selection read.
+	Source imaging.Source
 	// Signature is the frame's naive signature (computed during
 	// selection, retained so callers don't recompute it).
 	Signature *features.NaiveSignature
@@ -94,40 +97,61 @@ func (e Extractor) ExtractReader(r FrameReader) ([]KeyFrame, error) {
 // pipeline's shape). The emitted KeyFrame's Index, Image and Signature are
 // final at emission; RunLength keeps growing in place as later frames
 // collapse into the run and is only final once ExtractStream returns. An
-// error from emit aborts selection.
+// error from emit aborts selection. It is Select over the frames as RGB
+// sources.
 func (e Extractor) ExtractStream(r FrameReader, emit func(*KeyFrame) error) error {
+	src := &rasterSources{r: r}
+	return e.Select(src, func(k *KeyFrame) error {
+		k.Image = src.last
+		return emit(k)
+	})
+}
+
+// Select is the §4.1 loop: it reads every frame once, computes its naive
+// signature straight from the decoded source (features.NaiveOf — no RGB
+// conversion, no rescale, nothing allocated), and emits each key frame,
+// with its Source and Signature, before the next frame is read; a caller
+// builds an analysis raster only for what it is handed. RunLength and
+// errors behave as in ExtractStream.
+func (e Extractor) Select(r SourceReader, emit func(*KeyFrame) error) error {
 	thr := e.threshold()
 	var cur *KeyFrame
-	idx := -1
-	for {
-		im, err := r.Next()
+	for idx := 0; ; idx++ {
+		src, err := r.NextSource()
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
-			return fmt.Errorf("keyframe: read frame %d: %w", idx+1, err)
+			return fmt.Errorf("keyframe: read frame %d: %w", idx, err)
 		}
-		idx++
-		sig := features.ExtractNaive(im)
-		if cur != nil {
-			dist, derr := cur.Signature.DistanceTo(sig)
-			if derr != nil {
-				return derr
-			}
-			if dist <= thr {
-				// Similar to the current key frame: collapse.
-				cur.RunLength++
-				if e.Recycle != nil {
-					e.Recycle(im)
-				}
-				continue
-			}
+		sig := features.NaiveOf(src)
+		if cur != nil && cur.Signature.Distance(&sig) <= thr {
+			// Similar to the current key frame: collapse.
+			cur.RunLength++
+			continue
 		}
-		cur = &KeyFrame{Index: idx, Image: im, Signature: sig, RunLength: 1}
+		kept := sig // a copy: sig stays on the stack for collapsed frames
+		cur = &KeyFrame{Index: idx, Source: src, Signature: &kept, RunLength: 1}
 		if err := emit(cur); err != nil {
 			return err
 		}
 	}
+}
+
+// rasterSources adapts a FrameReader to Select, keeping the latest frame
+// for ExtractStream's KeyFrame.Image.
+type rasterSources struct {
+	r    FrameReader
+	last *imaging.Image
+}
+
+func (s *rasterSources) NextSource() (imaging.Source, error) {
+	im, err := s.r.Next()
+	if err != nil {
+		return imaging.Source{}, err
+	}
+	s.last = im
+	return im.Source(), nil
 }
 
 // sliceReader adapts a frame slice to FrameReader.
