@@ -261,7 +261,7 @@ func GenerateCorpus(perCategory int, cfg VideoConfig) map[string][]*Image {
 // the bucket come from one shared analysis-plane pass (one rescale, one
 // gray conversion for everything), the same one ingest and search run.
 func DescribeFrame(im *Image) (strings map[FeatureKind]string, min, max int) {
-	set, b := core.Describe(im, nil)
+	set, b := core.Describe(im.Source(), nil)
 	strings = make(map[FeatureKind]string, NumFeatures)
 	for _, k := range features.AllKinds() {
 		if d := set.Get(k); d != nil {

@@ -173,7 +173,7 @@ func runFig8(cfg eval.Table1Config) {
 	frame := qs[0].Frame
 	fmt.Printf("query frame: %dx%d (%v)\n\n", frame.W, frame.H, qs[0].Category)
 
-	set, bucket := core.Describe(frame, nil)
+	set, bucket := core.Describe(frame.Source(), nil)
 
 	fmt.Println("Algorithm : SimpleColorHistogram")
 	fmt.Printf("Output : min = %d, max=%d\n", bucket.Min, bucket.Max)

@@ -141,15 +141,9 @@ type IngestResult struct {
 // carries the §4.2 bucket column the range prune sweeps. Search fans one
 // worker out per shard; ingest and delete update the owning shard under
 // the engine write lock. See DESIGN.md ("Sharded search pipeline").
-// Lock order (enforced by tools/cbvrvet lockorder): the engine lock is
-// outermost; the raster pool's free-list lock is a leaf taken by the
-// decode workers and never held across engine state.
-//
-//cbvrvet:lockorder Engine.mu < rasterPool.mu
 type Engine struct {
-	store   *catalog.Store
-	opts    Options
-	rasters *rasterPool // recycled key-frame analysis rasters
+	store *catalog.Store
+	opts  Options
 
 	mu     sync.RWMutex
 	shards []map[int64]*frameEntry // key-frame ID -> parsed descriptors, by id mod N
@@ -211,13 +205,12 @@ func Open(path string, opts Options) (*Engine, error) {
 		cells[i] = newShardCells(cellCfg)
 	}
 	return &Engine{
-		store:   st,
-		opts:    opts,
-		rasters: newRasterPool(),
-		shards:  shards,
-		arenas:  arenas,
-		cells:   cells,
-		vname:   make(map[int64]string),
+		store:  st,
+		opts:   opts,
+		shards: shards,
+		arenas: arenas,
+		cells:  cells,
+		vname:  make(map[int64]string),
 	}, nil
 }
 
@@ -718,7 +711,7 @@ func entryFromRow(k *catalog.KeyFrame) (*frameEntry, error) {
 	}, nil
 }
 
-// referenceSet is the descriptor set the reference scans compare for an
+// referenceSet is the descriptor set the reference search compares for an
 // entry: a cache-only frame's own, or a stored row's parsed from its
 // KEY_FRAMES text — the catalog's copy, not the packed arena row the
 // production sweep reads. Callers hold e.mu, which comes before the
@@ -860,7 +853,7 @@ func fixedScaleDistance(a, b *features.Set, kinds []features.Kind) float64 {
 func (e *Engine) ExtractQuerySets(frames []*imaging.Image) []*features.Set {
 	out := make([]*features.Set, len(frames))
 	parallelFor(len(frames), e.workers(), func(i int) {
-		out[i], _ = Describe(frames[i], nil)
+		out[i], _ = Describe(frames[i].Source(), nil)
 	})
 	return out
 }

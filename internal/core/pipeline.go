@@ -17,15 +17,16 @@ import (
 )
 
 // Describe extracts a frame's seven descriptors (§4.3–4.8) and its §4.2
-// range bucket from one pooled analysis-plane pass. sig, when non-nil, is
-// the §4.1 selection-time naive signature of the same frame; it is
+// range bucket from one pooled analysis-plane pass, which rescales the
+// decoded frame straight into the planes' own raster. sig, when non-nil,
+// is the §4.1 selection-time naive signature of the same frame; it is
 // installed instead of being sampled again, which leaves the Set
 // bit-identical. Every descriptor copies out of the planes, so the result
 // stays valid after they return to the pool. (p is never an argument or
 // part of a returned expression, so cbvrvet's poolguard tracks it to the
 // release instead of treating it as handed off.)
-func Describe(im *imaging.Image, sig *features.NaiveSignature) (*features.Set, rangeindex.Range) {
-	p := features.AcquirePlanes(im)
+func Describe(src imaging.Source, sig *features.NaiveSignature) (*features.Set, rangeindex.Range) {
+	p := features.AcquireSourcePlanes(src)
 	defer p.Release()
 	var set *features.Set
 	if sig != nil {
@@ -37,13 +38,13 @@ func Describe(im *imaging.Image, sig *features.NaiveSignature) (*features.Set, r
 	return set, bucket
 }
 
-// kfJob carries one key frame through the extraction pool: a pooled
-// analysis raster (and, after §4.1 selection, its signature) in; the
-// descriptor set and §4.2 bucket out, written by exactly one worker.
+// kfJob carries one key frame through the extraction pool: its decoded
+// frame (and, after §4.1 selection, its signature) in; the descriptor set
+// and §4.2 bucket out, written by exactly one worker.
 type kfJob struct {
 	frameIndex int
 	jpeg       []byte                   // original container record (ingest), stored verbatim
-	scaled     *imaging.Image           // analysis raster; dropped after extraction
+	src        imaging.Source           // decoded frame; dropped after extraction
 	sig        *features.NaiveSignature // §4.1 selection-time signature, reused; nil on re-index
 	set        *features.Set
 	bucket     rangeindex.Range
@@ -90,17 +91,6 @@ func (s *frameSource) NextSource() (imaging.Source, error) {
 	return rec.Source, nil
 }
 
-// analysisRaster builds a key frame's 300×300 analysis raster in one pass
-// from its source, into a pooled raster (see rasterPool); it is the only
-// RGB conversion and the only rescale a frame gets. An RGB frame that is
-// already analysis-sized is its own raster and is never pooled.
-func (e *Engine) analysisRaster(src imaging.Source) *imaging.Image {
-	if im := src.RGB(); im != nil && im.W == features.AnalysisSize && im.H == features.AnalysisSize {
-		return im
-	}
-	return src.RescaleInto(e.rasters.get(), features.AnalysisSize, features.AnalysisSize)
-}
-
 // describeKeyFrames runs the bounded extraction pool: produce runs on the
 // calling goroutine and submits jobs, and workers describe each one while
 // produce decodes the frames that follow it. The channel bound (one slot
@@ -116,9 +106,8 @@ func (e *Engine) describeKeyFrames(produce func(submit func(*kfJob)) error) ([]*
 		go func() {
 			defer wg.Done()
 			for j := range queue {
-				j.set, j.bucket = Describe(j.scaled, j.sig)
-				e.rasters.put(j.scaled) // no-op unless pool-owned
-				j.scaled = nil          // retain only descriptors (+ original JPEG)
+				j.set, j.bucket = Describe(j.src, j.sig)
+				j.src = imaging.Source{} // retain only descriptors (+ original JPEG)
 			}
 		}()
 	}
@@ -134,13 +123,13 @@ func (e *Engine) describeKeyFrames(produce func(submit func(*kfJob)) error) ([]*
 
 // selectKeyFrames runs §4.1 selection over src and describes each key
 // frame as it is chosen, reusing its selection-time signature. Only key
-// frames get an analysis raster; the frames that collapse into a run are
-// never converted at all.
+// frames reach Describe and get an analysis raster; the frames that
+// collapse into a run are never converted at all.
 func (e *Engine) selectKeyFrames(src *frameSource) ([]*kfJob, error) {
 	kex := keyframe.Extractor{Threshold: e.opts.KeyframeThreshold}
 	return e.describeKeyFrames(func(submit func(*kfJob)) error {
 		return kex.Select(src, func(k *keyframe.KeyFrame) error {
-			submit(&kfJob{frameIndex: k.Index, jpeg: src.jpeg, scaled: e.analysisRaster(k.Source), sig: k.Signature})
+			submit(&kfJob{frameIndex: k.Index, jpeg: src.jpeg, src: k.Source, sig: k.Signature})
 			return nil
 		})
 	})

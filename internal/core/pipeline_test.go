@@ -35,8 +35,8 @@ func TestSearchVideoRescalesEachFrameOnce(t *testing.T) {
 }
 
 // TestSearchVideoConcurrentWithReindex runs clip searches on several
-// goroutines while re-index rebuilds the corpus: both draw on the engine's
-// raster pool and the planes pool at once. Re-index rebuilds bit-identical
+// goroutines while re-index rebuilds the corpus: both draw on the planes
+// pool, analysis rasters included, at once. Re-index rebuilds bit-identical
 // rows, so every search must return exactly the quiet-engine ranking.
 func TestSearchVideoConcurrentWithReindex(t *testing.T) {
 	eng := openTestEngine(t)

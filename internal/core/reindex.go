@@ -163,7 +163,7 @@ func (e *Engine) reextractStream(ctx context.Context, r io.Reader, rows []*catal
 			if n == len(rows) {
 				return fmt.Errorf("key-frame stream has more records than the %d stored rows", len(rows))
 			}
-			submit(&kfJob{scaled: e.analysisRaster(fr)})
+			submit(&kfJob{src: fr})
 		}
 	})
 	if err != nil {

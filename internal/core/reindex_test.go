@@ -194,31 +194,6 @@ func TestReindexUnderSearchChurn(t *testing.T) {
 	}
 }
 
-// TestIngestRasterPoolBounded pins the RescaleInto pooling: the number of
-// analysis rasters ever allocated stays bounded by the worker count, no
-// matter how many source frames stream through ingest and re-index.
-func TestIngestRasterPoolBounded(t *testing.T) {
-	eng := openTestEngine(t)
-	const frames = 48
-	raw, _ := testContainer(t, synthvid.Movie, 61, frames)
-	res, err := eng.IngestVideoStream("pooled", bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumFrames != frames {
-		t.Fatalf("decoded %d frames", res.NumFrames)
-	}
-	if _, err := eng.ReindexVideo(res.VideoID); err != nil {
-		t.Fatal(err)
-	}
-	// Decode loop + queued jobs + in-flight workers each hold at most one
-	// raster, so the pool never needs more than ~2×workers + 1.
-	bound := int64(2*eng.workers() + 2)
-	if got := eng.rasters.allocs.Load(); got > bound {
-		t.Errorf("pipeline allocated %d analysis rasters for %d frames, want <= %d (pooled)", got, frames, bound)
-	}
-}
-
 // TestReindexRescalesEachKeyFrameOnce extends the one-rescale-per-frame
 // invariant to the re-index path: one RescaleInto per stored key-frame
 // record, nothing else.

@@ -1,7 +1,6 @@
 // Query-side packing and scratch for the batched arena scan, plus the
-// exported surfaces BenchmarkScanArena drives: the raw kernel sweep
-// (ScanArenaInto) and the retained interface-dispatch sweep it is
-// measured against (ScanDispatchReference).
+// exported surface BenchmarkScanArena drives: the raw kernel sweep
+// (ScanArenaInto).
 package core
 
 import (
@@ -175,59 +174,6 @@ func (e *Engine) ScanArenaInto(pq *PackedQuery, dist []float64) (int, error) {
 			}
 			ar.distances(kind, qv, rows, dist[c:c+len(rows)])
 			c += len(rows)
-		}
-	}
-	return c, nil
-}
-
-// ScanDispatchReference is the pre-arena scan shape retained as the
-// kernel sweep's measured baseline: every cached entry × kind through
-// the interface-dispatched DistanceTo, into the same dist layout as
-// ScanArenaInto. Benchmark surface only; over stored rows it also times
-// parsing their descriptor text (referenceSet), since the cache keeps
-// only the packed rows.
-func (e *Engine) ScanDispatchReference(qset *features.Set, kinds []features.Kind, dist []float64) (int, error) {
-	if err := e.warmCache(); err != nil {
-		return 0, err
-	}
-	if len(kinds) == 0 {
-		kinds = features.AllKinds()
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	c := 0
-	for si := range e.arenas {
-		ar := e.arenas[si]
-		sets := make([]*features.Set, len(ar.live))
-		for i, s := range ar.live {
-			set, err := e.referenceSet(ar.ents[s])
-			if err != nil {
-				return 0, err
-			}
-			sets[i] = set
-		}
-		for _, kind := range kinds {
-			qd := qset.Get(kind)
-			if qd == nil {
-				return 0, fmt.Errorf("core: query lacks %v descriptor", kind)
-			}
-			for _, set := range sets {
-				if c >= len(dist) {
-					return 0, fmt.Errorf("core: dist buffer holds %d values, need more", len(dist))
-				}
-				cd := set.Get(kind)
-				if cd == nil {
-					dist[c] = missingDistance
-					c++
-					continue
-				}
-				d, err := qd.DistanceTo(cd)
-				if err != nil {
-					return 0, err
-				}
-				dist[c] = d
-				c++
-			}
 		}
 	}
 	return c, nil

@@ -103,7 +103,7 @@ func (e *Engine) SearchFrameCtx(ctx context.Context, query *imaging.Image, opt S
 	if err := e.warmCache(); err != nil {
 		return nil, err
 	}
-	qset, qbucket := Describe(query, nil)
+	qset, qbucket := Describe(query.Source(), nil)
 	return e.searchSet(ctx, qset, qbucket, opt)
 }
 

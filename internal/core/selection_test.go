@@ -8,7 +8,6 @@ import (
 	"image/color"
 	"image/jpeg"
 	"io"
-	"path/filepath"
 	"testing"
 
 	"cbvr/internal/cvj"
@@ -173,11 +172,11 @@ func TestKeyFrameSelectionMatchesReference(t *testing.T) {
 				if got, want := features.NaiveOf(s), features.ExtractNaive(frames[i]); got != *want {
 					t.Errorf("frame %d: signature %s, reference %s", i, &got, want)
 				}
-				raster := eng.analysisRaster(s)
-				if !raster.Equal(frames[i]) {
+				p := features.AcquireSourcePlanes(s)
+				if !p.Analysis.Equal(frames[i]) {
 					t.Errorf("frame %d: analysis raster diverges from the reference", i)
 				}
-				eng.rasters.put(raster)
+				p.Release()
 			}
 			for i, k := range want {
 				if jobs[i].sig.String() != k.Signature.String() {
@@ -225,16 +224,12 @@ func jobIndices(jobs []*kfJob) []int {
 // its §4.1 signature, and build the analysis raster of each key frame. The
 // clip is the benchmark's upload shape (160×120, 24 frames, 3 shots).
 func BenchmarkDecodeSelect(b *testing.B) {
-	eng, err := Open(filepath.Join(b.TempDir(), "bench.db"), Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
 	raw, err := cvj.EncodeBytes(synthClip(synthvid.Sports, 160, 120, 24, 3, 7), 12, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	kex := keyframe.Extractor{}
+	var raster imaging.Image
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -243,7 +238,7 @@ func BenchmarkDecodeSelect(b *testing.B) {
 			b.Fatal(err)
 		}
 		err = kex.Select(&frameSource{ctx: context.Background(), cr: cr}, func(k *keyframe.KeyFrame) error {
-			eng.rasters.put(eng.analysisRaster(k.Source))
+			k.Source.RescaleInto(&raster, features.AnalysisSize, features.AnalysisSize)
 			return nil
 		})
 		if err != nil {

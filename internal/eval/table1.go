@@ -160,7 +160,7 @@ func RunTable1(eng *core.Engine, queries []Query) (*Table1Result, error) {
 	qsets := make([]*features.Set, len(queries))
 	qbuckets := make([]rangeindex.Range, len(queries))
 	for i, q := range queries {
-		qsets[i], qbuckets[i] = core.Describe(q.Frame, nil)
+		qsets[i], qbuckets[i] = core.Describe(q.Frame.Source(), nil)
 	}
 
 	maxK := Cutoffs[len(Cutoffs)-1]

@@ -12,14 +12,15 @@ import (
 
 // TestExtractAllSteadyStateBytes pins what a warm ingest worker or search
 // handler allocates per frame: AcquirePlanes → ExtractAll → Release on the
-// bench frame. Measured 0.275 MB — the 300×300 analysis raster (0.27 MB,
-// never pooled: descriptors may alias it) and the seven descriptors; every
-// working raster, bitmask, matrix and integral image is in frameScratch
-// and contributes nothing (1.54 MB before Tamura's and GLCM's were, 5.35
-// MB before any was). The ceiling is the measured figure plus 20 %: any
-// one of those coming back per frame breaks it.
+// bench frame. Measured 4 936 bytes — the seven descriptors and nothing
+// else: the 300×300 analysis raster is the pooled planes' own (0.27 MB
+// per frame before it was), and every working raster, bitmask, matrix and
+// integral image is in frameScratch (1.54 MB before Tamura's and GLCM's
+// were, 5.35 MB before any was). The ceiling leaves room for the
+// descriptors to grow but not for any of those buffers to come back per
+// frame.
 func TestExtractAllSteadyStateBytes(t *testing.T) {
-	const ceiling = 330_000
+	const ceiling = 20_000
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P, one pool shard
 	im := benchFrame()
 	frame := func() {

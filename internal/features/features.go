@@ -271,12 +271,6 @@ func kindMismatch(want Kind, got Descriptor) error {
 	return fmt.Errorf("features: distance between %v and %v descriptors", want, got.Kind())
 }
 
-// AnalysisRaster returns the frame's canonical 300×300 analysis raster —
-// the frame itself when it already has analysis dimensions. The streamed
-// ingest pipeline rescales each source frame exactly once through this and
-// feeds the raster to both §4.1 selection and key-frame feature extraction.
-func AnalysisRaster(im *imaging.Image) *imaging.Image { return analysisImage(im) }
-
 // analysisImage rescales a frame to the canonical 300×300 analysis raster
 // using the paper's nearest-neighbour interpolation.
 func analysisImage(im *imaging.Image) *imaging.Image {

@@ -7,18 +7,20 @@ import (
 )
 
 // Planes holds the per-frame analysis rasters every extractor consumes,
-// computed exactly once. Before this existed, each of the seven extractors
-// independently rescaled the frame to the 300×300 analysis raster, five of
-// them independently converted it to gray, and the range index paid for
-// yet another rescale — eight rescales and six gray conversions per key
-// frame. NewPlanes performs one rescale, one gray conversion, one HSV
-// quantisation pass and one histogram pass; ExtractAll and the per-kind
-// ExtractWith / Extract*With entry points then reuse the shared planes. The descriptors produced through the shared planes are
-// bit-identical to the retained naive reference (ExtractAllReference) —
-// see shared_test.go.
+// computed exactly once: one rescale to the 300×300 analysis raster, one
+// gray conversion, one HSV quantisation pass and one histogram pass.
+// ExtractAll and the per-kind ExtractWith / Extract*With entry points then
+// reuse the shared planes instead of each rescaling and converting the
+// frame again. The descriptors are bit-identical to the retained naive
+// reference (ExtractAllReference) — see shared_test.go.
+//
+// Planes own every buffer they hold, the analysis raster included, so
+// pooled planes (AcquireSourcePlanes) compute a frame with no per-frame
+// raster allocation. Every descriptor copies out of the planes.
 type Planes struct {
-	// Analysis is the 300×300 analysis raster (the frame itself when it
-	// already has analysis dimensions, mirroring analysisImage).
+	// Analysis is the 300×300 analysis raster: the frame itself when it is
+	// an RGB raster that already has analysis dimensions, the planes' own
+	// raster otherwise.
 	Analysis *imaging.Image
 	// Gray is the BT.601 luma plane of Analysis. Consumed by GLCM,
 	// Tamura, Gabor (via a further 64×64 rescale) and region growing.
@@ -29,41 +31,48 @@ type Planes struct {
 	// GrayHist is the 256-bin histogram of Gray — the §4.2 range-finder
 	// input, equal to Analysis.GrayHistogram().
 	GrayHist [256]int
+
+	raster imaging.Image // backing buffer of Analysis when it is a rescale
 }
 
 // NewPlanes computes the shared analysis planes for a frame.
 func NewPlanes(im *imaging.Image) *Planes {
 	p := &Planes{}
-	p.reset(im)
+	p.reset(im.Source())
 	return p
 }
 
-// planesPool recycles Planes whose Gray and Quant buffers are already
-// analysis-sized, so a steady-state ingest worker computes planes with zero
-// per-frame raster allocations. Analysis is never pooled: it is either the
-// caller's frame or a rescale the descriptors may alias.
+// planesPool recycles Planes whose raster, Gray and Quant buffers are
+// already analysis-sized.
 var planesPool = sync.Pool{New: func() any { return &Planes{} }}
 
-// AcquirePlanes is NewPlanes over pooled buffers. The returned planes are
-// valid until Release; every descriptor the extractors produce copies out
-// of the shared rasters (see shared_test.go's pool-aliasing tests), so the
-// extracted Sets stay valid after the planes are recycled.
-func AcquirePlanes(im *imaging.Image) *Planes {
+// AcquireSourcePlanes computes the planes of a decoded frame into pooled
+// buffers: a decoder's Y'CbCr planes are rescaled straight into the
+// pooled raster, converting only the pixels it samples. The returned
+// planes are valid until Release; the extracted Sets stay valid after it
+// (see the pool-aliasing tests in planes_pool_test.go).
+func AcquireSourcePlanes(src imaging.Source) *Planes {
 	p := planesPool.Get().(*Planes)
-	p.reset(im)
+	p.reset(src)
 	return p
 }
 
-// Release returns the planes' Gray and Quant buffers to the pool. The
-// planes must not be used afterwards.
+// AcquirePlanes is AcquireSourcePlanes for an RGB frame.
+func AcquirePlanes(im *imaging.Image) *Planes { return AcquireSourcePlanes(im.Source()) }
+
+// Release returns the planes' buffers to the pool. The planes must not be
+// used afterwards.
 func (p *Planes) Release() {
 	p.Analysis = nil
 	planesPool.Put(p)
 }
 
 // reset recomputes every plane for a frame, reusing buffers in place.
-func (p *Planes) reset(im *imaging.Image) {
-	a := analysisImage(im)
+func (p *Planes) reset(src imaging.Source) {
+	a := src.RGB()
+	if a == nil || a.W != AnalysisSize || a.H != AnalysisSize {
+		a = src.RescaleInto(&p.raster, AnalysisSize, AnalysisSize)
+	}
 	n := a.W * a.H
 	p.Analysis = a
 	if p.Gray == nil {
@@ -84,8 +93,8 @@ func (p *Planes) ExtractAll() *Set {
 
 // ExtractAllWithNaive computes the other six descriptors from the planes
 // and installs a precomputed naive signature instead of sampling it again.
-// The streamed ingest pipeline passes the §4.1 selection-time signature,
-// which was sampled from the same analysis raster, so the resulting Set is
+// The key-frame pipeline passes the §4.1 selection-time signature, which
+// features.NaiveOf computed from the same frame, so the resulting Set is
 // bit-identical to ExtractAll's.
 func (p *Planes) ExtractAllWithNaive(sig *NaiveSignature) *Set {
 	return &Set{

@@ -1,8 +1,10 @@
 package features
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 
@@ -13,7 +15,11 @@ import (
 // reference: acquiring, extracting and releasing must produce exactly the
 // reference descriptor strings, and recycling the buffers for another frame
 // must not disturb descriptors extracted earlier (every descriptor copies
-// out of the shared rasters).
+// out of the shared rasters, the pooled analysis raster included). RGB
+// frames alternate with JPEG-decoded frames of other sizes, whose Y'CbCr
+// planes are rescaled straight into the pooled raster, so a raster left
+// over from the previous frame, or one that kept the previous frame's
+// size, would show.
 func TestAcquirePlanesBitIdentity(t *testing.T) {
 	type extracted struct {
 		name string
@@ -21,15 +27,35 @@ func TestAcquirePlanesBitIdentity(t *testing.T) {
 		got  *Set
 	}
 	var all []extracted
-	for name, im := range equivalenceFrames() {
-		p := AcquirePlanes(im)
+	extract := func(name string, src imaging.Source) {
+		p := AcquireSourcePlanes(src)
 		got := p.ExtractAll()
 		p.Release()
-		all = append(all, extracted{name: name, want: ExtractAllReference(im), got: got})
+		all = append(all, extracted{name: name, want: ExtractAllReference(src.Image()), got: got})
+	}
+	decoded := []imaging.Source{
+		jpegSource(t, randomFrame(20, 160, 120)),
+		jpegSource(t, randomFrame(21, AnalysisSize, AnalysisSize)),
+		jpegSource(t, structuredFrame(22)),
+		jpegSource(t, randomFrame(23, 641, 479)),
+	}
+	frames := equivalenceFrames()
+	names := make([]string, 0, len(frames))
+	for name := range frames {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for i, name := range names {
+		extract(name, frames[name].Source())
+		j := i % len(decoded)
+		extract(fmt.Sprintf("jpeg_%d", j), decoded[j])
 	}
 	// Churn the pool after all extractions so stale aliasing would show.
 	for i := 0; i < 4; i++ {
 		p := AcquirePlanes(randomFrame(int64(900+i), 128, 96))
+		p.ExtractAll()
+		p.Release()
+		p = AcquireSourcePlanes(decoded[i])
 		p.ExtractAll()
 		p.Release()
 	}
@@ -40,6 +66,24 @@ func TestAcquirePlanesBitIdentity(t *testing.T) {
 			}
 		}
 	}
+}
+
+// jpegSource encodes a frame as JPEG and decodes it back as the decoder's
+// Y'CbCr planes.
+func jpegSource(t *testing.T, im *imaging.Image) imaging.Source {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := im.EncodeJPEG(&buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	src, err := imaging.DecodeJPEGSource(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src.RGB() != nil {
+		t.Fatal("JPEG decoded to an RGB raster, want Y'CbCr planes")
+	}
+	return src
 }
 
 // TestExtractAllWithNaiveInstallsSignature checks that the precomputed
@@ -70,7 +114,7 @@ func TestExtractAllWithNaiveInstallsSignature(t *testing.T) {
 func TestExtractNaivePrescaledRaster(t *testing.T) {
 	im := randomFrame(12, 320, 240)
 	want := ExtractNaive(im).String()
-	scaled := AnalysisRaster(im)
+	scaled := analysisImage(im)
 	start := imaging.RescaleCalls()
 	got := ExtractNaive(scaled).String()
 	if n := imaging.RescaleCalls() - start; n != 0 {

@@ -43,8 +43,8 @@ func (im *Image) Rescale(w, h int) *Image {
 
 // RescaleInto is Rescale writing into dst: dst's pixel buffer is reused
 // when it has the capacity, so a pooled destination makes steady-state
-// rescaling allocation-free (the ingest and re-index pipelines recycle
-// analysis rasters this way). Every pixel of dst is overwritten — a
+// rescaling allocation-free (pooled features.Planes keep their analysis
+// raster this way). Every pixel of dst is overwritten — a
 // recycled buffer cannot leak stale content. It returns dst and counts as
 // one rescale in RescaleCalls, exactly like Rescale.
 //

@@ -141,8 +141,12 @@ func (s *Server) handleVideo(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		img, ok, err := s.eng.Store().KeyFrameImage(nil, kf.ID)
-		if err != nil || !ok {
-			continue
+		if err != nil {
+			s.writeErr(w, err, admission.Search)
+			return
+		}
+		if !ok {
+			continue // deleted since the listing was read
 		}
 		frames = append(frames, frameView{
 			Index: kf.FrameIndex,

@@ -13,6 +13,8 @@ import (
 	"cbvr/internal/core"
 	"cbvr/internal/cvj"
 	"cbvr/internal/synthvid"
+	"cbvr/internal/vstore"
+	"cbvr/internal/vstore/faultfs"
 )
 
 // newPageServer serves one resident ten-frame cartoon video.
@@ -113,6 +115,64 @@ func TestVideoPageShowsKeyFrames(t *testing.T) {
 	}
 	if !strings.Contains(body, "bucket [") {
 		t.Error("video page missing range buckets")
+	}
+}
+
+// TestVideoPageFailsOnUnreadableFrame pins that a key-frame image the
+// store fails to read fails the page with a 500 instead of being silently
+// left off a 200. The store is reopened cold and the listing read once, so
+// with every data-file read failing afterwards only the image reads miss.
+func TestVideoPageFailsOnUnreadableFrame(t *testing.T) {
+	ffs := faultfs.New()
+	opts := core.Options{Store: vstore.Options{FS: ffs}}
+	eng, err := core.Open("pages.db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := synthvid.Generate(synthvid.Cartoon, synthvid.Config{Width: 96, Height: 72, Frames: 10, Shots: 2, Seed: 3})
+	res, err := eng.IngestFrames("cartoon_00", v.Frames, v.FPS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if eng, err = core.Open("pages.db", opts); err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	srv := New(eng, Options{})
+	listing := func() error {
+		if _, _, err := eng.Store().GetVideoInfo(nil, res.VideoID); err != nil {
+			return err
+		}
+		_, err := eng.Store().KeyFramesOfVideo(nil, res.VideoID)
+		return err
+	}
+	if err := listing(); err != nil {
+		t.Fatal(err)
+	}
+	ffs.SetInjector(func(op faultfs.Op) faultfs.Action {
+		if op.Kind == faultfs.OpRead && op.Name == "pages.db" {
+			return faultfs.ActErr
+		}
+		return faultfs.ActNone
+	})
+	if err := listing(); err != nil {
+		t.Fatalf("listing not served from the buffer pool: %v", err)
+	}
+	path := fmt.Sprintf("/video?id=%d", res.VideoID)
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	if rec.Code != http.StatusInternalServerError {
+		t.Errorf("unreadable key frame: status %d, want 500", rec.Code)
+	}
+
+	ffs.SetInjector(nil)
+	rec = httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "data:image/jpeg;base64,") {
+		t.Errorf("after the fault: status %d, want 200 with key frames", rec.Code)
 	}
 }
 

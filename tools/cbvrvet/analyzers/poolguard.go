@@ -73,7 +73,7 @@ func checkPoolFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 }
 
 // isPoolType reports whether t (after deref) is a named type whose name
-// contains "pool" (sync.Pool, rasterPool, scanScratchPool's sync.Pool).
+// contains "pool" (sync.Pool, as behind planesPool and scanScratchPool).
 func isPoolType(t types.Type) bool {
 	named, ok := derefType(t).(*types.Named)
 	if !ok {
