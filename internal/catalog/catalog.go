@@ -321,23 +321,7 @@ func (s *Store) InsertKeyFrame(tx *vstore.Txn, k *KeyFrame) (int64, error) {
 	if k.ID != 0 {
 		pk = vstore.Int64(k.ID)
 	}
-	id, err := s.frames.Insert(tx, []vstore.Value{
-		pk,
-		vstore.Text(k.Name),
-		vstore.Blob(k.Image),
-		vstore.Int64(int64(k.Min)),
-		vstore.Int64(int64(k.Max)),
-		vstore.Text(k.SCH),
-		vstore.Text(k.GLCM),
-		vstore.Text(k.Gabor),
-		vstore.Text(k.Tamura),
-		vstore.Int64(int64(k.MajorRegions)),
-		vstore.Int64(k.VideoID),
-		vstore.Text(k.ACC),
-		vstore.Text(k.Naive),
-		vstore.Text(k.Regions),
-		vstore.Int64(int64(k.FrameIndex)),
-	})
+	id, err := s.frames.Insert(tx, keyFrameRow(k, pk, vstore.Blob(k.Image)))
 	if err != nil {
 		return 0, fmt.Errorf("catalog: insert key frame %q: %w", k.Name, err)
 	}
@@ -354,8 +338,18 @@ func (s *Store) UpdateKeyFrame(tx *vstore.Txn, k *KeyFrame) error {
 	if k.Image == nil && !k.ImageRef.IsZero() {
 		image = vstore.BlobRefV(k.ImageRef)
 	}
-	err := s.frames.Update(tx, k.ID, []vstore.Value{
-		vstore.Int64(k.ID),
+	if err := s.frames.Update(tx, k.ID, keyFrameRow(k, vstore.Int64(k.ID), image)); err != nil {
+		return fmt.Errorf("catalog: update key frame %d: %w", k.ID, err)
+	}
+	return nil
+}
+
+// keyFrameRow lays a key frame out as a KEY_FRAMES row in schema column
+// order, the inverse of keyFrameFromRow. Insert and update differ only in
+// the I_ID and IMAGE values they pass.
+func keyFrameRow(k *KeyFrame, pk, image vstore.Value) []vstore.Value {
+	return []vstore.Value{
+		pk,
 		vstore.Text(k.Name),
 		image,
 		vstore.Int64(int64(k.Min)),
@@ -370,11 +364,7 @@ func (s *Store) UpdateKeyFrame(tx *vstore.Txn, k *KeyFrame) error {
 		vstore.Text(k.Naive),
 		vstore.Text(k.Regions),
 		vstore.Int64(int64(k.FrameIndex)),
-	})
-	if err != nil {
-		return fmt.Errorf("catalog: update key frame %d: %w", k.ID, err)
 	}
-	return nil
 }
 
 func keyFrameFromRow(pk int64, row []vstore.Value) *KeyFrame {

@@ -356,6 +356,30 @@ func TestScanScratchGrowShapes(t *testing.T) {
 	}
 }
 
+// fixedScaleDistance is the Set-based reference form of
+// fixedScaleDistancePacked: the same fixed-scale fusion through
+// Descriptor.DistanceTo.
+func fixedScaleDistance(a, b *features.Set, kinds []features.Kind) float64 {
+	var sum float64
+	n := 0
+	for _, kind := range kinds {
+		da, db := a.Get(kind), b.Get(kind)
+		if da == nil || db == nil {
+			continue
+		}
+		d, err := da.DistanceTo(db)
+		if err != nil {
+			continue
+		}
+		sum += d / features.FixedScale(kind)
+		n++
+	}
+	if n == 0 {
+		return 1e9
+	}
+	return sum / float64(n)
+}
+
 // TestFixedScaleDistancePackedMatchesSet checks the DTW / best-frame
 // cost path: the packed-kernel fixed-scale distance equals the Set-based
 // form bit for bit for every cached entry, including kind subsets.

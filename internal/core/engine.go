@@ -76,7 +76,8 @@ type SearchOptions struct {
 	// (the paper's "Combined" configuration).
 	Kinds []features.Kind
 	// Weights gives per-kind fusion weights aligned with Kinds; nil means
-	// equal weights. Only FusionMinMax uses weights.
+	// equal weights. Only FusionMinMax uses weights, but every search
+	// rejects a length other than the number of kinds.
 	Weights []float64
 	// Fusion selects the rank-combination rule (default FusionRRF).
 	Fusion Fusion
@@ -680,18 +681,26 @@ func (e *Engine) warmCache() error {
 	return nil
 }
 
+// kindColumns maps each kind to its KEY_FRAMES text column. It is the one
+// place that mapping is written: putDescriptors and storedSet, inverses of
+// each other, both iterate it.
+var kindColumns = [features.NumKinds]func(*catalog.KeyFrame) *string{
+	features.KindGLCM:        func(k *catalog.KeyFrame) *string { return &k.GLCM },
+	features.KindGabor:       func(k *catalog.KeyFrame) *string { return &k.Gabor },
+	features.KindTamura:      func(k *catalog.KeyFrame) *string { return &k.Tamura },
+	features.KindHistogram:   func(k *catalog.KeyFrame) *string { return &k.SCH },
+	features.KindCorrelogram: func(k *catalog.KeyFrame) *string { return &k.ACC },
+	features.KindRegions:     func(k *catalog.KeyFrame) *string { return &k.Regions },
+	features.KindNaive:       func(k *catalog.KeyFrame) *string { return &k.Naive },
+}
+
 // putDescriptors writes a descriptor set and its §4.2 bucket into a key
-// frame's descriptor columns — the one Set-to-row mapping, the inverse of
-// storedSet. Ingest and re-index both store through it.
+// frame's descriptor columns. Ingest and re-index both store through it.
 func putDescriptors(k *catalog.KeyFrame, set *features.Set, bucket rangeindex.Range) {
 	k.Min, k.Max = bucket.Min, bucket.Max
-	k.SCH = set.Histogram.String()
-	k.GLCM = set.GLCM.String()
-	k.Gabor = set.Gabor.String()
-	k.Tamura = set.Tamura.String()
-	k.ACC = set.Correlogram.String()
-	k.Naive = set.Naive.String()
-	k.Regions = set.Regions.String()
+	for kind, col := range kindColumns {
+		*col(k) = set.Get(features.Kind(kind)).String()
+	}
 	k.MajorRegions = set.Regions.Major
 }
 
@@ -734,22 +743,12 @@ func (e *Engine) referenceSet(en *frameEntry) (*features.Set, error) {
 // empty is a missing descriptor.
 func storedSet(k *catalog.KeyFrame) (*features.Set, error) {
 	set := &features.Set{}
-	for _, f := range []struct {
-		kind features.Kind
-		s    string
-	}{
-		{features.KindHistogram, k.SCH},
-		{features.KindGLCM, k.GLCM},
-		{features.KindGabor, k.Gabor},
-		{features.KindTamura, k.Tamura},
-		{features.KindCorrelogram, k.ACC},
-		{features.KindNaive, k.Naive},
-		{features.KindRegions, k.Regions},
-	} {
-		if f.s == "" {
+	for kind, col := range kindColumns {
+		text := *col(k)
+		if text == "" {
 			continue
 		}
-		d, err := features.Parse(f.kind, f.s)
+		d, err := features.Parse(features.Kind(kind), text)
 		if err != nil {
 			return nil, fmt.Errorf("core: key frame %d: %w", k.ID, err)
 		}
@@ -786,24 +785,32 @@ func (opt *SearchOptions) kinds() []features.Kind {
 	return opt.Kinds
 }
 
-// fixedKindScale brings each feature's raw distance to a comparable unit
-// magnitude for use inside DTW cost functions, where per-candidate min-max
-// normalisation is not available.
-var fixedKindScale = map[features.Kind]float64{
-	features.KindHistogram:   2,     // L1 over distributions is in [0,2]
-	features.KindGLCM:        2,     // scaled L2, typically < 2
-	features.KindGabor:       0.5,   // magnitude-normalised responses
-	features.KindTamura:      2,     // scaled L2 + half-L1 directionality
-	features.KindCorrelogram: 0.5,   // mean |Δ| of max-normalised cells
-	features.KindRegions:     10,    // counts
-	features.KindNaive:       11025, // 25 × max per-point distance (441)
+// validate rejects options no search can run: a kind outside the kind
+// table, or fusion weights that do not align with the kinds. Every path
+// that scores a search, the reference included, checks it first, so each
+// entry point returns the error instead of panicking.
+func (opt *SearchOptions) validate() error {
+	for _, kind := range opt.Kinds {
+		if !kind.Valid() {
+			return fmt.Errorf("core: unknown feature kind %d", int(kind))
+		}
+	}
+	n := len(opt.Kinds)
+	if n == 0 {
+		n = int(features.NumKinds)
+	}
+	if opt.Weights != nil && len(opt.Weights) != n {
+		return fmt.Errorf("core: %d fusion weights for %d kinds", len(opt.Weights), n)
+	}
+	return nil
 }
 
-// fixedScaleDistancePacked is fixedScaleDistance with the query side
+// fixedScaleDistancePacked fuses per-kind distances, each divided by the
+// kind's features.FixedScale, with equal weights. The query side is
 // pre-packed and the stored side read from an arena slot — the same
 // kernels the frame scan uses, so the DTW video search and the
 // best-single-frame ablation pay no interface dispatch either. A kind
-// missing on either side is skipped, mirroring the Set-based form.
+// missing on either side is skipped.
 //
 //cbvrvet:noalloc
 func fixedScaleDistancePacked(pq *PackedQuery, ar *shardArena, slot int32) float64 {
@@ -814,32 +821,7 @@ func fixedScaleDistancePacked(pq *PackedQuery, ar *shardArena, slot int32) float
 		if qv == nil || !ar.hasKind(kind, slot) {
 			continue
 		}
-		sum += features.PairDistance(kind, qv, ar.row(kind, slot)) / fixedKindScale[kind]
-		n++
-	}
-	if n == 0 {
-		return 1e9
-	}
-	return sum / float64(n)
-}
-
-// fixedScaleDistance fuses per-kind distances with fixed scales (equal
-// weights). Retained as the reference form of fixedScaleDistancePacked
-// (equivalence-tested in arena_test.go) and for callers holding plain
-// Sets.
-func fixedScaleDistance(a, b *features.Set, kinds []features.Kind) float64 {
-	var sum float64
-	n := 0
-	for _, kind := range kinds {
-		da, db := a.Get(kind), b.Get(kind)
-		if da == nil || db == nil {
-			continue
-		}
-		d, err := da.DistanceTo(db)
-		if err != nil {
-			continue
-		}
-		sum += d / fixedKindScale[kind]
+		sum += features.PairDistance(kind, qv, ar.row(kind, slot)) / features.FixedScale(kind)
 		n++
 	}
 	if n == 0 {

@@ -14,8 +14,7 @@ import (
 // PackedQuery carries one query descriptor set's kernel vectors, packed
 // once per search (one backing array, one subslice per requested kind).
 // vec[i] is nil when the set lacks kinds[i] — searchSet rejects that for
-// frame searches, while the fixed-scale video paths skip the kind, the
-// same way fixedScaleDistance skips nil descriptors.
+// frame searches, while the fixed-scale video paths skip the kind.
 type PackedQuery struct {
 	kinds []features.Kind
 	vec   [][]float64

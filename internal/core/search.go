@@ -158,6 +158,9 @@ func (e *Engine) searchSet(ctx context.Context, qset *features.Set, qbucket rang
 // searchSetStats is searchSet with the per-search work counters surfaced
 // (and folded into the engine-wide tally either way).
 func (e *Engine) searchSetStats(ctx context.Context, qset *features.Set, qbucket rangeindex.Range, opt SearchOptions) ([]Match, SearchStats, error) {
+	if err := opt.validate(); err != nil {
+		return nil, SearchStats{}, err
+	}
 	if err := e.warmCache(); err != nil {
 		return nil, SearchStats{}, err
 	}
@@ -481,6 +484,9 @@ func rrfScores(all []scored, nk, workers int) []float64 {
 // sharded pipeline sweeps. The sharded pipeline must reproduce its output
 // exactly; it exists for equivalence tests and as the benchmark baseline.
 func (e *Engine) searchSetReference(qset *features.Set, qbucket rangeindex.Range, opt SearchOptions) ([]Match, error) {
+	if err := opt.validate(); err != nil {
+		return nil, err
+	}
 	if err := e.warmCache(); err != nil {
 		return nil, err
 	}
@@ -627,6 +633,9 @@ func (e *Engine) SearchVideoCtx(ctx context.Context, queryFrames []*imaging.Imag
 // on cancellation the context's error is returned, never a partial
 // ranking.
 func (e *Engine) searchVideoSets(ctx context.Context, qsets []*features.Set, opt SearchOptions) ([]VideoMatch, error) {
+	if err := opt.validate(); err != nil {
+		return nil, err
+	}
 	// Video DTW has no pruner to shrink (every stored video is aligned),
 	// so under sustained pressure the unbounded form is refused whole,
 	// like the K<=0 frame ranking.
@@ -696,6 +705,9 @@ func (e *Engine) searchVideoSets(ctx context.Context, qsets []*features.Set, opt
 // and per-entry hashing were pure churn); the minima merge exactly, so
 // results are identical at any worker count.
 func (e *Engine) BestSingleFrameVideoSearch(qsets []*features.Set, opt SearchOptions) ([]VideoMatch, error) {
+	if err := opt.validate(); err != nil {
+		return nil, err
+	}
 	if err := e.warmCache(); err != nil {
 		return nil, err
 	}

@@ -242,6 +242,47 @@ func TestSearchMissingQueryDescriptor(t *testing.T) {
 	}
 }
 
+// TestSearchRejectsInvalidOptions checks that every search entry point
+// returns an error, instead of panicking, for a kind outside the kind table
+// and for min-max weights that do not align with the kinds.
+func TestSearchRejectsInvalidOptions(t *testing.T) {
+	f := sharedFixture(t)
+	ctx := context.Background()
+	qset, qbkt := f.qsets[0], f.qbkts[0]
+	clip := synthvid.Generate(synthvid.Sports, synthvid.Config{Width: 96, Height: 72, Frames: 4, Shots: 1, Seed: 7}).Frames
+	for name, opt := range map[string]SearchOptions{
+		"unknown-kind":     {K: 3, Kinds: []features.Kind{42}},
+		"negative-kind":    {K: 3, Kinds: []features.Kind{-1}},
+		"weights-mismatch": {K: 3, Kinds: []features.Kind{features.KindHistogram, features.KindGLCM}, Weights: []float64{1, 2, 3}, Fusion: FusionMinMax},
+		"weights-for-all":  {K: 3, Weights: []float64{1}, Fusion: FusionMinMax},
+	} {
+		t.Run(name, func(t *testing.T) {
+			calls := map[string]func() error{
+				"SearchWithSet": func() error { _, err := f.eng.SearchWithSet(qset, qbkt, opt); return err },
+				"SearchWithSetReference": func() error {
+					_, err := f.eng.SearchWithSetReference(qset, qbkt, opt)
+					return err
+				},
+				"SearchFrame": func() error { _, err := f.eng.SearchFrame(clip[0], opt); return err },
+				"SearchVideo": func() error { _, err := f.eng.SearchVideo(clip, opt); return err },
+				"searchVideoSets": func() error {
+					_, err := f.eng.searchVideoSets(ctx, []*features.Set{qset}, opt)
+					return err
+				},
+				"BestSingleFrameVideoSearch": func() error {
+					_, err := f.eng.BestSingleFrameVideoSearch([]*features.Set{qset}, opt)
+					return err
+				},
+			}
+			for call, fn := range calls {
+				if err := fn(); err == nil {
+					t.Errorf("%s accepted %+v", call, opt)
+				}
+			}
+		})
+	}
+}
+
 // TestVideoSearchDeterministicAcrossWorkers runs the parallel video-level
 // searches at several worker counts and requires identical rankings.
 func TestVideoSearchDeterministicAcrossWorkers(t *testing.T) {

@@ -11,7 +11,10 @@
 // so a whole cell can be skipped (or deferred) when that bound already
 // exceeds the worst distance a search still cares about. The bound is
 // only sound if the kind's distance satisfies the triangle inequality on
-// packed vectors, which holds for all seven kinds:
+// packed vectors. The kind table's metric flag records that per kind
+// (BoundSupported reads it), so a future non-metric kind is marked false
+// and fails safe instead of silently over-pruning. It holds for all seven
+// kinds:
 //
 //	glcm            weighted (per-statistic scaled) L2 — a metric.
 //	gabor           plain L2 at stride 60 — a metric.
@@ -46,21 +49,6 @@
 package features
 
 import "math"
-
-// BoundSupported reports whether the kind's packed distance satisfies the
-// triangle inequality, i.e. whether PairLowerBound is sound for it. All
-// seven current kinds qualify (see the package comment above); the switch
-// stays explicit so a future non-metric kind fails safe by returning
-// false instead of silently over-pruning.
-func BoundSupported(kind Kind) bool {
-	switch kind {
-	case KindGLCM, KindGabor, KindTamura, KindHistogram,
-		KindCorrelogram, KindRegions, KindNaive:
-		return true
-	default:
-		return false
-	}
-}
 
 // boundSlack makes the triangle-inequality bound conservative in
 // floating point, not just in exact arithmetic. The distance kernels

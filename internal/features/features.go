@@ -26,50 +26,6 @@ import (
 // pixelCounter is 180000 = 2·300·300.
 const AnalysisSize = 300
 
-// Kind identifies one of the paper's descriptors.
-type Kind int
-
-// The seven descriptor kinds, in the order of the paper's Table 1 columns.
-const (
-	KindGLCM Kind = iota
-	KindGabor
-	KindTamura
-	KindHistogram
-	KindCorrelogram
-	KindRegions
-	KindNaive
-	NumKinds
-)
-
-var kindNames = [...]string{"glcm", "gabor", "tamura", "histogram", "autocorrelogram", "regions", "naive"}
-
-// String returns the lower-case kind name.
-func (k Kind) String() string {
-	if k < 0 || int(k) >= len(kindNames) {
-		return fmt.Sprintf("kind(%d)", int(k))
-	}
-	return kindNames[k]
-}
-
-// ParseKind maps a name produced by String back to a Kind.
-func ParseKind(s string) (Kind, error) {
-	for i, n := range kindNames {
-		if n == s {
-			return Kind(i), nil
-		}
-	}
-	return 0, fmt.Errorf("features: unknown kind %q", s)
-}
-
-// AllKinds returns every kind in Table 1 order.
-func AllKinds() []Kind {
-	out := make([]Kind, NumKinds)
-	for i := range out {
-		out[i] = Kind(i)
-	}
-	return out
-}
-
 // Descriptor is a single extracted feature: serialisable to the paper's
 // string format and comparable to another descriptor of the same kind.
 type Descriptor interface {
@@ -90,78 +46,8 @@ type Descriptor interface {
 	AppendTo(dst []float64) []float64
 }
 
-// kernelStrides maps each kind to its packed kernel vector width. The
-// layouts are defined next to each kind's AppendTo.
-var kernelStrides = [NumKinds]int{
-	KindGLCM:        5,
-	KindGabor:       GaborVectorLen,
-	KindTamura:      TamuraVectorLen,
-	KindHistogram:   HistogramBins + 1,
-	KindCorrelogram: CorrelogramBins * CorrelogramMaxDistance,
-	KindRegions:     3,
-	KindNaive:       NaivePoints * 3,
-}
-
-// Stride returns the packed kernel vector width of a kind (the number of
-// float64s AppendTo emits and the per-row stride of an arena column).
-func Stride(kind Kind) int {
-	if kind < 0 || kind >= NumKinds {
-		panic(errUnknownKind(kind))
-	}
-	return kernelStrides[kind]
-}
-
-// Extract computes the descriptor of the given kind for a frame.
-func Extract(kind Kind, im *imaging.Image) (Descriptor, error) {
-	switch kind {
-	case KindHistogram:
-		return ExtractColorHistogram(im), nil
-	case KindGLCM:
-		return ExtractGLCM(im), nil
-	case KindGabor:
-		return ExtractGabor(im), nil
-	case KindTamura:
-		return ExtractTamura(im), nil
-	case KindCorrelogram:
-		return ExtractCorrelogram(im), nil
-	case KindNaive:
-		return ExtractNaive(im), nil
-	case KindRegions:
-		return ExtractRegions(im), nil
-	default:
-		return nil, errUnknownKind(kind)
-	}
-}
-
-// errUnknownKind builds the standard error for an out-of-range kind.
-func errUnknownKind(kind Kind) error {
-	return fmt.Errorf("features: unknown kind %d", int(kind))
-}
-
-// Parse reconstructs a descriptor of the given kind from its String form.
-func Parse(kind Kind, s string) (Descriptor, error) {
-	switch kind {
-	case KindHistogram:
-		return ParseColorHistogram(s)
-	case KindGLCM:
-		return ParseGLCM(s)
-	case KindGabor:
-		return ParseGabor(s)
-	case KindTamura:
-		return ParseTamura(s)
-	case KindCorrelogram:
-		return ParseCorrelogram(s)
-	case KindNaive:
-		return ParseNaive(s)
-	case KindRegions:
-		return ParseRegions(s)
-	default:
-		return nil, fmt.Errorf("features: unknown kind %d", int(kind))
-	}
-}
-
 // Set bundles one descriptor of every kind for a frame, as the KEY_FRAMES
-// row stores them.
+// row stores them. Get and Put address a slot by kind (kinds.go).
 type Set struct {
 	Histogram   *ColorHistogram
 	GLCM        *GLCM
@@ -197,73 +83,6 @@ func ExtractAllReference(im *imaging.Image) *Set {
 		Naive:       ExtractNaive(im),
 		Regions:     ExtractRegionsReference(im),
 	}
-}
-
-// Get returns the descriptor of the given kind, or nil if absent.
-func (s *Set) Get(kind Kind) Descriptor {
-	switch kind {
-	case KindHistogram:
-		if s.Histogram == nil {
-			return nil
-		}
-		return s.Histogram
-	case KindGLCM:
-		if s.GLCM == nil {
-			return nil
-		}
-		return s.GLCM
-	case KindGabor:
-		if s.Gabor == nil {
-			return nil
-		}
-		return s.Gabor
-	case KindTamura:
-		if s.Tamura == nil {
-			return nil
-		}
-		return s.Tamura
-	case KindCorrelogram:
-		if s.Correlogram == nil {
-			return nil
-		}
-		return s.Correlogram
-	case KindNaive:
-		if s.Naive == nil {
-			return nil
-		}
-		return s.Naive
-	case KindRegions:
-		if s.Regions == nil {
-			return nil
-		}
-		return s.Regions
-	default:
-		return nil
-	}
-}
-
-// Put stores a descriptor into its slot. It returns an error for an
-// unknown concrete type.
-func (s *Set) Put(d Descriptor) error {
-	switch v := d.(type) {
-	case *ColorHistogram:
-		s.Histogram = v
-	case *GLCM:
-		s.GLCM = v
-	case *Gabor:
-		s.Gabor = v
-	case *Tamura:
-		s.Tamura = v
-	case *Correlogram:
-		s.Correlogram = v
-	case *NaiveSignature:
-		s.Naive = v
-	case *RegionStats:
-		s.Regions = v
-	default:
-		return fmt.Errorf("features: cannot place descriptor of type %T", d)
-	}
-	return nil
 }
 
 // kindMismatch builds the standard error for DistanceTo across kinds.

@@ -7,8 +7,10 @@
 // pack into contiguous per-kind float64 columns (Descriptor.AppendTo,
 // Stride), and each kind gets a batch kernel that computes
 // query-vs-column distances straight into a caller-owned output buffer —
-// no interface dispatch, no per-candidate allocation, branch-free inner
+// no per-row dispatch, no per-candidate allocation, branch-free inner
 // loops over contiguous memory (math.Abs compiles to a sign-bit clear).
+// BatchDistance and PairDistance (kinds.go) pick a kind's kernel from the
+// kind table, once per column or pair.
 //
 // Every kernel is bit-identical to the corresponding DistanceTo: packing
 // hoists only the comparand-independent work (probability normalisation,
@@ -18,61 +20,6 @@
 package features
 
 import "math"
-
-// BatchDistance computes out[i] = the kind's DistanceTo between the
-// packed query vector q (len Stride(kind), from AppendTo) and row rows[i]
-// of the packed column col (row r occupies col[r*stride:(r+1)*stride]).
-// out must have len(rows) capacity; rows may address any subset of the
-// column in any order.
-//
-//cbvrvet:noalloc
-func BatchDistance(kind Kind, q, col []float64, rows []int32, out []float64) {
-	switch kind {
-	case KindHistogram:
-		batchKernel(q, col, rows, out, histRow)
-	case KindGLCM:
-		batchKernel(q, col, rows, out, glcmRow)
-	case KindGabor:
-		BatchL2(q, col, rows, out)
-	case KindTamura:
-		batchKernel(q, col, rows, out, tamuraRow)
-	case KindCorrelogram:
-		batchKernel(q, col, rows, out, correlogramRow)
-	case KindRegions:
-		batchKernel(q, col, rows, out, regionsRow)
-	case KindNaive:
-		batchKernel(q, col, rows, out, naiveRow)
-	default:
-		panic(errUnknownKind(kind))
-	}
-}
-
-// PairDistance computes the kind's DistanceTo between two packed vectors
-// (each len Stride(kind)). It is the single-pair form of BatchDistance,
-// used by the fixed-scale fusion in DTW video search and the
-// best-single-frame ablation.
-//
-//cbvrvet:noalloc
-func PairDistance(kind Kind, a, b []float64) float64 {
-	switch kind {
-	case KindHistogram:
-		return histRow(a, b)
-	case KindGLCM:
-		return glcmRow(a, b)
-	case KindGabor:
-		return l2Row(a, b)
-	case KindTamura:
-		return tamuraRow(a, b)
-	case KindCorrelogram:
-		return correlogramRow(a, b)
-	case KindRegions:
-		return regionsRow(a, b)
-	case KindNaive:
-		return naiveRow(a, b)
-	default:
-		panic(errUnknownKind(kind))
-	}
-}
 
 // batchKernel sweeps the selected column rows through a row kernel. The
 // stride is len(q); the per-row subslice is capped so the row functions'

@@ -97,36 +97,11 @@ func (p *Planes) ExtractAll() *Set {
 // features.NaiveOf computed from the same frame, so the resulting Set is
 // bit-identical to ExtractAll's.
 func (p *Planes) ExtractAllWithNaive(sig *NaiveSignature) *Set {
-	return &Set{
-		Histogram:   ExtractColorHistogramWith(p),
-		GLCM:        ExtractGLCMWith(p),
-		Gabor:       ExtractGaborWith(p),
-		Tamura:      ExtractTamuraWith(p),
-		Correlogram: ExtractCorrelogramWith(p),
-		Naive:       sig,
-		Regions:     ExtractRegionsWith(p),
+	s := &Set{Naive: sig}
+	for k := range kindTable {
+		if Kind(k) != KindNaive {
+			kindTable[k].put(s, kindTable[k].extract(p))
+		}
 	}
-}
-
-// ExtractWith computes the descriptor of the given kind from shared
-// planes, the planes-based counterpart of Extract.
-func ExtractWith(kind Kind, p *Planes) (Descriptor, error) {
-	switch kind {
-	case KindHistogram:
-		return ExtractColorHistogramWith(p), nil
-	case KindGLCM:
-		return ExtractGLCMWith(p), nil
-	case KindGabor:
-		return ExtractGaborWith(p), nil
-	case KindTamura:
-		return ExtractTamuraWith(p), nil
-	case KindCorrelogram:
-		return ExtractCorrelogramWith(p), nil
-	case KindNaive:
-		return ExtractNaiveWith(p), nil
-	case KindRegions:
-		return ExtractRegionsWith(p), nil
-	default:
-		return nil, errUnknownKind(kind)
-	}
+	return s
 }

@@ -9,6 +9,31 @@ import (
 	"cbvr/internal/imaging"
 )
 
+// Extract computes the descriptor of the given kind through the image-in
+// extractors, each of which rescales and converts the frame itself. It is
+// written out kind by kind, independently of the kind table, so it can
+// serve as the reference side of TestExtractWithMatchesExtract.
+func Extract(kind Kind, im *imaging.Image) (Descriptor, error) {
+	switch kind {
+	case KindHistogram:
+		return ExtractColorHistogram(im), nil
+	case KindGLCM:
+		return ExtractGLCM(im), nil
+	case KindGabor:
+		return ExtractGabor(im), nil
+	case KindTamura:
+		return ExtractTamura(im), nil
+	case KindCorrelogram:
+		return ExtractCorrelogram(im), nil
+	case KindNaive:
+		return ExtractNaive(im), nil
+	case KindRegions:
+		return ExtractRegions(im), nil
+	default:
+		return nil, errUnknownKind(kind)
+	}
+}
+
 // equivalenceFrames is the shared-plane equivalence corpus: random and
 // structured content across sizes that exercise downscale, upscale, the
 // exact-size fast path and degenerate rasters.
