@@ -8,6 +8,7 @@ package cbvr_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -46,7 +47,7 @@ func BenchmarkIngestSpooledBlob(b *testing.B) {
 	b.ReportMetric(float64(len(raw)), "container-bytes")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sys.IngestVideoStream(fmt.Sprintf("clip_%d", i), bytes.NewReader(raw))
+		res, err := sys.IngestVideoStreamCtx(context.Background(), fmt.Sprintf("clip_%d", i), bytes.NewReader(raw))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -58,7 +59,7 @@ func BenchmarkIngestSpooledBlob(b *testing.B) {
 	}
 }
 
-// BenchmarkReindex measures one full ReindexVideo per iteration: stream
+// BenchmarkReindex measures one full ReindexVideoCtx per iteration: stream
 // the stored key frames back out, re-extract all seven descriptors and
 // swap the rows.
 func BenchmarkReindex(b *testing.B) {
@@ -68,14 +69,14 @@ func BenchmarkReindex(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer sys.Close()
-	res, err := sys.IngestVideoStream("clip", bytes.NewReader(raw))
+	res, err := sys.IngestVideoStreamCtx(context.Background(), "clip", bytes.NewReader(raw))
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.ReindexVideo(res.VideoID); err != nil {
+		if _, err := sys.ReindexVideoCtx(context.Background(), res.VideoID); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,6 +7,7 @@ package cbvr_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -43,7 +44,7 @@ func BenchmarkPipeline_IngestStreamed(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sys.IngestVideoStream(fmt.Sprintf("streamed_%d", i), bytes.NewReader(container))
+		res, err := sys.IngestVideoStreamCtx(context.Background(), fmt.Sprintf("streamed_%d", i), bytes.NewReader(container))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -74,7 +75,7 @@ func BenchmarkPipeline_IngestBufferedReference(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.Engine().IngestVideoReference(fmt.Sprintf("buffered_%d", i), container); err != nil {
+		if _, err := sys.IngestVideoReference(fmt.Sprintf("buffered_%d", i), container); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -121,12 +122,12 @@ func sharedScanCorpus(b *testing.B) *scanCorpus {
 			v := synthvid.Generate(cats[i%len(cats)], synthvid.Config{
 				Width: 96, Height: 72, Frames: 40, Shots: 6, Seed: int64(1000 + i),
 			})
-			if _, err := sys.IngestFrames(fmt.Sprintf("%s_%02d", v.Name, i), v.Frames, v.FPS); err != nil {
+			if _, err := sys.IngestFramesCtx(context.Background(), fmt.Sprintf("%s_%02d", v.Name, i), v.Frames, v.FPS); err != nil {
 				scanErr = err
 				return
 			}
 		}
-		n, err := sys.Engine().CacheSize()
+		n, err := sys.CacheSize()
 		if err != nil {
 			scanErr = err
 			return
@@ -134,7 +135,7 @@ func sharedScanCorpus(b *testing.B) *scanCorpus {
 		q := synthvid.Generate(cats[0], synthvid.Config{
 			Width: 96, Height: 72, Frames: 2, Shots: 1, Seed: 2000,
 		})
-		qsets := sys.Engine().ExtractQuerySets([]*imaging.Image{q.Frames[0]})
+		qsets := sys.ExtractQuerySets([]*imaging.Image{q.Frames[0]})
 		scan = &scanCorpus{sys: sys, qset: qsets[0], frames: n}
 	})
 	if scanErr != nil {
@@ -154,7 +155,7 @@ func sharedScanCorpus(b *testing.B) *scanCorpus {
 // contiguous memory.
 func BenchmarkScanArena(b *testing.B) {
 	c := sharedScanCorpus(b)
-	eng := c.sys.Engine()
+	eng := c.sys
 	pq := eng.PackQuery(c.qset, nil)
 	dist := make([]float64, int(features.NumKinds)*c.frames)
 	b.ReportMetric(float64(c.frames), "keyframes")

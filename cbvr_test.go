@@ -2,6 +2,7 @@ package cbvr_test
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -27,11 +28,11 @@ func TestPublicAPIIngestAndSearch(t *testing.T) {
 	if name == "" || fps <= 0 || len(frames) != 12 {
 		t.Fatalf("generator: name=%q fps=%d frames=%d", name, fps, len(frames))
 	}
-	res, err := sys.IngestFrames(name, frames, fps)
+	res, err := sys.IngestFramesCtx(context.Background(), name, frames, fps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	matches, err := sys.Search(frames[0], cbvr.SearchOptions{K: 3})
+	matches, err := sys.SearchFrame(frames[0], cbvr.SearchOptions{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestPublicAPIIngestContainer(t *testing.T) {
 	if err := cbvr.EncodeVideo(&buf, frames, fps, 0); err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.IngestVideo("news-clip", buf.Bytes())
+	res, err := sys.IngestVideoStreamCtx(context.Background(), "news-clip", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,13 +107,13 @@ func TestPublicAPISearchVideo(t *testing.T) {
 	for _, cat := range []cbvr.Category{cbvr.CategorySports, cbvr.CategoryNature} {
 		cfg.Seed = int64(cat) + 20
 		name, frames, fps := cbvr.GenerateVideo(cat, cfg)
-		if _, err := sys.IngestFrames(name, frames, fps); err != nil {
+		if _, err := sys.IngestFramesCtx(context.Background(), name, frames, fps); err != nil {
 			t.Fatal(err)
 		}
 	}
 	cfg.Seed = int64(cbvr.CategorySports) + 20
 	_, q, _ := cbvr.GenerateVideo(cbvr.CategorySports, cfg)
-	matches, err := sys.SearchVideo(q, cbvr.SearchOptions{K: 2})
+	matches, err := sys.SearchVideoCtx(context.Background(), q, cbvr.SearchOptions{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,9 +127,12 @@ func TestPublicAPICorpusCoverage(t *testing.T) {
 	if len(corpus) != 6 {
 		t.Fatalf("corpus size %d", len(corpus))
 	}
-	for name, frames := range corpus {
-		if len(frames) != 4 {
-			t.Errorf("%s has %d frames", name, len(frames))
+	for i, v := range corpus {
+		if want := cbvr.Category(i); v.Category != want {
+			t.Errorf("corpus[%d] is %s, want %s", i, v.Category, want)
+		}
+		if len(v.Frames) != 4 {
+			t.Errorf("%s has %d frames", v.Name, len(v.Frames))
 		}
 	}
 }
@@ -149,8 +153,7 @@ func TestPublicAPIFromJPEG(t *testing.T) {
 }
 
 // TestPublicAPIIngestVideoStream exercises the reader-based ingest entry
-// point end to end: encode a clip, stream it in, search it back, and check
-// it matches the buffered entry point's result shape.
+// point end to end: encode a clip, stream it in and search it back.
 func TestPublicAPIIngestVideoStream(t *testing.T) {
 	sys := openSystem(t)
 	_, frames, fps := cbvr.GenerateVideo(cbvr.CategoryNews, cbvr.VideoConfig{
@@ -160,14 +163,14 @@ func TestPublicAPIIngestVideoStream(t *testing.T) {
 	if err := cbvr.EncodeVideo(&buf, frames, fps, 0); err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.IngestVideoStream("streamed", &buf)
+	res, err := sys.IngestVideoStreamCtx(context.Background(), "streamed", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.NumFrames != len(frames) || len(res.KeyFrameIDs) == 0 {
 		t.Fatalf("result: %+v", res)
 	}
-	matches, err := sys.Search(frames[0], cbvr.SearchOptions{K: 1})
+	matches, err := sys.SearchFrame(frames[0], cbvr.SearchOptions{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -240,7 +241,7 @@ func runAblations(eng *core.Engine, cfg eval.Table1Config) {
 	for _, cat := range synthvid.AllCategories() {
 		qv := synthvid.Generate(cat, synthvid.Config{Frames: 24, Shots: 3, Seed: cfg.Seed + 555})
 		qframes := qv.Frames[:min(len(qv.Frames), 8)]
-		dp, err := eng.SearchVideo(qframes, core.SearchOptions{K: 1})
+		dp, err := eng.SearchVideoCtx(context.Background(), qframes, core.SearchOptions{K: 1})
 		if err != nil {
 			fatal(err)
 		}

@@ -78,7 +78,7 @@ func run() int {
 		BodyStallTimeout: *bodyStall,
 	}
 	opts.Admission.Limit[admission.Ingest] = *maxIngests
-	api := server.New(sys.Engine(), opts)
+	api := server.New(sys, opts)
 	// Header and idle timeouts bound what a connection may cost before it
 	// carries an admitted request; body pace is the watchdog's job (a
 	// blanket ReadTimeout would cut legitimately long uploads), and the

@@ -123,7 +123,7 @@ func TestShutdownDrainSIGTERM(t *testing.T) {
 		t.Fatalf("store did not reopen after shutdown: %v", err)
 	}
 	defer sys.Close()
-	st := sys.Engine().Store()
+	st := sys.Store()
 	vids, err := st.ListVideos(nil)
 	if err != nil {
 		t.Fatal(err)

@@ -131,13 +131,13 @@ func cmdGen(ctx context.Context, args []string) error {
 	// Each ingest runs under the signal context: ^C finishes nothing
 	// half-way — completed videos stay committed, the in-flight one
 	// aborts clean.
-	for name, imgs := range corpus {
-		res, err := sys.IngestFramesCtx(ctx, name, imgs, 12)
+	for _, v := range corpus {
+		res, err := sys.IngestFramesCtx(ctx, v.Name, v.Frames, 12)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("ingested %-14s video=%d frames=%d keyframes=%d\n",
-			name, res.VideoID, res.NumFrames, len(res.KeyFrameIDs))
+			v.Name, res.VideoID, res.NumFrames, len(res.KeyFrameIDs))
 	}
 	return nil
 }
@@ -194,7 +194,7 @@ func cmdList(args []string) error {
 		return err
 	}
 	defer sys.Close()
-	vids, err := sys.Engine().Store().ListVideos(nil)
+	vids, err := sys.Store().ListVideos(nil)
 	if err != nil {
 		return err
 	}
@@ -262,7 +262,7 @@ func cmdQuery(ctx context.Context, args []string) error {
 		return err
 	}
 	defer sys.Close()
-	matches, err := sys.SearchCtx(ctx, query, cbvr.SearchOptions{K: *k, Kinds: kinds, NoPruning: *noPrune})
+	matches, err := sys.SearchFrameCtx(ctx, query, cbvr.SearchOptions{K: *k, Kinds: kinds, NoPruning: *noPrune})
 	if err != nil {
 		return err
 	}
@@ -359,7 +359,7 @@ func cmdExport(args []string) error {
 		return err
 	}
 	defer sys.Close()
-	raw, ok, err := sys.Engine().Store().VideoBytes(nil, *id)
+	raw, ok, err := sys.Store().VideoBytes(nil, *id)
 	if err != nil {
 		return err
 	}
@@ -437,7 +437,7 @@ func cmdStats(args []string) error {
 		return err
 	}
 	defer sys.Close()
-	st := sys.Engine().Store()
+	st := sys.Store()
 	nv, err := st.CountVideos(nil)
 	if err != nil {
 		return err
@@ -455,14 +455,14 @@ func cmdStats(args []string) error {
 
 	// Cell-index view: warms the search cache, so this reports exactly
 	// the pruning state a search in this process would run against.
-	cs, err := sys.Engine().CellStats()
+	cs, err := sys.CellStats()
 	if err != nil {
 		return err
 	}
 	fmt.Printf("cell index:   %d/%d shards built, %d cells over %d rows, %d rebuilds\n",
 		cs.BuiltShards, cs.Shards, cs.Cells, cs.IndexedRows, cs.Rebuilds)
 
-	if _, err := synthvid.ParseCategory("sports"); err == nil && nk > 0 {
+	if nk > 0 {
 		// Per-category frame counts when the corpus is synthetic.
 		counts := make(map[string]int)
 		vids, err := st.ListVideos(nil)

@@ -9,6 +9,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -30,10 +31,11 @@ func main() {
 		log.Fatal(err)
 	}
 	defer sys.Close()
+	ctx := context.Background()
 
 	fmt.Println("ingesting corpus (2 videos per category)…")
-	for name, frames := range cbvr.GenerateCorpus(2, cbvr.VideoConfig{Frames: 36, Shots: 4, Seed: 64}) {
-		if _, err := sys.IngestFrames(name, frames, 12); err != nil {
+	for _, v := range cbvr.GenerateCorpus(2, cbvr.VideoConfig{Frames: 36, Shots: 4, Seed: 64}) {
+		if _, err := sys.IngestFramesCtx(ctx, v.Name, v.Frames, 12); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -41,7 +43,7 @@ func main() {
 	// Stage 1: core retrieval with the paper's seven features.
 	_, qframes, _ := cbvr.GenerateVideo(cbvr.CategoryNature, cbvr.VideoConfig{Frames: 8, Shots: 1, Seed: 4242})
 	query := qframes[4]
-	matches, err := sys.Search(query, cbvr.SearchOptions{K: 8, NoPruning: true})
+	matches, err := sys.SearchFrameCtx(ctx, query, cbvr.SearchOptions{K: 8, NoPruning: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +56,7 @@ func main() {
 	// with the extension descriptors.
 	images := make([]*imaging.Image, len(matches))
 	for i, m := range matches {
-		jpg, ok, err := sys.Engine().Store().KeyFrameImage(nil, m.KeyFrameID)
+		jpg, ok, err := sys.Store().KeyFrameImage(nil, m.KeyFrameID)
 		if err != nil || !ok {
 			log.Fatalf("frame %d: %v", m.KeyFrameID, err)
 		}

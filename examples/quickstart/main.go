@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -26,17 +27,18 @@ func main() {
 		log.Fatal(err)
 	}
 	defer sys.Close()
+	ctx := context.Background()
 
 	// Ingest one clip per category. GenerateCorpus stands in for the
 	// paper's archive.org downloads.
 	fmt.Println("ingesting corpus…")
-	for name, frames := range cbvr.GenerateCorpus(1, cbvr.VideoConfig{Frames: 36, Shots: 4, Seed: 42}) {
-		res, err := sys.IngestFrames(name, frames, 12)
+	for _, v := range cbvr.GenerateCorpus(1, cbvr.VideoConfig{Frames: 36, Shots: 4, Seed: 42}) {
+		res, err := sys.IngestFramesCtx(ctx, v.Name, v.Frames, 12)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  %-14s → video %d, %d frames, %d key frames\n",
-			name, res.VideoID, res.NumFrames, len(res.KeyFrameIDs))
+			v.Name, res.VideoID, res.NumFrames, len(res.KeyFrameIDs))
 	}
 
 	// Query with a frame from a *different* sports clip (different seed):
@@ -45,7 +47,7 @@ func main() {
 	query := queryFrames[4]
 
 	fmt.Println("\ntop 10 matches for an unseen sports frame (all 7 features combined):")
-	matches, err := sys.Search(query, cbvr.SearchOptions{K: 10})
+	matches, err := sys.SearchFrameCtx(ctx, query, cbvr.SearchOptions{K: 10})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +56,7 @@ func main() {
 	}
 
 	fmt.Println("\nsame query, colour histogram only:")
-	matches, err = sys.Search(query, cbvr.SearchOptions{K: 5, Kinds: []cbvr.FeatureKind{cbvr.FeatureHistogram}})
+	matches, err = sys.SearchFrameCtx(ctx, query, cbvr.SearchOptions{K: 5, Kinds: []cbvr.FeatureKind{cbvr.FeatureHistogram}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -27,10 +28,11 @@ func main() {
 		log.Fatal(err)
 	}
 	defer sys.Close()
+	ctx := context.Background()
 
 	fmt.Println("ingesting mixed archive (3 videos per category)…")
-	for name, frames := range cbvr.GenerateCorpus(3, cbvr.VideoConfig{Frames: 48, Shots: 5, Seed: 100}) {
-		if _, err := sys.IngestFrames(name, frames, 12); err != nil {
+	for _, v := range cbvr.GenerateCorpus(3, cbvr.VideoConfig{Frames: 48, Shots: 5, Seed: 100}) {
+		if _, err := sys.IngestFramesCtx(ctx, v.Name, v.Frames, 12); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -40,7 +42,7 @@ func main() {
 	for q := 0; q < 5; q++ {
 		_, frames, _ := cbvr.GenerateVideo(cbvr.CategorySports,
 			cbvr.VideoConfig{Frames: 12, Shots: 2, Seed: int64(9000 + q*31)})
-		matches, err := sys.Search(frames[6], cbvr.SearchOptions{K: 10})
+		matches, err := sys.SearchFrameCtx(ctx, frames[6], cbvr.SearchOptions{K: 10})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -58,7 +60,7 @@ func main() {
 
 	fmt.Println("\nvideo-level: rank the whole archive against an unseen sports clip (DP alignment)")
 	_, clip, _ := cbvr.GenerateVideo(cbvr.CategorySports, cbvr.VideoConfig{Frames: 24, Shots: 3, Seed: 31337})
-	vmatches, err := sys.SearchVideo(clip, cbvr.SearchOptions{K: 6})
+	vmatches, err := sys.SearchVideoCtx(ctx, clip, cbvr.SearchOptions{K: 6})
 	if err != nil {
 		log.Fatal(err)
 	}

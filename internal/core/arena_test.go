@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -146,14 +147,14 @@ func TestArenaChurnBitIdentity(t *testing.T) {
 		cv := synthvid.Generate(synthvid.Movie, synthvid.Config{
 			Width: 48, Height: 36, Frames: 6, Shots: 2, Seed: int64(700 + round),
 		})
-		res, err := eng.IngestFrames(fmt.Sprintf("churn_%d", round), cv.Frames, cv.FPS)
+		res, err := eng.IngestFramesCtx(context.Background(), fmt.Sprintf("churn_%d", round), cv.Frames, cv.FPS)
 		if err != nil {
 			t.Fatal(err)
 		}
 		churnIDs = append(churnIDs, res.VideoID)
 		check(fmt.Sprintf("round %d after ingest", round))
 
-		if _, err := eng.ReindexVideo(res.VideoID); err != nil {
+		if _, err := eng.ReindexVideoCtx(context.Background(), res.VideoID); err != nil {
 			t.Fatal(err)
 		}
 		check(fmt.Sprintf("round %d after reindex", round))
@@ -188,7 +189,7 @@ func TestArenaChurnBitIdentity(t *testing.T) {
 	if m, err := eng.SearchWithSet(qset, qbucket, SearchOptions{K: 1}); err != nil || (len(m) > 0 && m[0].VideoID == seed.VideoID) {
 		t.Fatalf("stale-bucket rows still pass the range prune: %+v, %v", m, err)
 	}
-	if _, err := eng.ReindexVideo(seed.VideoID); err != nil {
+	if _, err := eng.ReindexVideoCtx(context.Background(), seed.VideoID); err != nil {
 		t.Fatal(err)
 	}
 	check("after seed reindex")
@@ -268,7 +269,7 @@ func TestArenaSlotReuseAndConsistency(t *testing.T) {
 		t.Fatalf("baseline: %d slots, %d live", slots0, live0)
 	}
 
-	res, err := eng.IngestFrames("tmp", genVideo(synthvid.Movie, 621).Frames, 12)
+	res, err := eng.IngestFramesCtx(context.Background(), "tmp", genVideo(synthvid.Movie, 621).Frames, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +285,7 @@ func TestArenaSlotReuseAndConsistency(t *testing.T) {
 
 	// Re-ingesting a clip with no more key frames than were freed must
 	// not grow the columns: every new entry lands in a recycled slot.
-	res2, err := eng.IngestFrames("tmp2", genVideo(synthvid.Movie, 621).Frames, 12)
+	res2, err := eng.IngestFramesCtx(context.Background(), "tmp2", genVideo(synthvid.Movie, 621).Frames, 12)
 	if err != nil {
 		t.Fatal(err)
 	}

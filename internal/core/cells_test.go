@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -302,7 +303,7 @@ func TestCellChurnBitIdentity(t *testing.T) {
 		cv := synthvid.Generate(synthvid.Movie, synthvid.Config{
 			Width: 48, Height: 36, Frames: 6, Shots: 2, Seed: int64(800 + round),
 		})
-		res, err := eng.IngestFrames(fmt.Sprintf("cell_churn_%d", round), cv.Frames, cv.FPS)
+		res, err := eng.IngestFramesCtx(context.Background(), fmt.Sprintf("cell_churn_%d", round), cv.Frames, cv.FPS)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,7 +325,7 @@ func TestCellChurnBitIdentity(t *testing.T) {
 		}
 		check(fmt.Sprintf("round %d after bulk publish", round))
 
-		if _, err := eng.ReindexVideo(res.VideoID); err != nil {
+		if _, err := eng.ReindexVideoCtx(context.Background(), res.VideoID); err != nil {
 			t.Fatal(err)
 		}
 		check(fmt.Sprintf("round %d after reindex", round))

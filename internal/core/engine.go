@@ -42,7 +42,7 @@ type Options struct {
 	// lifetime; query-time parallelism (Workers, SearchOptions.Workers)
 	// is clamped to it, since each shard is scanned by one worker.
 	SearchShards int
-	// JPEGQuality for CVJ containers encoded by IngestFrames; <= 0 uses
+	// JPEGQuality for CVJ containers encoded by IngestFramesCtx; <= 0 uses
 	// the default. Stored key-frame images and the key-frame stream reuse
 	// the container's original JPEG bytes, so no quality applies there.
 	JPEGQuality int
@@ -163,7 +163,7 @@ type Engine struct {
 	brownout atomic.Uint64
 
 	// reindexHook, when set by tests, fires at named points inside
-	// ReindexVideo's replacement transaction (fault injection).
+	// ReindexVideoCtx's replacement transaction (fault injection).
 	reindexHook func(stage string)
 
 	// ingestHook, when set by tests, fires at named points of the staged
@@ -314,17 +314,12 @@ func (e *Engine) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// IngestFrames encodes frames as a CVJ container and ingests it. A frame
-// that fails JPEG encoding aborts here, deterministically naming the first
-// failing frame, before any database transaction begins.
-func (e *Engine) IngestFrames(name string, frames []*imaging.Image, fps int) (*IngestResult, error) {
-	return e.IngestFramesCtx(context.Background(), name, frames, fps)
-}
-
-// IngestFramesCtx is IngestFrames under a request context: the ingest's
-// decode loop checks cancellation between frames (the encode itself is
-// in-memory and quick), so aborting a corpus load stops within one frame
-// and commits nothing for the in-flight video.
+// IngestFramesCtx encodes frames as a CVJ container and ingests it. A
+// frame that fails JPEG encoding aborts here, deterministically naming the
+// first failing frame, before any database transaction begins. The
+// ingest's decode loop checks cancellation between frames (the encode
+// itself is in-memory and quick), so aborting a corpus load stops within
+// one frame and commits nothing for the in-flight video.
 func (e *Engine) IngestFramesCtx(ctx context.Context, name string, frames []*imaging.Image, fps int) (*IngestResult, error) {
 	if len(frames) == 0 {
 		return nil, errors.New("core: no frames to ingest")
@@ -336,13 +331,7 @@ func (e *Engine) IngestFramesCtx(ctx context.Context, name string, frames []*ima
 	return e.ingestStream(ctx, name, bytes.NewReader(container))
 }
 
-// IngestVideo runs the full ingest pipeline on an in-memory CVJ container.
-// It is a thin wrapper over the streaming path (see IngestVideoStream).
-func (e *Engine) IngestVideo(name string, container []byte) (*IngestResult, error) {
-	return e.ingestStream(context.Background(), name, bytes.NewReader(container))
-}
-
-// IngestVideoStream runs the full ingest pipeline directly from a
+// IngestVideoStreamCtx runs the full ingest pipeline directly from a
 // container byte stream: frames are decoded one at a time, §4.1 key-frame
 // selection runs as they arrive, and each selected key frame is handed to
 // a bounded worker pool that extracts features (§4.3–4.8) and the §4.2
@@ -353,20 +342,17 @@ func (e *Engine) IngestVideo(name string, container []byte) (*IngestResult, erro
 // container's original JPEG records; the §4.1 selection signature is
 // installed into each key frame's descriptor set instead of being
 // recomputed. See DESIGN.md ("Key-frame pipeline").
-func (e *Engine) IngestVideoStream(name string, r io.Reader) (*IngestResult, error) {
-	return e.ingestStream(context.Background(), name, r)
-}
-
-// IngestVideoStreamCtx is IngestVideoStream under a request context: the
-// decode loop checks cancellation between frames, so an abort takes effect
-// within one decode iteration, discards the staged blob pages and commits
-// nothing — the store is untouched, as if the request never arrived.
+//
+// The decode loop checks cancellation between frames, so an abort takes
+// effect within one decode iteration, discards the staged blob pages and
+// commits nothing — the store is untouched, as if the request never
+// arrived.
 func (e *Engine) IngestVideoStreamCtx(ctx context.Context, name string, r io.Reader) (*IngestResult, error) {
 	return e.ingestStream(ctx, name, r)
 }
 
-// ingestStream is the shared ingest pipeline behind IngestVideo and
-// IngestVideoStream(Ctx). It runs in two phases so concurrent clients
+// ingestStream is the shared ingest pipeline behind IngestFramesCtx and
+// IngestVideoStreamCtx. It runs in two phases so concurrent clients
 // only serialize on a short commit section, never on the expensive work:
 //
 //  1. Stage — the key-frame pipeline (pipeline.go) decodes container
@@ -849,6 +835,3 @@ func (e *Engine) CacheSize() (int, error) {
 	defer e.mu.RUnlock()
 	return e.numCached(), nil
 }
-
-// NumShards reports the fixed search-shard count chosen at Open.
-func (e *Engine) NumShards() int { return len(e.shards) }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -27,7 +28,7 @@ func genVideo(cat synthvid.Category, seed int64) *synthvid.Video {
 func ingest(t *testing.T, eng *Engine, name string, cat synthvid.Category, seed int64) *IngestResult {
 	t.Helper()
 	v := genVideo(cat, seed)
-	res, err := eng.IngestFrames(name, v.Frames, v.FPS)
+	res, err := eng.IngestFramesCtx(context.Background(), name, v.Frames, v.FPS)
 	if err != nil {
 		t.Fatalf("ingest %s: %v", name, err)
 	}
@@ -169,7 +170,7 @@ func TestSearchVideoRanksOwnCategoryFirst(t *testing.T) {
 
 	// The identical sports clip must beat the others at video level.
 	v := genVideo(synthvid.Sports, 50)
-	matches, err := eng.SearchVideo(v.Frames, SearchOptions{})
+	matches, err := eng.SearchVideoCtx(context.Background(), v.Frames, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestCachePersistsAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := genVideo(synthvid.Cartoon, 70)
-	if _, err := eng.IngestFrames("c", v.Frames, v.FPS); err != nil {
+	if _, err := eng.IngestFramesCtx(context.Background(), "c", v.Frames, v.FPS); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Close(); err != nil {

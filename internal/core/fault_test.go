@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"sync"
 	"syscall"
@@ -52,7 +54,7 @@ func TestIngestENOSPCMidStagedWrite(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = eng.IngestVideo("clip", containers[i])
+			_, errs[i] = eng.IngestVideoStreamCtx(context.Background(), "clip", bytes.NewReader(containers[i]))
 		}(i)
 	}
 	wg.Wait()
@@ -89,7 +91,7 @@ func TestIngestENOSPCMidStagedWrite(t *testing.T) {
 	}
 
 	// The store stayed fully writable.
-	if _, err := eng.IngestVideo("after", containers[0]); err != nil {
+	if _, err := eng.IngestVideoStreamCtx(context.Background(), "after", bytes.NewReader(containers[0])); err != nil {
 		t.Fatalf("ingest after staged ENOSPC: %v", err)
 	}
 	if err := eng.Close(); err != nil {

@@ -171,13 +171,13 @@ func TestConcurrentIngestOverlap(t *testing.T) {
 // bytes are read or pages staged.
 func TestIngestEmptyNameRejected(t *testing.T) {
 	eng := openTestEngine(t)
-	raw, _ := testContainer(t, synthvid.Cartoon, 31, 8)
+	raw, v := testContainer(t, synthvid.Cartoon, 31, 8)
 	for _, name := range []string{"", "   ", "\t\n"} {
-		if _, err := eng.IngestVideo(name, raw); !errors.Is(err, ErrEmptyName) {
-			t.Errorf("IngestVideo(%q): %v, want ErrEmptyName", name, err)
+		if _, err := eng.IngestFramesCtx(context.Background(), name, v.Frames, v.FPS); !errors.Is(err, ErrEmptyName) {
+			t.Errorf("IngestFramesCtx(%q): %v, want ErrEmptyName", name, err)
 		}
-		if _, err := eng.IngestVideoStream(name, bytes.NewReader(raw)); !errors.Is(err, ErrEmptyName) {
-			t.Errorf("IngestVideoStream(%q): %v, want ErrEmptyName", name, err)
+		if _, err := eng.IngestVideoStreamCtx(context.Background(), name, bytes.NewReader(raw)); !errors.Is(err, ErrEmptyName) {
+			t.Errorf("IngestVideoStreamCtx(%q): %v, want ErrEmptyName", name, err)
 		}
 		if _, err := eng.IngestVideoReference(name, raw); !errors.Is(err, ErrEmptyName) {
 			t.Errorf("IngestVideoReference(%q): %v, want ErrEmptyName", name, err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -64,8 +65,8 @@ func loadStored(t *testing.T, eng *Engine, videoID int64) *storedVideo {
 }
 
 // TestStreamedIngestBitIdenticalRows is the headline equivalence: the
-// streamed pipeline (reader entry point), the buffered wrapper and the
-// retained in-memory reference must produce bit-identical stored rows —
+// streamed pipeline and the retained in-memory reference must produce
+// bit-identical stored rows —
 // VIDEO and STREAM blobs, every feature column, bucket, name, frame index
 // and IMAGE bytes.
 func TestStreamedIngestBitIdenticalRows(t *testing.T) {
@@ -77,10 +78,7 @@ func TestStreamedIngestBitIdenticalRows(t *testing.T) {
 	}
 	paths := []path{
 		{"stream", func(e *Engine) (*IngestResult, error) {
-			return e.IngestVideoStream("clip", bytes.NewReader(raw))
-		}},
-		{"buffered", func(e *Engine) (*IngestResult, error) {
-			return e.IngestVideo("clip", raw)
+			return e.IngestVideoStreamCtx(context.Background(), "clip", bytes.NewReader(raw))
 		}},
 		{"reference", func(e *Engine) (*IngestResult, error) {
 			return e.IngestVideoReference("clip", raw)
@@ -154,7 +152,7 @@ func TestIngestStoresOriginalJPEGBytes(t *testing.T) {
 	}
 
 	eng := openTestEngine(t)
-	res, err := eng.IngestVideoStream("clip", bytes.NewReader(raw))
+	res, err := eng.IngestVideoStreamCtx(context.Background(), "clip", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +185,7 @@ func TestIngestTruncatedContainerFailsCleanly(t *testing.T) {
 	raw, v := testContainer(t, synthvid.News, 33, 12)
 	eng := openTestEngine(t)
 	for _, cut := range []int{len(raw) - 6, len(raw) / 2, 30} {
-		_, err := eng.IngestVideoStream("trunc", bytes.NewReader(raw[:cut]))
+		_, err := eng.IngestVideoStreamCtx(context.Background(), "trunc", bytes.NewReader(raw[:cut]))
 		if err == nil {
 			t.Fatalf("cut %d: truncated container accepted", cut)
 		}
@@ -202,7 +200,7 @@ func TestIngestTruncatedContainerFailsCleanly(t *testing.T) {
 		t.Fatalf("%d key frames committed from truncated containers", n)
 	}
 	// The engine still ingests and searches normally afterwards.
-	res, err := eng.IngestVideo("ok", raw)
+	res, err := eng.IngestVideoStreamCtx(context.Background(), "ok", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +248,7 @@ func TestIngestCorruptMidStreamDeterministic(t *testing.T) {
 	for name, container := range map[string][]byte{"corrupt": corrupt, "huge": huge} {
 		var msgs []string
 		for attempt := 0; attempt < 2; attempt++ {
-			_, err := eng.IngestVideoStream(name, bytes.NewReader(container))
+			_, err := eng.IngestVideoStreamCtx(context.Background(), name, bytes.NewReader(container))
 			if err == nil {
 				t.Fatalf("%s container accepted", name)
 			}
@@ -292,7 +290,7 @@ func TestIngestCorruptMidStreamDeterministic(t *testing.T) {
 }
 
 // TestIngestFramesMidBatchEncodeFailure plants an unencodable frame in the
-// middle of a batch: IngestFrames must fail deterministically, naming the
+// middle of a batch: IngestFramesCtx must fail deterministically, naming the
 // first bad frame, with nothing committed and the engine unharmed.
 func TestIngestFramesMidBatchEncodeFailure(t *testing.T) {
 	eng := openTestEngine(t)
@@ -304,7 +302,7 @@ func TestIngestFramesMidBatchEncodeFailure(t *testing.T) {
 
 	var msgs []string
 	for attempt := 0; attempt < 2; attempt++ {
-		_, err := eng.IngestFrames("bad", bad, v.FPS)
+		_, err := eng.IngestFramesCtx(context.Background(), "bad", bad, v.FPS)
 		if err == nil {
 			t.Fatal("unencodable frame accepted")
 		}
@@ -319,7 +317,7 @@ func TestIngestFramesMidBatchEncodeFailure(t *testing.T) {
 	if n, _ := eng.Store().CountVideos(nil); n != 0 {
 		t.Fatalf("%d videos committed after encode failure", n)
 	}
-	if _, err := eng.IngestFrames("good", v.Frames, v.FPS); err != nil {
+	if _, err := eng.IngestFramesCtx(context.Background(), "good", v.Frames, v.FPS); err != nil {
 		t.Fatalf("engine unusable after encode failure: %v", err)
 	}
 }
@@ -375,7 +373,7 @@ func TestConcurrentStreamIngestSearchChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
 				c := containers[(g*4+i)%len(containers)]
-				res, err := eng.IngestVideoStream(fmt.Sprintf("churn_%d_%d", g, i), bytes.NewReader(c))
+				res, err := eng.IngestVideoStreamCtx(context.Background(), fmt.Sprintf("churn_%d_%d", g, i), bytes.NewReader(c))
 				if err != nil {
 					errCh <- err
 					return
@@ -403,23 +401,18 @@ func TestConcurrentStreamIngestSearchChurn(t *testing.T) {
 
 // TestIngestEmptyContainer preserves the pre-streaming behaviour: a
 // well-formed container with zero frames ingests to a video row with no
-// key frames through both entry points.
+// key frames.
 func TestIngestEmptyContainer(t *testing.T) {
 	raw, err := cvj.EncodeBytes(nil, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := openTestEngine(t)
-	for i, ing := range []func() (*IngestResult, error){
-		func() (*IngestResult, error) { return eng.IngestVideo("empty_buf", raw) },
-		func() (*IngestResult, error) { return eng.IngestVideoStream("empty_stream", bytes.NewReader(raw)) },
-	} {
-		res, err := ing()
-		if err != nil {
-			t.Fatalf("path %d: %v", i, err)
-		}
-		if res.NumFrames != 0 || len(res.KeyFrameIDs) != 0 {
-			t.Fatalf("path %d: %+v", i, res)
-		}
+	res, err := eng.IngestVideoStreamCtx(context.Background(), "empty", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.NumFrames != 0 || len(res.KeyFrameIDs) != 0 {
+		t.Fatalf("%+v", res)
 	}
 }

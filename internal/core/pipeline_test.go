@@ -20,7 +20,7 @@ func TestSearchVideoRescalesEachFrameOnce(t *testing.T) {
 	eng := openTestEngine(t)
 	ingest(t, eng, "movie_00", synthvid.Movie, 12)
 	clip := genVideo(synthvid.Movie, 13).Frames
-	if _, err := eng.SearchVideo(clip, SearchOptions{K: 1}); err != nil {
+	if _, err := eng.SearchVideoCtx(context.Background(), clip, SearchOptions{K: 1}); err != nil {
 		t.Fatal(err)
 	}
 	kfs, err := keyframe.Extractor{Threshold: eng.opts.KeyframeThreshold}.Extract(clip)
@@ -28,7 +28,7 @@ func TestSearchVideoRescalesEachFrameOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := imaging.RescaleCalls()
-	if _, err := eng.SearchVideo(clip, SearchOptions{K: 1}); err != nil {
+	if _, err := eng.SearchVideoCtx(context.Background(), clip, SearchOptions{K: 1}); err != nil {
 		t.Fatal(err)
 	}
 	checkRescales(t, "clip search", imaging.RescaleCalls()-start, len(clip), len(kfs))
@@ -43,7 +43,7 @@ func TestSearchVideoConcurrentWithReindex(t *testing.T) {
 	res := ingest(t, eng, "sports_00", synthvid.Sports, 40)
 	ingest(t, eng, "news_00", synthvid.News, 41)
 	clip := genVideo(synthvid.Sports, 42).Frames
-	want, err := eng.SearchVideo(clip, SearchOptions{})
+	want, err := eng.SearchVideoCtx(context.Background(), clip, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestSearchVideoConcurrentWithReindex(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
-				got, err := eng.SearchVideo(clip, SearchOptions{})
+				got, err := eng.SearchVideoCtx(context.Background(), clip, SearchOptions{})
 				if err != nil {
 					t.Error(err)
 					return
@@ -66,7 +66,7 @@ func TestSearchVideoConcurrentWithReindex(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := eng.ReindexVideo(res.VideoID); err != nil {
+		if _, err := eng.ReindexVideoCtx(context.Background(), res.VideoID); err != nil {
 			t.Error(err)
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 
 	"testing"
 
@@ -48,7 +49,7 @@ func TestIngestRescalesEachSourceFrameOnce(t *testing.T) {
 	eng := openTestEngine(t)
 	v := genVideo(synthvid.Movie, 12)
 	start := imaging.RescaleCalls()
-	res, err := eng.IngestFrames("movie_00", v.Frames, v.FPS)
+	res, err := eng.IngestFramesCtx(context.Background(), "movie_00", v.Frames, v.FPS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestIngestStreamRescalesEachSourceFrameOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := imaging.RescaleCalls()
-	res, err := eng.IngestVideoStream("cartoon_00", bytes.NewReader(container))
+	res, err := eng.IngestVideoStreamCtx(context.Background(), "cartoon_00", bytes.NewReader(container))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,7 +95,7 @@ func TestConcurrentSearchIngestDelete(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < churnIter; i++ {
 			v := small(int64(500 + i))
-			res, err := eng.IngestFrames(v.Name, v.Frames, v.FPS)
+			res, err := eng.IngestFramesCtx(context.Background(), v.Name, v.Frames, v.FPS)
 			if err != nil {
 				errCh <- err
 				return
@@ -142,7 +142,7 @@ func TestConcurrentWarmup(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := genVideo(synthvid.Nature, 410)
-	if _, err := eng.IngestFrames("warm", v.Frames, v.FPS); err != nil {
+	if _, err := eng.IngestFramesCtx(context.Background(), "warm", v.Frames, v.FPS); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Close(); err != nil {

@@ -7,6 +7,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"runtime"
 	"testing"
 
@@ -26,7 +27,7 @@ func TestIngestRasterPoolBounded(t *testing.T) {
 	eng := openTestEngine(t)
 	const frames = 48
 	raw, _ := testContainer(t, synthvid.Movie, 61, frames)
-	res, err := eng.IngestVideoStream("pooled", bytes.NewReader(raw))
+	res, err := eng.IngestVideoStreamCtx(context.Background(), "pooled", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestIngestRasterPoolBounded(t *testing.T) {
 		t.Fatalf("decoded %d frames", res.NumFrames)
 	}
 	reindex := func() uint64 {
-		rx, err := eng.ReindexVideo(res.VideoID)
+		rx, err := eng.ReindexVideoCtx(context.Background(), res.VideoID)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,7 @@
 // videos from their stored key-frame streams, without re-uploading and
 // without dropping the video from search mid-rebuild. This is what turns
 // the store from write-once into a maintainable archive index — when the
-// extraction code improves, ReindexAll rebuilds every feature row in
+// extraction code improves, ReindexAllCtx rebuilds every feature row in
 // place (the German Broadcasting Archive requirement: archive-scale CBVR
 // must re-index stored content as descriptors evolve).
 package core
@@ -25,7 +25,7 @@ type ReindexResult struct {
 	KeyFrames int
 }
 
-// ReindexVideo re-extracts all seven descriptors and the §4.2 range
+// ReindexVideoCtx re-extracts all seven descriptors and the §4.2 range
 // bucket for every key frame of a stored video and replaces its
 // KEY_FRAMES feature columns in one transaction.
 //
@@ -43,14 +43,10 @@ type ReindexResult struct {
 // arena rows are swapped under the engine lock. A reader therefore
 // sees either the old rows or the new rows, never a mix — the same
 // guarantee crash recovery provides (see reindex_crash_test.go).
-func (e *Engine) ReindexVideo(videoID int64) (*ReindexResult, error) {
-	return e.ReindexVideoCtx(context.Background(), videoID)
-}
-
-// ReindexVideoCtx is ReindexVideo under a request context: cancellation is
-// checked once per decoded key-frame record during re-extraction and once
-// more before the replacement transaction begins, so an aborted request
-// leaves the old rows (and the cache) fully intact.
+//
+// Cancellation is checked once per decoded key-frame record during
+// re-extraction and once more before the replacement transaction begins,
+// so an aborted request leaves the old rows (and the cache) fully intact.
 func (e *Engine) ReindexVideoCtx(ctx context.Context, videoID int64) (*ReindexResult, error) {
 	fail := func(err error) (*ReindexResult, error) {
 		return nil, fmt.Errorf("core: reindex video %d: %w", videoID, err)
@@ -175,17 +171,11 @@ func (e *Engine) reextractStream(ctx context.Context, r io.Reader, rows []*catal
 	return jobs, nil
 }
 
-// ReindexAll rebuilds the feature rows of every stored video in V_ID
-// order, returning one result per video. It stops at the first failure,
-// returning the results of the videos already rebuilt alongside the
-// error; completed videos keep their new rows (each video commits
-// independently).
-func (e *Engine) ReindexAll() ([]*ReindexResult, error) {
-	return e.ReindexAllCtx(context.Background())
-}
-
-// ReindexAllCtx is ReindexAll under a request context; cancellation stops
-// between (and inside) per-video rebuilds, keeping already-committed videos.
+// ReindexAllCtx rebuilds the feature rows of every stored video in V_ID
+// order, returning one result per video. It stops at the first failure or
+// cancellation, returning the results of the videos already rebuilt
+// alongside the error; completed videos keep their new rows (each video
+// commits independently).
 func (e *Engine) ReindexAllCtx(ctx context.Context) ([]*ReindexResult, error) {
 	vids, err := e.store.ListVideos(nil)
 	if err != nil {

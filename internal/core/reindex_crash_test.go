@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -32,7 +33,7 @@ func fingerprints(t *testing.T, eng *Engine, videoID int64) []string {
 
 // staleify overwrites every key frame's feature columns (and bucket) with
 // the first row's values — valid, parsable descriptors that differ from
-// what re-extraction produces — so a subsequent ReindexVideo makes a
+// what re-extraction produces — so a subsequent ReindexVideoCtx makes a
 // distinguishable change. This stands in for "the extraction code
 // evolved since these rows were written", the scenario re-index exists
 // for.
@@ -75,7 +76,7 @@ func crashFixture(t *testing.T, dir string) (*Engine, int64, []string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.IngestVideoStream("crash", bytes.NewReader(raw))
+	res, err := eng.IngestVideoStreamCtx(context.Background(), "crash", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestReindexCrashMidTransaction(t *testing.T) {
 					eng.Store().DB().SimulateCrash()
 				}
 			}
-			if _, err := eng.ReindexVideo(videoID); err == nil {
+			if _, err := eng.ReindexVideoCtx(context.Background(), videoID); err == nil {
 				t.Fatal("reindex across a crash reported success")
 			}
 
@@ -134,7 +135,7 @@ func TestReindexCrashMidTransaction(t *testing.T) {
 				}
 			}
 			// The recovered store re-indexes cleanly.
-			if _, err := re.ReindexVideo(videoID); err != nil {
+			if _, err := re.ReindexVideoCtx(context.Background(), videoID); err != nil {
 				t.Fatalf("reindex after recovery: %v", err)
 			}
 		})
@@ -142,7 +143,7 @@ func TestReindexCrashMidTransaction(t *testing.T) {
 }
 
 // TestReindexWALKillSweep is the fault-injection sweep: run a full
-// ReindexVideo, crash without flushing, then truncate the WAL at many
+// ReindexVideoCtx, crash without flushing, then truncate the WAL at many
 // byte offsets — torn page images, missing commit record, intact log —
 // and reopen each image. Every recovery must surface either the complete
 // old rows or the complete new rows, never a mix: the WAL's
@@ -154,7 +155,7 @@ func TestReindexWALKillSweep(t *testing.T) {
 	if err := eng.Store().DB().Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.ReindexVideo(videoID); err != nil {
+	if _, err := eng.ReindexVideoCtx(context.Background(), videoID); err != nil {
 		t.Fatal(err)
 	}
 	new := fingerprints(t, eng, videoID)
@@ -203,7 +204,7 @@ func TestReindexWALKillSweep(t *testing.T) {
 		}
 		// Whatever state recovery chose, the store must stay fully
 		// re-indexable.
-		if _, err := re.ReindexVideo(videoID); err != nil {
+		if _, err := re.ReindexVideoCtx(context.Background(), videoID); err != nil {
 			t.Fatalf("%s: reindex after recovery: %v", label, err)
 		}
 		re.Close()

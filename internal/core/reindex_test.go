@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -34,13 +35,13 @@ func rowsEqual(t *testing.T, label string, got, want []*catalog.KeyFrame) {
 // TestReindexVideoBitIdentical is the headline equivalence: after a
 // re-index, every stored row — feature columns, bucket, name, frame
 // index, IMAGE bytes — and the VIDEO/STREAM blobs must be bit-identical
-// to a fresh IngestVideoStream of the same container, and search results
+// to a fresh IngestVideoStreamCtx of the same container, and search results
 // must be unchanged.
 func TestReindexVideoBitIdentical(t *testing.T) {
 	raw, v := testContainer(t, synthvid.Sports, 41, 18)
 
 	eng := openTestEngine(t)
-	res, err := eng.IngestVideoStream("clip", bytes.NewReader(raw))
+	res, err := eng.IngestVideoStreamCtx(context.Background(), "clip", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestReindexVideoBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rx, err := eng.ReindexVideo(res.VideoID)
+	rx, err := eng.ReindexVideoCtx(context.Background(), res.VideoID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestReindexVideoBitIdentical(t *testing.T) {
 	// Fresh ingest into a second engine agrees column for column (IDs
 	// aside, both engines assign the same sequence from 1).
 	eng2 := openTestEngine(t)
-	res2, err := eng2.IngestVideoStream("clip", bytes.NewReader(raw))
+	res2, err := eng2.IngestVideoStreamCtx(context.Background(), "clip", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestReindexAll(t *testing.T) {
 	var want []int64
 	for i, cat := range []synthvid.Category{synthvid.Sports, synthvid.News, synthvid.Cartoon} {
 		raw, _ := testContainer(t, cat, int64(50+i), 12)
-		res, err := eng.IngestVideoStream(fmt.Sprintf("clip_%d", i), bytes.NewReader(raw))
+		res, err := eng.IngestVideoStreamCtx(context.Background(), fmt.Sprintf("clip_%d", i), bytes.NewReader(raw))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +119,7 @@ func TestReindexAll(t *testing.T) {
 		before[id] = loadStored(t, eng, id)
 	}
 
-	results, err := eng.ReindexAll()
+	results, err := eng.ReindexAllCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,18 +138,18 @@ func TestReindexAll(t *testing.T) {
 // TestReindexMissingVideo surfaces a clean error.
 func TestReindexMissingVideo(t *testing.T) {
 	eng := openTestEngine(t)
-	if _, err := eng.ReindexVideo(99); err == nil || !strings.Contains(err.Error(), "no such video") {
+	if _, err := eng.ReindexVideoCtx(context.Background(), 99); err == nil || !strings.Contains(err.Error(), "no such video") {
 		t.Fatalf("reindex of missing video: %v", err)
 	}
 }
 
-// TestReindexUnderSearchChurn runs ReindexVideo repeatedly while
+// TestReindexUnderSearchChurn runs ReindexVideoCtx repeatedly while
 // concurrent searches hammer the cache under -race: every search must
 // succeed and keep finding the video (old or new rows — never a gap).
 func TestReindexUnderSearchChurn(t *testing.T) {
 	eng := openTestEngine(t)
 	raw, v := testContainer(t, synthvid.Sports, 60, 18)
-	res, err := eng.IngestVideoStream("churn", bytes.NewReader(raw))
+	res, err := eng.IngestVideoStreamCtx(context.Background(), "churn", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestReindexUnderSearchChurn(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := eng.ReindexVideo(res.VideoID); err != nil {
+		if _, err := eng.ReindexVideoCtx(context.Background(), res.VideoID); err != nil {
 			close(stop)
 			t.Fatal(err)
 		}
@@ -200,12 +201,12 @@ func TestReindexUnderSearchChurn(t *testing.T) {
 func TestReindexRescalesEachKeyFrameOnce(t *testing.T) {
 	eng := openTestEngine(t)
 	raw, _ := testContainer(t, synthvid.Nature, 62, 16)
-	res, err := eng.IngestVideoStream("once", bytes.NewReader(raw))
+	res, err := eng.IngestVideoStreamCtx(context.Background(), "once", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
 	start := imaging.RescaleCalls()
-	rx, err := eng.ReindexVideo(res.VideoID)
+	rx, err := eng.ReindexVideoCtx(context.Background(), res.VideoID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestReindexRescalesEachKeyFrameOnce(t *testing.T) {
 func TestReindexDeletedMidSwap(t *testing.T) {
 	eng := openTestEngine(t)
 	raw, _ := testContainer(t, synthvid.Cartoon, 63, 14)
-	res, err := eng.IngestVideoStream("doomed", bytes.NewReader(raw))
+	res, err := eng.IngestVideoStreamCtx(context.Background(), "doomed", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestReindexDeletedMidSwap(t *testing.T) {
 			}
 		}
 	}
-	if _, err := eng.ReindexVideo(res.VideoID); err == nil || !strings.Contains(err.Error(), "deleted during reindex") {
+	if _, err := eng.ReindexVideoCtx(context.Background(), res.VideoID); err == nil || !strings.Contains(err.Error(), "deleted during reindex") {
 		t.Fatalf("reindex of concurrently deleted video: %v", err)
 	}
 	eng.reindexHook = nil

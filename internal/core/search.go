@@ -584,20 +584,16 @@ func (e *Engine) SearchWithSetReference(qset *features.Set, qbucket rangeindex.R
 	return e.searchSetReference(qset, qbucket, opt)
 }
 
-// SearchVideo ranks stored videos against a query clip using the paper's
-// dynamic-programming sequence similarity: the query's key-frame
+// SearchVideoCtx ranks stored videos against a query clip using the
+// paper's dynamic-programming sequence similarity: the query's key-frame
 // descriptor sequence is aligned (DTW) against each stored video's
 // key-frame sequence, with per-pair cost the equally weighted sum of
 // fixed-scale feature distances.
-func (e *Engine) SearchVideo(queryFrames []*imaging.Image, opt SearchOptions) ([]VideoMatch, error) {
-	return e.SearchVideoCtx(context.Background(), queryFrames, opt)
-}
-
-// SearchVideoCtx is SearchVideo under a request context: cancellation is
-// checked before each query frame is read and between per-video DTW
-// alignments, so an abandoned clip query stops within one frame's or one
-// alignment's worth of work and returns the context's error instead of a
-// partial ranking.
+//
+// Cancellation is checked before each query frame is read and between
+// per-video DTW alignments, so an abandoned clip query stops within one
+// frame's or one alignment's worth of work and returns the context's error
+// instead of a partial ranking.
 //
 // The clip runs through the key-frame pipeline exactly as an uploaded
 // video does (pipeline.go): §4.1 selection samples each frame's signature

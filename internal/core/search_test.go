@@ -59,7 +59,7 @@ func sharedFixture(t *testing.T) *searchFixture {
 			v := synthvid.Generate(cat, synthvid.Config{
 				Width: 96, Height: 72, Frames: 14, Shots: 4, Seed: int64(100 + i),
 			})
-			if _, err := eng.IngestFrames(v.Name, v.Frames, v.FPS); err != nil {
+			if _, err := eng.IngestFramesCtx(context.Background(), v.Name, v.Frames, v.FPS); err != nil {
 				fixtureErr = err
 				return
 			}
@@ -195,11 +195,11 @@ func TestShardedSearchSingleShardEngine(t *testing.T) {
 	}
 	defer eng.Close()
 	v := genVideo(synthvid.Sports, 301)
-	if _, err := eng.IngestFrames("s", v.Frames, v.FPS); err != nil {
+	if _, err := eng.IngestFramesCtx(context.Background(), "s", v.Frames, v.FPS); err != nil {
 		t.Fatal(err)
 	}
-	if eng.NumShards() != 1 {
-		t.Fatalf("NumShards = %d", eng.NumShards())
+	if len(eng.shards) != 1 {
+		t.Fatalf("shards = %d", len(eng.shards))
 	}
 	qset := eng.ExtractQuerySets(v.Frames[:1])[0]
 	bucket := QueryBucket(v.Frames[0])
@@ -263,8 +263,8 @@ func TestSearchRejectsInvalidOptions(t *testing.T) {
 					_, err := f.eng.SearchWithSetReference(qset, qbkt, opt)
 					return err
 				},
-				"SearchFrame": func() error { _, err := f.eng.SearchFrame(clip[0], opt); return err },
-				"SearchVideo": func() error { _, err := f.eng.SearchVideo(clip, opt); return err },
+				"SearchFrame":    func() error { _, err := f.eng.SearchFrame(clip[0], opt); return err },
+				"SearchVideoCtx": func() error { _, err := f.eng.SearchVideoCtx(ctx, clip, opt); return err },
 				"searchVideoSets": func() error {
 					_, err := f.eng.searchVideoSets(ctx, []*features.Set{qset}, opt)
 					return err

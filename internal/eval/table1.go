@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -99,7 +100,7 @@ func BuildCorpus(eng *core.Engine, cfg Table1Config) (int, error) {
 	vc.Seed = cfg.Seed
 	videos := synthvid.GenerateCorpus(cfg.VideosPerCategory, vc)
 	for _, v := range videos {
-		if _, err := eng.IngestFrames(v.Name, v.Frames, v.FPS); err != nil {
+		if _, err := eng.IngestFramesCtx(context.Background(), v.Name, v.Frames, v.FPS); err != nil {
 			return 0, fmt.Errorf("eval: ingest %s: %w", v.Name, err)
 		}
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -120,7 +121,7 @@ func TestWebUIDegradedMode(t *testing.T) {
 	}
 	defer eng.Close()
 	v := synthvid.Generate(synthvid.Cartoon, synthvid.Config{Width: 96, Height: 72, Frames: 10, Shots: 2, Seed: 3})
-	res, err := eng.IngestFrames("cartoon_00", v.Frames, v.FPS)
+	res, err := eng.IngestFramesCtx(context.Background(), "cartoon_00", v.Frames, v.FPS)
 	if err != nil {
 		t.Fatal(err)
 	}

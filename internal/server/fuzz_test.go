@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"mime"
 	"mime/multipart"
 	"net/http"
@@ -20,7 +21,7 @@ import (
 func FuzzRequestBody(f *testing.F) {
 	eng := openTestEngine(f)
 	raw, v := testContainer(f, synthvid.Cartoon, 1000, 6)
-	if _, err := eng.IngestVideo("resident", raw); err != nil {
+	if _, err := eng.IngestVideoStreamCtx(context.Background(), "resident", bytes.NewReader(raw)); err != nil {
 		f.Fatal(err)
 	}
 	// One request at a time never contends, so admission must not shed on

@@ -22,7 +22,7 @@ func newPageServer(t *testing.T, opts Options) (*Server, *core.Engine, *core.Ing
 	t.Helper()
 	eng := openTestEngine(t)
 	v := synthvid.Generate(synthvid.Cartoon, synthvid.Config{Width: 96, Height: 72, Frames: 10, Shots: 2, Seed: 3})
-	res, err := eng.IngestFrames("cartoon_00", v.Frames, v.FPS)
+	res, err := eng.IngestFramesCtx(context.Background(), "cartoon_00", v.Frames, v.FPS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestVideoPageFailsOnUnreadableFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := synthvid.Generate(synthvid.Cartoon, synthvid.Config{Width: 96, Height: 72, Frames: 10, Shots: 2, Seed: 3})
-	res, err := eng.IngestFrames("cartoon_00", v.Frames, v.FPS)
+	res, err := eng.IngestFramesCtx(context.Background(), "cartoon_00", v.Frames, v.FPS)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net"
@@ -143,7 +144,7 @@ func TestOverloadSoak(t *testing.T) {
 	var qframe *synthvid.Video
 	for i := 0; i < 3; i++ {
 		raw, v := testContainer(t, synthvid.Category(i%3), int64(800+i), 12)
-		if _, err := eng.IngestVideo(fmt.Sprintf("seed%02d", i), raw); err != nil {
+		if _, err := eng.IngestVideoStreamCtx(context.Background(), fmt.Sprintf("seed%02d", i), bytes.NewReader(raw)); err != nil {
 			t.Fatal(err)
 		}
 		if i == 0 {
