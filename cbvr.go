@@ -8,13 +8,15 @@
 // per-feature distances — the paper's "Combined" retrieval, which its
 // Table 1 shows beating every individual feature.
 //
-// Retrieval runs on a concurrent sharded pipeline: the key-frame cache is
-// partitioned by ID (Options.SearchShards, defaulting to GOMAXPROCS),
-// each shard worker prunes and scores its own slice of the archive, and
-// bounded top-K heaps select the ranking without fully sorting the
-// candidate set. Results are deterministic at any parallelism; set
-// SearchOptions.Workers to bound (or serialise) an individual call. See
-// DESIGN.md ("Sharded search pipeline") for the architecture.
+// Retrieval runs on a concurrent sharded pipeline: the packed key-frame
+// descriptors are partitioned by ID (Options.SearchShards, defaulting to
+// GOMAXPROCS), each shard worker prunes and scores its own slice of the
+// archive, and bounded top-K heaps select the ranking without fully
+// sorting the candidate set. Clip searches score one video per worker
+// from a per-video index of the same cache. Results are deterministic at
+// any parallelism; set SearchOptions.Workers to bound (or serialise) an
+// individual call. See DESIGN.md ("Sharded search pipeline") for the
+// architecture.
 //
 // # Quick start
 //

@@ -33,8 +33,6 @@ import (
 	"cbvr/internal/features"
 	"cbvr/internal/synthvid"
 	"cbvr/internal/vstore"
-	"cbvr/tools/cbvrvet/analyzers"
-	"cbvr/tools/cbvrvet/driver"
 )
 
 func main() {
@@ -75,10 +73,6 @@ func main() {
 		err = cmdStats(args)
 	case "fsck":
 		err = cmdFsck(args)
-	case "vet":
-		// Hidden developer command: run the cbvrvet static-analysis suite
-		// over the repository (equivalent to `go run ./tools/cbvrvet`).
-		err = cmdVet(args)
 	default:
 		usage()
 		os.Exit(2)
@@ -514,25 +508,5 @@ func cmdFsck(args []string) error {
 		return fmt.Errorf("%d problem(s) found", len(rep.Problems))
 	}
 	fmt.Println("ok")
-	return nil
-}
-
-// cmdVet runs the cbvrvet static-analysis suite in-process over the
-// given package patterns (default ./...). Deliberately absent from
-// usage(): it is a developer and CI convenience, not part of the
-// paper's administrator/user surface. Equivalent to
-// `go run ./tools/cbvrvet ./...`.
-func cmdVet(args []string) error {
-	if len(args) == 0 {
-		args = []string{"./..."}
-	}
-	n, err := driver.Run(os.Stderr, "", args, analyzers.All())
-	if err != nil {
-		return err
-	}
-	if n > 0 {
-		return fmt.Errorf("%d finding(s)", n)
-	}
-	fmt.Println("vet: clean")
 	return nil
 }

@@ -58,7 +58,9 @@ func checkArenaAgainstReference(t *testing.T, eng *Engine, qset *features.Set, q
 // checkBucketColumn asserts the arena's §4.2 bucket column — the only
 // thing the search-time range prune reads — mirrors the cache exactly:
 // every live slot carries its entry's bucket, every free slot is cleared,
-// and the live rows add up to the cached entry count.
+// and the live rows add up to the cached entry count. It also asserts the
+// video index is a regrouping of the ID index: the same entries, each
+// listed once under its own video, in frame order.
 func checkBucketColumn(t *testing.T, eng *Engine, label string) {
 	t.Helper()
 	eng.mu.RLock()
@@ -80,8 +82,30 @@ func checkBucketColumn(t *testing.T, eng *Engine, label string) {
 		}
 		live += len(ar.live)
 	}
-	if n := eng.numCached(); live != n {
+	if n := len(eng.byID); live != n {
 		t.Fatalf("%s: arenas hold %d live rows, cache %d", label, live, n)
+	}
+	listed := 0
+	for vid, v := range eng.videos {
+		if v.id != vid {
+			t.Fatalf("%s: video index key %d holds video %d", label, vid, v.id)
+		}
+		for i, en := range v.frames {
+			if en.videoID != vid {
+				t.Fatalf("%s: entry %d of video %d listed under video %d", label, en.id, en.videoID, vid)
+			}
+			if eng.byID[en.id] != en {
+				t.Fatalf("%s: video %d lists entry %d the ID index does not hold", label, vid, en.id)
+			}
+			if i > 0 && frameOrder(v.frames[i-1], en) >= 0 {
+				t.Fatalf("%s: video %d frames out of order at %d: entry %d (frame %d) after entry %d (frame %d)",
+					label, vid, i, en.id, en.frameIdx, v.frames[i-1].id, v.frames[i-1].frameIdx)
+			}
+		}
+		listed += len(v.frames)
+	}
+	if listed != live {
+		t.Fatalf("%s: video index lists %d entries, arenas hold %d live rows", label, listed, live)
 	}
 }
 
@@ -175,7 +199,7 @@ func TestArenaChurnBitIdentity(t *testing.T) {
 	stale := rangeindex.Range{Min: 256, Max: 300}
 	eng.mu.Lock()
 	for _, id := range seed.KeyFrameIDs {
-		old := *eng.getEntry(id)
+		old := *eng.byID[id]
 		old.bucket = stale
 		set, err := eng.referenceSet(&old) // a swap carries its rebuilt set
 		if err != nil {
@@ -317,7 +341,7 @@ func TestArenaMissingDescriptor(t *testing.T) {
 	partial := &features.Set{Histogram: qset.Histogram, GLCM: qset.GLCM}
 	eng.mu.Lock()
 	eng.putEntry(&frameEntry{id: 1 << 40, videoID: 999, frameIdx: 0, bucket: qbucket, set: partial})
-	eng.vname[999] = "partial"
+	eng.video(999).name = "partial"
 	eng.mu.Unlock()
 
 	checkArenaAgainstReference(t, eng, qset, qbucket, "partial entry")

@@ -292,6 +292,7 @@ func TestCellChurnBitIdentity(t *testing.T) {
 
 	check := func(label string) {
 		t.Helper()
+		checkBucketColumn(t, eng, label)
 		for qi, q := range queries {
 			checkCellSingleKindIdentity(t, eng, q.Set, q.Bucket, fmt.Sprintf("%s q%d", label, qi), true)
 		}

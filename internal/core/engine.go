@@ -7,11 +7,13 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -31,21 +33,13 @@ type Options struct {
 	// KeyframeThreshold overrides the §4.1 similarity cut-off
 	// (default 800).
 	KeyframeThreshold float64
-	// Workers bounds parallel feature extraction and query-time scoring;
-	// <= 0 uses GOMAXPROCS.
-	Workers int
-	// SearchShards fixes the number of partitions the key-frame cache and
-	// its descriptor arenas are split into for the concurrent search
-	// pipeline. <= 0 derives the count from the larger of Workers and
+	// SearchShards fixes the number of partitions the descriptor arenas
+	// are split into for the concurrent search pipeline. <= 0 uses
 	// GOMAXPROCS.
 	// The shard count is set at Open and does not change for the engine's
-	// lifetime; query-time parallelism (Workers, SearchOptions.Workers)
-	// is clamped to it, since each shard is scanned by one worker.
+	// lifetime; frame-search parallelism (SearchOptions.Workers) is
+	// clamped to it, since each shard is scanned by one worker.
 	SearchShards int
-	// JPEGQuality for CVJ containers encoded by IngestFramesCtx; <= 0 uses
-	// the default. Stored key-frame images and the key-frame stream reuse
-	// the container's original JPEG bytes, so no quality applies there.
-	JPEGQuality int
 	// Cells tunes the per-shard coarse-cell candidate pruner (see
 	// cells.go). The zero value enables it with defaults; small corpora
 	// stay on the exact sweep via the MinShardRows floor regardless.
@@ -89,11 +83,11 @@ type SearchOptions struct {
 	// pruner existed (the exact baseline for recall evaluation).
 	NoCellPruning bool
 	// Workers overrides the engine's query-time parallelism for this call
-	// only: the number of goroutines scoring cache shards. <= 0 uses the
-	// engine default (Options.Workers, else GOMAXPROCS); 1 runs the whole
-	// search on the calling goroutine. Frame searches are additionally
-	// clamped to the engine's fixed shard count (Options.SearchShards),
-	// one worker per shard. Results are identical at any worker count.
+	// only: the number of goroutines scoring cache shards. <= 0 uses
+	// GOMAXPROCS; 1 runs the whole search on the calling goroutine. Frame
+	// searches are additionally clamped to the engine's fixed shard count
+	// (Options.SearchShards), one worker per shard. Results are identical
+	// at any worker count.
 	Workers int
 
 	// brownout is the engine's load-shedding level sampled once at search
@@ -137,20 +131,23 @@ type IngestResult struct {
 
 // Engine is the CBVR system facade over the catalog store.
 //
-// The scoreable key-frame cache is partitioned into a fixed number of
-// shards keyed by key-frame ID (id mod len(shards)); each shard's arena
-// carries the §4.2 bucket column the range prune sweeps. Search fans one
-// worker out per shard; ingest and delete update the owning shard under
-// the engine write lock. See DESIGN.md ("Sharded search pipeline").
+// The scoreable key-frame cache is indexed twice: by key-frame ID (byID)
+// and by video (videos), the two granularities a query works at. Its
+// packed descriptors are partitioned into a fixed number of arena shards
+// keyed by key-frame ID (id mod len(arenas)); each shard's arena carries
+// the §4.2 bucket column the range prune sweeps. A frame search fans one
+// worker out per shard, a video search one per video; ingest, reindex and
+// delete update both indexes and the owning shard under the engine write
+// lock. See DESIGN.md ("Sharded search pipeline").
 type Engine struct {
 	store *catalog.Store
 	opts  Options
 
 	mu     sync.RWMutex
-	shards []map[int64]*frameEntry // key-frame ID -> parsed descriptors, by id mod N
-	arenas []*shardArena           // per-shard packed descriptor columns (see arena.go)
-	cells  []*shardCells           // per-shard coarse pruning cells (see cells.go)
-	vname  map[int64]string        // video ID -> name
+	byID   map[int64]*frameEntry // key-frame ID -> cached entry
+	videos map[int64]*videoEntry // video ID -> name and cached key frames
+	arenas []*shardArena         // per-shard packed descriptor columns, by id mod N (see arena.go)
+	cells  []*shardCells         // per-shard coarse pruning cells (see cells.go)
 	warm   bool
 
 	// tally accumulates per-search work counters (atomic, written outside
@@ -188,6 +185,22 @@ type frameEntry struct {
 	slot int32 // row in the owning shard's arena; set by putEntry
 }
 
+// videoEntry is one video's slice of the cache: its name and its cached
+// key frames in frame order, the sequence the video search aligns.
+type videoEntry struct {
+	id     int64
+	name   string
+	frames []*frameEntry
+}
+
+// frameOrder sorts a video's frames by frame index, then key-frame ID.
+func frameOrder(a, b *frameEntry) int {
+	if c := cmp.Compare(a.frameIdx, b.frameIdx); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
 // Open opens (creating if needed) a CBVR engine at the given database
 // path.
 func Open(path string, opts Options) (*Engine, error) {
@@ -197,21 +210,19 @@ func Open(path string, opts Options) (*Engine, error) {
 	}
 	n := searchShardCount(opts)
 	cellCfg := opts.Cells.withDefaults()
-	shards := make([]map[int64]*frameEntry, n)
 	arenas := make([]*shardArena, n)
 	cells := make([]*shardCells, n)
-	for i := range shards {
-		shards[i] = make(map[int64]*frameEntry)
+	for i := range arenas {
 		arenas[i] = newShardArena()
 		cells[i] = newShardCells(cellCfg)
 	}
 	return &Engine{
 		store:  st,
 		opts:   opts,
-		shards: shards,
+		byID:   make(map[int64]*frameEntry),
+		videos: make(map[int64]*videoEntry),
 		arenas: arenas,
 		cells:  cells,
-		vname:  make(map[int64]string),
 	}, nil
 }
 
@@ -219,18 +230,12 @@ func Open(path string, opts Options) (*Engine, error) {
 // fan-out overhead outweighs any parallelism the hardware can deliver.
 const maxSearchShards = 256
 
-// searchShardCount resolves the fixed shard count for an engine. Without
-// an explicit SearchShards it sizes from whichever of Options.Workers and
-// GOMAXPROCS is larger: shards only bound the *maximum* per-query
-// parallelism, so a small Workers value (often set just to bound feature
-// extraction) must not permanently cap SearchOptions.Workers overrides.
+// searchShardCount resolves the fixed shard count for an engine:
+// SearchShards, else GOMAXPROCS, clamped to [1, maxSearchShards].
 func searchShardCount(opts Options) int {
 	n := opts.SearchShards
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
-		if opts.Workers > n {
-			n = opts.Workers
-		}
 	}
 	if n < 1 {
 		n = 1
@@ -241,57 +246,68 @@ func searchShardCount(opts Options) int {
 	return n
 }
 
-// shardFor maps a key-frame ID to its cache shard.
+// shardFor maps a key-frame ID to its arena shard.
 func (e *Engine) shardFor(id int64) int {
-	return int(uint64(id) % uint64(len(e.shards)))
+	return int(uint64(id) % uint64(len(e.arenas)))
 }
 
-// putEntry files an entry into its cache shard, the shard's descriptor
-// arena and its cell index. Callers must hold e.mu for writing.
+// video returns a video's index entry, creating an empty one. Callers
+// must hold e.mu for writing.
+func (e *Engine) video(id int64) *videoEntry {
+	v := e.videos[id]
+	if v == nil {
+		v = &videoEntry{id: id}
+		e.videos[id] = v
+	}
+	return v
+}
+
+// link files en into its video's frame list, keeping frame order.
+func (e *Engine) link(en *frameEntry) {
+	v := e.video(en.videoID)
+	i, _ := slices.BinarySearchFunc(v.frames, en, frameOrder)
+	v.frames = slices.Insert(v.frames, i, en)
+}
+
+// putEntry files an entry into both cache indexes, its shard's descriptor
+// arena and the shard's cell index. Callers must hold e.mu for writing.
 // Re-inserting an already cached ID is a no-op so warmCache never
 // double-indexes entries added by ingest.
 func (e *Engine) putEntry(en *frameEntry) {
-	s := e.shardFor(en.id)
-	if _, ok := e.shards[s][en.id]; ok {
+	if _, ok := e.byID[en.id]; ok {
 		return
 	}
-	e.shards[s][en.id] = en
+	e.byID[en.id] = en
+	e.link(en)
+	s := e.shardFor(en.id)
 	e.arenas[s].insert(en)
 	e.cells[s].onInsert(e.arenas[s], en.slot)
 }
 
 // replaceEntry swaps a rebuilt entry over the cached one with the same ID
 // (the reindex commit path): the arena row — descriptors and bucket — is
-// repacked in place, reusing the old slot. A previously unseen ID falls
-// back to a plain insert. Callers must hold e.mu for writing.
+// repacked in place, reusing the old slot. The old entry leaves its own
+// video's frame list, which need not be the new entry's video (a
+// cache-only synthetic frame can hold the ID). A previously unseen ID
+// falls back to a plain insert. Callers must hold e.mu for writing.
 func (e *Engine) replaceEntry(en *frameEntry) {
-	s := e.shardFor(en.id)
-	old := e.shards[s][en.id]
+	old := e.byID[en.id]
 	if old == nil {
 		e.putEntry(en)
 		return
 	}
+	ov := e.videos[old.videoID]
+	i := slices.Index(ov.frames, old)
+	ov.frames = slices.Delete(ov.frames, i, i+1)
+	e.byID[en.id] = en
+	e.link(en)
 	en.slot = old.slot
 	old.slot = noSlot
-	e.shards[s][en.id] = en
+	s := e.shardFor(en.id)
 	ar := e.arenas[s]
 	ar.ents[en.slot] = en
 	ar.repack(en)
 	e.cells[s].onRepack(ar, en.slot)
-}
-
-// getEntry looks an entry up in its shard. Callers must hold e.mu.
-func (e *Engine) getEntry(id int64) *frameEntry {
-	return e.shards[e.shardFor(id)][id]
-}
-
-// numCached counts cached entries. Callers must hold e.mu.
-func (e *Engine) numCached() int {
-	n := 0
-	for _, sh := range e.shards {
-		n += len(sh)
-	}
-	return n
 }
 
 // Close closes the engine and its database.
@@ -307,13 +323,6 @@ func (e *Engine) Store() *catalog.Store { return e.store }
 // until the process restarts and recovery settles durable state.
 func (e *Engine) Degraded() error { return e.store.DB().Degraded() }
 
-func (e *Engine) workers() int {
-	if e.opts.Workers > 0 {
-		return e.opts.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // IngestFramesCtx encodes frames as a CVJ container and ingests it. A
 // frame that fails JPEG encoding aborts here, deterministically naming the
 // first failing frame, before any database transaction begins. The
@@ -324,7 +333,7 @@ func (e *Engine) IngestFramesCtx(ctx context.Context, name string, frames []*ima
 	if len(frames) == 0 {
 		return nil, errors.New("core: no frames to ingest")
 	}
-	container, err := cvj.EncodeBytes(frames, fps, e.opts.JPEGQuality)
+	container, err := cvj.EncodeBytes(frames, fps, 0)
 	if err != nil {
 		return nil, fmt.Errorf("core: ingest %q: %w", name, err)
 	}
@@ -509,7 +518,7 @@ func (e *Engine) publishEntries(videoID int64, name string, entries []*frameEntr
 		e.putEntry(en)
 		en.set = nil // packed; the stored row keeps the text
 	}
-	e.vname[videoID] = name
+	e.video(videoID).name = name
 	e.mu.Unlock()
 }
 
@@ -610,17 +619,15 @@ func (e *Engine) DeleteVideo(videoID int64) error {
 		return err
 	}
 	e.mu.Lock()
-	for si, sh := range e.shards {
-		for id, en := range sh {
-			if en.videoID == videoID {
-				delete(sh, id)
-				slot := en.slot
-				e.arenas[si].remove(en)
-				e.cells[si].onRemove(e.arenas[si], slot)
-			}
+	if v := e.videos[videoID]; v != nil {
+		for _, en := range v.frames {
+			delete(e.byID, en.id)
+			s, slot := e.shardFor(en.id), en.slot
+			e.arenas[s].remove(en)
+			e.cells[s].onRemove(e.arenas[s], slot)
 		}
+		delete(e.videos, videoID)
 	}
-	delete(e.vname, videoID)
 	e.mu.Unlock()
 	return nil
 }
@@ -642,7 +649,7 @@ func (e *Engine) warmCache() error {
 		return nil
 	}
 	err := e.store.ScanKeyFrames(nil, func(k *catalog.KeyFrame) (bool, error) {
-		if en := e.getEntry(k.ID); en != nil {
+		if e.byID[k.ID] != nil {
 			return true, nil
 		}
 		en, err := entryFromRow(k)
@@ -661,7 +668,7 @@ func (e *Engine) warmCache() error {
 		return err
 	}
 	for _, v := range vids {
-		e.vname[v.ID] = v.Name
+		e.video(v.ID).name = v.Name
 	}
 	e.warm = true
 	return nil
@@ -820,7 +827,7 @@ func fixedScaleDistancePacked(pq *PackedQuery, ar *shardArena, slot int32) float
 // of frames in parallel and keep their descriptor sets.
 func (e *Engine) ExtractQuerySets(frames []*imaging.Image) []*features.Set {
 	out := make([]*features.Set, len(frames))
-	parallelFor(len(frames), e.workers(), func(i int) {
+	parallelFor(len(frames), runtime.GOMAXPROCS(0), func(i int) {
 		out[i], _ = Describe(frames[i].Source(), nil)
 	})
 	return out
@@ -833,5 +840,5 @@ func (e *Engine) CacheSize() (int, error) {
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.numCached(), nil
+	return len(e.byID), nil
 }

@@ -7,6 +7,7 @@ package core
 import (
 	"context"
 	"io"
+	"runtime"
 	"sync"
 
 	"cbvr/internal/cvj"
@@ -98,7 +99,7 @@ func (s *frameSource) NextSource() (imaging.Source, error) {
 // paths, so every error comes from produce, in stream order. The jobs come
 // back in submission order, complete, even when produce fails.
 func (e *Engine) describeKeyFrames(produce func(submit func(*kfJob)) error) ([]*kfJob, error) {
-	workers := e.workers()
+	workers := runtime.GOMAXPROCS(0)
 	queue := make(chan *kfJob, workers)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {

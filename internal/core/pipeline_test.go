@@ -96,8 +96,9 @@ func TestSearchVideoMatchesReferenceExtraction(t *testing.T) {
 		qsets[i] = features.ExtractAllReference(k.Image)
 	}
 	ctx := context.Background()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, workers := range []int{1, max(4, runtime.GOMAXPROCS(0))} {
-		eng.opts.Workers = workers // extraction pool size
+		runtime.GOMAXPROCS(workers) // extraction pool size
 		for _, opt := range []SearchOptions{
 			{Workers: workers},
 			{K: 2, Workers: workers, Kinds: []features.Kind{features.KindGabor, features.KindHistogram}},

@@ -113,12 +113,12 @@ func (e *Engine) ReindexVideoCtx(ctx context.Context, videoID int64) (*ReindexRe
 	// Swap the published entries: install each key frame's rebuilt entry
 	// over the old one atomically under the engine lock. A
 	// concurrent DeleteVideo may have removed the video between our commit
-	// and this swap (its own transaction serialises after ours); it scrubs
-	// vname inside the same critical section it scrubs the cache, so a
-	// missing name here means the rows are gone and installing entries
-	// would resurrect ghost rows for a deleted video.
+	// and this swap (its own transaction serialises after ours); it drops
+	// the video's index entry inside the same critical section it scrubs
+	// the cache, so a missing entry here means the rows are gone and
+	// installing entries would resurrect ghost rows for a deleted video.
 	e.mu.Lock()
-	name, alive := e.vname[videoID]
+	v, alive := e.videos[videoID]
 	if !alive {
 		e.mu.Unlock()
 		return fail(errors.New("video deleted during reindex"))
@@ -134,6 +134,7 @@ func (e *Engine) ReindexVideoCtx(ctx context.Context, videoID int64) (*ReindexRe
 		e.replaceEntry(en)
 		en.set = nil // packed; the stored row keeps the text
 	}
+	name := v.name
 	e.mu.Unlock()
 	return &ReindexResult{VideoID: videoID, VideoName: name, KeyFrames: len(jobs)}, nil
 }

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -38,15 +39,15 @@ import (
 const missingDistance = 1e9
 
 // searchWorkers resolves the per-call scoring parallelism: the call
-// override, else the engine default, clamped to the shard count (more
-// workers than shards cannot help).
+// override, else GOMAXPROCS, clamped to the shard count (more workers
+// than shards cannot help).
 func (e *Engine) searchWorkers(opt *SearchOptions) int {
 	w := opt.Workers
 	if w <= 0 {
-		w = e.workers()
+		w = runtime.GOMAXPROCS(0)
 	}
-	if w > len(e.shards) {
-		w = len(e.shards)
+	if w > len(e.arenas) {
+		w = len(e.arenas)
 	}
 	if w < 1 {
 		w = 1
@@ -185,7 +186,7 @@ func (e *Engine) searchSetStats(ctx context.Context, qset *features.Set, qbucket
 	}
 	pq := packQuery(qset, kinds)
 
-	nShards := len(e.shards)
+	nShards := len(e.arenas)
 	workers := e.searchWorkers(&opt)
 	needScalers := len(kinds) > 1 && opt.Fusion == FusionMinMax
 
@@ -308,11 +309,11 @@ func (e *Engine) searchSetStats(ctx context.Context, qset *features.Set, qbucket
 	ranked := final.Sorted()
 	out := make([]Match, len(ranked))
 	for i, r := range ranked {
-		en := e.getEntry(r.ID)
+		en := e.byID[r.ID]
 		out[i] = Match{
 			KeyFrameID: en.id,
 			VideoID:    en.videoID,
-			VideoName:  e.vname[en.videoID],
+			VideoName:  e.videos[en.videoID].name,
 			FrameIndex: en.frameIdx,
 			Distance:   r.Distance,
 		}
@@ -504,11 +505,9 @@ func (e *Engine) searchSetReference(qset *features.Set, qbucket rangeindex.Range
 	}
 
 	var cands []*frameEntry
-	for _, sh := range e.shards {
-		for _, en := range sh {
-			if opt.NoPruning || en.bucket.Overlaps(qbucket) {
-				cands = append(cands, en)
-			}
+	for _, en := range e.byID {
+		if opt.NoPruning || en.bucket.Overlaps(qbucket) {
+			cands = append(cands, en)
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].id < cands[j].id })
@@ -565,11 +564,11 @@ func (e *Engine) searchSetReference(qset *features.Set, qbucket rangeindex.Range
 	}
 	out := make([]Match, k)
 	for i := 0; i < k; i++ {
-		en := e.getEntry(ranked[i].ID)
+		en := e.byID[ranked[i].ID]
 		out[i] = Match{
 			KeyFrameID: en.id,
 			VideoID:    en.videoID,
-			VideoName:  e.vname[en.videoID],
+			VideoName:  e.videos[en.videoID].name,
 			FrameIndex: en.frameIdx,
 			Distance:   ranked[i].Distance,
 		}
@@ -621,13 +620,8 @@ func (e *Engine) SearchVideoCtx(ctx context.Context, queryFrames []*imaging.Imag
 	return e.searchVideoSets(ctx, qsets, opt)
 }
 
-// searchVideoSets aligns pre-extracted query descriptor sequences against
-// every stored video, one DTW alignment per worker at a time, then
-// heap-selects the K closest videos. The DTW cost function reads the
-// stored side straight out of the arena columns through the batch
-// kernels' pair form. Cancellation is checked before each alignment;
-// on cancellation the context's error is returned, never a partial
-// ranking.
+// searchVideoSets ranks stored videos by DTW alignment of pre-extracted
+// query descriptor sequences against each video's cached key frames.
 func (e *Engine) searchVideoSets(ctx context.Context, qsets []*features.Set, opt SearchOptions) ([]VideoMatch, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -638,68 +632,11 @@ func (e *Engine) searchVideoSets(ctx context.Context, qsets []*features.Set, opt
 	if opt.K <= 0 && e.BrownoutLevel() >= BrownoutRefuseFullRank {
 		return nil, ErrOverloaded
 	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-
-	kinds := opt.kinds()
-	pqs := make([]*PackedQuery, len(qsets))
-	for i, q := range qsets {
-		pqs[i] = packQuery(q, kinds)
-	}
-
-	// Group stored frames by video, ordered by frame index.
-	byVideo := make(map[int64][]*frameEntry)
-	for _, sh := range e.shards {
-		for _, en := range sh {
-			byVideo[en.videoID] = append(byVideo[en.videoID], en)
-		}
-	}
-	vids := make([]int64, 0, len(byVideo))
-	for vid := range byVideo {
-		vids = append(vids, vid)
-	}
-	sort.Slice(vids, func(i, j int) bool { return vids[i] < vids[j] })
-
-	dists := make([]float64, len(vids))
-	// Fan out over videos, not shards, so the parallelism bound is the
-	// video count (parallelFor clamps), not the engine's shard count.
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = e.workers()
-	}
-	var cancelled atomic.Bool
-	parallelFor(len(vids), workers, func(i int) {
-		if cancelled.Load() {
-			return
-		}
-		if ctx.Err() != nil {
-			cancelled.Store(true)
-			return
-		}
-		ens := byVideo[vids[i]]
-		sort.Slice(ens, func(a, b int) bool { return ens[a].frameIdx < ens[b].frameIdx })
-		// Resolve each stored frame's arena once, not per DTW cell.
-		ars := make([]*shardArena, len(ens))
-		for j, en := range ens {
-			ars[j] = e.arenas[e.shardFor(en.id)]
-		}
-		cost := func(qi, cj int) float64 {
-			return fixedScaleDistancePacked(pqs[qi], ars[cj], ens[cj].slot)
-		}
-		dists[i] = similarity.DTW(len(qsets), len(ens), cost)
-	})
-	if cancelled.Load() {
-		return nil, ctx.Err()
-	}
-	return e.selectVideos(vids, dists, opt.K), nil
+	return e.rankVideos(ctx, qsets, opt, similarity.DTW)
 }
 
 // BestSingleFrameVideoSearch ranks videos by the single best frame-to-
-// frame distance instead of DP alignment (the DP ablation baseline). Each
-// shard worker keeps a shard-local per-video minimum in a pooled slice
-// keyed by video order (not a per-call map — shard-count map allocations
-// and per-entry hashing were pure churn); the minima merge exactly, so
-// results are identical at any worker count.
+// frame distance instead of DP alignment (the DP ablation baseline).
 func (e *Engine) BestSingleFrameVideoSearch(qsets []*features.Set, opt SearchOptions) ([]VideoMatch, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -707,6 +644,31 @@ func (e *Engine) BestSingleFrameVideoSearch(qsets []*features.Set, opt SearchOpt
 	if err := e.warmCache(); err != nil {
 		return nil, err
 	}
+	return e.rankVideos(context.Background(), qsets, opt, minPairCost)
+}
+
+// minPairCost reduces a query-by-frame cost matrix to its smallest entry.
+func minPairCost(nq, nf int, cost func(qi, fj int) float64) float64 {
+	best := math.Inf(1)
+	for fj := 0; fj < nf; fj++ {
+		for qi := 0; qi < nq; qi++ {
+			if d := cost(qi, fj); d < best {
+				best = d
+			}
+		}
+	}
+	return best
+}
+
+// rankVideos scores every cached video against the query sequence, one
+// video per worker at a time, and heap-selects the K closest (all when
+// K <= 0) with the deterministic (distance, video ID) tie-break. reduce
+// folds a video's query-by-frame cost matrix into its distance; the cost
+// reads the stored side straight out of the arena columns through the
+// batch kernels' pair form. A video no query frame reaches (+Inf) is not
+// ranked. Cancellation is checked before each video; on cancellation the
+// context's error is returned, never a partial ranking.
+func (e *Engine) rankVideos(ctx context.Context, qsets []*features.Set, opt SearchOptions, reduce func(nq, nf int, cost func(qi, fj int) float64) float64) ([]VideoMatch, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	kinds := opt.kinds()
@@ -714,97 +676,49 @@ func (e *Engine) BestSingleFrameVideoSearch(qsets []*features.Set, opt SearchOpt
 	for i, q := range qsets {
 		pqs[i] = packQuery(q, kinds)
 	}
-
-	// Deterministic video-order table shared by every shard worker: the
-	// slot index replaces the map key. +Inf marks "no frame seen".
-	vids := make([]int64, 0, len(e.vname))
-	for vid := range e.vname {
-		vids = append(vids, vid)
-	}
-	sort.Slice(vids, func(i, j int) bool { return vids[i] < vids[j] })
-	vpos := make(map[int64]int32, len(vids))
-	for i, vid := range vids {
-		vpos[vid] = int32(i)
+	videos := make([]*videoEntry, 0, len(e.videos))
+	for _, v := range e.videos {
+		if len(v.frames) > 0 {
+			videos = append(videos, v)
+		}
 	}
 
-	locals := make([]*[]float64, len(e.shards))
-	parallelFor(len(e.shards), e.searchWorkers(&opt), func(si int) {
-		ar := e.arenas[si]
-		if len(ar.live) == 0 {
+	dists := make([]float64, len(videos))
+	// Fan out over videos, not shards, so the parallelism bound is the
+	// video count (parallelFor clamps), not the engine's shard count.
+	workers := opt.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var cancelled atomic.Bool
+	parallelFor(len(videos), workers, func(i int) {
+		if cancelled.Load() {
 			return
 		}
-		bp := acquireBestDists(len(vids))
-		best := *bp
-		for _, slot := range ar.live {
-			vi, ok := vpos[ar.ents[slot].videoID]
-			if !ok {
-				continue
-			}
-			for _, pq := range pqs {
-				if d := fixedScaleDistancePacked(pq, ar, slot); d < best[vi] {
-					best[vi] = d
-				}
-			}
+		if ctx.Err() != nil {
+			cancelled.Store(true)
+			return
 		}
-		locals[si] = bp
+		frames := videos[i].frames
+		dists[i] = reduce(len(pqs), len(frames), func(qi, fj int) float64 {
+			en := frames[fj]
+			return fixedScaleDistancePacked(pqs[qi], e.arenas[e.shardFor(en.id)], en.slot)
+		})
 	})
-	bp := acquireBestDists(len(vids))
-	best := *bp
-	for _, local := range locals {
-		if local == nil {
-			continue
-		}
-		for vi, d := range *local {
-			if d < best[vi] {
-				best[vi] = d
-			}
-		}
-		bestDistPool.Put(local)
+	if cancelled.Load() {
+		return nil, ctx.Err()
 	}
-	outVids := make([]int64, 0, len(vids))
-	dists := make([]float64, 0, len(vids))
-	for vi, d := range best {
-		if !math.IsInf(d, 1) {
-			outVids = append(outVids, vids[vi])
-			dists = append(dists, d)
-		}
-	}
-	bestDistPool.Put(bp)
-	return e.selectVideos(outVids, dists, opt.K), nil
-}
 
-// bestDistPool recycles the per-shard and merged best-distance slices of
-// BestSingleFrameVideoSearch across calls.
-var bestDistPool = sync.Pool{New: func() any { return new([]float64) }}
-
-// acquireBestDists returns a pooled slice of n distances, all +Inf.
-func acquireBestDists(n int) *[]float64 {
-	bp := bestDistPool.Get().(*[]float64)
-	s := *bp
-	if cap(s) < n {
-		s = make([]float64, n)
-	}
-	s = s[:n]
-	inf := math.Inf(1)
-	for i := range s {
-		s[i] = inf
-	}
-	*bp = s
-	return bp
-}
-
-// selectVideos heap-selects the k closest videos (all when k <= 0) with
-// the deterministic (distance, video ID) tie-break. Callers must hold
-// e.mu for reading (for vname).
-func (e *Engine) selectVideos(vids []int64, dists []float64, k int) []VideoMatch {
-	h := similarity.NewTopK(k)
-	for i, vid := range vids {
-		h.Push(similarity.Ranked{ID: vid, Distance: dists[i]})
+	h := similarity.NewTopK(opt.K)
+	for i, v := range videos {
+		if !math.IsInf(dists[i], 1) {
+			h.Push(similarity.Ranked{ID: v.id, Distance: dists[i]})
+		}
 	}
 	ranked := h.Sorted()
 	out := make([]VideoMatch, len(ranked))
 	for i, r := range ranked {
-		out[i] = VideoMatch{VideoID: r.ID, VideoName: e.vname[r.ID], Distance: r.Distance}
+		out[i] = VideoMatch{VideoID: r.ID, VideoName: e.videos[r.ID].name, Distance: r.Distance}
 	}
-	return out
+	return out, nil
 }

@@ -198,8 +198,8 @@ func TestShardedSearchSingleShardEngine(t *testing.T) {
 	if _, err := eng.IngestFramesCtx(context.Background(), "s", v.Frames, v.FPS); err != nil {
 		t.Fatal(err)
 	}
-	if len(eng.shards) != 1 {
-		t.Fatalf("shards = %d", len(eng.shards))
+	if len(eng.arenas) != 1 {
+		t.Fatalf("shards = %d", len(eng.arenas))
 	}
 	qset := eng.ExtractQuerySets(v.Frames[:1])[0]
 	bucket := QueryBucket(v.Frames[0])

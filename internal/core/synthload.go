@@ -3,7 +3,7 @@
 // pixels, no JPEG encoding, no store rows — so loading must bypass the
 // ingest pipeline and publish straight into the scoreable cache. The
 // entries behave exactly like warmed stored rows for search purposes
-// (shard maps, arenas, cell index) but do not survive a
+// (ID and video indexes, arenas, cell index) but do not survive a
 // reopen, which evaluation runs never do.
 package core
 
@@ -25,8 +25,8 @@ type SyntheticFrame struct {
 }
 
 // PublishSyntheticFrames files the frames into the search cache under one
-// write-lock critical section: shard map, arena row and cell index per
-// frame, exactly like publishEntries after a commit. IDs must
+// write-lock critical section: ID and video index, arena row and cell
+// index per frame, exactly like publishEntries after a commit. IDs must
 // be positive and unique; an already-cached ID is skipped (putEntry's
 // no-op), mirroring warmCache. Streamed generators can call this in
 // batches to bound peak slice memory.
@@ -54,7 +54,7 @@ func (e *Engine) PublishSyntheticFrames(frames []SyntheticFrame) error {
 			set:      f.Set,
 		})
 		if f.VideoName != "" {
-			e.vname[f.VideoID] = f.VideoName
+			e.video(f.VideoID).name = f.VideoName
 		}
 	}
 	return nil

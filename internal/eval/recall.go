@@ -23,7 +23,8 @@ const loadBatch = 8192
 
 // LoadClusterCorpus streams the configured corpus into the engine's
 // search cache in bounded batches. The engine sees exactly the frames a
-// store-backed ingest would have published (shards, arenas, cell index).
+// store-backed ingest would have published (ID and video indexes, arenas,
+// cell index).
 func LoadClusterCorpus(e *core.Engine, cfg synthvid.ClusterCorpusConfig) error {
 	batch := make([]core.SyntheticFrame, 0, loadBatch)
 	flush := func() error {

@@ -34,15 +34,6 @@ func batchKernel(q, col []float64, rows []int32, out []float64, row func(q, r []
 	}
 }
 
-// BatchL1 computes out[i] = the L1 distance between q and row rows[i] of
-// col (stride len(q)). Generic building block; the histogram and
-// correlogram kernels reuse its row form with their own scaling.
-//
-//cbvrvet:noalloc
-func BatchL1(q, col []float64, rows []int32, out []float64) {
-	batchKernel(q, col, rows, out, l1Row)
-}
-
 // BatchL2 computes out[i] = the L2 distance between q and row rows[i] of
 // col (stride len(q)). The Gabor kernel is exactly this at stride 60.
 //

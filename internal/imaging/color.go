@@ -60,17 +60,6 @@ func (im *Image) ToGrayInto(dst *Gray) *Gray {
 	return dst
 }
 
-// ToImage converts a grayscale raster back to RGB with equal channels.
-func (g *Gray) ToImage() *Image {
-	out := New(g.W, g.H)
-	di := 0
-	for _, v := range g.Pix {
-		out.Pix[di], out.Pix[di+1], out.Pix[di+2] = v, v, v
-		di += 3
-	}
-	return out
-}
-
 // RGBToHSV converts an RGB pixel to HSV with h in [0,360), s in [0,1] and
 // v in [0,1]. This mirrors java.awt.Color.RGBtoHSB scaled to degrees, which
 // is what the paper's auto-correlogram quantiser uses.

@@ -449,18 +449,15 @@ func (s *Server) search(w http.ResponseWriter, r *http.Request, ok respond[[]cor
 		defer r.MultipartForm.RemoveAll()
 		frameSrc = file
 	}
+	k, err := searchK(r)
+	if err != nil {
+		s.writeErr(w, httperr.Malformed(err), admission.Search)
+		return
+	}
 	query, err := imaging.DecodeJPEG(frameSrc)
 	if err != nil {
 		s.writeErr(w, httperr.Malformed(fmt.Errorf("query frame is not a decodable JPEG: %w", err)), admission.Search)
 		return
-	}
-	kStr := r.URL.Query().Get("k")
-	if kStr == "" && r.MultipartForm != nil {
-		kStr = r.FormValue("k") // populated by the FormFile parse above
-	}
-	k := 12
-	if v, err := strconv.Atoi(kStr); err == nil && v > 0 && v <= 1000 {
-		k = v
 	}
 	matches, err := s.eng.SearchFrameCtx(r.Context(), query, core.SearchOptions{K: k})
 	if err != nil {
@@ -468,6 +465,24 @@ func (s *Server) search(w http.ResponseWriter, r *http.Request, ok respond[[]cor
 		return
 	}
 	ok(w, r, matches)
+}
+
+// searchK reads a search's result count from the query string, or from a
+// multipart form already parsed by the caller. Absent or empty means 12;
+// anything else must be an integer in 1..1000.
+func searchK(r *http.Request) (int, error) {
+	kStr := r.URL.Query().Get("k")
+	if kStr == "" && r.MultipartForm != nil {
+		kStr = r.FormValue("k")
+	}
+	if kStr == "" {
+		return 12, nil
+	}
+	k, err := strconv.Atoi(kStr)
+	if err != nil || k < 1 || k > 1000 {
+		return 0, fmt.Errorf("k must be an integer in 1..1000, got %q", kStr)
+	}
+	return k, nil
 }
 
 func writeMatches(w http.ResponseWriter, _ *http.Request, matches []core.Match) {

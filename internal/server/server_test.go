@@ -10,6 +10,7 @@ import (
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -542,6 +543,59 @@ func TestMultipartIngestAndSearch(t *testing.T) {
 	}
 	if sr.Matches[0].VideoName != "mpclip" {
 		t.Fatalf("top match %+v, want mpclip", sr.Matches[0])
+	}
+}
+
+// TestSearchRejectsBadK pins the k contract of /api/v1/search on raw and
+// multipart requests: absent or empty k ranks the default 12, and a
+// present k outside 1..1000 is a 400 naming k, reported before the query
+// frame is decoded.
+func TestSearchRejectsBadK(t *testing.T) {
+	eng := openTestEngine(t)
+	ts := httptest.NewServer(New(eng, Options{}))
+	defer ts.Close()
+	raw, v := testContainer(t, synthvid.Cartoon, 700, 24)
+	if _, err := eng.IngestVideoStreamCtx(context.Background(), "kclip", bytes.NewReader(raw)); err != nil {
+		t.Fatal(err)
+	}
+	qjpeg := queryJPEG(t, v)
+
+	// post sends the fields in the query string (raw body) or as form
+	// fields ahead of the image part (multipart), and returns the status,
+	// the body and the match count.
+	post := func(multi bool, fields map[string]string, frame []byte) (int, string, int) {
+		t.Helper()
+		var sr searchResp
+		var resp *http.Response
+		var body string
+		if multi {
+			form, ctype := multipartBody(t, "image", "q.jpg", frame, fields)
+			resp, body = doTyped(t, "POST", ts.URL+"/api/v1/search", ctype, form, &sr)
+		} else {
+			q := url.Values{}
+			for k, v := range fields {
+				q.Set(k, v)
+			}
+			resp, body = doJSON(t, "POST", ts.URL+"/api/v1/search?"+q.Encode(), bytes.NewReader(frame), &sr)
+		}
+		return resp.StatusCode, body, len(sr.Matches)
+	}
+	for _, multi := range []bool{false, true} {
+		for _, fields := range []map[string]string{nil, {"k": ""}} {
+			if code, body, n := post(multi, fields, qjpeg); code != 200 || n == 0 || n > 12 {
+				t.Errorf("multipart=%v %v: status %d, %d matches: %s", multi, fields, code, n, body)
+			}
+		}
+		for _, bad := range []string{"0", "-3", "abc", "5000"} {
+			fields := map[string]string{"k": bad}
+			if code, body, _ := post(multi, fields, qjpeg); code != 400 || !strings.Contains(body, "k must be an integer in 1..1000") {
+				t.Errorf("multipart=%v k=%q: status %d: %s", multi, bad, code, body)
+			}
+			// The k check runs before the frame is decoded.
+			if code, body, _ := post(multi, fields, []byte("not a jpeg")); code != 400 || !strings.Contains(body, "k must be") {
+				t.Errorf("multipart=%v k=%q, undecodable frame: status %d: %s", multi, bad, code, body)
+			}
+		}
 	}
 }
 

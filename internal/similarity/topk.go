@@ -49,12 +49,9 @@ func worseRanked(a, b Ranked) bool {
 // Len reports how many values are currently kept.
 func (t *TopK) Len() int { return len(t.h) }
 
-// Cap returns the configured bound (<= 0 means unbounded).
-func (t *TopK) Cap() int { return t.k }
-
 // Worst returns the worst currently-kept value; ok is false while the
-// heap is empty. When Len() == Cap(), any candidate worse than this
-// cannot enter the selection, which lets callers skip work early.
+// heap is empty. Once the heap holds k values, any candidate worse than
+// this cannot enter the selection, which lets callers skip work early.
 func (t *TopK) Worst() (r Ranked, ok bool) {
 	if len(t.h) == 0 {
 		return Ranked{}, false

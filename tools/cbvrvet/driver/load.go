@@ -1,6 +1,6 @@
 // Package driver loads and type-checks packages for the cbvrvet
 // analyzers, two ways: standalone (shelling out to `go list -export`,
-// used by the cbvrvet CLI, cbvrctl vet and the fixture runner) and as a
+// used by the cbvrvet CLI and the fixture runner) and as a
 // `go vet -vettool` unit checker (unit.go). Both paths use only the
 // standard library: dependencies are type-checked from the compiler
 // export data the go command already produces, never from source.
