@@ -25,9 +25,7 @@ import (
 	"cbvr/internal/eval"
 	"cbvr/internal/features"
 	"cbvr/internal/keyframe"
-	"cbvr/internal/motion"
 	"cbvr/internal/rangeindex"
-	"cbvr/internal/similarity"
 	"cbvr/internal/synthvid"
 )
 
@@ -264,10 +262,11 @@ func runAblations(eng *core.Engine, cfg eval.Table1Config) {
 	fmt.Printf("DP alignment top-1 category hits:       %d/%d\n", dpHits, synthvid.NumCategories)
 	fmt.Printf("best-single-frame top-1 category hits:  %d/%d\n\n", bsHits, synthvid.NumCategories)
 
-	// 4. Fusion weighting: equal vs histogram-heavy weights.
+	// 4. Fusion weighting: equal vs texture-heavy weights. Min-max fusion,
+	// because RRF fuses ranks and ignores Weights.
 	fmt.Println("-- fusion weights (combined search, P@20) --")
 	kinds := features.AllKinds()
-	equal := measureP20(eng, qs, core.SearchOptions{Kinds: kinds})
+	equal := measureP20(eng, qs, core.SearchOptions{Kinds: kinds, Fusion: core.FusionMinMax})
 	weights := make([]float64, len(kinds))
 	for i, k := range kinds {
 		if k == features.KindGabor || k == features.KindTamura {
@@ -276,39 +275,9 @@ func runAblations(eng *core.Engine, cfg eval.Table1Config) {
 			weights[i] = 1
 		}
 	}
-	texture := measureP20(eng, qs, core.SearchOptions{Kinds: kinds, Weights: weights})
+	texture := measureP20(eng, qs, core.SearchOptions{Kinds: kinds, Weights: weights, Fusion: core.FusionMinMax})
 	fmt.Printf("equal weights:          P@20 = %.3f\n", equal)
 	fmt.Printf("texture-heavy weights:  P@20 = %.3f\n\n", texture)
-
-	// 5. Motion activity per genre: the temporal feature the paper's
-	// introduction names ("motion and spatial-temporal composition").
-	fmt.Println("-- motion activity by category (block matching, 3-step search) --")
-	fmt.Printf("%-12s %10s %10s %10s\n", "category", "mean", "stddev", "still%")
-	for _, cat := range synthvid.AllCategories() {
-		v := synthvid.Generate(cat, synthvid.Config{Frames: 12, Shots: 1, Seed: cfg.Seed + 77})
-		act, err := motion.ExtractActivity(v.Frames, 1)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%-12s %10.3f %10.3f %9.1f%%\n", cat, act.Mean, act.Std, act.ZeroFrac*100)
-	}
-	fmt.Println()
-
-	// 6. DTW window: full vs banded alignment cost agreement.
-	fmt.Println("-- DTW banding --")
-	a := []float64{0, 1, 2, 3, 4, 5, 4, 3, 2, 1}
-	b := []float64{0, 2, 4, 4, 2, 0}
-	cost := func(i, j int) float64 {
-		d := a[i] - b[j]
-		if d < 0 {
-			d = -d
-		}
-		return d
-	}
-	full := similarity.DTW(len(a), len(b), cost)
-	banded := similarity.DTWWindow(len(a), len(b), 3, cost)
-	fmt.Printf("full DTW:   %.4f\n", full)
-	fmt.Printf("banded(3):  %.4f\n\n", banded)
 }
 
 func measureP20(eng *core.Engine, qs []eval.Query, opt core.SearchOptions) float64 {
@@ -328,11 +297,4 @@ func measureP20(eng *core.Engine, qs []eval.Query, opt core.SearchOptions) float
 		ps = append(ps, eval.PrecisionAtK(rel, 20))
 	}
 	return eval.Mean(ps)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

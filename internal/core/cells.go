@@ -52,12 +52,8 @@ import (
 )
 
 // CellOptions tunes the per-shard candidate pruner. The zero value means
-// defaults; Disabled turns the pruner off entirely (every search takes
-// the exact sweep).
+// defaults; SearchOptions.NoCellPruning forces the exact sweep per call.
 type CellOptions struct {
-	// Disabled turns cell pruning off: no indexes are built and every
-	// search scans exactly as before the pruner existed.
-	Disabled bool
 	// TargetCellSize is the intended rows-per-cell at rebuild time
 	// (default 96). The cell count is ceil(rows / TargetCellSize).
 	TargetCellSize int
@@ -150,10 +146,10 @@ func newShardCells(cfg CellOptions) *shardCells {
 // plan reports whether a scan over n0 range-pruned candidate rows may
 // take its rows from the cell index, and for a fused (multi-kind) request
 // the row budget it may probe. ok=false selects the exact sweep: tiny
-// shards, unbuilt or disabled indexes, full-ranking (K <= 0) queries,
-// kinds without a certified bound, and requests the cells cannot shrink.
+// shards, unbuilt indexes, full-ranking (K <= 0) queries, kinds without
+// a certified bound, and requests the cells cannot shrink.
 func (c *shardCells) plan(opt *SearchOptions, kinds []features.Kind, n0 int) (budget int, ok bool) {
-	if !c.built || c.cfg.Disabled || opt.NoCellPruning ||
+	if !c.built || opt.NoCellPruning ||
 		opt.K <= 0 || n0 < c.cfg.MinShardRows || c.n == 0 {
 		return 0, false
 	}
@@ -344,9 +340,6 @@ func (c *shardCells) onRepack(ar *shardArena, slot int32) {
 // the already-held engine write lock — no background goroutine, no new
 // locks, so the lock-order directives are untouched.
 func (c *shardCells) noteMutation(ar *shardArena) {
-	if c.cfg.Disabled {
-		return
-	}
 	c.since++
 	n := len(ar.live)
 	if n < c.cfg.MinShardRows {

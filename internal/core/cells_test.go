@@ -210,23 +210,6 @@ func TestCellExactFallbacks(t *testing.T) {
 		if off.PrunedShards != 0 {
 			t.Fatalf("NoCellPruning pruned %d shards", off.PrunedShards)
 		}
-
-		disabled := openCellEngine(t, Options{SearchShards: 2, Cells: CellOptions{Disabled: true, MinShardRows: 1}})
-		loadClusterFrames(t, disabled, cfg)
-		_, ds, err := disabled.SearchWithSetStats(q.Set, q.Bucket, SearchOptions{K: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ds.PrunedShards != 0 {
-			t.Fatalf("disabled engine pruned %d shards", ds.PrunedShards)
-		}
-		st, err := disabled.CellStats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.BuiltShards != 0 || st.Cells != 0 {
-			t.Fatalf("disabled engine built cells: %+v", st)
-		}
 	})
 
 	t.Run("degenerate_feature_mix", func(t *testing.T) {

@@ -25,16 +25,6 @@ func TestPrecisionAtK(t *testing.T) {
 	}
 }
 
-func TestRecallAtK(t *testing.T) {
-	rel := []bool{true, false, true}
-	if r := RecallAtK(rel, 3, 4); r != 0.5 {
-		t.Errorf("r@3 = %g", r)
-	}
-	if r := RecallAtK(rel, 3, 0); r != 0 {
-		t.Errorf("r with no relevant = %g", r)
-	}
-}
-
 func TestAveragePrecision(t *testing.T) {
 	// Relevant at ranks 1 and 3 of 2 total: AP = (1/1 + 2/3)/2.
 	rel := []bool{true, false, true}

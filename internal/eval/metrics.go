@@ -25,21 +25,6 @@ func PrecisionAtK(relevant []bool, k int) float64 {
 	return float64(hits) / float64(k)
 }
 
-// RecallAtK returns the fraction of all relevant items retrieved within
-// the first k results.
-func RecallAtK(relevant []bool, k, totalRelevant int) float64 {
-	if totalRelevant <= 0 {
-		return 0
-	}
-	hits := 0
-	for i := 0; i < k && i < len(relevant); i++ {
-		if relevant[i] {
-			hits++
-		}
-	}
-	return float64(hits) / float64(totalRelevant)
-}
-
 // AveragePrecision returns the mean of precision values at each relevant
 // rank (AP), the classic ranked-retrieval summary.
 func AveragePrecision(relevant []bool, totalRelevant int) float64 {

@@ -143,24 +143,3 @@ func (h *ColorHistogram) AppendTo(dst []float64) []float64 {
 	}
 	return dst
 }
-
-// Intersection returns the histogram intersection similarity in [0,1]
-// (1 for identical distributions). Provided for the similarity package's
-// ablation comparisons.
-func (h *ColorHistogram) Intersection(o *ColorHistogram) float64 {
-	ta, tb := h.Total(), o.Total()
-	if ta == 0 || tb == 0 {
-		return 0
-	}
-	var s float64
-	for i := range h.Bins {
-		pa := float64(h.Bins[i]) / float64(ta)
-		pb := float64(o.Bins[i]) / float64(tb)
-		if pa < pb {
-			s += pa
-		} else {
-			s += pb
-		}
-	}
-	return s
-}

@@ -260,13 +260,6 @@ func TestHistogramDistanceBounds(t *testing.T) {
 	}
 }
 
-func TestHistogramIntersection(t *testing.T) {
-	a := ExtractColorHistogram(structuredFrame(1))
-	if s := a.Intersection(a); math.Abs(s-1) > 1e-9 {
-		t.Errorf("self intersection = %g", s)
-	}
-}
-
 func TestGLCMPixelCounterMatchesPaper(t *testing.T) {
 	// The paper's sample output reports pixelCounter 180000 for its query
 	// frame — 2·300·300 with the off-by-one step loss at row ends

@@ -23,17 +23,6 @@ func (im *Image) GrayHistogram() [256]int {
 	return h
 }
 
-// ChannelHistograms returns per-channel 256-bin histograms hr, hg, hb as in
-// §4.5 ("hr(i), hg(i), hb(i) to represent the color domain").
-func (im *Image) ChannelHistograms() (hr, hg, hb [256]int) {
-	for i := 0; i < len(im.Pix); i += 3 {
-		hr[im.Pix[i]]++
-		hg[im.Pix[i+1]]++
-		hb[im.Pix[i+2]]++
-	}
-	return hr, hg, hb
-}
-
 // Mean returns the average intensity of the grayscale raster, or 0 for an
 // empty image.
 func (g *Gray) Mean() float64 {

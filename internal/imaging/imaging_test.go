@@ -175,17 +175,6 @@ func TestRescaleDimensionsAndContent(t *testing.T) {
 	}
 }
 
-func TestRescaleBilinearSmooth(t *testing.T) {
-	src := New(2, 1)
-	src.Set(0, 0, 0, 0, 0)
-	src.Set(1, 0, 200, 200, 200)
-	dst := src.RescaleBilinear(5, 1)
-	mid, _, _ := dst.At(2, 0)
-	if mid < 80 || mid > 120 {
-		t.Errorf("bilinear midpoint = %d, want ~100", mid)
-	}
-}
-
 // Histogram mass property: bins always sum to the pixel count.
 func TestHistogramMassProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -201,15 +190,6 @@ func TestHistogramMassProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestChannelHistograms(t *testing.T) {
-	im := New(2, 2)
-	im.Fill(3, 5, 7)
-	hr, hg, hb := im.ChannelHistograms()
-	if hr[3] != 4 || hg[5] != 4 || hb[7] != 4 {
-		t.Error("channel histograms wrong")
 	}
 }
 

@@ -96,53 +96,6 @@ func (im *Image) beginRescale(w, h int) {
 	}
 }
 
-// RescaleBilinear resizes the image to w×h with bilinear interpolation. It
-// is used where smooth downsampling matters (e.g. thumbnails in the web UI).
-func (im *Image) RescaleBilinear(w, h int) *Image {
-	if w <= 0 || h <= 0 {
-		panic("imaging: RescaleBilinear requires positive dimensions")
-	}
-	out := New(w, h)
-	if im.W == 0 || im.H == 0 {
-		return out
-	}
-	if im.W == 1 && im.H == 1 {
-		r, g, b := im.At(0, 0)
-		out.Fill(r, g, b)
-		return out
-	}
-	xr := float64(im.W-1) / float64(maxInt(w-1, 1))
-	yr := float64(im.H-1) / float64(maxInt(h-1, 1))
-	for y := 0; y < h; y++ {
-		sy := float64(y) * yr
-		y0 := int(sy)
-		y1 := y0 + 1
-		if y1 >= im.H {
-			y1 = im.H - 1
-		}
-		fy := sy - float64(y0)
-		for x := 0; x < w; x++ {
-			sx := float64(x) * xr
-			x0 := int(sx)
-			x1 := x0 + 1
-			if x1 >= im.W {
-				x1 = im.W - 1
-			}
-			fx := sx - float64(x0)
-			for c := 0; c < 3; c++ {
-				p00 := float64(im.Pix[(y0*im.W+x0)*3+c])
-				p01 := float64(im.Pix[(y0*im.W+x1)*3+c])
-				p10 := float64(im.Pix[(y1*im.W+x0)*3+c])
-				p11 := float64(im.Pix[(y1*im.W+x1)*3+c])
-				top := p00 + (p01-p00)*fx
-				bot := p10 + (p11-p10)*fx
-				out.Pix[(y*w+x)*3+c] = clamp255(top + (bot-top)*fy)
-			}
-		}
-	}
-	return out
-}
-
 // Rescale resizes a grayscale raster with nearest-neighbour sampling.
 func (g *Gray) Rescale(w, h int) *Gray {
 	return g.RescaleInto(&Gray{}, w, h)
@@ -178,11 +131,4 @@ func (g *Gray) RescaleInto(dst *Gray, w, h int) *Gray {
 		}
 	}
 	return dst
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -227,9 +227,16 @@ func TestSearchDeadlineThroughAPI(t *testing.T) {
 		}
 
 		// An override past the cap is clamped, and the echo shows the cap.
-		resp = search("3600000")
-		if got := resp.Header.Get(DeadlineHeader); got != "5000" {
-			t.Fatalf("%s: capped deadline echo = %q, want 5000", route.url, got)
+		// 9300000000000 ms overflows time.Duration when converted, so it
+		// must be clamped before the conversion.
+		for _, over := range []string{"3600000", "9300000000000"} {
+			resp = search(over)
+			if got := resp.Header.Get(DeadlineHeader); got != "5000" {
+				t.Fatalf("%s: capped deadline echo for %s = %q, want 5000", route.url, over, got)
+			}
+			if resp.StatusCode != 200 {
+				t.Fatalf("%s: capped deadline %s: %d, want 200", route.url, over, resp.StatusCode)
+			}
 		}
 
 		resp = search("")

@@ -257,9 +257,12 @@ func (s *Server) handle(pattern string, mutates bool, h http.HandlerFunc) {
 		}
 		if hdr := r.Header.Get(DeadlineHeader); hdr != "" {
 			if ms, err := strconv.ParseInt(hdr, 10, 64); err == nil && ms > 0 {
-				d = time.Duration(ms) * time.Millisecond
-				if d > s.opts.MaxDeadline {
+				// Clamp before converting: time.Duration(ms)*time.Millisecond
+				// wraps negative for ms past about 9.2e12.
+				if ms > s.opts.MaxDeadline.Milliseconds() {
 					d = s.opts.MaxDeadline
+				} else {
+					d = time.Duration(ms) * time.Millisecond
 				}
 			}
 		}

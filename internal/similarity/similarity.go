@@ -1,8 +1,8 @@
 // Package similarity provides the distance primitives and score machinery
-// for the CBVR retrieval pipeline: vector metrics, the dynamic-programming
-// sequence alignment the paper uses to compare a query's feature-vector
-// sequence with each stored video ("We use a dynamic programming approach
-// to compute the similarity between the feature vectors for the query and
+// for the CBVR retrieval pipeline: the dynamic-programming sequence
+// alignment the paper uses to compare a query's feature-vector sequence
+// with each stored video ("We use a dynamic programming approach to
+// compute the similarity between the feature vectors for the query and
 // feature vectors in the feature database"), score normalisation, and the
 // rank fusion behind the "Combined" column of Table 1.
 package similarity
@@ -12,69 +12,6 @@ import (
 	"math"
 	"sort"
 )
-
-// L1 returns the Manhattan distance between equal-length vectors.
-// It panics if the lengths differ.
-func L1(a, b []float64) float64 {
-	mustSameLen(len(a), len(b))
-	var s float64
-	for i := range a {
-		s += math.Abs(a[i] - b[i])
-	}
-	return s
-}
-
-// L2 returns the Euclidean distance between equal-length vectors.
-func L2(a, b []float64) float64 {
-	mustSameLen(len(a), len(b))
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
-}
-
-// Cosine returns the cosine distance 1 - cos(a, b) in [0, 2]. Zero vectors
-// are at distance 1 from everything except another zero vector (0).
-func Cosine(a, b []float64) float64 {
-	mustSameLen(len(a), len(b))
-	var dot, na, nb float64
-	for i := range a {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
-	}
-	if na == 0 && nb == 0 {
-		return 0
-	}
-	if na == 0 || nb == 0 {
-		return 1
-	}
-	c := dot / (math.Sqrt(na) * math.Sqrt(nb))
-	if c > 1 {
-		c = 1
-	} else if c < -1 {
-		c = -1
-	}
-	return 1 - c
-}
-
-// ChiSquare returns the χ² histogram distance Σ (a-b)²/(a+b), skipping
-// empty bins.
-func ChiSquare(a, b []float64) float64 {
-	mustSameLen(len(a), len(b))
-	var s float64
-	for i := range a {
-		sum := a[i] + b[i]
-		if sum == 0 {
-			continue
-		}
-		d := a[i] - b[i]
-		s += d * d / sum
-	}
-	return s
-}
 
 func mustSameLen(a, b int) {
 	if a != b {
@@ -118,64 +55,6 @@ func DTW(n, m int, cost func(i, j int) float64) float64 {
 			cur[j] = cost(i-1, j-1) + best
 		}
 		prev, cur = cur, prev
-	}
-	return prev[m] / float64(n+m)
-}
-
-// DTWWindow is DTW restricted to a Sakoe-Chiba band of the given half
-// width; window <= 0 falls back to unconstrained DTW.
-func DTWWindow(n, m, window int, cost func(i, j int) float64) float64 {
-	if window <= 0 {
-		return DTW(n, m, cost)
-	}
-	if n == 0 && m == 0 {
-		return 0
-	}
-	if n == 0 || m == 0 {
-		return math.Inf(1)
-	}
-	// Widen the band so a path always exists when lengths differ.
-	if d := n - m; d > 0 && window < d {
-		window = d
-	} else if d < 0 && window < -d {
-		window = -d
-	}
-	inf := math.Inf(1)
-	prev := make([]float64, m+1)
-	cur := make([]float64, m+1)
-	for j := 0; j <= m; j++ {
-		prev[j] = inf
-	}
-	prev[0] = 0
-	for i := 1; i <= n; i++ {
-		for j := 0; j <= m; j++ {
-			cur[j] = inf
-		}
-		lo := i - window
-		if lo < 1 {
-			lo = 1
-		}
-		hi := i + window
-		if hi > m {
-			hi = m
-		}
-		for j := lo; j <= hi; j++ {
-			best := prev[j-1]
-			if prev[j] < best {
-				best = prev[j]
-			}
-			if cur[j-1] < best {
-				best = cur[j-1]
-			}
-			if math.IsInf(best, 1) {
-				continue
-			}
-			cur[j] = cost(i-1, j-1) + best
-		}
-		prev, cur = cur, prev
-	}
-	if math.IsInf(prev[m], 1) {
-		return inf
 	}
 	return prev[m] / float64(n+m)
 }

@@ -2,25 +2,9 @@ package similarity
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
-
-func TestL1L2Basic(t *testing.T) {
-	a := []float64{1, 2, 3}
-	b := []float64{1, 2, 3}
-	if L1(a, b) != 0 || L2(a, b) != 0 {
-		t.Error("identity distance nonzero")
-	}
-	c := []float64{4, 6, 3}
-	if L1(a, c) != 7 {
-		t.Errorf("L1 = %g", L1(a, c))
-	}
-	if L2(a, c) != 5 {
-		t.Errorf("L2 = %g", L2(a, c))
-	}
-}
 
 func TestLengthMismatchPanics(t *testing.T) {
 	defer func() {
@@ -28,71 +12,7 @@ func TestLengthMismatchPanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	L1([]float64{1}, []float64{1, 2})
-}
-
-// Metric properties for L1/L2 on random vectors: non-negativity, symmetry,
-// triangle inequality.
-func TestMetricProperties(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(20)
-		mk := func() []float64 {
-			v := make([]float64, n)
-			for i := range v {
-				v[i] = rng.NormFloat64() * 10
-			}
-			return v
-		}
-		a, b, c := mk(), mk(), mk()
-		for _, d := range []func([]float64, []float64) float64{L1, L2} {
-			if d(a, b) < 0 || math.Abs(d(a, b)-d(b, a)) > 1e-9 {
-				return false
-			}
-			if d(a, c) > d(a, b)+d(b, c)+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCosine(t *testing.T) {
-	a := []float64{1, 0}
-	b := []float64{2, 0}
-	if d := Cosine(a, b); math.Abs(d) > 1e-12 {
-		t.Errorf("parallel cosine distance = %g", d)
-	}
-	c := []float64{0, 3}
-	if d := Cosine(a, c); math.Abs(d-1) > 1e-12 {
-		t.Errorf("orthogonal cosine distance = %g", d)
-	}
-	neg := []float64{-1, 0}
-	if d := Cosine(a, neg); math.Abs(d-2) > 1e-12 {
-		t.Errorf("opposite cosine distance = %g", d)
-	}
-	zero := []float64{0, 0}
-	if d := Cosine(zero, zero); d != 0 {
-		t.Errorf("zero-zero = %g", d)
-	}
-	if d := Cosine(a, zero); d != 1 {
-		t.Errorf("zero-nonzero = %g", d)
-	}
-}
-
-func TestChiSquare(t *testing.T) {
-	a := []float64{2, 0, 1}
-	if d := ChiSquare(a, a); d != 0 {
-		t.Errorf("self χ² = %g", d)
-	}
-	b := []float64{0, 0, 3}
-	want := 4.0/2 + 0 + 4.0/4 // (2-0)²/2 + skip + (1-3)²/4
-	if d := ChiSquare(a, b); math.Abs(d-want) > 1e-12 {
-		t.Errorf("χ² = %g, want %g", d, want)
-	}
+	Rank([]int64{1}, []float64{1, 2})
 }
 
 func TestDTWIdenticalSequences(t *testing.T) {
@@ -128,33 +48,6 @@ func TestDTWEmptySequences(t *testing.T) {
 	}
 	if d := DTW(3, 0, cost); !math.IsInf(d, 1) {
 		t.Errorf("nonempty-empty = %g", d)
-	}
-}
-
-func TestDTWWindowMatchesFullOnSmall(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := make([]float64, 12)
-	b := make([]float64, 9)
-	for i := range a {
-		a[i] = rng.Float64()
-	}
-	for i := range b {
-		b[i] = rng.Float64()
-	}
-	cost := func(i, j int) float64 { return math.Abs(a[i] - b[j]) }
-	full := DTW(len(a), len(b), cost)
-	wide := DTWWindow(len(a), len(b), 12, cost)
-	if math.Abs(full-wide) > 1e-12 {
-		t.Errorf("wide window %g != full %g", wide, full)
-	}
-	// Window 0 falls back to full.
-	if math.Abs(DTWWindow(len(a), len(b), 0, cost)-full) > 1e-12 {
-		t.Error("window<=0 fallback broken")
-	}
-	// Narrow window can only raise cost.
-	narrow := DTWWindow(len(a), len(b), 3, cost)
-	if narrow+1e-12 < full {
-		t.Errorf("narrow window %g below full %g", narrow, full)
 	}
 }
 

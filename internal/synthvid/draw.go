@@ -163,14 +163,3 @@ func (n *valueNoise) At(x, y, scale float64) float64 {
 	bot := v01 + (v11-v01)*sx
 	return top + (bot-top)*sy
 }
-
-// textureFill paints the whole image by mixing two colours through a noise
-// field at the given scale, with an optional drift offset (for panning).
-func textureFill(im *imaging.Image, n *valueNoise, scale float64, a, b rgb, dx, dy float64) {
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			f := n.At(float64(x)+dx, float64(y)+dy, scale)
-			im.Set(x, y, lerp8(a.r, b.r, f), lerp8(a.g, b.g, f), lerp8(a.b, b.b, f))
-		}
-	}
-}

@@ -67,10 +67,6 @@ type Page struct {
 // ID returns the page's address.
 func (p *Page) ID() PageID { return p.id }
 
-// Data exposes the raw page bytes. Callers that mutate them must call
-// MarkDirty (normally via a Txn touch).
-func (p *Page) Data() []byte { return p.data }
-
 // MarkDirty flags the page for write-back.
 func (p *Page) MarkDirty() { p.dirty = true }
 
@@ -79,9 +75,6 @@ func (p *Page) Type() uint8 { return p.data[offType] }
 
 // SetType sets the page type byte.
 func (p *Page) SetType(t uint8) { p.data[offType] = t }
-
-// LSN returns the page's last-writer LSN.
-func (p *Page) LSN() uint64 { return binary.BigEndian.Uint64(p.data[offLSN:]) }
 
 // SetLSN stores the page's last-writer LSN.
 func (p *Page) SetLSN(lsn uint64) { binary.BigEndian.PutUint64(p.data[offLSN:], lsn) }
