@@ -50,9 +50,10 @@ type shardArena struct {
 
 func newShardArena() *shardArena { return &shardArena{} }
 
-// insert packs an entry into a fresh or recycled slot and marks it live.
-// The entry's slot field is set; its descriptor set must be final.
-func (a *shardArena) insert(en *frameEntry) {
+// insert packs an entry's descriptor set into a fresh or recycled slot and
+// marks it live. The entry's slot field is set; the arena keeps no
+// reference to set.
+func (a *shardArena) insert(en *frameEntry, set *features.Set) {
 	var slot int32
 	if n := len(a.free); n > 0 {
 		slot = a.free[n-1]
@@ -77,21 +78,21 @@ func (a *shardArena) insert(en *frameEntry) {
 	for k := range a.missing {
 		a.missing[k]++
 	}
-	a.repack(en)
+	a.repack(en, set)
 }
 
-// repack overwrites a live slot's column rows from the entry's current
-// descriptor set and bucket, maintaining the present flags and missing
-// counts. It is the incremental path reindex swaps take: one row
-// rewritten in place, no column rebuild.
-func (a *shardArena) repack(en *frameEntry) {
+// repack overwrites a live slot's column rows from a descriptor set and
+// the entry's bucket, maintaining the present flags and missing counts.
+// It is the incremental path reindex swaps take: one row rewritten in
+// place, no column rebuild.
+func (a *shardArena) repack(en *frameEntry, set *features.Set) {
 	slot := en.slot
 	a.bucket[slot] = en.bucket
 	for k := range a.cols {
 		kind := features.Kind(k)
 		stride := features.Stride(kind)
 		row := a.cols[k][int(slot)*stride : (int(slot)+1)*stride]
-		d := en.set.Get(kind)
+		d := set.Get(kind)
 		if d == nil {
 			if a.present[k][slot] {
 				a.present[k][slot] = false

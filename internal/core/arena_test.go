@@ -205,8 +205,7 @@ func TestArenaChurnBitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		old.set = set
-		eng.replaceEntry(&old)
+		eng.replaceEntry(&old, set)
 	}
 	eng.mu.Unlock()
 	check("after stale-bucket swap")
@@ -340,7 +339,8 @@ func TestArenaMissingDescriptor(t *testing.T) {
 	// only two of the seven descriptors present.
 	partial := &features.Set{Histogram: qset.Histogram, GLCM: qset.GLCM}
 	eng.mu.Lock()
-	eng.putEntry(&frameEntry{id: 1 << 40, videoID: 999, frameIdx: 0, bucket: qbucket, set: partial})
+	regen := func(int64) *features.Set { return partial }
+	eng.putEntry(&frameEntry{id: 1 << 40, videoID: 999, frameIdx: 0, bucket: qbucket, regen: regen}, partial)
 	eng.video(999).name = "partial"
 	eng.mu.Unlock()
 

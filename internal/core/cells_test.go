@@ -48,10 +48,20 @@ func loadClusterFrames(t *testing.T, eng *Engine, cfg synthvid.ClusterCorpusConf
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.PublishSyntheticFrames(frames); err != nil {
+	if err := eng.PublishSyntheticFrames(frames, setsOf(frames)); err != nil {
 		t.Fatal(err)
 	}
 	return frames
+}
+
+// setsOf is a PublishSyntheticFrames regenerator over the sets the frames
+// were built with.
+func setsOf(frames []SyntheticFrame) func(int64) *features.Set {
+	sets := make(map[int64]*features.Set, len(frames))
+	for _, f := range frames {
+		sets[f.ID] = f.Set
+	}
+	return func(id int64) *features.Set { return sets[id] }
 }
 
 // checkCellSingleKindIdentity asserts the cell-pruned single-kind path is
@@ -227,7 +237,7 @@ func TestCellExactFallbacks(t *testing.T) {
 			frames = append(frames, SyntheticFrame{ID: f.ID, VideoID: f.VideoID, Bucket: f.Bucket, Set: set})
 			return nil
 		})
-		if err := eng.PublishSyntheticFrames(frames); err != nil {
+		if err := eng.PublishSyntheticFrames(frames, setsOf(frames)); err != nil {
 			t.Fatal(err)
 		}
 		q := synthvid.ClusterQueries(cfg, 1)[0]
@@ -304,7 +314,7 @@ func TestCellChurnBitIdentity(t *testing.T) {
 			})
 			return nil
 		})
-		if err := eng.PublishSyntheticFrames(frames); err != nil {
+		if err := eng.PublishSyntheticFrames(frames, setsOf(frames)); err != nil {
 			t.Fatal(err)
 		}
 		check(fmt.Sprintf("round %d after bulk publish", round))
@@ -363,7 +373,7 @@ func buildCellArena(frames []SyntheticFrame) (*shardArena, *shardCells) {
 	ar := newShardArena()
 	for i := range frames {
 		f := &frames[i]
-		ar.insert(&frameEntry{id: f.ID, videoID: f.VideoID, bucket: f.Bucket, set: f.Set})
+		ar.insert(&frameEntry{id: f.ID, videoID: f.VideoID, bucket: f.Bucket}, f.Set)
 	}
 	c := newShardCells(forcedCells().withDefaults())
 	c.rebuild(ar)
@@ -408,14 +418,14 @@ func TestCellRebuildDeterminism(t *testing.T) {
 	ents := make([]*frameEntry, len(frames))
 	for i := range frames {
 		f := &frames[i]
-		ents[i] = &frameEntry{id: f.ID, videoID: f.VideoID, bucket: f.Bucket, set: f.Set}
-		arD.insert(ents[i])
+		ents[i] = &frameEntry{id: f.ID, videoID: f.VideoID, bucket: f.Bucket}
+		arD.insert(ents[i], f.Set)
 	}
 	for i := 0; i < len(ents); i += 2 {
 		arD.remove(ents[i])
 	}
 	for i := 0; i < len(ents); i += 2 {
-		arD.insert(ents[i])
+		arD.insert(ents[i], frames[i].Set)
 	}
 	cD := newShardCells(forcedCells().withDefaults())
 	cD.rebuild(arD)
@@ -461,8 +471,8 @@ func FuzzCellRebuildDeterminism(f *testing.F) {
 		ents := make([]*frameEntry, n)
 		for _, idx := range order {
 			fr := &frames[idx]
-			ents[idx] = &frameEntry{id: fr.ID, videoID: fr.VideoID, bucket: fr.Bucket, set: fr.Set}
-			arB.insert(ents[idx])
+			ents[idx] = &frameEntry{id: fr.ID, videoID: fr.VideoID, bucket: fr.Bucket}
+			arB.insert(ents[idx], fr.Set)
 		}
 		for i, b := range perm {
 			if i%3 != 0 {
@@ -470,7 +480,7 @@ func FuzzCellRebuildDeterminism(f *testing.F) {
 			}
 			idx := int(b) % n
 			arB.remove(ents[idx])
-			arB.insert(ents[idx])
+			arB.insert(ents[idx], frames[idx].Set)
 		}
 		cB := newShardCells(forcedCells().withDefaults())
 		cB.rebuild(arB)

@@ -170,19 +170,21 @@ type Engine struct {
 	ingestHook func(stage, name string)
 }
 
-// frameEntry caches one key frame's parsed state for scoring.
+// frameEntry caches one key frame's parsed state for scoring. It holds
+// no descriptor set: the set is packed into the arena row when the entry
+// is filed (putEntry, replaceEntry) and then dropped, so the heap keeps
+// one copy of each descriptor. Search reads the arena row; the reference
+// rebuilds the set on demand (referenceSet).
 type frameEntry struct {
 	id       int64
 	videoID  int64
 	frameIdx int
 	bucket   rangeindex.Range
-	// set is the descriptor set the arena row is packed from. A stored
-	// row drops it once packed: search reads the arena row, and the
-	// references re-read the KEY_FRAMES text (referenceSet), so a third
-	// copy per row would only grow the heap, by about as much as the arena
-	// itself. Cache-only synthetic frames have no row and keep theirs.
-	set  *features.Set
-	slot int32 // row in the owning shard's arena; set by putEntry
+	// regen regenerates a cache-only synthetic frame's descriptor set for
+	// the reference; one func value shared by its whole publish. It is nil
+	// for a stored row, whose set is re-read from its KEY_FRAMES text.
+	regen func(id int64) *features.Set
+	slot  int32 // row in the owning shard's arena; set by putEntry
 }
 
 // videoEntry is one video's slice of the cache: its name and its cached
@@ -270,30 +272,31 @@ func (e *Engine) link(en *frameEntry) {
 }
 
 // putEntry files an entry into both cache indexes, its shard's descriptor
-// arena and the shard's cell index. Callers must hold e.mu for writing.
-// Re-inserting an already cached ID is a no-op so warmCache never
-// double-indexes entries added by ingest.
-func (e *Engine) putEntry(en *frameEntry) {
+// arena (packed from set) and the shard's cell index. Callers must hold
+// e.mu for writing. Re-inserting an already cached ID is a no-op so
+// warmCache never double-indexes entries added by ingest.
+func (e *Engine) putEntry(en *frameEntry, set *features.Set) {
 	if _, ok := e.byID[en.id]; ok {
 		return
 	}
 	e.byID[en.id] = en
 	e.link(en)
 	s := e.shardFor(en.id)
-	e.arenas[s].insert(en)
+	e.arenas[s].insert(en, set)
 	e.cells[s].onInsert(e.arenas[s], en.slot)
 }
 
 // replaceEntry swaps a rebuilt entry over the cached one with the same ID
-// (the reindex commit path): the arena row — descriptors and bucket — is
-// repacked in place, reusing the old slot. The old entry leaves its own
-// video's frame list, which need not be the new entry's video (a
-// cache-only synthetic frame can hold the ID). A previously unseen ID
-// falls back to a plain insert. Callers must hold e.mu for writing.
-func (e *Engine) replaceEntry(en *frameEntry) {
+// (the reindex commit path): the arena row — descriptors from set, and
+// bucket — is repacked in place, reusing the old slot. The old entry
+// leaves its own video's frame list, which need not be the new entry's
+// video (a cache-only synthetic frame can hold the ID). A previously
+// unseen ID falls back to a plain insert. Callers must hold e.mu for
+// writing.
+func (e *Engine) replaceEntry(en *frameEntry, set *features.Set) {
 	old := e.byID[en.id]
 	if old == nil {
-		e.putEntry(en)
+		e.putEntry(en, set)
 		return
 	}
 	ov := e.videos[old.videoID]
@@ -306,7 +309,7 @@ func (e *Engine) replaceEntry(en *frameEntry) {
 	s := e.shardFor(en.id)
 	ar := e.arenas[s]
 	ar.ents[en.slot] = en
-	ar.repack(en)
+	ar.repack(en, set)
 	e.cells[s].onRepack(ar, en.slot)
 }
 
@@ -473,13 +476,13 @@ func (e *Engine) ingestStream(ctx context.Context, name string, r io.Reader) (*I
 	if err := tx.Commit(); err != nil {
 		return fail(err)
 	}
-	e.publishEntries(v.ID, name, entries)
+	e.publishEntries(v.ID, name, entries, jobs)
 	return res, nil
 }
 
 // insertIngestRows writes one ingested video's VIDEO_STORE and KEY_FRAMES
 // rows inside tx and builds the matching (not yet published) cache
-// entries.
+// entries, entry i for jobs[i].
 func (e *Engine) insertIngestRows(tx *vstore.Txn, name string, v *catalog.Video, numFrames int, jobs []*kfJob) (*IngestResult, []*frameEntry, error) {
 	videoID, err := e.store.InsertVideo(tx, v)
 	if err != nil {
@@ -505,18 +508,17 @@ func (e *Engine) insertIngestRows(tx *vstore.Txn, name string, v *catalog.Video,
 			videoID:  videoID,
 			frameIdx: j.frameIndex,
 			bucket:   j.bucket,
-			set:      j.set,
 		})
 	}
 	return res, newEntries, nil
 }
 
-// publishEntries makes a committed video's key frames scoreable.
-func (e *Engine) publishEntries(videoID int64, name string, entries []*frameEntry) {
+// publishEntries makes a committed video's key frames scoreable, packing
+// entry i from jobs[i]'s descriptor set.
+func (e *Engine) publishEntries(videoID int64, name string, entries []*frameEntry, jobs []*kfJob) {
 	e.mu.Lock()
-	for _, en := range entries {
-		e.putEntry(en)
-		en.set = nil // packed; the stored row keeps the text
+	for i, en := range entries {
+		e.putEntry(en, jobs[i].set)
 	}
 	e.video(videoID).name = name
 	e.mu.Unlock()
@@ -539,7 +541,7 @@ func (e *Engine) storeIngest(name string, container, stream []byte, numFrames in
 	if err := tx.Commit(); err != nil {
 		return nil, err
 	}
-	e.publishEntries(v.ID, name, entries)
+	e.publishEntries(v.ID, name, entries, jobs)
 	return res, nil
 }
 
@@ -652,12 +654,11 @@ func (e *Engine) warmCache() error {
 		if e.byID[k.ID] != nil {
 			return true, nil
 		}
-		en, err := entryFromRow(k)
+		en, set, err := entryFromRow(k)
 		if err != nil {
 			return false, err
 		}
-		e.putEntry(en)
-		en.set = nil // packed; the stored row keeps the text
+		e.putEntry(en, set)
 		return true, nil
 	})
 	if err != nil {
@@ -697,30 +698,34 @@ func putDescriptors(k *catalog.KeyFrame, set *features.Set, bucket rangeindex.Ra
 	k.MajorRegions = set.Regions.Major
 }
 
-// entryFromRow builds a stored key frame's cache entry, parsing its
-// feature strings for packing.
-func entryFromRow(k *catalog.KeyFrame) (*frameEntry, error) {
+// entryFromRow builds a stored key frame's cache entry and parses its
+// feature strings into the set to pack.
+func entryFromRow(k *catalog.KeyFrame) (*frameEntry, *features.Set, error) {
 	set, err := storedSet(k)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	return &frameEntry{
 		id:       k.ID,
 		videoID:  k.VideoID,
 		frameIdx: k.FrameIndex,
 		bucket:   k.Range(),
-		set:      set,
-	}, nil
+	}, set, nil
 }
 
 // referenceSet is the descriptor set the reference search compares for an
-// entry: a cache-only frame's own, or a stored row's parsed from its
-// KEY_FRAMES text — the catalog's copy, not the packed arena row the
-// production sweep reads. Callers hold e.mu, which comes before the
-// store's locks (warmCache's order).
+// entry, built afresh on every call and never from the packed arena row
+// the production sweep reads (packing normalises some kinds, so the row
+// cannot give the set back bit for bit): a cache-only frame's is
+// regenerated by its publisher's regen, a stored row's parsed from its
+// KEY_FRAMES text. Callers hold e.mu, which comes before the store's
+// locks (warmCache's order).
 func (e *Engine) referenceSet(en *frameEntry) (*features.Set, error) {
-	if en.set != nil {
-		return en.set, nil
+	if en.regen != nil {
+		if set := en.regen(en.id); set != nil {
+			return set, nil
+		}
+		return nil, fmt.Errorf("core: cache-only key frame %d regenerates no descriptor set", en.id)
 	}
 	k, ok, err := e.store.GetKeyFrame(nil, en.id)
 	if err != nil {

@@ -129,10 +129,8 @@ func (e *Engine) ReindexVideoCtx(ctx context.Context, videoID int64) (*ReindexRe
 			videoID:  videoID,
 			frameIdx: rows[i].FrameIndex,
 			bucket:   j.bucket,
-			set:      j.set,
 		}
-		e.replaceEntry(en)
-		en.set = nil // packed; the stored row keeps the text
+		e.replaceEntry(en, j.set)
 	}
 	name := v.name
 	e.mu.Unlock()

@@ -481,9 +481,12 @@ func rrfScores(all []scored, nk, workers int) []float64 {
 // goroutine scans every cached entry, materialises one full distance list
 // per feature, fuses with the batch similarity helpers and fully sorts
 // the ranking. It compares descriptor sets (referenceSet: a stored row's
-// are parsed from its KEY_FRAMES text), never the packed arena rows the
-// sharded pipeline sweeps. The sharded pipeline must reproduce its output
-// exactly; it exists for equivalence tests and as the benchmark baseline.
+// are parsed from its KEY_FRAMES text, a cache-only frame's regenerated),
+// never the packed arena rows the sharded pipeline sweeps. It builds one
+// candidate's set at a time and scores every kind from it before the
+// next, so it never holds the corpus's sets at once. The sharded pipeline
+// must reproduce its output exactly; it exists for equivalence tests and
+// as the benchmark baseline.
 func (e *Engine) searchSetReference(qset *features.Set, qbucket rangeindex.Range, opt SearchOptions) ([]Match, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -515,31 +518,27 @@ func (e *Engine) searchSetReference(qset *features.Set, qbucket rangeindex.Range
 		return nil, nil
 	}
 
-	sets := make([]*features.Set, len(cands))
+	lists := make([][]float64, len(kinds))
+	for ki := range lists {
+		lists[ki] = make([]float64, len(cands))
+	}
 	for i, en := range cands {
 		set, err := e.referenceSet(en)
 		if err != nil {
 			return nil, err
 		}
-		sets[i] = set
-	}
-	lists := make([][]float64, len(kinds))
-	for ki, kind := range kinds {
-		qd := qset.Get(kind)
-		dist := make([]float64, len(cands))
-		for i, set := range sets {
+		for ki, kind := range kinds {
 			cd := set.Get(kind)
 			if cd == nil {
-				dist[i] = missingDistance
+				lists[ki][i] = missingDistance
 				continue
 			}
-			d, err := qd.DistanceTo(cd)
+			d, err := qset.Get(kind).DistanceTo(cd)
 			if err != nil {
 				return nil, err
 			}
-			dist[i] = d
+			lists[ki][i] = d
 		}
-		lists[ki] = dist
 	}
 	var fused []float64
 	if len(kinds) == 1 {

@@ -8,7 +8,8 @@
 // ground truth, and §4.2 buckets drawn from a fixed palette. Every frame
 // is a pure function of (config, frame index) — StreamClusterCorpus emits
 // frames one at a time, holds nothing back, and regenerating any frame
-// (for near-duplicate bases or query construction) is O(1) — so corpus
+// (ClusterCorpus.Set: for near-duplicate bases, query construction or a
+// search reference that keeps no copy of the corpus) is O(1) — so corpus
 // memory is bounded by whatever the caller batches, never by the corpus.
 package synthvid
 
@@ -86,18 +87,48 @@ type DescriptorFrame struct {
 	Set       *features.Set
 }
 
+// ClusterCorpus is a corpus configuration with every cluster's base
+// profile built once. Building a profile costs about as much as jittering
+// a frame around it, so frames share the table instead of rebuilding
+// their profile each. It is immutable after NewClusterCorpus and safe for
+// concurrent use.
+type ClusterCorpus struct {
+	cfg   ClusterCorpusConfig
+	bases []*features.Set // cluster -> base profile (clusterBaseSet)
+}
+
+// NewClusterCorpus applies cfg's defaults and builds its cluster profiles.
+func NewClusterCorpus(cfg ClusterCorpusConfig) *ClusterCorpus {
+	cfg = cfg.withDefaults()
+	c := &ClusterCorpus{cfg: cfg, bases: make([]*features.Set, cfg.Clusters)}
+	for i := range c.bases {
+		c.bases[i] = clusterBaseSet(cfg.Seed, i)
+	}
+	return c
+}
+
 // StreamClusterCorpus generates the corpus frame by frame in ascending ID
 // order (ID = index + 1), invoking emit for each. It retains nothing
 // between frames; an emit error aborts the stream and is returned.
 func StreamClusterCorpus(cfg ClusterCorpusConfig, emit func(*DescriptorFrame) error) error {
-	cfg = cfg.withDefaults()
-	for i := 0; i < cfg.Frames; i++ {
-		f := clusterFrame(cfg, i)
-		if err := emit(f); err != nil {
+	c := NewClusterCorpus(cfg)
+	for i := 0; i < c.cfg.Frames; i++ {
+		if err := emit(c.frame(i)); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// Set regenerates the descriptor set of the corpus frame with key-frame
+// ID id: a fresh copy, equal to the Set the stream emits for that ID. An
+// ID outside the corpus has no set (nil).
+func (c *ClusterCorpus) Set(id int64) *features.Set {
+	if id < 1 || id > int64(c.cfg.Frames) {
+		return nil
+	}
+	set, _ := c.frameSet(int(id - 1))
+	return set
 }
 
 // ClusterQueries synthesises nq query frames, each a fresh tight
@@ -107,18 +138,17 @@ func StreamClusterCorpus(cfg ClusterCorpusConfig, emit func(*DescriptorFrame) er
 // query exactly like its target. Queries use a seed stream disjoint from
 // the corpus frames'.
 func ClusterQueries(cfg ClusterCorpusConfig, nq int) []*DescriptorFrame {
-	cfg = cfg.withDefaults()
+	c := NewClusterCorpus(cfg)
 	out := make([]*DescriptorFrame, nq)
 	for q := 0; q < nq; q++ {
-		cluster := q % cfg.Clusters
-		rng := frameRand(cfg.Seed, -1-int64(q))
-		base := exemplarSet(cfg, cluster)
+		cluster := q % c.cfg.Clusters
+		rng := frameRand(c.cfg.Seed, -1-int64(q))
 		out[q] = &DescriptorFrame{
 			ID:        int64(-1 - q), // never collides with corpus IDs
 			Cluster:   cluster,
 			NearDupOf: int64(cluster) + 1,
 			Bucket:    clusterBucket(cluster),
-			Set:       jitterSet(base, rng, nearDupJitter),
+			Set:       jitterSet(c.exemplarSet(cluster), rng, nearDupJitter),
 		}
 	}
 	return out
@@ -138,34 +168,40 @@ func frameRand(seed, idx int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed ^ (idx+0x9e37)*0x2545f4914f6cdd1d))
 }
 
-// clusterFrame synthesises corpus frame i (ID i+1).
-func clusterFrame(cfg ClusterCorpusConfig, i int) *DescriptorFrame {
-	cluster := i % cfg.Clusters
-	rng := frameRand(cfg.Seed, int64(i))
+// frame synthesises corpus frame i (ID i+1).
+func (c *ClusterCorpus) frame(i int) *DescriptorFrame {
+	cluster := i % c.cfg.Clusters
 	f := &DescriptorFrame{
 		ID:         int64(i) + 1,
-		VideoID:    int64(i/cfg.FramesPerVideo) + 1,
-		FrameIndex: i % cfg.FramesPerVideo,
+		VideoID:    int64(i/c.cfg.FramesPerVideo) + 1,
+		FrameIndex: i % c.cfg.FramesPerVideo,
 		Cluster:    cluster,
 		Bucket:     clusterBucket(cluster),
 	}
 	f.VideoName = fmt.Sprintf("synth_%06d", f.VideoID)
-	if i >= cfg.Clusters && rng.Float64() < cfg.NearDupRate {
-		f.NearDupOf = int64(cluster) + 1
-		f.Set = jitterSet(exemplarSet(cfg, cluster), rng, nearDupJitter)
-		return f
-	}
-	f.Set = jitterSet(clusterBaseSet(cfg.Seed, cluster), rng, memberJitter)
+	f.Set, f.NearDupOf = c.frameSet(i)
 	return f
+}
+
+// frameSet draws corpus frame i's descriptor set from the frame's own
+// PRNG stream, and the exemplar ID it near-duplicates (0 for an ordinary
+// member or an exemplar).
+func (c *ClusterCorpus) frameSet(i int) (*features.Set, int64) {
+	cluster := i % c.cfg.Clusters
+	rng := frameRand(c.cfg.Seed, int64(i))
+	if i >= c.cfg.Clusters && rng.Float64() < c.cfg.NearDupRate {
+		return jitterSet(c.exemplarSet(cluster), rng, nearDupJitter), int64(cluster) + 1
+	}
+	return jitterSet(c.bases[cluster], rng, memberJitter), 0
 }
 
 // exemplarSet regenerates cluster's exemplar (corpus frame index ==
 // cluster; exemplars are never near-duplicates, so this never recurses).
-func exemplarSet(cfg ClusterCorpusConfig, cluster int) *features.Set {
-	// Replicates clusterFrame's exemplar path exactly: exemplar indices
-	// skip the near-duplicate draw, so the PRNG goes straight to jitter.
-	rng := frameRand(cfg.Seed, int64(cluster))
-	return jitterSet(clusterBaseSet(cfg.Seed, cluster), rng, memberJitter)
+func (c *ClusterCorpus) exemplarSet(cluster int) *features.Set {
+	// Replicates frameSet's exemplar path exactly: exemplar indices skip
+	// the near-duplicate draw, so the PRNG goes straight to jitter.
+	rng := frameRand(c.cfg.Seed, int64(cluster))
+	return jitterSet(c.bases[cluster], rng, memberJitter)
 }
 
 // bucketPalette is the fixed set of §4.2 ranges clusters draw from — the
@@ -261,7 +297,8 @@ func clusterBaseSet(seed int64, cluster int) *features.Set {
 	return set
 }
 
-// jitterSet returns a perturbed deep copy of base: every continuous value
+// jitterSet returns a perturbed deep copy of base, which it only reads, so
+// one base serves every frame of its cluster. Every continuous value
 // moves by a relative amount drawn from ±amp (plus a small absolute term
 // where values can sit at zero), integer counts step with probability
 // proportional to amp. amp therefore directly controls intra-cluster
