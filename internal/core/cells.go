@@ -214,10 +214,13 @@ func (c *shardCells) visitOrder(pq *PackedQuery, sc *scanScratch) (cellEvals int
 		features.BatchLowerBound(kind, pq.vec[0], c.cent[kind], c.rad[kind], sc.cellKey)
 	} else {
 		clear(sc.cellKey)
+		// cellOrd is free until the visit-order sort below: every cell
+		// in index order, the rows of one sweep per centroid column.
+		for ci := range sc.cellOrd {
+			sc.cellOrd[ci] = int32(ci)
+		}
 		for ki, kind := range pq.kinds {
-			for ci := range sc.cellDist {
-				sc.cellDist[ci] = features.PairDistance(kind, pq.vec[ki], c.centRow(kind, int32(ci)))
-			}
+			features.BatchDistance(kind, pq.vec[ki], c.cent[kind], sc.cellOrd, sc.cellDist)
 			sortAscending(sc.cellRank, sc.cellDist)
 			for r, ci := range sc.cellRank {
 				sc.cellKey[ci] -= 1 / float64(similarity.RRFConstant+r+1)

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -284,7 +283,9 @@ func (e *Engine) searchSetStats(ctx context.Context, qset *features.Set, qbucket
 			return sum
 		}
 	default:
-		fused := rrfScores(all, len(kinds), workers)
+		rs := rrfScratchPool.Get().(*rrfScratch)
+		defer rrfScratchPool.Put(rs)
+		fused := rrfScores(all, len(kinds), workers, rs)
 		fusedAt = func(g int) float64 { return fused[g] }
 	}
 
@@ -421,47 +422,36 @@ func (e *Engine) scanShard(si int, pq *PackedQuery, qbucket rangeindex.Range, op
 // candidate set. Per kind, candidates are ranked by (distance, key-frame
 // ID) — the same order the reference's stable sort yields over its
 // ID-sorted candidate list — and each contributes -1/(C+rank). The
-// per-kind sorts run in parallel over gathered distance columns (with
-// the arena scan no longer dominating, these sorts are the fusion
-// phase's hot spot — slices.SortFunc over flat keys, not reflection
-// through the candidate structs); accumulation stays in kind order so
-// the floating-point sum matches the reference bit for bit. The
-// comparator is a total order (IDs are unique), so the unstable sort is
-// deterministic.
-func rrfScores(all []scored, nk, workers int) []float64 {
+// candidates are put in ID order once; each kind's ranking is then a
+// stable radix sort of that order by distance (radixSorter), so equal
+// distances keep ID order without a comparator. The per-kind sorts run in
+// parallel; accumulation stays in kind order so the floating-point sum
+// matches the reference bit for bit. The returned scores alias rs.
+func rrfScores(all []scored, nk, workers int, rs *rrfScratch) []float64 {
 	n := len(all)
-	ids := make([]int64, n)
+	rs.grow(n, nk)
+	srt := radixPool.Get().(*radixSorter)
+	srt.grow(n)
 	for i := range all {
-		ids[i] = all[i].en.id
+		srt.keys[i] = uint64(all[i].en.id) ^ 1<<63 // int64 order as uint64 order
+		srt.idx[i] = int32(i)
 	}
-	orders := make([][]int32, nk)
+	copy(rs.byID, srt.sort())
+	radixPool.Put(srt)
 	parallelFor(nk, workers, func(ki int) {
-		ds := make([]float64, n)
-		for i := range all {
-			ds[i] = all[i].d[ki]
+		srt := radixPool.Get().(*radixSorter)
+		srt.grow(n)
+		for i, g := range rs.byID {
+			srt.keys[i] = distanceKey(all[g].d[ki])
+			srt.idx[i] = g
 		}
-		idx := make([]int32, n)
-		for i := range idx {
-			idx[i] = int32(i)
-		}
-		slices.SortFunc(idx, func(a, b int32) int {
-			da, db := ds[a], ds[b]
-			if da != db {
-				if da < db {
-					return -1
-				}
-				return 1
-			}
-			if ids[a] < ids[b] {
-				return -1
-			}
-			return 1
-		})
-		orders[ki] = idx
+		copy(rs.order[ki*n:(ki+1)*n], srt.sort())
+		radixPool.Put(srt)
 	})
-	score := make([]float64, n)
+	score := rs.score
+	clear(score)
 	for ki := 0; ki < nk; ki++ {
-		for rank, g := range orders[ki] {
+		for rank, g := range rs.order[ki*n : (ki+1)*n] {
 			score[g] -= 1 / (float64(similarity.RRFConstant) + float64(rank+1))
 		}
 	}
@@ -475,6 +465,108 @@ func rrfScores(all []scored, nk, workers int) []float64 {
 		score[i] = m.Scale(s)
 	}
 	return score
+}
+
+// rrfScratch is one fused ranking's reusable memory: the candidates in
+// key-frame ID order, each kind's rank order (kind-major, n per kind) and
+// the fused scores. Pooled so a steady stream of fused searches allocates
+// none of it per query.
+type rrfScratch struct {
+	byID  []int32
+	order []int32
+	score []float64
+}
+
+var rrfScratchPool = sync.Pool{New: func() any { return new(rrfScratch) }}
+
+// grow readies the scratch for n candidates × nk kinds.
+func (s *rrfScratch) grow(n, nk int) {
+	if cap(s.byID) < n {
+		s.byID = make([]int32, n)
+		s.score = make([]float64, n)
+	}
+	if cap(s.order) < n*nk {
+		s.order = make([]int32, n*nk)
+	}
+	s.byID = s.byID[:n]
+	s.score = s.score[:n]
+	s.order = s.order[:n*nk]
+}
+
+// radixSorter is a stable LSD radix sort of indices by uint64 keys, with
+// its ping-pong buffers. Pooled: each of a fused ranking's parallel
+// per-kind sorts borrows one.
+type radixSorter struct {
+	keys, keys2 []uint64
+	idx, idx2   []int32
+}
+
+var radixPool = sync.Pool{New: func() any { return new(radixSorter) }}
+
+// grow readies the sorter for n keys; the caller fills keys and idx.
+func (s *radixSorter) grow(n int) {
+	if cap(s.keys) < n {
+		s.keys, s.keys2 = make([]uint64, n), make([]uint64, n)
+		s.idx, s.idx2 = make([]int32, n), make([]int32, n)
+	}
+	s.keys, s.keys2 = s.keys[:n], s.keys2[:n]
+	s.idx, s.idx2 = s.idx[:n], s.idx2[:n]
+}
+
+// sort orders idx stably by keys, one counting pass per 8-bit digit from
+// the lowest, and returns the sorted indices (one of the sorter's
+// buffers). The digit histograms are counted in one read up front; a
+// digit every key shares leaves the order as it is, so its pass is
+// skipped.
+//
+//cbvrvet:noalloc
+func (s *radixSorter) sort() []int32 {
+	keys, idx, keys2, idx2 := s.keys, s.idx, s.keys2, s.idx2
+	n := len(keys)
+	if n == 0 {
+		return idx
+	}
+	var count [8][256]int32
+	for _, k := range keys {
+		for d := range count {
+			count[d][byte(k>>(8*d))]++
+		}
+	}
+	for d := range count {
+		c := &count[d]
+		shift := 8 * d
+		if c[byte(keys[0]>>shift)] == int32(n) {
+			continue
+		}
+		var sum int32
+		for b, v := range c {
+			c[b] = sum
+			sum += v
+		}
+		for i, k := range keys {
+			b := byte(k >> shift)
+			keys2[c[b]] = k
+			idx2[c[b]] = idx[i]
+			c[b]++
+		}
+		keys, keys2 = keys2, keys
+		idx, idx2 = idx2, idx
+	}
+	return idx
+}
+
+// distanceKey maps a distance to a uint64 whose unsigned order is the
+// distances' < order: -0 folds into +0 (they compare equal), a negative
+// value has every bit flipped and any other gains the sign bit.
+func distanceKey(d float64) uint64 {
+	if d == 0 {
+		return 1 << 63
+	}
+	b := math.Float64bits(d)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
 }
 
 // searchSetReference is the retained naive implementation: a single

@@ -290,7 +290,7 @@ func ParseCorrelogram(s string) (*Correlogram, error) {
 	if fields[0] != "4" {
 		return nil, fmt.Errorf("features: correlogram distance field %q", fields[0])
 	}
-	vs, err := parseFloats(fields[1:])
+	vs, err := parseFloats(KindCorrelogram, fields[1:])
 	if err != nil {
 		return nil, err
 	}

@@ -13,6 +13,7 @@ package features
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -99,13 +100,20 @@ func analysisImage(im *imaging.Image) *imaging.Image {
 	return im.Rescale(AnalysisSize, AnalysisSize)
 }
 
-// parseFloats converts whitespace-separated fields to float64s.
-func parseFloats(fields []string) ([]float64, error) {
+// parseFloats converts a kind's whitespace-separated value fields to
+// float64s; errors name the kind and the value's position. It
+// rejects NaN and the infinities, which strconv.ParseFloat accepts but no
+// extractor emits: a non-finite value would make every distance to the
+// row, and so every rank sort and cell centroid over it, meaningless.
+func parseFloats(kind Kind, fields []string) ([]float64, error) {
 	out := make([]float64, len(fields))
 	for i, f := range fields {
 		v, err := strconv.ParseFloat(f, 64)
 		if err != nil {
-			return nil, fmt.Errorf("features: bad float %q: %w", f, err)
+			return nil, fmt.Errorf("features: %v value %d: bad float %q: %w", kind, i, f, err)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("features: %v value %d is %q, not a finite number", kind, i, f)
 		}
 		out[i] = v
 	}

@@ -3,6 +3,7 @@ package features
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -147,6 +148,35 @@ func TestParseRejectsMalformed(t *testing.T) {
 		for _, s := range ss {
 			if _, err := Parse(k, s); err == nil {
 				t.Errorf("%v accepted malformed %q", k, s)
+			}
+		}
+	}
+}
+
+// TestParseRejectsNonFinite: strconv.ParseFloat accepts every spelling
+// of NaN and the infinities, but a descriptor holding one would poison
+// every distance to its row. Each float-bearing kind must reject each
+// spelling in its first and its last value field, naming the kind.
+func TestParseRejectsNonFinite(t *testing.T) {
+	spellings := []string{"NaN", "nan", "+NaN", "Inf", "+Inf", "-Inf", "inf", "infinity", "-Infinity", "+INFINITY"}
+	set := ExtractAll(structuredFrame(4))
+	// The value count of each kind's String form, which ends in its values.
+	values := map[Kind]int{KindGLCM: 6, KindGabor: GaborVectorLen, KindTamura: TamuraVectorLen, KindCorrelogram: correlogramCells}
+	for k, nv := range values {
+		fields := strings.Fields(set.Get(k).String())
+		for _, at := range []int{len(fields) - nv, len(fields) - 1} {
+			for _, sp := range spellings {
+				bad := slices.Clone(fields)
+				bad[at] = sp
+				s := strings.Join(bad, " ")
+				_, err := Parse(k, s)
+				if err == nil {
+					t.Errorf("%v accepted %q in field %d", k, sp, at)
+					continue
+				}
+				if !strings.Contains(err.Error(), k.String()) || !strings.Contains(err.Error(), sp) {
+					t.Errorf("%v: error %q names neither the kind nor the value %q", k, err, sp)
+				}
 			}
 		}
 	}

@@ -374,7 +374,7 @@ func ParseGabor(s string) (*Gabor, error) {
 	if fields[0] != "60" {
 		return nil, fmt.Errorf("features: gabor length field %q", fields[0])
 	}
-	vs, err := parseFloats(fields[1:])
+	vs, err := parseFloats(KindGabor, fields[1:])
 	if err != nil {
 		return nil, err
 	}

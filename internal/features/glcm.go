@@ -148,7 +148,7 @@ func ParseGLCM(s string) (*GLCM, error) {
 	if len(fields) != 6 {
 		return nil, fmt.Errorf("features: glcm wants 6 fields, got %d", len(fields))
 	}
-	vs, err := parseFloats(fields)
+	vs, err := parseFloats(KindGLCM, fields)
 	if err != nil {
 		return nil, err
 	}

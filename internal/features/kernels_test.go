@@ -2,6 +2,7 @@ package features
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -95,36 +96,73 @@ func TestKernelsBitIdenticalToDistanceTo(t *testing.T) {
 	}
 }
 
-// TestBatchDistanceMatchesPairs checks the batch sweep against per-pair
-// calls over a packed column with a shuffled row subset — the exact shape
-// scanShard drives: an arbitrary row order into a flat output buffer.
+// TestBatchDistanceMatchesPairs checks every batch kernel against
+// per-pair calls, in the shape scanShard drives: an arbitrary selection of
+// column rows into a flat output buffer. The 4-row kernels put selected
+// rows i..i+3 in four lanes and pad a short last block, so the selections
+// cover every length 0–9 (no block, each tail length, one and two whole
+// blocks), 33 and 257; a row repeated within a block; the column
+// reversed; and a degenerate descriptor (zero-mass histogram, empty
+// Tamura directionality) in each of the four lane positions — all against
+// a normal and a degenerate query. The histogram's odd stride of 257
+// leaves every other row off 16-byte alignment. Seeded mutations it
+// catches: two lane pointers swapped, a tail block skipped or its padding
+// lanes written out, a lane's epilogue (zero-mass rule, correlogram
+// divide, square root) dropped.
 func TestBatchDistanceMatchesPairs(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	const n = 33
+	const n = 300
+	degenerate := func(row int) bool { return row%10 == 3 }
+	var sels [][]int32
+	perm := func(m int) []int32 {
+		sel := make([]int32, m)
+		for i, r := range rng.Perm(n)[:m] {
+			sel[i] = int32(r)
+		}
+		return sel
+	}
+	for m := 0; m <= 9; m++ {
+		sels = append(sels, perm(m))
+	}
+	sels = append(sels, perm(33), perm(257))
+	sels = append(sels, []int32{5, 5, 5, 5, 5}, []int32{8, 1, 8, 2, 1, 8})
+	reversed := make([]int32, n)
+	for i := range reversed {
+		reversed[i] = int32(n - 1 - i)
+	}
+	sels = append(sels, reversed)
+	for p := 0; p < 4; p++ {
+		sel := []int32{0, 1, 2, 4, 5}
+		sel[p] = 13 // degenerate in lane p of a full block, then a tail
+		sels = append(sels, sel, append(slices.Clone(sel[:4]), 23))
+	}
+	sels = append(sels, []int32{3, 13, 23, 33, 43})
+
 	for _, kind := range AllKinds() {
 		stride := Stride(kind)
 		col := make([]float64, 0, n*stride)
 		packed := make([][]float64, n)
 		for i := 0; i < n; i++ {
-			d := randDescriptor(rng, kind, i == 11)
 			start := len(col)
-			col = d.AppendTo(col)
+			col = randDescriptor(rng, kind, degenerate(i)).AppendTo(col)
 			packed[i] = col[start:len(col):len(col)]
 		}
-		q := randDescriptor(rng, kind, false).AppendTo(nil)
-
-		rows := make([]int32, 0, n)
-		for i := 0; i < n; i++ {
-			rows = append(rows, int32(i))
-		}
-		rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
-		rows = rows[:n/2]
-
-		out := make([]float64, len(rows))
-		BatchDistance(kind, q, col, rows, out)
-		for i, s := range rows {
-			if want := PairDistance(kind, q, packed[s]); out[i] != want {
-				t.Fatalf("%v: batch out[%d] (row %d) = %.17g, pair = %.17g", kind, i, s, out[i], want)
+		for qi, degenerateQuery := range []bool{false, true} {
+			q := randDescriptor(rng, kind, degenerateQuery).AppendTo(nil)
+			for si, rows := range sels {
+				// One slot past the selection must stay untouched.
+				out := make([]float64, len(rows)+1)
+				out[len(rows)] = -1
+				BatchDistance(kind, q, col, rows, out[:len(rows)])
+				for i, s := range rows {
+					if want := PairDistance(kind, q, packed[s]); out[i] != want {
+						t.Fatalf("%v query %d selection %d (len %d): out[%d] (row %d) = %.17g, pair = %.17g",
+							kind, qi, si, len(rows), i, s, out[i], want)
+					}
+				}
+				if out[len(rows)] != -1 {
+					t.Fatalf("%v query %d selection %d: wrote past the selection", kind, qi, si)
+				}
 			}
 		}
 	}

@@ -59,7 +59,7 @@ var kindTable = [NumKinds]kindDef{
 	KindGabor: slot(kindDef{
 		name:       "gabor",
 		stride:     GaborVectorLen,
-		batch:      BatchL2,
+		batch:      l2Batch,
 		pair:       l2Row,
 		metric:     true,
 		fixedScale: 0.5, // magnitude-normalised responses
@@ -67,7 +67,7 @@ var kindTable = [NumKinds]kindDef{
 	KindTamura: slot(kindDef{
 		name:       "tamura",
 		stride:     TamuraVectorLen,
-		batch:      func(q, col []float64, rows []int32, out []float64) { batchKernel(q, col, rows, out, tamuraRow) },
+		batch:      tamuraBatch,
 		pair:       tamuraRow,
 		metric:     true,
 		fixedScale: 2, // scaled L2 + half-L1 directionality
@@ -75,7 +75,7 @@ var kindTable = [NumKinds]kindDef{
 	KindHistogram: slot(kindDef{
 		name:       "histogram",
 		stride:     HistogramBins + 1,
-		batch:      func(q, col []float64, rows []int32, out []float64) { batchKernel(q, col, rows, out, histRow) },
+		batch:      histBatch,
 		pair:       histRow,
 		metric:     true,
 		fixedScale: 2, // L1 over distributions is in [0,2]
@@ -83,7 +83,7 @@ var kindTable = [NumKinds]kindDef{
 	KindCorrelogram: slot(kindDef{
 		name:       "autocorrelogram",
 		stride:     CorrelogramBins * CorrelogramMaxDistance,
-		batch:      func(q, col []float64, rows []int32, out []float64) { batchKernel(q, col, rows, out, correlogramRow) },
+		batch:      correlogramBatch,
 		pair:       correlogramRow,
 		metric:     true,
 		fixedScale: 0.5, // mean |Δ| of max-normalised cells
@@ -99,7 +99,7 @@ var kindTable = [NumKinds]kindDef{
 	KindNaive: slot(kindDef{
 		name:       "naive",
 		stride:     NaivePoints * 3,
-		batch:      func(q, col []float64, rows []int32, out []float64) { batchKernel(q, col, rows, out, naiveRow) },
+		batch:      naiveBatch,
 		pair:       naiveRow,
 		metric:     true,
 		fixedScale: 11025, // 25 × max per-point distance (441)

@@ -230,7 +230,7 @@ func ParseTamura(s string) (*Tamura, error) {
 	if fields[0] != "18" {
 		return nil, fmt.Errorf("features: tamura length field %q", fields[0])
 	}
-	vs, err := parseFloats(fields[1:])
+	vs, err := parseFloats(KindTamura, fields[1:])
 	if err != nil {
 		return nil, err
 	}
