@@ -9,7 +9,9 @@
 // container), STREAM is the "stream of keyframes" (a CVJ of only the key
 // frames), IMAGE is the key frame JPEG, MIN/MAX is the §4.2 range-finder
 // bucket, and the feature columns carry the §4.3–4.8 string
-// serialisations.
+// serialisations. MIN/MAX has no secondary index: the engine reads the
+// bucket once when it warms its cache, and its in-memory bucket column is
+// the one §4.2 lookup a search makes.
 //
 // Extensions beyond the paper's CREATE TABLE (documented in DESIGN.md):
 // ACC and NAIVE feature columns (Table 1 evaluates both features, so they
@@ -26,11 +28,10 @@ import (
 	"cbvr/internal/vstore"
 )
 
-// Table and index names.
+// Table names.
 const (
 	TableVideoStore = "VIDEO_STORE"
 	TableKeyFrames  = "KEY_FRAMES"
-	IndexRange      = "KF_RANGE" // secondary index over (MIN, MAX)
 )
 
 // VideoStoreSchema returns the VIDEO_STORE schema.
@@ -67,9 +68,6 @@ func KeyFramesSchema() vstore.Schema {
 			{Name: "NAIVE", Type: vstore.TypeText},
 			{Name: "REGIONS", Type: vstore.TypeText},
 			{Name: "FRAME_IDX", Type: vstore.TypeInt64},
-		},
-		Indexes: []vstore.IndexSpec{
-			{Name: IndexRange, Cols: []string{"MIN", "MAX"}},
 		},
 	}
 }
@@ -423,42 +421,6 @@ func (s *Store) KeyFramesOfVideo(tx *vstore.Txn, videoID int64) ([]*KeyFrame, er
 		return true, nil
 	})
 	return out, err
-}
-
-// CandidatesByRange returns the IDs of key frames whose (MIN, MAX) bucket
-// overlaps the query range, using the KF_RANGE secondary index. This is
-// the §4.2 pruning step.
-func (s *Store) CandidatesByRange(tx *vstore.Txn, q rangeindex.Range) ([]int64, error) {
-	var out []int64
-	for _, r := range AllBuckets() {
-		if !r.Overlaps(q) {
-			continue
-		}
-		lo, hi, err := vstore.IndexPrefixRange([]int64{int64(r.Min), int64(r.Max)})
-		if err != nil {
-			return nil, err
-		}
-		err = s.frames.IndexScan(tx, IndexRange, lo, hi, func(pk int64) (bool, error) {
-			out = append(out, pk)
-			return true, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// AllBuckets enumerates every bucket the §4.2 range finder can produce:
-// the root, two halves, four quarters and eight eighths of [0,255].
-func AllBuckets() []rangeindex.Range {
-	out := []rangeindex.Range{{Min: 0, Max: 255}}
-	for _, w := range []int{128, 64, 32} {
-		for lo := 0; lo < 256; lo += w {
-			out = append(out, rangeindex.Range{Min: lo, Max: lo + w - 1})
-		}
-	}
-	return out
 }
 
 // CountVideos returns the VIDEO_STORE row count.

@@ -59,9 +59,6 @@ func TestSchemaMatchesPaper(t *testing.T) {
 			t.Errorf("KEY_FRAMES missing paper column %s", n)
 		}
 	}
-	if len(kf.Indexes) == 0 || kf.Indexes[0].Name != IndexRange {
-		t.Error("KEY_FRAMES must carry the (MIN,MAX) range index")
-	}
 }
 
 func TestVideoRoundTrip(t *testing.T) {
@@ -129,44 +126,6 @@ func TestKeyFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCandidatesByRangePruning(t *testing.T) {
-	s := openTestStore(t)
-	tx, _ := s.Begin()
-	vid, _ := s.InsertVideo(tx, &Video{Name: "v"})
-	// Frames in three different buckets.
-	lowID, _ := s.InsertKeyFrame(tx, sampleKeyFrame("low", 0, 31, vid, 0))
-	midID, _ := s.InsertKeyFrame(tx, sampleKeyFrame("mid", 0, 127, vid, 1))
-	highID, _ := s.InsertKeyFrame(tx, sampleKeyFrame("high", 192, 255, vid, 2))
-	tx.Commit()
-
-	got, err := s.CandidatesByRange(nil, rangeindex.Range{Min: 0, Max: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
-	has := func(ids []int64, want int64) bool {
-		for _, id := range ids {
-			if id == want {
-				return true
-			}
-		}
-		return false
-	}
-	if !has(got, lowID) || !has(got, midID) {
-		t.Errorf("overlapping buckets missing: %v", got)
-	}
-	if has(got, highID) {
-		t.Errorf("disjoint bucket not pruned: %v", got)
-	}
-
-	all, err := s.CandidatesByRange(nil, rangeindex.Range{Min: 0, Max: 255})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 3 {
-		t.Errorf("root query found %d", len(all))
-	}
-}
-
 func TestKeyFramesOfVideoAndDelete(t *testing.T) {
 	s := openTestStore(t)
 	tx, _ := s.Begin()
@@ -200,10 +159,8 @@ func TestKeyFramesOfVideoAndDelete(t *testing.T) {
 	if n, _ := s.CountKeyFrames(nil); n != 1 {
 		t.Errorf("key frames after delete = %d", n)
 	}
-	// The range index must not return dead frames.
-	got, _ := s.CandidatesByRange(nil, rangeindex.Range{Min: 0, Max: 255})
-	if len(got) != 1 {
-		t.Errorf("index returned %d candidates after delete", len(got))
+	if kfs, _ := s.KeyFramesOfVideo(nil, v1); len(kfs) != 0 {
+		t.Errorf("deleted video still has %d key frames", len(kfs))
 	}
 
 	tx3, _ := s.Begin()
@@ -274,16 +231,5 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	}
 	if kf.Min != 64 || kf.Max != 127 {
 		t.Errorf("range lost: %d-%d", kf.Min, kf.Max)
-	}
-	cands, _ := s2.CandidatesByRange(nil, rangeindex.Range{Min: 64, Max: 127})
-	if len(cands) != 1 || cands[0] != kfID {
-		t.Errorf("range index lost across reopen: %v", cands)
-	}
-}
-
-func TestAllBucketsCount(t *testing.T) {
-	b := AllBuckets()
-	if len(b) != 15 { // 1 root + 2 halves + 4 quarters + 8 eighths
-		t.Errorf("buckets = %d, want 15", len(b))
 	}
 }

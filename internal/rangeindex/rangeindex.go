@@ -8,11 +8,7 @@
 // columns and used to prune candidates at query time.
 package rangeindex
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
+import "fmt"
 
 // Paper constants: the pseudo-code divides bucket mass by 900.0 — percent
 // for the 300×300 analysis raster — and compares with 55 (level 1) and 60
@@ -145,117 +141,28 @@ func (r Range) Overlaps(o Range) bool {
 	return r.Min <= o.Max && o.Min <= r.Max
 }
 
-// Contains reports whether r fully contains o.
-func (r Range) Contains(o Range) bool {
-	return r.Min <= o.Min && o.Max <= r.Max
-}
-
 func (r Range) String() string { return fmt.Sprintf("[%d,%d]", r.Min, r.Max) }
 
-// Index groups frame IDs by their assigned range. It is safe for
-// concurrent use.
-type Index struct {
-	mu      sync.RWMutex
-	buckets map[Range][]int64
-	n       int
-}
-
-// New returns an empty index.
-func New() *Index {
-	return &Index{buckets: make(map[Range][]int64)}
-}
-
-// Insert adds id under the given range bucket.
-func (ix *Index) Insert(id int64, r Range) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.buckets[r] = append(ix.buckets[r], id)
-	ix.n++
-}
-
-// Remove deletes id from the given bucket, reporting whether it was found.
-func (ix *Index) Remove(id int64, r Range) bool {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ids := ix.buckets[r]
-	for i, v := range ids {
-		if v == id {
-			ids[i] = ids[len(ids)-1]
-			ids = ids[:len(ids)-1]
-			if len(ids) == 0 {
-				delete(ix.buckets, r)
-			} else {
-				ix.buckets[r] = ids
-			}
-			ix.n--
-			return true
-		}
+// PruningFactor estimates query selectivity from the population of every
+// occupied bucket (Fig. 7 diagnostics): the mean fraction of frames
+// scanned per distinct bucket used as a query. 1.0 means no pruning.
+func PruningFactor(sizes map[Range]int) float64 {
+	n := 0
+	for _, c := range sizes {
+		n += c
 	}
-	return false
-}
-
-// Len reports the number of indexed IDs.
-func (ix *Index) Len() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.n
-}
-
-// Candidates returns the IDs of every frame whose bucket overlaps the
-// query range, in ascending ID order.
-func (ix *Index) Candidates(q Range) []int64 {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	var out []int64
-	for r, ids := range ix.buckets {
-		if r.Overlaps(q) {
-			out = append(out, ids...)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// All returns every indexed ID in ascending order.
-func (ix *Index) All() []int64 {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	out := make([]int64, 0, ix.n)
-	for _, ids := range ix.buckets {
-		out = append(out, ids...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// BucketSizes reports the population of every bucket (Fig. 7 diagnostics).
-func (ix *Index) BucketSizes() map[Range]int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	out := make(map[Range]int, len(ix.buckets))
-	for r, ids := range ix.buckets {
-		out[r] = len(ids)
-	}
-	return out
-}
-
-// PruningFactor estimates query selectivity: the mean fraction of the
-// index scanned per distinct bucket used as a query. 1.0 means no pruning.
-func (ix *Index) PruningFactor() float64 {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if ix.n == 0 || len(ix.buckets) == 0 {
+	if n == 0 {
 		return 1
 	}
 	var sum float64
-	for q := range ix.buckets {
+	for q := range sizes {
 		scanned := 0
-		for r, ids := range ix.buckets {
+		for r, c := range sizes {
 			if r.Overlaps(q) {
-				scanned += len(ids)
+				scanned += c
 			}
 		}
-		sum += float64(scanned) / float64(ix.n)
+		sum += float64(scanned) / float64(n)
 	}
-	return sum / float64(len(ix.buckets))
+	return sum / float64(len(sizes))
 }

@@ -142,83 +142,27 @@ func TestRangeOverlapContains(t *testing.T) {
 	if a.Overlaps(c) {
 		t.Error("disjoint ranges overlap")
 	}
-	if !a.Contains(b) || b.Contains(a) {
-		t.Error("containment wrong")
-	}
-	if !a.Overlaps(a) || !a.Contains(a) {
-		t.Error("self relations wrong")
+	if !a.Overlaps(a) {
+		t.Error("self relation wrong")
 	}
 	if a.String() != "[0,127]" {
 		t.Errorf("String: %s", a.String())
 	}
 }
 
-func TestIndexInsertRemoveCandidates(t *testing.T) {
-	ix := New()
-	ix.Insert(1, Range{0, 127})
-	ix.Insert(2, Range{0, 63})
-	ix.Insert(3, Range{128, 255})
-	ix.Insert(4, Range{0, 255})
-	if ix.Len() != 4 {
-		t.Fatalf("len = %d", ix.Len())
-	}
-	got := ix.Candidates(Range{0, 63})
-	want := []int64{1, 2, 4}
-	if len(got) != len(want) {
-		t.Fatalf("candidates = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("candidates = %v, want %v", got, want)
-		}
-	}
-	if !ix.Remove(2, Range{0, 63}) {
-		t.Error("remove failed")
-	}
-	if ix.Remove(2, Range{0, 63}) {
-		t.Error("double remove succeeded")
-	}
-	if ix.Len() != 3 {
-		t.Errorf("len after remove = %d", ix.Len())
-	}
-	all := ix.All()
-	if len(all) != 3 {
-		t.Errorf("All = %v", all)
-	}
-}
-
 func TestIndexBucketSizesAndPruning(t *testing.T) {
-	ix := New()
 	// Two disjoint clusters → pruning factor well below 1.
-	for i := int64(0); i < 50; i++ {
-		ix.Insert(i, Range{0, 31})
+	sizes := map[Range]int{{0, 31}: 50, {224, 255}: 50}
+	if pf := PruningFactor(sizes); pf != 0.5 {
+		t.Errorf("disjoint clusters: pruning factor %g, want 0.5", pf)
 	}
-	for i := int64(50); i < 100; i++ {
-		ix.Insert(i, Range{224, 255})
+	// A root-bucket frame overlaps every query, so nothing is pruned for
+	// it and every other query scans it too.
+	sizes[Range{0, 255}] = 100
+	if pf, want := PruningFactor(sizes), (0.75+0.75+1.0)/3; pf != want {
+		t.Errorf("with root bucket: pruning factor %g, want %g", pf, want)
 	}
-	sizes := ix.BucketSizes()
-	if sizes[Range{0, 31}] != 50 || sizes[Range{224, 255}] != 50 {
-		t.Errorf("bucket sizes %v", sizes)
-	}
-	pf := ix.PruningFactor()
-	if pf > 0.6 {
-		t.Errorf("pruning factor %g, want ~0.5", pf)
-	}
-	empty := New()
-	if empty.PruningFactor() != 1 {
-		t.Error("empty index pruning factor should be 1")
-	}
-}
-
-func TestCandidatesSorted(t *testing.T) {
-	ix := New()
-	for _, id := range []int64{9, 3, 7, 1} {
-		ix.Insert(id, Range{0, 255})
-	}
-	got := ix.Candidates(Range{0, 31})
-	for i := 1; i < len(got); i++ {
-		if got[i] <= got[i-1] {
-			t.Fatalf("unsorted candidates %v", got)
-		}
+	if PruningFactor(nil) != 1 {
+		t.Error("empty population pruning factor should be 1")
 	}
 }

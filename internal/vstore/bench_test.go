@@ -148,22 +148,6 @@ func BenchmarkVstoreScan10K(b *testing.B) {
 	}
 }
 
-func BenchmarkVstoreIndexScan(b *testing.B) {
-	_, tbl := benchPopulated(b, nil, 10000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lo, hi, _ := IndexPrefixRange([]int64{int64(i % 200)})
-		n := 0
-		err := tbl.IndexScan(nil, "BY_RANK", lo, hi, func(pk int64) (bool, error) {
-			n++
-			return true, nil
-		})
-		if err != nil || n == 0 {
-			b.Fatalf("index scan n=%d err=%v", n, err)
-		}
-	}
-}
-
 func BenchmarkVstoreUpdateInPlace(b *testing.B) {
 	db, tbl := benchPopulated(b, nil, 1000)
 	row, _, _ := tbl.Get(nil, 1)

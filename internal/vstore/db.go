@@ -116,10 +116,9 @@ type catalogData struct {
 
 // tableMeta is the persisted per-table state.
 type tableMeta struct {
-	Schema   Schema            `json:"schema"`
-	PKRoot   PageID            `json:"pk_root"`
-	Indexes  map[string]PageID `json:"indexes"` // index name -> btree root
-	LastHeap PageID            `json:"last_heap"`
+	Schema   Schema `json:"schema"`
+	PKRoot   PageID `json:"pk_root"`
+	LastHeap PageID `json:"last_heap"`
 }
 
 // Open opens (or creates) the database at path. The write-ahead log lives

@@ -22,7 +22,6 @@ func faultSchema() vstore.Schema {
 			{Name: "RANK", Type: vstore.TypeInt64, NotNull: true},
 			{Name: "PAYLOAD", Type: vstore.TypeBlob},
 		},
-		Indexes: []vstore.IndexSpec{{Name: "BY_RANK", Cols: []string{"RANK"}}},
 	}
 }
 

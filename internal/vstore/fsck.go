@@ -17,11 +17,12 @@ type CheckReport struct {
 func (r *CheckReport) Clean() bool { return len(r.Problems) == 0 }
 
 // Check walks the whole database — meta page, free list, catalog blob,
-// every table's heap rows, B+tree invariants, secondary-index entries and
-// blob chains (CRC-32C verified) — and reports every inconsistency it can
-// find without mutating anything. Orphan pages (crash garbage from aborted
-// or power-cut transactions) are deliberately not findings: the design
-// leaves them unreachable until free-list reuse. A page claimed by two
+// every table's heap rows, primary-key B+tree invariants and blob chains
+// (CRC-32C verified) — and reports every inconsistency it can find without
+// mutating anything. Orphan pages are deliberately not findings: crash
+// garbage from aborted or power-cut transactions stays unreachable until
+// free-list reuse, and so do the pages of the secondary (MIN, MAX) index
+// that files written by older versions still carry. A page claimed by two
 // distinct owners, however, is corruption.
 //
 // Check takes the read lock, so it can run against a live DB; `cbvrctl
@@ -201,22 +202,12 @@ func (c *checker) checkBlobChain(first PageID, length int64, owner string) {
 
 func (c *checker) checkTable(name string, tm *tableMeta) {
 	owner := "table " + name
-	rows := make(map[int64][]Value)
 	if tm.PKRoot != invalidPage {
 		entries, leaves := c.checkBTree(tm.PKRoot, owner+" pk btree")
 		c.checkLeafChain(leaves, owner+" pk btree")
 		for _, e := range entries {
-			c.checkRow(name, tm, int64(e.key), e.val, rows)
+			c.checkRow(name, tm, int64(e.key), e.val)
 		}
-	}
-	for ixName, root := range tm.Indexes {
-		if root == invalidPage {
-			continue
-		}
-		ixOwner := fmt.Sprintf("%s index %s", owner, ixName)
-		entries, leaves := c.checkBTree(root, ixOwner)
-		c.checkLeafChain(leaves, ixOwner)
-		c.checkIndexEntries(tm, ixName, entries, rows, ixOwner)
 	}
 }
 
@@ -305,7 +296,7 @@ func (c *checker) checkLeafChain(leaves []*Page, owner string) {
 
 // checkRow resolves one pk btree entry to its heap record, decodes the row
 // and walks every out-of-row chain it references.
-func (c *checker) checkRow(name string, tm *tableMeta, pk int64, rid uint64, rows map[int64][]Value) {
+func (c *checker) checkRow(name string, tm *tableMeta, pk int64, rid uint64) {
 	owner := "table " + name + " heap"
 	pid, slot := splitRID(rid)
 	// Heap pages hold many rows; claim once for the table.
@@ -350,7 +341,6 @@ func (c *checker) checkRow(name string, tm *tableMeta, pk int64, rid uint64, row
 		c.problemf("%s: pk %d: stored key column disagrees (%v)", owner, pk, row[0])
 	}
 	c.report.Rows++
-	rows[pk] = row
 	for i, v := range row {
 		if v.Null {
 			continue
@@ -361,49 +351,5 @@ func (c *checker) checkRow(name string, tm *tableMeta, pk int64, rid uint64, row
 		}
 		chainOwner := fmt.Sprintf("table %s pk %d col %s", name, pk, tm.Schema.Cols[i].Name)
 		c.checkBlobChain(v.Blob.First, v.Blob.Len, chainOwner)
-	}
-}
-
-// checkIndexEntries verifies each secondary-index entry maps back to a
-// live row whose column values re-pack to the same key, and that every row
-// produced exactly one entry.
-func (c *checker) checkIndexEntries(tm *tableMeta, ixName string, entries []btEntry, rows map[int64][]Value, owner string) {
-	var spec *IndexSpec
-	for i := range tm.Schema.Indexes {
-		if tm.Schema.Indexes[i].Name == ixName {
-			spec = &tm.Schema.Indexes[i]
-		}
-	}
-	if spec == nil {
-		c.problemf("%s: index root persisted but schema has no such index", owner)
-		return
-	}
-	for _, e := range entries {
-		pk := int64(e.key) & maxIndexPK
-		row, ok := rows[pk]
-		if !ok {
-			c.problemf("%s: entry for pk %d has no row", owner, pk)
-			continue
-		}
-		vals := make([]int64, len(spec.Cols))
-		for i, cn := range spec.Cols {
-			ci := tm.Schema.ColIndex(cn)
-			if ci < 0 || ci >= len(row) {
-				c.problemf("%s: column %s missing from row", owner, cn)
-				return
-			}
-			vals[i] = row[ci].Int
-		}
-		want, err := PackIndexKey(vals, pk)
-		if err != nil {
-			c.problemf("%s: pk %d: %v", owner, pk, err)
-			continue
-		}
-		if want != e.key {
-			c.problemf("%s: entry key %d for pk %d disagrees with row values (want %d)", owner, e.key, pk, want)
-		}
-	}
-	if len(entries) != len(rows) {
-		c.problemf("%s: %d entries for %d rows", owner, len(entries), len(rows))
 	}
 }

@@ -4,11 +4,10 @@
 //
 // It substitutes for the Oracle 9i instance the paper stores its
 // VIDEO_STORE and KEY_FRAMES tables in: the CBVR system needs row CRUD by
-// primary key, a secondary range index over the (MIN, MAX) columns, BLOB
-// columns for video containers and key-frame JPEGs, and VARCHAR-style
-// feature strings — all of which this engine provides with real database
-// mechanics (WAL-before-data, page-image redo recovery, free-list page
-// reuse).
+// primary key, BLOB columns for video containers and key-frame JPEGs, and
+// VARCHAR-style feature strings — all of which this engine provides with
+// real database mechanics (WAL-before-data, page-image redo recovery,
+// free-list page reuse).
 //
 // Concurrency model: single writer, many readers (one RWMutex per DB).
 // That matches the paper's workload — one administrator mutating the

@@ -12,29 +12,11 @@ type Column struct {
 	NotNull bool    `json:"not_null,omitempty"`
 }
 
-// IndexSpec declares a secondary index over small-integer columns. Each
-// indexed column must be INT64 NOT NULL with values in [0,255]; the packed
-// key is col0<<56 | col1<<48 | col2<<40 | pk (pk must fit 40 bits). That
-// is exactly what the CBVR range index needs for (MIN, MAX) and keeps keys
-// inside the B+tree's fixed-width uint64 format.
-type IndexSpec struct {
-	Name string   `json:"name"`
-	Cols []string `json:"cols"`
-}
-
-// maxIndexCols bounds the packed-key column count.
-const maxIndexCols = 3
-
-// maxIndexPK is the largest primary key representable in a packed index
-// key (40 bits).
-const maxIndexPK = int64(1)<<40 - 1
-
 // Schema declares a table. The first column is always the INT64 primary
 // key; inserts may pass a NULL primary key to have one assigned.
 type Schema struct {
-	Name    string      `json:"name"`
-	Cols    []Column    `json:"cols"`
-	Indexes []IndexSpec `json:"indexes,omitempty"`
+	Name string   `json:"name"`
+	Cols []Column `json:"cols"`
 }
 
 // validate checks structural invariants.
@@ -48,7 +30,7 @@ func (s *Schema) validate() error {
 	if s.Cols[0].Type != TypeInt64 {
 		return fmt.Errorf("vstore: table %q primary key column %q must be INT64", s.Name, s.Cols[0].Name)
 	}
-	seen := make(map[string]int, len(s.Cols))
+	seen := make(map[string]struct{}, len(s.Cols))
 	for i, c := range s.Cols {
 		if c.Name == "" {
 			return fmt.Errorf("vstore: table %q column %d unnamed", s.Name, i)
@@ -56,24 +38,7 @@ func (s *Schema) validate() error {
 		if _, dup := seen[c.Name]; dup {
 			return fmt.Errorf("vstore: table %q duplicate column %q", s.Name, c.Name)
 		}
-		seen[c.Name] = i
-	}
-	for _, ix := range s.Indexes {
-		if ix.Name == "" {
-			return fmt.Errorf("vstore: table %q has unnamed index", s.Name)
-		}
-		if len(ix.Cols) == 0 || len(ix.Cols) > maxIndexCols {
-			return fmt.Errorf("vstore: index %q wants 1..%d columns", ix.Name, maxIndexCols)
-		}
-		for _, cn := range ix.Cols {
-			ci, ok := seen[cn]
-			if !ok {
-				return fmt.Errorf("vstore: index %q references unknown column %q", ix.Name, cn)
-			}
-			if s.Cols[ci].Type != TypeInt64 || !s.Cols[ci].NotNull {
-				return fmt.Errorf("vstore: index %q column %q must be INT64 NOT NULL", ix.Name, cn)
-			}
-		}
+		seen[c.Name] = struct{}{}
 	}
 	return nil
 }
@@ -88,7 +53,8 @@ func (s *Schema) ColIndex(name string) int {
 	return -1
 }
 
-// Table provides typed row access over the heap and its indexes.
+// Table provides typed row access over the heap and its primary-key
+// B+tree.
 type Table struct {
 	db   *DB
 	name string
@@ -113,10 +79,7 @@ func (db *DB) CreateTable(tx *Txn, s Schema) (*Table, error) {
 	if _, exists := db.catalog.Tables[s.Name]; exists {
 		return nil, fmt.Errorf("vstore: table %q already exists", s.Name)
 	}
-	tm := &tableMeta{Schema: s, Indexes: make(map[string]PageID)}
-	for _, ix := range s.Indexes {
-		tm.Indexes[ix.Name] = invalidPage
-	}
+	tm := &tableMeta{Schema: s}
 	db.catalog.Tables[s.Name] = tm
 	if err := db.persistCatalog(tx); err != nil {
 		delete(db.catalog.Tables, s.Name)
@@ -203,9 +166,6 @@ func (t *Table) Insert(tx *Txn, row []Value) (int64, error) {
 		return 0, err
 	}
 	if err := t.pkInsert(tx, uint64(pk), rid, false); err != nil {
-		return 0, err
-	}
-	if err := t.indexRow(tx, pk, work, true); err != nil {
 		return 0, err
 	}
 	return pk, nil
@@ -326,6 +286,9 @@ func (t *Table) Update(tx *Txn, pk int64, row []Value) error {
 		return errors.New("vstore: Update requires a transaction")
 	}
 	schema := &t.meta.Schema
+	if len(row) != len(schema.Cols) {
+		return fmt.Errorf("vstore: row has %d values, want %d", len(row), len(schema.Cols))
+	}
 	rid, ok, err := t.db.btSearch(t.meta.PKRoot, uint64(pk))
 	if err != nil {
 		return err
@@ -375,10 +338,7 @@ func (t *Table) Update(tx *Txn, pk int64, row []Value) error {
 			return err
 		}
 	}
-	if err := t.deindexRow(tx, pk, oldRow); err != nil {
-		return err
-	}
-	return t.indexRow(tx, pk, work, true)
+	return nil
 }
 
 // Delete removes the row at pk, reporting whether it existed.
@@ -405,9 +365,6 @@ func (t *Table) Delete(tx *Txn, pk int64) (bool, error) {
 		return false, err
 	}
 	if _, err := t.db.btDelete(tx, t.meta.PKRoot, uint64(pk)); err != nil {
-		return false, err
-	}
-	if err := t.deindexRow(tx, pk, row); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -454,95 +411,6 @@ func (t *Table) pkInsert(tx *Txn, key, rid uint64, replace bool) error {
 		}
 	}
 	return nil
-}
-
-// PackIndexKey builds the packed secondary-index key for the given column
-// values (each in [0,255]) and primary key (must fit 40 bits).
-func PackIndexKey(vals []int64, pk int64) (uint64, error) {
-	if len(vals) > maxIndexCols {
-		return 0, fmt.Errorf("vstore: too many index columns (%d)", len(vals))
-	}
-	if pk < 0 || pk > maxIndexPK {
-		return 0, fmt.Errorf("vstore: pk %d outside packed-index range", pk)
-	}
-	var key uint64
-	for i, v := range vals {
-		if v < 0 || v > 255 {
-			return 0, fmt.Errorf("vstore: index column value %d outside [0,255]", v)
-		}
-		key |= uint64(v) << (56 - 8*i)
-	}
-	return key | uint64(pk), nil
-}
-
-// IndexPrefixRange returns the [lo, hi] packed-key bounds covering every
-// pk under the given column values.
-func IndexPrefixRange(vals []int64) (lo, hi uint64, err error) {
-	lo, err = PackIndexKey(vals, 0)
-	if err != nil {
-		return 0, 0, err
-	}
-	return lo, lo | uint64(maxIndexPK), nil
-}
-
-// indexRow inserts the row's entries into every secondary index.
-func (t *Table) indexRow(tx *Txn, pk int64, row []Value, replace bool) error {
-	for _, spec := range t.meta.Schema.Indexes {
-		key, err := t.indexKeyFor(spec, pk, row)
-		if err != nil {
-			return err
-		}
-		root, _, err := t.db.btInsert(tx, t.meta.Indexes[spec.Name], key, uint64(pk), replace)
-		if err != nil {
-			return err
-		}
-		if root != t.meta.Indexes[spec.Name] {
-			t.meta.Indexes[spec.Name] = root
-			if err := t.db.persistCatalog(tx); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// deindexRow removes the row's entries from every secondary index.
-func (t *Table) deindexRow(tx *Txn, pk int64, row []Value) error {
-	for _, spec := range t.meta.Schema.Indexes {
-		key, err := t.indexKeyFor(spec, pk, row)
-		if err != nil {
-			return err
-		}
-		if _, err := t.db.btDelete(tx, t.meta.Indexes[spec.Name], key); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (t *Table) indexKeyFor(spec IndexSpec, pk int64, row []Value) (uint64, error) {
-	vals := make([]int64, len(spec.Cols))
-	for i, cn := range spec.Cols {
-		ci := t.meta.Schema.ColIndex(cn)
-		if ci < 0 {
-			return 0, fmt.Errorf("vstore: index %q column %q vanished", spec.Name, cn)
-		}
-		vals[i] = row[ci].Int
-	}
-	return PackIndexKey(vals, pk)
-}
-
-// IndexScan visits primary keys whose packed index key lies in [lo, hi].
-func (t *Table) IndexScan(tx *Txn, index string, lo, hi uint64, fn func(pk int64) (bool, error)) error {
-	unlock := t.rlockIfNeeded(tx)
-	defer unlock()
-	root, ok := t.meta.Indexes[index]
-	if !ok {
-		return fmt.Errorf("vstore: table %q has no index %q", t.name, index)
-	}
-	return t.db.btScan(root, lo, hi, func(_, pk uint64) (bool, error) {
-		return fn(int64(pk))
-	})
 }
 
 // btMax returns the largest key in the tree.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
 	"testing/quick"
 	"time"
@@ -21,7 +22,6 @@ func testSchema() Schema {
 			{Name: "WHEN", Type: TypeTime},
 			{Name: "RANK", Type: TypeInt64, NotNull: true},
 		},
-		Indexes: []IndexSpec{{Name: "BY_RANK", Cols: []string{"RANK"}}},
 	}
 }
 
@@ -164,21 +164,64 @@ func TestTableUpdate(t *testing.T) {
 	if string(b) != "new-blob" {
 		t.Errorf("blob not updated: %q", b)
 	}
-	// Secondary index reflects the new rank.
-	lo, hi, _ := IndexPrefixRange([]int64{42})
-	var found []int64
-	tbl.IndexScan(nil, "BY_RANK", lo, hi, func(pk int64) (bool, error) {
-		found = append(found, pk)
-		return true, nil
-	})
-	if len(found) != 1 || found[0] != pk {
-		t.Errorf("index after update: %v", found)
+}
+
+// TestTableUpdateRowLength pins that Update, like Insert, rejects a row of
+// the wrong length with an error before touching any page. A panic there
+// would leave the writer lock held and hang the next Close.
+func TestTableUpdateRowLength(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "update.db")
+	db, err := Open(path, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	lo, hi, _ = IndexPrefixRange([]int64{1})
-	count := 0
-	tbl.IndexScan(nil, "BY_RANK", lo, hi, func(int64) (bool, error) { count++; return true, nil })
-	if count != 0 {
-		t.Errorf("stale index entry under old rank: %d", count)
+	tbl := createTestTable(t, db)
+	tx, _ := db.Begin()
+	pk, err := tbl.Insert(tx, sampleRow(0, "kept", 1, []byte("kept-blob")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	update := func(tx *Txn, row []Value) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panic: %v", r)
+				t.Errorf("Update with %d values panicked: %v", len(row), r)
+			}
+		}()
+		return tbl.Update(tx, pk, row)
+	}
+	long := append(sampleRow(pk, "long", 2, []byte("new-blob")), Int64(7))
+	for _, row := range [][]Value{{}, long} {
+		tx, err := db.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := update(tx, row); err == nil {
+			t.Errorf("Update with %d values accepted, want %d", len(row), len(testSchema().Cols))
+		}
+		tx.Abort()
+	}
+
+	mustClean(t, db)
+	if err := db.Close(); err != nil {
+		t.Fatalf("close after rejected updates: %v", err)
+	}
+	db, err = Open(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tbl, err = db.Table("T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err := tbl.Get(nil, pk)
+	if err != nil || !ok || got[1].Str != "kept" || got[6].Int != 1 {
+		t.Fatalf("row after rejected updates: ok=%v err=%v row=%v", ok, err, got)
 	}
 }
 
@@ -290,43 +333,6 @@ func TestTableTypeMismatch(t *testing.T) {
 	}
 }
 
-func TestPackIndexKeyBounds(t *testing.T) {
-	if _, err := PackIndexKey([]int64{256}, 1); err == nil {
-		t.Error("column value 256 should be rejected")
-	}
-	if _, err := PackIndexKey([]int64{-1}, 1); err == nil {
-		t.Error("negative column value should be rejected")
-	}
-	if _, err := PackIndexKey([]int64{1, 2, 3, 4}, 1); err == nil {
-		t.Error("too many columns should be rejected")
-	}
-	if _, err := PackIndexKey([]int64{1}, maxIndexPK+1); err == nil {
-		t.Error("oversized pk should be rejected")
-	}
-}
-
-// PackIndexKey ordering property: keys group by column values first, pk
-// second, so a prefix range covers exactly one column-value combination.
-func TestPackIndexKeyOrderingProperty(t *testing.T) {
-	f := func(a, b uint8, pk1, pk2 uint32) bool {
-		k1, err1 := PackIndexKey([]int64{int64(a)}, int64(pk1))
-		k2, err2 := PackIndexKey([]int64{int64(b)}, int64(pk2))
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		if a != b {
-			return (a < b) == (k1 < k2)
-		}
-		if pk1 != pk2 {
-			return (pk1 < pk2) == (k1 < k2)
-		}
-		return k1 == k2
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // Row codec round-trip property over random content.
 func TestRowCodecRoundTripProperty(t *testing.T) {
 	schema := testSchema()
@@ -366,10 +372,6 @@ func TestSchemaValidation(t *testing.T) {
 		{Name: "X"}, // no cols
 		{Name: "X", Cols: []Column{{Name: "A", Type: TypeText}}},                               // non-int pk
 		{Name: "X", Cols: []Column{{Name: "A", Type: TypeInt64}, {Name: "A", Type: TypeText}}}, // dup col
-		{Name: "X", Cols: []Column{{Name: "A", Type: TypeInt64}},
-			Indexes: []IndexSpec{{Name: "I", Cols: []string{"B"}}}}, // unknown index col
-		{Name: "X", Cols: []Column{{Name: "A", Type: TypeInt64}, {Name: "B", Type: TypeText}},
-			Indexes: []IndexSpec{{Name: "I", Cols: []string{"B"}}}}, // non-int index col
 	}
 	for i, s := range cases {
 		if err := s.validate(); err == nil {

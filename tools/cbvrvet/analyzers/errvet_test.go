@@ -14,7 +14,8 @@ func TestErrvet(t *testing.T) {
 	vettest.Run(t, vettest.TestData(t), analyzers.Errvet, "vstore")
 }
 
-// TestRegistry pins the suite composition CI greps for.
+// TestRegistry pins the suite composition: the analyzer count, names and
+// order.
 func TestRegistry(t *testing.T) {
 	all := analyzers.All()
 	if len(all) != 5 {
