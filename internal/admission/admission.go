@@ -22,7 +22,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -224,6 +224,9 @@ type Controller struct {
 	// component of Level().
 	lat    []latSample
 	latPos int
+	// p95buf is p95Locked's sort scratch, reused so reading the load
+	// level allocates nothing.
+	p95buf []time.Duration
 }
 
 // New builds a Controller from cfg (zero fields take defaults).
@@ -408,16 +411,17 @@ func (c *Controller) levelLocked(now time.Time) float64 {
 // p95Locked computes the p95 of search latencies inside LatencyWindow.
 func (c *Controller) p95Locked(now time.Time) time.Duration {
 	cutoff := now.Add(-c.cfg.LatencyWindow)
-	fresh := make([]time.Duration, 0, len(c.lat))
+	fresh := c.p95buf[:0]
 	for _, s := range c.lat {
 		if s.at.After(cutoff) {
 			fresh = append(fresh, s.d)
 		}
 	}
+	c.p95buf = fresh
 	if len(fresh) == 0 {
 		return 0
 	}
-	sort.Slice(fresh, func(i, j int) bool { return fresh[i] < fresh[j] })
+	slices.Sort(fresh)
 	return fresh[(len(fresh)*95)/100]
 }
 

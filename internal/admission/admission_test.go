@@ -359,3 +359,27 @@ func TestSnapshotShape(t *testing.T) {
 		t.Fatalf("idle snapshot: level=%v shedding=%v", snap.Level, snap.Shedding)
 	}
 }
+
+// TestLevelAllocFree fills the latency ring with a permutation of 1..512 ms
+// and reads the load level: the p95 is the 487th-smallest sample, and the
+// read allocates nothing (the sort reuses the controller's scratch).
+func TestLevelAllocFree(t *testing.T) {
+	clk := newFakeClock()
+	c := New(Config{LatencyBudget: 250 * time.Millisecond, LatencyWindow: time.Hour, Now: clk.now})
+	ctx := context.Background()
+	for i := 0; i < maxLatSamples; i++ {
+		tk, err := c.Acquire(ctx, Search)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clk.advance(time.Duration(i*37%maxLatSamples+1) * time.Millisecond)
+		tk.Release()
+	}
+	want := float64(487*time.Millisecond)/float64(250*time.Millisecond) - 1
+	if lvl := c.Level(); lvl != want {
+		t.Fatalf("level = %v, want %v (p95 = 487ms)", lvl, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Level() }); n != 0 {
+		t.Fatalf("Level() allocates %v times per run, want 0", n)
+	}
+}

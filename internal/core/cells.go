@@ -44,6 +44,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -254,14 +255,17 @@ func (c *shardCells) route(ar *shardArena, slot int32) int32 {
 	if !ar.hasKind(cellRouteKind, slot) {
 		return 0
 	}
-	v := ar.row(cellRouteKind, slot)
-	best := int32(0)
-	bestD := math.Inf(1)
-	for ci := 0; ci < c.n; ci++ {
-		d := features.PairDistance(cellRouteKind, v, c.centRow(cellRouteKind, int32(ci)))
-		if d < bestD {
-			bestD = d
-			best = int32(ci)
+	return int32(nearestCentroid(ar.row(cellRouteKind, slot), c.cent[cellRouteKind], c.n))
+}
+
+// nearestCentroid returns the index of the routing-kind centroid nearest
+// to v among the first k packed in cents, ties to the lowest index.
+func nearestCentroid(v, cents []float64, k int) int {
+	stride := features.Stride(cellRouteKind)
+	best, bestD := 0, math.Inf(1)
+	for ci := 0; ci < k; ci++ {
+		if d := features.PairDistance(cellRouteKind, v, cents[ci*stride:(ci+1)*stride:(ci+1)*stride]); d < bestD {
+			best, bestD = ci, d
 		}
 	}
 	return best
@@ -367,16 +371,7 @@ func (c *shardCells) rebuild(ar *shardArena) {
 
 	n := len(ar.live)
 	slots := slices.Clone(ar.live)
-	slices.SortFunc(slots, func(a, b int32) int {
-		ai, bi := ar.ents[a].id, ar.ents[b].id
-		switch {
-		case ai < bi:
-			return -1
-		case ai > bi:
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(slots, func(a, b int32) int { return cmp.Compare(ar.ents[a].id, ar.ents[b].id) })
 
 	k := (n + c.cfg.TargetCellSize - 1) / c.cfg.TargetCellSize
 	if k > maxCellsPerShard {
@@ -423,16 +418,8 @@ func (c *shardCells) rebuild(ar *shardArena) {
 	members := make([][]int32, k)
 	for _, s := range slots {
 		best := 0
-		if ar.hasKind(cellRouteKind, s) && k > 1 {
-			v := ar.row(cellRouteKind, s)
-			bestD := math.Inf(1)
-			for ci := 0; ci < k; ci++ {
-				d := features.PairDistance(cellRouteKind, v, fit[ci*stride:(ci+1)*stride:(ci+1)*stride])
-				if d < bestD {
-					bestD = d
-					best = ci
-				}
-			}
+		if ar.hasKind(cellRouteKind, s) {
+			best = nearestCentroid(ar.row(cellRouteKind, s), fit, k)
 		}
 		members[best] = append(members[best], s)
 	}
@@ -554,14 +541,7 @@ func fitRouteCentroids(ar *shardArena, sample []int32, k int) []float64 {
 		}
 		for _, s := range sample {
 			v := vec(s)
-			best, bestD := 0, math.Inf(1)
-			for ci := 0; ci < k; ci++ {
-				d := features.PairDistance(cellRouteKind, v, cents[ci*stride:(ci+1)*stride:(ci+1)*stride])
-				if d < bestD {
-					bestD = d
-					best = ci
-				}
-			}
+			best := nearestCentroid(v, cents, k)
 			row := sums[best*stride : (best+1)*stride]
 			for j, x := range v {
 				row[j] += x

@@ -784,14 +784,20 @@ func (opt *SearchOptions) kinds() []features.Kind {
 }
 
 // validate rejects options no search can run: a kind outside the kind
-// table, or fusion weights that do not align with the kinds. Every path
-// that scores a search, the reference included, checks it first, so each
-// entry point returns the error instead of panicking.
+// table, a kind listed twice (it would fuse one list with itself), or
+// fusion weights that do not align with the kinds. Every path that scores
+// a search, the reference included, checks it first, so each entry point
+// returns the error instead of panicking.
 func (opt *SearchOptions) validate() error {
+	var seen uint32
 	for _, kind := range opt.Kinds {
 		if !kind.Valid() {
 			return fmt.Errorf("core: unknown feature kind %d", int(kind))
 		}
+		if seen&(1<<kind) != 0 {
+			return fmt.Errorf("core: feature kind %s listed twice", kind)
+		}
+		seen |= 1 << kind
 	}
 	n := len(opt.Kinds)
 	if n == 0 {

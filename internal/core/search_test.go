@@ -243,8 +243,9 @@ func TestSearchMissingQueryDescriptor(t *testing.T) {
 }
 
 // TestSearchRejectsInvalidOptions checks that every search entry point
-// returns an error, instead of panicking, for a kind outside the kind table
-// and for min-max weights that do not align with the kinds.
+// returns an error, instead of panicking, for a kind outside the kind table,
+// for a kind listed twice and for min-max weights that do not align with the
+// kinds.
 func TestSearchRejectsInvalidOptions(t *testing.T) {
 	f := sharedFixture(t)
 	ctx := context.Background()
@@ -253,6 +254,7 @@ func TestSearchRejectsInvalidOptions(t *testing.T) {
 	for name, opt := range map[string]SearchOptions{
 		"unknown-kind":     {K: 3, Kinds: []features.Kind{42}},
 		"negative-kind":    {K: 3, Kinds: []features.Kind{-1}},
+		"duplicate-kind":   {K: 3, Kinds: []features.Kind{features.KindHistogram, features.KindHistogram}},
 		"weights-mismatch": {K: 3, Kinds: []features.Kind{features.KindHistogram, features.KindGLCM}, Weights: []float64{1, 2, 3}, Fusion: FusionMinMax},
 		"weights-for-all":  {K: 3, Weights: []float64{1}, Fusion: FusionMinMax},
 	} {

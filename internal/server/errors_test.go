@@ -1,4 +1,4 @@
-package httperr
+package server
 
 import (
 	"context"
@@ -20,7 +20,7 @@ import (
 // bare sentinel, the sentinel behind %w wrapping (the form the engine
 // actually returns), and the cases where two classes overlap in one chain
 // and the documented precedence decides. retryAfter is the header
-// ApplyRetryAfter sets given a 3s caller estimate ("" = none).
+// applyRetryAfter sets given a 3s caller estimate ("" = none).
 func TestClassification(t *testing.T) {
 	wrap := func(err error) error { return fmt.Errorf("core: ingest %q: %w", "clip", err) }
 	tooLarge := &http.MaxBytesError{Limit: 1 << 20}
@@ -56,22 +56,22 @@ func TestClassification(t *testing.T) {
 		{"engine overloaded", wrap(core.ErrOverloaded), 503, 503, "3"},
 		{"store read-only", vstore.ErrReadOnly, 503, 503, "30"},
 		{"store read-only wrapped", wrap(vstore.ErrReadOnly), 503, 503, "30"},
-		{"malformed request", Malformed(errors.New("multipart: NextPart: EOF")), 400, 500, ""},
+		{"malformed request", malformed(errors.New("multipart: NextPart: EOF")), 400, 500, ""},
 		// A request body cut by the cap, the watchdog or the context breaks
 		// the multipart stream too; the cut must still win.
-		{"body too large behind malformed", Malformed(fmt.Errorf("multipart: NextPart: %w", tooLarge)), 413, 500, ""},
-		{"watchdog stall behind malformed", Malformed(fmt.Errorf("multipart: NextPart: %w", os.ErrDeadlineExceeded)), 408, 500, ""},
-		{"ctx cancelled behind malformed", Malformed(wrap(context.Canceled)), 503, 503, ""},
+		{"body too large behind malformed", malformed(fmt.Errorf("multipart: NextPart: %w", tooLarge)), 413, 500, ""},
+		{"watchdog stall behind malformed", malformed(fmt.Errorf("multipart: NextPart: %w", os.ErrDeadlineExceeded)), 408, 500, ""},
+		{"ctx cancelled behind malformed", malformed(wrap(context.Canceled)), 503, 503, ""},
 		{"internal fault", errors.New("page checksum mismatch"), 500, 500, ""},
 	} {
-		if got := StatusOf(tc.err); got != tc.status {
-			t.Errorf("%s: StatusOf = %d, want %d", tc.name, got, tc.status)
+		if got := statusOf(tc.err); got != tc.status {
+			t.Errorf("%s: statusOf = %d, want %d", tc.name, got, tc.status)
 		}
-		if got := StatusOfStored(tc.err); got != tc.stored {
-			t.Errorf("%s: StatusOfStored = %d, want %d", tc.name, got, tc.stored)
+		if got := statusOfStored(tc.err); got != tc.stored {
+			t.Errorf("%s: statusOfStored = %d, want %d", tc.name, got, tc.stored)
 		}
 		h := http.Header{}
-		ApplyRetryAfter(h, tc.err, 3*time.Second)
+		applyRetryAfter(h, tc.err, 3*time.Second)
 		if got := h.Get("Retry-After"); got != tc.retryAfter {
 			t.Errorf("%s: Retry-After = %q, want %q", tc.name, got, tc.retryAfter)
 		}
@@ -96,7 +96,7 @@ func TestApplyRetryAfterEstimates(t *testing.T) {
 		{"fractional estimate rounds up", core.ErrOverloaded, 1200 * time.Millisecond, "2"},
 	} {
 		h := http.Header{}
-		ApplyRetryAfter(h, tc.err, tc.estimate)
+		applyRetryAfter(h, tc.err, tc.estimate)
 		if got := h.Get("Retry-After"); got != tc.want {
 			t.Errorf("%s: Retry-After = %q, want %q", tc.name, got, tc.want)
 		}

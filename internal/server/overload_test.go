@@ -61,7 +61,7 @@ func TestHealthzStateTransitions(t *testing.T) {
 	// Saturate search past the 75% occupancy knee: 2 slots held + 1 queued
 	// waiter pushes the load level to 1 — browned-out, but nothing has been
 	// refused yet.
-	ctl := srv.Admission()
+	ctl := srv.adm
 	t1, err := ctl.Acquire(context.Background(), admission.Search)
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func TestShedFailsFastWithComputedRetryAfter(t *testing.T) {
 
 // TestSearchDeadlineThroughAPI drives deadline propagation end to end: a
 // 1ms client-supplied deadline expires mid-request and surfaces as 503
-// (the httperr mapping of context.DeadlineExceeded), the response echoes
+// (statusOf maps context.DeadlineExceeded to it), the response echoes
 // the applied deadline, an oversized override is capped at MaxDeadline,
 // and an unhurried search on the same server still serves. The HTML
 // search form runs under the same deadline and reports its brownout level.

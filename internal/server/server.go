@@ -4,8 +4,9 @@
 // delete and reindex) for browsers. Search, ingest, delete and reindex each
 // have one handler that both surfaces route to; a route only chooses how a
 // success is written (JSON, a rendered page, or a 303 back to the home
-// page). Failures are classified once (internal/httperr) and written as
-// JSON on both surfaces.
+// page). Failures are classified once, by one status table (statusOf in
+// errors.go), and written as JSON with one Retry-After policy on both
+// surfaces.
 //
 // Concurrency model: uploads run the engine's two-phase staged ingest —
 // decode, key-frame selection, feature extraction and blob staging proceed
@@ -43,7 +44,6 @@ import (
 	"cbvr/internal/admission"
 	"cbvr/internal/catalog"
 	"cbvr/internal/core"
-	"cbvr/internal/httperr"
 	"cbvr/internal/imaging"
 )
 
@@ -185,10 +185,6 @@ func New(eng *core.Engine, opts Options) *Server {
 	return s
 }
 
-// Admission exposes the controller for operational callers (cmd/cbvr-server
-// wires nothing today, but tests and future surfaces read the load state).
-func (s *Server) Admission() *admission.Controller { return s.adm }
-
 // handleHealthz reports liveness in four states, worst first:
 //
 //   - 503 "degraded"   — a write fault forced the store read-only; only a
@@ -208,7 +204,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	lvl := s.adm.Level()
 	if err := s.eng.Degraded(); err != nil {
-		httperr.ApplyRetryAfter(w.Header(), err, s.adm.RetryAfter(admission.Ingest))
+		applyRetryAfter(w.Header(), err, s.adm.RetryAfter(admission.Ingest))
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status":   "degraded",
 			"reason":   err.Error(),
@@ -217,7 +213,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if shedding, reason := s.adm.Shedding(); shedding {
-		w.Header().Set("Retry-After", strconv.Itoa(admission.RetryAfterSeconds(s.adm.RetryAfter(admission.Ingest))))
+		setRetryAfter(w.Header(), s.adm.RetryAfter(admission.Ingest))
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status":   "shedding",
 			"reason":   reason,
@@ -305,23 +301,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
-}
-
-// writeErr classifies err through the shared table and emits it as JSON.
-// Retryable errors carry a Retry-After computed from the class's observed
-// service times (admission sheds embed their own estimate; degraded-store
-// errors are floored at the restart backoff).
-func (s *Server) writeErr(w http.ResponseWriter, err error, class admission.Class) {
-	httperr.ApplyRetryAfter(w.Header(), err, s.adm.RetryAfter(class))
-	writeJSON(w, httperr.StatusOf(err), map[string]string{"error": httperr.Message(err)})
-}
-
-// writeStoredErr classifies errors from operations over stored data
-// (reindex, delete), where a format error means store corruption, not a
-// bad request.
-func (s *Server) writeStoredErr(w http.ResponseWriter, err error, class admission.Class) {
-	httperr.ApplyRetryAfter(w.Header(), err, s.adm.RetryAfter(class))
-	writeJSON(w, httperr.StatusOfStored(err), map[string]string{"error": httperr.Message(err)})
 }
 
 // methodErr rejects a request with 405 and the allowed verbs.
@@ -443,7 +422,7 @@ func (s *Server) search(w http.ResponseWriter, r *http.Request, ok respond[[]cor
 	if isMultipart(r) {
 		file, _, err := r.FormFile("image")
 		if err != nil {
-			s.writeErr(w, httperr.Malformed(fmt.Errorf("multipart search needs an \"image\" file part: %w", err)), admission.Search)
+			s.writeErr(w, malformed(fmt.Errorf("multipart search needs an \"image\" file part: %w", err)), admission.Search)
 			return
 		}
 		defer file.Close()
@@ -454,12 +433,12 @@ func (s *Server) search(w http.ResponseWriter, r *http.Request, ok respond[[]cor
 	}
 	k, err := searchK(r)
 	if err != nil {
-		s.writeErr(w, httperr.Malformed(err), admission.Search)
+		s.writeErr(w, malformed(err), admission.Search)
 		return
 	}
 	query, err := imaging.DecodeJPEG(frameSrc)
 	if err != nil {
-		s.writeErr(w, httperr.Malformed(fmt.Errorf("query frame is not a decodable JPEG: %w", err)), admission.Search)
+		s.writeErr(w, malformed(fmt.Errorf("query frame is not a decodable JPEG: %w", err)), admission.Search)
 		return
 	}
 	matches, err := s.eng.SearchFrameCtx(r.Context(), query, core.SearchOptions{K: k})
@@ -595,7 +574,7 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, ok respond[*core
 	if isMultipart(r) {
 		mr, err := r.MultipartReader()
 		if err != nil {
-			err = httperr.Malformed(fmt.Errorf("malformed multipart body: %w", err))
+			err = malformed(fmt.Errorf("malformed multipart body: %w", err))
 		} else {
 			name, container, err = videoPart(r.Context(), mr, name)
 		}
@@ -625,16 +604,16 @@ func videoPart(ctx context.Context, mr *multipart.Reader, name string) (string, 
 		}
 		part, err := mr.NextPart()
 		if err == io.EOF {
-			return "", nil, httperr.Malformed(errors.New("missing \"video\" upload part"))
+			return "", nil, malformed(errors.New("missing \"video\" upload part"))
 		}
 		if err != nil {
-			return "", nil, httperr.Malformed(fmt.Errorf("malformed multipart body: %w", err))
+			return "", nil, malformed(fmt.Errorf("malformed multipart body: %w", err))
 		}
 		switch part.FormName() {
 		case "name":
 			b, err := io.ReadAll(io.LimitReader(part, 4096))
 			if err != nil {
-				return "", nil, httperr.Malformed(fmt.Errorf("malformed \"name\" part: %w", err))
+				return "", nil, malformed(fmt.Errorf("malformed \"name\" part: %w", err))
 			}
 			if name == "" {
 				name = string(b)

@@ -344,7 +344,7 @@ func TestIngestAdmissionQueue(t *testing.T) {
 	}
 }
 
-// TestErrorClassification drives the shared httperr table through the API:
+// TestErrorClassification drives the server's status table through the API:
 // client faults are 4xx with the specific status, server faults stay 5xx.
 func TestErrorClassification(t *testing.T) {
 	eng := openTestEngine(t)

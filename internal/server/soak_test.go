@@ -372,8 +372,8 @@ func TestOverloadSoak(t *testing.T) {
 	stallProxy.Close()
 	cutProxy.Close()
 	waitFor(t, 10*time.Second, func() bool {
-		shedding, _ := srv.Admission().Shedding()
-		return srv.Admission().Level() == 0 && !shedding
+		shedding, _ := srv.adm.Shedding()
+		return srv.adm.Level() == 0 && !shedding
 	})
 
 	// Exactness is restored: the API ranking is bit-identical to the
