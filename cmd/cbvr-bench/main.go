@@ -268,14 +268,12 @@ func runAblations(eng *core.Engine, cfg eval.Table1Config) {
 	fmt.Println("-- fusion weights (combined search, P@20) --")
 	kinds := features.AllKinds()
 	equal := measureP20(eng, qs, core.SearchOptions{Kinds: kinds, Fusion: core.FusionMinMax})
+	// kinds is AllKinds, so a weight's index is its kind.
 	weights := make([]float64, len(kinds))
-	for i, k := range kinds {
-		if k == features.KindGabor || k == features.KindTamura {
-			weights[i] = 2
-		} else {
-			weights[i] = 1
-		}
+	for i := range weights {
+		weights[i] = 1
 	}
+	weights[features.KindGabor], weights[features.KindTamura] = 2, 2
 	texture := measureP20(eng, qs, core.SearchOptions{Kinds: kinds, Weights: weights, Fusion: core.FusionMinMax})
 	fmt.Printf("equal weights:          P@20 = %.3f\n", equal)
 	fmt.Printf("texture-heavy weights:  P@20 = %.3f\n\n", texture)

@@ -13,7 +13,7 @@
 //	DELETE /api/v1/videos?id=N    delete one video
 //	POST   /api/v1/ingest         multipart "name" then "video", or raw CVJ body (?name=) → ingest
 //	POST   /api/v1/reindex[?id=N] rebuild feature rows
-//	GET    /api/v1/stats          search tally, cell index, admission and brownout
+//	GET    /api/v1/stats          search tally, cell index, admission snapshot and its load level
 //	GET    /healthz               ok | browned-out | shedding | degraded
 //	GET    /                      query form + video listing
 //	POST   /search                multipart "image" (+ "k") → ranked thumbnail grid
@@ -23,6 +23,10 @@
 //	POST   /admin/upload          multipart "name" then "video" → 303 to /
 //	POST   /admin/delete          form "id" → 303 to /
 //	POST   /admin/reindex         form "id" (or none for all) → 303 to /
+//
+// The read routes (/healthz and the GET pages) also answer HEAD and refuse
+// any other method with 405. A search runs at its admission ticket's load
+// level and reports it in the X-CBVR-Brownout header.
 //
 // On SIGINT/SIGTERM the listener stops accepting, in-flight requests get
 // -drain to finish, and past that their contexts are cancelled: staged

@@ -5,12 +5,13 @@
 // carries a *computed* Retry-After derived from observed service times and
 // current queue depth, never a hard-coded constant.
 //
-// The controller is also the server's load signal: Level() folds live
+// The controller is also the server's one load signal: it folds live
 // occupancy of the search class and the recent p95 search latency into a
-// single [0,1] pressure value. The server feeds that value to the engine's
-// search brownout (internal/core), which shrinks the fused cell-probe
-// budget toward its recall floor while load is high and restores exact
-// behaviour the moment the level returns to zero.
+// single [0,1] pressure level, computed once per admission and carried by
+// the Ticket. The server passes a search ticket's level to the engine's
+// search brownout (internal/core, SearchOptions.Brownout), which shrinks
+// the fused cell-probe budget toward its recall floor while load is high
+// and is exact at level zero.
 //
 // Everything here is pure bookkeeping under one mutex: no I/O, no
 // allocation beyond the waiter nodes, and the only blocking point is the
@@ -72,23 +73,23 @@ type Config struct {
 	// exactly the slow-loris shape the watchdog exists to kill — turning
 	// the upload away with 429 is cheaper for both sides.
 	Queue [NumClasses]int
-	// ShedAt is the Level() at or above which the class is refused
+	// ShedAt is the load level at or above which the class is refused
 	// outright (priority shedding, 503); <= 0 selects the class default.
-	// Values > 1 mean "never shed by level" (Level saturates at 1).
+	// Values > 1 mean "never shed by level" (the level saturates at 1).
 	ShedAt [NumClasses]float64
 	// MaxWait caps the time a request may sit queued before it is shed;
 	// <= 0 selects 2s. Queued work past this age would blow its deadline
 	// anyway, and shedding it keeps the queue a buffer, not a backlog.
 	MaxWait time.Duration
-	// LatencyBudget is the search service time Level() treats as the
+	// LatencyBudget is the search service time the load level treats as the
 	// ceiling: the latency component engages once the recent p95 exceeds
 	// it and saturates at twice it. <= 0 selects 1s.
 	LatencyBudget time.Duration
 	// LatencyWindow bounds how long completed-search samples count toward
 	// the p95; <= 0 selects 10s.
 	LatencyWindow time.Duration
-	// ShedWindow is how long after a shed the controller still reports
-	// Shedding() — the healthz hysteresis. <= 0 selects 5s.
+	// ShedWindow is how long after a shed Snapshot still reports Shedding
+	// — the healthz hysteresis. <= 0 selects 5s.
 	ShedWindow time.Duration
 	// Now is the clock; nil selects time.Now. Tests inject a fake clock to
 	// step the latency window and shed hysteresis deterministically.
@@ -175,8 +176,16 @@ type Ticket struct {
 	c     *Controller
 	class Class
 	start time.Time
+	level float64
 	once  sync.Once
 }
+
+// Level is the load level the request was admitted at, in [0,1]: computed
+// under the controller lock when Acquire admitted it directly, or when a
+// release handed it a queue slot. Zero means no pressure — the brownout
+// contract requires search behaviour to be bit-identical to the unloaded
+// engine at level 0.
+func (t *Ticket) Level() float64 { return t.level }
 
 // Release frees the slot. Safe to call more than once; only the first call
 // counts.
@@ -190,6 +199,7 @@ func (t *Ticket) Release() {
 type waiter struct {
 	ch      chan struct{}
 	granted bool
+	level   float64 // the load level at the grant; set with granted
 }
 
 // latSample is one completed search used by the p95 load component.
@@ -217,11 +227,11 @@ type Controller struct {
 	// ewma tracks per-class service time (seconds, α=0.2): the basis of
 	// the computed Retry-After.
 	ewma [NumClasses]float64
-	// lastShed + shedReason drive Shedding() hysteresis.
+	// lastShed + shedReason drive the Snapshot Shedding hysteresis.
 	lastShed   time.Time
 	shedReason string
 	// lat is a ring of recent completed-search latencies for the p95
-	// component of Level().
+	// component of the load level.
 	lat    []latSample
 	latPos int
 	// p95buf is p95Locked's sort scratch, reused so reading the load
@@ -234,9 +244,6 @@ func New(cfg Config) *Controller {
 	return &Controller{cfg: cfg.withDefaults()}
 }
 
-// Limit reports the configured concurrency limit for a class.
-func (c *Controller) Limit(class Class) int { return c.cfg.Limit[class] }
-
 // Acquire admits one request of the given class, queueing briefly when the
 // class is at its limit. It returns a *ShedError when the request is shed
 // (by priority under load, a full queue, or queue-wait expiry) and the
@@ -244,7 +251,8 @@ func (c *Controller) Limit(class Class) int { return c.cfg.Limit[class] }
 func (c *Controller) Acquire(ctx context.Context, class Class) (*Ticket, error) {
 	c.mu.Lock()
 	now := c.cfg.Now()
-	if lvl := c.levelLocked(now); lvl >= c.cfg.ShedAt[class] {
+	lvl := c.levelLocked(now)
+	if lvl >= c.cfg.ShedAt[class] {
 		err := c.shedLocked(class, now, true,
 			fmt.Sprintf("load level %.2f at or above the %s shed threshold %.2f", lvl, class, c.cfg.ShedAt[class]))
 		c.mu.Unlock()
@@ -253,7 +261,7 @@ func (c *Controller) Acquire(ctx context.Context, class Class) (*Ticket, error) 
 	if c.inflight[class] < c.cfg.Limit[class] {
 		c.inflight[class]++
 		c.mu.Unlock()
-		return &Ticket{c: c, class: class, start: now}, nil
+		return &Ticket{c: c, class: class, start: now, level: lvl}, nil
 	}
 	if len(c.waiters[class]) >= c.cfg.Queue[class] {
 		err := c.shedLocked(class, now, false,
@@ -269,18 +277,18 @@ func (c *Controller) Acquire(ctx context.Context, class Class) (*Ticket, error) 
 	defer timer.Stop()
 	select {
 	case <-w.ch:
-		return &Ticket{c: c, class: class, start: c.cfg.Now()}, nil
+		return &Ticket{c: c, class: class, start: c.cfg.Now(), level: w.level}, nil
 	case <-ctx.Done():
 		if c.abandon(class, w) {
 			// Grant raced the cancellation: the slot is ours, so hand it
 			// to the caller — its next ctx check fails fast anyway, and
 			// releasing through the normal path keeps the books exact.
-			return &Ticket{c: c, class: class, start: c.cfg.Now()}, nil
+			return &Ticket{c: c, class: class, start: c.cfg.Now(), level: w.level}, nil
 		}
 		return nil, ctx.Err()
 	case <-timer.C:
 		if c.abandon(class, w) {
-			return &Ticket{c: c, class: class, start: c.cfg.Now()}, nil
+			return &Ticket{c: c, class: class, start: c.cfg.Now(), level: w.level}, nil
 		}
 		c.mu.Lock()
 		err := c.shedLocked(class, c.cfg.Now(), true,
@@ -309,7 +317,8 @@ func (c *Controller) abandon(class Class, w *waiter) bool {
 }
 
 // release returns a slot, updates the service-time EWMA and the search
-// latency ring, and hands the slot to the oldest waiter if one is queued.
+// latency ring, and hands the slot to the oldest waiter if one is queued,
+// with the load level at the hand-off.
 func (c *Controller) release(class Class, start time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -336,6 +345,7 @@ func (c *Controller) release(class Class, start time.Time) {
 		w := q[0]
 		c.waiters[class] = q[1:]
 		w.granted = true
+		w.level = c.levelLocked(now)
 		c.inflight[class]++
 		close(w.ch)
 	}
@@ -385,18 +395,11 @@ func (c *Controller) RetryAfter(class Class) time.Duration {
 	return c.retryAfterLocked(class)
 }
 
-// Level reports the current load pressure in [0,1]: the max of a live
-// search-occupancy component (engages at 75% of limit+queue, saturates at
-// 150%) and a recent-p95-latency component (engages at the latency budget,
-// saturates at twice it). Zero means no pressure — the brownout contract
-// requires search behaviour to be bit-identical to the unloaded engine at
-// level 0.
-func (c *Controller) Level() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.levelLocked(c.cfg.Now())
-}
-
+// levelLocked computes the load pressure in [0,1]: the max of a live
+// search-occupancy component (engages at 75% of the limit, saturates at
+// 150%; queued searches count) and a recent-p95-latency component
+// (engages at the latency budget, saturates at twice it). Callers hold
+// c.mu.
 func (c *Controller) levelLocked(now time.Time) float64 {
 	busy := float64(c.inflight[Search] + len(c.waiters[Search]))
 	occ := busy / float64(c.cfg.Limit[Search])
@@ -425,17 +428,6 @@ func (c *Controller) p95Locked(now time.Time) time.Duration {
 	return fresh[(len(fresh)*95)/100]
 }
 
-// Shedding reports whether the controller shed anything within ShedWindow,
-// with the most recent reason — the healthz "shedding" state.
-func (c *Controller) Shedding() (bool, string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.lastShed.IsZero() && c.cfg.Now().Sub(c.lastShed) < c.cfg.ShedWindow {
-		return true, c.shedReason
-	}
-	return false, ""
-}
-
 // ClassSnapshot is one class's row in Snapshot.
 type ClassSnapshot struct {
 	Class         string  `json:"class"`
@@ -447,7 +439,10 @@ type ClassSnapshot struct {
 	RetryAfterSec int     `json:"retry_after_sec"`
 }
 
-// Snapshot is the operational view served by /api/v1/stats.
+// Snapshot is the operational view served by /api/v1/stats and /healthz.
+// Level is the load level a request admitted at the same instant would
+// carry; Shedding reports a shed within ShedWindow, Reason the latest
+// one's cause; Classes is indexed by Class.
 type Snapshot struct {
 	Level    float64         `json:"level"`
 	Shedding bool            `json:"shedding"`
@@ -455,7 +450,7 @@ type Snapshot struct {
 	Classes  []ClassSnapshot `json:"classes"`
 }
 
-// Snapshot captures the controller state for stats reporting.
+// Snapshot captures the controller state under one lock acquisition.
 func (c *Controller) Snapshot() Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()

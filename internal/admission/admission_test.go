@@ -189,7 +189,7 @@ func TestContextCancelWhileQueued(t *testing.T) {
 }
 
 // TestLevelAndPriorityShed drives the latency component of the load
-// signal with a fake clock: slow searches push Level to 1, which sheds
+// signal with a fake clock: slow searches push the level to 1, which sheds
 // reindex/ingest/delete (in that threshold order) while search itself is
 // still admitted.
 func TestLevelAndPriorityShed(t *testing.T) {
@@ -201,7 +201,7 @@ func TestLevelAndPriorityShed(t *testing.T) {
 		Now:           clk.now,
 	})
 	ctx := context.Background()
-	if lvl := c.Level(); lvl != 0 {
+	if lvl := c.Snapshot().Level; lvl != 0 {
 		t.Fatalf("idle level = %v, want 0", lvl)
 	}
 	// Complete a few searches at 3× the latency budget: p95/budget - 1 = 2
@@ -214,7 +214,7 @@ func TestLevelAndPriorityShed(t *testing.T) {
 		clk.advance(3 * time.Second)
 		tk.Release()
 	}
-	if lvl := c.Level(); lvl != 1 {
+	if lvl := c.Snapshot().Level; lvl != 1 {
 		t.Fatalf("level after slow searches = %v, want 1", lvl)
 	}
 	for _, class := range []Class{Reindex, Ingest, Delete} {
@@ -229,17 +229,14 @@ func TestLevelAndPriorityShed(t *testing.T) {
 		t.Fatalf("search must never be level-shed: %v", err)
 	}
 	tk.Release()
-	if ok, reason := c.Shedding(); !ok || reason == "" {
-		t.Fatalf("Shedding() = %v %q after level sheds", ok, reason)
+	if snap := c.Snapshot(); !snap.Shedding || snap.Reason == "" {
+		t.Fatalf("Snapshot shedding = %v %q after level sheds", snap.Shedding, snap.Reason)
 	}
 	// Load clears: the samples age out of the window and the shed
 	// hysteresis lapses.
 	clk.advance(time.Minute)
-	if lvl := c.Level(); lvl != 0 {
-		t.Fatalf("level after window expiry = %v, want 0", lvl)
-	}
-	if ok, _ := c.Shedding(); ok {
-		t.Fatal("Shedding() still true after ShedWindow lapsed")
+	if snap := c.Snapshot(); snap.Level != 0 || snap.Shedding {
+		t.Fatalf("after window expiry: level %v shedding %v, want 0 false", snap.Level, snap.Shedding)
 	}
 	if _, err := c.Acquire(ctx, Reindex); err != nil {
 		t.Fatalf("reindex after load cleared: %v", err)
@@ -360,10 +357,12 @@ func TestSnapshotShape(t *testing.T) {
 	}
 }
 
-// TestLevelAllocFree fills the latency ring with a permutation of 1..512 ms
-// and reads the load level: the p95 is the 487th-smallest sample, and the
-// read allocates nothing (the sort reuses the controller's scratch).
-func TestLevelAllocFree(t *testing.T) {
+// TestAdmissionAllocOnlyTicket fills the latency ring with a permutation
+// of 1..512 ms and checks the load level reads the p95 — the 487th-smallest
+// sample — and that admitting and releasing a search allocates only its
+// Ticket: the level computed on both sides reuses the controller's sort
+// scratch.
+func TestAdmissionAllocOnlyTicket(t *testing.T) {
 	clk := newFakeClock()
 	c := New(Config{LatencyBudget: 250 * time.Millisecond, LatencyWindow: time.Hour, Now: clk.now})
 	ctx := context.Background()
@@ -376,10 +375,88 @@ func TestLevelAllocFree(t *testing.T) {
 		tk.Release()
 	}
 	want := float64(487*time.Millisecond)/float64(250*time.Millisecond) - 1
-	if lvl := c.Level(); lvl != want {
+	if lvl := c.Snapshot().Level; lvl != want {
 		t.Fatalf("level = %v, want %v (p95 = 487ms)", lvl, want)
 	}
-	if n := testing.AllocsPerRun(100, func() { c.Level() }); n != 0 {
-		t.Fatalf("Level() allocates %v times per run, want 0", n)
+	n := testing.AllocsPerRun(100, func() {
+		tk, err := c.Acquire(ctx, Search)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tk.Release()
+	})
+	if n != 1 {
+		t.Fatalf("Acquire+Release allocates %v times per run, want 1 (the Ticket)", n)
+	}
+}
+
+// TestTicketCarriesAdmissionLevel checks a ticket carries the load level
+// of the instant it was granted: a direct admission the level Snapshot
+// reports just before it, a waiter granted from the queue the level
+// Snapshot reports just after the release that handed it the slot — not
+// the level of the moment it queued.
+func TestTicketCarriesAdmissionLevel(t *testing.T) {
+	clk := newFakeClock()
+	c := New(Config{
+		Limit:         [NumClasses]int{Search: 2},
+		Queue:         [NumClasses]int{Search: 2},
+		LatencyBudget: time.Second,
+		LatencyWindow: 10 * time.Second,
+		Now:           clk.now,
+	})
+	ctx := context.Background()
+	acquire := func() *Ticket {
+		t.Helper()
+		want := c.Snapshot().Level
+		tk, err := c.Acquire(ctx, Search)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tk.Level() != want {
+			t.Fatalf("direct ticket level %v, Snapshot at the same instant %v", tk.Level(), want)
+		}
+		return tk
+	}
+	t1, t2 := acquire(), acquire()
+
+	// A third search queues while occupancy is at 150% (level 1).
+	got := make(chan *Ticket)
+	go func() {
+		tk, err := c.Acquire(ctx, Search)
+		if err != nil {
+			t.Error(err)
+		}
+		got <- tk
+	}()
+	for c.Snapshot().Classes[Search].Queued != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	if lvl := c.Snapshot().Level; lvl != 1 {
+		t.Fatalf("level with a search queued behind a full class = %v, want 1", lvl)
+	}
+
+	// A 1.5s search completes and hands its slot to the waiter: the p95
+	// component is 0.5 and dominates occupancy at 100% (1/3).
+	clk.advance(1500 * time.Millisecond)
+	t1.Release()
+	want := c.Snapshot().Level
+	t3 := <-got
+	if want != 0.5 || t3.Level() != want {
+		t.Fatalf("queued ticket level %v, Snapshot after the hand-off %v, want 0.5", t3.Level(), want)
+	}
+	t2.Release()
+	t3.Release()
+
+	// Direct admissions keep tracking the level: loaded, then cleared.
+	if tk := acquire(); tk.Level() != 0.5 {
+		t.Fatalf("direct ticket under latency pressure level %v, want 0.5", tk.Level())
+	} else {
+		tk.Release()
+	}
+	clk.advance(time.Minute)
+	if tk := acquire(); tk.Level() != 0 {
+		t.Fatalf("direct ticket after the window lapsed level %v, want 0", tk.Level())
+	} else {
+		tk.Release()
 	}
 }

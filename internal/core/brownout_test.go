@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"cbvr/internal/features"
@@ -20,7 +22,7 @@ func brownoutCells() CellOptions {
 }
 
 // TestBrownoutZeroIsInert pins the exactness contract: a search at level 0
-// — including after the level was raised and then cleared — is
+// — including one after a browned search on the same engine — is
 // bit-identical in results AND in work counters to one on an engine that
 // never browned out, for both the fused and the (never-browned)
 // single-kind paths.
@@ -38,8 +40,9 @@ func TestBrownoutZeroIsInert(t *testing.T) {
 		t.Fatalf("fresh engine reports brownout %v", baseStats.Brownout)
 	}
 
-	eng.SetBrownout(0.8)
-	browned, brownedStats, err := eng.SearchWithSetStats(q.Set, q.Bucket, opt)
+	hot := opt
+	hot.Brownout = 0.8
+	browned, brownedStats, err := eng.SearchWithSetStats(q.Set, q.Bucket, hot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,9 +54,8 @@ func TestBrownoutZeroIsInert(t *testing.T) {
 	}
 	_ = browned
 
-	// Load clears: level back to 0 must restore the exact pre-brownout
-	// behaviour, not an approximation of it.
-	eng.SetBrownout(0)
+	// Load clears: the next search at level 0 must run the exact
+	// pre-brownout behaviour, not an approximation of it.
 	after, afterStats, err := eng.SearchWithSetStats(q.Set, q.Bucket, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -72,9 +74,8 @@ func TestBrownoutZeroIsInert(t *testing.T) {
 
 	// Single-kind searches ride the exact bound-ordered sweep and must be
 	// bit-identical to the reference even at maximum brownout.
-	eng.SetBrownout(1)
 	for _, kind := range []features.Kind{features.AllKinds()[0], features.AllKinds()[3]} {
-		sopt := SearchOptions{K: 7, Kinds: []features.Kind{kind}, NoPruning: true}
+		sopt := SearchOptions{K: 7, Kinds: []features.Kind{kind}, NoPruning: true, Brownout: 1}
 		want, err := eng.SearchWithSetReference(q.Set, q.Bucket, sopt)
 		if err != nil {
 			t.Fatal(err)
@@ -101,7 +102,6 @@ func TestBrownoutZeroIsInert(t *testing.T) {
 func TestBrownoutBudgetFloor(t *testing.T) {
 	browned := openCellEngine(t, Options{SearchShards: 2, Cells: brownoutCells()})
 	loadClusterFrames(t, browned, brownoutCfg)
-	browned.SetBrownout(1)
 
 	floorCells := brownoutCells()
 	floorCells.ProbeFraction = 1e-6 // budget = max(MinProbeRows, ~0) = MinProbeRows
@@ -111,7 +111,7 @@ func TestBrownoutBudgetFloor(t *testing.T) {
 	var prevEvals int64 = -1
 	for qi, q := range synthvid.ClusterQueries(brownoutCfg, 3) {
 		opt := SearchOptions{K: 10, NoPruning: true}
-		got, gotStats, err := browned.SearchWithSetStats(q.Set, q.Bucket, opt)
+		got, gotStats, err := browned.SearchWithSetStats(q.Set, q.Bucket, SearchOptions{K: 10, NoPruning: true, Brownout: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,10 +145,9 @@ func TestBrownoutMonotoneShrink(t *testing.T) {
 	eng := openCellEngine(t, Options{SearchShards: 2, Cells: brownoutCells()})
 	loadClusterFrames(t, eng, brownoutCfg)
 	q := synthvid.ClusterQueries(brownoutCfg, 1)[0]
-	opt := SearchOptions{K: 10, NoPruning: true}
 	var prev int64 = math.MaxInt64
 	for _, lvl := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		eng.SetBrownout(lvl)
+		opt := SearchOptions{K: 10, NoPruning: true, Brownout: lvl}
 		_, stats, err := eng.SearchWithSetStats(q.Set, q.Bucket, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -168,38 +167,89 @@ func TestBrownoutRefusesFullRank(t *testing.T) {
 	frames := loadClusterFrames(t, eng, synthvid.ClusterCorpusConfig{Frames: 64, Seed: 5})
 	q := synthvid.ClusterQueries(synthvid.ClusterCorpusConfig{Frames: 64, Seed: 5}, 1)[0]
 
-	eng.SetBrownout(BrownoutRefuseFullRank)
-	if _, err := eng.SearchWithSet(q.Set, q.Bucket, SearchOptions{}); !errors.Is(err, ErrOverloaded) {
+	const refuse = BrownoutRefuseFullRank
+	if _, err := eng.SearchWithSet(q.Set, q.Bucket, SearchOptions{Brownout: refuse}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("K=0 frame search at refusal level: %v, want ErrOverloaded", err)
 	}
 	qsets := []*features.Set{frames[0].Set}
-	if _, err := eng.searchVideoSets(context.Background(), qsets, SearchOptions{}); !errors.Is(err, ErrOverloaded) {
+	if _, err := eng.searchVideoSets(context.Background(), qsets, SearchOptions{Brownout: refuse}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("K=0 video search at refusal level: %v, want ErrOverloaded", err)
 	}
 	// Bounded searches still serve at the same level.
-	if _, err := eng.SearchWithSet(q.Set, q.Bucket, SearchOptions{K: 5}); err != nil {
+	if _, err := eng.SearchWithSet(q.Set, q.Bucket, SearchOptions{K: 5, Brownout: refuse}); err != nil {
 		t.Fatalf("bounded search at refusal level: %v", err)
 	}
-	if _, err := eng.searchVideoSets(context.Background(), qsets, SearchOptions{K: 2}); err != nil {
+	if _, err := eng.searchVideoSets(context.Background(), qsets, SearchOptions{K: 2, Brownout: refuse}); err != nil {
 		t.Fatalf("bounded video search at refusal level: %v", err)
 	}
 	// Below the refusal level the full ranking is served again.
-	eng.SetBrownout(BrownoutRefuseFullRank / 2)
-	if _, err := eng.SearchWithSet(q.Set, q.Bucket, SearchOptions{}); err != nil {
+	if _, err := eng.SearchWithSet(q.Set, q.Bucket, SearchOptions{Brownout: refuse / 2}); err != nil {
 		t.Fatalf("K=0 search below refusal level: %v", err)
 	}
 }
 
-// TestSetBrownoutClamps pins the level sanitation: out-of-range and NaN
-// inputs must fail open (0) or saturate (1), never poison the budget math.
-func TestSetBrownoutClamps(t *testing.T) {
+// TestBrownoutClamps pins the level sanitation: out-of-range and NaN
+// levels must fail open (0) or saturate (1), never poison the budget math.
+// The level a search ran at is the one it reports in SearchStats.
+func TestBrownoutClamps(t *testing.T) {
 	eng := openCellEngine(t, Options{SearchShards: 1})
+	loadClusterFrames(t, eng, synthvid.ClusterCorpusConfig{Frames: 16, Seed: 5})
+	q := synthvid.ClusterQueries(synthvid.ClusterCorpusConfig{Frames: 16, Seed: 5}, 1)[0]
 	for _, tc := range []struct{ in, want float64 }{
-		{-3, 0}, {0, 0}, {0.4, 0.4}, {2, 1}, {math.NaN(), 0},
+		{-3, 0}, {0, 0}, {0.4, 0.4}, {2, 1}, {math.Inf(1), 1}, {math.NaN(), 0},
 	} {
-		eng.SetBrownout(tc.in)
-		if got := eng.BrownoutLevel(); got != tc.want {
-			t.Fatalf("SetBrownout(%v) → level %v, want %v", tc.in, got, tc.want)
+		_, stats, err := eng.SearchWithSetStats(q.Set, q.Bucket, SearchOptions{K: 3, Brownout: tc.in})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if stats.Brownout != tc.want {
+			t.Fatalf("Brownout %v → level %v, want %v", tc.in, stats.Brownout, tc.want)
+		}
+	}
+}
+
+// TestBrownoutPerSearchUnderConcurrency runs searches at alternating
+// levels on one engine at once: each must run at, and report, its own
+// level — the engine holds no load state a concurrent search could move.
+func TestBrownoutPerSearchUnderConcurrency(t *testing.T) {
+	eng := openCellEngine(t, Options{SearchShards: 2, Cells: brownoutCells()})
+	loadClusterFrames(t, eng, brownoutCfg)
+	q := synthvid.ClusterQueries(brownoutCfg, 1)[0]
+	levels := []float64{0, 1, 0.25, 0.75}
+	// Each level's work is deterministic; record it serially first.
+	want := make([]int64, len(levels))
+	for i, lvl := range levels {
+		_, stats, err := eng.SearchWithSetStats(q.Set, q.Bucket, SearchOptions{K: 10, NoPruning: true, Brownout: lvl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = stats.RowEvals
+	}
+	if want[0] == want[1] {
+		t.Fatalf("levels 0 and 1 paid the same %d row evals; the corpus gives brownout no room", want[0])
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8*len(levels))
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < 4; r++ {
+				i := (g + r) % len(levels)
+				_, stats, err := eng.SearchWithSetStats(q.Set, q.Bucket, SearchOptions{K: 10, NoPruning: true, Brownout: levels[i]})
+				switch {
+				case err != nil:
+					errs <- err
+				case stats.Brownout != levels[i] || stats.RowEvals != want[i]:
+					errs <- fmt.Errorf("search at level %v ran at %v paying %d row evals, want %d",
+						levels[i], stats.Brownout, stats.RowEvals, want[i])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -165,7 +165,7 @@ func (c *shardCells) plan(opt *SearchOptions, kinds []features.Kind, n0 int) (bu
 	budget = max(c.cfg.MinProbeRows, int(c.cfg.ProbeFraction*float64(n0)))
 	// Brownout shrinks the fused budget toward the MinProbeRows recall
 	// floor; at level 0 this is a no-op and the arithmetic never runs.
-	budget = brownedBudget(budget, c.cfg.MinProbeRows, opt.brownout)
+	budget = brownedBudget(budget, c.cfg.MinProbeRows, opt.Brownout)
 	budget = max(budget, opt.K)
 	return budget, budget < n0 // probing everything is just the exact sweep
 }

@@ -12,11 +12,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cbvr/internal/catalog"
@@ -89,11 +89,12 @@ type SearchOptions struct {
 	// (Options.SearchShards), one worker per shard. Results are identical
 	// at any worker count.
 	Workers int
-
-	// brownout is the engine's load-shedding level sampled once at search
-	// start (searchSetStats), so every shard of one search shrinks its
-	// probe budget by the same amount even if the level moves mid-flight.
-	brownout float64
+	// Brownout is this search's load-shedding level in [0,1] (out-of-range
+	// values are clamped, NaN reads as 0): above 0 a fused frame search
+	// shrinks its cell-probe budget toward MinProbeRows, and at or above
+	// BrownoutRefuseFullRank a K <= 0 frame or clip search fails with
+	// ErrOverloaded. 0 is the exact configuration; see brownout.go.
+	Brownout float64
 }
 
 // ErrEmptyName is returned by every ingest entry point for an empty (or
@@ -153,11 +154,6 @@ type Engine struct {
 	// tally accumulates per-search work counters (atomic, written outside
 	// the engine lock) for the stats surfaces.
 	tally searchTally
-
-	// brownout holds the load-shedding level (math.Float64bits of a value
-	// in [0,1]) set by the serving layer; see brownout.go. Zero — the
-	// untouched default — means exact behaviour.
-	brownout atomic.Uint64
 
 	// reindexHook, when set by tests, fires at named points inside
 	// ReindexVideoCtx's replacement transaction (fault injection).
@@ -785,7 +781,9 @@ func (opt *SearchOptions) kinds() []features.Kind {
 
 // validate rejects options no search can run: a kind outside the kind
 // table, a kind listed twice (it would fuse one list with itself), or
-// fusion weights that do not align with the kinds. Every path that scores
+// fusion weights that do not align with the kinds or are not finite and
+// non-negative (NaN and ±Inf poison every fused distance, a negative
+// weight inverts its kind's ranking). Every path that scores
 // a search, the reference included, checks it first, so each entry point
 // returns the error instead of panicking.
 func (opt *SearchOptions) validate() error {
@@ -805,6 +803,11 @@ func (opt *SearchOptions) validate() error {
 	}
 	if opt.Weights != nil && len(opt.Weights) != n {
 		return fmt.Errorf("core: %d fusion weights for %d kinds", len(opt.Weights), n)
+	}
+	for _, w := range opt.Weights {
+		if !(w >= 0) || math.IsInf(w, 1) {
+			return fmt.Errorf("core: fusion weight %v is not a finite non-negative number", w)
+		}
 	}
 	return nil
 }

@@ -161,18 +161,11 @@ func (e *Engine) searchSetStats(ctx context.Context, qset *features.Set, qbucket
 	if err := opt.validate(); err != nil {
 		return nil, SearchStats{}, err
 	}
-	if err := e.warmCache(); err != nil {
+	if err := opt.applyLoad(); err != nil {
 		return nil, SearchStats{}, err
 	}
-	// Sample the brownout level once so the whole search — every shard's
-	// probe budget — degrades consistently. An unbounded ranking of the
-	// entire corpus is the most expensive query shape we serve; under
-	// sustained pressure it is refused outright rather than browned out
-	// (a "full ranking" with a shrunken probe budget would be a silent
-	// lie about what it ranked).
-	opt.brownout = e.BrownoutLevel()
-	if opt.K <= 0 && opt.brownout >= BrownoutRefuseFullRank {
-		return nil, SearchStats{}, ErrOverloaded
+	if err := e.warmCache(); err != nil {
+		return nil, SearchStats{}, err
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -220,7 +213,7 @@ func (e *Engine) searchSetStats(ctx context.Context, qset *features.Set, qbucket
 
 	// Fold the per-shard work counters into the search-wide stats and the
 	// engine tally.
-	stats := SearchStats{Kinds: len(kinds), K: opt.K, Brownout: opt.brownout}
+	stats := SearchStats{Kinds: len(kinds), K: opt.K, Brownout: opt.Brownout}
 	for si := range parts {
 		st := &parts[si].stats
 		stats.BaseRows += int64(st.baseRows)
@@ -717,11 +710,8 @@ func (e *Engine) searchVideoSets(ctx context.Context, qsets []*features.Set, opt
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	// Video DTW has no pruner to shrink (every stored video is aligned),
-	// so under sustained pressure the unbounded form is refused whole,
-	// like the K<=0 frame ranking.
-	if opt.K <= 0 && e.BrownoutLevel() >= BrownoutRefuseFullRank {
-		return nil, ErrOverloaded
+	if err := opt.applyLoad(); err != nil {
+		return nil, err
 	}
 	return e.rankVideos(ctx, qsets, opt, similarity.DTW)
 }

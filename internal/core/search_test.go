@@ -244,8 +244,8 @@ func TestSearchMissingQueryDescriptor(t *testing.T) {
 
 // TestSearchRejectsInvalidOptions checks that every search entry point
 // returns an error, instead of panicking, for a kind outside the kind table,
-// for a kind listed twice and for min-max weights that do not align with the
-// kinds.
+// for a kind listed twice, for min-max weights that do not align with the
+// kinds and for a NaN, infinite or negative weight.
 func TestSearchRejectsInvalidOptions(t *testing.T) {
 	f := sharedFixture(t)
 	ctx := context.Background()
@@ -257,6 +257,9 @@ func TestSearchRejectsInvalidOptions(t *testing.T) {
 		"duplicate-kind":   {K: 3, Kinds: []features.Kind{features.KindHistogram, features.KindHistogram}},
 		"weights-mismatch": {K: 3, Kinds: []features.Kind{features.KindHistogram, features.KindGLCM}, Weights: []float64{1, 2, 3}, Fusion: FusionMinMax},
 		"weights-for-all":  {K: 3, Weights: []float64{1}, Fusion: FusionMinMax},
+		"weight-nan":       {K: 3, Kinds: []features.Kind{features.KindHistogram, features.KindGLCM}, Weights: []float64{1, math.NaN()}, Fusion: FusionMinMax},
+		"weight-inf":       {K: 3, Kinds: []features.Kind{features.KindHistogram, features.KindGLCM}, Weights: []float64{math.Inf(1), 1}, Fusion: FusionMinMax},
+		"weight-negative":  {K: 3, Kinds: []features.Kind{features.KindHistogram, features.KindGLCM}, Weights: []float64{1, -1}, Fusion: FusionMinMax},
 	} {
 		t.Run(name, func(t *testing.T) {
 			calls := map[string]func() error{

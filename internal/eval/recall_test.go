@@ -103,8 +103,7 @@ func TestRecallMaxBrownout10k(t *testing.T) {
 	if err != nil {
 		t.Fatalf("level-0 evaluate: %v", err)
 	}
-	eng.SetBrownout(1)
-	browned, err := EvaluateRecall(eng, cfg, RecallOptions{Queries: 40, K: 10})
+	browned, err := EvaluateRecall(eng, cfg, RecallOptions{Queries: 40, K: 10, Search: core.SearchOptions{Brownout: 1}})
 	if err != nil {
 		t.Fatalf("browned evaluate: %v", err)
 	}

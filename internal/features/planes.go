@@ -88,18 +88,19 @@ func (p *Planes) reset(src imaging.Source) {
 
 // ExtractAll computes all seven descriptors from already-computed planes.
 func (p *Planes) ExtractAll() *Set {
-	return p.ExtractAllWithNaive(ExtractNaiveWith(p))
+	return p.ExtractAllWithNaive(nil)
 }
 
 // ExtractAllWithNaive computes the other six descriptors from the planes
 // and installs a precomputed naive signature instead of sampling it again.
 // The key-frame pipeline passes the §4.1 selection-time signature, which
 // features.NaiveOf computed from the same frame, so the resulting Set is
-// bit-identical to ExtractAll's.
+// bit-identical to ExtractAll's. A nil sig is sampled from the planes like
+// every other kind.
 func (p *Planes) ExtractAllWithNaive(sig *NaiveSignature) *Set {
 	s := &Set{Naive: sig}
 	for k := range kindTable {
-		if Kind(k) != KindNaive {
+		if kindTable[k].get(s) == nil {
 			kindTable[k].put(s, kindTable[k].extract(p))
 		}
 	}

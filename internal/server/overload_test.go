@@ -96,8 +96,8 @@ func TestHealthzStateTransitions(t *testing.T) {
 	t1.Release()
 	t2.Release()
 	waitFor(t, 2*time.Second, func() bool {
-		shedding, _ := ctl.Shedding()
-		return !shedding && ctl.Level() == 0
+		snap := ctl.Snapshot()
+		return !snap.Shedding && snap.Level == 0
 	})
 	checkState(200, "ok", false)
 
@@ -344,4 +344,91 @@ func waitFor(t *testing.T, budget time.Duration, cond func() bool) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// fakeClock is a hand-stepped admission clock.
+type fakeClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func (f *fakeClock) now() time.Time {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.t
+}
+
+func (f *fakeClock) advance(d time.Duration) {
+	f.mu.Lock()
+	f.t = f.t.Add(d)
+	f.mu.Unlock()
+}
+
+// TestBrownoutHeaderIsTicketLevel checks each search response's
+// BrownoutHeader is the level its admission ticket carried — the level
+// Snapshot reports at the instant of the grant, under a frozen clock — for
+// a direct admission and for a search granted from the queue, and that the
+// engine ran the search at that level.
+func TestBrownoutHeaderIsTicketLevel(t *testing.T) {
+	eng := openTestEngine(t)
+	raw, v := testContainer(t, synthvid.Sports, 720, 8)
+	if _, err := eng.IngestVideoStreamCtx(context.Background(), "resident", bytes.NewReader(raw)); err != nil {
+		t.Fatal(err)
+	}
+	qjpeg := queryJPEG(t, v)
+	clk := &fakeClock{t: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)}
+	cfg := admission.Config{LatencyBudget: time.Second, LatencyWindow: 10 * time.Second, MaxWait: time.Minute, Now: clk.now}
+	cfg.Limit[admission.Search] = 1
+	cfg.Queue[admission.Search] = 1
+	srv := New(eng, Options{Admission: cfg})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	search := func() string {
+		resp, body := doJSON(t, "POST", ts.URL+"/api/v1/search?k=5", bytes.NewReader(qjpeg), nil)
+		if resp.StatusCode != 200 {
+			t.Errorf("search: %d %s", resp.StatusCode, body)
+		}
+		return resp.Header.Get(BrownoutHeader)
+	}
+	level := func(lvl float64) string { return strconv.FormatFloat(lvl, 'f', 3, 64) }
+	direct := func(want string) {
+		t.Helper()
+		if snap := level(srv.adm.Snapshot().Level); snap != want {
+			t.Fatalf("Snapshot level %s before a direct admission, want %s", snap, want)
+		}
+		if got := search(); got != want {
+			t.Fatalf("direct admission: %s = %q, want %q", BrownoutHeader, got, want)
+		}
+	}
+	browned := eng.SearchTally().BrownedSearches
+
+	direct("0.000")
+
+	// Hold the only search slot so the next search queues; then a 1.5s
+	// search completes and hands it the slot at level 0.5 (the p95
+	// component), not the level 1 of the moment it queued.
+	held, err := srv.adm.Acquire(context.Background(), admission.Search)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := make(chan string)
+	go func() { header <- search() }()
+	waitFor(t, 5*time.Second, func() bool { return srv.adm.Snapshot().Classes[admission.Search].Queued == 1 })
+	if got := level(srv.adm.Snapshot().Level); got != "1.000" {
+		t.Fatalf("level with a search queued behind the held slot = %s, want 1.000", got)
+	}
+	clk.advance(1500 * time.Millisecond)
+	held.Release()
+	if got := <-header; got != "0.500" {
+		t.Fatalf("queued search: %s = %q, want 0.500", BrownoutHeader, got)
+	}
+
+	direct("0.500")
+	if got := eng.SearchTally().BrownedSearches - browned; got != 2 {
+		t.Fatalf("engine ran %d browned searches, want the 2 admitted at level 0.5", got)
+	}
+
+	clk.advance(time.Minute)
+	direct("0.000")
 }

@@ -95,6 +95,9 @@ func (s *Server) handleHome(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
+	if !readOnly(w, r) {
+		return
+	}
 	vids, nk, ok := s.listing(w)
 	if !ok {
 		return
@@ -110,6 +113,9 @@ func (s *Server) renderResults(w http.ResponseWriter, _ *http.Request, matches [
 // handleVideo serves a video page: every key frame inline with its §4.2
 // range bucket and major-region count (Fig. 10).
 func (s *Server) handleVideo(w http.ResponseWriter, r *http.Request) {
+	if !readOnly(w, r) {
+		return
+	}
 	id, ok := parseID(w, r.URL.Query().Get("id"))
 	if !ok {
 		return
@@ -160,6 +166,9 @@ func (s *Server) handleVideo(w http.ResponseWriter, r *http.Request) {
 
 // handleFrame serves one key frame's JPEG bytes.
 func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
+	if !readOnly(w, r) {
+		return
+	}
 	id, ok := parseID(w, r.URL.Query().Get("id"))
 	if !ok {
 		return
@@ -179,6 +188,9 @@ func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
 
 // handleDownload serves a video's stored CVJ container.
 func (s *Server) handleDownload(w http.ResponseWriter, r *http.Request) {
+	if !readOnly(w, r) {
+		return
+	}
 	id, ok := parseID(w, r.URL.Query().Get("id"))
 	if !ok {
 		return

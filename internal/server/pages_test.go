@@ -217,6 +217,37 @@ func TestDownloadServesContainer(t *testing.T) {
 	}
 }
 
+// TestReadPagesRejectWriteMethods checks the read pages answer only GET
+// and HEAD: any other method is a 405 naming both.
+func TestReadPagesRejectWriteMethods(t *testing.T) {
+	srv, _, res := newPageServer(t, Options{})
+	frame := fmt.Sprintf("/frame?id=%d", res.KeyFrameIDs[0])
+	video := fmt.Sprintf("/video?id=%d", res.VideoID)
+	download := fmt.Sprintf("/download?id=%d", res.VideoID)
+	for _, tc := range []struct {
+		method, path string
+		want         int
+	}{
+		{http.MethodPost, frame, http.StatusMethodNotAllowed},
+		{http.MethodDelete, video, http.StatusMethodNotAllowed},
+		{http.MethodPut, download, http.StatusMethodNotAllowed},
+		{http.MethodPost, "/", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/healthz", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/nope", http.StatusNotFound},
+		{http.MethodHead, frame, http.StatusOK},
+		{http.MethodHead, "/", http.StatusOK},
+	} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, nil))
+		if rec.Code != tc.want {
+			t.Errorf("%s %s: status %d, want %d", tc.method, tc.path, rec.Code, tc.want)
+		}
+		if allow := rec.Header().Get("Allow"); tc.want == http.StatusMethodNotAllowed && allow != "GET, HEAD" {
+			t.Errorf("%s %s: Allow %q, want \"GET, HEAD\"", tc.method, tc.path, allow)
+		}
+	}
+}
+
 func TestAdminUploadIngests(t *testing.T) {
 	srv, eng, _ := newPageServer(t, Options{})
 	v := synthvid.Generate(synthvid.News, synthvid.Config{Width: 96, Height: 72, Frames: 6, Shots: 2, Seed: 4})

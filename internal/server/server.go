@@ -18,10 +18,11 @@
 // (internal/admission). Each class (search/delete/ingest/reindex) has its
 // own concurrency limit and bounded wait queue; refused work gets 429/503
 // with a Retry-After computed from observed service times, lowest-priority
-// classes shedding first as the load signal rises. The same signal drives
-// the engine's search brownout (core.SetBrownout): under pressure fused
-// searches shrink their probe budget toward the recall floor, and
-// exactness returns the moment load clears. A slow-client watchdog re-arms
+// classes shedding first as the load signal rises. A search runs at the
+// load level its admission ticket carries (core.SearchOptions.Brownout)
+// and echoes that level in the BrownoutHeader: under pressure fused
+// searches shrink their probe budget toward the recall floor, and a search
+// admitted at level 0 is exact. A slow-client watchdog re-arms
 // a per-read connection deadline around body reads so a stalled uploader
 // cannot hold an admission slot forever. Index reads — the store listing,
 // the HTML read pages, stats and healthz — skip admission.
@@ -95,7 +96,8 @@ const (
 const DeadlineHeader = "X-CBVR-Deadline-Ms"
 
 // BrownoutHeader reports, on search responses, the brownout level the
-// search ran at (0 means the exact configuration).
+// search ran at: its admission ticket's level (0 means the exact
+// configuration).
 const BrownoutHeader = "X-CBVR-Brownout"
 
 // brownoutVisible is the level at which healthz switches from "ok" to
@@ -196,40 +198,26 @@ func New(eng *core.Engine, opts Options) *Server {
 //   - 200 "ok"
 //
 // Every response carries the numeric brownout level; 503s carry a
-// computed Retry-After.
+// computed Retry-After. The load state is read once, as one admission
+// Snapshot.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		methodErr(w, "GET, HEAD")
+	if !readOnly(w, r) {
 		return
 	}
-	lvl := s.adm.Level()
-	if err := s.eng.Degraded(); err != nil {
-		applyRetryAfter(w.Header(), err, s.adm.RetryAfter(admission.Ingest))
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"status":   "degraded",
-			"reason":   err.Error(),
-			"brownout": lvl,
-		})
-		return
+	snap := s.adm.Snapshot()
+	retry := time.Duration(snap.Classes[admission.Ingest].RetryAfterSec) * time.Second
+	code, body := http.StatusOK, map[string]any{"status": "ok", "brownout": snap.Level}
+	switch err := s.eng.Degraded(); {
+	case err != nil:
+		code, body["status"], body["reason"] = http.StatusServiceUnavailable, "degraded", err.Error()
+		applyRetryAfter(w.Header(), err, retry)
+	case snap.Shedding:
+		code, body["status"], body["reason"] = http.StatusServiceUnavailable, "shedding", snap.Reason
+		setRetryAfter(w.Header(), retry)
+	case snap.Level >= brownoutVisible:
+		body["status"], body["reason"] = "browned-out", fmt.Sprintf("search probe budget shrunk to load level %.2f", snap.Level)
 	}
-	if shedding, reason := s.adm.Shedding(); shedding {
-		setRetryAfter(w.Header(), s.adm.RetryAfter(admission.Ingest))
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"status":   "shedding",
-			"reason":   reason,
-			"brownout": lvl,
-		})
-		return
-	}
-	if lvl >= brownoutVisible {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"status":   "browned-out",
-			"reason":   fmt.Sprintf("search probe budget shrunk to load level %.2f", lvl),
-			"brownout": lvl,
-		})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "brownout": lvl})
+	writeJSON(w, code, body)
 }
 
 // ServeHTTP implements http.Handler, counting the request for Wait.
@@ -307,6 +295,16 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func methodErr(w http.ResponseWriter, allowed string) {
 	w.Header().Set("Allow", allowed)
 	writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "method not allowed; use " + allowed})
+}
+
+// readOnly admits the GET and HEAD requests of a read page or probe; any
+// other method gets the 405 and false.
+func readOnly(w http.ResponseWriter, r *http.Request) bool {
+	if r.Method == http.MethodGet || r.Method == http.MethodHead {
+		return true
+	}
+	methodErr(w, "GET, HEAD")
+	return false
 }
 
 // parseID parses a positive video or key-frame id. On failure it writes
@@ -398,9 +396,10 @@ type reindexJSON struct {
 
 // search ranks stored key frames against a query frame. The frame arrives
 // either as multipart field "image" or as a raw JPEG body; "k" (query or
-// form value, 1..1000, default 12) bounds the result count. The response
-// carries the brownout level the search ran at in the BrownoutHeader
-// header.
+// form value, 1..1000, default 12) bounds the result count. The search
+// runs at its admission ticket's load level and the response carries that
+// level in the BrownoutHeader header, so the client knows the quality it
+// got.
 func (s *Server) search(w http.ResponseWriter, r *http.Request, ok respond[[]core.Match]) {
 	if r.Method != http.MethodPost {
 		methodErr(w, http.MethodPost)
@@ -411,12 +410,7 @@ func (s *Server) search(w http.ResponseWriter, r *http.Request, ok respond[[]cor
 		return
 	}
 	defer tk.Release()
-	// The admission-derived load level drives the engine brownout: set it
-	// before the search so this request's probe budget reflects current
-	// pressure, and report it so the client knows the quality it got.
-	lvl := s.adm.Level()
-	s.eng.SetBrownout(lvl)
-	w.Header().Set(BrownoutHeader, strconv.FormatFloat(lvl, 'f', 3, 64))
+	w.Header().Set(BrownoutHeader, strconv.FormatFloat(tk.Level(), 'f', 3, 64))
 	s.guardBody(w, r)
 	var frameSrc io.Reader = r.Body
 	if isMultipart(r) {
@@ -441,7 +435,7 @@ func (s *Server) search(w http.ResponseWriter, r *http.Request, ok respond[[]cor
 		s.writeErr(w, malformed(fmt.Errorf("query frame is not a decodable JPEG: %w", err)), admission.Search)
 		return
 	}
-	matches, err := s.eng.SearchFrameCtx(r.Context(), query, core.SearchOptions{K: k})
+	matches, err := s.eng.SearchFrameCtx(r.Context(), query, core.SearchOptions{K: k, Brownout: tk.Level()})
 	if err != nil {
 		s.writeErr(w, err, admission.Search)
 		return
@@ -683,7 +677,8 @@ func writeReindexed(w http.ResponseWriter, _ *http.Request, results []*core.Rein
 
 // handleStats reports the engine's cumulative search work counters, the
 // state of the per-shard cell index, and the overload view: admission
-// per-class occupancy/sheds and the current brownout level.
+// per-class occupancy/sheds and the current load level, all from one
+// admission Snapshot.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		methodErr(w, http.MethodGet)
@@ -694,11 +689,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err, admission.Search)
 		return
 	}
+	snap := s.adm.Snapshot()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"search":    s.eng.SearchTally(),
 		"cells":     cells,
-		"admission": s.adm.Snapshot(),
-		"brownout":  s.eng.BrownoutLevel(),
+		"admission": snap,
+		"brownout":  snap.Level,
 	})
 }
 

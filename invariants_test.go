@@ -45,6 +45,15 @@ func TestRepoInvariants(t *testing.T) {
 		}
 	})
 
+	// Every per-kind dispatch reads the table in internal/features/kinds.go.
+	// A `case` arm or an ==/!= comparison on a Kind constant anywhere else
+	// is one more site to edit when a kind is added, dropped or reweighted.
+	t.Run("Kind dispatch only in the kind table", func(t *testing.T) {
+		for _, site := range kindDispatchSites(t) {
+			t.Errorf("%s dispatches on a feature kind outside the kind table", site)
+		}
+	})
+
 	// Each internal package is linked into a command under cmd/. The one
 	// exception is vstore/faultfs, the fault-injecting VFS the storage
 	// tests use.
@@ -93,6 +102,73 @@ func engineMethods(t *testing.T) map[string]bool {
 		t.Fatal("found no SearchFrameCtx method on *core.Engine; is the parse reading internal/core?")
 	}
 	return methods
+}
+
+// kindDispatchSites parses every non-test Go file under the repository
+// root, the bench module included, and returns the position of each case
+// arm and each ==/!= operand naming a features.Kind constant (KindGLCM and
+// its siblings; unqualified inside package features), except in
+// internal/features/kinds.go itself.
+func kindDispatchSites(t *testing.T) []string {
+	t.Helper()
+	fset := token.NewFileSet()
+	var sites []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") ||
+			path == filepath.Join("internal", "features", "kinds.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		isKind := func(e ast.Expr) bool {
+			name := ""
+			switch e := ast.Unparen(e).(type) {
+			case *ast.SelectorExpr:
+				if x, ok := e.X.(*ast.Ident); ok && x.Name == "features" {
+					name = e.Sel.Name
+				}
+			case *ast.Ident:
+				if file.Name.Name == "features" {
+					name = e.Name
+				}
+			}
+			rest, ok := strings.CutPrefix(name, "Kind")
+			return ok && rest != "" && rest[0] >= 'A' && rest[0] <= 'Z'
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			var operands []ast.Expr
+			switch n := n.(type) {
+			case *ast.CaseClause:
+				operands = n.List
+			case *ast.BinaryExpr:
+				if n.Op == token.EQL || n.Op == token.NEQ {
+					operands = []ast.Expr{n.X, n.Y}
+				}
+			}
+			for _, e := range operands {
+				if isKind(e) {
+					sites = append(sites, fset.Position(e.Pos()).String())
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sites
 }
 
 // benchCalls reports whether any Go file of the benchmark module contains
