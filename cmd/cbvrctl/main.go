@@ -24,11 +24,13 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
 
 	"cbvr"
+	"cbvr/internal/catalog"
 	"cbvr/internal/eval"
 	"cbvr/internal/features"
 	"cbvr/internal/synthvid"
@@ -353,18 +355,46 @@ func cmdExport(args []string) error {
 		return err
 	}
 	defer sys.Close()
-	raw, ok, err := sys.Store().VideoBytes(nil, *id)
+	cr, ok, err := sys.Store().OpenContainer(*id, catalog.VideoContainer)
 	if err != nil {
 		return err
 	}
 	if !ok {
 		return fmt.Errorf("no video %d", *id)
 	}
-	if err := os.WriteFile(*out, raw, 0o644); err != nil {
+	n, err := writeFileAtomic(*out, cr)
+	if err != nil {
 		return err
 	}
-	fmt.Printf("exported video %d to %s (%d bytes)\n", *id, *out, len(raw))
+	fmt.Printf("exported video %d to %s (%d bytes)\n", *id, *out, n)
 	return nil
+}
+
+// writeFileAtomic streams r into a temporary file beside path and renames
+// it over path only once every byte is written and synced, so a failed
+// export leaves no file behind.
+func writeFileAtomic(path string, r io.Reader) (int64, error) {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return 0, err
+	}
+	n, err := io.Copy(f, r)
+	if err == nil {
+		err = f.Chmod(0o644) // CreateTemp makes it 0600
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return n, err
 }
 
 func cmdDelete(args []string) error {

@@ -21,7 +21,9 @@
 package catalog
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"cbvr/internal/rangeindex"
@@ -72,18 +74,16 @@ func KeyFramesSchema() vstore.Schema {
 	}
 }
 
-// Video is a VIDEO_STORE row. Video and Stream are raw CVJ container
-// bytes; they are nil when loaded lazily (see Store.VideoBytes). VideoRef
-// and StreamRef, when set, reference blob chains already written through a
-// vstore.BlobWriter — ingest stages the container bytes page by page
-// outside any transaction (vstore.NewStagedBlobWriter), then adopts the
-// chains and inserts the references in one short commit, so the
-// compressed container never has to sit in memory.
+// Video is a VIDEO_STORE row. VideoRef and StreamRef reference the VIDEO
+// and STREAM container chains, which enter the store only staged: ingest
+// writes the container bytes page by page outside any transaction
+// (vstore.NewStagedBlobWriter), then adopts the chains and inserts the
+// references in one short commit, so the compressed container never has
+// to sit in memory. They leave it only through a ContainerReader. A zero
+// reference stores an empty container.
 type Video struct {
 	ID        int64
 	Name      string
-	Video     []byte
-	Stream    []byte
 	VideoRef  vstore.BlobRef
 	StreamRef vstore.BlobRef
 	DoStore   time.Time
@@ -197,19 +197,11 @@ func (s *Store) InsertVideo(tx *vstore.Txn, v *Video) (int64, error) {
 	if when.IsZero() {
 		when = time.Unix(0, 0).UTC()
 	}
-	video := vstore.Blob(v.Video)
-	if !v.VideoRef.IsZero() {
-		video = vstore.BlobRefV(v.VideoRef)
-	}
-	stream := vstore.Blob(v.Stream)
-	if !v.StreamRef.IsZero() {
-		stream = vstore.BlobRefV(v.StreamRef)
-	}
 	id, err := s.videos.Insert(tx, []vstore.Value{
 		pk,
 		vstore.Text(v.Name),
-		video,
-		stream,
+		vstore.BlobRefV(v.VideoRef),
+		vstore.BlobRefV(v.StreamRef),
 		vstore.TimeV(when),
 	})
 	if err != nil {
@@ -225,27 +217,15 @@ func (s *Store) GetVideoInfo(tx *vstore.Txn, id int64) (*VideoInfo, bool, error)
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	return &VideoInfo{
-		ID:       row[0].Int,
-		Name:     row[1].Str,
-		VideoLen: row[2].Blob.Len,
-		DoStore:  row[4].Time,
-	}, true, nil
+	return videoInfo(id, row), true, nil
 }
 
-// VideoBytes fetches the VIDEO blob (the CVJ container).
-func (s *Store) VideoBytes(tx *vstore.Txn, id int64) ([]byte, bool, error) {
-	row, ok, err := s.videos.Get(tx, id)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	b, err := s.db.ReadBlob(tx, row[2].Blob)
-	return b, true, err
+func videoInfo(pk int64, row []vstore.Value) *VideoInfo {
+	return &VideoInfo{ID: pk, Name: row[1].Str, VideoLen: row[2].Blob.Len, DoStore: row[4].Time}
 }
 
 // VideoRefs fetches the VIDEO and STREAM blob references without reading
-// either payload — the entry point for streaming readers (export,
-// re-index) that must not materialise the container.
+// either payload. Readers that run beside writers use OpenContainer.
 func (s *Store) VideoRefs(tx *vstore.Txn, id int64) (video, stream vstore.BlobRef, ok bool, err error) {
 	row, ok, err := s.videos.Get(tx, id)
 	if err != nil || !ok {
@@ -254,14 +234,65 @@ func (s *Store) VideoRefs(tx *vstore.Txn, id int64) (video, stream vstore.BlobRe
 	return row[2].Blob, row[3].Blob, true, nil
 }
 
-// StreamBytes fetches the STREAM blob (key-frame CVJ).
-func (s *Store) StreamBytes(tx *vstore.Txn, id int64) ([]byte, bool, error) {
-	row, ok, err := s.videos.Get(tx, id)
+// Container selects one of a video's two container columns.
+type Container int
+
+// The container columns, by their VIDEO_STORE column index.
+const (
+	VideoContainer  Container = 2 // VIDEO: the full CVJ container
+	StreamContainer Container = 3 // STREAM: the key-frame-only CVJ
+)
+
+// ErrContainerChanged fails a ContainerReader whose row no longer names
+// its chain: the video was deleted mid-read, and the bytes of that Read
+// may be another value's.
+var ErrContainerChanged = errors.New("catalog: container deleted while being read")
+
+// ContainerReader streams a VIDEO or STREAM chain with no lock held
+// between reads, while writers may delete the row and reuse its pages.
+// After every Read it re-reads the row and fails unless the row still
+// names the same chain. That is sound because container chains are only
+// staged, and a staged chain starts on a fresh file extension: no later
+// row, even one reusing the ID, carries an equal reference.
+type ContainerReader struct {
+	s   *Store
+	id  int64
+	col Container
+	ref vstore.BlobRef
+	br  *vstore.BlobReader
+}
+
+// OpenContainer returns a reader over video id's VIDEO or STREAM chain. It
+// reads the row only, not the chain; ok is false when no such video
+// exists.
+func (s *Store) OpenContainer(id int64, c Container) (r *ContainerReader, ok bool, err error) {
+	row, ok, err := s.videos.Get(nil, id)
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	b, err := s.db.ReadBlob(tx, row[3].Blob)
-	return b, true, err
+	ref := row[c].Blob
+	return &ContainerReader{s: s, id: id, col: c, ref: ref, br: s.db.NewBlobReader(nil, ref)}, true, nil
+}
+
+// Len is the container's length in bytes, as its row records it.
+func (r *ContainerReader) Len() int64 { return r.ref.Len }
+
+// Read implements io.Reader. Bytes are returned only once the row has
+// been re-read and still names the chain they came from; a row that lost
+// the chain never names it again, so the failure repeats.
+func (r *ContainerReader) Read(p []byte) (int, error) {
+	n, err := r.br.Read(p)
+	if err == io.EOF {
+		return n, err // the reference's length is spent; no page was read
+	}
+	row, ok, gerr := r.s.videos.Get(nil, r.id)
+	if gerr != nil {
+		return 0, gerr
+	}
+	if !ok || row[r.col].Blob != r.ref {
+		return 0, ErrContainerChanged
+	}
+	return n, err
 }
 
 // RenameVideo updates V_NAME (admin "modification" use case).
@@ -302,12 +333,7 @@ func (s *Store) DeleteVideo(tx *vstore.Txn, id int64) error {
 func (s *Store) ListVideos(tx *vstore.Txn) ([]*VideoInfo, error) {
 	var out []*VideoInfo
 	err := s.videos.Scan(tx, func(pk int64, row []vstore.Value) (bool, error) {
-		out = append(out, &VideoInfo{
-			ID:       pk,
-			Name:     row[1].Str,
-			VideoLen: row[2].Blob.Len,
-			DoStore:  row[4].Time,
-		})
+		out = append(out, videoInfo(pk, row))
 		return true, nil
 	})
 	return out, err

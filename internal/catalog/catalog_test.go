@@ -2,6 +2,8 @@ package catalog
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"path/filepath"
 	"testing"
 	"time"
@@ -18,6 +20,44 @@ func openTestStore(t *testing.T) *Store {
 	}
 	t.Cleanup(func() { s.Close() })
 	return s
+}
+
+// stageContainer stages data as a container chain, the one way container
+// bytes enter the store, and adopts it into tx.
+func stageContainer(t *testing.T, s *Store, tx *vstore.Txn, data []byte) vstore.BlobRef {
+	t.Helper()
+	w, err := s.DB().NewStagedBlobWriter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := w.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.AdoptStaged(w); err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
+// readContainer reads one of a video's containers whole.
+func readContainer(t *testing.T, s *Store, id int64, c Container) []byte {
+	t.Helper()
+	r, ok, err := s.OpenContainer(id, c)
+	if err != nil || !ok {
+		t.Fatalf("open container: ok=%v err=%v", ok, err)
+	}
+	b, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(b)) != r.Len() {
+		t.Fatalf("read %d bytes, Len %d", len(b), r.Len())
+	}
+	return b
 }
 
 func sampleKeyFrame(name string, min, max int, videoID int64, idx int) *KeyFrame {
@@ -67,7 +107,8 @@ func TestVideoRoundTrip(t *testing.T) {
 	video := bytes.Repeat([]byte("VID"), 10000)
 	stream := bytes.Repeat([]byte("STR"), 2000)
 	when := time.Date(2012, 10, 1, 0, 0, 0, 0, time.UTC)
-	id, err := s.InsertVideo(tx, &Video{Name: "sports_01", Video: video, Stream: stream, DoStore: when})
+	v := &Video{Name: "sports_01", VideoRef: stageContainer(t, s, tx, video), StreamRef: stageContainer(t, s, tx, stream), DoStore: when}
+	id, err := s.InsertVideo(tx, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,16 +123,85 @@ func TestVideoRoundTrip(t *testing.T) {
 	if info.Name != "sports_01" || info.VideoLen != int64(len(video)) || !info.DoStore.Equal(when) {
 		t.Errorf("info: %+v", info)
 	}
-	got, ok, err := s.VideoBytes(nil, id)
-	if err != nil || !ok || !bytes.Equal(got, video) {
+	if !bytes.Equal(readContainer(t, s, id, VideoContainer), video) {
 		t.Error("video blob mismatch")
 	}
-	st, ok, err := s.StreamBytes(nil, id)
-	if err != nil || !ok || !bytes.Equal(st, stream) {
+	if !bytes.Equal(readContainer(t, s, id, StreamContainer), stream) {
 		t.Error("stream blob mismatch")
 	}
 	if _, ok, _ := s.GetVideoInfo(nil, 999); ok {
 		t.Error("phantom video")
+	}
+	if _, ok, err := s.OpenContainer(999, VideoContainer); ok || err != nil {
+		t.Errorf("phantom container: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestContainerReaderFailsWhenRowChanges reads all but the last 100 bytes
+// of a stored container, deletes the video, refills its freed pages with
+// key-frame images and reuses its ID. Finishing the read must fail: a raw
+// BlobReader over the same reference returns the full length, its last
+// 100 bytes an image's.
+func TestContainerReaderFailsWhenRowChanges(t *testing.T) {
+	s := openTestStore(t)
+	container := make([]byte, 60<<10)
+	for i := range container {
+		container[i] = byte(i * 7)
+	}
+	tx, _ := s.Begin()
+	// A key frame of another video first, so that the images below
+	// allocate blob pages only and not the KEY_FRAMES heap and index.
+	keep, _ := s.InsertVideo(tx, &Video{Name: "keep"})
+	if _, err := s.InsertKeyFrame(tx, sampleKeyFrame("keep#", 0, 255, keep, 0)); err != nil {
+		t.Fatal(err)
+	}
+	id, err := s.InsertVideo(tx, &Video{Name: "gone", VideoRef: stageContainer(t, s, tx, container)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	r, ok, err := s.OpenContainer(id, VideoContainer)
+	if err != nil || !ok {
+		t.Fatalf("open: ok=%v err=%v", ok, err)
+	}
+	head := make([]byte, len(container)-100)
+	if _, err := io.ReadFull(r, head); err != nil {
+		t.Fatal(err)
+	}
+
+	tx, _ = s.Begin()
+	if err := s.DeleteVideo(tx, id); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	// Key frames whose images take twice the freed bytes from the free
+	// list, then a new row under the same ID with an equal container.
+	tx, _ = s.Begin()
+	image := bytes.Repeat([]byte{0xAB}, 8000)
+	for i := 0; i*len(image) < 2*len(container); i++ {
+		kf := sampleKeyFrame("reused#", 0, 255, id, i)
+		kf.Image = image
+		if _, err := s.InsertKeyFrame(tx, kf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.InsertVideo(tx, &Video{ID: id, Name: "reused", VideoRef: stageContainer(t, s, tx, container)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	tail, err := io.ReadAll(r)
+	if !errors.Is(err, ErrContainerChanged) {
+		t.Fatalf("finishing the read: %d bytes, err %v; want ErrContainerChanged", len(tail), err)
+	}
+	if len(tail) != 0 {
+		t.Errorf("%d bytes returned from a chain the row no longer names", len(tail))
 	}
 }
 
@@ -213,7 +323,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx, _ := s.Begin()
-	vid, _ := s.InsertVideo(tx, &Video{Name: "persist", Video: []byte("vvv")})
+	vid, _ := s.InsertVideo(tx, &Video{Name: "persist", VideoRef: stageContainer(t, s, tx, []byte("vvv"))})
 	kfID, _ := s.InsertKeyFrame(tx, sampleKeyFrame("kf", 64, 127, vid, 0))
 	tx.Commit()
 	if err := s.Close(); err != nil {

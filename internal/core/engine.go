@@ -336,7 +336,7 @@ func (e *Engine) IngestFramesCtx(ctx context.Context, name string, frames []*ima
 	if err != nil {
 		return nil, fmt.Errorf("core: ingest %q: %w", name, err)
 	}
-	return e.ingestStream(ctx, name, bytes.NewReader(container))
+	return e.IngestVideoStreamCtx(ctx, name, bytes.NewReader(container))
 }
 
 // IngestVideoStreamCtx runs the full ingest pipeline directly from a
@@ -345,46 +345,25 @@ func (e *Engine) IngestFramesCtx(ctx context.Context, name string, frames []*ima
 // a bounded worker pool that extracts features (§4.3–4.8) and the §4.2
 // range bucket while later frames are still being decoded. Non-key frames
 // are never retained, so ingest memory is proportional to the number of
-// key frames (plus the compressed container bytes), not the number of
-// frames. Stored key-frame images and the key-frame stream reuse the
-// container's original JPEG records; the §4.1 selection signature is
-// installed into each key frame's descriptor set instead of being
-// recomputed. See DESIGN.md ("Key-frame pipeline").
+// key frames, not the number of frames. Stored key-frame images and the
+// key-frame stream reuse the container's original JPEG records; the §4.1
+// selection signature is installed into each key frame's descriptor set
+// instead of being recomputed. See DESIGN.md ("Key-frame pipeline").
 //
-// The decode loop checks cancellation between frames, so an abort takes
-// effect within one decode iteration, discards the staged blob pages and
-// commits nothing — the store is untouched, as if the request never
-// arrived.
-func (e *Engine) IngestVideoStreamCtx(ctx context.Context, name string, r io.Reader) (*IngestResult, error) {
-	return e.ingestStream(ctx, name, r)
-}
-
-// ingestStream is the shared ingest pipeline behind IngestFramesCtx and
-// IngestVideoStreamCtx. It runs in two phases so concurrent clients
-// only serialize on a short commit section, never on the expensive work:
-//
-//  1. Stage — the key-frame pipeline (pipeline.go) decodes container
-//     records, appends each to a *staged* blob chain
-//     (vstore.NewStagedBlobWriter: fresh file-extension pages written
-//     outside any transaction and outside the single-writer lock), runs
-//     §4.1 selection as frames arrive and describes key frames in the
-//     bounded extraction pool. N clients decode, extract and stage fully
-//     concurrently. The compressed container never sits in memory — peak
-//     memory is O(key frames) + one page per staged chain.
-//
-//  2. Commit — a single transaction adopts the staged chains (their pages
-//     are WAL-logged at commit), inserts the VIDEO_STORE and KEY_FRAMES
-//     rows and commits. Only this section takes the writer lock, so its
-//     duration is proportional to the row count, not the upload size.
-//     The cache entries publish atomically under the engine lock
-//     afterwards — no search observes a partially published video.
+// Concurrent clients serialize only on the commit (DESIGN.md "Two-phase
+// staged ingest"). Staging — decode, selection, extraction, and the
+// container re-assembled into a staged blob chain outside any
+// transaction — runs with no store lock, and the compressed container
+// never sits in memory. commitIngest then adopts the chains and writes
+// the rows in one short transaction, and publishes the cache entries
+// under one engine lock, so no search sees part of the video.
 //
 // All failure paths run on the decode loop, so errors are deterministic —
-// the first failing frame in stream order wins — and every early exit
-// (including context cancellation, checked once per decode iteration)
-// discards the staged chains: their pages become unreachable file
-// garbage and nothing commits.
-func (e *Engine) ingestStream(ctx context.Context, name string, r io.Reader) (*IngestResult, error) {
+// the first failing frame in stream order wins. Every early exit,
+// including a cancelled context (checked once per decode iteration),
+// discards the staged chains and commits nothing: the store is untouched,
+// as if the request never arrived.
+func (e *Engine) IngestVideoStreamCtx(ctx context.Context, name string, r io.Reader) (*IngestResult, error) {
 	fail := func(err error) (*IngestResult, error) {
 		return nil, fmt.Errorf("core: ingest %q: %w", name, err)
 	}
@@ -413,24 +392,34 @@ func (e *Engine) ingestStream(ctx context.Context, name string, r io.Reader) (*I
 	if err := cw.Close(); err != nil {
 		return fail(err)
 	}
+	return e.commitIngest(ctx, name, vw, cr.FPS(), cr.FramesRead(), jobs)
+}
+
+// commitIngest is the one ingest commit path, shared by the streamed
+// pipeline and the reference. vw holds the video's container bytes, staged
+// by the caller, which also discards it on failure. commitIngest stages
+// the key-frame-only stream (the VIDEO_STORE.STREAM column) beside it,
+// assembled from the container's original JPEG records — no
+// decode→re-encode generation loss — then adopts both chains, inserts the
+// rows and commits in one transaction, and publishes the cache entries.
+func (e *Engine) commitIngest(ctx context.Context, name string, vw *vstore.BlobWriter, fps, numFrames int, jobs []*kfJob) (*IngestResult, error) {
+	fail := func(err error) (*IngestResult, error) {
+		return nil, fmt.Errorf("core: ingest %q: %w", name, err)
+	}
 	videoRef, err := vw.Close()
 	if err != nil {
 		return fail(err)
 	}
-
-	// Key-frame-only stream (the VIDEO_STORE.STREAM column), assembled
-	// from the container's original JPEG records — no decode→re-encode
-	// generation loss — and staged the same way.
 	kfJpegs := make([][]byte, len(jobs))
 	for i, j := range jobs {
 		kfJpegs[i] = j.jpeg
 	}
-	sw, err := db.NewStagedBlobWriter()
+	sw, err := e.store.DB().NewStagedBlobWriter()
 	if err != nil {
 		return fail(err)
 	}
 	defer sw.Discard()
-	if err := cvj.EncodeRaw(sw, kfJpegs, cr.FPS()); err != nil {
+	if err := cvj.EncodeRaw(sw, kfJpegs, fps); err != nil {
 		return fail(err)
 	}
 	streamRef, err := sw.Close()
@@ -452,41 +441,24 @@ func (e *Engine) ingestStream(ctx context.Context, name string, r io.Reader) (*I
 	if err != nil {
 		return fail(err)
 	}
+	defer tx.Abort() // no-op once committed
 	if e.ingestHook != nil {
 		e.ingestHook("in-commit", name)
 	}
 	if err := tx.AdoptStaged(vw); err != nil {
-		tx.Abort()
 		return fail(err)
 	}
 	if err := tx.AdoptStaged(sw); err != nil {
-		tx.Abort()
 		return fail(err)
 	}
-	v := &catalog.Video{Name: name, VideoRef: videoRef, StreamRef: streamRef, DoStore: time.Unix(0, 0).UTC()}
-	res, entries, err := e.insertIngestRows(tx, name, v, cr.FramesRead(), jobs)
+	videoID, err := e.store.InsertVideo(tx, &catalog.Video{Name: name, VideoRef: videoRef, StreamRef: streamRef, DoStore: time.Unix(0, 0).UTC()})
 	if err != nil {
-		tx.Abort()
 		return fail(err)
-	}
-	if err := tx.Commit(); err != nil {
-		return fail(err)
-	}
-	e.publishEntries(v.ID, name, entries, jobs)
-	return res, nil
-}
-
-// insertIngestRows writes one ingested video's VIDEO_STORE and KEY_FRAMES
-// rows inside tx and builds the matching (not yet published) cache
-// entries, entry i for jobs[i].
-func (e *Engine) insertIngestRows(tx *vstore.Txn, name string, v *catalog.Video, numFrames int, jobs []*kfJob) (*IngestResult, []*frameEntry, error) {
-	videoID, err := e.store.InsertVideo(tx, v)
-	if err != nil {
-		return nil, nil, err
 	}
 	res := &IngestResult{VideoID: videoID, NumFrames: numFrames}
-	newEntries := make([]*frameEntry, 0, len(jobs))
-	for _, j := range jobs {
+	entries := make([]*frameEntry, len(jobs))
+	//cbvrvet:ignore ctxloop the commit section is deliberately uninterruptible: past the last cancellation point above, the transaction must fully apply or fully abort
+	for i, j := range jobs {
 		row := &catalog.KeyFrame{
 			Name:       fmt.Sprintf("%s#%04d", name, j.frameIndex),
 			Image:      j.jpeg,
@@ -496,57 +468,33 @@ func (e *Engine) insertIngestRows(tx *vstore.Txn, name string, v *catalog.Video,
 		putDescriptors(row, j.set, j.bucket)
 		id, err := e.store.InsertKeyFrame(tx, row)
 		if err != nil {
-			return nil, nil, err
+			return fail(err)
 		}
 		res.KeyFrameIDs = append(res.KeyFrameIDs, id)
-		newEntries = append(newEntries, &frameEntry{
-			id:       id,
-			videoID:  videoID,
-			frameIdx: j.frameIndex,
-			bucket:   j.bucket,
-		})
+		entries[i] = &frameEntry{id: id, videoID: videoID, frameIdx: j.frameIndex, bucket: j.bucket}
 	}
-	return res, newEntries, nil
-}
-
-// publishEntries makes a committed video's key frames scoreable, packing
-// entry i from jobs[i]'s descriptor set.
-func (e *Engine) publishEntries(videoID int64, name string, entries []*frameEntry, jobs []*kfJob) {
+	if err := tx.Commit(); err != nil {
+		return fail(err)
+	}
+	// Publish the committed key frames under one engine lock, so no
+	// search sees part of the video.
 	e.mu.Lock()
 	for i, en := range entries {
 		e.putEntry(en, jobs[i].set)
 	}
 	e.video(videoID).name = name
 	e.mu.Unlock()
-}
-
-// storeIngest commits one ingested video — VIDEO_STORE row, KEY_FRAMES
-// rows, search-cache entries — in a single transaction, from fully
-// buffered container bytes (the reference path).
-func (e *Engine) storeIngest(name string, container, stream []byte, numFrames int, jobs []*kfJob) (*IngestResult, error) {
-	tx, err := e.store.Begin()
-	if err != nil {
-		return nil, err
-	}
-	v := &catalog.Video{Name: name, Video: container, Stream: stream, DoStore: time.Unix(0, 0).UTC()}
-	res, entries, err := e.insertIngestRows(tx, name, v, numFrames, jobs)
-	if err != nil {
-		tx.Abort()
-		return nil, err
-	}
-	if err := tx.Commit(); err != nil {
-		return nil, err
-	}
-	e.publishEntries(v.ID, name, entries, jobs)
 	return res, nil
 }
 
 // IngestVideoReference is the retained in-memory reference ingest: decode
 // every frame up front, select key frames in batch, then extract features
 // sequentially from the full-resolution frames with fresh (unpooled)
-// analysis planes. It produces bit-identical stored rows to the streamed
-// pipeline and exists as its equivalence and benchmark baseline, mirroring
-// SearchWithSetReference and features.ExtractAllReference.
+// analysis planes. It stages the buffered container and commits through
+// commitIngest, the streamed pipeline's own commit path, so it produces
+// bit-identical stored rows; it exists as the pipeline's equivalence and
+// benchmark baseline, mirroring SearchWithSetReference and
+// features.ExtractAllReference.
 func (e *Engine) IngestVideoReference(name string, container []byte) (*IngestResult, error) {
 	fail := func(err error) (*IngestResult, error) {
 		return nil, fmt.Errorf("core: ingest %q: %w", name, err)
@@ -577,7 +525,6 @@ func (e *Engine) IngestVideoReference(name string, container []byte) (*IngestRes
 		return fail(err)
 	}
 	jobs := make([]*kfJob, len(kfs))
-	kfJpegs := make([][]byte, len(kfs))
 	for i, k := range kfs {
 		planes := features.NewPlanes(k.Image)
 		jobs[i] = &kfJob{
@@ -586,13 +533,16 @@ func (e *Engine) IngestVideoReference(name string, container []byte) (*IngestRes
 			set:        planes.ExtractAll(),
 			bucket:     BucketFromPlanes(planes),
 		}
-		kfJpegs[i] = jpegs[k.Index]
 	}
-	stream, err := cvj.EncodeRawBytes(kfJpegs, cr.FPS())
+	vw, err := e.store.DB().NewStagedBlobWriter()
 	if err != nil {
 		return fail(err)
 	}
-	return e.storeIngest(name, container, stream, len(frames), jobs)
+	defer vw.Discard()
+	if _, err := vw.Write(container); err != nil {
+		return fail(err)
+	}
+	return e.commitIngest(context.Background(), name, vw, cr.FPS(), len(frames), jobs)
 }
 
 // DeleteVideo removes a video and its key frames (admin use case). A

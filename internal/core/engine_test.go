@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"cbvr/internal/catalog"
+	"cbvr/internal/cvj"
 	"cbvr/internal/features"
 	"cbvr/internal/synthvid"
 )
@@ -75,12 +77,16 @@ func TestIngestStoresEverything(t *testing.T) {
 		}
 	}
 	// The stored video container must decode back to all frames.
-	raw, ok, err := eng.Store().VideoBytes(nil, res.VideoID)
+	r, ok, err := eng.Store().OpenContainer(res.VideoID, catalog.VideoContainer)
 	if err != nil || !ok {
 		t.Fatal("video blob missing")
 	}
-	if len(raw) == 0 {
-		t.Fatal("empty video blob")
+	v, err := cvj.Decode(r)
+	if err != nil {
+		t.Fatalf("stored container: %v", err)
+	}
+	if len(v.Frames) != res.NumFrames {
+		t.Fatalf("stored container decodes to %d frames, want %d", len(v.Frames), res.NumFrames)
 	}
 }
 

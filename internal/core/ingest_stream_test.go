@@ -41,14 +41,18 @@ type storedVideo struct {
 
 func loadStored(t *testing.T, eng *Engine, videoID int64) *storedVideo {
 	t.Helper()
-	video, ok, err := eng.Store().VideoBytes(nil, videoID)
-	if err != nil || !ok {
-		t.Fatalf("video blob: ok=%v err=%v", ok, err)
+	container := func(c catalog.Container) []byte {
+		r, ok, err := eng.Store().OpenContainer(videoID, c)
+		if err != nil || !ok {
+			t.Fatalf("container %d: ok=%v err=%v", c, ok, err)
+		}
+		b, err := io.ReadAll(r)
+		if err != nil {
+			t.Fatalf("container %d: %v", c, err)
+		}
+		return b
 	}
-	stream, ok, err := eng.Store().StreamBytes(nil, videoID)
-	if err != nil || !ok {
-		t.Fatalf("stream blob: ok=%v err=%v", ok, err)
-	}
+	video, stream := container(catalog.VideoContainer), container(catalog.StreamContainer)
 	rows, err := eng.Store().KeyFramesOfVideo(nil, videoID)
 	if err != nil {
 		t.Fatal(err)

@@ -30,10 +30,11 @@ type ReindexResult struct {
 // KEY_FRAMES feature columns in one transaction.
 //
 // The stored STREAM blob (the key-frame-only CVJ) streams through a
-// BlobReader — the container is never materialised — into the key-frame
-// pipeline ingest uses (pipeline.go): the same decode source and the same
-// extraction pool, minus §4.1 selection, since every stored record is a
-// key frame. The rebuilt rows are therefore bit-identical to a fresh
+// catalog.ContainerReader — never materialised, and a concurrent delete
+// fails the read instead of feeding it another video's bytes — into the
+// key-frame pipeline ingest uses (pipeline.go): the same decode source and
+// the same extraction pool, minus §4.1 selection, since every stored
+// record is a key frame. The rebuilt rows are therefore bit-identical to a fresh
 // ingest of the same container (the stored records are the container's
 // original JPEG bytes). The stored IMAGE blobs are left untouched.
 //
@@ -56,7 +57,7 @@ func (e *Engine) ReindexVideoCtx(ctx context.Context, videoID int64) (*ReindexRe
 	if err := e.warmCache(); err != nil {
 		return fail(err)
 	}
-	_, streamRef, ok, err := e.store.VideoRefs(nil, videoID)
+	stream, ok, err := e.store.OpenContainer(videoID, catalog.StreamContainer)
 	if err != nil {
 		return fail(err)
 	}
@@ -71,7 +72,7 @@ func (e *Engine) ReindexVideoCtx(ctx context.Context, videoID int64) (*ReindexRe
 	// Re-extract from the streamed key-frame records. Record i is key
 	// frame i: the STREAM column is assembled in frame order at ingest,
 	// and KeyFramesOfVideo returns rows in the same order.
-	jobs, err := e.reextractStream(ctx, e.store.DB().NewBlobReader(nil, streamRef), rows)
+	jobs, err := e.reextractStream(ctx, stream, rows)
 	if err != nil {
 		return fail(err)
 	}

@@ -30,7 +30,7 @@ type SyntheticFrame struct {
 
 // PublishSyntheticFrames files the frames into the search cache under one
 // write-lock critical section: ID and video index, arena row and cell
-// index per frame, exactly like publishEntries after a commit. IDs must
+// index per frame, exactly like commitIngest after a commit. IDs must
 // be positive and unique; an already-cached ID is skipped whole, its
 // video name included, mirroring warmCache. The engine keeps neither the
 // slice nor any frame's Set, so streamed generators can call this in

@@ -11,12 +11,14 @@ package server
 
 import (
 	"bytes"
-	"encoding/base64"
 	"fmt"
 	"html/template"
+	"io"
 	"net/http"
+	"strconv"
 
 	"cbvr/internal/admission"
+	"cbvr/internal/catalog"
 	"cbvr/internal/core"
 )
 
@@ -80,9 +82,9 @@ var videoTmpl = template.Must(template.Must(pageTmpl.Clone()).Parse(`{{define "b
 <div class="grid">
 {{range .Frames}}
 <div class="card">
-<img src="data:image/jpeg;base64,{{.B64}}" width="160" alt="frame {{.Index}}">
-<div>frame #{{.Index}}</div>
-<div class="dist">bucket [{{.Min}},{{.Max}}] · {{.Major}} major regions</div>
+<img src="/frame?id={{.ID}}" width="160" alt="frame {{.FrameIndex}}">
+<div>frame #{{.FrameIndex}}</div>
+<div class="dist">bucket [{{.Min}},{{.Max}}] · {{.MajorRegions}} major regions</div>
 </div>
 {{end}}
 </div>
@@ -110,8 +112,9 @@ func (s *Server) renderResults(w http.ResponseWriter, _ *http.Request, matches [
 	s.render(w, searchTmpl, map[string]any{"Matches": matches})
 }
 
-// handleVideo serves a video page: every key frame inline with its §4.2
-// range bucket and major-region count (Fig. 10).
+// handleVideo serves a video page: every key frame, as a /frame link like
+// the result grid's, with its §4.2 range bucket and major-region count
+// (Fig. 10). It reads the rows only, never an image blob.
 func (s *Server) handleVideo(w http.ResponseWriter, r *http.Request) {
 	if !readOnly(w, r) {
 		return
@@ -134,34 +137,7 @@ func (s *Server) handleVideo(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err, admission.Search)
 		return
 	}
-	type frameView struct {
-		Index, Min, Max, Major int
-		B64                    string
-	}
-	var frames []frameView
-	for _, kf := range kfs {
-		// Each iteration reads a full key-frame blob from the store; stop
-		// early when the client is gone instead of decoding for nobody.
-		if err := r.Context().Err(); err != nil {
-			s.writeErr(w, err, admission.Search)
-			return
-		}
-		img, ok, err := s.eng.Store().KeyFrameImage(nil, kf.ID)
-		if err != nil {
-			s.writeErr(w, err, admission.Search)
-			return
-		}
-		if !ok {
-			continue // deleted since the listing was read
-		}
-		frames = append(frames, frameView{
-			Index: kf.FrameIndex,
-			Min:   kf.Min, Max: kf.Max,
-			Major: kf.MajorRegions,
-			B64:   base64.StdEncoding.EncodeToString(img),
-		})
-	}
-	s.render(w, videoTmpl, map[string]any{"Info": info, "Frames": frames})
+	s.render(w, videoTmpl, map[string]any{"Info": info, "Frames": kfs})
 }
 
 // handleFrame serves one key frame's JPEG bytes.
@@ -186,7 +162,10 @@ func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
 	w.Write(img)
 }
 
-// handleDownload serves a video's stored CVJ container.
+// handleDownload streams a video's stored CVJ container with
+// Content-Length from the row: HEAD reads no chain, GET holds one copy
+// buffer. A read failing after the first byte leaves the body short of
+// Content-Length, which the client sees as a truncated download.
 func (s *Server) handleDownload(w http.ResponseWriter, r *http.Request) {
 	if !readOnly(w, r) {
 		return
@@ -195,7 +174,7 @@ func (s *Server) handleDownload(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	raw, found, err := s.eng.Store().VideoBytes(nil, id)
+	cr, found, err := s.eng.Store().OpenContainer(id, catalog.VideoContainer)
 	if err != nil {
 		s.writeErr(w, err, admission.Search)
 		return
@@ -204,9 +183,17 @@ func (s *Server) handleDownload(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=video-%d.cvj", id))
-	w.Write(raw)
+	h := w.Header()
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("Content-Disposition", fmt.Sprintf("attachment; filename=video-%d.cvj", id))
+	h.Set("Content-Length", strconv.FormatInt(cr.Len(), 10))
+	if r.Method == http.MethodHead {
+		return
+	}
+	if n, err := io.Copy(w, cr); err != nil && n == 0 {
+		h.Del("Content-Length")
+		s.writeErr(w, err, admission.Search)
+	}
 }
 
 // handleAdminDelete is the listing's delete button: POST form "id".

@@ -222,7 +222,7 @@ func TestServerConcurrentStress(t *testing.T) {
 					return
 				}
 				// Partial publication would surface as a video id with no
-				// name (publishEntries installs both under one lock).
+				// name (commitIngest publishes both under one lock).
 				for _, m := range sr.Matches {
 					if m.VideoName == "" {
 						t.Errorf("match with empty video name: %+v", m)

@@ -290,15 +290,25 @@ type BlobReader struct {
 	off       int   // consumed bytes of the current page's chunk
 	remaining int64 // bytes left per the reference
 	err       error
+	// scratch, when set, takes the pages missing from the buffer pool
+	// (pager.getInto): a streamed value of any size then costs one page
+	// of memory and evicts nothing.
+	scratch *Page
 }
 
 // NewBlobReader returns a streaming reader over the referenced chain. With
 // tx == nil each Read takes the database read lock, so a long-lived reader
-// never blocks writers between calls; a writer that frees or rewrites the
-// chain mid-read surfaces as a read error (type mismatch or truncation),
-// never as silent corruption. A zero reference reads as empty.
+// never blocks writers between calls. Nothing pins the chain between
+// calls, though: a writer may free it and the allocator hand its pages to
+// other values. A later Read can then fail (a page of another type, a
+// chunk shorter than the bytes already read from it) or return the other
+// value's bytes with no error at all, so a caller reading across writers
+// must check after each Read that the chain is still owned (catalog's
+// container reader re-reads its row). Pages missing from the buffer pool
+// are read into one page owned by the reader and are not cached. A zero
+// reference reads as empty.
 func (db *DB) NewBlobReader(tx *Txn, ref BlobRef) *BlobReader {
-	return &BlobReader{db: db, tx: tx, cur: ref.First, remaining: ref.Len}
+	return &BlobReader{db: db, tx: tx, cur: ref.First, remaining: ref.Len, scratch: &Page{data: make([]byte, PageSize)}}
 }
 
 // Read implements io.Reader over the page chain.
@@ -319,55 +329,36 @@ func (r *BlobReader) Read(p []byte) (int, error) {
 	n := 0
 	for n < len(p) && r.remaining > 0 {
 		if r.cur == invalidPage {
-			r.err = fmt.Errorf("vstore: blob chain truncated with %d bytes unread", r.remaining)
-			if n > 0 {
-				return n, nil
-			}
-			return 0, r.err
+			return r.fail(n, fmt.Errorf("vstore: blob chain truncated with %d bytes unread", r.remaining))
 		}
-		pg, err := r.db.pager.get(r.cur)
+		pg, err := r.db.pager.getInto(r.cur, r.scratch)
 		if err != nil {
-			r.err = err
-			if n > 0 {
-				return n, nil
-			}
-			return 0, err
+			return r.fail(n, err)
 		}
 		if pg.Type() != pageTypeBlob {
-			r.err = fmt.Errorf("vstore: page %d in blob chain has type %d", r.cur, pg.Type())
-			if n > 0 {
-				return n, nil
-			}
-			return 0, r.err
+			return r.fail(n, fmt.Errorf("vstore: page %d in blob chain has type %d", r.cur, pg.Type()))
 		}
 		chunk := int(getU16(pg.data[offBlobLen:]))
 		if chunk > blobChunkMax {
-			r.err = fmt.Errorf("vstore: blob page %d chunk %d too large", r.cur, chunk)
-			if n > 0 {
-				return n, nil
-			}
-			return 0, r.err
+			return r.fail(n, fmt.Errorf("vstore: blob page %d chunk %d too large", r.cur, chunk))
 		}
 		if chunk == 0 {
 			// Only a zero-length blob's single page carries an empty chunk,
 			// and that is never read; mid-read it means corruption (and
 			// guards against link cycles of empty pages).
-			r.err = fmt.Errorf("vstore: blob page %d has empty chunk mid-chain", r.cur)
-			if n > 0 {
-				return n, nil
-			}
-			return 0, r.err
+			return r.fail(n, fmt.Errorf("vstore: blob page %d has empty chunk mid-chain", r.cur))
 		}
 		if r.off == 0 {
 			// First touch of this page by this reader: verify the sealed
 			// payload checksum before handing any of its bytes out.
 			if want := binary.BigEndian.Uint32(pg.data[offBlobCRC:]); want != blobPageCRC(pg) {
-				r.err = fmt.Errorf("vstore: blob page %d checksum mismatch", r.cur)
-				if n > 0 {
-					return n, nil
-				}
-				return 0, r.err
+				return r.fail(n, fmt.Errorf("vstore: blob page %d checksum mismatch", r.cur))
 			}
+		} else if r.off >= chunk {
+			// Resuming a page whose chunk no longer covers what this reader
+			// took from it: the chain was freed and the page reused
+			// between calls.
+			return r.fail(n, fmt.Errorf("vstore: blob page %d changed under the reader (chunk %d, %d bytes already read from it)", r.cur, chunk, r.off))
 		}
 		avail := chunk - r.off
 		if int64(avail) > r.remaining {
@@ -383,6 +374,16 @@ func (r *BlobReader) Read(p []byte) (int, error) {
 		}
 	}
 	return n, nil
+}
+
+// fail makes err sticky. Bytes already copied by this call are returned
+// first; the next call reports err.
+func (r *BlobReader) fail(n int, err error) (int, error) {
+	r.err = err
+	if n > 0 {
+		return n, nil
+	}
+	return 0, err
 }
 
 // readBlobChain reassembles a blob of the given total length starting at

@@ -2,6 +2,7 @@ package vstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math/rand"
@@ -262,5 +263,69 @@ func TestBlobReaderZeroRef(t *testing.T) {
 	b, err := io.ReadAll(db.NewBlobReader(nil, BlobRef{First: invalidPage}))
 	if err != nil || len(b) != 0 {
 		t.Fatalf("zero ref: %d bytes, err=%v", len(b), err)
+	}
+}
+
+// TestBlobReaderPageReusedUnderReader: a reader left open across the
+// delete of its row, with the freed pages handed to new one-page blobs,
+// must fail its next Read — never panic on a chunk now shorter than the
+// bytes it has already taken from the page.
+func TestBlobReaderPageReusedUnderReader(t *testing.T) {
+	db := openTestDB(t, nil)
+	tbl := createTestTable(t, db)
+	insert := func(payload []byte) int64 {
+		t.Helper()
+		tx, err := db.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pk, err := tbl.Insert(tx, sampleRow(0, "r", 1, payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		return pk
+	}
+	pk := insert(streamPattern(20 << 10))
+	row, _, err := tbl.Get(nil, pk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := db.NewBlobReader(nil, row[4].Blob)
+	if _, err := io.ReadFull(r, make([]byte, 865)); err != nil {
+		t.Fatal(err)
+	}
+
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tbl.Delete(tx, pk); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	freeHead := func() PageID {
+		db.mu.RLock()
+		defer db.mu.RUnlock()
+		meta, err := db.pager.get(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return PageID(binary.BigEndian.Uint32(meta.data[offMetaFree:]))
+	}
+	for i := 0; freeHead() != invalidPage; i++ {
+		if i == 100 {
+			t.Fatal("free list never drained")
+		}
+		insert(streamPattern(100))
+	}
+
+	n, err := r.Read(make([]byte, 4096))
+	if err == nil {
+		t.Fatalf("read %d bytes from a freed and reused chain without an error", n)
 	}
 }

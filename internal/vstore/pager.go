@@ -82,7 +82,14 @@ func (pg *pager) close() error {
 // get returns the page, reading it from disk on a cache miss. The page
 // stays valid until evicted; callers holding pages across eviction points
 // must pin them.
-func (pg *pager) get(id PageID) (*Page, error) {
+func (pg *pager) get(id PageID) (*Page, error) { return pg.getInto(id, nil) }
+
+// getInto is get, except that a non-nil scratch takes a miss: the page is
+// read into it and never enters the buffer pool, so a streaming blob read
+// neither allocates nor evicts a page per page it reads. A page absent
+// from the pool is current on disk (dirty pages are written before they
+// are evicted), and a resident one is returned as get returns it.
+func (pg *pager) getInto(id PageID, scratch *Page) (*Page, error) {
 	pg.mu.Lock()
 	defer pg.mu.Unlock()
 	if el, ok := pg.cache[id]; ok {
@@ -95,11 +102,17 @@ func (pg *pager) get(id PageID) (*Page, error) {
 	if pg.f == nil {
 		return nil, fmt.Errorf("vstore: read page %d: %w", id, ErrClosed)
 	}
-	p := &Page{id: id, data: make([]byte, PageSize)}
+	p := scratch
+	if p == nil {
+		p = &Page{data: make([]byte, PageSize)}
+	}
+	p.id = id
 	if _, err := pg.f.ReadAt(p.data, int64(id)*PageSize); err != nil {
 		return nil, fmt.Errorf("vstore: read page %d: %w", id, err)
 	}
-	pg.insertCache(p)
+	if scratch == nil {
+		pg.insertCache(p)
+	}
 	return p, nil
 }
 
