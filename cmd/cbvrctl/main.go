@@ -156,9 +156,14 @@ func cmdIngest(ctx context.Context, args []string) error {
 	if *server != "" {
 		// Remote mode reopens the file per attempt: a half-sent body from
 		// a shed attempt cannot be replayed.
-		return remoteIngest(ctx, newRetryClient(*retries, *timeout), *server, *name, func() (io.ReadCloser, error) {
+		res, err := remoteIngest(ctx, newRetryClient(*retries, *timeout), *server, *name, func() (io.ReadCloser, error) {
 			return os.Open(*file)
 		})
+		if err != nil {
+			return err
+		}
+		printIngested(*name, res)
+		return nil
 	}
 	f, err := os.Open(*file)
 	if err != nil {
@@ -176,9 +181,14 @@ func cmdIngest(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("ingested %s: video=%d frames=%d keyframes=%d\n",
-		*name, res.VideoID, res.NumFrames, len(res.KeyFrameIDs))
+	printIngested(*name, res)
 	return nil
+}
+
+// printIngested prints one ingest's summary line, local or remote.
+func printIngested(name string, res *cbvr.IngestResult) {
+	fmt.Printf("ingested %s: video=%d frames=%d keyframes=%d\n",
+		name, res.VideoID, res.NumFrames, len(res.KeyFrameIDs))
 }
 
 func cmdList(args []string) error {
@@ -238,7 +248,12 @@ func cmdQuery(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		return remoteQuery(ctx, newRetryClient(*retries, *timeout), *server, jpeg, *k)
+		matches, err := remoteQuery(ctx, newRetryClient(*retries, *timeout), *server, jpeg, *k)
+		if err != nil {
+			return err
+		}
+		printMatches(matches)
+		return nil
 	}
 	f, err := os.Open(*image)
 	if err != nil {
@@ -262,11 +277,16 @@ func cmdQuery(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
+	printMatches(matches)
+	return nil
+}
+
+// printMatches prints a frame ranking, local or remote.
+func printMatches(matches []cbvr.Match) {
 	fmt.Printf("%-4s %-8s %-20s %-8s %s\n", "RANK", "FRAME", "VIDEO", "IDX", "DISTANCE")
 	for i, m := range matches {
 		fmt.Printf("%-4d %-8d %-20s %-8d %.6f\n", i+1, m.KeyFrameID, m.VideoName, m.FrameIndex, m.Distance)
 	}
-	return nil
 }
 
 func cmdQueryVid(ctx context.Context, args []string) error {
@@ -426,7 +446,9 @@ func cmdReindex(ctx context.Context, args []string) error {
 	timeout := fs.Duration("timeout", 5*time.Minute, "remote mode: per-attempt budget (a sweep reextracts everything)")
 	fs.Parse(args)
 	if *server != "" {
-		return remoteReindex(ctx, newRetryClient(*retries, *timeout), *server, *id)
+		results, err := remoteReindex(ctx, newRetryClient(*retries, *timeout), *server, *id)
+		printReindexed(results)
+		return err
 	}
 	sys, err := openSystem(*db)
 	if err != nil {
@@ -446,10 +468,15 @@ func cmdReindex(ctx context.Context, args []string) error {
 		// the sweep is interrupted).
 		results, err = sys.ReindexAllCtx(ctx)
 	}
+	printReindexed(results)
+	return err
+}
+
+// printReindexed prints one line per rebuilt video, local or remote.
+func printReindexed(results []*cbvr.ReindexResult) {
 	for _, r := range results {
 		fmt.Printf("reindexed %-20s video=%d keyframes=%d\n", r.VideoName, r.VideoID, r.KeyFrames)
 	}
-	return err
 }
 
 func cmdStats(args []string) error {

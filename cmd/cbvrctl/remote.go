@@ -1,16 +1,15 @@
 // Remote mode: ingest, query and reindex can target a running cbvr-server
 // (-server URL) instead of opening the database file directly. All remote
 // calls share one retrying HTTP client that speaks the server's overload
-// protocol: exponential backoff with jitter, Retry-After honored as the
-// minimum wait, and a circuit that opens after consecutive 5xx responses
-// so a dying server is not hammered to the last retry.
+// protocol: exponential backoff with jitter and Retry-After honored as the
+// minimum wait. Each call decodes the server's JSON into the same result
+// types the local path returns, so one printer serves both.
 package main
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -18,14 +17,9 @@ import (
 	"net/url"
 	"strconv"
 	"time"
+
+	"cbvr"
 )
-
-// errCircuitOpen is returned once the server has answered with too many
-// consecutive 5xx responses; further attempts are refused without I/O.
-var errCircuitOpen = errors.New("circuit open: server is persistently failing")
-
-// defaultCircuitAt is the consecutive-5xx count that opens the circuit.
-const defaultCircuitAt = 5
 
 // retryClient wraps http.Client with the backoff policy every remote
 // subcommand shares. The sleep and jitter hooks exist for tests; zero
@@ -34,9 +28,6 @@ type retryClient struct {
 	hc      *http.Client
 	retries int           // attempts beyond the first
 	timeout time.Duration // per-attempt budget
-	circuit int           // consecutive 5xx before the circuit opens
-
-	consec5xx int
 
 	// sleep waits out a backoff, returning early with the context error if
 	// the context dies first. Tests swap it to record rather than wait.
@@ -53,7 +44,6 @@ func newRetryClient(retries int, timeout time.Duration) *retryClient {
 		hc:      &http.Client{},
 		retries: retries,
 		timeout: timeout,
-		circuit: defaultCircuitAt,
 		sleep: func(ctx context.Context, d time.Duration) error {
 			t := time.NewTimer(d)
 			defer t.Stop()
@@ -101,9 +91,6 @@ func (c *retryClient) do(ctx context.Context, method, url string, mkBody func() 
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if c.consec5xx >= c.circuit {
-			return nil, fmt.Errorf("%w (%d consecutive 5xx)", errCircuitOpen, c.consec5xx)
-		}
 		body, err := mkBody()
 		if err != nil {
 			return nil, err
@@ -122,15 +109,9 @@ func (c *retryClient) do(ctx context.Context, method, url string, mkBody func() 
 			cancel()
 			lastErr = err
 		case !retryableStatus(resp.StatusCode):
-			c.consec5xx = 0
 			resp.Body = &cancelOnClose{ReadCloser: resp.Body, cancel: cancel}
 			return resp, nil
 		default:
-			if resp.StatusCode >= 500 {
-				c.consec5xx++
-			} else {
-				c.consec5xx = 0
-			}
 			wait = retryAfterOf(resp)
 			snippet, _ := io.ReadAll(io.LimitReader(resp.Body, 200))
 			resp.Body.Close()
@@ -166,101 +147,70 @@ func (c *cancelOnClose) Close() error {
 	return err
 }
 
-// decodeJSON reads and decodes a response body, closing it.
-func decodeJSON(resp *http.Response, out any) error {
+// post performs one POST with retries and decodes a 200 response body
+// into out, returning the response headers. Any other terminal status is
+// an error carrying the start of the body.
+func (c *retryClient) post(ctx context.Context, url string, mkBody func() (io.ReadCloser, error), out any) (http.Header, error) {
+	resp, err := c.do(ctx, http.MethodPost, url, mkBody)
+	if err != nil {
+		return nil, err
+	}
 	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		snippet, _ := io.ReadAll(io.LimitReader(resp.Body, 200))
+		return nil, fmt.Errorf("server returned %s: %s", resp.Status, snippet)
+	}
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := json.Unmarshal(raw, out); err != nil {
-		return fmt.Errorf("bad server response %q: %w", raw, err)
+		return nil, fmt.Errorf("bad server response %q: %w", raw, err)
 	}
-	return nil
+	return resp.Header, nil
 }
 
 // remoteIngest streams a container file to POST /api/v1/ingest. openBody
 // reopens the file per attempt.
-func remoteIngest(ctx context.Context, c *retryClient, server, name string, openBody func() (io.ReadCloser, error)) error {
+func remoteIngest(ctx context.Context, c *retryClient, server, name string, openBody func() (io.ReadCloser, error)) (*cbvr.IngestResult, error) {
 	u := server + "/api/v1/ingest?name=" + url.QueryEscape(name)
-	resp, err := c.do(ctx, http.MethodPost, u, openBody)
-	if err != nil {
-		return err
+	var res cbvr.IngestResult
+	if _, err := c.post(ctx, u, openBody, &res); err != nil {
+		return nil, err
 	}
-	if resp.StatusCode != http.StatusOK {
-		return readErrBody(resp)
-	}
-	var res struct {
-		VideoID     int64   `json:"video_id"`
-		NumFrames   int     `json:"num_frames"`
-		KeyFrameIDs []int64 `json:"key_frame_ids"`
-	}
-	if err := decodeJSON(resp, &res); err != nil {
-		return err
-	}
-	fmt.Printf("ingested %s: video=%d frames=%d keyframes=%d\n", name, res.VideoID, res.NumFrames, len(res.KeyFrameIDs))
-	return nil
+	return &res, nil
 }
 
-// remoteQuery posts a JPEG to POST /api/v1/search and prints the ranking
-// in the same table the local path uses.
-func remoteQuery(ctx context.Context, c *retryClient, server string, jpeg []byte, k int) error {
+// remoteQuery posts a JPEG to POST /api/v1/search. A search the server ran
+// browned out prints a note, ahead of the ranking the caller prints.
+func remoteQuery(ctx context.Context, c *retryClient, server string, jpeg []byte, k int) ([]cbvr.Match, error) {
 	url := fmt.Sprintf("%s/api/v1/search?k=%d", server, k)
-	resp, err := c.do(ctx, http.MethodPost, url, byteBody(jpeg))
+	var res struct {
+		Matches []cbvr.Match `json:"matches"`
+	}
+	hdr, err := c.post(ctx, url, byteBody(jpeg), &res)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if resp.StatusCode != http.StatusOK {
-		return readErrBody(resp)
-	}
-	if lvl := resp.Header.Get("X-CBVR-Brownout"); lvl != "" && lvl != "0.000" {
+	if lvl := hdr.Get("X-CBVR-Brownout"); lvl != "" && lvl != "0.000" {
 		fmt.Printf("note: server browned out (level %s); ranking is budget-limited\n", lvl)
 	}
-	var res struct {
-		Matches []struct {
-			KeyFrameID int64   `json:"key_frame_id"`
-			VideoName  string  `json:"video_name"`
-			FrameIndex int     `json:"frame_index"`
-			Distance   float64 `json:"distance"`
-		} `json:"matches"`
-	}
-	if err := decodeJSON(resp, &res); err != nil {
-		return err
-	}
-	fmt.Printf("%-4s %-8s %-20s %-8s %s\n", "RANK", "FRAME", "VIDEO", "IDX", "DISTANCE")
-	for i, m := range res.Matches {
-		fmt.Printf("%-4d %-8d %-20s %-8d %.6f\n", i+1, m.KeyFrameID, m.VideoName, m.FrameIndex, m.Distance)
-	}
-	return nil
+	return res.Matches, nil
 }
 
 // remoteReindex triggers POST /api/v1/reindex, one video or the sweep.
-func remoteReindex(ctx context.Context, c *retryClient, server string, id int64) error {
+func remoteReindex(ctx context.Context, c *retryClient, server string, id int64) ([]*cbvr.ReindexResult, error) {
 	url := server + "/api/v1/reindex"
 	if id != 0 {
 		url += "?id=" + strconv.FormatInt(id, 10)
 	}
-	resp, err := c.do(ctx, http.MethodPost, url, byteBody(nil))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return readErrBody(resp)
-	}
 	var res struct {
-		Reindexed []struct {
-			VideoID   int64  `json:"video_id"`
-			VideoName string `json:"video_name"`
-			KeyFrames int    `json:"key_frames"`
-		} `json:"reindexed"`
+		Reindexed []*cbvr.ReindexResult `json:"reindexed"`
 	}
-	if err := decodeJSON(resp, &res); err != nil {
-		return err
+	if _, err := c.post(ctx, url, byteBody(nil), &res); err != nil {
+		return nil, err
 	}
-	for _, r := range res.Reindexed {
-		fmt.Printf("reindexed %-20s video=%d keyframes=%d\n", r.VideoName, r.VideoID, r.KeyFrames)
-	}
-	return nil
+	return res.Reindexed, nil
 }
 
 // byteBody replays an in-memory body across attempts.
@@ -268,11 +218,4 @@ func byteBody(b []byte) func() (io.ReadCloser, error) {
 	return func() (io.ReadCloser, error) {
 		return io.NopCloser(bytes.NewReader(b)), nil
 	}
-}
-
-// readErrBody renders a terminal (non-retryable) error response.
-func readErrBody(resp *http.Response) error {
-	defer resp.Body.Close()
-	snippet, _ := io.ReadAll(io.LimitReader(resp.Body, 200))
-	return fmt.Errorf("server returned %s: %s", resp.Status, snippet)
 }

@@ -112,36 +112,6 @@ func TestRetryClientExponentialBackoff(t *testing.T) {
 	}
 }
 
-// TestRetryClientCircuitOpens checks a persistently failing server stops
-// getting traffic: after the consecutive-5xx threshold the client fails
-// fast with errCircuitOpen instead of burning its remaining retries.
-func TestRetryClientCircuitOpens(t *testing.T) {
-	var hits atomic.Int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		w.WriteHeader(http.StatusInternalServerError)
-	}))
-	defer ts.Close()
-
-	c, _ := testRetryClient(20)
-	c.circuit = 3
-	_, err := c.do(context.Background(), "POST", ts.URL, byteBody(nil))
-	if !errors.Is(err, errCircuitOpen) {
-		t.Fatalf("err = %v, want errCircuitOpen", err)
-	}
-	if hits.Load() != 3 {
-		t.Fatalf("server saw %d attempts after circuit threshold 3", hits.Load())
-	}
-
-	// The circuit stays open across calls on the same client.
-	if _, err := c.do(context.Background(), "POST", ts.URL, byteBody(nil)); !errors.Is(err, errCircuitOpen) {
-		t.Fatalf("second call: %v, want errCircuitOpen without I/O", err)
-	}
-	if hits.Load() != 3 {
-		t.Fatalf("open circuit still sent traffic (%d hits)", hits.Load())
-	}
-}
-
 // TestRetryClientTerminalStatusNotRetried: a 4xx that is not backpressure
 // is the caller's problem; retrying it would just repeat the mistake.
 func TestRetryClientTerminalStatusNotRetried(t *testing.T) {

@@ -91,10 +91,10 @@ type Video struct {
 
 // VideoInfo is a listing row without the BLOB payloads.
 type VideoInfo struct {
-	ID       int64
-	Name     string
-	VideoLen int64
-	DoStore  time.Time
+	ID       int64     `json:"id"`
+	Name     string    `json:"name"`
+	VideoLen int64     `json:"video_len"`
+	DoStore  time.Time `json:"do_store"`
 }
 
 // KeyFrame is a KEY_FRAMES row. Image carries the JPEG bytes on insert;
@@ -295,19 +295,6 @@ func (r *ContainerReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// RenameVideo updates V_NAME (admin "modification" use case).
-func (s *Store) RenameVideo(tx *vstore.Txn, id int64, name string) error {
-	row, ok, err := s.videos.Get(tx, id)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("catalog: no video %d", id)
-	}
-	row[1] = vstore.Text(name)
-	return s.videos.Update(tx, id, row)
-}
-
 // DeleteVideo removes a video row and all of its key frames.
 func (s *Store) DeleteVideo(tx *vstore.Txn, id int64) error {
 	ok, err := s.videos.Delete(tx, id)
@@ -353,16 +340,11 @@ func (s *Store) InsertKeyFrame(tx *vstore.Txn, k *KeyFrame) (int64, error) {
 	return id, nil
 }
 
-// UpdateKeyFrame replaces the KEY_FRAMES row at k.ID inside tx. When
-// k.Image is nil the existing IMAGE blob chain (k.ImageRef) is kept as-is
-// — the re-index path rewrites every feature column without touching the
-// stored JPEG; a non-nil Image writes a fresh chain and frees the old one.
+// UpdateKeyFrame replaces the KEY_FRAMES row at k.ID inside tx, keeping
+// its stored IMAGE blob chain (k.ImageRef) as-is: the re-index path
+// rewrites every feature column of a row it read back, never the JPEG.
 func (s *Store) UpdateKeyFrame(tx *vstore.Txn, k *KeyFrame) error {
-	image := vstore.Blob(k.Image)
-	if k.Image == nil && !k.ImageRef.IsZero() {
-		image = vstore.BlobRefV(k.ImageRef)
-	}
-	if err := s.frames.Update(tx, k.ID, keyFrameRow(k, vstore.Int64(k.ID), image)); err != nil {
+	if err := s.frames.Update(tx, k.ID, keyFrameRow(k, vstore.Int64(k.ID), vstore.BlobRefV(k.ImageRef))); err != nil {
 		return fmt.Errorf("catalog: update key frame %d: %w", k.ID, err)
 	}
 	return nil

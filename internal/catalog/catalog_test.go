@@ -280,23 +280,6 @@ func TestKeyFramesOfVideoAndDelete(t *testing.T) {
 	}
 }
 
-func TestRenameVideo(t *testing.T) {
-	s := openTestStore(t)
-	tx, _ := s.Begin()
-	id, _ := s.InsertVideo(tx, &Video{Name: "old"})
-	if err := s.RenameVideo(tx, id, "new"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RenameVideo(tx, 999, "x"); err == nil {
-		t.Error("rename of missing video should fail")
-	}
-	tx.Commit()
-	info, _, _ := s.GetVideoInfo(nil, id)
-	if info.Name != "new" {
-		t.Errorf("name = %q", info.Name)
-	}
-}
-
 func TestListVideosOrdered(t *testing.T) {
 	s := openTestStore(t)
 	tx, _ := s.Begin()

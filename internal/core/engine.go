@@ -109,11 +109,11 @@ var ErrNotFound = errors.New("no such video")
 
 // Match is one ranked key-frame result.
 type Match struct {
-	KeyFrameID int64
-	VideoID    int64
-	VideoName  string
-	FrameIndex int
-	Distance   float64
+	KeyFrameID int64   `json:"key_frame_id"`
+	VideoID    int64   `json:"video_id"`
+	VideoName  string  `json:"video_name"`
+	FrameIndex int     `json:"frame_index"`
+	Distance   float64 `json:"distance"`
 }
 
 // VideoMatch is one ranked video-level result.
@@ -125,9 +125,9 @@ type VideoMatch struct {
 
 // IngestResult summarises one ingested video.
 type IngestResult struct {
-	VideoID     int64
-	NumFrames   int
-	KeyFrameIDs []int64
+	VideoID     int64   `json:"video_id"`
+	NumFrames   int     `json:"num_frames"`
+	KeyFrameIDs []int64 `json:"key_frame_ids"`
 }
 
 // Engine is the CBVR system facade over the catalog store.

@@ -172,11 +172,11 @@ func TestIngestStoresOriginalJPEGBytes(t *testing.T) {
 		kfRecords = append(kfRecords, records[r.FrameIndex])
 	}
 	// STREAM must be those records re-framed, byte for byte.
-	wantStream, err := cvj.EncodeRawBytes(kfRecords, cr.FPS())
-	if err != nil {
+	var wantStream bytes.Buffer
+	if err := cvj.EncodeRaw(&wantStream, kfRecords, cr.FPS()); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(sv.stream, wantStream) {
+	if !bytes.Equal(sv.stream, wantStream.Bytes()) {
 		t.Error("STREAM blob is not assembled from the original records")
 	}
 }

@@ -97,11 +97,16 @@ func (s *frameSource) NextSource() (imaging.Source, error) {
 // produce decodes the frames that follow it. The channel bound (one slot
 // per worker) keeps decoding from racing ahead. Workers have no failure
 // paths, so every error comes from produce, in stream order. The jobs come
-// back in submission order, complete, even when produce fails.
+// back in submission order, complete, even when produce fails; the queue
+// closes and the workers drain even when produce panics.
 func (e *Engine) describeKeyFrames(produce func(submit func(*kfJob)) error) ([]*kfJob, error) {
 	workers := runtime.GOMAXPROCS(0)
 	queue := make(chan *kfJob, workers)
 	var wg sync.WaitGroup
+	defer func() {
+		close(queue)
+		wg.Wait()
+	}()
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
@@ -117,8 +122,6 @@ func (e *Engine) describeKeyFrames(produce func(submit func(*kfJob)) error) ([]*
 		jobs = append(jobs, j)
 		queue <- j
 	})
-	close(queue)
-	wg.Wait()
 	return jobs, err
 }
 

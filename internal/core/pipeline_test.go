@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"cbvr/internal/features"
 	"cbvr/internal/imaging"
@@ -115,5 +116,31 @@ func TestSearchVideoMatchesReferenceExtraction(t *testing.T) {
 				t.Errorf("workers=%d K=%d: pooled clip search\n%+v\nwant reference\n%+v", workers, opt.K, got, want)
 			}
 		}
+	}
+}
+
+// TestDescribeKeyFramesPanicReleasesWorkers: a produce that panics after
+// submitting a job must still close the queue and wait out the workers, so
+// a recovered panic leaves no extraction goroutine blocked on the channel.
+func TestDescribeKeyFramesPanicReleasesWorkers(t *testing.T) {
+	eng := openTestEngine(t)
+	baseline := runtime.NumGoroutine()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("produce's panic did not reach the caller")
+			}
+		}()
+		eng.describeKeyFrames(func(submit func(*kfJob)) error {
+			submit(&kfJob{src: imaging.New(32, 32).Source()})
+			panic("produce failed")
+		})
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running, %d before the panic", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

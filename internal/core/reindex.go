@@ -19,10 +19,10 @@ import (
 
 // ReindexResult summarises one re-indexed video.
 type ReindexResult struct {
-	VideoID   int64
-	VideoName string
+	VideoID   int64  `json:"video_id"`
+	VideoName string `json:"video_name"`
 	// KeyFrames is the number of feature rows rebuilt.
-	KeyFrames int
+	KeyFrames int `json:"key_frames"`
 }
 
 // ReindexVideoCtx re-extracts all seven descriptors and the §4.2 range

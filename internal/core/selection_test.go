@@ -77,11 +77,11 @@ func grayContainer(t *testing.T, clip []*imaging.Image) []byte {
 		}
 		records[i] = buf.Bytes()
 	}
-	raw, err := cvj.EncodeRawBytes(records, 12)
-	if err != nil {
+	var raw bytes.Buffer
+	if err := cvj.EncodeRaw(&raw, records, 12); err != nil {
 		t.Fatal(err)
 	}
-	return raw
+	return raw.Bytes()
 }
 
 func selectionCorpora(t *testing.T) []selectionCorpus {

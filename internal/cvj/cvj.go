@@ -190,15 +190,6 @@ func EncodeRaw(w io.Writer, frames [][]byte, fps int) error {
 	return cw.Close()
 }
 
-// EncodeRawBytes is EncodeRaw into a fresh byte slice.
-func EncodeRawBytes(frames [][]byte, fps int) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := EncodeRaw(&buf, frames, fps); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 // EncodeBytes is Encode into a fresh byte slice.
 func EncodeBytes(frames []*imaging.Image, fps, quality int) ([]byte, error) {
 	var buf bytes.Buffer
@@ -226,11 +217,6 @@ func Decode(r io.Reader) (*Video, error) {
 		v.Frames = append(v.Frames, f)
 	}
 	return v, nil
-}
-
-// DecodeBytes is Decode over an in-memory buffer (e.g. a BLOB column).
-func DecodeBytes(b []byte) (*Video, error) {
-	return Decode(bytes.NewReader(b))
 }
 
 // Reader decodes a CVJ stream one frame at a time.

@@ -24,7 +24,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := DecodeBytes(raw)
+	v, err := decodeBytes(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestStreamingReaderCountsAndEOF(t *testing.T) {
 }
 
 func TestBadMagicRejected(t *testing.T) {
-	if _, err := DecodeBytes([]byte("AVI0xxxxxxxx")); err != ErrBadMagic {
+	if _, err := decodeBytes([]byte("AVI0xxxxxxxx")); err != ErrBadMagic {
 		t.Errorf("want ErrBadMagic, got %v", err)
 	}
 }
@@ -78,7 +78,7 @@ func TestTruncatedStreamRejected(t *testing.T) {
 	frames := testFrames(2)
 	raw, _ := EncodeBytes(frames, 10, 0)
 	for _, cut := range []int{5, 9, len(raw) / 2, len(raw) - 3} {
-		if _, err := DecodeBytes(raw[:cut]); err == nil {
+		if _, err := decodeBytes(raw[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
@@ -89,7 +89,7 @@ func TestCorruptTrailerCountRejected(t *testing.T) {
 	raw, _ := EncodeBytes(frames, 10, 0)
 	// Trailer count is the last 4 bytes.
 	raw[len(raw)-1] ^= 0x7
-	if _, err := DecodeBytes(raw); err == nil {
+	if _, err := decodeBytes(raw); err == nil {
 		t.Error("corrupt trailer accepted")
 	}
 }
@@ -100,7 +100,7 @@ func TestCorruptFrameBytesRejected(t *testing.T) {
 	// Smash the JPEG SOI marker (first frame's payload starts at offset
 	// 12 after the 8-byte header and 4-byte length prefix).
 	raw[12], raw[13] = 0x00, 0x00
-	if _, err := DecodeBytes(raw); err == nil {
+	if _, err := decodeBytes(raw); err == nil {
 		t.Error("corrupt JPEG accepted")
 	}
 }
@@ -110,7 +110,7 @@ func TestEmptyVideo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := DecodeBytes(raw)
+	v, err := decodeBytes(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestEmptyVideo(t *testing.T) {
 
 func TestDefaultFPSApplied(t *testing.T) {
 	raw, _ := EncodeBytes(testFrames(1), 0, 0)
-	v, _ := DecodeBytes(raw)
+	v, _ := decodeBytes(raw)
 	if v.FPS != 12 {
 		t.Errorf("default fps = %d", v.FPS)
 	}
@@ -150,7 +150,7 @@ func TestTruncationAtFrameBoundaryIsUnexpectedEOF(t *testing.T) {
 		"mid second record":  boundary + 10,
 	}
 	for name, cut := range cuts {
-		_, err := DecodeBytes(raw[:cut])
+		_, err := decodeBytes(raw[:cut])
 		if err == nil {
 			t.Fatalf("%s: truncation accepted", name)
 		}
@@ -170,7 +170,7 @@ func TestEncodeFPSRange(t *testing.T) {
 	if _, err := EncodeBytes(frames, MaxFPS, 0); err != nil {
 		t.Fatalf("fps %d rejected: %v", MaxFPS, err)
 	}
-	v, err := DecodeBytes(mustEncode(t, frames, MaxFPS))
+	v, err := decodeBytes(mustEncode(t, frames, MaxFPS))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,9 +183,23 @@ func TestEncodeFPSRange(t *testing.T) {
 	if _, err := NewWriter(io.Discard, -1); err == nil {
 		t.Error("negative fps accepted by NewWriter")
 	}
-	if _, err := EncodeRawBytes([][]byte{{0xff}}, MaxFPS+1); err == nil {
+	if _, err := encodeRawBytes([][]byte{{0xff}}, MaxFPS+1); err == nil {
 		t.Error("EncodeRaw accepted out-of-range fps")
 	}
+}
+
+// encodeRawBytes is EncodeRaw into a fresh byte slice.
+func encodeRawBytes(frames [][]byte, fps int) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := EncodeRaw(&buf, frames, fps); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// decodeBytes is Decode over an in-memory buffer.
+func decodeBytes(b []byte) (*Video, error) {
+	return Decode(bytes.NewReader(b))
 }
 
 func mustEncode(t *testing.T, frames []*imaging.Image, fps int) []byte {
@@ -280,7 +294,7 @@ func TestReaderRefusesHugeDeclaredFrame(t *testing.T) {
 	}
 	binary.BigEndian.PutUint16(huge[i+5:], 30000)
 	binary.BigEndian.PutUint16(huge[i+7:], 30000)
-	raw, err := EncodeRawBytes([][]byte{small.Bytes(), huge}, 12)
+	raw, err := encodeRawBytes([][]byte{small.Bytes(), huge}, 12)
 	if err != nil {
 		t.Fatal(err)
 	}

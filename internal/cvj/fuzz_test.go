@@ -45,7 +45,7 @@ func fuzzSeedContainers(f *testing.F) {
 	if err := jpeg.Encode(&grayJPEG, image.NewGray(image.Rect(0, 0, 5, 3)), nil); err != nil {
 		f.Fatal(err)
 	}
-	mixed, err := EncodeRawBytes([][]byte{oddJPEG.Bytes(), grayJPEG.Bytes()}, 12)
+	mixed, err := encodeRawBytes([][]byte{oddJPEG.Bytes(), grayJPEG.Bytes()}, 12)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func FuzzCVJReader(f *testing.F) {
 		for i, fr := range frames {
 			records[i] = fr.JPEG
 		}
-		raw, err := EncodeRawBytes(records, fps)
+		raw, err := encodeRawBytes(records, fps)
 		if err != nil {
 			t.Fatalf("valid records failed to re-encode: %v", err)
 		}

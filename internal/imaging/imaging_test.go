@@ -301,21 +301,6 @@ func TestHuangThresholdEdgeCases(t *testing.T) {
 	}
 }
 
-func TestOtsuThresholdSeparatesBimodal(t *testing.T) {
-	var hist [256]int
-	for i := 10; i < 30; i++ {
-		hist[i] = 50
-	}
-	for i := 220; i < 240; i++ {
-		hist[i] = 50
-	}
-	th := OtsuThreshold(hist)
-	// Pixels <= th are background: th in [29, 219] separates the modes.
-	if th < 29 || th > 219 {
-		t.Errorf("otsu threshold %d does not separate modes", th)
-	}
-}
-
 func TestBinarize(t *testing.T) {
 	g := NewGray(2, 1)
 	g.Pix[0], g.Pix[1] = 10, 200

@@ -91,37 +91,3 @@ func (g *Gray) Binarize(t int) *Gray {
 func (g *Gray) BinarizeAuto() *Gray {
 	return g.Binarize(HuangThreshold(g.Histogram()))
 }
-
-// OtsuThreshold computes Otsu's between-class variance threshold. It is
-// provided alongside HuangThreshold for the ablation benches comparing
-// binarisation choices.
-func OtsuThreshold(hist [256]int) int {
-	var total, sum float64
-	for i, c := range hist {
-		total += float64(c)
-		sum += float64(i) * float64(c)
-	}
-	if total == 0 {
-		return 0
-	}
-	var sumB, wB float64
-	bestT, bestVar := 0, -1.0
-	for t := 0; t < 256; t++ {
-		wB += float64(hist[t])
-		if wB == 0 {
-			continue
-		}
-		wF := total - wB
-		if wF == 0 {
-			break
-		}
-		sumB += float64(t) * float64(hist[t])
-		mB := sumB / wB
-		mF := (sum - sumB) / wF
-		v := wB * wF * (mB - mF) * (mB - mF)
-		if v > bestVar {
-			bestVar, bestT = v, t
-		}
-	}
-	return bestT
-}

@@ -34,7 +34,7 @@ func TestServerDegradedMode(t *testing.T) {
 
 	// Healthy baseline: one resident video, healthz ok.
 	raw, v := testContainer(t, synthvid.Cartoon, 500, 12)
-	var res ingestResp
+	var res core.IngestResult
 	if resp, body := doJSON(t, "POST", ts.URL+"/api/v1/ingest?name=resident", bytes.NewReader(raw), &res); resp.StatusCode != 200 {
 		t.Fatalf("seed ingest: %d %s", resp.StatusCode, body)
 	}

@@ -36,7 +36,7 @@ func TestHealthzStateTransitions(t *testing.T) {
 	defer ts.Close()
 
 	raw, _ := testContainer(t, synthvid.Cartoon, 700, 8)
-	var res ingestResp
+	var res core.IngestResult
 	if resp, body := doJSON(t, "POST", ts.URL+"/api/v1/ingest?name=resident", bytes.NewReader(raw), &res); resp.StatusCode != 200 {
 		t.Fatalf("seed ingest: %d %s", resp.StatusCode, body)
 	}
@@ -294,7 +294,7 @@ func TestBodyStallWatchdogCutsSlowLoris(t *testing.T) {
 		t.Fatalf("watchdog took %v to cut a 150ms stall", elapsed)
 	}
 
-	var ir ingestResp
+	var ir core.IngestResult
 	if resp, body := doJSON(t, "POST", ts.URL+"/api/v1/ingest?name=healthy", bytes.NewReader(raw), &ir); resp.StatusCode != 200 {
 		t.Fatalf("upload after watchdog cut: %d %s", resp.StatusCode, body)
 	}

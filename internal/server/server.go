@@ -363,35 +363,14 @@ func (s *Server) guardBody(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, body, s.opts.MaxUploadBytes)
 }
 
-// videoJSON is one /api/v1/videos listing row.
-type videoJSON struct {
-	ID       int64     `json:"id"`
-	Name     string    `json:"name"`
-	VideoLen int64     `json:"video_len"`
-	DoStore  time.Time `json:"do_store"`
-}
-
-// ingestJSON is the /api/v1/ingest success body.
-type ingestJSON struct {
-	VideoID     int64   `json:"video_id"`
-	NumFrames   int     `json:"num_frames"`
-	KeyFrameIDs []int64 `json:"key_frame_ids"`
-}
-
-// matchJSON is one /api/v1/search result row.
-type matchJSON struct {
-	KeyFrameID int64   `json:"key_frame_id"`
-	VideoID    int64   `json:"video_id"`
-	VideoName  string  `json:"video_name"`
-	FrameIndex int     `json:"frame_index"`
-	Distance   float64 `json:"distance"`
-}
-
-// reindexJSON is one rebuilt video in the /api/v1/reindex response.
-type reindexJSON struct {
-	VideoID   int64  `json:"video_id"`
-	VideoName string `json:"video_name"`
-	KeyFrames int    `json:"key_frames"`
+// listOf is a result list as the JSON API encodes it: the engine's own
+// values, which carry their wire names, and [] rather than null when the
+// engine found nothing.
+func listOf[T any](v []T) []T {
+	if v == nil {
+		return []T{}
+	}
+	return v
 }
 
 // search ranks stored key frames against a query frame. The frame arrives
@@ -462,17 +441,7 @@ func searchK(r *http.Request) (int, error) {
 }
 
 func writeMatches(w http.ResponseWriter, _ *http.Request, matches []core.Match) {
-	out := make([]matchJSON, len(matches))
-	for i, m := range matches {
-		out[i] = matchJSON{
-			KeyFrameID: m.KeyFrameID,
-			VideoID:    m.VideoID,
-			VideoName:  m.VideoName,
-			FrameIndex: m.FrameIndex,
-			Distance:   m.Distance,
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"matches": out})
+	writeJSON(w, http.StatusOK, map[string]any{"matches": listOf(matches)})
 }
 
 // handleVideos lists the store (GET) or deletes one video (DELETE ?id=N).
@@ -483,11 +452,7 @@ func (s *Server) handleVideos(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			return
 		}
-		out := make([]videoJSON, len(vids))
-		for i, v := range vids {
-			out[i] = videoJSON{ID: v.ID, Name: v.Name, VideoLen: v.VideoLen, DoStore: v.DoStore}
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"videos": out, "key_frames": nk})
+		writeJSON(w, http.StatusOK, map[string]any{"videos": listOf(vids), "key_frames": nk})
 	case http.MethodDelete:
 		s.deleteVideo(w, r, writeDeleted)
 	default:
@@ -622,7 +587,7 @@ func videoPart(ctx context.Context, mr *multipart.Reader, name string) (string, 
 }
 
 func writeIngested(w http.ResponseWriter, _ *http.Request, res *core.IngestResult) {
-	writeJSON(w, http.StatusOK, ingestJSON{VideoID: res.VideoID, NumFrames: res.NumFrames, KeyFrameIDs: res.KeyFrameIDs})
+	writeJSON(w, http.StatusOK, res)
 }
 
 // reindex rebuilds feature rows from stored key-frame streams: one video
@@ -668,11 +633,7 @@ func (s *Server) reindex(w http.ResponseWriter, r *http.Request, ok respond[[]*c
 }
 
 func writeReindexed(w http.ResponseWriter, _ *http.Request, results []*core.ReindexResult) {
-	out := make([]reindexJSON, len(results))
-	for i, res := range results {
-		out[i] = reindexJSON{VideoID: res.VideoID, VideoName: res.VideoName, KeyFrames: res.KeyFrames}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"reindexed": out})
+	writeJSON(w, http.StatusOK, map[string]any{"reindexed": listOf(results)})
 }
 
 // handleStats reports the engine's cumulative search work counters, the

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"cbvr/internal/admission"
+	"cbvr/internal/catalog"
 	"cbvr/internal/core"
 	"cbvr/internal/cvj"
 	"cbvr/internal/features"
@@ -135,28 +136,15 @@ func multipartBody(t testing.TB, field, filename string, content []byte, fields 
 	return &buf, mw.FormDataContentType()
 }
 
-type ingestResp struct {
-	VideoID     int64   `json:"video_id"`
-	NumFrames   int     `json:"num_frames"`
-	KeyFrameIDs []int64 `json:"key_frame_ids"`
-}
-
+// The API tests decode responses into the engine's own result types, the
+// way cbvrctl does; TestWireFormat pins their wire names separately.
 type searchResp struct {
-	Matches []struct {
-		KeyFrameID int64   `json:"key_frame_id"`
-		VideoID    int64   `json:"video_id"`
-		VideoName  string  `json:"video_name"`
-		FrameIndex int     `json:"frame_index"`
-		Distance   float64 `json:"distance"`
-	} `json:"matches"`
+	Matches []core.Match `json:"matches"`
 }
 
 type videosResp struct {
-	Videos []struct {
-		ID   int64  `json:"id"`
-		Name string `json:"name"`
-	} `json:"videos"`
-	KeyFrames int `json:"key_frames"`
+	Videos    []catalog.VideoInfo `json:"videos"`
+	KeyFrames int                 `json:"key_frames"`
 }
 
 // TestServerConcurrentStress is the multi-client exercise the server layer
@@ -183,7 +171,7 @@ func TestServerConcurrentStress(t *testing.T) {
 	// Two resident videos: search targets and a delete victim.
 	seedA, _ := testContainer(t, synthvid.Cartoon, 100, 16)
 	seedB, _ := testContainer(t, synthvid.Sports, 101, 16)
-	var resA, resB ingestResp
+	var resA, resB core.IngestResult
 	if resp, body := doJSON(t, "POST", ts.URL+"/api/v1/ingest?name=residentA", bytes.NewReader(seedA), &resA); resp.StatusCode != 200 {
 		t.Fatalf("seed ingest A: %d %s", resp.StatusCode, body)
 	}
@@ -196,7 +184,7 @@ func TestServerConcurrentStress(t *testing.T) {
 
 	const ingesters = 4
 	var wg sync.WaitGroup
-	ingestResults := make([]ingestResp, ingesters)
+	ingestResults := make([]core.IngestResult, ingesters)
 	ingestErrs := make([]string, ingesters)
 	for g := 0; g < ingesters; g++ {
 		wg.Add(1)
@@ -270,7 +258,7 @@ func TestServerConcurrentStress(t *testing.T) {
 	if resp, body := doJSON(t, "POST", ts.URL+"/api/v1/search?k=50", bytes.NewReader(qjpeg), &sr); resp.StatusCode != 200 {
 		t.Fatalf("final search: %d %s", resp.StatusCode, body)
 	}
-	query, err := cvj.DecodeBytes(seedA)
+	query, err := cvj.Decode(bytes.NewReader(seedA))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +294,7 @@ func TestIngestAdmissionQueue(t *testing.T) {
 	pr, pw := io.Pipe()
 	done := make(chan string, 1)
 	go func() {
-		var ir ingestResp
+		var ir core.IngestResult
 		resp, body := doJSON(t, "POST", ts.URL+"/api/v1/ingest?name=slow", pr, &ir)
 		if resp.StatusCode != 200 {
 			done <- fmt.Sprintf("slow ingest: %d %s", resp.StatusCode, body)
@@ -506,7 +494,7 @@ func TestMultipartIngestAndSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ir ingestResp
+	var ir core.IngestResult
 	if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"cbvr/internal/core"
 	"cbvr/internal/synthvid"
 )
 
@@ -19,7 +20,7 @@ func TestStatsEndpoint(t *testing.T) {
 	defer ts.Close()
 
 	raw, v := testContainer(t, synthvid.Cartoon, 700, 16)
-	var ir ingestResp
+	var ir core.IngestResult
 	if resp, body := doJSON(t, "POST", ts.URL+"/api/v1/ingest?name=statsclip", bytes.NewReader(raw), &ir); resp.StatusCode != 200 {
 		t.Fatalf("ingest: %d %s", resp.StatusCode, body)
 	}
