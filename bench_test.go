@@ -1,12 +1,12 @@
-// Go micro-benchmarks of the ingest pipelines and the arena scan. The
-// repository's benchmark of record is bench/ (see bench/README.md);
-// cmd/cbvr-bench prints the paper's artefacts and the design ablations.
+// Go micro-benchmarks of the arena scan. The repository's benchmark of
+// record is bench/ (see bench/README.md); cmd/cbvr-bench prints the
+// paper's artefacts and the design ablations. The ingest pipeline pair
+// lives beside the reference ingest in internal/core.
 //
 // Run `go test -run '^$' -bench . -benchmem` at the repository root.
 package cbvr_test
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -15,71 +15,10 @@ import (
 	"testing"
 
 	"cbvr"
-	"cbvr/internal/cvj"
 	"cbvr/internal/features"
 	"cbvr/internal/imaging"
 	"cbvr/internal/synthvid"
 )
-
-// BenchmarkPipeline_IngestStreamed measures the streamed ingest path
-// (decode/select/extract overlap, pooled planes, JPEG-record reuse) on a
-// camera-resolution container. Run with -benchmem and compare against
-// BenchmarkPipeline_IngestBufferedReference: the streamed path holds only
-// key frames, reuses the selection-time signature and pooled rasters, and
-// never re-encodes JPEGs, so both bytes/op and time/op drop.
-func BenchmarkPipeline_IngestStreamed(b *testing.B) {
-	dir := b.TempDir()
-	sys, err := cbvr.Open(filepath.Join(dir, "ingest-streamed.db"), cbvr.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sys.Close()
-	v := synthvid.Generate(synthvid.Sports, synthvid.Config{
-		Width: 320, Height: 240, Frames: 24, Shots: 4, Seed: 5,
-	})
-	container, err := cvj.EncodeBytes(v.Frames, v.FPS, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := sys.IngestVideoStreamCtx(context.Background(), fmt.Sprintf("streamed_%d", i), bytes.NewReader(container))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(len(res.KeyFrameIDs)), "keyframes")
-		}
-	}
-}
-
-// BenchmarkPipeline_IngestBufferedReference is the allocation and speed
-// baseline: the retained in-memory reference ingest (decode everything,
-// batch selection, sequential unpooled extraction) over the identical
-// container.
-func BenchmarkPipeline_IngestBufferedReference(b *testing.B) {
-	dir := b.TempDir()
-	sys, err := cbvr.Open(filepath.Join(dir, "ingest-buffered.db"), cbvr.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sys.Close()
-	v := synthvid.Generate(synthvid.Sports, synthvid.Config{
-		Width: 320, Height: 240, Frames: 24, Shots: 4, Seed: 5,
-	})
-	container, err := cvj.EncodeBytes(v.Frames, v.FPS, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.IngestVideoReference(fmt.Sprintf("buffered_%d", i), container); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // scanCorpus is the arena-scan fixture: every frame becomes a key frame
 // (threshold ~0), yielding a ≥ 1000-key-frame cache, plus one query's

@@ -23,7 +23,6 @@ import (
 	"cbvr/internal/cvj"
 	"cbvr/internal/features"
 	"cbvr/internal/imaging"
-	"cbvr/internal/keyframe"
 	"cbvr/internal/rangeindex"
 	"cbvr/internal/vstore"
 )
@@ -451,7 +450,7 @@ func (e *Engine) commitIngest(ctx context.Context, name string, vw *vstore.BlobW
 	if err := tx.AdoptStaged(sw); err != nil {
 		return fail(err)
 	}
-	videoID, err := e.store.InsertVideo(tx, &catalog.Video{Name: name, VideoRef: videoRef, StreamRef: streamRef, DoStore: time.Unix(0, 0).UTC()})
+	videoID, err := e.store.InsertVideo(tx, &catalog.Video{Name: name, VideoRef: videoRef, StreamRef: streamRef, DoStore: time.Now().UTC()})
 	if err != nil {
 		return fail(err)
 	}
@@ -485,64 +484,6 @@ func (e *Engine) commitIngest(ctx context.Context, name string, vw *vstore.BlobW
 	e.video(videoID).name = name
 	e.mu.Unlock()
 	return res, nil
-}
-
-// IngestVideoReference is the retained in-memory reference ingest: decode
-// every frame up front, select key frames in batch, then extract features
-// sequentially from the full-resolution frames with fresh (unpooled)
-// analysis planes. It stages the buffered container and commits through
-// commitIngest, the streamed pipeline's own commit path, so it produces
-// bit-identical stored rows; it exists as the pipeline's equivalence and
-// benchmark baseline, mirroring SearchWithSetReference and
-// features.ExtractAllReference.
-func (e *Engine) IngestVideoReference(name string, container []byte) (*IngestResult, error) {
-	fail := func(err error) (*IngestResult, error) {
-		return nil, fmt.Errorf("core: ingest %q: %w", name, err)
-	}
-	if strings.TrimSpace(name) == "" {
-		return fail(ErrEmptyName)
-	}
-	cr, err := cvj.NewReader(bytes.NewReader(container))
-	if err != nil {
-		return fail(err)
-	}
-	var frames []*imaging.Image
-	var jpegs [][]byte
-	for {
-		f, err := cr.NextFrame()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fail(err)
-		}
-		frames = append(frames, f.Image)
-		jpegs = append(jpegs, f.JPEG)
-	}
-	kex := keyframe.Extractor{Threshold: e.opts.KeyframeThreshold}
-	kfs, err := kex.Extract(frames)
-	if err != nil {
-		return fail(err)
-	}
-	jobs := make([]*kfJob, len(kfs))
-	for i, k := range kfs {
-		planes := features.NewPlanes(k.Image)
-		jobs[i] = &kfJob{
-			frameIndex: k.Index,
-			jpeg:       jpegs[k.Index],
-			set:        planes.ExtractAll(),
-			bucket:     BucketFromPlanes(planes),
-		}
-	}
-	vw, err := e.store.DB().NewStagedBlobWriter()
-	if err != nil {
-		return fail(err)
-	}
-	defer vw.Discard()
-	if _, err := vw.Write(container); err != nil {
-		return fail(err)
-	}
-	return e.commitIngest(context.Background(), name, vw, cr.FPS(), len(frames), jobs)
 }
 
 // DeleteVideo removes a video and its key frames (admin use case). A
@@ -703,16 +644,9 @@ func storedSet(k *catalog.KeyFrame) (*features.Set, error) {
 	return set, nil
 }
 
-// QueryBucket computes the §4.2 range bucket of a query frame.
-func QueryBucket(im *imaging.Image) rangeindex.Range {
-	hist := im.Rescale(features.AnalysisSize, features.AnalysisSize).GrayHistogram()
-	return grayBucket(&hist)
-}
-
 // BucketFromPlanes computes the §4.2 range bucket from shared analysis
 // planes. The planes' gray histogram equals the rescaled frame's
-// GrayHistogram, so the bucket matches QueryBucket without a second
-// rescale.
+// GrayHistogram, so the bucket is the frame's without a second rescale.
 func BucketFromPlanes(p *features.Planes) rangeindex.Range { return grayBucket(&p.GrayHist) }
 
 // grayBucket assigns the §4.2 range bucket of an analysis raster's

@@ -4,6 +4,7 @@ import (
 	"context"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"cbvr/internal/catalog"
 	"cbvr/internal/cvj"
@@ -87,6 +88,22 @@ func TestIngestStoresEverything(t *testing.T) {
 	}
 	if len(v.Frames) != res.NumFrames {
 		t.Fatalf("stored container decodes to %d frames, want %d", len(v.Frames), res.NumFrames)
+	}
+}
+
+// TestIngestRecordsDoStore checks that VIDEO_STORE.DOSTORE holds the
+// commit time of the ingest, not a fixed date.
+func TestIngestRecordsDoStore(t *testing.T) {
+	eng := openTestEngine(t)
+	before := time.Now()
+	res := ingest(t, eng, "news_00", synthvid.News, 4)
+	after := time.Now()
+	info, ok, err := eng.Store().GetVideoInfo(nil, res.VideoID)
+	if err != nil || !ok {
+		t.Fatalf("video %d: ok=%v err=%v", res.VideoID, ok, err)
+	}
+	if info.DoStore.Before(before) || info.DoStore.After(after) {
+		t.Errorf("DOSTORE %v, want within [%v, %v]", info.DoStore, before.UTC(), after.UTC())
 	}
 }
 

@@ -76,7 +76,9 @@ func TestSearchVideoConcurrentWithReindex(t *testing.T) {
 
 // TestSearchVideoMatchesReferenceExtraction pins query-by-clip on the
 // pooled pipeline to the unpooled reference: keyframe.Extract's key
-// frames, each described by ExtractAllReference, then the same DTW search.
+// frames, each described through fresh planes (which
+// features.TestSharedPlaneBitIdentity pins to the per-extractor
+// reference), then the same DTW search.
 // Rankings and distances must agree bit for bit at one extraction and
 // search worker and at several.
 func TestSearchVideoMatchesReferenceExtraction(t *testing.T) {
@@ -94,7 +96,7 @@ func TestSearchVideoMatchesReferenceExtraction(t *testing.T) {
 	}
 	qsets := make([]*features.Set, len(kfs))
 	for i, k := range kfs {
-		qsets[i] = features.ExtractAllReference(k.Image)
+		qsets[i] = features.NewPlanes(k.Image).ExtractAll()
 	}
 	ctx := context.Background()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))

@@ -3,15 +3,21 @@ package core
 import (
 	"bytes"
 	"context"
-
 	"testing"
 
 	"cbvr/internal/cvj"
-	"cbvr/internal/imaging"
-	"cbvr/internal/synthvid"
-
 	"cbvr/internal/features"
+	"cbvr/internal/imaging"
+	"cbvr/internal/rangeindex"
+	"cbvr/internal/synthvid"
 )
+
+// QueryBucket computes the §4.2 range bucket of a query frame the naive
+// way: rescale, then histogram.
+func QueryBucket(im *imaging.Image) rangeindex.Range {
+	hist := im.Rescale(features.AnalysisSize, features.AnalysisSize).GrayHistogram()
+	return grayBucket(&hist)
+}
 
 // TestBucketFromPlanesMatchesQueryBucket pins the shared-plane range
 // bucket to the naive rescale-then-histogram QueryBucket.

@@ -91,7 +91,6 @@ func (e *Engine) ReindexVideoCtx(ctx context.Context, videoID int64) (*ReindexRe
 	//cbvrvet:ignore ctxloop the commit section is deliberately uninterruptible: past the last cancellation point above, the transaction must fully apply or fully abort
 	for i, j := range jobs {
 		updated := *rows[i]
-		updated.Image = nil // keep the stored IMAGE chain
 		putDescriptors(&updated, j.set, j.bucket)
 		if err := e.store.UpdateKeyFrame(tx, &updated); err != nil {
 			tx.Abort()

@@ -53,7 +53,6 @@ func staleify(t *testing.T, eng *Engine, videoID int64) {
 	}
 	for _, k := range rows[1:] {
 		stale := *k
-		stale.Image = nil
 		stale.Min, stale.Max = donor.Min, donor.Max
 		stale.SCH, stale.GLCM, stale.Gabor, stale.Tamura = donor.SCH, donor.GLCM, donor.Gabor, donor.Tamura
 		stale.ACC, stale.Naive, stale.Regions = donor.ACC, donor.Naive, donor.Regions

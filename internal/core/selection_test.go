@@ -145,7 +145,7 @@ func referenceFrames(t *testing.T, c selectionCorpus) []*imaging.Image {
 // features.NaiveOf, a raster only per key frame, built from the planes)
 // must choose the same key frames, with the same naive signatures and the
 // same seven descriptors, as keyframe.Extract over fully converted and
-// rescaled frames described by ExtractAllReference — on every synthvid
+// rescaled frames described through fresh planes — on every synthvid
 // category at the benchmark's upload shapes, odd, analysis-sized and
 // downscaled frames, a grayscale JPEG and in-memory RGB clips.
 func TestKeyFrameSelectionMatchesReference(t *testing.T) {
@@ -169,8 +169,8 @@ func TestKeyFrameSelectionMatchesReference(t *testing.T) {
 			// Every frame's signature and raster, not only the key frames':
 			// selection decides on all of them.
 			for i, s := range corpusSources(t, c) {
-				if got, want := features.NaiveOf(s), features.ExtractNaive(frames[i]); got != *want {
-					t.Errorf("frame %d: signature %s, reference %s", i, &got, want)
+				if got, want := features.NaiveOf(s), features.NaiveOf(frames[i].Rescale(features.AnalysisSize, features.AnalysisSize).Source()); got != want {
+					t.Errorf("frame %d: signature %s, reference %s", i, &got, &want)
 				}
 				p := features.AcquireSourcePlanes(s)
 				if !p.Analysis.Equal(frames[i]) {
@@ -182,7 +182,7 @@ func TestKeyFrameSelectionMatchesReference(t *testing.T) {
 				if jobs[i].sig.String() != k.Signature.String() {
 					t.Errorf("key frame %d: signature %s, reference %s", k.Index, jobs[i].sig, k.Signature)
 				}
-				ref := features.ExtractAllReference(k.Image)
+				ref := features.NewPlanes(k.Image).ExtractAll()
 				for _, kind := range features.AllKinds() {
 					if jobs[i].set.Get(kind).String() != ref.Get(kind).String() {
 						t.Errorf("key frame %d: %v descriptor diverges from the reference", k.Index, kind)

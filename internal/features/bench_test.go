@@ -1,7 +1,9 @@
 // Before/after benchmarks for the shared analysis-plane pipeline:
-// every *Reference benchmark runs the retained naive implementation, its
-// unsuffixed twin the production shared/bitset/SIMD/pooled path. The two
-// paths are bit-identical (shared_test.go); these are the micro numbers
+// every *Reference benchmark runs the naive implementation kept beside
+// the tests, its unsuffixed twin the production bitset/SIMD/pooled kernel
+// behind the test-side per-frame rescale (Extract), and every *With
+// benchmark the kernel alone over shared planes. The paths are
+// bit-identical (shared_test.go); these are the micro numbers
 // README "Extraction performance" and the per-PR notes in CHANGES.md
 // cite, and the CI bench smoke step runs one iteration of the extraction
 // ones so a fast path that stops compiling or asserting breaks the build.
@@ -31,7 +33,7 @@ func BenchmarkExtractAll(b *testing.B) {
 	im := benchFrame()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ExtractAll(im)
+		NewPlanes(im).ExtractAll()
 	}
 }
 
@@ -53,13 +55,7 @@ func BenchmarkNewPlanes(b *testing.B) {
 
 // Correlogram: row-bitset pair counting vs the per-pixel countRing walk.
 
-func BenchmarkExtractCorrelogram(b *testing.B) {
-	im := benchFrame()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ExtractCorrelogram(im)
-	}
-}
+func BenchmarkExtractCorrelogram(b *testing.B) { benchKind(b, KindCorrelogram) }
 
 func BenchmarkExtractCorrelogramReference(b *testing.B) {
 	im := benchFrame()
@@ -72,13 +68,7 @@ func BenchmarkExtractCorrelogramReference(b *testing.B) {
 // Gabor: pooled planes + the two-lane row kernel over the 18 live filters
 // vs the naive loop over all 30.
 
-func BenchmarkExtractGabor(b *testing.B) {
-	im := benchFrame()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ExtractGabor(im)
-	}
-}
+func BenchmarkExtractGabor(b *testing.B) { benchKind(b, KindGabor) }
 
 func BenchmarkExtractGaborReference(b *testing.B) {
 	im := benchFrame()
@@ -107,9 +97,7 @@ func benchKind(b *testing.B, kind Kind) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Extract(kind, im); err != nil {
-			b.Fatal(err)
-		}
+		mustExtract(b, kind, im)
 	}
 }
 
@@ -126,9 +114,11 @@ func BenchmarkExtractNaiveFrame(b *testing.B)      { benchKind(b, KindNaive) }
 func BenchmarkExtractRegionsWith(b *testing.B)     { benchWith(b, KindRegions) }
 func BenchmarkExtractRegionsFrame(b *testing.B)    { benchKind(b, KindRegions) }
 
-// Regions: the retained kernel-walk morphology + stack grower, the
-// "before" of the masked box passes and run labelling the two benchmarks
-// above run (frame for frame, BenchmarkExtractRegionsFrame is its twin).
+// Regions: fresh rasters and the stack grower, the "before" of the pooled
+// scratch and run labelling the two benchmarks above run (frame for
+// frame, BenchmarkExtractRegionsFrame is its twin). The generic
+// kernel-walk smoothing has its own pair in imaging
+// (BenchmarkCloseOpenBox3 / …Reference).
 func BenchmarkExtractRegionsReference(b *testing.B) {
 	im := benchFrame()
 	b.ReportAllocs()

@@ -19,14 +19,9 @@ type ColorHistogram struct {
 	Bins [HistogramBins]int
 }
 
-// ExtractColorHistogram computes the §4.5 histogram of a frame.
-func ExtractColorHistogram(im *imaging.Image) *ColorHistogram {
-	return colorHistogramOf(analysisImage(im))
-}
-
-// ExtractColorHistogramWith computes the histogram from shared analysis
-// planes, skipping the rescale.
-func ExtractColorHistogramWith(p *Planes) *ColorHistogram {
+// extractColorHistogramWith computes the histogram from shared analysis
+// planes.
+func extractColorHistogramWith(p *Planes) *ColorHistogram {
 	return colorHistogramOf(p.Analysis)
 }
 

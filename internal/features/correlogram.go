@@ -45,46 +45,10 @@ func QuantizeHSV(r, g, b uint8) int {
 	return hb<<2 | sb<<1 | vb
 }
 
-// ExtractCorrelogram computes the §4.7 descriptor over the 300×300
-// analysis raster using the row-bitset pair counter.
-func ExtractCorrelogram(im *imaging.Image) *Correlogram {
-	a := analysisImage(im)
-	return correlogramFromQuant(quantizePlane(a), a.W, a.H)
-}
-
-// ExtractCorrelogramWith computes the descriptor from shared analysis
-// planes, reusing the HSV-quantised plane.
-func ExtractCorrelogramWith(p *Planes) *Correlogram {
+// extractCorrelogramWith computes the §4.7 descriptor from shared
+// analysis planes, reusing the HSV-quantised plane.
+func extractCorrelogramWith(p *Planes) *Correlogram {
 	return correlogramFromQuant(p.Quant, p.Analysis.W, p.Analysis.H)
-}
-
-// ExtractCorrelogramReference is the retained naive implementation: a
-// per-pixel countRing walk over every Chebyshev ring, exactly as the
-// paper's pseudo-code does it. It is the bit-identity baseline for the
-// bitset path (see shared_test.go) and the "before" benchmark.
-func ExtractCorrelogramReference(im *imaging.Image) *Correlogram {
-	a := analysisImage(im)
-	w, h := a.W, a.H
-	quant := quantizePlane(a)
-	var raw [CorrelogramBins][CorrelogramMaxDistance]float64
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			c := quant[y*w+x]
-			for d := 1; d <= CorrelogramMaxDistance; d++ {
-				raw[c][d-1] += float64(countRing(quant, w, h, x, y, d, c))
-			}
-		}
-	}
-	return normalizeCorrelogram(&raw)
-}
-
-// quantizePlane maps every pixel of the analysis raster into its HSV cell.
-func quantizePlane(a *imaging.Image) []uint8 {
-	quant := make([]uint8, a.W*a.H)
-	for i, p := 0, 0; i < len(quant); i, p = i+1, p+3 {
-		quant[i] = uint8(QuantizeHSV(a.Pix[p], a.Pix[p+1], a.Pix[p+2]))
-	}
-	return quant
 }
 
 // normalizeCorrelogram applies the paper's normalisation: divide by the
@@ -129,8 +93,8 @@ const corrRing = CorrelogramMaxDistance + 1
 
 // correlogramFromQuant computes the auto correlogram from a quantised
 // plane: correlogramCounts' integers normalised exactly like the
-// reference's, so the output is bit-identical to
-// ExtractCorrelogramReference.
+// reference's, so the output is bit-identical to the per-pixel ring walk,
+// ExtractCorrelogramReference (correlogram_test.go).
 func correlogramFromQuant(quant []uint8, w, h int) *Correlogram {
 	raw := correlogramCounts(quant, w, h)
 	return normalizeCorrelogram(&raw)
@@ -218,45 +182,6 @@ func (b *corrBits) countRow(c, y, nw int, present *[corrRing]uint64, pairs *[Cor
 			pairs[max(s, dy)-1] += n // dx = +s and dx = -s
 		}
 	}
-}
-
-// countRing counts pixels with quantised colour c on the Chebyshev ring of
-// radius d around (x, y), clipped to the image. It is the reference ring
-// counter; the production path counts the same pairs a row at a time in
-// correlogramFromQuant.
-func countRing(quant []uint8, w, h, x, y, d int, c uint8) int {
-	n := 0
-	x0, x1 := x-d, x+d
-	y0, y1 := y-d, y+d
-	// Top and bottom rows.
-	for _, ry := range [2]int{y0, y1} {
-		if ry < 0 || ry >= h {
-			continue
-		}
-		for rx := x0; rx <= x1; rx++ {
-			if rx < 0 || rx >= w {
-				continue
-			}
-			if quant[ry*w+rx] == c {
-				n++
-			}
-		}
-	}
-	// Left and right columns, excluding corners already counted.
-	for _, rx := range [2]int{x0, x1} {
-		if rx < 0 || rx >= w {
-			continue
-		}
-		for ry := y0 + 1; ry < y1; ry++ {
-			if ry < 0 || ry >= h {
-				continue
-			}
-			if quant[ry*w+rx] == c {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // Kind implements Descriptor.

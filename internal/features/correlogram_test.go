@@ -4,7 +4,66 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"cbvr/internal/imaging"
 )
+
+// ExtractCorrelogramReference is the naive §4.7 extractor: its own
+// rescale and HSV quantisation, then a per-pixel countRing walk over every
+// Chebyshev ring, exactly as the paper's pseudo-code does it. It is the
+// bit-identity baseline for the bitset path (TestFastExtractorsMatchReference)
+// and the "before" benchmark.
+func ExtractCorrelogramReference(im *imaging.Image) *Correlogram {
+	a := analysisImage(im)
+	raw := ringWalkCounts(quantizePlane(a), a.W, a.H)
+	return normalizeCorrelogram(&raw)
+}
+
+// quantizePlane maps every pixel of the analysis raster into its HSV cell.
+func quantizePlane(a *imaging.Image) []uint8 {
+	quant := make([]uint8, a.W*a.H)
+	for i, p := 0, 0; i < len(quant); i, p = i+1, p+3 {
+		quant[i] = uint8(QuantizeHSV(a.Pix[p], a.Pix[p+1], a.Pix[p+2]))
+	}
+	return quant
+}
+
+// countRing counts pixels with quantised colour c on the Chebyshev ring of
+// radius d around (x, y), clipped to the image.
+func countRing(quant []uint8, w, h, x, y, d int, c uint8) int {
+	n := 0
+	x0, x1 := x-d, x+d
+	y0, y1 := y-d, y+d
+	// Top and bottom rows.
+	for _, ry := range [2]int{y0, y1} {
+		if ry < 0 || ry >= h {
+			continue
+		}
+		for rx := x0; rx <= x1; rx++ {
+			if rx < 0 || rx >= w {
+				continue
+			}
+			if quant[ry*w+rx] == c {
+				n++
+			}
+		}
+	}
+	// Left and right columns, excluding corners already counted.
+	for _, rx := range [2]int{x0, x1} {
+		if rx < 0 || rx >= w {
+			continue
+		}
+		for ry := y0 + 1; ry < y1; ry++ {
+			if ry < 0 || ry >= h {
+				continue
+			}
+			if quant[ry*w+rx] == c {
+				n++
+			}
+		}
+	}
+	return n
+}
 
 // ringWalkCounts is ExtractCorrelogramReference's counting loop over a
 // bare quantised plane: every pixel walks its four clipped rings.

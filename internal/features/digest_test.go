@@ -174,14 +174,14 @@ func checkDigest(t *testing.T, key, path string, d Descriptor, want [2]string) {
 }
 
 // TestDescriptorDigests pins every descriptor of the fixed frames, through
-// the image entry point and through pooled planes, to the committed
+// fresh planes and through pooled planes, to the committed
 // digests, and the naive signature of each frame, in memory and after a
 // JPEG round trip, through selection's decode-light path as well. On a
 // mismatch it logs the full table the build produces.
 func TestDescriptorDigests(t *testing.T) {
 	var table strings.Builder
 	for _, f := range digestFrames() {
-		set := ExtractAll(f.im)
+		set := NewPlanes(f.im).ExtractAll()
 		p := AcquirePlanes(f.im)
 		pooled := p.ExtractAll()
 		p.Release()
@@ -220,7 +220,7 @@ func TestDescriptorDigests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkDigest(t, key, "DecodeJPEG + ExtractNaive", ExtractNaive(rgb), want)
+		checkDigest(t, key, "DecodeJPEG + planes", extractNaiveWith(NewPlanes(rgb)), want)
 		src, err := imaging.DecodeJPEGSource(bytes.NewReader(jpg.Bytes()))
 		if err != nil {
 			t.Fatal(err)

@@ -16,8 +16,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-
-	"cbvr/internal/imaging"
 )
 
 // AnalysisSize is the canonical side length frames are rescaled to before
@@ -59,45 +57,9 @@ type Set struct {
 	Regions     *RegionStats
 }
 
-// ExtractAll computes all seven descriptors for a frame. It runs the
-// shared analysis-plane pass (see Planes): one rescale, one gray
-// conversion, one HSV quantisation for the whole set, with outputs
-// bit-identical to ExtractAllReference. The engine extracts through
-// pooled planes instead (core.Describe); this is the image-in convenience.
-func ExtractAll(im *imaging.Image) *Set {
-	return NewPlanes(im).ExtractAll()
-}
-
-// ExtractAllReference computes all seven descriptors the naive way the
-// paper's pseudo-code implies: each extractor rescales and converts the
-// frame independently, and the correlogram and Gabor extractors use the
-// original per-pixel algorithms. It is retained as the equivalence and
-// benchmark baseline for the shared-plane path (mirroring the search
-// pipeline's SearchWithSetReference).
-func ExtractAllReference(im *imaging.Image) *Set {
-	return &Set{
-		Histogram:   ExtractColorHistogram(im),
-		GLCM:        ExtractGLCM(im),
-		Gabor:       ExtractGaborReference(im),
-		Tamura:      ExtractTamura(im),
-		Correlogram: ExtractCorrelogramReference(im),
-		Naive:       ExtractNaive(im),
-		Regions:     ExtractRegionsReference(im),
-	}
-}
-
 // kindMismatch builds the standard error for DistanceTo across kinds.
 func kindMismatch(want Kind, got Descriptor) error {
 	return fmt.Errorf("features: distance between %v and %v descriptors", want, got.Kind())
-}
-
-// analysisImage rescales a frame to the canonical 300×300 analysis raster
-// using the paper's nearest-neighbour interpolation.
-func analysisImage(im *imaging.Image) *imaging.Image {
-	if im.W == AnalysisSize && im.H == AnalysisSize {
-		return im
-	}
-	return im.Rescale(AnalysisSize, AnalysisSize)
 }
 
 // parseFloats converts a kind's whitespace-separated value fields to

@@ -76,7 +76,7 @@ func TestExtractDispatchAllKinds(t *testing.T) {
 func TestStringRoundTripAllKinds(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		im := structuredFrame(seed)
-		set := ExtractAll(im)
+		set := NewPlanes(im).ExtractAll()
 		for _, k := range AllKinds() {
 			d := set.Get(k)
 			s := d.String()
@@ -100,8 +100,8 @@ func TestStringRoundTripAllKinds(t *testing.T) {
 
 // Identity and symmetry properties of every distance.
 func TestDistanceIdentitySymmetry(t *testing.T) {
-	a := ExtractAll(structuredFrame(10))
-	b := ExtractAll(structuredFrame(11))
+	a := NewPlanes(structuredFrame(10)).ExtractAll()
+	b := NewPlanes(structuredFrame(11)).ExtractAll()
 	for _, k := range AllKinds() {
 		da, db := a.Get(k), b.Get(k)
 		self, err := da.DistanceTo(da)
@@ -124,7 +124,7 @@ func TestDistanceIdentitySymmetry(t *testing.T) {
 
 // Distances across kinds must be rejected.
 func TestDistanceKindMismatch(t *testing.T) {
-	set := ExtractAll(structuredFrame(3))
+	set := NewPlanes(structuredFrame(3)).ExtractAll()
 	kinds := AllKinds()
 	for i, k := range kinds {
 		other := set.Get(kinds[(i+1)%len(kinds)])
@@ -159,7 +159,7 @@ func TestParseRejectsMalformed(t *testing.T) {
 // spelling in its first and its last value field, naming the kind.
 func TestParseRejectsNonFinite(t *testing.T) {
 	spellings := []string{"NaN", "nan", "+NaN", "Inf", "+Inf", "-Inf", "inf", "infinity", "-Infinity", "+INFINITY"}
-	set := ExtractAll(structuredFrame(4))
+	set := NewPlanes(structuredFrame(4)).ExtractAll()
 	// The value count of each kind's String form, which ends in its values.
 	values := map[Kind]int{KindGLCM: 6, KindGabor: GaborVectorLen, KindTamura: TamuraVectorLen, KindCorrelogram: correlogramCells}
 	for k, nv := range values {
@@ -202,8 +202,8 @@ func TestSetPutGet(t *testing.T) {
 // Determinism: extracting twice gives identical serialisations.
 func TestExtractionDeterministic(t *testing.T) {
 	im := structuredFrame(8)
-	s1 := ExtractAll(im)
-	s2 := ExtractAll(im)
+	s1 := NewPlanes(im).ExtractAll()
+	s2 := NewPlanes(im).ExtractAll()
 	for _, k := range AllKinds() {
 		if s1.Get(k).String() != s2.Get(k).String() {
 			t.Errorf("%v extraction not deterministic", k)
@@ -254,7 +254,7 @@ func TestQuantizeRGBCoversAllBins(t *testing.T) {
 
 // Histogram mass equals the analysis raster area.
 func TestHistogramMass(t *testing.T) {
-	h := ExtractColorHistogram(randomFrame(1, 33, 47))
+	h := extractColorHistogramWith(NewPlanes(randomFrame(1, 33, 47)))
 	if h.Total() != AnalysisSize*AnalysisSize {
 		t.Errorf("total %d, want %d", h.Total(), AnalysisSize*AnalysisSize)
 	}
@@ -266,8 +266,8 @@ func TestHistogramMass(t *testing.T) {
 func TestHistogramDistanceBounds(t *testing.T) {
 	const slack = 1e-12
 	f := func(s1, s2 int64) bool {
-		a := ExtractColorHistogram(structuredFrame(s1))
-		b := ExtractColorHistogram(structuredFrame(s2))
+		a := extractColorHistogramWith(NewPlanes(structuredFrame(s1)))
+		b := extractColorHistogramWith(NewPlanes(structuredFrame(s2)))
 		d, err := a.DistanceTo(b)
 		return err == nil && d >= 0 && d <= 2+slack
 	}
@@ -284,7 +284,7 @@ func TestHistogramDistanceBounds(t *testing.T) {
 		copy(even.Pix[i*3:], []uint8{r, g, b})
 		copy(odd.Pix[i*3:], []uint8{r, g, b + 64}) // bin+1
 	}
-	d, err := ExtractColorHistogram(even).DistanceTo(ExtractColorHistogram(odd))
+	d, err := extractColorHistogramWith(NewPlanes(even)).DistanceTo(extractColorHistogramWith(NewPlanes(odd)))
 	if err != nil || math.Abs(d-2) > slack {
 		t.Errorf("disjoint histograms: d = %v (err %v), want 2 within %g", d, err, slack)
 	}
@@ -296,7 +296,7 @@ func TestGLCMPixelCounterMatchesPaper(t *testing.T) {
 	// (2·300·299 = 179400; the published value implies the full double
 	// count). Our faithful implementation counts 2 per (x, x+1) pair:
 	// 2·(300-1)·300 = 179400.
-	g := ExtractGLCM(randomFrame(2, 64, 64))
+	g := extractGLCMWith(NewPlanes(randomFrame(2, 64, 64)))
 	want := float64(2 * (AnalysisSize - 1) * AnalysisSize)
 	if g.PixelCounter != want {
 		t.Errorf("pixelCounter = %v, want %v", g.PixelCounter, want)
@@ -306,7 +306,7 @@ func TestGLCMPixelCounterMatchesPaper(t *testing.T) {
 func TestGLCMUniformImage(t *testing.T) {
 	im := imaging.New(50, 50)
 	im.Fill(128, 128, 128)
-	g := ExtractGLCM(im)
+	g := extractGLCMWith(NewPlanes(im))
 	if g.Contrast != 0 {
 		t.Errorf("uniform contrast = %v", g.Contrast)
 	}
@@ -325,8 +325,8 @@ func TestGLCMTexturedVsSmooth(t *testing.T) {
 	smooth := imaging.New(64, 64)
 	smooth.Fill(100, 100, 100)
 	noisy := randomFrame(3, 64, 64)
-	gs := ExtractGLCM(smooth)
-	gn := ExtractGLCM(noisy)
+	gs := extractGLCMWith(NewPlanes(smooth))
+	gn := extractGLCMWith(NewPlanes(noisy))
 	if gn.Contrast <= gs.Contrast {
 		t.Error("noise should raise contrast")
 	}
@@ -342,7 +342,7 @@ func TestGaborVectorBugLayout(t *testing.T) {
 	// The faithful layout (paper/LIRE bug m*N + n*2) leaves indices
 	// >= 36 zero; the corrected layout fills all 60.
 	im := structuredFrame(4)
-	buggy := ExtractGabor(im)
+	buggy := extractGaborWith(NewPlanes(im))
 	for i := GaborScales*GaborOrientations + (GaborOrientations-1)*2; i < GaborVectorLen; i++ {
 		if buggy.Vec[i] != 0 {
 			t.Fatalf("faithful layout has nonzero tail at %d", i)
@@ -363,7 +363,7 @@ func TestGaborVectorBugLayout(t *testing.T) {
 func TestGaborUniformNearZero(t *testing.T) {
 	im := imaging.New(64, 64)
 	im.Fill(180, 180, 180)
-	g := ExtractGabor(im)
+	g := extractGaborWith(NewPlanes(im))
 	for i, v := range g.Vec {
 		if math.Abs(v) > 0.05 {
 			t.Errorf("uniform image gabor[%d] = %g", i, v)
@@ -385,8 +385,8 @@ func TestGaborOrientationSensitivity(t *testing.T) {
 			}
 		}
 	}
-	gh := ExtractGabor(horiz)
-	gv := ExtractGabor(vert)
+	gh := extractGaborWith(NewPlanes(horiz))
+	gv := extractGaborWith(NewPlanes(vert))
 	d, _ := gh.DistanceTo(gv)
 	if d < 1e-3 {
 		t.Errorf("orientation-blind gabor: distance %g", d)
@@ -394,7 +394,7 @@ func TestGaborOrientationSensitivity(t *testing.T) {
 }
 
 func TestTamuraValues(t *testing.T) {
-	tm := ExtractTamura(structuredFrame(5))
+	tm := extractTamuraWith(NewPlanes(structuredFrame(5)))
 	if tm.Coarseness <= 0 {
 		t.Error("coarseness should be positive on structured content")
 	}
@@ -416,7 +416,7 @@ func TestTamuraValues(t *testing.T) {
 func TestTamuraUniformContrastZero(t *testing.T) {
 	im := imaging.New(64, 64)
 	im.Fill(99, 99, 99)
-	tm := ExtractTamura(im)
+	tm := extractTamuraWith(NewPlanes(im))
 	if tm.Contrast != 0 {
 		t.Errorf("uniform contrast = %v", tm.Contrast)
 	}
@@ -430,7 +430,7 @@ func TestTamuraUniformContrastZero(t *testing.T) {
 }
 
 func TestTamuraStringHas18Values(t *testing.T) {
-	s := ExtractTamura(structuredFrame(6)).String()
+	s := extractTamuraWith(NewPlanes(structuredFrame(6))).String()
 	fields := strings.Fields(s)
 	if fields[0] != "Tamura" || fields[1] != "18" || len(fields) != 20 {
 		t.Errorf("tamura format: %.80s (%d fields)", s, len(fields))
@@ -438,7 +438,7 @@ func TestTamuraStringHas18Values(t *testing.T) {
 }
 
 func TestCorrelogramValuesNormalised(t *testing.T) {
-	c := ExtractCorrelogram(structuredFrame(7))
+	c := extractCorrelogramWith(NewPlanes(structuredFrame(7)))
 	for b := 0; b < CorrelogramBins; b++ {
 		for d := 0; d < CorrelogramMaxDistance; d++ {
 			v := c.Cor[b][d]
@@ -463,7 +463,7 @@ func TestCorrelogramValuesNormalised(t *testing.T) {
 }
 
 func TestCorrelogramStringFormat(t *testing.T) {
-	s := ExtractCorrelogram(structuredFrame(8)).String()
+	s := extractCorrelogramWith(NewPlanes(structuredFrame(8))).String()
 	fields := strings.Fields(s)
 	if fields[0] != "ACC" || fields[1] != "4" {
 		t.Errorf("ACC prefix: %.40s", s)
@@ -485,7 +485,7 @@ func TestQuantizeHSVRange(t *testing.T) {
 
 func TestNaiveSignatureFormatMatchesPaper(t *testing.T) {
 	im := imaging.New(10, 10) // black
-	n := ExtractNaive(im)
+	n := extractNaiveWith(NewPlanes(im))
 	s := n.String()
 	if !strings.HasPrefix(s, "NaiveVector java.awt.Color[r=0,g=0,b=0]") {
 		t.Errorf("naive format: %.80s", s)
@@ -499,8 +499,8 @@ func TestNaiveDistanceScale(t *testing.T) {
 	black := imaging.New(20, 20)
 	white := imaging.New(20, 20)
 	white.Fill(255, 255, 255)
-	nb := ExtractNaive(black)
-	nw := ExtractNaive(white)
+	nb := extractNaiveWith(NewPlanes(black))
+	nw := extractNaiveWith(NewPlanes(white))
 	d, _ := nb.DistanceTo(nw)
 	// 25 points × sqrt(3·255²) ≈ 11041.
 	want := 25 * math.Sqrt(3) * 255
@@ -524,7 +524,7 @@ func TestRegionsOnSyntheticShapes(t *testing.T) {
 			im.Set(x, y, 10, 10, 10)
 		}
 	}
-	r := ExtractRegions(im)
+	r := extractRegionsWith(NewPlanes(im))
 	if r.Regions < 3 {
 		t.Errorf("regions = %d, want >= 3", r.Regions)
 	}
@@ -542,7 +542,7 @@ func TestRegionsOnSyntheticShapes(t *testing.T) {
 func TestRegionsUniform(t *testing.T) {
 	im := imaging.New(60, 60)
 	im.Fill(200, 200, 200)
-	r := ExtractRegions(im)
+	r := extractRegionsWith(NewPlanes(im))
 	if r.Regions != 1 || r.Major != 1 {
 		t.Errorf("uniform image: %+v", r)
 	}

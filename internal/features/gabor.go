@@ -34,8 +34,8 @@ const (
 // instead of (m*N + n)*2. Adjacent filters therefore overwrite parts of
 // each other's slots and indices 36–59 remain zero — exactly as visible in
 // the paper's Fig. 8 sample output, whose tail is all "0.0". We reproduce
-// that layout by default; ExtractGaborCorrected provides the fixed layout
-// for the ablation bench.
+// that layout; the corrected layout is a test-side ablation
+// (ExtractGaborCorrected in gabor_test.go).
 //
 // A consequence the extractor exploits: filter (m+1, n−3) writes the same
 // two slots as filter (m, n) for n ≥ 3 and writes them later, so only 18
@@ -61,9 +61,8 @@ var (
 	gaborBankOnce sync.Once
 	gaborBank     [GaborScales][GaborOrientations]gaborKernel
 	// gaborLive marks the filters whose statistics survive
-	// gaborFaithfulLayout; gaborAll marks the whole bank (the corrected
-	// layout keeps every filter). Both are filled by buildGaborBank.
-	gaborLive, gaborAll gaborFilterSet
+	// gaborFaithfulLayout; buildGaborBank fills it.
+	gaborLive gaborFilterSet
 )
 
 // buildGaborBank precomputes the spatial Gabor kernels: wavelength grows
@@ -118,7 +117,6 @@ func buildGaborBank() {
 				k.im2[2*i], k.im2[2*i+1] = k.im[i], k.im[i]
 			}
 			gaborBank[m][n] = k
-			gaborAll[m][n] = true
 		}
 	}
 	// Liveness is read off the layout itself: replay its writes in order
@@ -153,7 +151,7 @@ var gaborPlanePool = sync.Pool{
 // imageSize), for the filters in set; the others stay zero. Filters and
 // output pixels are independent, and gaborRow accumulates each pixel's
 // taps in exactly the reference's order, so the computed statistics are
-// bit-identical to gaborStatsReference's.
+// bit-identical to gaborStatsReference's (gabor_test.go).
 //
 // Every product is wrapped in a float64 conversion: the spec lets a
 // compiler fuse x*y + z into one rounding (arm64, GOAMD64=v3) unless the
@@ -228,87 +226,15 @@ func gaborRowGo(re, im, pix []float64, stride int, k *gaborKernel) {
 	}
 }
 
-// gaborGray derives the 64×64 grayscale filtering raster from a frame.
-func gaborGray(im *imaging.Image) *imaging.Gray {
-	return analysisImage(im).ToGray().Rescale(gaborImageSize, gaborImageSize)
-}
-
-// gaborStatsReference is the retained naive statistics pass: fresh float
-// planes per call and a bounds-checked scalar inner loop, exactly the
-// pre-optimisation code. It backs ExtractGaborReference, the bit-identity
-// baseline and "before" benchmark for gaborStats.
-func gaborStatsReference(im *imaging.Image) (means, devs [GaborScales][GaborOrientations]float64) {
-	gaborBankOnce.Do(buildGaborBank)
-	g := gaborGray(im)
-	w, h := g.W, g.H
-	pix := make([]float64, w*h)
-	for i, v := range g.Pix {
-		pix[i] = float64(v) / 255
-	}
-	imageSize := float64(w * h)
-	mags := make([]float64, w*h)
-	for m := 0; m < GaborScales; m++ {
-		for n := 0; n < GaborOrientations; n++ {
-			k := &gaborBank[m][n]
-			r := k.radius
-			side := 2*r + 1
-			var sum float64
-			count := 0
-			for y := r; y < h-r; y++ {
-				for x := r; x < w-r; x++ {
-					var re, imag float64
-					ti := 0
-					for dy := -r; dy <= r; dy++ {
-						base := (y+dy)*w + x - r
-						for dx := 0; dx < side; dx++ {
-							p := pix[base+dx]
-							re += float64(p * k.re[ti])
-							imag += float64(p * k.im[ti])
-							ti++
-						}
-					}
-					mag := math.Sqrt(float64(re*re) + float64(imag*imag))
-					mags[count] = mag
-					sum += mag
-					count++
-				}
-			}
-			mean := sum / imageSize
-			var sq float64
-			for i := 0; i < count; i++ {
-				d := mags[i] - mean
-				sq += float64(d * d)
-			}
-			means[m][n] = mean
-			devs[m][n] = math.Sqrt(sq) / imageSize
-		}
-	}
-	return means, devs
-}
-
-// ExtractGabor computes the §4.4 descriptor with the paper's faithful
-// (buggy) vector layout.
-func ExtractGabor(im *imaging.Image) *Gabor {
-	means, devs := gaborStats(gaborGray(im), &gaborLive)
-	return gaborFaithfulLayout(&means, &devs)
-}
-
-// ExtractGaborWith computes the descriptor from shared analysis planes,
-// reusing the gray plane (only the 300→64 gabor rescale remains
-// per-extractor, into a pooled raster).
-func ExtractGaborWith(p *Planes) *Gabor {
+// extractGaborWith computes the §4.4 descriptor with the paper's faithful
+// (buggy) vector layout from shared analysis planes, reusing the gray
+// plane (only the 300→64 gabor rescale remains per-extractor, into a
+// pooled raster).
+func extractGaborWith(p *Planes) *Gabor {
 	sc := frameScratchPool.Get().(*frameScratch)
 	defer frameScratchPool.Put(sc)
 	g := p.Gray.RescaleInto(&sc.gaborGray, gaborImageSize, gaborImageSize)
 	means, devs := gaborStats(g, &gaborLive)
-	return gaborFaithfulLayout(&means, &devs)
-}
-
-// ExtractGaborReference computes the descriptor through the retained
-// naive statistics pass (per-call allocations, bounds-checked inner
-// loop) — the bit-identity baseline for ExtractGabor / ExtractGaborWith.
-func ExtractGaborReference(im *imaging.Image) *Gabor {
-	means, devs := gaborStatsReference(im)
 	return gaborFaithfulLayout(&means, &devs)
 }
 
@@ -327,21 +253,6 @@ func gaborFaithfulLayout(means, devs *[GaborScales][GaborOrientations]float64) *
 			slot := gaborFaithfulSlot(m, n)
 			out.Vec[slot] = means[m][n]
 			out.Vec[slot+1] = devs[m][n]
-		}
-	}
-	return out
-}
-
-// ExtractGaborCorrected computes the same statistics with the corrected
-// (m*N+n)*2 layout, used by the ablation bench to quantify what the
-// indexing bug costs.
-func ExtractGaborCorrected(im *imaging.Image) *Gabor {
-	means, devs := gaborStats(gaborGray(im), &gaborAll)
-	out := &Gabor{}
-	for m := 0; m < GaborScales; m++ {
-		for n := 0; n < GaborOrientations; n++ {
-			out.Vec[(m*GaborOrientations+n)*2] = means[m][n]
-			out.Vec[(m*GaborOrientations+n)*2+1] = devs[m][n]
 		}
 	}
 	return out

@@ -30,17 +30,10 @@ type GLCM struct {
 	Entropy      float64
 }
 
-// ExtractGLCM computes the grey-level co-occurrence texture of a frame
-// over the 300×300 analysis raster (the paper's published pixelCounter is
-// 180000 = 2·300·300, confirming that size).
-func ExtractGLCM(im *imaging.Image) *GLCM {
-	g := analysisImage(im).ToGray()
-	return glcmFromGray(g)
-}
-
-// ExtractGLCMWith computes the descriptor from shared analysis planes,
-// reusing the gray plane instead of rescaling and converting again.
-func ExtractGLCMWith(p *Planes) *GLCM {
+// extractGLCMWith computes the descriptor over the planes' 300×300 gray
+// plane (the paper's published pixelCounter is 180000 = 2·300·300,
+// confirming that size).
+func extractGLCMWith(p *Planes) *GLCM {
 	return glcmFromGray(p.Gray)
 }
 

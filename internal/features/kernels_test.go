@@ -174,7 +174,7 @@ func TestBatchDistanceMatchesPairs(t *testing.T) {
 func TestKernelsOnExtractedDescriptors(t *testing.T) {
 	imA := randomFrame(3, 97, 73)
 	imB := randomFrame(9, 64, 64)
-	setA, setB := ExtractAll(imA), ExtractAll(imB)
+	setA, setB := NewPlanes(imA).ExtractAll(), NewPlanes(imB).ExtractAll()
 	for _, kind := range AllKinds() {
 		da, db := setA.Get(kind), setB.Get(kind)
 		want, err := da.DistanceTo(db)

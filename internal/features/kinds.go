@@ -55,7 +55,7 @@ var kindTable = [NumKinds]kindDef{
 		pair:       glcmRow,
 		metric:     true,
 		fixedScale: 2, // scaled L2, typically < 2
-	}, func(s *Set) **GLCM { return &s.GLCM }, ExtractGLCMWith, ParseGLCM),
+	}, func(s *Set) **GLCM { return &s.GLCM }, extractGLCMWith, ParseGLCM),
 	KindGabor: slot(kindDef{
 		name:       "gabor",
 		stride:     GaborVectorLen,
@@ -63,7 +63,7 @@ var kindTable = [NumKinds]kindDef{
 		pair:       l2Row,
 		metric:     true,
 		fixedScale: 0.5, // magnitude-normalised responses
-	}, func(s *Set) **Gabor { return &s.Gabor }, ExtractGaborWith, ParseGabor),
+	}, func(s *Set) **Gabor { return &s.Gabor }, extractGaborWith, ParseGabor),
 	KindTamura: slot(kindDef{
 		name:       "tamura",
 		stride:     TamuraVectorLen,
@@ -71,7 +71,7 @@ var kindTable = [NumKinds]kindDef{
 		pair:       tamuraRow,
 		metric:     true,
 		fixedScale: 2, // scaled L2 + half-L1 directionality
-	}, func(s *Set) **Tamura { return &s.Tamura }, ExtractTamuraWith, ParseTamura),
+	}, func(s *Set) **Tamura { return &s.Tamura }, extractTamuraWith, ParseTamura),
 	KindHistogram: slot(kindDef{
 		name:       "histogram",
 		stride:     HistogramBins + 1,
@@ -79,7 +79,7 @@ var kindTable = [NumKinds]kindDef{
 		pair:       histRow,
 		metric:     true,
 		fixedScale: 2, // L1 over distributions is in [0,2]
-	}, func(s *Set) **ColorHistogram { return &s.Histogram }, ExtractColorHistogramWith, ParseColorHistogram),
+	}, func(s *Set) **ColorHistogram { return &s.Histogram }, extractColorHistogramWith, ParseColorHistogram),
 	KindCorrelogram: slot(kindDef{
 		name:       "autocorrelogram",
 		stride:     CorrelogramBins * CorrelogramMaxDistance,
@@ -87,7 +87,7 @@ var kindTable = [NumKinds]kindDef{
 		pair:       correlogramRow,
 		metric:     true,
 		fixedScale: 0.5, // mean |Δ| of max-normalised cells
-	}, func(s *Set) **Correlogram { return &s.Correlogram }, ExtractCorrelogramWith, ParseCorrelogram),
+	}, func(s *Set) **Correlogram { return &s.Correlogram }, extractCorrelogramWith, ParseCorrelogram),
 	KindRegions: slot(kindDef{
 		name:       "regions",
 		stride:     3,
@@ -95,7 +95,7 @@ var kindTable = [NumKinds]kindDef{
 		pair:       regionsRow,
 		metric:     true,
 		fixedScale: 10, // counts
-	}, func(s *Set) **RegionStats { return &s.Regions }, ExtractRegionsWith, ParseRegions),
+	}, func(s *Set) **RegionStats { return &s.Regions }, extractRegionsWith, ParseRegions),
 	KindNaive: slot(kindDef{
 		name:       "naive",
 		stride:     NaivePoints * 3,
@@ -103,7 +103,7 @@ var kindTable = [NumKinds]kindDef{
 		pair:       naiveRow,
 		metric:     true,
 		fixedScale: 11025, // 25 × max per-point distance (441)
-	}, func(s *Set) **NaiveSignature { return &s.Naive }, ExtractNaiveWith, ParseNaive),
+	}, func(s *Set) **NaiveSignature { return &s.Naive }, extractNaiveWith, ParseNaive),
 }
 
 // slot completes a table row with the kind's typed extractor, parser and

@@ -28,21 +28,11 @@ type NaiveSignature struct {
 	Sig [NaivePoints][3]uint8
 }
 
-// ExtractNaive computes the §4.6 signature of a frame the paper's way:
-// rescale to the analysis raster (a frame that already has analysis
-// dimensions is its own raster), then average the windows. It is the
-// reference extractor's naive kind; NaiveOf gives the same signature
-// without the rescale.
-func ExtractNaive(im *imaging.Image) *NaiveSignature {
-	sig := NaiveOf(analysisImage(im).Source())
-	return &sig
-}
-
-// ExtractNaiveWith computes the signature from shared analysis planes.
+// extractNaiveWith computes the signature from shared analysis planes.
 // The analysis raster and the paper's naive rescale target are both
 // 300×300 nearest-neighbour, so sampling the shared plane is
-// bit-identical to the reference's dedicated rescale.
-func ExtractNaiveWith(p *Planes) *NaiveSignature {
+// bit-identical to a dedicated rescale.
+func extractNaiveWith(p *Planes) *NaiveSignature {
 	sig := NaiveOf(p.Analysis.Source())
 	return &sig
 }

@@ -48,7 +48,8 @@ func naiveOracle(im *imaging.Image) NaiveSignature {
 // TestNaiveOfMatchesWindowAverage holds the separable window sums to the
 // paper's averageAround on the rescaled raster, for up-, down- and
 // identity scales, odd and degenerate sizes — from RGB frames and from
-// the Y'CbCr planes of their JPEG encodings — and through ExtractNaive.
+// the Y'CbCr planes of their JPEG encodings — and through the planes
+// extractor.
 func TestNaiveOfMatchesWindowAverage(t *testing.T) {
 	sizes := [][2]int{{0, 0}, {1, 1}, {7, 5}, {29, 31}, {96, 72}, {160, 120}, {161, 119}, {300, 300}, {301, 299}, {640, 480}, {2000, 3}, {3, 700}}
 	for i, s := range sizes {
@@ -57,8 +58,8 @@ func TestNaiveOfMatchesWindowAverage(t *testing.T) {
 		if got := NaiveOf(im.Source()); got != want {
 			t.Errorf("%dx%d: NaiveOf %s, window average %s", s[0], s[1], &got, &want)
 		}
-		if got := ExtractNaive(im); *got != want {
-			t.Errorf("%dx%d: ExtractNaive %s, window average %s", s[0], s[1], got, &want)
+		if got := extractNaiveWith(NewPlanes(im)); *got != want {
+			t.Errorf("%dx%d: planes extractor %s, window average %s", s[0], s[1], got, &want)
 		}
 		if s[0] == 0 {
 			continue
@@ -81,7 +82,7 @@ func TestNaiveOfMatchesWindowAverage(t *testing.T) {
 // selection uses to DistanceTo, bit for bit.
 func TestNaiveDistanceMatchesDistanceTo(t *testing.T) {
 	for i := 0; i < 20; i++ {
-		a, b := ExtractNaive(randomFrame(int64(i), 50, 40)), ExtractNaive(randomFrame(int64(i+100), 40, 50))
+		a, b := extractNaiveWith(NewPlanes(randomFrame(int64(i), 50, 40))), extractNaiveWith(NewPlanes(randomFrame(int64(i+100), 40, 50)))
 		if d, _ := a.DistanceTo(b); d != a.Distance(b) {
 			t.Fatalf("pair %d: Distance %v, DistanceTo %v", i, a.Distance(b), d)
 		}

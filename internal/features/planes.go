@@ -8,11 +8,11 @@ import (
 
 // Planes holds the per-frame analysis rasters every extractor consumes,
 // computed exactly once: one rescale to the 300×300 analysis raster, one
-// gray conversion, one HSV quantisation pass and one histogram pass.
-// ExtractAll and the per-kind ExtractWith / Extract*With entry points then
-// reuse the shared planes instead of each rescaling and converting the
-// frame again. The descriptors are bit-identical to the retained naive
-// reference (ExtractAllReference) — see shared_test.go.
+// gray conversion, one HSV quantisation pass and one histogram pass. They
+// are the only way into an extractor: ExtractAll and the per-kind
+// ExtractWith read the kind table's extract column over them. The
+// descriptors are bit-identical to the naive rescale-per-extractor
+// reference, ExtractAllReference in shared_test.go.
 //
 // Planes own every buffer they hold, the analysis raster included, so
 // pooled planes (AcquireSourcePlanes) compute a frame with no per-frame

@@ -92,12 +92,12 @@ func jpegSource(t *testing.T, im *imaging.Image) imaging.Source {
 func TestExtractAllWithNaiveInstallsSignature(t *testing.T) {
 	im := randomFrame(11, 200, 150)
 	p := NewPlanes(im)
-	sig := ExtractNaiveWith(p)
+	sig := extractNaiveWith(p)
 	set := p.ExtractAllWithNaive(sig)
 	if set.Naive != sig {
 		t.Error("signature not installed verbatim")
 	}
-	if set.Naive.String() != ExtractNaive(im).String() {
+	if set.Naive.String() != extractNaiveWith(NewPlanes(im)).String() {
 		t.Error("installed signature diverges from a fresh extraction")
 	}
 	ref := p.ExtractAll()
@@ -113,10 +113,10 @@ func TestExtractAllWithNaiveInstallsSignature(t *testing.T) {
 // raster performs no rescale and yields the identical signature.
 func TestExtractNaivePrescaledRaster(t *testing.T) {
 	im := randomFrame(12, 320, 240)
-	want := ExtractNaive(im).String()
+	want := extractNaiveWith(NewPlanes(im)).String()
 	scaled := analysisImage(im)
 	start := imaging.RescaleCalls()
-	got := ExtractNaive(scaled).String()
+	got := extractNaiveWith(NewPlanes(scaled)).String()
 	if n := imaging.RescaleCalls() - start; n != 0 {
 		t.Errorf("pre-scaled naive extraction performed %d rescales, want 0", n)
 	}
@@ -153,7 +153,7 @@ func TestAcquirePlanesConcurrent(t *testing.T) {
 			for it := 0; it < 6; it++ {
 				i := (w + it) % frames
 				p := AcquirePlanes(ims[i])
-				set := p.ExtractAllWithNaive(ExtractNaiveWith(p))
+				set := p.ExtractAllWithNaive(extractNaiveWith(p))
 				p.Release()
 				for ki, k := range AllKinds() {
 					if got := set.Get(k).String(); got != want[i][ki] {

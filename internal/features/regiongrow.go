@@ -23,29 +23,11 @@ type RegionStats struct {
 	Major   int
 }
 
-// ExtractRegions runs the §4.8 pipeline on a frame.
-func ExtractRegions(im *imaging.Image) *RegionStats {
-	g := analysisImage(im).ToGray()
-	return regionsFromGray(g, g.Histogram())
-}
-
-// ExtractRegionsWith runs the pipeline from shared analysis planes,
+// extractRegionsWith runs the §4.8 pipeline from shared analysis planes,
 // reusing the gray plane and its histogram. The shared plane itself is
 // never written: binarisation goes into pooled scratch.
-func ExtractRegionsWith(p *Planes) *RegionStats {
+func extractRegionsWith(p *Planes) *RegionStats {
 	return regionsFromGray(p.Gray, p.GrayHist)
-}
-
-// ExtractRegionsReference is the retained naive pipeline: its own rescale
-// and gray conversion, the generic kernel-walk morphology (CloseOpen over
-// PaperKernel offsets with per-tap bounds checks) and the stack-based
-// grower. min/max folds are order-independent and connected components
-// do not depend on how they are traversed, so the box pass and run
-// labelling the production paths use are provably identical; this
-// baseline keeps the pre-optimisation cost measurable.
-func ExtractRegionsReference(im *imaging.Image) *RegionStats {
-	g := analysisImage(im).ToGray()
-	return growRegionsStack(g.BinarizeAuto().CloseOpen(imaging.PaperKernel()))
 }
 
 // regionsFromGray mirrors the paper's preprocess() on a gray plane
@@ -92,7 +74,8 @@ type labelRun struct {
 // carried on the roots) with every same-valued run of the previous row it
 // touches, and the surviving roots are the regions. A component's pixel
 // set does not depend on how it is discovered, so the three counts equal
-// growRegionsStack's exactly, in O(runs) instead of O(9·pixels). The
+// those of the classic stack-based grower (growRegionsStack,
+// regiongrow_test.go) exactly, in O(runs) instead of O(9·pixels). The
 // slices are reused across frames.
 type runLabeller struct {
 	runs   []labelRun
@@ -179,61 +162,6 @@ func (l *runLabeller) union(a, b int32) {
 	}
 	l.parent[b] = a
 	l.size[a] += l.size[b]
-}
-
-// growRegionsStack is the classic stack-based region growing from §4.8:
-// 8-connected components of equal pixel value over the binarised raster.
-// It is the reference runLabeller is tested against and the grower
-// ExtractRegionsReference keeps.
-func growRegionsStack(g *imaging.Gray) *RegionStats {
-	w, h := g.W, g.H
-	labels := make([]int32, w*h)
-	for i := range labels {
-		labels[i] = -1
-	}
-	stats := &RegionStats{}
-	majorMin := majorRegionMin(w, h)
-	type point struct{ x, y int }
-	var stack []point
-	var region int32
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			if labels[y*w+x] >= 0 {
-				continue
-			}
-			val := g.Pix[y*w+x]
-			if val == 0 {
-				stats.Holes++
-			}
-			stats.Regions++
-			count := 0
-			stack = append(stack[:0], point{x, y})
-			labels[y*w+x] = region
-			for len(stack) > 0 {
-				p := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				count++
-				for dy := -1; dy <= 1; dy++ {
-					for dx := -1; dx <= 1; dx++ {
-						nx, ny := p.x+dx, p.y+dy
-						if nx < 0 || ny < 0 || nx >= w || ny >= h {
-							continue
-						}
-						i := ny*w + nx
-						if labels[i] < 0 && g.Pix[i] == val {
-							labels[i] = region
-							stack = append(stack, point{nx, ny})
-						}
-					}
-				}
-			}
-			if count >= majorMin {
-				stats.Major++
-			}
-			region++
-		}
-	}
-	return stats
 }
 
 // Kind implements Descriptor.

@@ -8,6 +8,85 @@ import (
 	"cbvr/internal/imaging"
 )
 
+// ExtractRegionsReference is the naive §4.8 pipeline: its own rescale and
+// gray conversion, binarisation into a fresh raster, the box smoothing
+// and the stack-based grower. Connected components do not depend on how
+// they are traversed, so the run labelling the production path uses is
+// provably identical; this baseline keeps the pre-optimisation grower's
+// cost measurable.
+func ExtractRegionsReference(im *imaging.Image) *RegionStats {
+	return growRegionsStack(binarySmoothed(analysisImage(im).ToGray()))
+}
+
+// binarySmoothed is §4.8's preprocessing on a fresh raster: Huang
+// minimum-fuzziness binarisation, then dilate, erode, erode, dilate with
+// the paper's 3×3 box (CloseOpenBox3, which imaging's
+// TestBoxMorphologyMatchesGeneric pins to the generic kernel walk).
+func binarySmoothed(g *imaging.Gray) *imaging.Gray {
+	t := imaging.HuangThreshold(g.Histogram())
+	bin := imaging.NewGray(g.W, g.H)
+	for i, v := range g.Pix {
+		if int(v) > t {
+			bin.Pix[i] = 255
+		}
+	}
+	return bin.CloseOpenBox3(bin, &imaging.Gray{})
+}
+
+// growRegionsStack is the classic stack-based region growing from §4.8:
+// 8-connected components of equal pixel value over the binarised raster.
+// It is the reference runLabeller is tested against.
+func growRegionsStack(g *imaging.Gray) *RegionStats {
+	w, h := g.W, g.H
+	labels := make([]int32, w*h)
+	for i := range labels {
+		labels[i] = -1
+	}
+	stats := &RegionStats{}
+	majorMin := majorRegionMin(w, h)
+	type point struct{ x, y int }
+	var stack []point
+	var region int32
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			if labels[y*w+x] >= 0 {
+				continue
+			}
+			val := g.Pix[y*w+x]
+			if val == 0 {
+				stats.Holes++
+			}
+			stats.Regions++
+			count := 0
+			stack = append(stack[:0], point{x, y})
+			labels[y*w+x] = region
+			for len(stack) > 0 {
+				p := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				count++
+				for dy := -1; dy <= 1; dy++ {
+					for dx := -1; dx <= 1; dx++ {
+						nx, ny := p.x+dx, p.y+dy
+						if nx < 0 || ny < 0 || nx >= w || ny >= h {
+							continue
+						}
+						i := ny*w + nx
+						if labels[i] < 0 && g.Pix[i] == val {
+							labels[i] = region
+							stack = append(stack, point{nx, ny})
+						}
+					}
+				}
+			}
+			if count >= majorMin {
+				stats.Major++
+			}
+			region++
+		}
+	}
+	return stats
+}
+
 // grayOf builds a w×h raster from a pixel function.
 func grayOf(w, h int, px func(x, y int) uint8) *imaging.Gray {
 	g := imaging.NewGray(w, h)
@@ -102,7 +181,7 @@ func TestRunLabellerOnExtractorRasters(t *testing.T) {
 	var l runLabeller
 	for name, im := range frames {
 		gray := NewPlanes(im).Gray
-		smooth := gray.BinarizeAuto().CloseOpen(imaging.PaperKernel())
+		smooth := binarySmoothed(gray)
 		for kind, g := range map[string]*imaging.Gray{"gray": gray, "smoothed": smooth} {
 			want := growRegionsStack(g)
 			if got := l.regions(g); *got != *want {

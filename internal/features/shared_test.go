@@ -9,29 +9,73 @@ import (
 	"cbvr/internal/imaging"
 )
 
-// Extract computes the descriptor of the given kind through the image-in
-// extractors, each of which rescales and converts the frame itself. It is
-// written out kind by kind, independently of the kind table, so it can
-// serve as the reference side of TestExtractWithMatchesExtract.
+// analysisImage rescales a frame to the canonical 300×300 analysis raster
+// using the paper's nearest-neighbour interpolation; a frame that already
+// has analysis dimensions is its own raster.
+func analysisImage(im *imaging.Image) *imaging.Image {
+	if im.W == AnalysisSize && im.H == AnalysisSize {
+		return im
+	}
+	return im.Rescale(AnalysisSize, AnalysisSize)
+}
+
+// Extract is the per-kind reference: it computes the descriptor of the
+// given kind the way the paper's pseudo-code implies, rescaling and
+// converting the frame itself, then runs the same unexported kernel the
+// kind's planes extractor runs. It is written out kind by kind,
+// independently of the kind table and of Planes, so it can serve as the
+// reference side of TestExtractWithMatchesExtract.
 func Extract(kind Kind, im *imaging.Image) (Descriptor, error) {
+	a := analysisImage(im)
 	switch kind {
 	case KindHistogram:
-		return ExtractColorHistogram(im), nil
+		return colorHistogramOf(a), nil
 	case KindGLCM:
-		return ExtractGLCM(im), nil
+		return glcmFromGray(a.ToGray()), nil
 	case KindGabor:
-		return ExtractGabor(im), nil
+		means, devs := gaborStats(gaborGray(a), &gaborLive)
+		return gaborFaithfulLayout(&means, &devs), nil
 	case KindTamura:
-		return ExtractTamura(im), nil
+		return tamuraFromGray(a.ToGray()), nil
 	case KindCorrelogram:
-		return ExtractCorrelogram(im), nil
+		return correlogramFromQuant(quantizePlane(a), a.W, a.H), nil
 	case KindNaive:
-		return ExtractNaive(im), nil
+		sig := NaiveOf(a.Source())
+		return &sig, nil
 	case KindRegions:
-		return ExtractRegions(im), nil
+		g := a.ToGray()
+		return regionsFromGray(g, g.Histogram()), nil
 	default:
 		return nil, errUnknownKind(kind)
 	}
+}
+
+// ExtractAllReference computes all seven descriptors the naive way the
+// paper's pseudo-code implies: each extractor rescales and converts the
+// frame independently, and the Gabor, correlogram and region extractors
+// run their original per-pixel algorithms. It is the equivalence and
+// benchmark baseline for the shared-plane path.
+func ExtractAllReference(im *imaging.Image) *Set {
+	naive := NaiveOf(analysisImage(im).Source())
+	return &Set{
+		Histogram:   colorHistogramOf(analysisImage(im)),
+		GLCM:        glcmFromGray(analysisImage(im).ToGray()),
+		Gabor:       ExtractGaborReference(im),
+		Tamura:      tamuraFromGray(analysisImage(im).ToGray()),
+		Correlogram: ExtractCorrelogramReference(im),
+		Naive:       &naive,
+		Regions:     ExtractRegionsReference(im),
+	}
+}
+
+// mustExtract is Extract for a valid kind.
+func mustExtract(tb testing.TB, kind Kind, im *imaging.Image) Descriptor {
+	tb.Helper()
+	d, err := Extract(kind, im)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return d
 }
 
 // equivalenceFrames is the shared-plane equivalence corpus: random and
@@ -67,7 +111,7 @@ func TestSharedPlaneBitIdentity(t *testing.T) {
 	for name, im := range equivalenceFrames() {
 		t.Run(name, func(t *testing.T) {
 			ref := ExtractAllReference(im)
-			shared := ExtractAll(im)
+			shared := NewPlanes(im).ExtractAll()
 			for _, k := range AllKinds() {
 				rs, ss := ref.Get(k).String(), shared.Get(k).String()
 				if rs != ss {
@@ -104,13 +148,14 @@ func TestExtractWithMatchesExtract(t *testing.T) {
 
 // TestFastExtractorsMatchReference pins the two algorithmically rewritten
 // extractors to their retained naive implementations on the frame-level
-// API (the planes path is covered by TestSharedPlaneBitIdentity).
+// reference, Extract (the planes path is covered by
+// TestSharedPlaneBitIdentity).
 func TestFastExtractorsMatchReference(t *testing.T) {
 	for name, im := range equivalenceFrames() {
-		if got, want := ExtractCorrelogram(im).String(), ExtractCorrelogramReference(im).String(); got != want {
+		if got, want := mustExtract(t, KindCorrelogram, im).String(), ExtractCorrelogramReference(im).String(); got != want {
 			t.Errorf("%s: bitset correlogram diverges from countRing reference", name)
 		}
-		if got, want := ExtractGabor(im).String(), ExtractGaborReference(im).String(); got != want {
+		if got, want := mustExtract(t, KindGabor, im).String(), ExtractGaborReference(im).String(); got != want {
 			t.Errorf("%s: pooled gabor diverges from reference", name)
 		}
 	}
@@ -136,7 +181,7 @@ func TestPlanesGrayHistMatchesRescale(t *testing.T) {
 func TestSharedExtractionSingleRescale(t *testing.T) {
 	im := randomFrame(7, 160, 120)
 	start := imaging.RescaleCalls()
-	ExtractAll(im)
+	NewPlanes(im).ExtractAll()
 	if n := imaging.RescaleCalls() - start; n != 1 {
 		t.Errorf("shared extraction performed %d rescales, want exactly 1", n)
 	}
@@ -174,7 +219,7 @@ func TestExtractAllSharedConcurrent(t *testing.T) {
 			defer wg.Done()
 			for it := 0; it < 4; it++ {
 				i := (w + it) % frames
-				set := ExtractAll(ims[i])
+				set := NewPlanes(ims[i]).ExtractAll()
 				for ki, k := range AllKinds() {
 					if got := set.Get(k).String(); got != want[i][ki] {
 						errs <- fmt.Errorf("worker %d frame %d: %v diverged under concurrency", w, i, k)

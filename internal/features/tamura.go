@@ -34,15 +34,9 @@ type Tamura struct {
 	Directionality [TamuraDirBins]float64
 }
 
-// ExtractTamura computes the Tamura texture features of a frame over the
-// 300×300 analysis raster.
-func ExtractTamura(im *imaging.Image) *Tamura {
-	return tamuraFromGray(analysisImage(im).ToGray())
-}
-
-// ExtractTamuraWith computes the descriptor from shared analysis planes,
-// reusing the gray plane instead of rescaling and converting again.
-func ExtractTamuraWith(p *Planes) *Tamura {
+// extractTamuraWith computes the Tamura texture features over the planes'
+// 300×300 gray plane.
+func extractTamuraWith(p *Planes) *Tamura {
 	return tamuraFromGray(p.Gray)
 }
 

@@ -204,74 +204,6 @@ func TestGrayMean(t *testing.T) {
 	}
 }
 
-func TestMorphologyDilateErode(t *testing.T) {
-	g := NewGray(7, 7)
-	g.Set(3, 3, 255)
-	k := PaperKernel()
-	d := g.Dilate(k)
-	// The 3×3 neighbourhood must light up.
-	for dy := -1; dy <= 1; dy++ {
-		for dx := -1; dx <= 1; dx++ {
-			if d.At(3+dx, 3+dy) != 255 {
-				t.Fatalf("dilate missed (%d,%d)", 3+dx, 3+dy)
-			}
-		}
-	}
-	if d.At(0, 0) != 0 {
-		t.Error("dilate leaked to corner")
-	}
-	// Erosion of the dilation of a single pixel returns the single pixel.
-	e := d.Erode(k)
-	if e.At(3, 3) != 255 {
-		t.Error("erode(dilate(x)) lost centre")
-	}
-	if e.At(2, 2) != 0 {
-		t.Error("erode left halo")
-	}
-}
-
-// Morphology duality property: erode(¬x) == ¬dilate(x) for binary images.
-func TestMorphologyDualityProperty(t *testing.T) {
-	k := PaperKernel()
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := NewGray(16, 16)
-		for i := range g.Pix {
-			if rng.Intn(2) == 1 {
-				g.Pix[i] = 255
-			}
-		}
-		inv := g.Clone()
-		for i := range inv.Pix {
-			inv.Pix[i] = 255 - inv.Pix[i]
-		}
-		left := inv.Erode(k)
-		right := g.Dilate(k)
-		for i := range left.Pix {
-			if left.Pix[i] != 255-right.Pix[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCloseOpenIdempotentOnSolid(t *testing.T) {
-	g := NewGray(12, 12)
-	for i := range g.Pix {
-		g.Pix[i] = 255
-	}
-	out := g.CloseOpen(PaperKernel())
-	for i := range out.Pix {
-		if out.Pix[i] != 255 {
-			t.Fatal("close/open changed a solid image")
-		}
-	}
-}
-
 func TestHuangThresholdSeparatesBimodal(t *testing.T) {
 	var hist [256]int
 	// Two clear modes at 40 and 200.
@@ -298,15 +230,6 @@ func TestHuangThresholdEdgeCases(t *testing.T) {
 	single[77] = 10
 	if th := HuangThreshold(single); th != 77 {
 		t.Errorf("single-bin threshold = %d", th)
-	}
-}
-
-func TestBinarize(t *testing.T) {
-	g := NewGray(2, 1)
-	g.Pix[0], g.Pix[1] = 10, 200
-	b := g.Binarize(100)
-	if b.Pix[0] != 0 || b.Pix[1] != 255 {
-		t.Errorf("binarize: %v", b.Pix)
 	}
 }
 

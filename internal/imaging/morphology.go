@@ -1,90 +1,16 @@
 package imaging
 
-// The paper's §4.8 preprocessing uses a 5×5 kernel whose active part is the
-// central 3×3 block of ones:
-//
-//	0 0 0 0 0
-//	0 1 1 1 0
-//	0 1 1 1 0
-//	0 1 1 1 0
-//	0 0 0 0 0
-//
-// Kernel represents such a binary structuring element by its active offsets.
-type Kernel struct {
-	// Offsets holds (dx, dy) pairs of active kernel cells relative to the
-	// anchor pixel.
-	Offsets [][2]int
-}
-
-// PaperKernel returns the structuring element from §4.8 (a 3×3 box embedded
-// in a 5×5 matrix — equivalent to a plain 3×3 box around the anchor).
-func PaperKernel() Kernel {
-	k := Kernel{}
-	for dy := -1; dy <= 1; dy++ {
-		for dx := -1; dx <= 1; dx++ {
-			k.Offsets = append(k.Offsets, [2]int{dx, dy})
-		}
-	}
-	return k
-}
-
-// Dilate performs grayscale dilation (max filter) over the kernel support.
-// Pixels outside the image are ignored.
-func (g *Gray) Dilate(k Kernel) *Gray {
-	out := NewGray(g.W, g.H)
-	for y := 0; y < g.H; y++ {
-		for x := 0; x < g.W; x++ {
-			var best uint8
-			for _, off := range k.Offsets {
-				nx, ny := x+off[0], y+off[1]
-				if !g.In(nx, ny) {
-					continue
-				}
-				if v := g.Pix[ny*g.W+nx]; v > best {
-					best = v
-				}
-			}
-			out.Pix[y*g.W+x] = best
-		}
-	}
-	return out
-}
-
-// Erode performs grayscale erosion (min filter) over the kernel support.
-// Pixels outside the image are ignored.
-func (g *Gray) Erode(k Kernel) *Gray {
-	out := NewGray(g.W, g.H)
-	for y := 0; y < g.H; y++ {
-		for x := 0; x < g.W; x++ {
-			best := uint8(255)
-			for _, off := range k.Offsets {
-				nx, ny := x+off[0], y+off[1]
-				if !g.In(nx, ny) {
-					continue
-				}
-				if v := g.Pix[ny*g.W+nx]; v < best {
-					best = v
-				}
-			}
-			out.Pix[y*g.W+x] = best
-		}
-	}
-	return out
-}
-
-// CloseOpen applies the paper's §4.8 smoothing sequence: dilate, erode,
-// erode, dilate (a morphological close followed by an open) with the given
-// kernel.
-func (g *Gray) CloseOpen(k Kernel) *Gray {
-	return g.Dilate(k).Erode(k).Erode(k).Dilate(k)
-}
-
-// CloseOpenBox3 is CloseOpen(PaperKernel()) through the separable box
-// pass below: identical output, written into dst (returned) with tmp as
-// the pass's row scratch. Both are resized as needed and reuse their
-// buffers when they have the capacity, so pooled planes make the §4.8
-// smoothing allocation-free. dst may be g itself (in-place smoothing);
-// tmp must be distinct from both.
+// CloseOpenBox3 applies the paper's §4.8 smoothing: dilate, erode,
+// erode, dilate (a close, then an open) with its 5×5 kernel, whose active
+// part is the central 3×3 box. Each step is a separable box pass, a
+// horizontal 3-tap max (or min) then a vertical one; max and min are
+// associative and commutative, so the output equals the generic kernel
+// walk's, borders included, where out-of-image taps are ignored
+// (TestBoxMorphologyMatchesGeneric). It writes into dst (returned) with
+// tmp as the pass's row scratch. Both are resized as needed and reuse
+// their buffers when they have the capacity, so pooled planes make the
+// §4.8 smoothing allocation-free. dst may be g itself (in-place
+// smoothing); tmp must be distinct from both.
 func (g *Gray) CloseOpenBox3(dst, tmp *Gray) *Gray {
 	dst.resize(g.W, g.H)
 	tmp.resize(g.W, g.H)
@@ -93,29 +19,6 @@ func (g *Gray) CloseOpenBox3(dst, tmp *Gray) *Gray {
 	box3(dst.Pix, tmp.Pix, dst.Pix, g.W, g.H, boxErode)
 	box3(dst.Pix, tmp.Pix, dst.Pix, g.W, g.H, boxDilate)
 	return dst
-}
-
-// BoxDilate3 performs dilation with the 3×3 box kernel (PaperKernel) as
-// two separable passes: a horizontal 3-tap max, then a vertical 3-tap
-// max. max is associative and commutative, so the result is identical to
-// Dilate(PaperKernel()) — including at the borders, where out-of-image
-// taps are ignored — at a third of the taps and with no per-tap bounds
-// checks.
-func (g *Gray) BoxDilate3() *Gray {
-	return g.boxFilter3(boxDilate)
-}
-
-// BoxErode3 performs erosion with the 3×3 box kernel as two separable
-// 3-tap min passes; identical to Erode(PaperKernel()).
-func (g *Gray) BoxErode3() *Gray {
-	return g.boxFilter3(boxErode)
-}
-
-// boxFilter3 is one box3 pass into a fresh raster.
-func (g *Gray) boxFilter3(m uint8) *Gray {
-	out := NewGray(g.W, g.H)
-	box3(out.Pix, make([]uint8, len(g.Pix)), g.Pix, g.W, g.H, m)
-	return out
 }
 
 // resize sets the raster's dimensions, reusing the pixel buffer when it

@@ -120,99 +120,3 @@ func TestGrayRescalePanicsOnNonPositive(t *testing.T) {
 	}()
 	NewGray(3, 3).Rescale(0, 5)
 }
-
-// TestBoxMorphologyMatchesGeneric pins the separable 3×3 box pass to the
-// generic kernel-walk morphology on random rasters (binary and full
-// grayscale) across sizes that stress the border handling, and on
-// non-binary gray for every w, h ∈ {1, 2, 3, 7} — each combination of
-// the pass's one-, two- and three-tap row and column cases.
-func TestBoxMorphologyMatchesGeneric(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	k := PaperKernel()
-	type shape struct {
-		w, h   int
-		binary bool
-	}
-	var shapes []shape
-	for trial := 0; trial < 60; trial++ {
-		shapes = append(shapes, shape{1 + rng.Intn(20), 1 + rng.Intn(20), trial%2 == 0})
-	}
-	for _, w := range []int{1, 2, 3, 7} {
-		for _, h := range []int{1, 2, 3, 7} {
-			shapes = append(shapes, shape{w, h, false})
-		}
-	}
-	// Pooled-style destination and scratch, reused (and resized) across
-	// every shape the way the region extractor reuses them across frames.
-	dst, tmp := &Gray{}, &Gray{}
-	for trial, sh := range shapes {
-		w, h := sh.w, sh.h
-		g := NewGray(w, h)
-		if sh.binary {
-			for i := range g.Pix {
-				if rng.Intn(2) == 1 {
-					g.Pix[i] = 255
-				}
-			}
-		} else {
-			rng.Read(g.Pix)
-		}
-		inPlace := g.Clone()
-		for name, pair := range map[string][2]*Gray{
-			"dilate":             {g.Dilate(k), g.BoxDilate3()},
-			"erode":              {g.Erode(k), g.BoxErode3()},
-			"closeopen":          {g.CloseOpen(k), g.CloseOpenBox3(dst, tmp)},
-			"closeopen in place": {g.CloseOpen(k), inPlace.CloseOpenBox3(inPlace, tmp)},
-		} {
-			want, got := pair[0], pair[1]
-			if got.W != w || got.H != h || len(got.Pix) != w*h {
-				t.Fatalf("trial %d (%dx%d) %s: result is %dx%d with %d pixels", trial, w, h, name, got.W, got.H, len(got.Pix))
-			}
-			for i := range want.Pix {
-				if want.Pix[i] != got.Pix[i] {
-					t.Fatalf("trial %d (%dx%d) %s: pixel %d: generic %d, box %d",
-						trial, w, h, name, i, want.Pix[i], got.Pix[i])
-				}
-			}
-		}
-	}
-}
-
-// benchBinary is a binarised 300×300 analysis-sized raster: blocks with
-// salt noise, the shape of input the §4.8 smoothing sees per frame.
-func benchBinary() *Gray {
-	rng := rand.New(rand.NewSource(5))
-	g := NewGray(300, 300)
-	for y := 0; y < g.H; y++ {
-		for x := 0; x < g.W; x++ {
-			if (x/40+y/30)%2 == 0 != (rng.Intn(50) == 0) {
-				g.Pix[y*g.W+x] = 255
-			}
-		}
-	}
-	return g
-}
-
-// BenchmarkCloseOpenBox3 is the production §4.8 smoothing: four masked
-// separable box passes into warm planes.
-func BenchmarkCloseOpenBox3(b *testing.B) {
-	g := benchBinary()
-	dst, tmp := &Gray{}, &Gray{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.CloseOpenBox3(dst, tmp)
-	}
-}
-
-// BenchmarkCloseOpenReference is the generic kernel-walk baseline
-// ExtractRegionsReference keeps.
-func BenchmarkCloseOpenReference(b *testing.B) {
-	g := benchBinary()
-	k := PaperKernel()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.CloseOpen(k)
-	}
-}

@@ -74,20 +74,3 @@ func HuangThreshold(hist [256]int) int {
 	}
 	return bestT
 }
-
-// Binarize maps every pixel to 0 (<= t) or 255 (> t).
-func (g *Gray) Binarize(t int) *Gray {
-	out := NewGray(g.W, g.H)
-	for i, v := range g.Pix {
-		if int(v) > t {
-			out.Pix[i] = 255
-		}
-	}
-	return out
-}
-
-// BinarizeAuto binarises with the Huang minimum-fuzziness threshold, the
-// paper's preprocessing step for region growing.
-func (g *Gray) BinarizeAuto() *Gray {
-	return g.Binarize(HuangThreshold(g.Histogram()))
-}

@@ -49,8 +49,9 @@ func (e Extractor) threshold() float64 {
 type KeyFrame struct {
 	// Index is the frame's position in the source video (0-based).
 	Index int
-	// Image is the frame itself, as the FrameReader returned it. Select
-	// leaves it nil: its readers hand over decoded sources, not rasters.
+	// Image is the frame itself, as Extract's slice or ExtractStream's
+	// FrameReader held it. Select leaves it nil: its readers hand over
+	// decoded sources, not rasters.
 	Image *imaging.Image
 	// Source is the decoded frame selection read.
 	Source imaging.Source
@@ -62,30 +63,22 @@ type KeyFrame struct {
 	RunLength int
 }
 
-// Extract selects key frames from an in-memory frame slice.
+// Extract selects key frames from an in-memory frame slice: Select over
+// the frames' sources, each key frame's Image the slice's frame.
 func (e Extractor) Extract(frames []*imaging.Image) ([]KeyFrame, error) {
-	return e.ExtractReader(&sliceReader{frames: frames})
-}
-
-// ExtractReader selects key frames from a streaming frame source, holding
-// only the current key frame in memory. This is the §4.1 algorithm: the
-// first frame of each run is kept; following frames within the threshold
-// are "deleted"; the first frame beyond the threshold starts the next run.
-func (e Extractor) ExtractReader(r FrameReader) ([]KeyFrame, error) {
-	var ptrs []*KeyFrame
-	err := e.ExtractStream(r, func(k *KeyFrame) error {
-		ptrs = append(ptrs, k)
+	var kfs []*KeyFrame
+	src := sliceSources(frames)
+	err := e.Select(&src, func(k *KeyFrame) error {
+		k.Image = frames[k.Index]
+		kfs = append(kfs, k)
 		return nil
 	})
-	if err != nil {
+	if err != nil || len(kfs) == 0 {
 		return nil, err
 	}
-	if len(ptrs) == 0 {
-		return nil, nil
-	}
-	out := make([]KeyFrame, len(ptrs))
-	for i, k := range ptrs {
-		out[i] = *k
+	out := make([]KeyFrame, len(kfs))
+	for i, k := range kfs {
+		out[i] = *k // RunLength is final once Select returns
 	}
 	return out, nil
 }
@@ -154,19 +147,16 @@ func (s *rasterSources) NextSource() (imaging.Source, error) {
 	return im.Source(), nil
 }
 
-// sliceReader adapts a frame slice to FrameReader.
-type sliceReader struct {
-	frames []*imaging.Image
-	pos    int
-}
+// sliceSources adapts a frame slice to SourceReader.
+type sliceSources []*imaging.Image
 
-func (s *sliceReader) Next() (*imaging.Image, error) {
-	if s.pos >= len(s.frames) {
-		return nil, io.EOF
+func (s *sliceSources) NextSource() (imaging.Source, error) {
+	if len(*s) == 0 {
+		return imaging.Source{}, io.EOF
 	}
-	im := s.frames[s.pos]
-	s.pos++
-	return im, nil
+	im := (*s)[0]
+	*s = (*s)[1:]
+	return im.Source(), nil
 }
 
 // Indices returns just the source positions of the key frames.

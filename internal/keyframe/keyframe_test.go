@@ -122,6 +122,21 @@ func TestEmptyInput(t *testing.T) {
 	}
 }
 
+// sliceReader adapts a frame slice to FrameReader.
+type sliceReader struct {
+	frames []*imaging.Image
+	pos    int
+}
+
+func (s *sliceReader) Next() (*imaging.Image, error) {
+	if s.pos >= len(s.frames) {
+		return nil, io.EOF
+	}
+	im := s.frames[s.pos]
+	s.pos++
+	return im, nil
+}
+
 type failingReader struct{ n int }
 
 func (f *failingReader) Next() (*imaging.Image, error) {
@@ -133,7 +148,7 @@ func (f *failingReader) Next() (*imaging.Image, error) {
 }
 
 func TestReaderErrorPropagates(t *testing.T) {
-	_, err := Extractor{}.ExtractReader(&failingReader{})
+	err := Extractor{}.ExtractStream(&failingReader{}, func(*KeyFrame) error { return nil })
 	if err == nil || errors.Is(err, io.EOF) {
 		t.Errorf("want propagation, got %v", err)
 	}

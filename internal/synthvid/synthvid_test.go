@@ -114,7 +114,11 @@ func TestCategoriesAreVisuallySeparable(t *testing.T) {
 			c := cfg
 			c.Seed = int64(100 + i*37)
 			v := Generate(cat, c)
-			hists[cat] = append(hists[cat], features.ExtractColorHistogram(v.Frames[len(v.Frames)/2]))
+			h, err := features.ExtractWith(features.KindHistogram, features.NewPlanes(v.Frames[len(v.Frames)/2]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hists[cat] = append(hists[cat], h.(*features.ColorHistogram))
 		}
 	}
 	var within, between []float64
@@ -160,7 +164,8 @@ func TestShotCutsAreVisible(t *testing.T) {
 	}
 	sig := make([]*features.NaiveSignature, len(v.Frames))
 	for i, f := range v.Frames {
-		sig[i] = features.ExtractNaive(f)
+		s := features.NaiveOf(f.Source())
+		sig[i] = &s
 	}
 	cut := v.ShotStarts[1]
 	dCut, _ := sig[cut-1].DistanceTo(sig[cut])

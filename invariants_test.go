@@ -54,6 +54,31 @@ func TestRepoInvariants(t *testing.T) {
 		}
 	})
 
+	// References and ablations live in the _test.go files beside the tests
+	// that pin them, never in a shipped package. SearchWithSetReference
+	// stays while the benchmark module under bench/ still calls it.
+	t.Run("No reference or ablation in a shipped package", func(t *testing.T) {
+		fset := token.NewFileSet()
+		for _, root := range []string{"internal", "cmd"} {
+			walkGo(t, fset, root, func(_ string, file *ast.File) {
+				for _, decl := range file.Decls {
+					fn, ok := decl.(*ast.FuncDecl)
+					if !ok || !fn.Name.IsExported() {
+						continue
+					}
+					name := fn.Name.Name
+					if !strings.HasSuffix(name, "Reference") && !strings.HasSuffix(name, "Corrected") {
+						continue
+					}
+					if name == "SearchWithSetReference" && benchCalls(t, ".SearchWithSetReference(") {
+						continue
+					}
+					t.Errorf("%s: shipped package exports %s", fset.Position(fn.Pos()), name)
+				}
+			})
+		}
+	})
+
 	// Each internal package is linked into a command under cmd/. The one
 	// exception is vstore/faultfs, the fault-injecting VFS the storage
 	// tests use.
@@ -113,23 +138,9 @@ func kindDispatchSites(t *testing.T) []string {
 	t.Helper()
 	fset := token.NewFileSet()
 	var sites []string
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") ||
-			path == filepath.Join("internal", "features", "kinds.go") {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
+	walkGo(t, fset, ".", func(path string, file *ast.File) {
+		if path == filepath.Join("internal", "features", "kinds.go") {
+			return
 		}
 		isKind := func(e ast.Expr) bool {
 			name := ""
@@ -163,12 +174,37 @@ func kindDispatchSites(t *testing.T) []string {
 			}
 			return true
 		})
+	})
+	return sites
+}
+
+// walkGo parses every non-test Go file under root, skipping hidden and
+// testdata directories, and hands each to visit with its path.
+func walkGo(t *testing.T, fset *token.FileSet, root string, visit func(path string, file *ast.File)) {
+	t.Helper()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		visit(path, file)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sites
 }
 
 // benchCalls reports whether any Go file of the benchmark module contains
