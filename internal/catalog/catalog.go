@@ -250,10 +250,11 @@ var ErrContainerChanged = errors.New("catalog: container deleted while being rea
 
 // ContainerReader streams a VIDEO or STREAM chain with no lock held
 // between reads, while writers may delete the row and reuse its pages.
-// After every Read it re-reads the row and fails unless the row still
-// names the same chain. That is sound because container chains are only
-// staged, and a staged chain starts on a fresh file extension: no later
-// row, even one reusing the ID, carries an equal reference.
+// After every Read it re-reads the row's container column and fails
+// unless it still names the same chain. That is sound because container
+// chains are only staged, and a staged chain starts on a fresh file
+// extension: no later row, even one reusing the ID, carries an equal
+// reference.
 type ContainerReader struct {
 	s   *Store
 	id  int64
@@ -277,19 +278,20 @@ func (s *Store) OpenContainer(id int64, c Container) (r *ContainerReader, ok boo
 // Len is the container's length in bytes, as its row records it.
 func (r *ContainerReader) Len() int64 { return r.ref.Len }
 
-// Read implements io.Reader. Bytes are returned only once the row has
-// been re-read and still names the chain they came from; a row that lost
-// the chain never names it again, so the failure repeats.
+// Read implements io.Reader. Bytes are returned only once the row's
+// container column has been re-read and still names the chain they came
+// from; a row that lost the chain never names it again, so the failure
+// repeats.
 func (r *ContainerReader) Read(p []byte) (int, error) {
 	n, err := r.br.Read(p)
 	if err == io.EOF {
 		return n, err // the reference's length is spent; no page was read
 	}
-	row, ok, gerr := r.s.videos.Get(nil, r.id)
+	cur, ok, gerr := r.s.videos.GetColumn(nil, r.id, int(r.col))
 	if gerr != nil {
 		return 0, gerr
 	}
-	if !ok || row[r.col].Blob != r.ref {
+	if !ok || cur.Blob != r.ref {
 		return 0, ErrContainerChanged
 	}
 	return n, err

@@ -41,6 +41,14 @@
 // key-frame-ID order, seeding, Lloyd iterations and all tie-breaks are
 // index-deterministic, so the same set of entries yields the same cells
 // regardless of insertion order (FuzzCellRebuildDeterminism pins this).
+//
+// Rebuild cost: every sweep of one vector against many centroids or
+// member rows is one batched 4-lane kernel call, and the Lloyd iterations
+// and the final assignment of the sampled rows skip centroids with Elkan's
+// triangle-inequality lower bounds, kept conservative by a relative
+// slack so a skip never changes an assignment or a tie. The result is
+// bit-identical to the scalar all-pairs rebuild kept in cells_test.go
+// (TestCellRebuildMatchesReference).
 package core
 
 import (
@@ -138,6 +146,17 @@ type shardCells struct {
 
 	since   int // mutations since the last rebuild
 	rebuilt int // completed rebuilds (stats)
+
+	// Sweep scratch for routing, rebuilds and radii, reused across calls
+	// because every caller holds the engine write lock: ord is the index
+	// list 0..n-1, cand a selection of centroids or member slots, dist
+	// one sweep's distances.
+	ord  []int32
+	cand []int32
+	dist []float64
+	// routeEvals counts routing-distance evaluations, incremental
+	// routing included (BenchmarkCellRebuild reports it per rebuild).
+	routeEvals int64
 }
 
 func newShardCells(cfg CellOptions) *shardCells {
@@ -255,18 +274,96 @@ func (c *shardCells) route(ar *shardArena, slot int32) int32 {
 	if !ar.hasKind(cellRouteKind, slot) {
 		return 0
 	}
-	return int32(nearestCentroid(ar.row(cellRouteKind, slot), c.cent[cellRouteKind], c.n))
+	return c.nearestCentroid(ar.row(cellRouteKind, slot), c.cent[cellRouteKind], c.n)
+}
+
+// sweep returns the kind's distances from q to the selected rows of col,
+// one batched kernel call into the index's own buffer. The result is
+// valid until the next sweep; callers hold the engine write lock.
+func (c *shardCells) sweep(kind features.Kind, q, col []float64, rows []int32) []float64 {
+	if cap(c.dist) < len(rows) {
+		c.dist = make([]float64, len(rows))
+	}
+	d := c.dist[:len(rows)]
+	features.BatchDistance(kind, q, col, rows, d)
+	return d
+}
+
+// routeSweep is sweep over the routing kind, counted in routeEvals.
+func (c *shardCells) routeSweep(q, col []float64, rows []int32) []float64 {
+	c.routeEvals += int64(len(rows))
+	return c.sweep(cellRouteKind, q, col, rows)
+}
+
+// firstK returns the index list 0..k-1, the rows of a sweep over every
+// packed centroid.
+func (c *shardCells) firstK(k int) []int32 {
+	for i := len(c.ord); i < k; i++ {
+		c.ord = append(c.ord, int32(i))
+	}
+	return c.ord[:k]
 }
 
 // nearestCentroid returns the index of the routing-kind centroid nearest
 // to v among the first k packed in cents, ties to the lowest index.
-func nearestCentroid(v, cents []float64, k int) int {
-	stride := features.Stride(cellRouteKind)
+func (c *shardCells) nearestCentroid(v, cents []float64, k int) int32 {
+	return lowestNearest(c.routeSweep(v, cents, c.firstK(k)))
+}
+
+// lowestNearest returns the index of the smallest distance, ties to the
+// lowest index.
+func lowestNearest(d []float64) int32 {
 	best, bestD := 0, math.Inf(1)
-	for ci := 0; ci < k; ci++ {
-		if d := features.PairDistance(cellRouteKind, v, cents[ci*stride:(ci+1)*stride:(ci+1)*stride]); d < bestD {
+	for i, x := range d {
+		if x < bestD {
+			best, bestD = i, x
+		}
+	}
+	return int32(best)
+}
+
+// cellBoundSlack is the relative margin of the k-means lower bounds. A
+// naive distance is a sum of 25 correctly rounded square roots of three
+// squares, so a computed distance is within ~30 ulps (relative 1e-14) of
+// the exact one, and a bound carried through all of a rebuild's updates
+// stays well inside 1e-9 of what it bounds.
+const cellBoundSlack = 1e-9
+
+// lowerBound is a certified lower bound on the exact distance whose
+// computed value is d.
+func lowerBound(d float64) float64 { return d * (1 - cellBoundSlack) }
+
+// nearestBounded is nearestCentroid for a sampled row that was nearest to
+// centroid prev before the last update and carries lb[ci], a lower bound
+// on its distance to every current centroid (Elkan, "Using the triangle
+// inequality to accelerate k-means", ICML 2003). It pays the distance to
+// prev, then one batched sweep over the centroids whose bound does not
+// exceed that distance by cellBoundSlack. A skipped centroid is strictly
+// farther than prev even in computed distances, so it can neither win nor
+// tie; among prev and the swept centroids the smallest distance wins,
+// ties to the lowest index — nearestCentroid's answer, bit for bit. Every
+// distance paid becomes the row's new bound.
+func (c *shardCells) nearestBounded(v, cents []float64, prev int32, lb []float64) int32 {
+	stride := len(v)
+	off := int(prev) * stride
+	dPrev := features.PairDistance(cellRouteKind, v, cents[off:off+stride:off+stride])
+	c.routeEvals++
+	lb[prev] = lowerBound(dPrev)
+	cut := dPrev * (1 + cellBoundSlack)
+	cand := c.cand[:0]
+	for ci, l := range lb {
+		if l <= cut && int32(ci) != prev {
+			cand = append(cand, int32(ci))
+		}
+	}
+	c.cand = cand
+	best, bestD := prev, dPrev
+	for j, d := range c.routeSweep(v, cents, cand) {
+		ci := cand[j]
+		if d < bestD || d == bestD && ci < best {
 			best, bestD = ci, d
 		}
+		lb[ci] = lowerBound(d)
 	}
 	return best
 }
@@ -393,9 +490,10 @@ func (c *shardCells) rebuild(ar *shardArena) {
 		}
 	}
 	stride := features.Stride(cellRouteKind)
-	var fit []float64
+	step := 1
+	var fit, lb []float64
+	var near []int32
 	if len(routable) > 0 {
-		step := 1
 		if len(routable) > cellFitSampleMax {
 			step = (len(routable) + cellFitSampleMax - 1) / cellFitSampleMax
 		}
@@ -406,7 +504,7 @@ func (c *shardCells) rebuild(ar *shardArena) {
 		if k > len(sample) {
 			k = len(sample)
 		}
-		fit = fitRouteCentroids(ar, sample, k)
+		fit, near, lb = c.fitRouteCentroids(ar, sample, k)
 		k = len(fit) / stride
 	} else {
 		k = 1
@@ -414,12 +512,20 @@ func (c *shardCells) rebuild(ar *shardArena) {
 	}
 
 	// Assignment pass over every row, in ID order so member lists are
-	// content-deterministic.
+	// content-deterministic. The sampled rows (every step-th routable
+	// one) carry their Lloyd bounds; the others pay a full sweep.
 	members := make([][]int32, k)
+	ri := 0 // routable rows seen so far
 	for _, s := range slots {
-		best := 0
+		best := int32(0)
 		if ar.hasKind(cellRouteKind, s) {
-			best = nearestCentroid(ar.row(cellRouteKind, s), fit, k)
+			v := ar.row(cellRouteKind, s)
+			if i := ri / step; ri%step == 0 {
+				best = c.nearestBounded(v, fit, near[i], lb[i*k:(i+1)*k])
+			} else {
+				best = c.nearestCentroid(v, fit, k)
+			}
+			ri++
 		}
 		members[best] = append(members[best], s)
 	}
@@ -445,39 +551,44 @@ func (c *shardCells) rebuild(ar *shardArena) {
 		}
 	}
 
-	// Per-kind centroids (member means, ID-ordered summation) and radii.
+	// Per-kind centroids (member means, ID-ordered summation) and radii,
+	// one batched sweep of the centroid against the members storing the
+	// kind. Every kind's kernel is exactly symmetric, so the sweep has
+	// the bits of the member-to-centroid pair distances.
 	for kd := range c.cent {
 		kind := features.Kind(kd)
 		st := features.Stride(kind)
 		cent := make([]float64, c.n*st)
 		rad := make([]float64, c.n)
 		for ci, mem := range c.members {
-			row := cent[ci*st : (ci+1)*st]
-			cnt := 0
-			for _, s := range mem {
-				if !ar.hasKind(kind, s) {
-					continue
+			rows := mem
+			if ar.missing[kind] > 0 {
+				rows = c.cand[:0]
+				for _, s := range mem {
+					if ar.hasKind(kind, s) {
+						rows = append(rows, s)
+					}
 				}
+				c.cand = rows
+			}
+			if len(rows) == 0 {
+				rad[ci] = math.Inf(1) // bound degenerates to 0: safe, inert
+				continue
+			}
+			row := cent[ci*st : (ci+1)*st]
+			for _, s := range rows {
 				v := ar.row(kind, s)
 				for i := range row {
 					row[i] += v[i]
 				}
-				cnt++
 			}
-			if cnt == 0 {
-				rad[ci] = math.Inf(1) // bound degenerates to 0: safe, inert
-				continue
-			}
-			inv := 1 / float64(cnt)
+			inv := 1 / float64(len(rows))
 			for i := range row {
 				row[i] *= inv
 			}
 			r := 0.0
-			for _, s := range mem {
-				if !ar.hasKind(kind, s) {
-					continue
-				}
-				if d := features.PairDistance(kind, ar.row(kind, s), row); d > r {
+			for _, d := range c.sweep(kind, row, ar.cols[kind], rows) {
+				if d > r {
 					r = d
 				}
 			}
@@ -490,22 +601,42 @@ func (c *shardCells) rebuild(ar *shardArena) {
 
 // fitRouteCentroids runs the deterministic coarse k-means on the sampled
 // routing vectors: farthest-point seeding from the lowest-ID row, then a
-// fixed number of Lloyd iterations with lowest-index tie-breaks. Returns
-// k' <= k packed centroids (seeding stops early once every remaining row
-// duplicates a seed).
-func fitRouteCentroids(ar *shardArena, sample []int32, k int) []float64 {
+// fixed number of Lloyd iterations with lowest-index tie-breaks. It
+// returns k' <= k packed centroids (seeding stops early once every
+// remaining row duplicates a seed), each sample row's centroid in the
+// last iteration, and each row's lower bounds on its distances to the
+// returned centroids, row i's at lb[i*k':(i+1)*k'].
+//
+// Seeding sweeps every seed against the whole sample, which is the first
+// iteration's distance matrix (the kernel is symmetric), so the first
+// iteration pays no evaluation and starts the bounds exact. Later
+// iterations go through nearestBounded, and each centroid update lowers
+// the row's bound on that centroid by how far it moved, plus the slack.
+// The bounds live only for one rebuild: m*k' float64s, at most 16 MiB
+// (cellFitSampleMax rows by maxCellsPerShard centroids).
+func (c *shardCells) fitRouteCentroids(ar *shardArena, sample []int32, k int) (cents []float64, near []int32, lb []float64) {
 	stride := features.Stride(cellRouteKind)
+	col := ar.cols[cellRouteKind]
 	vec := func(s int32) []float64 { return ar.row(cellRouteKind, s) }
+	m := len(sample)
 
 	// Farthest-point seeding. minD[i] tracks sample i's distance to its
-	// nearest chosen seed.
-	seeds := make([]int32, 1, k)
-	seeds[0] = sample[0]
-	minD := make([]float64, len(sample))
-	for i, s := range sample {
-		minD[i] = features.PairDistance(cellRouteKind, vec(s), vec(seeds[0]))
-	}
-	for len(seeds) < k {
+	// nearest chosen seed, lb[i*k+j] its distance to seed j.
+	lb = make([]float64, m*k)
+	minD := make([]float64, m)
+	seeds := make([]int32, 0, k)
+	for ns := sample[0]; ; {
+		j := len(seeds)
+		seeds = append(seeds, ns)
+		for i, d := range c.routeSweep(vec(ns), col, sample) {
+			lb[i*k+j] = d
+			if j == 0 || d < minD[i] {
+				minD[i] = d
+			}
+		}
+		if len(seeds) == k {
+			break
+		}
 		best, bestD := -1, 0.0
 		for i, d := range minD {
 			if d > bestD {
@@ -516,51 +647,69 @@ func fitRouteCentroids(ar *shardArena, sample []int32, k int) []float64 {
 		if best < 0 {
 			break // every remaining row coincides with a seed
 		}
-		ns := sample[best]
-		seeds = append(seeds, ns)
-		for i, s := range sample {
-			if d := features.PairDistance(cellRouteKind, vec(s), vec(ns)); d < minD[i] {
-				minD[i] = d
-			}
-		}
+		ns = sample[best]
 	}
-	k = len(seeds)
+	if kk := len(seeds); kk < k {
+		for i := 0; i < m; i++ {
+			copy(lb[i*kk:(i+1)*kk], lb[i*k:i*k+kk])
+		}
+		k = kk
+		lb = lb[:m*k]
+	}
 
-	cents := make([]float64, k*stride)
+	cents = make([]float64, k*stride)
 	for ci, s := range seeds {
 		copy(cents[ci*stride:(ci+1)*stride], vec(s))
 	}
+	near = make([]int32, m)
+	for i := range near {
+		row := lb[i*k : (i+1)*k]
+		near[i] = lowestNearest(row)
+		for ci, d := range row {
+			row[ci] = lowerBound(d)
+		}
+	}
 	sums := make([]float64, k*stride)
 	counts := make([]int, k)
+	moves := make([]float64, k)
 	for it := 0; it < cellLloydIters; it++ {
-		for i := range sums {
-			sums[i] = 0
+		if it > 0 {
+			for i, s := range sample {
+				near[i] = c.nearestBounded(vec(s), cents, near[i], lb[i*k:(i+1)*k])
+			}
 		}
-		for i := range counts {
-			counts[i] = 0
-		}
-		for _, s := range sample {
-			v := vec(s)
-			best := nearestCentroid(v, cents, k)
-			row := sums[best*stride : (best+1)*stride]
-			for j, x := range v {
+		clear(sums)
+		clear(counts)
+		for i, s := range sample {
+			row := sums[int(near[i])*stride : int(near[i]+1)*stride]
+			for j, x := range vec(s) {
 				row[j] += x
 			}
-			counts[best]++
+			counts[near[i]]++
 		}
 		for ci := 0; ci < k; ci++ {
+			moves[ci] = 0
 			if counts[ci] == 0 {
 				continue // keep the previous centroid; still deterministic
 			}
 			inv := 1 / float64(counts[ci])
 			row := cents[ci*stride : (ci+1)*stride]
 			srow := sums[ci*stride : (ci+1)*stride]
-			for j := range row {
-				row[j] = srow[j] * inv
+			for j := range srow {
+				srow[j] *= inv
+			}
+			moves[ci] = features.PairDistance(cellRouteKind, row, srow) * (1 + cellBoundSlack)
+			c.routeEvals++
+			copy(row, srow)
+		}
+		for i := range near {
+			row := lb[i*k : (i+1)*k]
+			for ci, mv := range moves {
+				row[ci] -= mv
 			}
 		}
 	}
-	return cents
+	return cents, near, lb
 }
 
 // CellIndexStats summarises the engine's cell indexes (cbvrctl stats and

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"slices"
@@ -488,4 +490,394 @@ func FuzzCellRebuildDeterminism(f *testing.F) {
 			t.Fatalf("fuzzed order diverged (n=%d perm=%x):\n--- want\n%s--- got\n%s", n, perm, want, got)
 		}
 	})
+}
+
+// rebuildReference is the scalar cell rebuild the production rebuild must
+// reproduce bit for bit: every routing distance is one PairDistance call,
+// every row is scored against every centroid, every radius is a pair
+// distance from member to centroid. It returns the routing-distance
+// evaluations it paid.
+func rebuildReference(c *shardCells, ar *shardArena) (evals int64) {
+	c.built = true
+	c.since = 0
+	c.rebuilt++
+	c.ensureSlots(len(ar.ents))
+
+	n := len(ar.live)
+	slots := slices.Clone(ar.live)
+	slices.SortFunc(slots, func(a, b int32) int { return cmp.Compare(ar.ents[a].id, ar.ents[b].id) })
+
+	k := (n + c.cfg.TargetCellSize - 1) / c.cfg.TargetCellSize
+	k = max(1, min(k, maxCellsPerShard, n))
+
+	routable := make([]int32, 0, n)
+	for _, s := range slots {
+		if ar.hasKind(cellRouteKind, s) {
+			routable = append(routable, s)
+		}
+	}
+	stride := features.Stride(cellRouteKind)
+	var fit []float64
+	if len(routable) > 0 {
+		step := 1
+		if len(routable) > cellFitSampleMax {
+			step = (len(routable) + cellFitSampleMax - 1) / cellFitSampleMax
+		}
+		sample := make([]int32, 0, cellFitSampleMax)
+		for i := 0; i < len(routable); i += step {
+			sample = append(sample, routable[i])
+		}
+		k = min(k, len(sample))
+		fit = fitRouteCentroidsReference(ar, sample, k, &evals)
+		k = len(fit) / stride
+	} else {
+		k = 1
+		fit = make([]float64, stride)
+	}
+
+	members := make([][]int32, k)
+	for _, s := range slots {
+		best := 0
+		if ar.hasKind(cellRouteKind, s) {
+			best = nearestCentroidReference(ar.row(cellRouteKind, s), fit, k, &evals)
+		}
+		members[best] = append(members[best], s)
+	}
+	c.members = members[:0:cap(members)]
+	for _, mem := range members {
+		if len(mem) > 0 {
+			c.members = append(c.members, mem)
+		}
+	}
+	c.n = len(c.members)
+
+	for i := range c.cellOf {
+		c.cellOf[i] = noSlot
+		c.posIn[i] = noSlot
+	}
+	for ci, mem := range c.members {
+		for pi, s := range mem {
+			c.cellOf[s] = int32(ci)
+			c.posIn[s] = int32(pi)
+		}
+	}
+
+	for kd := range c.cent {
+		kind := features.Kind(kd)
+		st := features.Stride(kind)
+		cent := make([]float64, c.n*st)
+		rad := make([]float64, c.n)
+		for ci, mem := range c.members {
+			row := cent[ci*st : (ci+1)*st]
+			cnt := 0
+			for _, s := range mem {
+				if !ar.hasKind(kind, s) {
+					continue
+				}
+				v := ar.row(kind, s)
+				for i := range row {
+					row[i] += v[i]
+				}
+				cnt++
+			}
+			if cnt == 0 {
+				rad[ci] = math.Inf(1)
+				continue
+			}
+			inv := 1 / float64(cnt)
+			for i := range row {
+				row[i] *= inv
+			}
+			r := 0.0
+			for _, s := range mem {
+				if !ar.hasKind(kind, s) {
+					continue
+				}
+				if d := features.PairDistance(kind, ar.row(kind, s), row); d > r {
+					r = d
+				}
+			}
+			rad[ci] = r
+		}
+		c.cent[kd] = cent
+		c.rad[kd] = rad
+	}
+	return evals
+}
+
+// nearestCentroidReference scores v against the first k packed centroids
+// one pair at a time, ties to the lowest index.
+func nearestCentroidReference(v, cents []float64, k int, evals *int64) int {
+	stride := features.Stride(cellRouteKind)
+	best, bestD := 0, math.Inf(1)
+	for ci := 0; ci < k; ci++ {
+		*evals++
+		if d := features.PairDistance(cellRouteKind, v, cents[ci*stride:(ci+1)*stride:(ci+1)*stride]); d < bestD {
+			best, bestD = ci, d
+		}
+	}
+	return best
+}
+
+// fitRouteCentroidsReference is the scalar coarse k-means: farthest-point
+// seeding from the lowest-ID row, then cellLloydIters full Lloyd
+// iterations.
+func fitRouteCentroidsReference(ar *shardArena, sample []int32, k int, evals *int64) []float64 {
+	stride := features.Stride(cellRouteKind)
+	vec := func(s int32) []float64 { return ar.row(cellRouteKind, s) }
+
+	seeds := make([]int32, 1, k)
+	seeds[0] = sample[0]
+	minD := make([]float64, len(sample))
+	for i, s := range sample {
+		*evals++
+		minD[i] = features.PairDistance(cellRouteKind, vec(s), vec(seeds[0]))
+	}
+	for len(seeds) < k {
+		best, bestD := -1, 0.0
+		for i, d := range minD {
+			if d > bestD {
+				bestD = d
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		ns := sample[best]
+		seeds = append(seeds, ns)
+		for i, s := range sample {
+			*evals++
+			if d := features.PairDistance(cellRouteKind, vec(s), vec(ns)); d < minD[i] {
+				minD[i] = d
+			}
+		}
+	}
+	k = len(seeds)
+
+	cents := make([]float64, k*stride)
+	for ci, s := range seeds {
+		copy(cents[ci*stride:(ci+1)*stride], vec(s))
+	}
+	sums := make([]float64, k*stride)
+	counts := make([]int, k)
+	for it := 0; it < cellLloydIters; it++ {
+		clear(sums)
+		clear(counts)
+		for _, s := range sample {
+			v := vec(s)
+			best := nearestCentroidReference(v, cents, k, evals)
+			row := sums[best*stride : (best+1)*stride]
+			for j, x := range v {
+				row[j] += x
+			}
+			counts[best]++
+		}
+		for ci := 0; ci < k; ci++ {
+			if counts[ci] == 0 {
+				continue
+			}
+			inv := 1 / float64(counts[ci])
+			row := cents[ci*stride : (ci+1)*stride]
+			srow := sums[ci*stride : (ci+1)*stride]
+			for j := range row {
+				row[j] = srow[j] * inv
+			}
+		}
+	}
+	return cents
+}
+
+// clusterFrames returns the first n frames of a cluster corpus.
+func clusterFrames(n int, seed int64) []SyntheticFrame {
+	frames := make([]SyntheticFrame, 0, n)
+	synthvid.StreamClusterCorpus(synthvid.ClusterCorpusConfig{Frames: n, Seed: seed}, func(f *synthvid.DescriptorFrame) error {
+		frames = append(frames, SyntheticFrame{ID: f.ID, VideoID: f.VideoID, Bucket: f.Bucket, Set: f.Set})
+		return nil
+	})
+	return frames
+}
+
+// latticeFrames replaces the naive signatures of cluster frames with
+// points of a coarse lattice in the first dims coordinates (the others
+// zero), drawn from a few values: many rows duplicate one another, many
+// sit at the same distance from two centroids, and means of lattice
+// points land on it again, so the routing distances tie exactly.
+func latticeFrames(n, dims int, seed int64) []SyntheticFrame {
+	rng := rand.New(rand.NewSource(seed))
+	frames := clusterFrames(n, seed)
+	for i := range frames {
+		set := *frames[i].Set
+		sig := &features.NaiveSignature{}
+		for d := 0; d < dims; d++ {
+			sig.Sig[d/3][d%3] = uint8(4 * rng.Intn(5))
+		}
+		set.Naive = sig
+		frames[i].Set = &set
+	}
+	return frames
+}
+
+// dropKinds removes the naive signature from every naiveEvery-th frame and
+// the histogram from every histEvery-th (0 keeps the kind everywhere).
+func dropKinds(frames []SyntheticFrame, naiveEvery, histEvery int) []SyntheticFrame {
+	for i := range frames {
+		set := *frames[i].Set
+		if naiveEvery > 0 && i%naiveEvery == 0 {
+			set.Naive = nil
+		}
+		if histEvery > 0 && i%histEvery == 0 {
+			set.Histogram = nil
+		}
+		frames[i].Set = &set
+	}
+	return frames
+}
+
+// requireSameCells compares every index field of two cell indexes bit
+// for bit.
+func requireSameCells(t *testing.T, label string, got, want *shardCells) {
+	t.Helper()
+	if got.built != want.built || got.n != want.n {
+		t.Fatalf("%s: built=%v n=%d, reference built=%v n=%d", label, got.built, got.n, want.built, want.n)
+	}
+	if !slices.EqualFunc(got.members, want.members, slices.Equal[[]int32]) {
+		t.Fatalf("%s: members differ from the reference", label)
+	}
+	if !slices.Equal(got.cellOf, want.cellOf) || !slices.Equal(got.posIn, want.posIn) {
+		t.Fatalf("%s: slot tables differ from the reference", label)
+	}
+	bits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for k := range got.cent {
+		if !slices.EqualFunc(got.cent[k], want.cent[k], bits) {
+			t.Fatalf("%s: kind %d centroids differ from the reference", label, k)
+		}
+		if !slices.EqualFunc(got.rad[k], want.rad[k], bits) {
+			t.Fatalf("%s: kind %d radii differ from the reference", label, k)
+		}
+	}
+}
+
+// TestCellRebuildMatchesReference pins the batched, bound-skipping
+// rebuild to the scalar reference: same members, slot tables, centroids
+// and radii, bit for bit, on clustered shards on both sides of
+// MinShardRows and of cellFitSampleMax (where the fit samples every
+// step-th row and the unsampled rows take full sweeps), on lattice shards
+// full of duplicates and exact ties, on shards with rows lacking the
+// routing kind or another kind, and on a churned arena with free slots.
+// Each index is rebuilt twice, so scratch left by one rebuild cannot leak
+// into the next.
+func TestCellRebuildMatchesReference(t *testing.T) {
+	forced, def := forcedCells().withDefaults(), CellOptions{}.withDefaults()
+	cases := []struct {
+		name   string
+		cfg    CellOptions
+		frames []SyntheticFrame
+		churn  bool
+	}{
+		{"cluster_300_forced", forced, clusterFrames(300, 3), false},
+		{"cluster_511", def, clusterFrames(511, 5), false},
+		{"cluster_512", def, clusterFrames(512, 5), false},
+		{"cluster_513", def, clusterFrames(513, 5), false},
+		{"cluster_2048", def, clusterFrames(2048, 7), false},
+		{"cluster_2049", def, clusterFrames(2049, 7), false},
+		{"cluster_5000", def, clusterFrames(5000, 9), false},
+		{"lattice_1d_forced", forced, latticeFrames(200, 1, 11), false},
+		{"lattice_2d_forced", forced, latticeFrames(400, 2, 13), false},
+		{"lattice_3d_700", def, latticeFrames(700, 3, 17), false},
+		{"lattice_2d_2500", def, latticeFrames(2500, 2, 19), false},
+		{"coincident_rows", forced, latticeFrames(90, 0, 23), false},
+		{"missing_kinds_forced", forced, dropKinds(clusterFrames(300, 29), 5, 3), false},
+		{"missing_kinds_2100", def, dropKinds(clusterFrames(2100, 31), 7, 4), false},
+		{"no_routing_kind", forced, dropKinds(clusterFrames(40, 37), 1, 0), false},
+		{"churned_lattice", forced, latticeFrames(500, 2, 41), true},
+		{"churned_cluster_missing", def, dropKinds(clusterFrames(1500, 43), 6, 0), true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ar := newShardArena()
+			ents := make([]*frameEntry, len(tc.frames))
+			for i := range tc.frames {
+				f := &tc.frames[i]
+				ents[i] = &frameEntry{id: f.ID, videoID: f.VideoID, bucket: f.Bucket}
+				ar.insert(ents[i], f.Set)
+			}
+			if tc.churn {
+				for i := 0; i < len(ents); i += 4 {
+					ar.remove(ents[i])
+				}
+			}
+			want := newShardCells(tc.cfg)
+			rebuildReference(want, ar)
+			got := newShardCells(tc.cfg)
+			for pass := 1; pass <= 2; pass++ {
+				got.rebuild(ar)
+				requireSameCells(t, fmt.Sprintf("rebuild %d", pass), got, want)
+			}
+		})
+	}
+
+	// The bound step on a near tie. Row v sits at 0.1 from centroid 1 (its
+	// previous centroid) and from centroid 0, which moved to 0.1 from 1.1.
+	// In floating point 1.1 - (1.1 - 0.1) is 0.10000000000000009, so a
+	// bound without slack would clear the tie and skip centroid 0; with
+	// the slack it is scored, ties centroid 1, and wins on the lower index.
+	t.Run("bound_near_tie", func(t *testing.T) {
+		stride := features.Stride(cellRouteKind)
+		at := func(xs ...float64) []float64 {
+			out := make([]float64, len(xs)*stride)
+			for i, x := range xs {
+				out[i*stride] = x
+			}
+			return out
+		}
+		v, old, cents := at(0), at(1.1, -0.1), at(0.1, -0.1)
+		c := newShardCells(forced)
+		lb := make([]float64, 2)
+		for ci := range lb {
+			d := features.PairDistance(cellRouteKind, v, old[ci*stride:(ci+1)*stride])
+			move := features.PairDistance(cellRouteKind, old[ci*stride:(ci+1)*stride], cents[ci*stride:(ci+1)*stride])
+			lb[ci] = lowerBound(d) - move*(1+cellBoundSlack)
+		}
+		var evals int64
+		want := int32(nearestCentroidReference(v, cents, 2, &evals))
+		if got := c.nearestBounded(v, cents, 1, lb); got != want {
+			t.Fatalf("bounded step chose centroid %d, reference %d", got, want)
+		}
+	})
+}
+
+// BenchmarkCellRebuild times one full cell rebuild of a default-config
+// shard holding every eighth row of a cluster corpus, the rows one of
+// eight search shards receives: 5 000 rows is a shard of the 40 000-row
+// search_scale corpus, 20 000 rows a shard of a 160 000-row one. The
+// reference sub-benchmark runs the scalar rebuild on the same shard.
+// evals/op counts routing-distance evaluations (seeding, Lloyd, final
+// assignment and centroid moves); it is a pure function of the shard.
+func BenchmarkCellRebuild(b *testing.B) {
+	for _, rows := range []int{5000, 20000} {
+		corpus := synthvid.NewClusterCorpus(synthvid.ClusterCorpusConfig{Frames: 8 * rows, Seed: 1})
+		ar := newShardArena()
+		for i := 1; i <= rows; i++ {
+			ar.insert(&frameEntry{id: int64(8 * i)}, corpus.Set(int64(8*i)))
+		}
+		cfg := CellOptions{}.withDefaults()
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			c := newShardCells(cfg)
+			c.rebuild(ar) // grow the scratch outside the timed loop
+			before := c.routeEvals
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.rebuild(ar)
+			}
+			b.ReportMetric(float64(c.routeEvals-before)/float64(b.N), "evals/op")
+		})
+		b.Run(fmt.Sprintf("rows=%d/reference", rows), func(b *testing.B) {
+			var evals int64
+			for i := 0; i < b.N; i++ {
+				evals += rebuildReference(newShardCells(cfg), ar)
+			}
+			b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
+		})
+	}
 }

@@ -1,6 +1,7 @@
 package features
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -91,6 +92,12 @@ func TestKernelsBitIdenticalToDistanceTo(t *testing.T) {
 			wantRev, _ := b.DistanceTo(a)
 			if got := PairDistance(kind, pb, pa); got != wantRev {
 				t.Fatalf("%v trial %d reversed: PairDistance = %.17g, DistanceTo = %.17g", kind, trial, got, wantRev)
+			}
+			// Exact symmetry: the cell rebuild sweeps a centroid against
+			// its members where the scalar form scored each member
+			// against the centroid.
+			if math.Float64bits(wantRev) != math.Float64bits(want) {
+				t.Fatalf("%v trial %d: d(a,b) = %.17g but d(b,a) = %.17g", kind, trial, want, wantRev)
 			}
 		}
 	}

@@ -223,8 +223,12 @@ func BatchDistance(kind Kind, q, col []float64, rows []int32, out []float64) {
 
 // PairDistance computes the kind's DistanceTo between two packed vectors
 // (each len Stride(kind)). It is the single-pair form of BatchDistance,
-// used by the cell bounds, the fixed-scale fusion in DTW video search and
-// the best-single-frame ablation.
+// used where one pair is scored alone: the per-centroid lower bounds, the
+// cell index's incremental radius widening, its rebuild's centroid moves
+// and previous-centroid distances (every sweep over many centroids or
+// rows goes through BatchDistance), and the fixed-scale fusion in DTW
+// video search and the best-single-frame ablation. The kernels are
+// exactly symmetric: swapping a and b gives the same bits.
 //
 //cbvrvet:noalloc
 func PairDistance(kind Kind, a, b []float64) float64 {

@@ -318,8 +318,11 @@ func TestDownloadMemoryFlat(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	per := (after.TotalAlloc - before.TotalAlloc) / clients
 	t.Logf("%d bytes allocated per %d-byte download", per, size)
-	if per >= 2<<20 {
-		t.Errorf("allocated %d bytes per %d-byte download, want under 2 MiB", per, size)
+	// ~112 KiB measured: the HTTP exchange and the reader's one owned
+	// page. The ownership check after each Read decodes only the
+	// container column and allocates nothing.
+	if per >= 256<<10 {
+		t.Errorf("allocated %d bytes per %d-byte download, want under 256 KiB", per, size)
 	}
 }
 

@@ -50,6 +50,18 @@ func (t *Table) heapInsert(tx *Txn, rec []byte) (uint64, error) {
 
 // heapGet returns a copy of the record bytes at rid.
 func (t *Table) heapGet(rid uint64) ([]byte, error) {
+	rec, err := t.heapView(rid)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, len(rec))
+	copy(out, rec)
+	return out, nil
+}
+
+// heapView returns the record bytes at rid in place on their page, valid
+// only while the caller holds the DB lock.
+func (t *Table) heapView(rid uint64) ([]byte, error) {
 	pid, slot := splitRID(rid)
 	p, err := t.db.pager.get(pid)
 	if err != nil {
@@ -58,13 +70,7 @@ func (t *Table) heapGet(rid uint64) ([]byte, error) {
 	if p.Type() != pageTypeHeap {
 		return nil, fmt.Errorf("vstore: rid %d/%d points at non-heap page", pid, slot)
 	}
-	rec, err := p.slottedGet(slot)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, len(rec))
-	copy(out, rec)
-	return out, nil
+	return p.slottedGet(slot)
 }
 
 // heapUpdate rewrites the record, in place when it fits, otherwise moving

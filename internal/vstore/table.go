@@ -213,16 +213,25 @@ func (t *Table) writeBlobCols(tx *Txn, row []Value) error {
 // plain inline values to callers.
 func (t *Table) resolveOverflow(row []Value) error {
 	for i := range row {
-		if !row[i].overflowText || row[i].Null {
-			continue
+		if err := t.resolveText(i, &row[i]); err != nil {
+			return err
 		}
-		raw, err := t.db.readBlobChain(row[i].Blob.First, row[i].Blob.Len)
-		if err != nil {
-			return fmt.Errorf("vstore: resolve overflow text %s.%s: %w",
-				t.meta.Schema.Name, t.meta.Schema.Cols[i].Name, err)
-		}
-		row[i] = Text(string(raw))
 	}
+	return nil
+}
+
+// resolveText fetches column i's value back into Str when it is an
+// out-of-row TEXT value.
+func (t *Table) resolveText(i int, v *Value) error {
+	if !v.overflowText || v.Null {
+		return nil
+	}
+	raw, err := t.db.readBlobChain(v.Blob.First, v.Blob.Len)
+	if err != nil {
+		return fmt.Errorf("vstore: resolve overflow text %s.%s: %w",
+			t.meta.Schema.Name, t.meta.Schema.Cols[i].Name, err)
+	}
+	*v = Text(string(raw))
 	return nil
 }
 
@@ -265,6 +274,36 @@ func (t *Table) Get(tx *Txn, pk int64) ([]Value, bool, error) {
 		return nil, false, err
 	}
 	return row, true, nil
+}
+
+// GetColumn fetches column c of the row at pk, decoding the record only
+// up to that column and copying none of the columns before it. An
+// out-of-row TEXT value is resolved as Get resolves it. Pass tx == nil
+// outside transactions.
+func (t *Table) GetColumn(tx *Txn, pk int64, c int) (Value, bool, error) {
+	if c < 0 || c >= len(t.meta.Schema.Cols) {
+		return Value{}, false, fmt.Errorf("vstore: table %q has no column %d", t.name, c)
+	}
+	if tx == nil {
+		t.db.mu.RLock() // not rlockIfNeeded: its unlock closure allocates
+		defer t.db.mu.RUnlock()
+	}
+	rid, ok, err := t.db.btSearch(t.meta.PKRoot, uint64(pk))
+	if err != nil || !ok {
+		return Value{}, false, err
+	}
+	rec, err := t.heapView(rid)
+	if err != nil {
+		return Value{}, false, err
+	}
+	v, err := decodeUpTo(&t.meta.Schema, rec, c)
+	if err != nil {
+		return Value{}, false, err
+	}
+	if err := t.resolveText(c, &v); err != nil {
+		return Value{}, false, err
+	}
+	return v, true, nil
 }
 
 // ReadBlob fetches an out-of-row value.

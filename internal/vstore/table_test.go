@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -436,5 +437,54 @@ func TestTablePersistsAcrossReopen(t *testing.T) {
 	b, err := db2.ReadBlob(nil, row[4].Blob)
 	if err != nil || string(b) != "blob-persists" {
 		t.Errorf("blob = %q err=%v", b, err)
+	}
+}
+
+// TestTableGetColumn checks that GetColumn returns exactly Get's value for
+// every column, NULL, inline and out-of-row TEXT included, that it
+// reports a missing key and rejects a column outside the schema, and that
+// reading a BLOB reference this way allocates nothing.
+func TestTableGetColumn(t *testing.T) {
+	db := openTestDB(t, nil)
+	tbl := createTestTable(t, db)
+	tx, _ := db.Begin()
+	plain := sampleRow(0, "plain", 3, []byte("payload"))
+	nulls := sampleRow(0, "", 4, nil)
+	nulls[1], nulls[3] = NullV(TypeText), NullV(TypeBytes)
+	long := sampleRow(0, string(bytes.Repeat([]byte("overflow "), textOverflowThreshold/4)), 5, nil)
+	var pks []int64
+	for _, row := range [][]Value{plain, nulls, long} {
+		pk, err := tbl.Insert(tx, row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pks = append(pks, pk)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for _, pk := range pks {
+		row, _, err := tbl.Get(nil, pk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range row {
+			v, ok, err := tbl.GetColumn(nil, pk, c)
+			if err != nil || !ok {
+				t.Fatalf("pk %d column %d: ok=%v err=%v", pk, c, ok, err)
+			}
+			if !reflect.DeepEqual(v, row[c]) {
+				t.Errorf("pk %d column %d: GetColumn %+v, Get %+v", pk, c, v, row[c])
+			}
+		}
+	}
+	if _, ok, err := tbl.GetColumn(nil, 999, 4); ok || err != nil {
+		t.Errorf("missing pk: ok=%v err=%v", ok, err)
+	}
+	if _, _, err := tbl.GetColumn(nil, pks[0], len(testSchema().Cols)); err == nil {
+		t.Error("column past the schema: no error")
+	}
+	if n := testing.AllocsPerRun(50, func() { tbl.GetColumn(nil, pks[0], 4) }); n != 0 {
+		t.Errorf("GetColumn of a BLOB reference allocated %v times", n)
 	}
 }

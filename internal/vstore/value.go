@@ -157,97 +157,152 @@ func encodeRow(schema *Schema, row []Value) ([]byte, error) {
 }
 
 func decodeRow(schema *Schema, rec []byte) ([]Value, error) {
-	ncols := len(schema.Cols)
-	nb := (ncols + 7) / 8
-	if len(rec) < nb {
-		return nil, fmt.Errorf("vstore: record too short for %q null bitmap", schema.Name)
+	pos, err := rowStart(schema, rec)
+	if err != nil {
+		return nil, err
 	}
-	bitmap := rec[:nb]
-	pos := nb
-	row := make([]Value, ncols)
-	for i, col := range schema.Cols {
-		if bitmap[i/8]&(1<<(i%8)) != 0 {
-			if col.NotNull {
-				return nil, fmt.Errorf("vstore: corrupt record: NULL in NOT NULL column %s.%s", schema.Name, col.Name)
-			}
-			row[i] = NullV(col.Type)
-			continue
+	row := make([]Value, len(schema.Cols))
+	for i := range row {
+		if pos, err = decodeColumn(schema, rec, pos, i, &row[i]); err != nil {
+			return nil, err
 		}
-		switch col.Type {
-		case TypeInt64:
-			v, n := binary.Varint(rec[pos:])
-			if n <= 0 {
-				return nil, fmt.Errorf("vstore: bad varint in %s.%s", schema.Name, col.Name)
-			}
-			pos += n
-			row[i] = Int64(v)
-		case TypeFloat64:
-			if pos+8 > len(rec) {
-				return nil, fmt.Errorf("vstore: truncated float in %s.%s", schema.Name, col.Name)
-			}
-			row[i] = Float64V(math.Float64frombits(binary.BigEndian.Uint64(rec[pos:])))
-			pos += 8
-		case TypeText:
-			if pos >= len(rec) {
-				return nil, fmt.Errorf("vstore: truncated text flag in %s.%s", schema.Name, col.Name)
-			}
-			flag := rec[pos]
-			pos++
-			if flag == 1 {
-				if pos+4 > len(rec) {
-					return nil, fmt.Errorf("vstore: truncated text overflow ref in %s.%s", schema.Name, col.Name)
-				}
-				first := PageID(binary.BigEndian.Uint32(rec[pos:]))
-				pos += 4
-				l, n := binary.Uvarint(rec[pos:])
-				if n <= 0 || l > math.MaxInt64 {
-					return nil, fmt.Errorf("vstore: bad text overflow length in %s.%s", schema.Name, col.Name)
-				}
-				pos += n
-				row[i] = Value{Type: TypeText, Blob: BlobRef{First: first, Len: int64(l)}, overflowText: true}
-				continue
-			}
-			l, n := binary.Uvarint(rec[pos:])
-			// Compare in uint64 space: a corrupt huge length must not wrap
-			// negative through int conversion and slip past the check.
-			if n <= 0 || l > uint64(len(rec)-pos-n) {
-				return nil, fmt.Errorf("vstore: truncated string in %s.%s", schema.Name, col.Name)
-			}
-			pos += n
-			row[i] = Text(string(rec[pos : pos+int(l)]))
-			pos += int(l)
-		case TypeBytes:
-			l, n := binary.Uvarint(rec[pos:])
-			if n <= 0 || l > uint64(len(rec)-pos-n) {
-				return nil, fmt.Errorf("vstore: truncated string in %s.%s", schema.Name, col.Name)
-			}
-			pos += n
-			b := make([]byte, l)
-			copy(b, rec[pos:pos+int(l)])
-			row[i] = BytesV(b)
-			pos += int(l)
-		case TypeBlob:
+	}
+	return row, nil
+}
+
+// decodeUpTo decodes column c of a record, stepping over the columns
+// before it without copying their strings or bytes.
+func decodeUpTo(schema *Schema, rec []byte, c int) (Value, error) {
+	pos, err := rowStart(schema, rec)
+	if err != nil {
+		return Value{}, err
+	}
+	var v Value
+	for i := 0; i < c; i++ {
+		if pos, err = decodeColumn(schema, rec, pos, i, nil); err != nil {
+			return Value{}, err
+		}
+	}
+	if _, err = decodeColumn(schema, rec, pos, c, &v); err != nil {
+		return Value{}, err
+	}
+	return v, nil
+}
+
+// rowStart checks a record's null bitmap and returns the offset of its
+// first column payload.
+func rowStart(schema *Schema, rec []byte) (int, error) {
+	nb := (len(schema.Cols) + 7) / 8
+	if len(rec) < nb {
+		return 0, fmt.Errorf("vstore: record too short for %q null bitmap", schema.Name)
+	}
+	return nb, nil
+}
+
+// decodeColumn decodes column i, whose payload starts at pos, into *dst
+// and returns the offset of the next payload. With dst nil the payload is
+// only stepped over: no TEXT or BYTES payload is copied.
+func decodeColumn(schema *Schema, rec []byte, pos, i int, dst *Value) (int, error) {
+	col := &schema.Cols[i]
+	if rec[i/8]&(1<<(i%8)) != 0 {
+		if col.NotNull {
+			return 0, fmt.Errorf("vstore: corrupt record: NULL in NOT NULL column %s.%s", schema.Name, col.Name)
+		}
+		if dst != nil {
+			*dst = NullV(col.Type)
+		}
+		return pos, nil
+	}
+	switch col.Type {
+	case TypeInt64:
+		v, n := binary.Varint(rec[pos:])
+		if n <= 0 {
+			return 0, fmt.Errorf("vstore: bad varint in %s.%s", schema.Name, col.Name)
+		}
+		if dst != nil {
+			*dst = Int64(v)
+		}
+		return pos + n, nil
+	case TypeFloat64:
+		if pos+8 > len(rec) {
+			return 0, fmt.Errorf("vstore: truncated float in %s.%s", schema.Name, col.Name)
+		}
+		if dst != nil {
+			*dst = Float64V(math.Float64frombits(binary.BigEndian.Uint64(rec[pos:])))
+		}
+		return pos + 8, nil
+	case TypeText:
+		if pos >= len(rec) {
+			return 0, fmt.Errorf("vstore: truncated text flag in %s.%s", schema.Name, col.Name)
+		}
+		flag := rec[pos]
+		pos++
+		if flag == 1 {
 			if pos+4 > len(rec) {
-				return nil, fmt.Errorf("vstore: truncated blob ref in %s.%s", schema.Name, col.Name)
+				return 0, fmt.Errorf("vstore: truncated text overflow ref in %s.%s", schema.Name, col.Name)
 			}
 			first := PageID(binary.BigEndian.Uint32(rec[pos:]))
 			pos += 4
 			l, n := binary.Uvarint(rec[pos:])
 			if n <= 0 || l > math.MaxInt64 {
-				return nil, fmt.Errorf("vstore: bad blob length in %s.%s", schema.Name, col.Name)
+				return 0, fmt.Errorf("vstore: bad text overflow length in %s.%s", schema.Name, col.Name)
 			}
-			pos += n
-			row[i] = Value{Type: TypeBlob, Blob: BlobRef{First: first, Len: int64(l)}}
-		case TypeTime:
-			v, n := binary.Varint(rec[pos:])
-			if n <= 0 {
-				return nil, fmt.Errorf("vstore: bad time in %s.%s", schema.Name, col.Name)
+			if dst != nil {
+				*dst = Value{Type: TypeText, Blob: BlobRef{First: first, Len: int64(l)}, overflowText: true}
 			}
-			pos += n
-			row[i] = TimeV(time.Unix(0, v).UTC())
-		default:
-			return nil, fmt.Errorf("vstore: column %s.%s has unknown type %v", schema.Name, col.Name, col.Type)
+			return pos + n, nil
 		}
+		l, n := binary.Uvarint(rec[pos:])
+		// Compare in uint64 space: a corrupt huge length must not wrap
+		// negative through int conversion and slip past the check.
+		if n <= 0 || l > uint64(len(rec)-pos-n) {
+			return 0, fmt.Errorf("vstore: truncated string in %s.%s", schema.Name, col.Name)
+		}
+		pos += n
+		end := pos + int(l)
+		if dst != nil {
+			*dst = Text(string(rec[pos:end]))
+		}
+		return end, nil
+	case TypeBytes:
+		l, n := binary.Uvarint(rec[pos:])
+		if n <= 0 || l > uint64(len(rec)-pos-n) {
+			return 0, fmt.Errorf("vstore: truncated string in %s.%s", schema.Name, col.Name)
+		}
+		pos += n
+		end := pos + int(l)
+		if dst != nil {
+			b := make([]byte, l)
+			copy(b, rec[pos:end])
+			if dst != nil {
+				*dst = BytesV(b)
+			}
+		}
+		return end, nil
+	case TypeBlob:
+		if pos+4 > len(rec) {
+			return 0, fmt.Errorf("vstore: truncated blob ref in %s.%s", schema.Name, col.Name)
+		}
+		first := PageID(binary.BigEndian.Uint32(rec[pos:]))
+		pos += 4
+		l, n := binary.Uvarint(rec[pos:])
+		if n <= 0 || l > math.MaxInt64 {
+			return 0, fmt.Errorf("vstore: bad blob length in %s.%s", schema.Name, col.Name)
+		}
+		if dst != nil {
+			*dst = Value{Type: TypeBlob, Blob: BlobRef{First: first, Len: int64(l)}}
+		}
+		return pos + n, nil
+	case TypeTime:
+		v, n := binary.Varint(rec[pos:])
+		if n <= 0 {
+			return 0, fmt.Errorf("vstore: bad time in %s.%s", schema.Name, col.Name)
+		}
+		if dst != nil {
+			*dst = TimeV(time.Unix(0, v).UTC())
+		}
+		return pos + n, nil
+	default:
+		return 0, fmt.Errorf("vstore: column %s.%s has unknown type %v", schema.Name, col.Name, col.Type)
 	}
-	return row, nil
 }
