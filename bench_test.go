@@ -1,4 +1,5 @@
-// Go micro-benchmarks of the arena scan. The repository's benchmark of
+// Go micro-benchmarks of the arena scan and of the search classes' work.
+// The repository's benchmark of
 // record is bench/ (see bench/README.md); cmd/cbvr-bench prints the
 // paper's artefacts and the design ablations. The ingest pipeline pair
 // lives beside the reference ingest in internal/core.
@@ -15,6 +16,8 @@ import (
 	"testing"
 
 	"cbvr"
+	"cbvr/internal/core"
+	"cbvr/internal/eval"
 	"cbvr/internal/features"
 	"cbvr/internal/imaging"
 	"cbvr/internal/synthvid"
@@ -104,5 +107,59 @@ func BenchmarkScanArena(b *testing.B) {
 		if _, err := eng.ScanArenaInto(pq, dist); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSearchClasses runs the three search classes of the
+// search_scale workload on its shape: 40 000 cluster-corpus rows (seed
+// 1) over 8 shards, the §4.2 bucket filter on, 60 cluster queries, K =
+// 10. Each class reports its mean row and centroid-bound evaluations per
+// query over the whole query pool (rowevals/op, cellevals/op), which
+// repeat exactly for a given corpus and cell layout, and times one query
+// per iteration, rotating through the pool. The single-kind class rotates
+// over the seven kinds.
+func BenchmarkSearchClasses(b *testing.B) {
+	cfg := synthvid.ClusterCorpusConfig{Frames: 40000, Seed: 1}
+	eng, err := core.Open(filepath.Join(b.TempDir(), "classes.db"), core.Options{SearchShards: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	if err := eval.LoadClusterCorpus(eng, cfg); err != nil {
+		b.Fatal(err)
+	}
+	queries := synthvid.ClusterQueries(cfg, 60)
+	all := features.AllKinds()
+	classes := []struct {
+		name string
+		opt  func(i int) core.SearchOptions
+	}{
+		{"rrf", func(int) core.SearchOptions { return core.SearchOptions{K: 10} }},
+		{"single_kind", func(i int) core.SearchOptions {
+			return core.SearchOptions{K: 10, Kinds: []features.Kind{all[i%len(all)]}}
+		}},
+		{"minmax", func(int) core.SearchOptions { return core.SearchOptions{K: 10, Fusion: core.FusionMinMax} }},
+	}
+	for _, c := range classes {
+		b.Run(c.name, func(b *testing.B) {
+			var rows, cells int64
+			for i, q := range queries {
+				_, st, err := eng.SearchWithSetStats(q.Set, q.Bucket, c.opt(i))
+				if err != nil {
+					b.Fatal(err)
+				}
+				rows += st.RowEvals
+				cells += st.CellEvals
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q := queries[i%len(queries)]
+				if _, err := eng.SearchWithSet(q.Set, q.Bucket, c.opt(i%len(queries))); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(rows)/float64(len(queries)), "rowevals/op")
+			b.ReportMetric(float64(cells)/float64(len(queries)), "cellevals/op")
+		})
 	}
 }

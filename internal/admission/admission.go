@@ -9,8 +9,8 @@
 // occupancy of the search class and the recent p95 search latency into a
 // single [0,1] pressure level, computed once per admission and carried by
 // the Ticket. The server passes a search ticket's level to the engine's
-// search brownout (internal/core, SearchOptions.Brownout), which shrinks
-// the fused cell-probe budget toward its recall floor while load is high
+// search brownout (internal/core, SearchOptions.Brownout), which caps a
+// fused search at a cell probe shrunk toward its floor while load is high
 // and is exact at level zero.
 //
 // Everything here is pure bookkeeping under one mutex: no I/O, no

@@ -41,9 +41,13 @@ type shardArena struct {
 	bucket []rangeindex.Range
 
 	ents []*frameEntry // slot -> owning entry; nil while free
-	live []int32       // live slots, arbitrary order (swap-removed)
-	pos  []int32       // slot -> index into live; noSlot while free
-	free []int32       // recyclable slots
+	// ids[s] is live slot s's key-frame ID (0 while free): the tie-break
+	// column of the traversal's (distance, ID) order, read without
+	// chasing ents.
+	ids  []int64
+	live []int32 // live slots, arbitrary order (swap-removed)
+	pos  []int32 // slot -> index into live; noSlot while free
+	free []int32 // recyclable slots
 
 	scratch []float64 // pack staging, reused across mutations
 }
@@ -61,6 +65,7 @@ func (a *shardArena) insert(en *frameEntry, set *features.Set) {
 	} else {
 		slot = int32(len(a.ents))
 		a.ents = append(a.ents, nil)
+		a.ids = append(a.ids, 0)
 		a.pos = append(a.pos, noSlot)
 		a.bucket = append(a.bucket, rangeindex.Range{})
 		for k := range a.cols {
@@ -70,6 +75,7 @@ func (a *shardArena) insert(en *frameEntry, set *features.Set) {
 		}
 	}
 	a.ents[slot] = en
+	a.ids[slot] = en.id
 	en.slot = slot
 	a.pos[slot] = int32(len(a.live))
 	a.live = append(a.live, slot)
@@ -131,6 +137,7 @@ func (a *shardArena) remove(en *frameEntry) {
 	a.live = a.live[:last]
 	a.pos[slot] = noSlot
 	a.ents[slot] = nil
+	a.ids[slot] = 0
 	a.bucket[slot] = rangeindex.Range{}
 	for k := range a.present {
 		if a.present[k][slot] {

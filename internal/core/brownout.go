@@ -3,20 +3,22 @@
 // Each search carries its own load level in SearchOptions.Brownout; the
 // server copies it from the admission ticket (internal/admission), which
 // folds live occupancy and recent p95 search latency into a value in
-// [0,1]. Under pressure the fused cell-probe budget (cells.go) shrinks
-// linearly toward its recall floor MinProbeRows — trading recall the eval
-// harness has already priced (internal/eval) for latency — and unbounded
-// K<=0 full rankings are refused outright with ErrOverloaded rather than
-// allowed to scan the whole corpus while the system is drowning. The
-// engine keeps no load state: two concurrent searches at different levels
-// each run at their own.
+// [0,1]. Under pressure a fused search pays less: its probe row budget
+// (cells.go) shrinks linearly toward MinProbeRows, which min-max fusion
+// probes directly and which prices an RRF traversal's evaluation ceiling
+// (traverse.go), where it ranks the rows it has released so far. A
+// browned search therefore never pays more than the exact level-0 one.
+// Unbounded K<=0 full rankings are refused outright with ErrOverloaded
+// rather than allowed to scan the whole corpus while the system is
+// drowning. The engine keeps no load state: two concurrent searches at
+// different levels each run at their own.
 //
 // The contract that keeps the equivalence tests honest: at level 0
 // the brownout is completely inert — no code path differs from an engine
 // that has never heard of it, so searches stay bit-identical to
 // SearchWithSetReference wherever they were before. Single-kind searches
-// are never browned out: their bound-ordered sweep is exact AND sub-linear
-// already, so there is no latency to buy back with recall.
+// are never browned out: their traversal is exact and already cheap, so
+// there is no latency to buy back with recall.
 package core
 
 import (
@@ -53,8 +55,7 @@ func (opt *SearchOptions) applyLoad() error {
 
 // brownedBudget shrinks a fused probe budget toward the floor
 // (MinProbeRows): level 0 returns budget unchanged, level 1 returns the
-// floor, linear in between. The floor is the recall-gated minimum the
-// eval harness pins — brownout never probes below it.
+// floor, linear in between. Brownout never probes below the floor.
 func brownedBudget(budget, floor int, level float64) int {
 	if level <= 0 || budget <= floor {
 		return budget

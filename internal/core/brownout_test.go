@@ -72,7 +72,7 @@ func TestBrownoutZeroIsInert(t *testing.T) {
 		}
 	}
 
-	// Single-kind searches ride the exact bound-ordered sweep and must be
+	// Single-kind searches ride the exact threshold traversal and must be
 	// bit-identical to the reference even at maximum brownout.
 	for _, kind := range []features.Kind{features.AllKinds()[0], features.AllKinds()[3]} {
 		sopt := SearchOptions{K: 7, Kinds: []features.Kind{kind}, NoPruning: true, Brownout: 1}
@@ -96,9 +96,11 @@ func TestBrownoutZeroIsInert(t *testing.T) {
 }
 
 // TestBrownoutBudgetFloor pins the shrink target: at level 1 the fused
-// probe budget IS MinProbeRows — a max-browned engine does exactly the
-// same work, and returns exactly the same ranking, as one configured with
-// a probe fraction so small that MinProbeRows is its whole budget.
+// probe budget IS MinProbeRows. A max-browned min-max search does exactly
+// the same work, and returns exactly the same ranking, as one on an engine
+// configured with a probe fraction so small that MinProbeRows is its whole
+// budget; and a max-browned RRF traversal, whose ceiling is priced from
+// that budget, pays and returns the same on both engines.
 func TestBrownoutBudgetFloor(t *testing.T) {
 	browned := openCellEngine(t, Options{SearchShards: 2, Cells: brownoutCells()})
 	loadClusterFrames(t, browned, brownoutCfg)
@@ -108,35 +110,37 @@ func TestBrownoutBudgetFloor(t *testing.T) {
 	floor := openCellEngine(t, Options{SearchShards: 2, Cells: floorCells})
 	loadClusterFrames(t, floor, brownoutCfg)
 
-	var prevEvals int64 = -1
 	for qi, q := range synthvid.ClusterQueries(brownoutCfg, 3) {
-		opt := SearchOptions{K: 10, NoPruning: true}
-		got, gotStats, err := browned.SearchWithSetStats(q.Set, q.Bucket, SearchOptions{K: 10, NoPruning: true, Brownout: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, wantStats, err := floor.SearchWithSetStats(q.Set, q.Bucket, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotStats.RowEvals != wantStats.RowEvals {
-			t.Fatalf("query %d: max brownout paid %d row evals, MinProbeRows config paid %d — floors diverge",
-				qi, gotStats.RowEvals, wantStats.RowEvals)
-		}
-		if gotStats.PrunedShards == 0 {
-			t.Fatalf("query %d: max-browned search did not take the pruned path", qi)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("query %d: %d results, want %d", qi, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("query %d result %d: %+v vs %+v", qi, i, got[i], want[i])
+		for _, tc := range []struct {
+			name          string
+			fusion        Fusion
+			floorBrownout float64
+		}{
+			{"minmax", FusionMinMax, 0},
+			{"rrf", FusionRRF, 1},
+		} {
+			label := fmt.Sprintf("query %d %s", qi, tc.name)
+			got, gotStats, err := browned.SearchWithSetStats(q.Set, q.Bucket, SearchOptions{K: 10, NoPruning: true, Fusion: tc.fusion, Brownout: 1})
+			if err != nil {
+				t.Fatal(err)
 			}
+			want, wantStats, err := floor.SearchWithSetStats(q.Set, q.Bucket, SearchOptions{K: 10, NoPruning: true, Fusion: tc.fusion, Brownout: tc.floorBrownout})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotStats.TotalEvals() != wantStats.TotalEvals() {
+				t.Fatalf("%s: max brownout paid %d evals, MinProbeRows config paid %d — floors diverge",
+					label, gotStats.TotalEvals(), wantStats.TotalEvals())
+			}
+			if gotStats.PrunedShards == 0 {
+				t.Fatalf("%s: max-browned search did not take the pruned path", label)
+			}
+			if tc.fusion == FusionRRF && gotStats.Stop != StopCeiling {
+				t.Fatalf("%s: max-browned traversal stopped by %q, want the ceiling", label, gotStats.Stop)
+			}
+			requireBitIdentical(t, label, got, want)
 		}
-		prevEvals = gotStats.RowEvals
 	}
-	_ = prevEvals
 }
 
 // TestBrownoutMonotoneShrink checks the budget shrink is monotone in the
@@ -156,6 +160,37 @@ func TestBrownoutMonotoneShrink(t *testing.T) {
 			t.Fatalf("level %v paid %d row evals, more than the previous level's %d", lvl, stats.RowEvals, prev)
 		}
 		prev = stats.RowEvals
+	}
+}
+
+// TestBrownoutNeverCostsMore pins the ceiling's direction: for every
+// query, a fused search at brownout 0.25, 0.5 or 1 pays no more
+// evaluations than the same search at level 0, which is exact. The cap
+// must also bind somewhere, or the check says nothing.
+func TestBrownoutNeverCostsMore(t *testing.T) {
+	eng := openCellEngine(t, Options{SearchShards: 2, Cells: brownoutCells()})
+	loadClusterFrames(t, eng, brownoutCfg)
+	capped := 0
+	for qi, q := range synthvid.ClusterQueries(brownoutCfg, 20) {
+		_, base, err := eng.SearchWithSetStats(q.Set, q.Bucket, SearchOptions{K: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lvl := range []float64{0.25, 0.5, 1} {
+			_, st, err := eng.SearchWithSetStats(q.Set, q.Bucket, SearchOptions{K: 10, Brownout: lvl})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.TotalEvals() > base.TotalEvals() {
+				t.Fatalf("query %d at level %v paid %d evals, level 0 paid %d", qi, lvl, st.TotalEvals(), base.TotalEvals())
+			}
+			if st.Stop == StopCeiling {
+				capped++
+			}
+		}
+	}
+	if capped == 0 {
+		t.Fatal("no browned search hit its ceiling; the corpus gives brownout no room")
 	}
 }
 

@@ -1,5 +1,5 @@
 // Coarse-quantized candidate pruning: per-shard cell indexes over the
-// packed arena columns that let scanShard take its rows from a surviving
+// packed arena columns that let a search take its rows from a surviving
 // subset of cells instead of every live row.
 //
 // Each shard's rows are grouped into cells by a deterministic coarse
@@ -9,23 +9,19 @@
 // — the maximum distance from any member that stores the kind to that
 // mean. All seven kind distances are metrics (see features/bounds.go),
 // so for a query q the triangle inequality turns each (centroid, radius)
-// pair into a certified lower bound on the distance from q to any member,
-// and the scan can rank cells by bound before touching their rows:
+// pair into a certified lower bound on the distance from q to any member.
+// Two searches use the cells:
 //
-//   - single-kind searches sweep cells in ascending bound order and stop
-//     as soon as the bound exceeds the worst kept top-K distance — an
-//     exact search, bit-identical to the full sweep (search_test.go and
-//     cells_test.go pin this).
-//   - fused multi-kind searches cannot terminate exactly (rank fusion
-//     depends on every candidate's rank, not just the top K), so they
-//     probe the best-bounded cells up to a row budget and fuse over the
-//     probed rows; eval/recall.go certifies recall against the exact
-//     reference.
+//   - single-kind and RRF-fused searches walk every shard's cells in
+//     ascending bound order in one exact threshold traversal
+//     (traverse.go), bit-identical to the full sweep;
+//   - min-max fused searches probe the best-ranked cells up to a row
+//     budget (plan, visitOrder) and fuse over the probed rows;
+//     eval/recall_test.go holds them to a recall floor.
 //
-// Whenever bounds cannot guarantee recall, scanShard takes the exact row
-// sources instead (see plan): shards below MinShardRows, unbuilt indexes,
-// K <= 0 (full-ranking queries), unsupported kinds, or probe budgets that
-// reach the whole candidate set anyway.
+// A shard takes the exact sweep instead whenever its cells cannot bound
+// the request: below MinShardRows, unbuilt, NoCellPruning, K <= 0,
+// unsupported kinds, or budgets that reach the whole candidate set.
 //
 // Churn contract: the index mutates only under the engine write lock, on
 // the same paths that mutate the arenas — incremental nearest-centroid
@@ -71,14 +67,13 @@ type CellOptions struct {
 	// from pruning and the exact path keeps small-corpus results
 	// bit-identical to the reference by construction.
 	MinShardRows int
-	// ProbeFraction is the fraction of a shard's candidates a fused
-	// multi-kind search scores, taken from the best-ranked cells
-	// (default 0.07). Higher is slower and more exact.
+	// ProbeFraction is the fraction of a shard's candidates a min-max
+	// fused search scores, taken from the best-ranked cells (default
+	// 0.07). Higher is slower and more exact.
 	ProbeFraction float64
-	// MinProbeRows floors the fused probe budget (default 400): rank
-	// fusion over a probed subset drifts hardest on mid-size shards,
-	// where tail-rank compression noise rivals the head's score gaps, so
-	// small shards probe proportionally more to hold the recall floor.
+	// MinProbeRows floors the min-max probe budget (default 400), and is
+	// the floor brownout shrinks it toward. A browned RRF search's
+	// evaluation ceiling is priced from the same browned budget.
 	MinProbeRows int
 	// RebuildFraction triggers a full deterministic rebuild once the
 	// number of mutations since the last build exceeds this fraction of
@@ -163,14 +158,19 @@ func newShardCells(cfg CellOptions) *shardCells {
 	return &shardCells{cfg: cfg}
 }
 
-// plan reports whether a scan over n0 range-pruned candidate rows may
-// take its rows from the cell index, and for a fused (multi-kind) request
-// the row budget it may probe. ok=false selects the exact sweep: tiny
-// shards, unbuilt indexes, full-ranking (K <= 0) queries, kinds without
-// a certified bound, and requests the cells cannot shrink.
+// usable reports whether the cells can bound a search over n0 candidate
+// rows: built, the shard at or above MinShardRows, and not opted out.
+func (c *shardCells) usable(opt *SearchOptions, n0 int) bool {
+	return c.built && c.n > 0 && !opt.NoCellPruning && n0 >= c.cfg.MinShardRows
+}
+
+// plan reports whether a min-max fused scan over n0 range-pruned
+// candidate rows may probe the cell index, and the row budget it may
+// probe. ok=false selects the exact sweep: unusable cells, K <= 0, kinds
+// without a certified bound, and budgets that reach the whole candidate
+// set anyway.
 func (c *shardCells) plan(opt *SearchOptions, kinds []features.Kind, n0 int) (budget int, ok bool) {
-	if !c.built || opt.NoCellPruning ||
-		opt.K <= 0 || n0 < c.cfg.MinShardRows || c.n == 0 {
+	if opt.K <= 0 || !c.usable(opt, n0) {
 		return 0, false
 	}
 	for _, kind := range kinds {
@@ -178,15 +178,19 @@ func (c *shardCells) plan(opt *SearchOptions, kinds []features.Kind, n0 int) (bu
 			return 0, false
 		}
 	}
-	if len(kinds) == 1 {
-		return 0, opt.K < n0 // otherwise the heap could never prune a cell
-	}
-	budget = max(c.cfg.MinProbeRows, int(c.cfg.ProbeFraction*float64(n0)))
-	// Brownout shrinks the fused budget toward the MinProbeRows recall
-	// floor; at level 0 this is a no-op and the arithmetic never runs.
-	budget = brownedBudget(budget, c.cfg.MinProbeRows, opt.Brownout)
-	budget = max(budget, opt.K)
+	budget = c.probeBudget(opt, n0)
 	return budget, budget < n0 // probing everything is just the exact sweep
+}
+
+// probeBudget is the fused probe's row budget over n0 candidate rows:
+// ProbeFraction of them, at least MinProbeRows and K, shrunk toward
+// MinProbeRows by the request's brownout level. The min-max probe scores
+// that many rows; the RRF traversal's brownout ceiling is priced from it.
+func (c *shardCells) probeBudget(opt *SearchOptions, n0 int) int {
+	budget := max(c.cfg.MinProbeRows, int(c.cfg.ProbeFraction*float64(n0)))
+	// At level 0 this is a no-op and the arithmetic never runs.
+	budget = brownedBudget(budget, c.cfg.MinProbeRows, opt.Brownout)
+	return max(budget, opt.K)
 }
 
 // sortAscending fills ord with 0..len(key)-1 in ascending key order, ties
@@ -209,42 +213,30 @@ func sortAscending(ord []int32, key []float64) {
 	})
 }
 
-// visitOrder fills sc.cellKey and sc.cellOrd with the query's per-cell
-// visit keys and the ascending visit order, returning the centroid
-// evaluations paid. The two request shapes want different keys:
-//
-// A single-kind request needs the radius-clamped lower bound: the scan's
-// heap cut-off (stop at the first cell whose key exceeds the worst kept
-// distance) is exact only because the key is a true bound.
-//
-// A fused request ranks cells by reciprocal-rank fusion of their per-kind
-// query→centroid distances — the same scale-free rank semantics the
-// probed candidates are fused under, so a cell near the query in several
-// kinds is probed first regardless of each kernel's magnitude. (Neither
-// the radius-clamped bound — which saturates to 0 on every wide cell and
-// degenerates into index-order ties exactly where ordering matters most —
-// nor a fixed-scale distance sum — which lets the largest-magnitude
-// kernel drown out the kinds that actually separate the data — survives
-// contact with rank fusion.) The RRF score is negated so ascending order
-// visits the best-fused cell first.
+// visitOrder fills sc.cellKey and sc.cellOrd with the min-max probe's
+// per-cell visit keys and the ascending visit order, returning the
+// centroid evaluations paid. Cells are ranked by reciprocal-rank fusion
+// of their per-kind query→centroid distances, so a cell near the query in
+// several kinds is probed first regardless of each kernel's magnitude.
+// (Neither the radius-clamped bound, which saturates to 0 on every wide
+// cell and degenerates into index-order ties exactly where ordering
+// matters most, nor a fixed-scale distance sum, which lets the
+// largest-magnitude kernel drown out the kinds that separate the data,
+// ranks cells well for a probe.) The RRF score is negated so ascending
+// order visits the best-fused cell first.
 func (c *shardCells) visitOrder(pq *PackedQuery, sc *scanScratch) (cellEvals int64) {
 	sc.growCells(c.n)
-	if len(pq.kinds) == 1 {
-		kind := pq.kinds[0]
-		features.BatchLowerBound(kind, pq.vec[0], c.cent[kind], c.rad[kind], sc.cellKey)
-	} else {
-		clear(sc.cellKey)
-		// cellOrd is free until the visit-order sort below: every cell
-		// in index order, the rows of one sweep per centroid column.
-		for ci := range sc.cellOrd {
-			sc.cellOrd[ci] = int32(ci)
-		}
-		for ki, kind := range pq.kinds {
-			features.BatchDistance(kind, pq.vec[ki], c.cent[kind], sc.cellOrd, sc.cellDist)
-			sortAscending(sc.cellRank, sc.cellDist)
-			for r, ci := range sc.cellRank {
-				sc.cellKey[ci] -= 1 / float64(similarity.RRFConstant+r+1)
-			}
+	clear(sc.cellKey)
+	// cellOrd is free until the visit-order sort below: every cell in
+	// index order, the rows of one sweep per centroid column.
+	for ci := range sc.cellOrd {
+		sc.cellOrd[ci] = int32(ci)
+	}
+	for ki, kind := range pq.kinds {
+		features.BatchDistance(kind, pq.vec[ki], c.cent[kind], sc.cellOrd, sc.cellDist)
+		sortAscending(sc.cellRank, sc.cellDist)
+		for r, ci := range sc.cellRank {
+			sc.cellKey[ci] -= 1 / float64(similarity.RRFConstant+r+1)
 		}
 	}
 	sortAscending(sc.cellOrd, sc.cellKey)

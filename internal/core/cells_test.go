@@ -97,7 +97,7 @@ func checkCellSingleKindIdentity(t *testing.T, eng *Engine, qset *features.Set, 
 }
 
 // TestCellSingleKindBitIdentity forces cell pruning on a clustered corpus
-// and requires the bound-ordered sweep to reproduce the reference ranking
+// and requires the threshold traversal to reproduce the reference ranking
 // bit for bit across all seven kinds.
 func TestCellSingleKindBitIdentity(t *testing.T) {
 	eng := openCellEngine(t, Options{SearchShards: 3, Cells: forcedCells()})
@@ -115,16 +115,141 @@ func TestCellSingleKindBitIdentity(t *testing.T) {
 	}
 }
 
-// TestCellFusedProbeBudget pins the fused probe's work contract: it pays
-// at most the budget per shard (plus centroid bounds), never returns an
-// error, and its candidates are a strict subset of the exact arm's work.
+// checkCellFusedIdentity asserts the fused RRF search is bit-identical to
+// the naive reference (IDs, order and Distance) for K in {1, 10, 100},
+// over all seven kinds and two subsets, with and without the bucket
+// filter; with thorough unset, over all seven kinds with the filter only.
+// It returns how many searches ended by each stop reason, so callers can
+// require that the traversal engaged.
+func checkCellFusedIdentity(t *testing.T, eng *Engine, qset *features.Set, qbucket rangeindex.Range, label string, thorough bool) map[string]int {
+	t.Helper()
+	stops := make(map[string]int)
+	kindSets := [][]features.Kind{nil}
+	noPrunes := []bool{false}
+	if thorough {
+		kindSets = append(kindSets,
+			[]features.Kind{features.KindNaive, features.KindHistogram},
+			[]features.Kind{features.KindGabor, features.KindTamura, features.KindRegions})
+		noPrunes = append(noPrunes, true)
+	}
+	for _, kinds := range kindSets {
+		for _, k := range []int{1, 10, 100} {
+			for _, noPrune := range noPrunes {
+				opt := SearchOptions{K: k, Kinds: kinds, NoPruning: noPrune}
+				want, err := eng.SearchWithSetReference(qset, qbucket, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, stats, err := eng.SearchWithSetStats(qset, qbucket, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireBitIdentical(t, fmt.Sprintf("%s kinds=%v k=%d noprune=%v", label, kinds, k, noPrune), got, want)
+				stops[stats.Stop]++
+			}
+		}
+	}
+	return stops
+}
+
+// TestCellFusedBitIdentity pins the fused RRF traversal to the reference
+// bit for bit on forced-cell corpora built to stress it: clustered rows;
+// planted ties (duplicated rows tie in every kind, lattice naive
+// signatures tie in one, and the two-kind subset ties scores whenever two
+// rows swap ranks); rows missing kinds (ranked last at missingDistance);
+// and a shard below MinShardRows beside one with cells, which takes part
+// as one pseudo-cell. Both the threshold stop and the sweep fallback must
+// occur.
+func TestCellFusedBitIdentity(t *testing.T) {
+	stops := make(map[string]int)
+	add := func(m map[string]int) {
+		for k, v := range m {
+			stops[k] += v
+		}
+	}
+
+	t.Run("clustered", func(t *testing.T) {
+		eng := openCellEngine(t, Options{SearchShards: 3, Cells: forcedCells()})
+		cfg := synthvid.ClusterCorpusConfig{Frames: 900, Clusters: 12, Seed: 11}
+		loadClusterFrames(t, eng, cfg)
+		for qi, q := range synthvid.ClusterQueries(cfg, 3) {
+			add(checkCellFusedIdentity(t, eng, q.Set, q.Bucket, fmt.Sprintf("query %d", qi), true))
+		}
+	})
+
+	t.Run("planted_ties", func(t *testing.T) {
+		eng := openCellEngine(t, Options{SearchShards: 2, Cells: forcedCells()})
+		frames := latticeFrames(500, 2, 43)
+		for i := 0; i < 500; i += 4 {
+			dup := frames[i]
+			dup.ID += 100000
+			frames = append(frames, dup)
+		}
+		if err := eng.PublishSyntheticFrames(frames, setsOf(frames)); err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range []int{0, 8, 17} {
+			add(checkCellFusedIdentity(t, eng, frames[i].Set, frames[i].Bucket, fmt.Sprintf("frame %d", i), true))
+		}
+	})
+
+	t.Run("missing_kinds", func(t *testing.T) {
+		eng := openCellEngine(t, Options{SearchShards: 2, Cells: forcedCells()})
+		frames := dropKinds(clusterFrames(600, 47), 5, 3)
+		if err := eng.PublishSyntheticFrames(frames, setsOf(frames)); err != nil {
+			t.Fatal(err)
+		}
+		q := synthvid.ClusterQueries(synthvid.ClusterCorpusConfig{Frames: 600, Seed: 47}, 2)
+		for qi := range q {
+			add(checkCellFusedIdentity(t, eng, q[qi].Set, q[qi].Bucket, fmt.Sprintf("query %d", qi), true))
+		}
+	})
+
+	t.Run("pseudo_cell_shard", func(t *testing.T) {
+		cells := forcedCells()
+		cells.MinShardRows = 200
+		eng := openCellEngine(t, Options{SearchShards: 2, Cells: cells})
+		// Even IDs land on shard 0, odd on shard 1: 520 rows against 80.
+		frames := clusterFrames(600, 53)
+		for i := range frames {
+			frames[i].ID = int64(2*i + 2)
+			if i >= 520 {
+				frames[i].ID = int64(2*(i-520) + 1)
+			}
+		}
+		if err := eng.PublishSyntheticFrames(frames, setsOf(frames)); err != nil {
+			t.Fatal(err)
+		}
+		q := synthvid.ClusterQueries(synthvid.ClusterCorpusConfig{Frames: 600, Seed: 53}, 2)
+		for qi := range q {
+			add(checkCellFusedIdentity(t, eng, q[qi].Set, q[qi].Bucket, fmt.Sprintf("query %d", qi), true))
+			_, st, err := eng.SearchWithSetStats(q[qi].Set, q[qi].Bucket, SearchOptions{K: 10, NoPruning: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.PrunedShards != 1 || st.ExactShards != 1 || st.Stop == "" {
+				t.Fatalf("query %d: stats %+v, want a traversal over one cell shard and one pseudo-cell", qi, st)
+			}
+		}
+	})
+
+	t.Logf("stop reasons: %v", stops)
+	if stops[StopThreshold] == 0 || stops[StopSweep] == 0 {
+		t.Fatalf("stop reasons %v: want both the threshold stop and the sweep fallback exercised", stops)
+	}
+}
+
+// TestCellFusedProbeBudget pins the fused min-max probe's work contract:
+// it pays at most the budget per shard (plus centroid bounds), never
+// returns an error, and its candidates are a strict subset of the exact
+// arm's work.
 func TestCellFusedProbeBudget(t *testing.T) {
 	eng := openCellEngine(t, Options{SearchShards: 3, Cells: forcedCells()})
 	cfg := synthvid.ClusterCorpusConfig{Frames: 900, Clusters: 12, Seed: 13}
 	loadClusterFrames(t, eng, cfg)
 
 	q := synthvid.ClusterQueries(cfg, 1)[0]
-	got, stats, err := eng.SearchWithSetStats(q.Set, q.Bucket, SearchOptions{K: 10})
+	got, stats, err := eng.SearchWithSetStats(q.Set, q.Bucket, SearchOptions{K: 10, Fusion: FusionMinMax})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +279,7 @@ func TestCellFusedProbeBudget(t *testing.T) {
 
 	// The exact arm of the same query must report zero pruned shards and
 	// full base-row work.
-	_, ex, err := eng.SearchWithSetStats(q.Set, q.Bucket, SearchOptions{K: 10, NoCellPruning: true})
+	_, ex, err := eng.SearchWithSetStats(q.Set, q.Bucket, SearchOptions{K: 10, Fusion: FusionMinMax, NoCellPruning: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,8 +375,9 @@ func TestCellExactFallbacks(t *testing.T) {
 // TestCellChurnBitIdentity extends the arena churn suite to the cell
 // index: bulk synthetic publishes, pixel-path ingest (slot reuse),
 // reindex repack and delete swap-remove all mutate the cells, and after
-// every mutation the forced-pruned single-kind path must still match the
-// reference bit for bit while concurrent searchers race the readers.
+// every mutation the forced-pruned single-kind and fused RRF searches
+// must still match the reference bit for bit while concurrent searchers
+// race the readers.
 // Run under -race this pins the index's locking contract.
 func TestCellChurnBitIdentity(t *testing.T) {
 	eng := openCellEngine(t, Options{SearchShards: 3, Cells: forcedCells()})
@@ -290,6 +416,9 @@ func TestCellChurnBitIdentity(t *testing.T) {
 		checkBucketColumn(t, eng, label)
 		for qi, q := range queries {
 			checkCellSingleKindIdentity(t, eng, q.Set, q.Bucket, fmt.Sprintf("%s q%d", label, qi), true)
+			if stops := checkCellFusedIdentity(t, eng, q.Set, q.Bucket, fmt.Sprintf("%s q%d", label, qi), false); stops[StopThreshold] == 0 {
+				t.Fatalf("%s q%d: stop reasons %v, no fused search certified by the threshold", label, qi, stops)
+			}
 		}
 	}
 

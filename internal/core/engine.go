@@ -90,7 +90,7 @@ type SearchOptions struct {
 	Workers int
 	// Brownout is this search's load-shedding level in [0,1] (out-of-range
 	// values are clamped, NaN reads as 0): above 0 a fused frame search
-	// shrinks its cell-probe budget toward MinProbeRows, and at or above
+	// pays at most a cell probe shrunk toward MinProbeRows, and at or above
 	// BrownoutRefuseFullRank a K <= 0 frame or clip search fails with
 	// ErrOverloaded. 0 is the exact configuration; see brownout.go.
 	Brownout float64

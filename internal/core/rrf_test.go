@@ -11,8 +11,8 @@ import (
 
 // TestRRFScoresMatchReference pins the radix rank to the reference
 // fusion: rrfScores over candidates in arbitrary order must equal
-// similarity.RRF + Normalize over the same distances listed in key-frame
-// ID order, bit for bit. The columns plant what a comparator-free sort
+// similarity.RRF over the same distances listed in key-frame ID order,
+// bit for bit. The columns plant what a comparator-free sort
 // can get wrong: exact ties (ranked by ID), a column of one repeated value
 // (every radix pass skipped), +0 beside -0 (equal under <, so also ranked
 // by ID), missingDistance rows, and IDs spread over many bytes. The sizes
@@ -46,7 +46,7 @@ func TestRRFScoresMatchReference(t *testing.T) {
 					lists[ki][i] = c.d[ki]
 				}
 			}
-			ref := similarity.Normalize(similarity.RRF(lists, similarity.RRFConstant))
+			ref := similarity.RRF(lists, similarity.RRFConstant)
 			want := make(map[int64]float64, n)
 			for i, c := range byID {
 				want[c.en.id] = ref[i]

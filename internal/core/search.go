@@ -1,21 +1,24 @@
-// Query-side pipeline: the concurrent sharded scoring path behind every
-// search entry point, plus the retained single-goroutine reference
-// implementation the equivalence tests and benchmarks compare against.
+// Query-side pipeline: the search entry points, the per-shard sweep, and
+// the retained single-goroutine reference implementation the
+// equivalence tests and benchmarks compare against.
 //
-// A frame search runs in two parallel phases over the engine's fixed cache
-// shards (see DESIGN.md):
+// A frame search takes one of two paths:
 //
-//  1. scan — each shard worker selects its arena rows (the §4.2 bucket
-//     filter, then the cell index where it can certify bounds), sweeps
-//     all requested per-feature distances into one flat shard-local
-//     buffer, and (for min-max fusion) folds each feature's running
-//     min/max into a shard-local MinMaxScaler.
-//  2. select — per-candidate fused distances are produced from the merged
-//     normalisation state and pushed through one bounded top-K max-heap
-//     per shard; the shard heaps merge into the final ranking.
+//   - the threshold traversal (traverse.go) for every bounded single-kind
+//     or RRF search once a shard has usable cells: exact, on the calling
+//     goroutine;
+//   - otherwise two parallel phases over the engine's fixed cache shards.
+//     Scan: each shard worker selects its arena rows (the §4.2 bucket
+//     filter, and for min-max fusion a cell probe), sweeps all requested
+//     per-feature distances into one flat shard-local buffer, and for
+//     min-max folds each feature's running min/max into a shard-local
+//     MinMaxScaler. Select: per-candidate fused distances go through one
+//     bounded top-K max-heap per shard, and the heaps merge into the
+//     final ranking.
 //
-// No phase materialises one []float64 per feature per query, and no phase
-// fully sorts the candidate set: selection is O(n log k) per shard.
+// Fused RRF ranks by the raw score, ties by key-frame ID, and reports the
+// fixed-scale similarity.RRFDistance on every path, the reference's
+// included. No phase fully sorts the candidate set.
 package core
 
 import (
@@ -178,6 +181,23 @@ func (e *Engine) searchSetStats(ctx context.Context, qset *features.Set, qbucket
 	}
 	pq := packQuery(qset, kinds)
 
+	stats := SearchStats{Kinds: len(kinds), K: opt.K, Brownout: opt.Brownout}
+	if t := e.planTraversal(&opt, pq, qbucket, &stats); t != nil {
+		defer t.release()
+		ranked, stop, err := t.run(ctx)
+		if err != nil {
+			return nil, SearchStats{}, err
+		}
+		stats.Candidates = int64(len(t.rows))
+		stats.RowEvals, stats.CellEvals = t.rowEvals, t.cellEvals
+		stats.Stop = stop
+		for ki, kind := range kinds {
+			stats.Depth[kind] = t.kinds[ki].depth
+		}
+		e.tally.add(&stats)
+		return e.matches(ranked), stats, nil
+	}
+
 	nShards := len(e.arenas)
 	workers := e.searchWorkers(&opt)
 	needScalers := len(kinds) > 1 && opt.Fusion == FusionMinMax
@@ -213,7 +233,6 @@ func (e *Engine) searchSetStats(ctx context.Context, qset *features.Set, qbucket
 
 	// Fold the per-shard work counters into the search-wide stats and the
 	// engine tally.
-	stats := SearchStats{Kinds: len(kinds), K: opt.K, Brownout: opt.Brownout}
 	for si := range parts {
 		st := &parts[si].stats
 		stats.BaseRows += int64(st.baseRows)
@@ -252,7 +271,8 @@ func (e *Engine) searchSetStats(ctx context.Context, qset *features.Set, qbucket
 
 	// Fused distance per candidate. Single feature: the raw distance.
 	// Min-max: streamed normalisation via the joined shard scalers.
-	// RRF: global per-feature ranks (computed below), rescaled to [0,1].
+	// RRF: the negated score from global per-feature ranks (computed
+	// below), mapped to its fixed-scale distance once selected.
 	var fusedAt func(g int) float64
 	switch {
 	case len(kinds) == 1:
@@ -301,6 +321,23 @@ func (e *Engine) searchSetStats(ctx context.Context, qset *features.Set, qbucket
 	}
 
 	ranked := final.Sorted()
+	if len(kinds) > 1 && opt.Fusion == FusionRRF {
+		rrfDistances(ranked, len(kinds))
+	}
+	return e.matches(ranked), stats, nil
+}
+
+// rrfDistances replaces each ranked negated RRF score over nk kinds with
+// its fixed-scale distance (similarity.RRFDistance).
+func rrfDistances(ranked []similarity.Ranked, nk int) {
+	for i := range ranked {
+		ranked[i].Distance = similarity.RRFDistance(ranked[i].Distance, nk)
+	}
+}
+
+// matches resolves a ranking's key frames to Matches. Callers hold e.mu
+// for reading.
+func (e *Engine) matches(ranked []similarity.Ranked) []Match {
 	out := make([]Match, len(ranked))
 	for i, r := range ranked {
 		en := e.byID[r.ID]
@@ -312,29 +349,22 @@ func (e *Engine) searchSetStats(ctx context.Context, qset *features.Set, qbucket
 			Distance:   r.Distance,
 		}
 	}
-	return out, stats, nil
+	return out
 }
 
-// scanShard scores one cache shard's candidates against the packed
-// query: one row-selection step, one kernel sweep. n0 — the live rows
-// surviving the §4.2 range prune, or every live row under NoPruning — is
-// what an exact sweep would score; the rows actually scored come from one
-// of four sources, chosen only from what the code can observe:
+// scanShard scores one cache shard's candidates against the packed query
+// for the per-shard path: one row-selection step, one kernel sweep. n0 —
+// the live rows surviving the §4.2 range prune, or every live row under
+// NoPruning — is what an exact sweep would score. The rows come from one
+// of two sources:
 //
-//   - exact, every live row (NoPruning) or the bucket-filtered live rows
-//     (default): whenever the shard's cell index cannot certify bounds for
-//     the request (see shardCells.plan). Bit-identical to the reference.
-//   - cells in ascending lower-bound order (single kind): each cell is
-//     swept as it is visited while a local top-K heap tracks the worst
-//     kept distance, and the scan stops at the first cell whose bound
-//     strictly exceeds it. Every row that could appear in the shard's top
-//     K — even on distance ties, since a tying row's bound cannot exceed
-//     the tied worst — has then been scored, so the fusion phase selects
-//     exactly what the full sweep would (the strict > keeps
-//     equal-distance smaller-ID rows).
-//   - cells in RRF-centroid-rank order up to the probe budget (fused):
-//     rank fusion over the probed subset is not guaranteed identical to
-//     the full sweep; eval/recall.go holds it to the recall threshold.
+//   - every live row (NoPruning) or the bucket-filtered live rows
+//     (default): bit-identical to the reference. Every single-kind and
+//     RRF search that reaches this path takes it.
+//   - for min-max fusion, when the shard's cells can bound the request
+//     (see shardCells.plan), the cells in RRF-centroid-rank order up to
+//     the probe budget: approximate, held to a recall floor by the eval
+//     harness.
 //
 // Cell members pass the same bucket filter unless NoPruning. Callers must
 // hold e.mu for reading; the returned part's scratch must be released once
@@ -363,12 +393,11 @@ func (e *Engine) scanShard(si int, pq *PackedQuery, qbucket rangeindex.Range, op
 		}
 	}
 
-	budget, viaCells := cl.plan(opt, pq.kinds, n0)
-	switch {
-	case !viaCells:
-		take(ar.live)
-		sc.sweep(ar, pq, 0, part.scalers)
-	case nk > 1:
+	budget, viaCells := 0, false
+	if needScalers {
+		budget, viaCells = cl.plan(opt, pq.kinds, n0)
+	}
+	if viaCells {
 		part.stats.cellEvals = cl.visitOrder(pq, sc)
 		for _, ci := range sc.cellOrd {
 			if len(sc.rows) >= budget {
@@ -376,30 +405,14 @@ func (e *Engine) scanShard(si int, pq *PackedQuery, qbucket rangeindex.Range, op
 			}
 			take(cl.members[ci])
 		}
-		// Truncating the last cell at the exact budget is safe here (unlike
-		// the single-kind path, where bounds reason about whole cells): the
-		// probe is approximate either way, members are ID-ordered, and the
-		// cut keeps paid work equal to the budget instead of overshooting by
-		// up to a cell.
+		// Truncating the last cell at the exact budget keeps paid work
+		// equal to the budget instead of overshooting by up to a cell; the
+		// probe is approximate either way, and members are ID-ordered.
 		sc.rows = sc.rows[:min(len(sc.rows), budget)]
-		sc.sweep(ar, pq, 0, part.scalers)
-	default:
-		part.stats.cellEvals = cl.visitOrder(pq, sc)
-		heap := similarity.NewTopK(opt.K)
-		for _, ci := range sc.cellOrd {
-			if heap.Len() == opt.K {
-				if w, _ := heap.Worst(); sc.cellKey[ci] > w.Distance {
-					break // bound certifies: nothing left can enter the top K
-				}
-			}
-			start := len(sc.rows)
-			take(cl.members[ci])
-			sc.sweep(ar, pq, start, nil)
-			for i, s := range sc.rows[start:] {
-				heap.Push(similarity.Ranked{ID: ar.ents[s].id, Distance: sc.buf[start+i]})
-			}
-		}
+	} else {
+		take(ar.live)
 	}
+	sc.sweep(ar, pq, 0, part.scalers)
 
 	n := len(sc.rows)
 	part.cands = sc.cands[:n]
@@ -411,8 +424,8 @@ func (e *Engine) scanShard(si int, pq *PackedQuery, qbucket rangeindex.Range, op
 	return part
 }
 
-// rrfScores reproduces similarity.RRF + Normalize over the flattened
-// candidate set. Per kind, candidates are ranked by (distance, key-frame
+// rrfScores reproduces similarity.RRF over the flattened candidate set:
+// the exact sweep's fusion. Per kind, candidates are ranked by (distance, key-frame
 // ID) — the same order the reference's stable sort yields over its
 // ID-sorted candidate list — and each contributes -1/(C+rank). The
 // candidates are put in ID order once; each kind's ranking is then a
@@ -447,15 +460,6 @@ func rrfScores(all []scored, nk, workers int, rs *rrfScratch) []float64 {
 		for rank, g := range rs.order[ki*n : (ki+1)*n] {
 			score[g] -= 1 / (float64(similarity.RRFConstant) + float64(rank+1))
 		}
-	}
-	// RRF scores are negated; rescale into [0,1] so reported combined
-	// distances read like the single-feature ones.
-	m := similarity.NewMinMaxScaler()
-	for _, s := range score {
-		m.Observe(s)
-	}
-	for i, s := range score {
-		score[i] = m.Scale(s)
 	}
 	return score
 }
@@ -634,7 +638,7 @@ func (e *Engine) searchSetReference(qset *features.Set, qbucket rangeindex.Range
 		}
 		fused = similarity.Fuse(lists, opt.Weights)
 	} else {
-		fused = similarity.Normalize(similarity.RRF(lists, similarity.RRFConstant))
+		fused = similarity.RRF(lists, similarity.RRFConstant)
 	}
 
 	ids := make([]int64, len(cands))
@@ -646,18 +650,11 @@ func (e *Engine) searchSetReference(qset *features.Set, qbucket rangeindex.Range
 	if k <= 0 || k > len(ranked) {
 		k = len(ranked)
 	}
-	out := make([]Match, k)
-	for i := 0; i < k; i++ {
-		en := e.byID[ranked[i].ID]
-		out[i] = Match{
-			KeyFrameID: en.id,
-			VideoID:    en.videoID,
-			VideoName:  e.videos[en.videoID].name,
-			FrameIndex: en.frameIdx,
-			Distance:   ranked[i].Distance,
-		}
+	ranked = ranked[:k]
+	if len(kinds) > 1 && opt.Fusion == FusionRRF {
+		rrfDistances(ranked, len(kinds))
 	}
-	return out, nil
+	return e.matches(ranked), nil
 }
 
 // SearchWithSetReference runs the retained naive full-sort search (single

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"cbvr/internal/core"
@@ -83,6 +84,27 @@ type RecallResult struct {
 	// all pruned-arm searches.
 	PrunedShards int `json:"pruned_shards"`
 	ExactShards  int `json:"exact_shards"`
+	// DepthMedian/DepthMax are, per kind, the median and maximum number
+	// of rows the pruned arm's threshold traversal released (0 for kinds
+	// not requested or searches that took no traversal); Stops counts
+	// the pruned-arm searches by stop reason (SearchStats.Stop).
+	DepthMedian [features.NumKinds]int `json:"depth_median"`
+	DepthMax    [features.NumKinds]int `json:"depth_max"`
+	Stops       map[string]int         `json:"stops"`
+}
+
+// depths formats the per-kind traversal depths for a test log.
+func (r RecallResult) depths() string {
+	out := ""
+	for _, kind := range features.AllKinds() {
+		if r.DepthMax[kind] > 0 {
+			out += fmt.Sprintf(" %v %d/%d", kind, r.DepthMedian[kind], r.DepthMax[kind])
+		}
+	}
+	if out == "" {
+		return "no threshold traversal ran"
+	}
+	return "depth median/max per kind:" + out
 }
 
 // EvaluateRecall runs the configured queries through the pruned and exact
@@ -91,7 +113,8 @@ type RecallResult struct {
 func EvaluateRecall(e *core.Engine, cfg synthvid.ClusterCorpusConfig, opt RecallOptions) (RecallResult, error) {
 	opt = opt.withDefaults()
 	queries := synthvid.ClusterQueries(cfg, opt.Queries)
-	res := RecallResult{Queries: opt.Queries, K: opt.K, MinRecall: 1}
+	res := RecallResult{Queries: opt.Queries, K: opt.K, MinRecall: 1, Stops: make(map[string]int)}
+	var depths [features.NumKinds][]int
 
 	var hits int
 	var recallSum float64
@@ -157,6 +180,15 @@ func EvaluateRecall(e *core.Engine, cfg synthvid.ClusterCorpusConfig, opt Recall
 		res.PaidEvals += stats.TotalEvals()
 		res.PrunedShards += stats.PrunedShards
 		res.ExactShards += stats.ExactShards
+		res.Stops[stats.Stop]++
+		for kind, d := range stats.Depth {
+			depths[kind] = append(depths[kind], d)
+		}
+	}
+	for kind, ds := range depths {
+		slices.Sort(ds)
+		res.DepthMedian[kind] = ds[len(ds)/2]
+		res.DepthMax[kind] = ds[len(ds)-1]
 	}
 	res.MeanRecall = recallSum / float64(opt.Queries)
 	res.TargetHitRate = float64(hits) / float64(opt.Queries)
@@ -195,19 +227,16 @@ func TestRecallPruned10k(t *testing.T) {
 		minRecall float64
 		minRatio  float64
 	}{
-		// Default fused search: all seven kinds under RRF. This is the
-		// configuration the recall gate protects. The eval-ratio floor is
-		// softer than the 100k headline because MinProbeRows dominates the
-		// budget at this scale — the ratio grows with corpus size (that IS
-		// the sub-linear claim; see the 100k gate for the 10x floor).
-		{name: "fused_rrf_default", search: core.SearchOptions{}, minRecall: recallFloor, minRatio: 2.5},
+		// Default fused search: all seven kinds under RRF, the server's
+		// default. Its threshold traversal is exact, so recall must be 1.
+		{name: "fused_rrf_default", search: core.SearchOptions{}, minRecall: 1, minRatio: 2.5},
 		// MinMax fusion renormalises each kind over the candidate set, so
 		// probing shifts per-kind min/max spans and reweights kinds — a
 		// structural drift more probing does not converge away. Held to a
 		// documented softer floor; the default fusion (RRF) carries the
 		// 0.95 gate.
 		{name: "fused_minmax", search: core.SearchOptions{Fusion: core.FusionMinMax}, minRecall: 0.85, minRatio: 2.5},
-		// Single-kind searches ride the exact bound-ordered path: recall
+		// Single-kind searches ride the exact threshold traversal: recall
 		// must be 1 by construction.
 		{name: "single_histogram", search: core.SearchOptions{Kinds: []features.Kind{features.KindHistogram}}, minRecall: 1, minRatio: 1},
 		{name: "single_naive", search: core.SearchOptions{Kinds: []features.Kind{features.KindNaive}}, minRecall: 1, minRatio: 1},
@@ -218,9 +247,10 @@ func TestRecallPruned10k(t *testing.T) {
 			if err != nil {
 				t.Fatalf("evaluate: %v", err)
 			}
-			t.Logf("mean recall %.4f min %.4f target-hit %.2f eval ratio %.2fx (paid %d / exact %d) pruned=%d exact=%d",
+			t.Logf("mean recall %.4f min %.4f target-hit %.2f eval ratio %.2fx (paid %d / exact %d) pruned=%d exact=%d stops=%v",
 				res.MeanRecall, res.MinRecall, res.TargetHitRate, res.EvalRatio,
-				res.PaidEvals, res.ExactEvals, res.PrunedShards, res.ExactShards)
+				res.PaidEvals, res.ExactEvals, res.PrunedShards, res.ExactShards, res.Stops)
+			t.Log(res.depths())
 			if res.MeanRecall < tc.minRecall {
 				t.Errorf("mean recall %.4f below floor %.2f", res.MeanRecall, tc.minRecall)
 			}
@@ -234,18 +264,18 @@ func TestRecallPruned10k(t *testing.T) {
 	}
 }
 
-// TestRecallMaxBrownout10k pins the brownout floor on the 10k planted
-// corpus: at level 1 the fused probe budget collapses to MinProbeRows,
-// which must still clear the recall floor — brownout trades tail quality
-// for survival, it must never make search useless. The gate's default
-// config leaves brownout no room (the per-shard fraction budget, 0.07 ×
-// 2500 = 175, already sits below the 400-row floor), so this engine
-// raises ProbeFraction to 0.4: a 1000-row level-0 budget per shard that
-// level 1 shrinks to exactly the floor — the same effective budget the
-// default gate proves recalls ≥ 0.95.
+// TestRecallMaxBrownout10k pins the brownout ceiling on the 10k planted
+// corpus: at level 1 a fused traversal may pay at most what the budgeted
+// probe pays at its MinProbeRows floor, and ranks what it has released
+// when it hits that cap. It must pay strictly less than the exact level-0
+// traversal and still clear the recall floor: brownout trades tail
+// quality for survival, it must never make search useless. At the default
+// MinProbeRows (400) the cap sits above what the exact traversal pays on
+// this corpus, so it never binds; this engine lowers MinProbeRows to 200,
+// where it binds on most queries.
 func TestRecallMaxBrownout10k(t *testing.T) {
 	cfg := synthvid.ClusterCorpusConfig{Frames: 10000, Seed: 7}
-	eng := buildCorpusEngine(t, cfg, core.Options{SearchShards: 4, Cells: core.CellOptions{ProbeFraction: 0.4}})
+	eng := buildCorpusEngine(t, cfg, core.Options{SearchShards: 4, Cells: core.CellOptions{MinProbeRows: 200}})
 
 	base, err := EvaluateRecall(eng, cfg, RecallOptions{Queries: 40, K: 10})
 	if err != nil {
@@ -255,16 +285,19 @@ func TestRecallMaxBrownout10k(t *testing.T) {
 	if err != nil {
 		t.Fatalf("browned evaluate: %v", err)
 	}
-	t.Logf("level 0: recall %.4f paid %d; level 1: recall %.4f paid %d",
-		base.MeanRecall, base.PaidEvals, browned.MeanRecall, browned.PaidEvals)
+	t.Logf("level 0: recall %.4f paid %d stops %v; level 1: recall %.4f min %.2f paid %d stops %v",
+		base.MeanRecall, base.PaidEvals, base.Stops, browned.MeanRecall, browned.MinRecall, browned.PaidEvals, browned.Stops)
 	if browned.PaidEvals >= base.PaidEvals {
-		t.Errorf("max brownout paid %d evals, level 0 paid %d — budget did not shrink", browned.PaidEvals, base.PaidEvals)
+		t.Errorf("max brownout paid %d evals, level 0 paid %d — the ceiling did not bind", browned.PaidEvals, base.PaidEvals)
+	}
+	if browned.Stops[core.StopCeiling] == 0 {
+		t.Error("no browned search stopped at its ceiling")
 	}
 	if browned.PrunedShards == 0 {
 		t.Error("browned search never took the pruned path")
 	}
 	if browned.MeanRecall < 0.95 {
-		t.Errorf("mean recall %.4f at max brownout below the MinProbeRows floor 0.95", browned.MeanRecall)
+		t.Errorf("mean recall %.4f at max brownout below the floor 0.95", browned.MeanRecall)
 	}
 }
 

@@ -78,17 +78,17 @@ func PairLowerBound(kind Kind, q, cent []float64, rad float64) float64 {
 	return lb
 }
 
-// BatchLowerBound writes out[i] = PairLowerBound(kind, q, cell i's
-// centroid, rads[i]) for every cell in the packed centroid column
-// (stride Stride(kind), one row per cell). It is the cell-selection
-// analogue of BatchDistance: one pass over contiguous centroid memory.
+// BatchLowerBound writes out[i] = PairLowerBound(kind, q, cell cells[i]'s
+// centroid, rads[cells[i]]) for the listed cells of the packed centroid
+// column (stride Stride(kind), one row per cell). It is BatchDistance's
+// sweep over the centroid rows, whose bits equal PairDistance's, followed
+// by the bound.
 //
 //cbvrvet:noalloc
-func BatchLowerBound(kind Kind, q, centCol []float64, rads, out []float64) {
-	stride := len(q)
-	for i := range rads {
-		off := i * stride
-		d := PairDistance(kind, q, centCol[off:off+stride:off+stride])
-		out[i] = math.Max(d-rads[i]-boundSlack*(d+rads[i]), 0)
+func BatchLowerBound(kind Kind, q, centCol []float64, cells []int32, rads, out []float64) {
+	BatchDistance(kind, q, centCol, cells, out)
+	for i, ci := range cells {
+		d, r := out[i], rads[ci]
+		out[i] = math.Max(d-r-boundSlack*(d+r), 0)
 	}
 }

@@ -61,7 +61,7 @@ func TestPairLowerBoundSound(t *testing.T) {
 }
 
 // TestBatchLowerBoundMatchesPair pins the batch form to the pair form bit
-// for bit over a packed centroid column.
+// for bit over a packed centroid column, its cells listed out of order.
 func TestBatchLowerBoundMatchesPair(t *testing.T) {
 	rng := rand.New(rand.NewSource(100))
 	for _, kind := range AllKinds() {
@@ -76,16 +76,20 @@ func TestBatchLowerBoundMatchesPair(t *testing.T) {
 		rads[3] = 0
 		rads[5] = math.Inf(1) // kind-absent cell: bound must clamp to 0
 		q := pack(randDescriptor(rng, kind, false))
-		out := make([]float64, nc)
-		BatchLowerBound(kind, q, col, rads, out)
-		for i := 0; i < nc; i++ {
-			want := PairLowerBound(kind, q, col[i*stride:(i+1)*stride], rads[i])
-			if out[i] != want {
-				t.Fatalf("kind %d cell %d: batch %.17g != pair %.17g", kind, i, out[i], want)
-			}
+		cells := make([]int32, nc)
+		for i, ci := range rng.Perm(nc) {
+			cells[i] = int32(ci)
 		}
-		if out[5] != 0 {
-			t.Fatalf("kind %d: infinite-radius cell bound %g, want 0", kind, out[5])
+		out := make([]float64, nc)
+		BatchLowerBound(kind, q, col, cells, rads, out)
+		for i, ci := range cells {
+			want := PairLowerBound(kind, q, col[int(ci)*stride:int(ci+1)*stride], rads[ci])
+			if out[i] != want {
+				t.Fatalf("kind %d cell %d: batch %.17g != pair %.17g", kind, ci, out[i], want)
+			}
+			if ci == 5 && out[i] != 0 {
+				t.Fatalf("kind %d: infinite-radius cell bound %g, want 0", kind, out[i])
+			}
 		}
 	}
 }

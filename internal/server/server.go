@@ -21,7 +21,7 @@
 // classes shedding first as the load signal rises. A search runs at the
 // load level its admission ticket carries (core.SearchOptions.Brownout)
 // and echoes that level in the BrownoutHeader: under pressure fused
-// searches shrink their probe budget toward the recall floor, and a search
+// searches pay at most a cell probe shrunk toward its floor, and a search
 // admitted at level 0 is exact. A slow-client watchdog re-arms
 // a per-read connection deadline around body reads so a stalled uploader
 // cannot hold an admission slot forever. Index reads — the store listing,
@@ -193,8 +193,8 @@ func New(eng *core.Engine, opts Options) *Server {
 //     process restart recovers it (searches still serve)
 //   - 503 "shedding"   — the admission controller refused work within its
 //     shed window; load balancers should divert what they can
-//   - 200 "browned-out" — serving everything, but searches run with a
-//     shrunken probe budget (quality, not availability, is reduced)
+//   - 200 "browned-out" — serving everything, but fused searches run on a
+//     shrunken evaluation budget (quality, not availability, is reduced)
 //   - 200 "ok"
 //
 // Every response carries the numeric brownout level; 503s carry a
@@ -215,7 +215,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		code, body["status"], body["reason"] = http.StatusServiceUnavailable, "shedding", snap.Reason
 		setRetryAfter(w.Header(), retry)
 	case snap.Level >= brownoutVisible:
-		body["status"], body["reason"] = "browned-out", fmt.Sprintf("search probe budget shrunk to load level %.2f", snap.Level)
+		body["status"], body["reason"] = "browned-out", fmt.Sprintf("search evaluation budget shrunk to load level %.2f", snap.Level)
 	}
 	writeJSON(w, code, body)
 }

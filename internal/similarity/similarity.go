@@ -225,6 +225,15 @@ func RRF(lists [][]float64, c float64) []float64 {
 	return out
 }
 
+// RRFDistance maps a negated RRF score over n lists with the standard
+// constant (what RRF returns) to a fixed-scale distance in [0, 1): 0 for
+// a candidate ranked first in every list, rising toward 1 as its ranks
+// grow. It depends on the candidate's own ranks only, so candidates
+// ranked below it never move it.
+func RRFDistance(neg float64, n int) float64 {
+	return max(0, 1+neg*(RRFConstant+1)/float64(n))
+}
+
 // Ranked pairs an ID with a distance for sorting.
 type Ranked struct {
 	ID       int64

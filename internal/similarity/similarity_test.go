@@ -176,3 +176,27 @@ func TestRankDeterministicTieBreak(t *testing.T) {
 		t.Errorf("rank order: %+v", r)
 	}
 }
+
+// TestRRFDistanceRange pins the fixed-scale fused distance: 0 for a
+// candidate ranked first in every list, inside [0, 1) for any ranks, and
+// rising as one rank grows.
+func TestRRFDistanceRange(t *testing.T) {
+	for n := 1; n <= 7; n++ {
+		neg := 0.0
+		for i := 0; i < n; i++ {
+			neg -= 1 / float64(RRFConstant+1)
+		}
+		if d := RRFDistance(neg, n); d != 0 {
+			t.Fatalf("n=%d: all ranks 1 give %v, want 0", n, d)
+		}
+		prev := 0.0
+		for _, rank := range []int{2, 10, 1000, 1 << 30} {
+			neg := -float64(n-1)/float64(RRFConstant+1) - 1/float64(RRFConstant+rank)
+			d := RRFDistance(neg, n)
+			if d <= prev || d >= 1 {
+				t.Fatalf("n=%d rank %d: distance %v, want in (%v, 1)", n, rank, d, prev)
+			}
+			prev = d
+		}
+	}
+}

@@ -103,8 +103,10 @@ func (db *DB) Table(name string) (*Table, error) {
 
 // NextPK returns the next unused primary key (max existing + 1).
 func (t *Table) NextPK(tx *Txn) (int64, error) {
-	unlock := t.rlockIfNeeded(tx)
-	defer unlock()
+	if tx == nil {
+		t.db.mu.RLock()
+		defer t.db.mu.RUnlock()
+	}
 	max, ok, err := t.db.btMax(t.meta.PKRoot)
 	if err != nil {
 		return 0, err
@@ -113,16 +115,6 @@ func (t *Table) NextPK(tx *Txn) (int64, error) {
 		return 1, nil
 	}
 	return int64(max) + 1, nil
-}
-
-// rlockIfNeeded takes the DB read lock for tx == nil calls and returns the
-// matching unlock; inside a transaction the writer lock is already held.
-func (t *Table) rlockIfNeeded(tx *Txn) func() {
-	if tx != nil {
-		return func() {}
-	}
-	t.db.mu.RLock()
-	return t.db.mu.RUnlock
 }
 
 // Insert adds a row and returns its primary key. A NULL first column
@@ -256,8 +248,10 @@ func (t *Table) freeOutOfRow(tx *Txn, row []Value) error {
 
 // Get fetches a row by primary key. Pass tx == nil outside transactions.
 func (t *Table) Get(tx *Txn, pk int64) ([]Value, bool, error) {
-	unlock := t.rlockIfNeeded(tx)
-	defer unlock()
+	if tx == nil {
+		t.db.mu.RLock()
+		defer t.db.mu.RUnlock()
+	}
 	rid, ok, err := t.db.btSearch(t.meta.PKRoot, uint64(pk))
 	if err != nil || !ok {
 		return nil, false, err
@@ -285,7 +279,7 @@ func (t *Table) GetColumn(tx *Txn, pk int64, c int) (Value, bool, error) {
 		return Value{}, false, fmt.Errorf("vstore: table %q has no column %d", t.name, c)
 	}
 	if tx == nil {
-		t.db.mu.RLock() // not rlockIfNeeded: its unlock closure allocates
+		t.db.mu.RLock()
 		defer t.db.mu.RUnlock()
 	}
 	rid, ok, err := t.db.btSearch(t.meta.PKRoot, uint64(pk))
@@ -411,8 +405,10 @@ func (t *Table) Delete(tx *Txn, pk int64) (bool, error) {
 
 // Scan visits every row in primary-key order. fn returning false stops.
 func (t *Table) Scan(tx *Txn, fn func(pk int64, row []Value) (bool, error)) error {
-	unlock := t.rlockIfNeeded(tx)
-	defer unlock()
+	if tx == nil {
+		t.db.mu.RLock()
+		defer t.db.mu.RUnlock()
+	}
 	return t.db.btScan(t.meta.PKRoot, 0, ^uint64(0), func(k, rid uint64) (bool, error) {
 		rec, err := t.heapGet(rid)
 		if err != nil {
@@ -431,8 +427,10 @@ func (t *Table) Scan(tx *Txn, fn func(pk int64, row []Value) (bool, error)) erro
 
 // Count returns the number of rows.
 func (t *Table) Count(tx *Txn) (int, error) {
-	unlock := t.rlockIfNeeded(tx)
-	defer unlock()
+	if tx == nil {
+		t.db.mu.RLock()
+		defer t.db.mu.RUnlock()
+	}
 	return t.db.btCount(t.meta.PKRoot, 0, ^uint64(0))
 }
 

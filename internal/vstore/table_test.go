@@ -488,3 +488,42 @@ func TestTableGetColumn(t *testing.T) {
 		t.Errorf("GetColumn of a BLOB reference allocated %v times", n)
 	}
 }
+
+// TestNilTxnReadLockAllocFree checks that the read lock a nil-transaction
+// Get, Scan, Count or NextPK takes costs no allocation: each call
+// allocates exactly what the same call inside a transaction does, which
+// takes no lock.
+func TestNilTxnReadLockAllocFree(t *testing.T) {
+	db := openTestDB(t, nil)
+	tbl := createTestTable(t, db)
+	tx, _ := db.Begin()
+	pk, err := tbl.Insert(tx, sampleRow(0, "row", 3, []byte("payload")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	visit := func(int64, []Value) (bool, error) { return true, nil }
+	calls := []struct {
+		name string
+		call func(tx *Txn)
+	}{
+		{"Get", func(tx *Txn) { tbl.Get(tx, pk) }},
+		{"Scan", func(tx *Txn) { tbl.Scan(tx, visit) }},
+		{"Count", func(tx *Txn) { tbl.Count(tx) }},
+		{"NextPK", func(tx *Txn) { tbl.NextPK(tx) }},
+	}
+	for _, c := range calls {
+		bare := testing.AllocsPerRun(50, func() { c.call(nil) })
+		tx, err := db.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		inTx := testing.AllocsPerRun(50, func() { c.call(tx) })
+		tx.Abort()
+		if bare != inTx {
+			t.Errorf("%s allocates %v times without a transaction, %v inside one", c.name, bare, inTx)
+		}
+	}
+}
