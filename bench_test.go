@@ -113,11 +113,9 @@ func BenchmarkScanArena(b *testing.B) {
 // BenchmarkSearchClasses runs the three search classes of the
 // search_scale workload on its shape: 40 000 cluster-corpus rows (seed
 // 1) over 8 shards, the §4.2 bucket filter on, 60 cluster queries, K =
-// 10. Each class reports its mean row and centroid-bound evaluations per
-// query over the whole query pool (rowevals/op, cellevals/op), which
-// repeat exactly for a given corpus and cell layout, and times one query
-// per iteration, rotating through the pool. The single-kind class rotates
-// over the seven kinds.
+// 10. Each class runs benchSearch, whose evaluation counts repeat exactly
+// for a given corpus and cell layout. The single-kind class rotates over
+// the seven kinds.
 func BenchmarkSearchClasses(b *testing.B) {
 	cfg := synthvid.ClusterCorpusConfig{Frames: 40000, Seed: 1}
 	eng, err := core.Open(filepath.Join(b.TempDir(), "classes.db"), core.Options{SearchShards: 8})
@@ -141,25 +139,65 @@ func BenchmarkSearchClasses(b *testing.B) {
 		{"minmax", func(int) core.SearchOptions { return core.SearchOptions{K: 10, Fusion: core.FusionMinMax} }},
 	}
 	for _, c := range classes {
-		b.Run(c.name, func(b *testing.B) {
-			var rows, cells int64
-			for i, q := range queries {
-				_, st, err := eng.SearchWithSetStats(q.Set, q.Bucket, c.opt(i))
-				if err != nil {
-					b.Fatal(err)
-				}
-				rows += st.RowEvals
-				cells += st.CellEvals
+		b.Run(c.name, func(b *testing.B) { benchSearch(b, eng, queries, c.opt) })
+	}
+}
+
+// benchSearch reports the mean row and centroid-bound evaluations per
+// query over the whole pool (rowevals/op, cellevals/op), then times one
+// query per iteration, rotating through the pool; opt(i) gives query i's
+// options.
+func benchSearch(b *testing.B, eng *core.Engine, queries []*synthvid.DescriptorFrame, opt func(i int) core.SearchOptions) {
+	var rows, cells int64
+	for i, q := range queries {
+		_, st, err := eng.SearchWithSetStats(q.Set, q.Bucket, opt(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows += st.RowEvals
+		cells += st.CellEvals
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := queries[i%len(queries)]
+		if _, err := eng.SearchWithSet(q.Set, q.Bucket, opt(i%len(queries))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(rows)/float64(len(queries)), "rowevals/op")
+	b.ReportMetric(float64(cells)/float64(len(queries)), "cellevals/op")
+}
+
+// BenchmarkTraversalShapes runs fused RRF over cluster corpora whose
+// shapes search_scale's planted 500-row clusters do not cover: few large
+// clusters with almost no near-duplicates, many small ones, and smaller
+// corpora at K 10 and 50. Each shape loads a seed-3 corpus and runs
+// benchSearch over 40 cluster queries.
+func BenchmarkTraversalShapes(b *testing.B) {
+	shapes := []struct {
+		name   string
+		cfg    synthvid.ClusterCorpusConfig
+		shards int
+		k      int
+	}{
+		{"40k_8clusters_dup0.001", synthvid.ClusterCorpusConfig{Frames: 40000, Clusters: 8, NearDupRate: 0.001, Seed: 3}, 8, 100},
+		{"40k_80clusters", synthvid.ClusterCorpusConfig{Frames: 40000, Clusters: 80, NearDupRate: 0.02, Seed: 3}, 8, 100},
+		{"10k_20clusters_k10", synthvid.ClusterCorpusConfig{Frames: 10000, Clusters: 20, NearDupRate: 0.02, Seed: 3}, 4, 10},
+		{"10k_8clusters_k50", synthvid.ClusterCorpusConfig{Frames: 10000, Clusters: 8, Seed: 3}, 4, 50},
+	}
+	for _, s := range shapes {
+		func() { // one corpus in memory at a time
+			eng, err := core.Open(filepath.Join(b.TempDir(), s.name+".db"), core.Options{SearchShards: s.shards})
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q := queries[i%len(queries)]
-				if _, err := eng.SearchWithSet(q.Set, q.Bucket, c.opt(i%len(queries))); err != nil {
-					b.Fatal(err)
-				}
+			defer eng.Close()
+			if err := eval.LoadClusterCorpus(eng, s.cfg); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(rows)/float64(len(queries)), "rowevals/op")
-			b.ReportMetric(float64(cells)/float64(len(queries)), "cellevals/op")
-		})
+			queries := synthvid.ClusterQueries(s.cfg, 40)
+			opt := func(int) core.SearchOptions { return core.SearchOptions{K: s.k} }
+			b.Run(s.name, func(b *testing.B) { benchSearch(b, eng, queries, opt) })
+		}()
 	}
 }

@@ -19,9 +19,10 @@
 //     budget (plan, visitOrder) and fuse over the probed rows;
 //     eval/recall_test.go holds them to a recall floor.
 //
-// A shard takes the exact sweep instead whenever its cells cannot bound
-// the request: below MinShardRows, unbuilt, NoCellPruning, K <= 0,
-// unsupported kinds, or budgets that reach the whole candidate set.
+// A shard takes the exact sweep instead whenever its cells cannot serve
+// the request: below MinShardRows, unbuilt, NoCellPruning or K <= 0; for
+// the traversal, a kind without a certified bound; for the probe, a
+// budget that reaches the whole candidate set.
 //
 // Churn contract: the index mutates only under the engine write lock, on
 // the same paths that mutate the arenas — incremental nearest-centroid
@@ -166,17 +167,13 @@ func (c *shardCells) usable(opt *SearchOptions, n0 int) bool {
 
 // plan reports whether a min-max fused scan over n0 range-pruned
 // candidate rows may probe the cell index, and the row budget it may
-// probe. ok=false selects the exact sweep: unusable cells, K <= 0, kinds
-// without a certified bound, and budgets that reach the whole candidate
-// set anyway.
-func (c *shardCells) plan(opt *SearchOptions, kinds []features.Kind, n0 int) (budget int, ok bool) {
+// probe. ok=false selects the exact sweep: unusable cells, K <= 0, and
+// budgets that reach the whole candidate set anyway. The probe orders
+// cells by visitOrder's fused centroid ranks and reads no bound, so any
+// kind may take it.
+func (c *shardCells) plan(opt *SearchOptions, n0 int) (budget int, ok bool) {
 	if opt.K <= 0 || !c.usable(opt, n0) {
 		return 0, false
-	}
-	for _, kind := range kinds {
-		if !features.BoundSupported(kind) {
-			return 0, false
-		}
 	}
 	budget = c.probeBudget(opt, n0)
 	return budget, budget < n0 // probing everything is just the exact sweep

@@ -395,7 +395,7 @@ func (e *Engine) scanShard(si int, pq *PackedQuery, qbucket rangeindex.Range, op
 
 	budget, viaCells := 0, false
 	if needScalers {
-		budget, viaCells = cl.plan(opt, pq.kinds, n0)
+		budget, viaCells = cl.plan(opt, n0)
 	}
 	if viaCells {
 		part.stats.cellEvals = cl.visitOrder(pq, sc)

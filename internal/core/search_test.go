@@ -89,32 +89,11 @@ func sharedFixture(t *testing.T) *searchFixture {
 	return fixture
 }
 
-// requireSameMatches asserts the sharded pipeline's result is the
-// reference result: identical length, identical key-frame IDs in order,
-// identical metadata, distances within 1e-9.
-func requireSameMatches(t *testing.T, label string, got, want []Match) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d matches, reference has %d", label, len(got), len(want))
-	}
-	for i := range want {
-		g, w := got[i], want[i]
-		if g.KeyFrameID != w.KeyFrameID {
-			t.Fatalf("%s: rank %d is key frame %d, reference has %d", label, i, g.KeyFrameID, w.KeyFrameID)
-		}
-		if g.VideoID != w.VideoID || g.VideoName != w.VideoName || g.FrameIndex != w.FrameIndex {
-			t.Fatalf("%s: rank %d metadata %+v != %+v", label, i, g, w)
-		}
-		if d := math.Abs(g.Distance - w.Distance); d > 1e-9 || math.IsNaN(d) {
-			t.Fatalf("%s: rank %d distance %.15g, reference %.15g (|Δ|=%g)", label, i, g.Distance, w.Distance, d)
-		}
-	}
-}
-
-// TestShardedSearchMatchesReference is the table-driven equivalence suite
-// from the issue: K ∈ {1, 5, all}, both fusion modes, pruning on and off,
+// TestShardedSearchMatchesReference is the table-driven equivalence
+// suite: K ∈ {1, 5, all}, both fusion modes, pruning on and off,
 // single-feature subsets and weighted min-max, each checked at several
-// worker counts against the retained naive full-sort reference.
+// worker counts against the retained naive full-sort reference, bit for
+// bit.
 func TestShardedSearchMatchesReference(t *testing.T) {
 	f := sharedFixture(t)
 	if f.frames < 20 {
@@ -179,7 +158,7 @@ func TestShardedSearchMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					requireSameMatches(t, fmt.Sprintf("query %d workers %d", qi, workers), got, want)
+					requireBitIdentical(t, fmt.Sprintf("query %d workers %d", qi, workers), got, want)
 				}
 			}
 		})
@@ -187,7 +166,7 @@ func TestShardedSearchMatchesReference(t *testing.T) {
 }
 
 // TestShardedSearchSingleShardEngine pins the degenerate configuration:
-// one shard, one worker must still agree with the reference.
+// one shard, one worker must still agree with the reference bit for bit.
 func TestShardedSearchSingleShardEngine(t *testing.T) {
 	eng, err := Open(t.TempDir()+"/one.db", Options{SearchShards: 1})
 	if err != nil {
@@ -211,7 +190,7 @@ func TestShardedSearchSingleShardEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameMatches(t, "single shard", got, want)
+	requireBitIdentical(t, "single shard", got, want)
 }
 
 // TestSearchMissingQueryDescriptor checks both implementations reject a

@@ -22,9 +22,12 @@
 //     K are released in every kind (exact scores) and every other row's
 //     best reachable score is strictly below the K-th: ties between exact
 //     scores still break by ID, so the answer is the reference's, bit for
-//     bit. It deepens, one cell at a time, a kind in which a top-K row is
-//     still missing, else the kind whose bound term is largest. Once its
-//     paid evaluations pass the exact sweep's cost it sweeps every
+//     bit. A row keeps one score, the sum of its released terms, and a
+//     running top K orders rows by it. Each step deepens by one cell the
+//     shallowest kind that a top-K row is missing; once the top K is
+//     fully released, verify decides the stop from scratch or names the
+//     kinds a row that can still reach the K-th score is missing. Once
+//     its paid evaluations pass the exact sweep's cost it sweeps every
 //     remaining cell instead, so the worst case is the sweep plus the
 //     cell bounds.
 //   - Above brownout level 0 a fused traversal's paid evaluations are
@@ -39,7 +42,6 @@ package core
 import (
 	"context"
 	"math"
-	"math/bits"
 	"sync"
 
 	"cbvr/internal/features"
@@ -95,15 +97,16 @@ type travKind struct {
 // exhausted reports whether every row has been released in the kind.
 func (k *travKind) exhausted() bool { return len(k.cells) == 0 && len(k.pend) == 0 }
 
-// travRow is one swept row's fusion state.
+// travRow is one released row's fusion state.
 type travRow struct {
-	id      int64
-	mask    uint8 // request-order kinds the row is released in
-	inTop   bool
-	watched bool
-	known   float64 // released terms, summed in release order (bounds only)
-	w       float64 // score lower bound; the exact kind-order score once full
-	rank    [features.NumKinds]int32
+	id    int64
+	mask  uint8 // request-order kinds the row is released in
+	inTop bool
+	// w sums the released terms: in release order while the row is
+	// partly released (bound() adds the missing kinds' terms), in kind
+	// order, the reference's exact score, once it is full.
+	w    float64
+	rank [features.NumKinds]int32
 }
 
 // traversal is one search's threshold traversal state, pooled.
@@ -113,10 +116,9 @@ type traversal struct {
 	qbucket rangeindex.Range
 	noPrune bool
 	k       int
-	n       int     // candidate rows over all shards
-	full    uint8   // mask of every requested kind
-	wMin    float64 // 1/(C + n): the least a released kind adds
-	ceiling int64   // brownout cap on paid evaluations; 0: none
+	n       int   // candidate rows over all shards
+	full    uint8 // mask of every requested kind
+	ceiling int64 // brownout cap on paid evaluations; 0: none
 
 	cells []travCell
 	kinds []travKind
@@ -127,10 +129,8 @@ type traversal struct {
 	rowAt []uint64
 	gen   uint32
 
-	top      []int32 // rows ranked best by (w desc, ID), at most k
-	watch    []int32 // rows outside top whose bound may still reach top's last
-	watching bool
-	single   []similarity.Ranked // single-kind: the releases, in order
+	top    []int32             // rows ranked best by (w desc, ID), at most k
+	single []similarity.Ranked // single-kind: the releases, in order
 
 	iota    []int32 // 0, 1, 2, ...: every cell of a shard
 	members []int32
@@ -187,11 +187,10 @@ func (e *Engine) planTraversal(opt *SearchOptions, pq *PackedQuery, qbucket rang
 
 	t := traversalPool.Get().(*traversal)
 	*t = traversal{
-		e: e, pq: pq, qbucket: qbucket, noPrune: opt.NoPruning, k: opt.K, n: n,
-		full: uint8(1)<<nk - 1, wMin: 1 / (rrfC + float64(n)),
+		e: e, pq: pq, qbucket: qbucket, noPrune: opt.NoPruning, k: opt.K, n: n, full: uint8(1)<<nk - 1,
 		cells: t.cells[:0], kinds: t.kinds, rows: t.rows[:0],
 		base: t.base[:0], rowAt: t.rowAt, gen: t.gen + 1,
-		top: t.top[:0], watch: t.watch[:0], single: t.single[:0],
+		top: t.top[:0], single: t.single[:0],
 		iota: t.iota, members: t.members, dist: t.dist,
 	}
 	slots := 0
@@ -318,7 +317,9 @@ func (t *traversal) sweepRest() {
 	}
 }
 
-// next decides the search or picks the kind to deepen.
+// next decides the search or picks the kind to deepen. While the top K
+// is incomplete or holds a partly released row it deepens a kind that
+// row is missing; otherwise verify decides the stop.
 func (t *traversal) next() (ki int, done bool) {
 	if len(t.kinds) == 1 {
 		return 0, len(t.single) >= t.k || t.kinds[0].exhausted()
@@ -334,40 +335,7 @@ func (t *traversal) next() (ki int, done bool) {
 			return t.widest(t.full &^ m), false
 		}
 	}
-	// A row released in no kind needs no check: it scores at most
-	// sum_k 1/(C + d_k + 1), strictly below any fully released row's
-	// score, whose rank in each kind is at most d_k.
-	kth := t.rows[t.top[len(t.top)-1]].w
-	if !t.watching {
-		t.watching = true
-		for ri := range t.rows {
-			if r := &t.rows[ri]; !r.inTop && r.mask != t.full && reaches(t.bound(r), kth) {
-				r.watched = true
-				t.watch = append(t.watch, int32(ri))
-			}
-		}
-	}
-	var missing uint8
-	kept := t.watch[:0]
-	for _, ri := range t.watch {
-		r := &t.rows[ri]
-		if r.inTop || r.mask == t.full || !reaches(t.bound(r), kth) {
-			r.watched = false
-			continue
-		}
-		kept = append(kept, ri)
-		missing |= t.full &^ r.mask
-	}
-	t.watch = kept
-	if missing != 0 {
-		return t.widest(missing), false
-	}
 	if missing, ok := t.verify(); !ok {
-		t.watching = false
-		for _, ri := range t.watch {
-			t.rows[ri].watched = false
-		}
-		t.watch = t.watch[:0]
 		return t.widest(missing), false
 	}
 	return 0, true
@@ -379,7 +347,7 @@ func reaches(u, kth float64) bool { return u*(1+rrfSlack) >= kth }
 
 // bound is the best score a partially released row can still reach.
 func (t *traversal) bound(r *travRow) float64 {
-	u := r.known
+	u := r.w
 	for ki := range t.kinds {
 		if r.mask&(1<<ki) == 0 {
 			u += t.kinds[ki].term
@@ -418,8 +386,11 @@ func (t *traversal) widest(mask uint8) int {
 }
 
 // verify recomputes the stop condition from scratch: the exact top K of
-// the fully released rows, and every other row's bound against the K-th
-// score. On failure it returns the kinds a blocking row is missing.
+// the fully released rows, and every other released row's bound against
+// the K-th score. On failure it returns the kinds a blocking row is
+// missing. A row released in no kind needs no check: it scores at most
+// sum_k 1/(C + d_k + 1), strictly below any fully released row's score,
+// whose rank in each kind is at most d_k.
 func (t *traversal) verify() (missing uint8, ok bool) {
 	h := similarity.NewTopK(t.k)
 	for ri := range t.rows {
@@ -538,7 +509,6 @@ func (t *traversal) released(ki int, p parked) {
 	r := &t.rows[ri]
 	r.rank[ki] = int32(tk.depth)
 	r.mask |= 1 << ki
-	r.known += 1 / (rrfC + float64(tk.depth))
 	if r.mask == t.full {
 		// The reference's per-candidate sum, in kind order.
 		var s float64
@@ -547,18 +517,18 @@ func (t *traversal) released(ki int, p parked) {
 		}
 		r.w = s
 	} else {
-		r.w = r.known + float64(len(t.kinds)-bits.OnesCount8(r.mask))*t.wMin
+		r.w += 1 / (rrfC + float64(tk.depth))
 	}
 	t.reposition(ri)
 }
 
-// better orders rows by score bound, descending, ties by ID.
+// better orders rows by w, descending, ties by ID.
 func (t *traversal) better(a, b int32) bool {
 	ra, rb := &t.rows[a], &t.rows[b]
 	return ra.w > rb.w || ra.w == rb.w && ra.id < rb.id
 }
 
-// reposition restores top after row ri's bound rose.
+// reposition restores top after row ri's w rose.
 func (t *traversal) reposition(ri int32) {
 	top := t.top
 	i := len(top)
@@ -575,12 +545,7 @@ func (t *traversal) reposition(ri int32) {
 			if !t.better(ri, last) {
 				return
 			}
-			lr := &t.rows[last]
-			lr.inTop = false
-			if t.watching && lr.mask != t.full && !lr.watched {
-				lr.watched = true
-				t.watch = append(t.watch, last)
-			}
+			t.rows[last].inTop = false
 			top = top[:len(top)-1]
 			i--
 		}

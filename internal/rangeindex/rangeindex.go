@@ -88,46 +88,6 @@ func AssignFaithful(hist *[256]int) (min, max int) {
 	return min, max
 }
 
-// Assign is the generalised range finder used for ablation: correct
-// inclusive bin boundaries, an arbitrary level count, and mass measured
-// against the true pixel total. levels counts descents below the root
-// (levels == 3 mirrors the paper's depth). t1 is the first-level threshold
-// percentage and tDeep the threshold for all deeper levels.
-func Assign(hist *[256]int, total int, levels int, t1, tDeep float64) (min, max int) {
-	if total <= 0 {
-		for _, c := range hist {
-			total += c
-		}
-	}
-	if total == 0 {
-		return 0, 255
-	}
-	pct := func(lo, hi int) float64 { // inclusive [lo, hi]
-		s := 0
-		for i := lo; i <= hi; i++ {
-			s += hist[i]
-		}
-		return float64(s) / float64(total) * 100
-	}
-	min, max = 0, 255
-	thr := t1
-	for l := 0; l < levels; l++ {
-		width := (max - min + 1) / 2
-		if width < 1 {
-			break
-		}
-		if pct(min, min+width-1) > thr {
-			max = min + width - 1
-		} else if pct(min+width, max) > thr {
-			min = min + width
-		} else {
-			break
-		}
-		thr = tDeep
-	}
-	return min, max
-}
-
 // Range is a [Min,Max] grey-level bucket.
 type Range struct {
 	Min, Max int
