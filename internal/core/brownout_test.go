@@ -12,25 +12,26 @@ import (
 	"cbvr/internal/synthvid"
 )
 
-// brownoutCorpus is sized so the fused probe budget has real headroom
-// above MinProbeRows: 1000 frames over 2 shards with ProbeFraction 0.25
+// brownoutCorpus is sized so the min-max probe budget has real headroom
+// above minProbeRows: 1000 frames over 2 shards with probeFraction 0.25
 // gives a level-0 budget of 125 rows against a floor of 16.
 var brownoutCfg = synthvid.ClusterCorpusConfig{Frames: 1000, Seed: 3}
 
-func brownoutCells() CellOptions {
-	return CellOptions{MinShardRows: 1, TargetCellSize: 8, MinProbeRows: 16, ProbeFraction: 0.25, RebuildFraction: 0.25}
+func brownoutCells() cellConfig {
+	return cellConfig{minShardRows: 1, targetCellSize: 8, minProbeRows: 16, probeFraction: 0.25, rebuildFraction: 0.25}
 }
 
 // TestBrownoutZeroIsInert pins the exactness contract: a search at level 0
 // — including one after a browned search on the same engine — is
 // bit-identical in results AND in work counters to one on an engine that
-// never browned out, for both the fused and the (never-browned)
-// single-kind paths.
+// never browned out. The browned search is min-max fused, the one search
+// brownout shrinks; single-kind searches stay equal to the reference even
+// at maximum brownout.
 func TestBrownoutZeroIsInert(t *testing.T) {
-	eng := openCellEngine(t, Options{SearchShards: 2, Cells: brownoutCells()})
+	eng := openCellEngine(t, Options{SearchShards: 2, cells: brownoutCells()})
 	loadClusterFrames(t, eng, brownoutCfg)
 	q := synthvid.ClusterQueries(brownoutCfg, 1)[0]
-	opt := SearchOptions{K: 10, NoPruning: true}
+	opt := SearchOptions{K: 10, NoPruning: true, Fusion: FusionMinMax}
 
 	base, baseStats, err := eng.SearchWithSetStats(q.Set, q.Bucket, opt)
 	if err != nil {
@@ -95,63 +96,50 @@ func TestBrownoutZeroIsInert(t *testing.T) {
 	}
 }
 
-// TestBrownoutBudgetFloor pins the shrink target: at level 1 the fused
-// probe budget IS MinProbeRows. A max-browned min-max search does exactly
+// TestBrownoutBudgetFloor pins the shrink target: at level 1 the min-max
+// probe budget IS minProbeRows. A max-browned min-max search does exactly
 // the same work, and returns exactly the same ranking, as one on an engine
-// configured with a probe fraction so small that MinProbeRows is its whole
-// budget; and a max-browned RRF traversal, whose ceiling is priced from
-// that budget, pays and returns the same on both engines.
+// configured with a probe fraction so small that minProbeRows is its whole
+// budget.
 func TestBrownoutBudgetFloor(t *testing.T) {
-	browned := openCellEngine(t, Options{SearchShards: 2, Cells: brownoutCells()})
+	browned := openCellEngine(t, Options{SearchShards: 2, cells: brownoutCells()})
 	loadClusterFrames(t, browned, brownoutCfg)
 
 	floorCells := brownoutCells()
-	floorCells.ProbeFraction = 1e-6 // budget = max(MinProbeRows, ~0) = MinProbeRows
-	floor := openCellEngine(t, Options{SearchShards: 2, Cells: floorCells})
+	floorCells.probeFraction = 1e-6 // budget = max(minProbeRows, ~0) = minProbeRows
+	floor := openCellEngine(t, Options{SearchShards: 2, cells: floorCells})
 	loadClusterFrames(t, floor, brownoutCfg)
 
 	for qi, q := range synthvid.ClusterQueries(brownoutCfg, 3) {
-		for _, tc := range []struct {
-			name          string
-			fusion        Fusion
-			floorBrownout float64
-		}{
-			{"minmax", FusionMinMax, 0},
-			{"rrf", FusionRRF, 1},
-		} {
-			label := fmt.Sprintf("query %d %s", qi, tc.name)
-			got, gotStats, err := browned.SearchWithSetStats(q.Set, q.Bucket, SearchOptions{K: 10, NoPruning: true, Fusion: tc.fusion, Brownout: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, wantStats, err := floor.SearchWithSetStats(q.Set, q.Bucket, SearchOptions{K: 10, NoPruning: true, Fusion: tc.fusion, Brownout: tc.floorBrownout})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotStats.TotalEvals() != wantStats.TotalEvals() {
-				t.Fatalf("%s: max brownout paid %d evals, MinProbeRows config paid %d — floors diverge",
-					label, gotStats.TotalEvals(), wantStats.TotalEvals())
-			}
-			if gotStats.PrunedShards == 0 {
-				t.Fatalf("%s: max-browned search did not take the pruned path", label)
-			}
-			if tc.fusion == FusionRRF && gotStats.Stop != StopCeiling {
-				t.Fatalf("%s: max-browned traversal stopped by %q, want the ceiling", label, gotStats.Stop)
-			}
-			requireBitIdentical(t, label, got, want)
+		label := fmt.Sprintf("query %d", qi)
+		got, gotStats, err := browned.SearchWithSetStats(q.Set, q.Bucket, SearchOptions{K: 10, NoPruning: true, Fusion: FusionMinMax, Brownout: 1})
+		if err != nil {
+			t.Fatal(err)
 		}
+		want, wantStats, err := floor.SearchWithSetStats(q.Set, q.Bucket, SearchOptions{K: 10, NoPruning: true, Fusion: FusionMinMax})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotStats.TotalEvals() != wantStats.TotalEvals() {
+			t.Fatalf("%s: max brownout paid %d evals, minProbeRows config paid %d — floors diverge",
+				label, gotStats.TotalEvals(), wantStats.TotalEvals())
+		}
+		if gotStats.PrunedShards == 0 {
+			t.Fatalf("%s: max-browned search did not take the pruned path", label)
+		}
+		requireBitIdentical(t, label, got, want)
 	}
 }
 
-// TestBrownoutMonotoneShrink checks the budget shrink is monotone in the
-// level: more pressure never does more work.
+// TestBrownoutMonotoneShrink checks the min-max budget shrink is monotone
+// in the level: more pressure never does more work.
 func TestBrownoutMonotoneShrink(t *testing.T) {
-	eng := openCellEngine(t, Options{SearchShards: 2, Cells: brownoutCells()})
+	eng := openCellEngine(t, Options{SearchShards: 2, cells: brownoutCells()})
 	loadClusterFrames(t, eng, brownoutCfg)
 	q := synthvid.ClusterQueries(brownoutCfg, 1)[0]
 	var prev int64 = math.MaxInt64
 	for _, lvl := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		opt := SearchOptions{K: 10, NoPruning: true, Brownout: lvl}
+		opt := SearchOptions{K: 10, NoPruning: true, Fusion: FusionMinMax, Brownout: lvl}
 		_, stats, err := eng.SearchWithSetStats(q.Set, q.Bucket, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -163,34 +151,40 @@ func TestBrownoutMonotoneShrink(t *testing.T) {
 	}
 }
 
-// TestBrownoutNeverCostsMore pins the ceiling's direction: for every
-// query, a fused search at brownout 0.25, 0.5 or 1 pays no more
-// evaluations than the same search at level 0, which is exact. The cap
-// must also bind somewhere, or the check says nothing.
+// TestBrownoutNeverCostsMore pins that brownout leaves the threshold
+// traversal alone: for every query, K in {1, 10, 100} and both RRF over
+// every kind and a single kind, a search at brownout 0.25, 0.5 or 1
+// returns the level-0 ranking bit for bit and pays the same row and cell
+// evaluations.
 func TestBrownoutNeverCostsMore(t *testing.T) {
-	eng := openCellEngine(t, Options{SearchShards: 2, Cells: brownoutCells()})
+	eng := openCellEngine(t, Options{SearchShards: 2, cells: brownoutCells()})
 	loadClusterFrames(t, eng, brownoutCfg)
-	capped := 0
 	for qi, q := range synthvid.ClusterQueries(brownoutCfg, 20) {
-		_, base, err := eng.SearchWithSetStats(q.Set, q.Bucket, SearchOptions{K: 10})
-		if err != nil {
-			t.Fatal(err)
+		for _, k := range []int{1, 10, 100} {
+			for _, kinds := range [][]features.Kind{nil, {features.KindGabor}} {
+				opt := SearchOptions{K: k, Kinds: kinds}
+				want, base, err := eng.SearchWithSetStats(q.Set, q.Bucket, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if base.Stop == "" {
+					t.Fatalf("query %d K %d kinds %v: level 0 did not take the traversal", qi, k, kinds)
+				}
+				for _, lvl := range []float64{0.25, 0.5, 1} {
+					opt.Brownout = lvl
+					got, st, err := eng.SearchWithSetStats(q.Set, q.Bucket, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("query %d K %d kinds %v level %v", qi, k, kinds, lvl)
+					if st.RowEvals != base.RowEvals || st.CellEvals != base.CellEvals {
+						t.Fatalf("%s: paid %d + %d evals, level 0 paid %d + %d",
+							label, st.RowEvals, st.CellEvals, base.RowEvals, base.CellEvals)
+					}
+					requireBitIdentical(t, label, got, want)
+				}
+			}
 		}
-		for _, lvl := range []float64{0.25, 0.5, 1} {
-			_, st, err := eng.SearchWithSetStats(q.Set, q.Bucket, SearchOptions{K: 10, Brownout: lvl})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.TotalEvals() > base.TotalEvals() {
-				t.Fatalf("query %d at level %v paid %d evals, level 0 paid %d", qi, lvl, st.TotalEvals(), base.TotalEvals())
-			}
-			if st.Stop == StopCeiling {
-				capped++
-			}
-		}
-	}
-	if capped == 0 {
-		t.Fatal("no browned search hit its ceiling; the corpus gives brownout no room")
 	}
 }
 
@@ -198,7 +192,7 @@ func TestBrownoutNeverCostsMore(t *testing.T) {
 // video DTW sweeps — are refused with ErrOverloaded at or above the
 // refusal level and served again below it.
 func TestBrownoutRefusesFullRank(t *testing.T) {
-	eng := openCellEngine(t, Options{SearchShards: 2, Cells: brownoutCells()})
+	eng := openCellEngine(t, Options{SearchShards: 2, cells: brownoutCells()})
 	frames := loadClusterFrames(t, eng, synthvid.ClusterCorpusConfig{Frames: 64, Seed: 5})
 	q := synthvid.ClusterQueries(synthvid.ClusterCorpusConfig{Frames: 64, Seed: 5}, 1)[0]
 
@@ -247,14 +241,14 @@ func TestBrownoutClamps(t *testing.T) {
 // levels on one engine at once: each must run at, and report, its own
 // level — the engine holds no load state a concurrent search could move.
 func TestBrownoutPerSearchUnderConcurrency(t *testing.T) {
-	eng := openCellEngine(t, Options{SearchShards: 2, Cells: brownoutCells()})
+	eng := openCellEngine(t, Options{SearchShards: 2, cells: brownoutCells()})
 	loadClusterFrames(t, eng, brownoutCfg)
 	q := synthvid.ClusterQueries(brownoutCfg, 1)[0]
 	levels := []float64{0, 1, 0.25, 0.75}
 	// Each level's work is deterministic; record it serially first.
 	want := make([]int64, len(levels))
 	for i, lvl := range levels {
-		_, stats, err := eng.SearchWithSetStats(q.Set, q.Bucket, SearchOptions{K: 10, NoPruning: true, Brownout: lvl})
+		_, stats, err := eng.SearchWithSetStats(q.Set, q.Bucket, SearchOptions{K: 10, NoPruning: true, Fusion: FusionMinMax, Brownout: lvl})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +265,7 @@ func TestBrownoutPerSearchUnderConcurrency(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < 4; r++ {
 				i := (g + r) % len(levels)
-				_, stats, err := eng.SearchWithSetStats(q.Set, q.Bucket, SearchOptions{K: 10, NoPruning: true, Brownout: levels[i]})
+				_, stats, err := eng.SearchWithSetStats(q.Set, q.Bucket, SearchOptions{K: 10, NoPruning: true, Fusion: FusionMinMax, Brownout: levels[i]})
 				switch {
 				case err != nil:
 					errs <- err

@@ -14,13 +14,17 @@
 //
 //   - single-kind and RRF-fused searches walk every shard's cells in
 //     ascending bound order in one exact threshold traversal
-//     (traverse.go), bit-identical to the full sweep;
+//     (traverse.go), bit-identical to the full sweep at every brownout
+//     level;
 //   - min-max fused searches probe the best-ranked cells up to a row
-//     budget (plan, visitOrder) and fuse over the probed rows;
-//     eval/recall_test.go holds them to a recall floor.
+//     budget (plan, visitOrder) that brownout shrinks, and fuse over the
+//     probed rows; eval/recall_test.go holds them to a recall floor.
+//
+// The index's sizes are one package value, defaultCells; no option
+// reaches them from outside the package.
 //
 // A shard takes the exact sweep instead whenever its cells cannot serve
-// the request: below MinShardRows, unbuilt, NoCellPruning or K <= 0; for
+// the request: below minShardRows, unbuilt, NoCellPruning or K <= 0; for
 // the traversal, a kind without a certified bound; for the probe, a
 // budget that reaches the whole candidate set.
 //
@@ -57,51 +61,6 @@ import (
 	"cbvr/internal/similarity"
 )
 
-// CellOptions tunes the per-shard candidate pruner. The zero value means
-// defaults; SearchOptions.NoCellPruning forces the exact sweep per call.
-type CellOptions struct {
-	// TargetCellSize is the intended rows-per-cell at rebuild time
-	// (default 96). The cell count is ceil(rows / TargetCellSize).
-	TargetCellSize int
-	// MinShardRows is the per-shard candidate floor below which searches
-	// always take the exact sweep (default 512): tiny shards gain nothing
-	// from pruning and the exact path keeps small-corpus results
-	// bit-identical to the reference by construction.
-	MinShardRows int
-	// ProbeFraction is the fraction of a shard's candidates a min-max
-	// fused search scores, taken from the best-ranked cells (default
-	// 0.07). Higher is slower and more exact.
-	ProbeFraction float64
-	// MinProbeRows floors the min-max probe budget (default 400), and is
-	// the floor brownout shrinks it toward. A browned RRF search's
-	// evaluation ceiling is priced from the same browned budget.
-	MinProbeRows int
-	// RebuildFraction triggers a full deterministic rebuild once the
-	// number of mutations since the last build exceeds this fraction of
-	// the shard's live rows (default 0.35). Rebuild cost is amortised
-	// geometrically against the churn that made it necessary.
-	RebuildFraction float64
-}
-
-func (o CellOptions) withDefaults() CellOptions {
-	if o.TargetCellSize <= 0 {
-		o.TargetCellSize = 96
-	}
-	if o.MinShardRows <= 0 {
-		o.MinShardRows = 512
-	}
-	if o.ProbeFraction <= 0 {
-		o.ProbeFraction = 0.07
-	}
-	if o.MinProbeRows <= 0 {
-		o.MinProbeRows = 400
-	}
-	if o.RebuildFraction <= 0 {
-		o.RebuildFraction = 0.35
-	}
-	return o
-}
-
 const (
 	// cellRouteKind is the kind rows are clustered on. The naive
 	// signature is the cheapest column (75 floats) that still varies with
@@ -120,11 +79,33 @@ const (
 	maxCellsPerShard = 1024
 )
 
+// cellConfig sizes a shard's cell index and the min-max probe.
+type cellConfig struct {
+	targetCellSize int // rows per cell at rebuild: ceil(rows / targetCellSize) cells
+	// minShardRows is the candidate count below which a shard takes the
+	// exact sweep: tiny shards gain nothing from pruning.
+	minShardRows    int
+	probeFraction   float64 // share of a shard's candidates min-max probes (plan)
+	minProbeRows    int     // floor of the min-max probe, and of its brownout shrink
+	rebuildFraction float64 // mutations over live rows that trigger a rebuild
+}
+
+// defaultCells is every engine's cell configuration. Options.cells
+// replaces it in the package's own tests, which need cells on corpora
+// far below minShardRows.
+var defaultCells = cellConfig{
+	targetCellSize:  96,
+	minShardRows:    512,
+	probeFraction:   0.07,
+	minProbeRows:    400,
+	rebuildFraction: 0.35,
+}
+
 // shardCells is one shard's cell index. All fields are guarded by the
 // engine lock exactly like the shard's arena: mutations (assign, detach,
 // rebuild) require the write lock, scans read under the read lock.
 type shardCells struct {
-	cfg CellOptions
+	cfg cellConfig
 
 	built bool
 	n     int // number of cells
@@ -155,39 +136,35 @@ type shardCells struct {
 	routeEvals int64
 }
 
-func newShardCells(cfg CellOptions) *shardCells {
+func newShardCells(cfg cellConfig) *shardCells {
 	return &shardCells{cfg: cfg}
 }
 
 // usable reports whether the cells can bound a search over n0 candidate
-// rows: built, the shard at or above MinShardRows, and not opted out.
+// rows: built, the shard at or above minShardRows, and not opted out.
 func (c *shardCells) usable(opt *SearchOptions, n0 int) bool {
-	return c.built && c.n > 0 && !opt.NoCellPruning && n0 >= c.cfg.MinShardRows
+	return c.built && c.n > 0 && !opt.NoCellPruning && n0 >= c.cfg.minShardRows
 }
 
 // plan reports whether a min-max fused scan over n0 range-pruned
 // candidate rows may probe the cell index, and the row budget it may
-// probe. ok=false selects the exact sweep: unusable cells, K <= 0, and
-// budgets that reach the whole candidate set anyway. The probe orders
-// cells by visitOrder's fused centroid ranks and reads no bound, so any
-// kind may take it.
+// probe: probeFraction of them and at least minProbeRows, shrunk
+// linearly toward minProbeRows by the request's brownout level (the
+// floor itself at level 1), and at least K. ok=false selects the exact
+// sweep: unusable cells, K <= 0, and budgets that reach the whole
+// candidate set anyway. The probe orders cells by visitOrder's fused
+// centroid ranks and reads no bound, so any kind may take it.
 func (c *shardCells) plan(opt *SearchOptions, n0 int) (budget int, ok bool) {
 	if opt.K <= 0 || !c.usable(opt, n0) {
 		return 0, false
 	}
-	budget = c.probeBudget(opt, n0)
+	floor := c.cfg.minProbeRows
+	budget = max(floor, int(c.cfg.probeFraction*float64(n0)))
+	if opt.Brownout > 0 { // level 0 runs none of the arithmetic
+		budget = floor + int((1-opt.Brownout)*float64(budget-floor))
+	}
+	budget = max(budget, opt.K)
 	return budget, budget < n0 // probing everything is just the exact sweep
-}
-
-// probeBudget is the fused probe's row budget over n0 candidate rows:
-// ProbeFraction of them, at least MinProbeRows and K, shrunk toward
-// MinProbeRows by the request's brownout level. The min-max probe scores
-// that many rows; the RRF traversal's brownout ceiling is priced from it.
-func (c *shardCells) probeBudget(opt *SearchOptions, n0 int) int {
-	budget := max(c.cfg.MinProbeRows, int(c.cfg.ProbeFraction*float64(n0)))
-	// At level 0 this is a no-op and the arithmetic never runs.
-	budget = brownedBudget(budget, c.cfg.MinProbeRows, opt.Brownout)
-	return max(budget, opt.K)
 }
 
 // sortAscending fills ord with 0..len(key)-1 in ascending key order, ties
@@ -428,17 +405,17 @@ func (c *shardCells) onRepack(ar *shardArena, slot int32) {
 }
 
 // noteMutation counts churn and rebuilds once it exceeds
-// RebuildFraction of the live rows (or immediately, the first time the
-// shard crosses the MinShardRows floor). Runs on the mutating call under
+// rebuildFraction of the live rows (or immediately, the first time the
+// shard crosses the minShardRows floor). Runs on the mutating call under
 // the already-held engine write lock — no background goroutine, no new
 // locks, so the lock-order directives are untouched.
 func (c *shardCells) noteMutation(ar *shardArena) {
 	c.since++
 	n := len(ar.live)
-	if n < c.cfg.MinShardRows {
+	if n < c.cfg.minShardRows {
 		return // exact path below the floor; building would be wasted work
 	}
-	if !c.built || float64(c.since) > c.cfg.RebuildFraction*float64(n) {
+	if !c.built || float64(c.since) > c.cfg.rebuildFraction*float64(n) {
 		c.rebuild(ar)
 	}
 }
@@ -459,7 +436,7 @@ func (c *shardCells) rebuild(ar *shardArena) {
 	slots := slices.Clone(ar.live)
 	slices.SortFunc(slots, func(a, b int32) int { return cmp.Compare(ar.ents[a].id, ar.ents[b].id) })
 
-	k := (n + c.cfg.TargetCellSize - 1) / c.cfg.TargetCellSize
+	k := (n + c.cfg.targetCellSize - 1) / c.cfg.targetCellSize
 	if k > maxCellsPerShard {
 		k = maxCellsPerShard
 	}

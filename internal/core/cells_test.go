@@ -19,10 +19,10 @@ import (
 
 // forcedCells drops every activation floor so cell pruning engages on the
 // small corpora unit tests can afford: tiny shards build cells, tiny
-// budgets force real probing, and low RebuildFraction exercises rebuilds
-// under modest churn.
-func forcedCells() CellOptions {
-	return CellOptions{MinShardRows: 1, TargetCellSize: 8, MinProbeRows: 16, ProbeFraction: 0.07, RebuildFraction: 0.25}
+// budgets force real probing, and a low rebuildFraction exercises
+// rebuilds under modest churn.
+func forcedCells() cellConfig {
+	return cellConfig{minShardRows: 1, targetCellSize: 8, minProbeRows: 16, probeFraction: 0.07, rebuildFraction: 0.25}
 }
 
 func openCellEngine(t *testing.T, opts Options) *Engine {
@@ -100,7 +100,7 @@ func checkCellSingleKindIdentity(t *testing.T, eng *Engine, qset *features.Set, 
 // and requires the threshold traversal to reproduce the reference ranking
 // bit for bit across all seven kinds.
 func TestCellSingleKindBitIdentity(t *testing.T) {
-	eng := openCellEngine(t, Options{SearchShards: 3, Cells: forcedCells()})
+	eng := openCellEngine(t, Options{SearchShards: 3, cells: forcedCells()})
 	cfg := synthvid.ClusterCorpusConfig{Frames: 900, Clusters: 12, Seed: 11}
 	loadClusterFrames(t, eng, cfg)
 	for qi, q := range synthvid.ClusterQueries(cfg, 4) {
@@ -157,7 +157,7 @@ func checkCellFusedIdentity(t *testing.T, eng *Engine, qset *features.Set, qbuck
 // planted ties (duplicated rows tie in every kind, lattice naive
 // signatures tie in one, and the two-kind subset ties scores whenever two
 // rows swap ranks); rows missing kinds (ranked last at missingDistance);
-// and a shard below MinShardRows beside one with cells, which takes part
+// and a shard below minShardRows beside one with cells, which takes part
 // as one pseudo-cell. Both the threshold stop and the sweep fallback must
 // occur.
 func TestCellFusedBitIdentity(t *testing.T) {
@@ -169,7 +169,7 @@ func TestCellFusedBitIdentity(t *testing.T) {
 	}
 
 	t.Run("clustered", func(t *testing.T) {
-		eng := openCellEngine(t, Options{SearchShards: 3, Cells: forcedCells()})
+		eng := openCellEngine(t, Options{SearchShards: 3, cells: forcedCells()})
 		cfg := synthvid.ClusterCorpusConfig{Frames: 900, Clusters: 12, Seed: 11}
 		loadClusterFrames(t, eng, cfg)
 		for qi, q := range synthvid.ClusterQueries(cfg, 3) {
@@ -178,7 +178,7 @@ func TestCellFusedBitIdentity(t *testing.T) {
 	})
 
 	t.Run("planted_ties", func(t *testing.T) {
-		eng := openCellEngine(t, Options{SearchShards: 2, Cells: forcedCells()})
+		eng := openCellEngine(t, Options{SearchShards: 2, cells: forcedCells()})
 		frames := latticeFrames(500, 2, 43)
 		for i := 0; i < 500; i += 4 {
 			dup := frames[i]
@@ -194,7 +194,7 @@ func TestCellFusedBitIdentity(t *testing.T) {
 	})
 
 	t.Run("missing_kinds", func(t *testing.T) {
-		eng := openCellEngine(t, Options{SearchShards: 2, Cells: forcedCells()})
+		eng := openCellEngine(t, Options{SearchShards: 2, cells: forcedCells()})
 		frames := dropKinds(clusterFrames(600, 47), 5, 3)
 		if err := eng.PublishSyntheticFrames(frames, setsOf(frames)); err != nil {
 			t.Fatal(err)
@@ -207,8 +207,8 @@ func TestCellFusedBitIdentity(t *testing.T) {
 
 	t.Run("pseudo_cell_shard", func(t *testing.T) {
 		cells := forcedCells()
-		cells.MinShardRows = 200
-		eng := openCellEngine(t, Options{SearchShards: 2, Cells: cells})
+		cells.minShardRows = 200
+		eng := openCellEngine(t, Options{SearchShards: 2, cells: cells})
 		// Even IDs land on shard 0, odd on shard 1: 520 rows against 80.
 		frames := clusterFrames(600, 53)
 		for i := range frames {
@@ -244,7 +244,7 @@ func TestCellFusedBitIdentity(t *testing.T) {
 // returns an error, and its candidates are a strict subset of the exact
 // arm's work.
 func TestCellFusedProbeBudget(t *testing.T) {
-	eng := openCellEngine(t, Options{SearchShards: 3, Cells: forcedCells()})
+	eng := openCellEngine(t, Options{SearchShards: 3, cells: forcedCells()})
 	cfg := synthvid.ClusterCorpusConfig{Frames: 900, Clusters: 12, Seed: 13}
 	loadClusterFrames(t, eng, cfg)
 
@@ -266,7 +266,7 @@ func TestCellFusedProbeBudget(t *testing.T) {
 		t.Fatal("pruned path reported no centroid bound evaluations")
 	}
 	// Budget accounting: per pruned shard the probe scores at most
-	// max(MinProbeRows, ProbeFraction*n0, K) rows (the gather truncates
+	// max(minProbeRows, probeFraction*n0, K) rows (the gather truncates
 	// at the budget exactly).
 	perShard := stats.BaseRows // upper bound on any one shard's n0
 	budget := int64(16)
@@ -297,7 +297,7 @@ func TestCellFusedProbeBudget(t *testing.T) {
 // largely lacks (degenerate feature mixes stay bit-identical).
 func TestCellExactFallbacks(t *testing.T) {
 	t.Run("below_min_shard_rows", func(t *testing.T) {
-		// Default options: MinShardRows=512 with 90 rows over 3 shards —
+		// Default options: minShardRows=512 with 90 rows over 3 shards —
 		// every search must take the exact path and remain bit-identical.
 		eng := openCellEngine(t, Options{SearchShards: 3})
 		cfg := synthvid.ClusterCorpusConfig{Frames: 90, Clusters: 6, Seed: 17}
@@ -314,7 +314,7 @@ func TestCellExactFallbacks(t *testing.T) {
 	})
 
 	t.Run("k_covers_shard", func(t *testing.T) {
-		eng := openCellEngine(t, Options{SearchShards: 2, Cells: forcedCells()})
+		eng := openCellEngine(t, Options{SearchShards: 2, cells: forcedCells()})
 		cfg := synthvid.ClusterCorpusConfig{Frames: 120, Clusters: 4, Seed: 19}
 		loadClusterFrames(t, eng, cfg)
 		q := synthvid.ClusterQueries(cfg, 1)[0]
@@ -329,7 +329,7 @@ func TestCellExactFallbacks(t *testing.T) {
 	})
 
 	t.Run("opt_outs", func(t *testing.T) {
-		eng := openCellEngine(t, Options{SearchShards: 2, Cells: forcedCells()})
+		eng := openCellEngine(t, Options{SearchShards: 2, cells: forcedCells()})
 		cfg := synthvid.ClusterCorpusConfig{Frames: 400, Clusters: 6, Seed: 23}
 		loadClusterFrames(t, eng, cfg)
 		q := synthvid.ClusterQueries(cfg, 1)[0]
@@ -353,7 +353,7 @@ func TestCellExactFallbacks(t *testing.T) {
 		// Rows carrying only two of the seven kinds: searches over absent
 		// kinds rank everything at missingDistance, searches over present
 		// kinds prune normally — both bit-identical to the reference.
-		eng := openCellEngine(t, Options{SearchShards: 2, Cells: forcedCells()})
+		eng := openCellEngine(t, Options{SearchShards: 2, cells: forcedCells()})
 		cfg := synthvid.ClusterCorpusConfig{Frames: 300, Clusters: 4, Seed: 29}
 		var frames []SyntheticFrame
 		synthvid.StreamClusterCorpus(cfg, func(f *synthvid.DescriptorFrame) error {
@@ -380,7 +380,7 @@ func TestCellExactFallbacks(t *testing.T) {
 // race the readers.
 // Run under -race this pins the index's locking contract.
 func TestCellChurnBitIdentity(t *testing.T) {
-	eng := openCellEngine(t, Options{SearchShards: 3, Cells: forcedCells()})
+	eng := openCellEngine(t, Options{SearchShards: 3, cells: forcedCells()})
 	cfg := synthvid.ClusterCorpusConfig{Frames: 600, Clusters: 8, Seed: 31}
 	loadClusterFrames(t, eng, cfg)
 	queries := synthvid.ClusterQueries(cfg, 2)
@@ -435,7 +435,7 @@ func TestCellChurnBitIdentity(t *testing.T) {
 		churnIDs = append(churnIDs, res.VideoID)
 		check(fmt.Sprintf("round %d after ingest", round))
 
-		// A synthetic top-up big enough to trip RebuildFraction rebuilds.
+		// A synthetic top-up big enough to trip rebuildFraction rebuilds.
 		top := synthvid.ClusterCorpusConfig{Frames: 120, Clusters: 8, Seed: int64(900 + round)}
 		var frames []SyntheticFrame
 		synthvid.StreamClusterCorpus(top, func(f *synthvid.DescriptorFrame) error {
@@ -468,7 +468,7 @@ func TestCellChurnBitIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.Rebuilds <= st.Shards {
-		t.Fatalf("churn triggered only %d rebuilds over %d shards; RebuildFraction never tripped", st.Rebuilds, st.Shards)
+		t.Fatalf("churn triggered only %d rebuilds over %d shards; rebuildFraction never tripped", st.Rebuilds, st.Shards)
 	}
 
 	close(stop)
@@ -506,7 +506,7 @@ func buildCellArena(frames []SyntheticFrame) (*shardArena, *shardCells) {
 		f := &frames[i]
 		ar.insert(&frameEntry{id: f.ID, videoID: f.VideoID, bucket: f.Bucket}, f.Set)
 	}
-	c := newShardCells(forcedCells().withDefaults())
+	c := newShardCells(forcedCells())
 	c.rebuild(ar)
 	return ar, c
 }
@@ -558,7 +558,7 @@ func TestCellRebuildDeterminism(t *testing.T) {
 	for i := 0; i < len(ents); i += 2 {
 		arD.insert(ents[i], frames[i].Set)
 	}
-	cD := newShardCells(forcedCells().withDefaults())
+	cD := newShardCells(forcedCells())
 	cD.rebuild(arD)
 	if got := cellSignature(t, arD, cD); got != want {
 		t.Fatalf("churned arena produced different cells:\n--- want\n%s--- got\n%s", want, got)
@@ -613,7 +613,7 @@ func FuzzCellRebuildDeterminism(f *testing.F) {
 			arB.remove(ents[idx])
 			arB.insert(ents[idx], frames[idx].Set)
 		}
-		cB := newShardCells(forcedCells().withDefaults())
+		cB := newShardCells(forcedCells())
 		cB.rebuild(arB)
 		if got := cellSignature(t, arB, cB); got != want {
 			t.Fatalf("fuzzed order diverged (n=%d perm=%x):\n--- want\n%s--- got\n%s", n, perm, want, got)
@@ -636,7 +636,7 @@ func rebuildReference(c *shardCells, ar *shardArena) (evals int64) {
 	slots := slices.Clone(ar.live)
 	slices.SortFunc(slots, func(a, b int32) int { return cmp.Compare(ar.ents[a].id, ar.ents[b].id) })
 
-	k := (n + c.cfg.TargetCellSize - 1) / c.cfg.TargetCellSize
+	k := (n + c.cfg.targetCellSize - 1) / c.cfg.targetCellSize
 	k = max(1, min(k, maxCellsPerShard, n))
 
 	routable := make([]int32, 0, n)
@@ -890,17 +890,17 @@ func requireSameCells(t *testing.T, label string, got, want *shardCells) {
 // TestCellRebuildMatchesReference pins the batched, bound-skipping
 // rebuild to the scalar reference: same members, slot tables, centroids
 // and radii, bit for bit, on clustered shards on both sides of
-// MinShardRows and of cellFitSampleMax (where the fit samples every
+// minShardRows and of cellFitSampleMax (where the fit samples every
 // step-th row and the unsampled rows take full sweeps), on lattice shards
 // full of duplicates and exact ties, on shards with rows lacking the
 // routing kind or another kind, and on a churned arena with free slots.
 // Each index is rebuilt twice, so scratch left by one rebuild cannot leak
 // into the next.
 func TestCellRebuildMatchesReference(t *testing.T) {
-	forced, def := forcedCells().withDefaults(), CellOptions{}.withDefaults()
+	forced, def := forcedCells(), defaultCells
 	cases := []struct {
 		name   string
-		cfg    CellOptions
+		cfg    cellConfig
 		frames []SyntheticFrame
 		churn  bool
 	}{
@@ -990,7 +990,7 @@ func BenchmarkCellRebuild(b *testing.B) {
 		for i := 1; i <= rows; i++ {
 			ar.insert(&frameEntry{id: int64(8 * i)}, corpus.Set(int64(8*i)))
 		}
-		cfg := CellOptions{}.withDefaults()
+		cfg := defaultCells
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
 			c := newShardCells(cfg)
 			c.rebuild(ar) // grow the scratch outside the timed loop

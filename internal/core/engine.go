@@ -39,12 +39,11 @@ type Options struct {
 	// lifetime; frame-search parallelism (SearchOptions.Workers) is
 	// clamped to it, since each shard is scanned by one worker.
 	SearchShards int
-	// Cells tunes the per-shard coarse-cell candidate pruner (see
-	// cells.go). The zero value enables it with defaults; small corpora
-	// stay on the exact sweep via the MinShardRows floor regardless.
-	Cells CellOptions
 	// Store tunes the underlying vstore database.
 	Store vstore.Options
+
+	// cells replaces defaultCells when set (the package's tests only).
+	cells cellConfig
 }
 
 // Fusion selects how per-feature distances combine into one ranking.
@@ -89,10 +88,10 @@ type SearchOptions struct {
 	// at any worker count.
 	Workers int
 	// Brownout is this search's load-shedding level in [0,1] (out-of-range
-	// values are clamped, NaN reads as 0): above 0 a fused frame search
-	// pays at most a cell probe shrunk toward MinProbeRows, and at or above
-	// BrownoutRefuseFullRank a K <= 0 frame or clip search fails with
-	// ErrOverloaded. 0 is the exact configuration; see brownout.go.
+	// values are clamped, NaN reads as 0): above 0 a min-max fused frame
+	// search probes fewer rows, and at or above BrownoutRefuseFullRank a
+	// K <= 0 frame or clip search fails with ErrOverloaded. Single-kind
+	// and RRF searches stay exact at every level; see brownout.go.
 	Brownout float64
 }
 
@@ -206,7 +205,10 @@ func Open(path string, opts Options) (*Engine, error) {
 		return nil, err
 	}
 	n := searchShardCount(opts)
-	cellCfg := opts.Cells.withDefaults()
+	cellCfg := defaultCells
+	if opts.cells != (cellConfig{}) {
+		cellCfg = opts.cells
+	}
 	arenas := make([]*shardArena, n)
 	cells := make([]*shardCells, n)
 	for i := range arenas {

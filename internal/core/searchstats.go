@@ -36,10 +36,10 @@ type SearchStats struct {
 	// Brownout is the load-shedding level this search ran at (0 = the
 	// exact configuration); see brownout.go.
 	Brownout float64 `json:"brownout"`
-	// Stop names what ended a threshold traversal (StopThreshold,
-	// StopSweep, StopCeiling; see traverse.go), empty when the search
-	// took the per-shard sweep or the min-max probe. Depth[kind] is the
-	// number of rows the traversal released in each requested kind.
+	// Stop names what ended a threshold traversal (StopThreshold or
+	// StopSweep; see traverse.go), empty when the search took the
+	// per-shard sweep or the min-max probe. Depth[kind] is the number of
+	// rows the traversal released in each requested kind.
 	Stop  string                 `json:"stop,omitempty"`
 	Depth [features.NumKinds]int `json:"depth"`
 }

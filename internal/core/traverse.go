@@ -30,10 +30,9 @@
 //     its paid evaluations pass the exact sweep's cost it sweeps every
 //     remaining cell instead, so the worst case is the sweep plus the
 //     cell bounds.
-//   - Above brownout level 0 a fused traversal's paid evaluations are
-//     capped at what the budgeted probe pays at that level (see
-//     brownout.go); a capped search ranks the rows it has released with
-//     each kind they are missing counted at depth + 1.
+//
+// Brownout does not reach the traversal: a search at any level walks
+// exactly as at level 0 (see brownout.go).
 //
 // The traversal runs on the calling goroutine, so its schedule and work
 // counters are a function of the query and the cells alone.
@@ -66,9 +65,6 @@ const (
 	// StopSweep: the traversal's paid evaluations passed the exact
 	// sweep's cost, so it swept every remaining cell; still exact.
 	StopSweep = "sweep"
-	// StopCeiling: a browned search hit its evaluation ceiling and
-	// ranked what it had released; approximate.
-	StopCeiling = "ceiling"
 )
 
 // travCell is one cell of the global walk: a shard's cell, or the whole
@@ -118,7 +114,6 @@ type traversal struct {
 	k       int
 	n       int   // candidate rows over all shards
 	full    uint8 // mask of every requested kind
-	ceiling int64 // brownout cap on paid evaluations; 0: none
 
 	cells []travCell
 	kinds []travKind
@@ -255,30 +250,7 @@ func (e *Engine) planTraversal(opt *SearchOptions, pq *PackedQuery, qbucket rang
 			tk.siftCell(i)
 		}
 	}
-	t.ceiling = e.ceiling(opt, nk, n0)
 	return t
-}
-
-// ceiling is the brownout cap on a fused traversal's paid evaluations:
-// what the budgeted probe pays at the request's level — per shard with
-// usable cells, its browned row budget plus its centroid bounds in every
-// kind, and every candidate row in every kind elsewhere. 0 (no cap) at
-// level 0 and for single-kind searches, which stay exact.
-func (e *Engine) ceiling(opt *SearchOptions, nk int, n0 []int) int64 {
-	if opt.Brownout <= 0 || nk == 1 {
-		return 0
-	}
-	var c int64
-	for si, n := range n0 {
-		if cl := e.cells[si]; cl.usable(opt, n) {
-			if b := cl.probeBudget(opt, n); b < n {
-				c += int64(b+cl.n) * int64(nk)
-				continue
-			}
-		}
-		c += int64(n) * int64(nk)
-	}
-	return c
 }
 
 // run walks the cells until the search is decided and returns the ranked
@@ -292,15 +264,11 @@ func (t *traversal) run(ctx context.Context) ([]similarity.Ranked, string, error
 		}
 		ki, done := t.next()
 		if done {
-			return t.ranked(false), StopThreshold, nil
+			return t.ranked(), StopThreshold, nil
 		}
-		paid := t.rowEvals + t.cellEvals
-		if t.ceiling > 0 && paid >= t.ceiling && len(t.rows) >= t.k {
-			return t.ranked(true), StopCeiling, nil
-		}
-		if paid > sweepCost {
+		if t.rowEvals+t.cellEvals > sweepCost {
 			t.sweepRest()
-			return t.ranked(false), StopSweep, nil
+			return t.ranked(), StopSweep, nil
 		}
 		t.deepen(ki)
 	}
@@ -413,28 +381,15 @@ func (t *traversal) verify() (missing uint8, ok bool) {
 
 // ranked returns the decided top K as (ID, distance), best first. Single
 // kind: the first K releases. Fused: the exact top K of the fully
-// released rows, or, capped, of every released row with its missing kinds
-// counted at depth + 1.
-func (t *traversal) ranked(capped bool) []similarity.Ranked {
+// released rows.
+func (t *traversal) ranked() []similarity.Ranked {
 	if len(t.kinds) == 1 {
 		return t.single[:min(t.k, len(t.single))]
 	}
 	h := similarity.NewTopK(t.k)
 	for ri := range t.rows {
-		r := &t.rows[ri]
-		switch {
-		case r.mask == t.full:
+		if r := &t.rows[ri]; r.mask == t.full {
 			h.Push(similarity.Ranked{ID: r.id, Distance: -r.w})
-		case capped && r.mask != 0:
-			var s float64
-			for ki := range t.kinds {
-				rank := r.rank[ki]
-				if rank == 0 {
-					rank = int32(t.kinds[ki].depth + 1)
-				}
-				s += 1 / (rrfC + float64(rank))
-			}
-			h.Push(similarity.Ranked{ID: r.id, Distance: -s})
 		}
 	}
 	out := h.Sorted()

@@ -62,27 +62,14 @@ import "math"
 // spare while costing pruning power only in the last ~12 digits.
 const boundSlack = 1e-12
 
-// PairLowerBound returns a lower bound on the kind's distance between the
-// packed query vector q and any point within radius rad of the packed
-// centroid cent: max(0, d(q, cent) - rad), made floating-point-safe by
-// boundSlack. Callers must only rely on it for kinds where BoundSupported
-// reports true.
-//
-//cbvrvet:noalloc
-func PairLowerBound(kind Kind, q, cent []float64, rad float64) float64 {
-	d := PairDistance(kind, q, cent)
-	lb := d - rad - boundSlack*(d+rad)
-	if lb < 0 {
-		return 0
-	}
-	return lb
-}
-
-// BatchLowerBound writes out[i] = PairLowerBound(kind, q, cell cells[i]'s
-// centroid, rads[cells[i]]) for the listed cells of the packed centroid
-// column (stride Stride(kind), one row per cell). It is BatchDistance's
+// BatchLowerBound writes out[i], a lower bound on the kind's distance
+// between the packed query q and any point within radius rads[cells[i]]
+// of cell cells[i]'s centroid, for the listed cells of the packed centroid
+// column (stride Stride(kind), one row per cell): max(0, d(q, cent) -
+// rad), made floating-point-safe by boundSlack. It is BatchDistance's
 // sweep over the centroid rows, whose bits equal PairDistance's, followed
-// by the bound.
+// by the bound. Callers must only rely on it for kinds where
+// BoundSupported reports true.
 //
 //cbvrvet:noalloc
 func BatchLowerBound(kind Kind, q, centCol []float64, cells []int32, rads, out []float64) {

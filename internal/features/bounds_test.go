@@ -8,11 +8,22 @@ import (
 
 func pack(d Descriptor) []float64 { return d.AppendTo(nil) }
 
+// pairLowerBound is BatchLowerBound for one centroid: max(0, d(q, cent) -
+// rad), made floating-point-safe by boundSlack.
+func pairLowerBound(kind Kind, q, cent []float64, rad float64) float64 {
+	d := PairDistance(kind, q, cent)
+	lb := d - rad - boundSlack*(d+rad)
+	if lb < 0 {
+		return 0
+	}
+	return lb
+}
+
 // TestPairLowerBoundSound is the soundness property the pruner rests on:
 // for any cell (centroid = mean of member packed vectors, radius = max
 // member distance to that centroid) and any query,
 //
-//	PairDistance(q, x) >= PairLowerBound(q, cent, rad)
+//	PairDistance(q, x) >= pairLowerBound(q, cent, rad)
 //
 // for every member x. Exercised per kind over many random cells,
 // including zero-mass histogram degenerates on both the query and member
@@ -46,7 +57,7 @@ func TestPairLowerBoundSound(t *testing.T) {
 				}
 			}
 			q := pack(randDescriptor(rng, kind, kind == KindHistogram && rng.Intn(8) == 0))
-			lb := PairLowerBound(kind, q, cent, rad)
+			lb := pairLowerBound(kind, q, cent, rad)
 			if lb < 0 {
 				t.Fatalf("kind %d: negative lower bound %g", kind, lb)
 			}
@@ -83,7 +94,7 @@ func TestBatchLowerBoundMatchesPair(t *testing.T) {
 		out := make([]float64, nc)
 		BatchLowerBound(kind, q, col, cells, rads, out)
 		for i, ci := range cells {
-			want := PairLowerBound(kind, q, col[int(ci)*stride:int(ci+1)*stride], rads[ci])
+			want := pairLowerBound(kind, q, col[int(ci)*stride:int(ci+1)*stride], rads[ci])
 			if out[i] != want {
 				t.Fatalf("kind %d cell %d: batch %.17g != pair %.17g", kind, ci, out[i], want)
 			}
@@ -116,7 +127,7 @@ func TestHistogramDegenerateBound(t *testing.T) {
 		t.Fatalf("cell with empty member has radius %g; expected a wide cell", rad)
 	}
 	for _, q := range [][]float64{empty, fullV} {
-		lb := PairLowerBound(KindHistogram, q, cent, rad)
+		lb := pairLowerBound(KindHistogram, q, cent, rad)
 		for _, m := range [][]float64{empty, fullV} {
 			if d := PairDistance(KindHistogram, q, m); d < lb {
 				t.Fatalf("degenerate histogram: distance %g below bound %g", d, lb)
@@ -126,7 +137,7 @@ func TestHistogramDegenerateBound(t *testing.T) {
 
 	// Empty query against an all-empty cell: centroid mass 0, distance 0,
 	// bound must clamp at 0.
-	if lb := PairLowerBound(KindHistogram, empty, empty, 0); lb != 0 {
+	if lb := pairLowerBound(KindHistogram, empty, empty, 0); lb != 0 {
 		t.Fatalf("empty query vs empty centroid: bound %g, want 0", lb)
 	}
 }

@@ -38,7 +38,7 @@ type kindDef struct {
 	batch func(q, col []float64, rows []int32, out []float64)
 	pair  func(a, b []float64) float64
 	// metric reports that the packed distance satisfies the triangle
-	// inequality, so PairLowerBound is sound for the kind (see bounds.go).
+	// inequality, so BatchLowerBound is sound for the kind (see bounds.go).
 	metric bool
 	// fixedScale is the kind's typical distance magnitude; fixed-scale
 	// fusion (DTW video search) divides by it where per-candidate min-max
@@ -236,7 +236,7 @@ func PairDistance(kind Kind, a, b []float64) float64 {
 }
 
 // BoundSupported reports whether the kind's packed distance satisfies the
-// triangle inequality, i.e. whether PairLowerBound is sound for it. An
+// triangle inequality, i.e. whether BatchLowerBound is sound for it. An
 // out-of-range kind reports false, so callers fail safe (never bounded,
 // never pruned).
 func BoundSupported(kind Kind) bool {

@@ -20,9 +20,10 @@
 // with a Retry-After computed from observed service times, lowest-priority
 // classes shedding first as the load signal rises. A search runs at the
 // load level its admission ticket carries (core.SearchOptions.Brownout)
-// and echoes that level in the BrownoutHeader: under pressure fused
-// searches pay at most a cell probe shrunk toward its floor, and a search
-// admitted at level 0 is exact. A slow-client watchdog re-arms
+// and echoes that level in the BrownoutHeader. The API's searches are
+// bounded RRF searches, exact at every level, so the level reports load;
+// at or above core.BrownoutRefuseFullRank the engine would refuse a
+// K <= 0 ranking, which the API never asks for. A slow-client watchdog re-arms
 // a per-read connection deadline around body reads so a stalled uploader
 // cannot hold an admission slot forever. Index reads — the store listing,
 // the HTML read pages, stats and healthz — skip admission.
@@ -96,12 +97,11 @@ const (
 const DeadlineHeader = "X-CBVR-Deadline-Ms"
 
 // BrownoutHeader reports, on search responses, the brownout level the
-// search ran at: its admission ticket's level (0 means the exact
-// configuration).
+// search ran at: its admission ticket's level, a report of load.
 const BrownoutHeader = "X-CBVR-Brownout"
 
 // brownoutVisible is the level at which healthz switches from "ok" to
-// "browned-out": below this the budget shrink is negligible noise.
+// "browned-out": below this the load is negligible noise.
 const brownoutVisible = 0.01
 
 // Server is the HTTP handler set. Create one with New.
@@ -193,8 +193,9 @@ func New(eng *core.Engine, opts Options) *Server {
 //     process restart recovers it (searches still serve)
 //   - 503 "shedding"   — the admission controller refused work within its
 //     shed window; load balancers should divert what they can
-//   - 200 "browned-out" — serving everything, but fused searches run on a
-//     shrunken evaluation budget (quality, not availability, is reduced)
+//   - 200 "browned-out" — serving everything under load; the API's
+//     searches stay exact, the level reports how close admission is to
+//     shedding
 //   - 200 "ok"
 //
 // Every response carries the numeric brownout level; 503s carry a
@@ -377,8 +378,8 @@ func listOf[T any](v []T) []T {
 // either as multipart field "image" or as a raw JPEG body; "k" (query or
 // form value, 1..1000, default 12) bounds the result count. The search
 // runs at its admission ticket's load level and the response carries that
-// level in the BrownoutHeader header, so the client knows the quality it
-// got.
+// level in the BrownoutHeader header, so the client sees the load it was
+// served under; the ranking is exact at every level.
 func (s *Server) search(w http.ResponseWriter, r *http.Request, ok respond[[]core.Match]) {
 	if r.Method != http.MethodPost {
 		methodErr(w, http.MethodPost)

@@ -138,7 +138,7 @@ func Open(path string, opts *Options) (*DB, error) {
 	}
 	w, err := openWAL(fs, path+".wal")
 	if err != nil {
-		_ = pg.close() // errvet:ignore open already failed
+		_ = pg.close() //cbvrvet:ignore errvet open already failed
 		return nil, err
 	}
 	db := &DB{
@@ -149,11 +149,11 @@ func Open(path string, opts *Options) (*DB, error) {
 		tables: make(map[string]*Table),
 	}
 	if err := db.recover(); err != nil {
-		_ = db.closeFiles() // errvet:ignore open already failed
+		_ = db.closeFiles() //cbvrvet:ignore errvet open already failed
 		return nil, err
 	}
 	if err := db.bootstrap(); err != nil {
-		_ = db.closeFiles() // errvet:ignore open already failed
+		_ = db.closeFiles() //cbvrvet:ignore errvet open already failed
 		return nil, err
 	}
 	return db, nil
@@ -315,7 +315,7 @@ func (db *DB) SimulateCrash() {
 	}
 	db.closed = true
 	db.activeTx = nil
-	_ = db.closeFiles() // errvet:ignore simulated crash abandons state by design
+	_ = db.closeFiles() //cbvrvet:ignore errvet simulated crash abandons state by design
 }
 
 // Checkpoint flushes all dirty pages to the data file and truncates the

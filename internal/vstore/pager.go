@@ -33,7 +33,7 @@ func openPager(fs VFS, path string, cacheCap int) (*pager, error) {
 	}
 	size, err := f.Size()
 	if err != nil {
-		_ = f.Close() // errvet:ignore open already failed
+		_ = f.Close() //cbvrvet:ignore errvet open already failed
 		return nil, fmt.Errorf("vstore: stat data file: %w", err)
 	}
 	if size == 0 {
@@ -41,7 +41,7 @@ func openPager(fs VFS, path string, cacheCap int) (*pager, error) {
 		// the file cannot vanish on power loss after its contents are
 		// fsynced.
 		if err := fs.SyncDir(path); err != nil {
-			_ = f.Close() // errvet:ignore open already failed
+			_ = f.Close() //cbvrvet:ignore errvet open already failed
 			return nil, err
 		}
 	}
@@ -53,11 +53,11 @@ func openPager(fs VFS, path string, cacheCap int) (*pager, error) {
 		// needed. Salvage by truncating back to the page boundary.
 		size -= rem
 		if err := f.Truncate(size); err != nil {
-			_ = f.Close() // errvet:ignore open already failed
+			_ = f.Close() //cbvrvet:ignore errvet open already failed
 			return nil, fmt.Errorf("vstore: truncate torn data file tail: %w", err)
 		}
 		if err := f.Sync(); err != nil {
-			_ = f.Close() // errvet:ignore open already failed
+			_ = f.Close() //cbvrvet:ignore errvet open already failed
 			return nil, fmt.Errorf("vstore: sync after tail salvage: %w", err)
 		}
 	}

@@ -52,7 +52,7 @@ func openWAL(fs VFS, path string) (*wal, error) {
 	}
 	size, err := f.Size()
 	if err != nil {
-		_ = f.Close() // errvet:ignore open already failed
+		_ = f.Close() //cbvrvet:ignore errvet open already failed
 		return nil, fmt.Errorf("vstore: stat wal: %w", err)
 	}
 	if size == 0 {
@@ -60,7 +60,7 @@ func openWAL(fs VFS, path string) (*wal, error) {
 		// committed transaction is only as durable as the WAL file's
 		// existence.
 		if err := fs.SyncDir(path); err != nil {
-			_ = f.Close() // errvet:ignore open already failed
+			_ = f.Close() //cbvrvet:ignore errvet open already failed
 			return nil, err
 		}
 	}

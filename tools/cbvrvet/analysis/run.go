@@ -20,8 +20,8 @@ type Package struct {
 }
 
 // RunPackage runs the analyzers over one package, applying the
-// cbvrvet:ignore / errvet:ignore suppression directives, and returns
-// the surviving findings sorted by position. A malformed directive (or
+// suppression directives (cbvrvet:ignore), and returns the surviving
+// findings sorted by position. A malformed directive (or
 // an analyzer error, e.g. an unresolvable lock name in a lockorder
 // directive) aborts the run — never silently disables a check.
 func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {

@@ -14,8 +14,9 @@ import (
 // Sync, Close or Truncate call whose error result is dropped — a bare
 // statement, a defer, a go statement, or an assignment to blank,
 // including inside closures — is flagged. fsyncgate-family durability
-// bugs hide behind exactly such calls. Intended drops carry an
-// "errvet:ignore <reason>" comment on the same line or the line above.
+// bugs hide behind exactly such calls. Intended drops carry a
+// "//cbvrvet:ignore errvet <reason>" directive on the same line or the
+// line above.
 //
 // Unlike the original AST-only tool, the migrated analyzer is
 // type-aware: only calls that actually return an error are flagged.
@@ -79,7 +80,7 @@ func runErrvet(pass *analysis.Pass) error {
 
 func reportDropped(pass *analysis.Pass, call *ast.CallExpr, how string) {
 	sel := call.Fun.(*ast.SelectorExpr)
-	pass.Reportf(call.Pos(), "%s() error dropped (%s); handle it or annotate errvet:ignore", sel.Sel.Name, how)
+	pass.Reportf(call.Pos(), "%s() error dropped (%s); handle it or annotate //cbvrvet:ignore errvet <reason>", sel.Sel.Name, how)
 }
 
 // errvetCall returns the call when expr is a hunted method call whose

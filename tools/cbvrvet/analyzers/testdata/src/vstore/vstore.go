@@ -1,7 +1,7 @@
 // Package vstore exercises the errvet analyzer. The fixture package's
 // import path is "vstore", which is inside the analyzer's storage-layer
 // scope; every dropped-error form it hunts appears below, plus the
-// type-aware negative and both suppression spellings.
+// type-aware negative and the suppression directive in both positions.
 package vstore
 
 import "os"
@@ -52,14 +52,20 @@ func truncRing(r ring) {
 	r.Truncate(3)
 }
 
-// intended uses the legacy suppression spelling on the line above.
+// intended suppresses the finding from the same line.
 func intended(f *os.File) {
-	// errvet:ignore fixture: durability not required for this scratch file
-	f.Sync()
+	f.Sync() //cbvrvet:ignore errvet fixture: durability not required for this scratch file
 }
 
-// intended2 uses the cbvrvet:ignore spelling.
+// intended2 suppresses the finding from the line above.
 func intended2(f *os.File) {
 	//cbvrvet:ignore errvet fixture: scratch file, loss is acceptable
 	f.Sync()
+}
+
+// notIntended carries the retired "errvet:ignore" spelling, which is
+// prose now and suppresses nothing.
+func notIntended(f *os.File) {
+	// errvet:ignore retired spelling
+	f.Sync() // want `Sync\(\) error dropped \(bare statement\)`
 }

@@ -6,8 +6,7 @@
 //	//cbvrvet:noalloc                       function must not allocate
 //	//cbvrvet:ignore <analyzer> <reason>    suppress one finding
 //
-// plus the legacy errvet:ignore form kept from tools/errvet. Malformed
-// directives are hard errors carrying the file position, so a typo in a
+// Malformed directives are hard errors carrying the file position, so a typo in a
 // directive fails the lint run instead of silently disabling a check.
 package directive
 
@@ -94,11 +93,6 @@ func directiveText(text string) string {
 
 func (s *Set) parseComment(fset *token.FileSet, c *ast.Comment, attached map[*ast.Comment]bool) error {
 	pos := fset.Position(c.Pos())
-	if i := strings.Index(c.Text, "errvet:ignore"); i >= 0 {
-		// Legacy errvet directive: reason optional, analyzer fixed.
-		s.addIgnore(pos, "errvet")
-		return nil
-	}
 	text := directiveText(c.Text)
 	if text == "" {
 		// A spaced "// cbvrvet:..." is a typo for a directive, not prose;

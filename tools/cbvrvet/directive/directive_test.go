@@ -33,8 +33,6 @@ func kernel() {}
 func other() {
 	//cbvrvet:ignore ctxloop reason goes here
 	_ = 1
-	// errvet:ignore legacy reason
-	_ = 2
 }
 `
 	s, _, f, err := parseSrc(t, src)
@@ -73,10 +71,6 @@ func other() {
 	// The ignore is per analyzer.
 	if s.Ignored(token.Position{Filename: "fix.go", Line: 11}, "noalloc") {
 		t.Errorf("ignore for ctxloop must not cover noalloc")
-	}
-	// Legacy errvet:ignore covers its line and the next for errvet only.
-	if !s.Ignored(token.Position{Filename: "fix.go", Line: 14}, "errvet") {
-		t.Errorf("legacy errvet:ignore line should be ignored for errvet")
 	}
 }
 
