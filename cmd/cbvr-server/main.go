@@ -25,8 +25,8 @@
 //	POST   /admin/reindex         form "id" (or none for all) → 303 to /
 //
 // The read routes (/healthz and the GET pages) also answer HEAD and refuse
-// any other method with 405. A search runs at its admission ticket's load
-// level and reports it in the X-CBVR-Brownout header.
+// any other method with 405. A search response reports its admission
+// ticket's load level in the X-CBVR-Brownout header.
 //
 // On SIGINT/SIGTERM the listener stops accepting, in-flight requests get
 // -drain to finish, and past that their contexts are cancelled: staged

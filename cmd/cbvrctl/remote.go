@@ -148,26 +148,26 @@ func (c *cancelOnClose) Close() error {
 }
 
 // post performs one POST with retries and decodes a 200 response body
-// into out, returning the response headers. Any other terminal status is
-// an error carrying the start of the body.
-func (c *retryClient) post(ctx context.Context, url string, mkBody func() (io.ReadCloser, error), out any) (http.Header, error) {
+// into out. Any other terminal status is an error carrying the start of
+// the body.
+func (c *retryClient) post(ctx context.Context, url string, mkBody func() (io.ReadCloser, error), out any) error {
 	resp, err := c.do(ctx, http.MethodPost, url, mkBody)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		snippet, _ := io.ReadAll(io.LimitReader(resp.Body, 200))
-		return nil, fmt.Errorf("server returned %s: %s", resp.Status, snippet)
+		return fmt.Errorf("server returned %s: %s", resp.Status, snippet)
 	}
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := json.Unmarshal(raw, out); err != nil {
-		return nil, fmt.Errorf("bad server response %q: %w", raw, err)
+		return fmt.Errorf("bad server response %q: %w", raw, err)
 	}
-	return resp.Header, nil
+	return nil
 }
 
 // remoteIngest streams a container file to POST /api/v1/ingest. openBody
@@ -175,25 +175,20 @@ func (c *retryClient) post(ctx context.Context, url string, mkBody func() (io.Re
 func remoteIngest(ctx context.Context, c *retryClient, server, name string, openBody func() (io.ReadCloser, error)) (*cbvr.IngestResult, error) {
 	u := server + "/api/v1/ingest?name=" + url.QueryEscape(name)
 	var res cbvr.IngestResult
-	if _, err := c.post(ctx, u, openBody, &res); err != nil {
+	if err := c.post(ctx, u, openBody, &res); err != nil {
 		return nil, err
 	}
 	return &res, nil
 }
 
-// remoteQuery posts a JPEG to POST /api/v1/search. A search the server ran
-// browned out prints a note, ahead of the ranking the caller prints.
+// remoteQuery posts a JPEG to POST /api/v1/search.
 func remoteQuery(ctx context.Context, c *retryClient, server string, jpeg []byte, k int) ([]cbvr.Match, error) {
 	url := fmt.Sprintf("%s/api/v1/search?k=%d", server, k)
 	var res struct {
 		Matches []cbvr.Match `json:"matches"`
 	}
-	hdr, err := c.post(ctx, url, byteBody(jpeg), &res)
-	if err != nil {
+	if err := c.post(ctx, url, byteBody(jpeg), &res); err != nil {
 		return nil, err
-	}
-	if lvl := hdr.Get("X-CBVR-Brownout"); lvl != "" && lvl != "0.000" {
-		fmt.Printf("note: server browned out (level %s); ranking is budget-limited\n", lvl)
 	}
 	return res.Matches, nil
 }
@@ -207,7 +202,7 @@ func remoteReindex(ctx context.Context, c *retryClient, server string, id int64)
 	var res struct {
 		Reindexed []*cbvr.ReindexResult `json:"reindexed"`
 	}
-	if _, err := c.post(ctx, url, byteBody(nil), &res); err != nil {
+	if err := c.post(ctx, url, byteBody(nil), &res); err != nil {
 		return nil, err
 	}
 	return res.Reindexed, nil

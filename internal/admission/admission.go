@@ -8,10 +8,9 @@
 // The controller is also the server's one load signal: it folds live
 // occupancy of the search class and the recent p95 search latency into a
 // single [0,1] pressure level, computed once per admission and carried by
-// the Ticket. The server passes a search ticket's level to the engine's
-// search brownout (internal/core, SearchOptions.Brownout), which caps a
-// fused search at a cell probe shrunk toward its floor while load is high
-// and is exact at level zero.
+// the Ticket. The level drives priority shedding (Config.ShedAt) and is
+// reported to clients; it changes nothing about how an admitted request
+// runs.
 //
 // Everything here is pure bookkeeping under one mutex: no I/O, no
 // allocation beyond the waiter nodes, and the only blocking point is the
@@ -30,10 +29,12 @@ import (
 
 // Class identifies one admission class. The numeric order IS the priority
 // order: lower values are more important and shed later. Searches are the
-// product (they stay up through overload, degraded only in quality via the
-// brownout); deletes are small and free capacity; ingests are heavy but
-// client-retryable; reindex is pure background maintenance and is the
-// first thing to go.
+// product and are never shed by level: the level is made of search
+// occupancy and search latency, so shedding searches by it would turn the
+// load they bring into missing answers, while each search is bounded and
+// its own limit and queue already cap how many run. Deletes are small and
+// free capacity; ingests are heavy but client-retryable; reindex is pure
+// background maintenance and is the first thing to go.
 type Class int
 
 const (
@@ -114,7 +115,7 @@ func (cfg Config) withDefaults() Config {
 		Reindex: 1,
 	}
 	defShedAt := [NumClasses]float64{
-		Search:  2.0,  // never: quality degrades via brownout instead
+		Search:  2.0,  // never: only the class limit and queue refuse a search
 		Delete:  0.97, // sheds only at full saturation
 		Ingest:  0.90,
 		Reindex: 0.50, // background work is the first casualty
@@ -182,9 +183,7 @@ type Ticket struct {
 
 // Level is the load level the request was admitted at, in [0,1]: computed
 // under the controller lock when Acquire admitted it directly, or when a
-// release handed it a queue slot. Zero means no pressure — the brownout
-// contract requires search behaviour to be bit-identical to the unloaded
-// engine at level 0.
+// release handed it a queue slot. Zero means no pressure.
 func (t *Ticket) Level() float64 { return t.level }
 
 // Release frees the slot. Safe to call more than once; only the first call

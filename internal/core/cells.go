@@ -14,11 +14,10 @@
 //
 //   - single-kind and RRF-fused searches walk every shard's cells in
 //     ascending bound order in one exact threshold traversal
-//     (traverse.go), bit-identical to the full sweep at every brownout
-//     level;
+//     (traverse.go), bit-identical to the full sweep;
 //   - min-max fused searches probe the best-ranked cells up to a row
-//     budget (plan, visitOrder) that brownout shrinks, and fuse over the
-//     probed rows; eval/recall_test.go holds them to a recall floor.
+//     budget (plan, visitOrder) and fuse over the probed rows;
+//     eval/recall_test.go holds them to a recall floor.
 //
 // The index's sizes are one package value, defaultCells; no option
 // reaches them from outside the package.
@@ -86,7 +85,7 @@ type cellConfig struct {
 	// exact sweep: tiny shards gain nothing from pruning.
 	minShardRows    int
 	probeFraction   float64 // share of a shard's candidates min-max probes (plan)
-	minProbeRows    int     // floor of the min-max probe, and of its brownout shrink
+	minProbeRows    int     // floor of the min-max probe
 	rebuildFraction float64 // mutations over live rows that trigger a rebuild
 }
 
@@ -148,22 +147,16 @@ func (c *shardCells) usable(opt *SearchOptions, n0 int) bool {
 
 // plan reports whether a min-max fused scan over n0 range-pruned
 // candidate rows may probe the cell index, and the row budget it may
-// probe: probeFraction of them and at least minProbeRows, shrunk
-// linearly toward minProbeRows by the request's brownout level (the
-// floor itself at level 1), and at least K. ok=false selects the exact
-// sweep: unusable cells, K <= 0, and budgets that reach the whole
-// candidate set anyway. The probe orders cells by visitOrder's fused
-// centroid ranks and reads no bound, so any kind may take it.
+// probe: probeFraction of them, and at least minProbeRows and K.
+// ok=false selects the exact sweep: unusable cells, K <= 0, and budgets
+// that reach the whole candidate set anyway. The probe orders cells by
+// visitOrder's fused centroid ranks and reads no bound, so any kind may
+// take it.
 func (c *shardCells) plan(opt *SearchOptions, n0 int) (budget int, ok bool) {
 	if opt.K <= 0 || !c.usable(opt, n0) {
 		return 0, false
 	}
-	floor := c.cfg.minProbeRows
-	budget = max(floor, int(c.cfg.probeFraction*float64(n0)))
-	if opt.Brownout > 0 { // level 0 runs none of the arithmetic
-		budget = floor + int((1-opt.Brownout)*float64(budget-floor))
-	}
-	budget = max(budget, opt.K)
+	budget = max(c.cfg.minProbeRows, int(c.cfg.probeFraction*float64(n0)), opt.K)
 	return budget, budget < n0 // probing everything is just the exact sweep
 }
 

@@ -291,6 +291,48 @@ func TestCellFusedProbeBudget(t *testing.T) {
 	}
 }
 
+// TestCellProbeBudgetExact pins plan's budget as the probe's exact work:
+// with the §4.2 bucket off, every pruned shard scores exactly
+// max(minProbeRows, probeFraction*n0, K) rows per kind — the floor when
+// the fraction is negligible, K once K passes the floor, and the fraction
+// when it passes both.
+func TestCellProbeBudgetExact(t *testing.T) {
+	cfg := synthvid.ClusterCorpusConfig{Frames: 1000, Seed: 3}
+	cells := cellConfig{minShardRows: 1, targetCellSize: 8, minProbeRows: 16, rebuildFraction: 0.25}
+	for _, tc := range []struct {
+		name     string
+		fraction float64
+		k        int
+		budget   func(n0 int) int
+	}{
+		{"floor", 1e-6, 10, func(int) int { return 16 }},
+		{"k_above_floor", 1e-6, 40, func(int) int { return 40 }},
+		{"fraction", 0.25, 10, func(n0 int) int { return int(0.25 * float64(n0)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cells.probeFraction = tc.fraction
+			eng := openCellEngine(t, Options{SearchShards: 2, cells: cells})
+			loadClusterFrames(t, eng, cfg)
+			var want int64
+			for _, ar := range eng.arenas {
+				want += int64(tc.budget(len(ar.live)))
+			}
+			for qi, q := range synthvid.ClusterQueries(cfg, 3) {
+				_, stats, err := eng.SearchWithSetStats(q.Set, q.Bucket, SearchOptions{K: tc.k, NoPruning: true, Fusion: FusionMinMax})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if stats.PrunedShards != len(eng.arenas) {
+					t.Fatalf("query %d: %d of %d shards probed", qi, stats.PrunedShards, len(eng.arenas))
+				}
+				if got := stats.RowEvals; got != want*int64(stats.Kinds) {
+					t.Fatalf("query %d: probe paid %d row evals, want %d rows × %d kinds", qi, got, want, stats.Kinds)
+				}
+			}
+		})
+	}
+}
+
 // TestCellExactFallbacks pins every condition that must route a search to
 // the exact sweep: corpora under the shard floor, K covering the shard,
 // per-call and per-engine opt-outs, and queries over kinds the corpus

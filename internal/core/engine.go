@@ -81,18 +81,14 @@ type SearchOptions struct {
 	// pruner existed (the exact baseline for recall evaluation).
 	NoCellPruning bool
 	// Workers overrides the engine's query-time parallelism for this call
-	// only: the number of goroutines scoring cache shards. <= 0 uses
-	// GOMAXPROCS; 1 runs the whole search on the calling goroutine. Frame
-	// searches are additionally clamped to the engine's fixed shard count
-	// (Options.SearchShards), one worker per shard. Results are identical
-	// at any worker count.
+	// only: the number of goroutines scoring cache shards in the
+	// per-shard sweep and the min-max probe, and ranking kinds in their
+	// fusion. <= 0 uses GOMAXPROCS; 1 runs the whole search on the calling
+	// goroutine. Frame searches are additionally clamped to the engine's
+	// fixed shard count (Options.SearchShards), one worker per shard. The
+	// threshold traversal (traverse.go) runs on the calling goroutine
+	// whatever Workers says. Results are identical at any worker count.
 	Workers int
-	// Brownout is this search's load-shedding level in [0,1] (out-of-range
-	// values are clamped, NaN reads as 0): above 0 a min-max fused frame
-	// search probes fewer rows, and at or above BrownoutRefuseFullRank a
-	// K <= 0 frame or clip search fails with ErrOverloaded. Single-kind
-	// and RRF searches stay exact at every level; see brownout.go.
-	Brownout float64
 }
 
 // ErrEmptyName is returned by every ingest entry point for an empty (or

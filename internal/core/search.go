@@ -96,9 +96,13 @@ func (e *Engine) SearchFrame(query *imaging.Image, opt SearchOptions) ([]Match, 
 }
 
 // SearchFrameCtx is SearchFrame under a request context: cancellation is
-// checked before query extraction and between shard scans, so an abandoned
-// request stops scoring within one shard's worth of work and returns the
-// context's error instead of a partial ranking.
+// checked before query extraction, then by the threshold traversal before
+// each cell step and by the per-shard sweep between shard scans, so an
+// abandoned request stops scoring within one cell's or one shard's worth
+// of work and returns the context's error instead of a partial ranking.
+// The one unchecked stretch is the traversal's fallback sweep once its
+// work passes the exact sweep's cost (sweepRest), and that pays fewer row
+// evaluations than the query's cell bounds already did.
 func (e *Engine) SearchFrameCtx(ctx context.Context, query *imaging.Image, opt SearchOptions) ([]Match, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -164,9 +168,6 @@ func (e *Engine) searchSetStats(ctx context.Context, qset *features.Set, qbucket
 	if err := opt.validate(); err != nil {
 		return nil, SearchStats{}, err
 	}
-	if err := opt.applyLoad(); err != nil {
-		return nil, SearchStats{}, err
-	}
 	if err := e.warmCache(); err != nil {
 		return nil, SearchStats{}, err
 	}
@@ -181,7 +182,7 @@ func (e *Engine) searchSetStats(ctx context.Context, qset *features.Set, qbucket
 	}
 	pq := packQuery(qset, kinds)
 
-	stats := SearchStats{Kinds: len(kinds), K: opt.K, Brownout: opt.Brownout}
+	stats := SearchStats{Kinds: len(kinds), K: opt.K}
 	if t := e.planTraversal(&opt, pq, qbucket, &stats); t != nil {
 		defer t.release()
 		ranked, stop, err := t.run(ctx)
@@ -705,9 +706,6 @@ func (e *Engine) SearchVideoCtx(ctx context.Context, queryFrames []*imaging.Imag
 // query descriptor sequences against each video's cached key frames.
 func (e *Engine) searchVideoSets(ctx context.Context, qsets []*features.Set, opt SearchOptions) ([]VideoMatch, error) {
 	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	if err := opt.applyLoad(); err != nil {
 		return nil, err
 	}
 	return e.rankVideos(ctx, qsets, opt, similarity.DTW)

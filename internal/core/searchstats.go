@@ -33,9 +33,6 @@ type SearchStats struct {
 	// scan took.
 	PrunedShards int `json:"pruned_shards"`
 	ExactShards  int `json:"exact_shards"`
-	// Brownout is the load-shedding level this search ran at (0 = the
-	// exact configuration); see brownout.go.
-	Brownout float64 `json:"brownout"`
 	// Stop names what ended a threshold traversal (StopThreshold or
 	// StopSweep; see traverse.go), empty when the search took the
 	// per-shard sweep or the min-max probe. Depth[kind] is the number of
@@ -52,7 +49,7 @@ func (s SearchStats) ExactEvals() int64 { return s.BaseRows * int64(s.Kinds) }
 func (s SearchStats) TotalEvals() int64 { return s.RowEvals + s.CellEvals }
 
 // EvalRatio is exact work over paid work (>= 1 means the pruner saved
-// evaluations; the ISSUE target is >= 10 at recall >= 0.95).
+// evaluations).
 func (s SearchStats) EvalRatio() float64 {
 	t := s.TotalEvals()
 	if t == 0 {
@@ -77,7 +74,6 @@ type searchTally struct {
 	cellEvals    atomic.Int64
 	prunedShards atomic.Int64
 	exactShards  atomic.Int64
-	browned      atomic.Int64
 }
 
 func (t *searchTally) add(s *SearchStats) {
@@ -87,9 +83,6 @@ func (t *searchTally) add(s *SearchStats) {
 	t.cellEvals.Add(s.CellEvals)
 	t.prunedShards.Add(int64(s.PrunedShards))
 	t.exactShards.Add(int64(s.ExactShards))
-	if s.Brownout > 0 {
-		t.browned.Add(1)
-	}
 }
 
 // SearchTallySnapshot is a point-in-time copy of the engine's cumulative
@@ -101,21 +94,16 @@ type SearchTallySnapshot struct {
 	CellEvals    int64 `json:"cell_evals"`
 	PrunedShards int64 `json:"pruned_shards"`
 	ExactShards  int64 `json:"exact_shards"`
-	// BrownedSearches counts searches that ran at a brownout level > 0
-	// (shrunken probe budget); the operational measure of how much load
-	// shedding has cost in search quality.
-	BrownedSearches int64 `json:"browned_searches"`
 }
 
 // SearchTally snapshots the cumulative per-engine search work counters.
 func (e *Engine) SearchTally() SearchTallySnapshot {
 	return SearchTallySnapshot{
-		Searches:        e.tally.searches.Load(),
-		BaseRows:        e.tally.baseRows.Load(),
-		RowEvals:        e.tally.rowEvals.Load(),
-		CellEvals:       e.tally.cellEvals.Load(),
-		PrunedShards:    e.tally.prunedShards.Load(),
-		ExactShards:     e.tally.exactShards.Load(),
-		BrownedSearches: e.tally.browned.Load(),
+		Searches:     e.tally.searches.Load(),
+		BaseRows:     e.tally.baseRows.Load(),
+		RowEvals:     e.tally.rowEvals.Load(),
+		CellEvals:    e.tally.cellEvals.Load(),
+		PrunedShards: e.tally.prunedShards.Load(),
+		ExactShards:  e.tally.exactShards.Load(),
 	}
 }

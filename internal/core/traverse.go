@@ -31,9 +31,6 @@
 //     remaining cell instead, so the worst case is the sweep plus the
 //     cell bounds.
 //
-// Brownout does not reach the traversal: a search at any level walks
-// exactly as at level 0 (see brownout.go).
-//
 // The traversal runs on the calling goroutine, so its schedule and work
 // counters are a function of the query and the cells alone.
 package core

@@ -264,35 +264,6 @@ func TestRecallPruned10k(t *testing.T) {
 	}
 }
 
-// TestRecallMaxBrownout10k pins that brownout costs the default fused
-// search nothing in quality on the 10k planted corpus at default cells:
-// at level 1 the RRF threshold traversal is the exact level-0 traversal,
-// so every query keeps recall 1 and pays the same evaluations.
-func TestRecallMaxBrownout10k(t *testing.T) {
-	cfg := synthvid.ClusterCorpusConfig{Frames: 10000, Seed: 7}
-	eng := buildCorpusEngine(t, cfg, core.Options{SearchShards: 4})
-
-	base, err := EvaluateRecall(eng, cfg, RecallOptions{Queries: 40, K: 10})
-	if err != nil {
-		t.Fatalf("level-0 evaluate: %v", err)
-	}
-	browned, err := EvaluateRecall(eng, cfg, RecallOptions{Queries: 40, K: 10, Search: core.SearchOptions{Brownout: 1}})
-	if err != nil {
-		t.Fatalf("browned evaluate: %v", err)
-	}
-	t.Logf("level 0: recall %.4f paid %d stops %v; level 1: recall %.4f min %.2f paid %d stops %v",
-		base.MeanRecall, base.PaidEvals, base.Stops, browned.MeanRecall, browned.MinRecall, browned.PaidEvals, browned.Stops)
-	if browned.PaidEvals != base.PaidEvals {
-		t.Errorf("max brownout paid %d evals, level 0 paid %d", browned.PaidEvals, base.PaidEvals)
-	}
-	if browned.PrunedShards == 0 {
-		t.Error("browned search never took the pruned path")
-	}
-	if browned.MinRecall != 1 {
-		t.Errorf("recall at max brownout: mean %.4f, min %.4f; want exactly 1", browned.MeanRecall, browned.MinRecall)
-	}
-}
-
 // TestRecallPruned100k is the ISSUE headline scale point: 100k corpus,
 // recall@10 >= 0.95 with >= 10x fewer distance evaluations. ~1.1 GB of
 // arena columns and minutes of generation, so it only runs when

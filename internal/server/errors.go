@@ -37,8 +37,6 @@ import (
 //     format errors because a watchdog cut also truncates the stream)
 //   - vstore.ErrReadOnly → 503 (the store is degraded read-only after a
 //     write fault; retry against a restarted process, not this one)
-//   - core.ErrOverloaded → 503 (the engine refused an unbounded search
-//     under brownout; retry when load clears)
 //   - cvj.ErrFormat or io.ErrUnexpectedEOF → 400 (the uploaded bytes are
 //     not a valid container, or were cut off mid-stream)
 //   - malformed → 400 (the request body or form does not decode)
@@ -67,7 +65,7 @@ func statusOf(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, os.ErrDeadlineExceeded):
 		return http.StatusRequestTimeout
-	case errors.Is(err, vstore.ErrReadOnly), errors.Is(err, core.ErrOverloaded):
+	case errors.Is(err, vstore.ErrReadOnly):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, cvj.ErrFormat), errors.Is(err, io.ErrUnexpectedEOF), errors.As(err, &bad):
 		return http.StatusBadRequest
@@ -108,23 +106,20 @@ func (m malformedErr) Unwrap() error { return m.error }
 // admission controller's live estimate says.
 const degradedRetryAfter = 30 * time.Second
 
-// applyRetryAfter attaches the Retry-After header err warrants, if any: a
-// degraded store (recovers only on restart), an engine overload refusal,
-// or an admission shed. The duration is the shed's own computed hint when
-// err carries one, otherwise the caller's estimate (the admission
-// controller's per-class value; zero if the caller has no estimator).
-// Degraded-store errors are floored at degradedRetryAfter.
+// applyRetryAfter attaches the Retry-After header err warrants, if any: an
+// admission shed takes its own computed hint; a degraded store (recovers
+// only on restart) takes the caller's estimate (the admission
+// controller's per-class value; zero if the caller has no estimator),
+// floored at degradedRetryAfter.
 func applyRetryAfter(h http.Header, err error, estimate time.Duration) {
 	var shed *admission.ShedError
 	switch {
 	case errors.As(err, &shed):
 		estimate = shed.RetryAfter
-	case errors.Is(err, vstore.ErrReadOnly), errors.Is(err, core.ErrOverloaded):
+	case errors.Is(err, vstore.ErrReadOnly):
+		estimate = max(estimate, degradedRetryAfter)
 	default:
 		return
-	}
-	if errors.Is(err, vstore.ErrReadOnly) {
-		estimate = max(estimate, degradedRetryAfter)
 	}
 	setRetryAfter(h, estimate)
 }

@@ -53,7 +53,6 @@ func TestClassification(t *testing.T) {
 		{"watchdog stall behind format error", fmt.Errorf("%w: %w", cvj.ErrFormat, os.ErrDeadlineExceeded), 408, 500, ""},
 		{"class at capacity", wrap(atCapacity), 429, 429, "2"},
 		{"overload shed", wrap(overload), 503, 503, "7"},
-		{"engine overloaded", wrap(core.ErrOverloaded), 503, 503, "3"},
 		{"store read-only", vstore.ErrReadOnly, 503, 503, "30"},
 		{"store read-only wrapped", wrap(vstore.ErrReadOnly), 503, 503, "30"},
 		{"malformed request", malformed(errors.New("multipart: NextPart: EOF")), 400, 500, ""},
@@ -92,8 +91,8 @@ func TestApplyRetryAfterEstimates(t *testing.T) {
 		{"degraded keeps a longer estimate", vstore.ErrReadOnly, 45 * time.Second, "45"},
 		{"degraded floors a shorter estimate", vstore.ErrReadOnly, 0, "30"},
 		{"shed hint beats estimate", &admission.ShedError{RetryAfter: 4 * time.Second}, time.Minute, "4"},
-		{"no estimator", core.ErrOverloaded, 0, "1"},
-		{"fractional estimate rounds up", core.ErrOverloaded, 1200 * time.Millisecond, "2"},
+		{"no estimate", &admission.ShedError{}, time.Minute, "1"},
+		{"fractional estimate rounds up", &admission.ShedError{RetryAfter: 1200 * time.Millisecond}, 0, "2"},
 	} {
 		h := http.Header{}
 		applyRetryAfter(h, tc.err, tc.estimate)

@@ -81,6 +81,11 @@ func TestHealthzStateTransitions(t *testing.T) {
 	}()
 	waitFor(t, time.Second, func() bool { return ctl.Snapshot().Classes[admission.Search].Queued == 1 })
 	checkState(200, "browned-out", false)
+	var health map[string]any
+	doJSON(t, "GET", ts.URL+"/healthz", nil, &health)
+	if want := "load level 1.00; lower-priority classes shed as it reaches their thresholds"; health["reason"] != want {
+		t.Fatalf("browned-out reason = %q, want %q", health["reason"], want)
+	}
 
 	// The first refusal flips the state to shedding (503 + Retry-After):
 	// reindex sheds at level ≥ 0.5 and the level is pinned at 1.
@@ -367,8 +372,7 @@ func (f *fakeClock) advance(d time.Duration) {
 // TestBrownoutHeaderIsTicketLevel checks each search response's
 // BrownoutHeader is the level its admission ticket carried — the level
 // Snapshot reports at the instant of the grant, under a frozen clock — for
-// a direct admission and for a search granted from the queue, and that the
-// engine ran the search at that level.
+// a direct admission and for a search granted from the queue.
 func TestBrownoutHeaderIsTicketLevel(t *testing.T) {
 	eng := openTestEngine(t)
 	raw, v := testContainer(t, synthvid.Sports, 720, 8)
@@ -401,8 +405,6 @@ func TestBrownoutHeaderIsTicketLevel(t *testing.T) {
 			t.Fatalf("direct admission: %s = %q, want %q", BrownoutHeader, got, want)
 		}
 	}
-	browned := eng.SearchTally().BrownedSearches
-
 	direct("0.000")
 
 	// Hold the only search slot so the next search queues; then a 1.5s
@@ -425,9 +427,6 @@ func TestBrownoutHeaderIsTicketLevel(t *testing.T) {
 	}
 
 	direct("0.500")
-	if got := eng.SearchTally().BrownedSearches - browned; got != 2 {
-		t.Fatalf("engine ran %d browned searches, want the 2 admitted at level 0.5", got)
-	}
 
 	clk.advance(time.Minute)
 	direct("0.000")

@@ -18,12 +18,10 @@
 // (internal/admission). Each class (search/delete/ingest/reindex) has its
 // own concurrency limit and bounded wait queue; refused work gets 429/503
 // with a Retry-After computed from observed service times, lowest-priority
-// classes shedding first as the load signal rises. A search runs at the
-// load level its admission ticket carries (core.SearchOptions.Brownout)
-// and echoes that level in the BrownoutHeader. The API's searches are
-// bounded RRF searches, exact at every level, so the level reports load;
-// at or above core.BrownoutRefuseFullRank the engine would refuse a
-// K <= 0 ranking, which the API never asks for. A slow-client watchdog re-arms
+// classes shedding first as the load signal rises. Search is never shed
+// by level, and the engine does not see the level at all: a search
+// response echoes its admission ticket's level in the BrownoutHeader as a
+// report of load, and its ranking is exact. A slow-client watchdog re-arms
 // a per-read connection deadline around body reads so a stalled uploader
 // cannot hold an admission slot forever. Index reads — the store listing,
 // the HTML read pages, stats and healthz — skip admission.
@@ -96,12 +94,12 @@ const (
 // same name so clients see the cap.
 const DeadlineHeader = "X-CBVR-Deadline-Ms"
 
-// BrownoutHeader reports, on search responses, the brownout level the
-// search ran at: its admission ticket's level, a report of load.
+// BrownoutHeader reports, on search responses, the load level the
+// search's admission ticket carried; the ranking does not depend on it.
 const BrownoutHeader = "X-CBVR-Brownout"
 
-// brownoutVisible is the level at which healthz switches from "ok" to
-// "browned-out": below this the load is negligible noise.
+// brownoutVisible is the load level at which healthz switches from "ok"
+// to "browned-out": below this the load is negligible noise.
 const brownoutVisible = 0.01
 
 // Server is the HTTP handler set. Create one with New.
@@ -193,12 +191,11 @@ func New(eng *core.Engine, opts Options) *Server {
 //     process restart recovers it (searches still serve)
 //   - 503 "shedding"   — the admission controller refused work within its
 //     shed window; load balancers should divert what they can
-//   - 200 "browned-out" — serving everything under load; the API's
-//     searches stay exact, the level reports how close admission is to
-//     shedding
+//   - 200 "browned-out" — serving everything under load; the level
+//     reports how close admission is to shedding the lower classes
 //   - 200 "ok"
 //
-// Every response carries the numeric brownout level; 503s carry a
+// Every response carries the numeric load level as "brownout"; 503s carry a
 // computed Retry-After. The load state is read once, as one admission
 // Snapshot.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -216,7 +213,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		code, body["status"], body["reason"] = http.StatusServiceUnavailable, "shedding", snap.Reason
 		setRetryAfter(w.Header(), retry)
 	case snap.Level >= brownoutVisible:
-		body["status"], body["reason"] = "browned-out", fmt.Sprintf("search evaluation budget shrunk to load level %.2f", snap.Level)
+		body["status"], body["reason"] = "browned-out", fmt.Sprintf("load level %.2f; lower-priority classes shed as it reaches their thresholds", snap.Level)
 	}
 	writeJSON(w, code, body)
 }
@@ -376,10 +373,10 @@ func listOf[T any](v []T) []T {
 
 // search ranks stored key frames against a query frame. The frame arrives
 // either as multipart field "image" or as a raw JPEG body; "k" (query or
-// form value, 1..1000, default 12) bounds the result count. The search
-// runs at its admission ticket's load level and the response carries that
-// level in the BrownoutHeader header, so the client sees the load it was
-// served under; the ranking is exact at every level.
+// form value, 1..1000, default 12) bounds the result count. The response
+// carries the admission ticket's load level in the BrownoutHeader header,
+// so the client sees the load it was served under; the ranking is exact
+// at every level.
 func (s *Server) search(w http.ResponseWriter, r *http.Request, ok respond[[]core.Match]) {
 	if r.Method != http.MethodPost {
 		methodErr(w, http.MethodPost)
@@ -415,7 +412,7 @@ func (s *Server) search(w http.ResponseWriter, r *http.Request, ok respond[[]cor
 		s.writeErr(w, malformed(fmt.Errorf("query frame is not a decodable JPEG: %w", err)), admission.Search)
 		return
 	}
-	matches, err := s.eng.SearchFrameCtx(r.Context(), query, core.SearchOptions{K: k, Brownout: tk.Level()})
+	matches, err := s.eng.SearchFrameCtx(r.Context(), query, core.SearchOptions{K: k})
 	if err != nil {
 		s.writeErr(w, err, admission.Search)
 		return
