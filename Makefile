@@ -1,7 +1,7 @@
 GO ?= go
 VETBIN := $(CURDIR)/.cache/cbvrvet
 
-.PHONY: all build test race vet vet-standalone bench-check clean
+.PHONY: all build test race vet vet-standalone bench-check mutate clean
 
 all: build test vet
 
@@ -33,6 +33,14 @@ vet-standalone:
 # rename there breaks the benchmark without any other target noticing.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# mutate runs the mutation runner (tools/mutate) over its full target
+# list: a seeded sample of mutants of the feature kernels, the search
+# path and vstore's commit path, each run through `go test -overlay`.
+# Under two hours on two cores. The JSON report goes to stdout, progress
+# and the per-target counts to stderr.
+mutate:
+	$(GO) run ./tools/mutate
 
 $(VETBIN): FORCE
 	@mkdir -p $(dir $(VETBIN))

@@ -8,15 +8,17 @@
 // per-feature distances — the paper's "Combined" retrieval, which its
 // Table 1 shows beating every individual feature.
 //
-// Retrieval runs on a concurrent sharded pipeline: the packed key-frame
-// descriptors are partitioned by ID (Options.SearchShards, defaulting to
-// GOMAXPROCS), each shard worker prunes and scores its own slice of the
-// archive, and bounded top-K heaps select the ranking without fully
-// sorting the candidate set. Clip searches score one video per worker
-// from a per-video index of the same cache. Results are deterministic at
-// any parallelism; set SearchOptions.Workers to bound (or serialise) an
-// individual call. See DESIGN.md ("Sharded search pipeline") for the
-// architecture.
+// The packed key-frame descriptors are partitioned by ID into shards
+// (Options.SearchShards, defaulting to GOMAXPROCS), each with coarse
+// cells once it is large enough. A bounded single-kind or RRF frame search
+// on a store with usable cells runs one exact threshold traversal over
+// every shard's cells on the calling goroutine. Every other frame search
+// (no usable cells, K <= 0, NoCellPruning, min-max fusion) sweeps the
+// shards in parallel, one worker per shard, and merges bounded per-shard
+// top-K heaps. Clip searches score one video per worker from a per-video
+// index of the same cache. Results are deterministic at any parallelism;
+// set SearchOptions.Workers to bound (or serialise) an individual call.
+// See DESIGN.md ("Sharded search pipeline") for the architecture.
 //
 // # Quick start
 //

@@ -40,10 +40,8 @@ type shardArena struct {
 	// search-time range prune sweeps; the zero Range while free.
 	bucket []rangeindex.Range
 
-	ents []*frameEntry // slot -> owning entry; nil while free
-	// ids[s] is live slot s's key-frame ID (0 while free): the tie-break
-	// column of the traversal's (distance, ID) order, read without
-	// chasing ents.
+	// ids[s] is live slot s's key-frame ID (0 while free): the row's
+	// identity, and the tie-break column of the (distance, ID) order.
 	ids  []int64
 	live []int32 // live slots, arbitrary order (swap-removed)
 	pos  []int32 // slot -> index into live; noSlot while free
@@ -63,8 +61,7 @@ func (a *shardArena) insert(en *frameEntry, set *features.Set) {
 		slot = a.free[n-1]
 		a.free = a.free[:n-1]
 	} else {
-		slot = int32(len(a.ents))
-		a.ents = append(a.ents, nil)
+		slot = int32(len(a.ids))
 		a.ids = append(a.ids, 0)
 		a.pos = append(a.pos, noSlot)
 		a.bucket = append(a.bucket, rangeindex.Range{})
@@ -74,7 +71,6 @@ func (a *shardArena) insert(en *frameEntry, set *features.Set) {
 			a.present[k] = append(a.present[k], false)
 		}
 	}
-	a.ents[slot] = en
 	a.ids[slot] = en.id
 	en.slot = slot
 	a.pos[slot] = int32(len(a.live))
@@ -126,7 +122,7 @@ func (a *shardArena) repack(en *frameEntry, set *features.Set) {
 // known state) and the slot pushed onto the free list.
 func (a *shardArena) remove(en *frameEntry) {
 	slot := en.slot
-	if slot == noSlot || int(slot) >= len(a.pos) || a.ents[slot] != en {
+	if slot == noSlot || int(slot) >= len(a.pos) || a.ids[slot] != en.id {
 		panic(fmt.Sprintf("core: arena remove of unpacked entry %d", en.id))
 	}
 	li := a.pos[slot]
@@ -136,7 +132,6 @@ func (a *shardArena) remove(en *frameEntry) {
 	a.pos[moved] = li
 	a.live = a.live[:last]
 	a.pos[slot] = noSlot
-	a.ents[slot] = nil
 	a.ids[slot] = 0
 	a.bucket[slot] = rangeindex.Range{}
 	for k := range a.present {

@@ -67,11 +67,11 @@ func checkBucketColumn(t *testing.T, eng *Engine, label string) {
 	defer eng.mu.RUnlock()
 	live := 0
 	for si, ar := range eng.arenas {
-		if len(ar.bucket) != len(ar.ents) {
-			t.Fatalf("%s: shard %d bucket column has %d slots, arena %d", label, si, len(ar.bucket), len(ar.ents))
+		if len(ar.bucket) != len(ar.ids) {
+			t.Fatalf("%s: shard %d bucket column has %d slots, arena %d", label, si, len(ar.bucket), len(ar.ids))
 		}
 		for _, slot := range ar.live {
-			if en := ar.ents[slot]; ar.bucket[slot] != en.bucket {
+			if en := eng.byID[ar.ids[slot]]; ar.bucket[slot] != en.bucket {
 				t.Fatalf("%s: shard %d slot %d column bucket %v, entry %d has %v", label, si, slot, ar.bucket[slot], en.id, en.bucket)
 			}
 		}
@@ -239,7 +239,7 @@ func TestArenaSlotReuseAndConsistency(t *testing.T) {
 		eng.mu.RLock()
 		defer eng.mu.RUnlock()
 		for _, ar := range eng.arenas {
-			slots += len(ar.ents)
+			slots += len(ar.ids)
 			live += len(ar.live)
 			free += len(ar.free)
 		}
@@ -250,20 +250,20 @@ func TestArenaSlotReuseAndConsistency(t *testing.T) {
 		eng.mu.RLock()
 		defer eng.mu.RUnlock()
 		for si, ar := range eng.arenas {
-			if len(ar.live)+len(ar.free) != len(ar.ents) {
-				t.Fatalf("shard %d: %d live + %d free != %d slots", si, len(ar.live), len(ar.free), len(ar.ents))
+			if len(ar.live)+len(ar.free) != len(ar.ids) {
+				t.Fatalf("shard %d: %d live + %d free != %d slots", si, len(ar.live), len(ar.free), len(ar.ids))
 			}
 			for li, slot := range ar.live {
 				if ar.pos[slot] != int32(li) {
 					t.Fatalf("shard %d: live[%d]=%d but pos=%d", si, li, slot, ar.pos[slot])
 				}
-				en := ar.ents[slot]
+				en := eng.byID[ar.ids[slot]]
 				if en == nil || en.slot != slot {
 					t.Fatalf("shard %d slot %d: entry %+v", si, slot, en)
 				}
 			}
 			for _, slot := range ar.free {
-				if ar.ents[slot] != nil || ar.pos[slot] != noSlot {
+				if ar.ids[slot] != 0 || ar.pos[slot] != noSlot {
 					t.Fatalf("shard %d: free slot %d still wired", si, slot)
 				}
 				for k := range ar.present {
@@ -429,7 +429,7 @@ func TestFixedScaleDistancePackedMatchesSet(t *testing.T) {
 		n := 0
 		for si, ar := range eng.arenas {
 			for _, slot := range ar.live {
-				en := ar.ents[slot]
+				en := eng.byID[ar.ids[slot]]
 				set, err := eng.referenceSet(en)
 				if err != nil {
 					t.Fatal(err)

@@ -334,7 +334,7 @@ func (c *shardCells) assign(ar *shardArena, slot int32) {
 	if !c.built {
 		return
 	}
-	c.ensureSlots(len(ar.ents))
+	c.ensureSlots(len(ar.ids))
 	ci := c.route(ar, slot)
 	c.cellOf[slot] = ci
 	c.posIn[slot] = int32(len(c.members[ci]))
@@ -423,11 +423,11 @@ func (c *shardCells) rebuild(ar *shardArena) {
 	c.built = true
 	c.since = 0
 	c.rebuilt++
-	c.ensureSlots(len(ar.ents))
+	c.ensureSlots(len(ar.ids))
 
 	n := len(ar.live)
 	slots := slices.Clone(ar.live)
-	slices.SortFunc(slots, func(a, b int32) int { return cmp.Compare(ar.ents[a].id, ar.ents[b].id) })
+	slices.SortFunc(slots, func(a, b int32) int { return cmp.Compare(ar.ids[a], ar.ids[b]) })
 
 	k := (n + c.cfg.targetCellSize - 1) / c.cfg.targetCellSize
 	if k > maxCellsPerShard {

@@ -349,8 +349,11 @@ func TestCellExactFallbacks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.PrunedShards != 0 {
-			t.Fatalf("tiny corpus pruned %d shards, want exact fallback", stats.PrunedShards)
+		if stats.PrunedShards != 0 || stats.Candidates != stats.BaseRows {
+			t.Fatalf("tiny corpus: %+v, want exact fallback scoring every base row", stats)
+		}
+		if st, err := eng.CellStats(); err != nil || st.BuiltShards != 0 {
+			t.Fatalf("tiny corpus cell stats %+v (%v), want no built shard", st, err)
 		}
 		checkCellSingleKindIdentity(t, eng, q.Set, q.Bucket, "tiny corpus", false)
 	})
@@ -382,12 +385,14 @@ func TestCellExactFallbacks(t *testing.T) {
 		if on.PrunedShards == 0 {
 			t.Fatal("pruning did not engage with forced cells")
 		}
-		_, off, err := eng.SearchWithSetStats(q.Set, q.Bucket, SearchOptions{K: 5, NoCellPruning: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if off.PrunedShards != 0 {
-			t.Fatalf("NoCellPruning pruned %d shards", off.PrunedShards)
+		for _, opt := range []SearchOptions{{K: 5, NoCellPruning: true}, {K: 0}} {
+			_, off, err := eng.SearchWithSetStats(q.Set, q.Bucket, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if off.PrunedShards != 0 {
+				t.Fatalf("%+v pruned %d shards", opt, off.PrunedShards)
+			}
 		}
 	})
 
@@ -529,7 +534,7 @@ func cellSignature(t *testing.T, ar *shardArena, c *shardCells) string {
 	for ci := 0; ci < c.n; ci++ {
 		ids := make([]int64, 0, len(c.members[ci]))
 		for _, slot := range c.members[ci] {
-			ids = append(ids, ar.ents[slot].id)
+			ids = append(ids, ar.ids[slot])
 		}
 		slices.Sort(ids)
 		sig += fmt.Sprintf("cell %d members=%v\n", ci, ids)
@@ -672,11 +677,11 @@ func rebuildReference(c *shardCells, ar *shardArena) (evals int64) {
 	c.built = true
 	c.since = 0
 	c.rebuilt++
-	c.ensureSlots(len(ar.ents))
+	c.ensureSlots(len(ar.ids))
 
 	n := len(ar.live)
 	slots := slices.Clone(ar.live)
-	slices.SortFunc(slots, func(a, b int32) int { return cmp.Compare(ar.ents[a].id, ar.ents[b].id) })
+	slices.SortFunc(slots, func(a, b int32) int { return cmp.Compare(ar.ids[a], ar.ids[b]) })
 
 	k := (n + c.cfg.targetCellSize - 1) / c.cfg.targetCellSize
 	k = max(1, min(k, maxCellsPerShard, n))

@@ -130,10 +130,12 @@ type IngestResult struct {
 // and by video (videos), the two granularities a query works at. Its
 // packed descriptors are partitioned into a fixed number of arena shards
 // keyed by key-frame ID (id mod len(arenas)); each shard's arena carries
-// the §4.2 bucket column the range prune sweeps. A frame search fans one
-// worker out per shard, a video search one per video; ingest, reindex and
-// delete update both indexes and the owning shard under the engine write
-// lock. See DESIGN.md ("Sharded search pipeline").
+// the §4.2 bucket column the range prune sweeps. A bounded single-kind or
+// RRF frame search with usable cells walks every shard's cells in one
+// threshold traversal on the calling goroutine; any other frame search
+// fans one worker out per shard, and a video search one per video.
+// Ingest, reindex and delete update both indexes and the owning shard
+// under the engine write lock. See DESIGN.md ("Sharded search pipeline").
 type Engine struct {
 	store *catalog.Store
 	opts  Options
@@ -301,7 +303,6 @@ func (e *Engine) replaceEntry(en *frameEntry, set *features.Set) {
 	old.slot = noSlot
 	s := e.shardFor(en.id)
 	ar := e.arenas[s]
-	ar.ents[en.slot] = en
 	ar.repack(en, set)
 	e.cells[s].onRepack(ar, en.slot)
 }

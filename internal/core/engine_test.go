@@ -264,14 +264,6 @@ func TestCachePersistsAcrossReopen(t *testing.T) {
 	}
 }
 
-func TestQueryBucketValid(t *testing.T) {
-	v := genVideo(synthvid.Movie, 80)
-	b := QueryBucket(v.Frames[0])
-	if b.Min < 0 || b.Max > 255 || b.Min > b.Max {
-		t.Errorf("bucket %v", b)
-	}
-}
-
 func TestSearchEmptyDB(t *testing.T) {
 	eng := openTestEngine(t)
 	v := genVideo(synthvid.News, 90)

@@ -33,12 +33,12 @@ func TestRRFScoresMatchReference(t *testing.T) {
 				for ki := range d {
 					d[ki] = plantedDistance(rng, ki)
 				}
-				all[i] = scored{en: &frameEntry{id: id}, d: d}
+				all[i] = scored{id: id, d: d}
 			}
 
 			byID := make([]scored, n)
 			copy(byID, all)
-			sort.Slice(byID, func(a, b int) bool { return byID[a].en.id < byID[b].en.id })
+			sort.Slice(byID, func(a, b int) bool { return byID[a].id < byID[b].id })
 			lists := make([][]float64, nk)
 			for ki := range lists {
 				lists[ki] = make([]float64, n)
@@ -49,15 +49,15 @@ func TestRRFScoresMatchReference(t *testing.T) {
 			ref := similarity.RRF(lists, similarity.RRFConstant)
 			want := make(map[int64]float64, n)
 			for i, c := range byID {
-				want[c.en.id] = ref[i]
+				want[c.id] = ref[i]
 			}
 
 			for _, workers := range []int{1, 4} {
 				got := rrfScores(all, nk, workers, new(rrfScratch))
 				for g, c := range all {
-					if got[g] != want[c.en.id] {
+					if got[g] != want[c.id] {
 						t.Fatalf("n=%d kinds=%d workers=%d: candidate %d (id %d, d %v) scores %.17g, reference %.17g",
-							n, nk, workers, g, c.en.id, c.d, got[g], want[c.en.id])
+							n, nk, workers, g, c.id, c.d, got[g], want[c.id])
 					}
 				}
 			}

@@ -131,16 +131,8 @@ func (s *scanScratch) sweep(ar *shardArena, pq *PackedQuery, start int, scalers 
 	}
 }
 
-// release drops entry references over the full backing array (so
-// pooled scratch cannot keep deleted videos' descriptors alive past any
-// query) and returns the scratch to the pool.
-func (s *scanScratch) release() {
-	cands := s.cands[:cap(s.cands)]
-	for i := range cands {
-		cands[i] = scored{}
-	}
-	scanScratchPool.Put(s)
-}
+// release returns the scratch to the pool.
+func (s *scanScratch) release() { scanScratchPool.Put(s) }
 
 // ScanArenaInto is the scan phase in isolation: the batched kernel sweep
 // of every live arena row in every shard for the query's kinds, written

@@ -89,8 +89,10 @@ func parallelFor(n, workers int, fn func(i int)) {
 }
 
 // SearchFrame ranks stored key frames against a query frame: extract the
-// query's descriptors, prune candidates by §4.2 range bucket, score per
-// feature in parallel, fuse and select the top K.
+// query's descriptors, prune candidates by §4.2 range bucket, then rank
+// the top K either by the threshold traversal over the shards' cells (a
+// bounded single-kind or RRF search with usable cells, on the calling
+// goroutine) or by a parallel per-shard sweep (every other search).
 func (e *Engine) SearchFrame(query *imaging.Image, opt SearchOptions) ([]Match, error) {
 	return e.SearchFrameCtx(context.Background(), query, opt)
 }
@@ -120,10 +122,10 @@ func (e *Engine) SearchWithSet(qset *features.Set, qbucket rangeindex.Range, opt
 	return e.searchSet(context.Background(), qset, qbucket, opt)
 }
 
-// scored pairs one candidate with its per-kind raw distances; the row
-// aliases the owning shard's pooled scan scratch.
+// scored pairs one candidate's key-frame ID with its per-kind raw
+// distances; the row aliases the owning shard's pooled scan scratch.
 type scored struct {
-	en *frameEntry
+	id int64
 	d  []float64
 }
 
@@ -312,7 +314,7 @@ func (e *Engine) searchSetStats(ctx context.Context, qset *features.Set, qbucket
 		}
 		h := similarity.NewTopK(k)
 		for g := lo; g < hi; g++ {
-			h.Push(similarity.Ranked{ID: all[g].en.id, Distance: fusedAt(g)})
+			h.Push(similarity.Ranked{ID: all[g].id, Distance: fusedAt(g)})
 		}
 		heaps[si] = h
 	})
@@ -418,7 +420,7 @@ func (e *Engine) scanShard(si int, pq *PackedQuery, qbucket rangeindex.Range, op
 	n := len(sc.rows)
 	part.cands = sc.cands[:n]
 	for i, s := range sc.rows {
-		part.cands[i] = scored{en: ar.ents[s], d: sc.buf[i*nk : (i+1)*nk : (i+1)*nk]}
+		part.cands[i] = scored{id: ar.ids[s], d: sc.buf[i*nk : (i+1)*nk : (i+1)*nk]}
 	}
 	part.stats.rowEvals = int64(n) * int64(nk)
 	part.stats.pruned = viaCells
@@ -440,7 +442,7 @@ func rrfScores(all []scored, nk, workers int, rs *rrfScratch) []float64 {
 	srt := radixPool.Get().(*radixSorter)
 	srt.grow(n)
 	for i := range all {
-		srt.keys[i] = uint64(all[i].en.id) ^ 1<<63 // int64 order as uint64 order
+		srt.keys[i] = uint64(all[i].id) ^ 1<<63 // int64 order as uint64 order
 		srt.idx[i] = int32(i)
 	}
 	copy(rs.byID, srt.sort())

@@ -188,7 +188,7 @@ func (e *Engine) planTraversal(opt *SearchOptions, pq *PackedQuery, qbucket rang
 	slots := 0
 	for si, ar := range e.arenas {
 		t.base = append(t.base, slots)
-		slots += len(ar.ents)
+		slots += len(ar.ids)
 		switch {
 		case n0[si] == 0:
 		case e.cells[si].usable(opt, n0[si]):

@@ -38,7 +38,8 @@ func extractRegionsWith(p *Planes) *RegionStats {
 func regionsFromGray(g *imaging.Gray, hist [256]int) *RegionStats {
 	sc := frameScratchPool.Get().(*frameScratch)
 	defer frameScratchPool.Put(sc)
-	// g.Binarize(t) into the pooled plane.
+	// Binarise at the Huang threshold (0 at or below, 255 above) into the
+	// pooled plane.
 	t := imaging.HuangThreshold(hist)
 	bin := &sc.bin
 	bin.W, bin.H = g.W, g.H

@@ -3,7 +3,6 @@ package imaging
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 // The generic kernel-walk morphology and binarisation CloseOpenBox3 and
@@ -111,17 +110,6 @@ func (g *Gray) boxFilter3(m uint8) *Gray {
 	return out
 }
 
-// Binarize maps every pixel to 0 (<= t) or 255 (> t).
-func (g *Gray) Binarize(t int) *Gray {
-	out := NewGray(g.W, g.H)
-	for i, v := range g.Pix {
-		if int(v) > t {
-			out.Pix[i] = 255
-		}
-	}
-	return out
-}
-
 // TestBoxMorphologyMatchesGeneric pins the separable 3×3 box pass to the
 // generic kernel-walk morphology on random rasters (binary and full
 // grayscale) across sizes that stress the border handling, and on
@@ -215,82 +203,5 @@ func BenchmarkCloseOpenReference(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.CloseOpen(k)
-	}
-}
-
-func TestMorphologyDilateErode(t *testing.T) {
-	g := NewGray(7, 7)
-	g.Set(3, 3, 255)
-	k := PaperKernel()
-	d := g.Dilate(k)
-	// The 3×3 neighbourhood must light up.
-	for dy := -1; dy <= 1; dy++ {
-		for dx := -1; dx <= 1; dx++ {
-			if d.At(3+dx, 3+dy) != 255 {
-				t.Fatalf("dilate missed (%d,%d)", 3+dx, 3+dy)
-			}
-		}
-	}
-	if d.At(0, 0) != 0 {
-		t.Error("dilate leaked to corner")
-	}
-	// Erosion of the dilation of a single pixel returns the single pixel.
-	e := d.Erode(k)
-	if e.At(3, 3) != 255 {
-		t.Error("erode(dilate(x)) lost centre")
-	}
-	if e.At(2, 2) != 0 {
-		t.Error("erode left halo")
-	}
-}
-
-// Morphology duality property: erode(¬x) == ¬dilate(x) for binary images.
-func TestMorphologyDualityProperty(t *testing.T) {
-	k := PaperKernel()
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := NewGray(16, 16)
-		for i := range g.Pix {
-			if rng.Intn(2) == 1 {
-				g.Pix[i] = 255
-			}
-		}
-		inv := g.Clone()
-		for i := range inv.Pix {
-			inv.Pix[i] = 255 - inv.Pix[i]
-		}
-		left := inv.Erode(k)
-		right := g.Dilate(k)
-		for i := range left.Pix {
-			if left.Pix[i] != 255-right.Pix[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCloseOpenIdempotentOnSolid(t *testing.T) {
-	g := NewGray(12, 12)
-	for i := range g.Pix {
-		g.Pix[i] = 255
-	}
-	out := g.CloseOpen(PaperKernel())
-	for i := range out.Pix {
-		if out.Pix[i] != 255 {
-			t.Fatal("close/open changed a solid image")
-		}
-	}
-}
-
-func TestBinarize(t *testing.T) {
-	g := NewGray(2, 1)
-	g.Pix[0], g.Pix[1] = 10, 200
-	b := g.Binarize(100)
-	if b.Pix[0] != 0 || b.Pix[1] != 255 {
-		t.Errorf("binarize: %v", b.Pix)
 	}
 }
