@@ -303,50 +303,57 @@ func TestGLCMPixelCounterMatchesPaper(t *testing.T) {
 	}
 }
 
-// On a uniform frame each texture and shape kind reads its no-structure
-// value: GLCM contrast and entropy 0, ASM and IDM 1; every Gabor mean and
-// deviation near 0; Tamura contrast 0 with no directionality votes; one
-// region, and it is major.
-func TestUniformImage(t *testing.T) {
-	for _, tc := range []struct {
-		kind  Kind
-		level uint8
-		check func(t *testing.T, p *Planes)
-	}{
-		{KindGLCM, 128, func(t *testing.T, p *Planes) {
-			g := extractGLCMWith(p)
-			if g.Contrast != 0 || g.Entropy > 1e-9 || math.Abs(g.ASM-1) > 1e-9 || math.Abs(g.IDM-1) > 1e-9 {
-				t.Errorf("contrast %v entropy %v ASM %v IDM %v", g.Contrast, g.Entropy, g.ASM, g.IDM)
-			}
-		}},
-		{KindGabor, 180, func(t *testing.T, p *Planes) {
-			for i, v := range extractGaborWith(p).Vec {
-				if math.Abs(v) > 0.05 {
-					t.Errorf("gabor[%d] = %g", i, v)
-				}
-			}
-		}},
-		{KindTamura, 99, func(t *testing.T, p *Planes) {
-			tm := extractTamuraWith(p)
-			var votes float64
-			for _, v := range tm.Directionality {
-				votes += v
-			}
-			if tm.Contrast != 0 || votes != 0 {
-				t.Errorf("contrast %v, %v directionality votes", tm.Contrast, votes)
-			}
-		}},
-		{KindRegions, 200, func(t *testing.T, p *Planes) {
-			if r := extractRegionsWith(p); r.Regions != 1 || r.Major != 1 {
-				t.Errorf("%+v", r)
-			}
-		}},
-	} {
-		t.Run(tc.kind.String(), func(t *testing.T) {
-			im := imaging.New(64, 64)
-			im.Fill(tc.level, tc.level, tc.level)
-			tc.check(t, NewPlanes(im))
-		})
+func TestGLCMUniformImage(t *testing.T) {
+	im := imaging.New(50, 50)
+	im.Fill(128, 128, 128)
+	g := extractGLCMWith(NewPlanes(im))
+	if g.Contrast != 0 {
+		t.Errorf("uniform contrast = %v", g.Contrast)
+	}
+	if math.Abs(g.ASM-1) > 1e-9 {
+		t.Errorf("uniform ASM = %v, want 1", g.ASM)
+	}
+	if g.Entropy > 1e-9 {
+		t.Errorf("uniform entropy = %v", g.Entropy)
+	}
+	if math.Abs(g.IDM-1) > 1e-9 {
+		t.Errorf("uniform IDM = %v, want 1", g.IDM)
+	}
+}
+
+func TestGaborUniformNearZero(t *testing.T) {
+	im := imaging.New(64, 64)
+	im.Fill(180, 180, 180)
+	g := extractGaborWith(NewPlanes(im))
+	for i, v := range g.Vec {
+		if math.Abs(v) > 0.05 {
+			t.Errorf("uniform image gabor[%d] = %g", i, v)
+		}
+	}
+}
+
+func TestTamuraUniformContrastZero(t *testing.T) {
+	im := imaging.New(64, 64)
+	im.Fill(99, 99, 99)
+	tm := extractTamuraWith(NewPlanes(im))
+	if tm.Contrast != 0 {
+		t.Errorf("uniform contrast = %v", tm.Contrast)
+	}
+	var votes float64
+	for _, v := range tm.Directionality {
+		votes += v
+	}
+	if votes != 0 {
+		t.Errorf("uniform image has %v directionality votes", votes)
+	}
+}
+
+func TestRegionsUniform(t *testing.T) {
+	im := imaging.New(60, 60)
+	im.Fill(200, 200, 200)
+	r := extractRegionsWith(NewPlanes(im))
+	if r.Regions != 1 || r.Major != 1 {
+		t.Errorf("uniform image: %+v", r)
 	}
 }
 
